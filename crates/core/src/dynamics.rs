@@ -212,31 +212,9 @@ pub fn destination_join_with(
                     }
                 })
                 .collect();
-            // Exact cheapest hop from O(1) closure lookups: restores the
-            // pruning a dense build got from its memoized min_hop even when
-            // the size-based cutover keeps the metric rows lazy.
-            let mut min_hop = Cost::INFINITY;
-            for (i, &a) in nodes.iter().enumerate() {
-                for (j, &b) in nodes.iter().enumerate() {
-                    if i != j {
-                        min_hop = min_hop.min(closure.dist_between(a, b) + pot[i] + pot[j]);
-                    }
-                }
-            }
-            let hop_bound = if nodes.len() >= 2 {
-                min_hop
-            } else {
-                Cost::ZERO
-            };
-            let metric = {
-                let closure = closure.clone();
-                let nodes = nodes.clone();
-                let pot = pot.clone();
-                sof_kstroll::AutoMetric::from_fn(nodes.len(), move |i, j| {
-                    closure.dist_between(nodes[i], nodes[j]) + pot[i] + pot[j]
-                })
-                .with_hop_lower_bound(hop_bound)
-            };
+            let metric = sof_kstroll::DenseMetric::from_fn(nodes.len(), |i, j| {
+                closure.dist_between(nodes[i], nodes[j]) + pot[i] + pot[j]
+            });
             let mut rng = sof_graph::Rng64::seed_from(0xD_E57 ^ d.index() as u64);
             let Some(stroll) =
                 sof_kstroll::StrollSolver::Auto.solve(&metric, xi, di, remaining + 2, &mut rng)

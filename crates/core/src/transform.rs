@@ -15,15 +15,13 @@
 
 use crate::Network;
 use sof_graph::{Cost, MetricClosure, NodeId};
-use sof_kstroll::{AutoMetric, Stroll, StrollSolver};
+use sof_kstroll::{DenseMetric, Stroll, StrollSolver};
 
 /// The transformed k-stroll instance for one source (all last VMs at once).
 #[derive(Debug)]
 pub struct ChainMetric {
-    /// Generic metric with halved node-cost potentials; rows materialize on
-    /// first touch from the engine-backed closure instead of an eager O(n²)
-    /// fill.
-    metric: AutoMetric,
+    /// Generic metric with halved node-cost potentials.
+    metric: DenseMetric,
     /// Index → network node; index 0 is the source.
     nodes: Vec<NodeId>,
     /// Shortest-path closure over `nodes` for walk expansion.
@@ -77,33 +75,17 @@ impl ChainMetric {
             .enumerate()
             .map(|(i, &c)| if i == 0 { source_cost / 2.0 } else { c / 2.0 })
             .collect();
-        // Pairwise distances must be finite. The same scan yields the exact
-        // cheapest off-diagonal hop — the strongest admissible pruning bound,
-        // identical to what a dense build memoizes — from O(1) closure
-        // lookups, so even when AutoMetric keeps the entries lazy the exact
-        // search prunes at full strength.
-        let mut min_hop = Cost::INFINITY;
-        for (i, &a) in nodes.iter().enumerate() {
-            for (j, &b) in nodes.iter().enumerate() {
-                let d = closure.dist_between(a, b);
-                if !d.is_finite() {
-                    return None;
-                }
-                if i != j {
-                    min_hop = min_hop.min(d + pot[i] + pot[j]);
-                }
-            }
+        // One pass over the O(1) closure lookups fills the matrix and
+        // checks that every pairwise distance is finite.
+        let mut finite = true;
+        let metric = DenseMetric::from_fn(n, |i, j| {
+            let d = closure.dist_between(nodes[i], nodes[j]);
+            finite &= d.is_finite();
+            d + pot[i] + pot[j]
+        });
+        if !finite {
+            return None;
         }
-        let hop_bound = if n >= 2 { min_hop } else { Cost::ZERO };
-        let metric = {
-            let closure = closure.clone();
-            let nodes = nodes.clone();
-            let pot = pot.clone();
-            AutoMetric::from_fn(n, move |i, j| {
-                closure.dist_between(nodes[i], nodes[j]) + pot[i] + pot[j]
-            })
-            .with_hop_lower_bound(hop_bound)
-        };
         Some(ChainMetric {
             metric,
             nodes,
@@ -114,7 +96,7 @@ impl ChainMetric {
     }
 
     /// The generic metric (node potentials included).
-    pub fn metric(&self) -> &AutoMetric {
+    pub fn metric(&self) -> &DenseMetric {
         &self.metric
     }
 
@@ -233,13 +215,6 @@ impl ChainMetric {
 mod tests {
     use super::*;
     use sof_graph::{Graph, Rng64};
-    use sof_kstroll::{DenseMetric, Metric};
-
-    /// Materializes any metric so dense-only checks (triangle
-    /// inequality) can run against it.
-    fn densify<M: Metric>(m: &M) -> DenseMetric {
-        DenseMetric::from_fn(m.len(), |i, j| m.cost(i, j))
-    }
 
     /// Line 0-1-2-3 (unit links) with VMs 1 (cost 2), 2 (cost 4), 3 (cost 6).
     fn net() -> Network {
@@ -277,7 +252,7 @@ mod tests {
     fn metric_satisfies_triangle_inequality() {
         let net = net();
         let cm = ChainMetric::build(&net, NodeId::new(0), &vms(), Cost::ZERO).unwrap();
-        assert!(densify(cm.metric()).respects_triangle_inequality(1e-9));
+        assert!(cm.metric().respects_triangle_inequality(1e-9));
     }
 
     #[test]
@@ -291,7 +266,7 @@ mod tests {
         // Procedure-1 (Appendix D) edge sum agrees.
         let p1 = cm.procedure1_edge_cost(0, 1, 2) + cm.procedure1_edge_cost(1, 2, 2);
         assert!(true_cost.approx_eq(p1));
-        assert!(densify(cm.metric()).respects_triangle_inequality(1e-9));
+        assert!(cm.metric().respects_triangle_inequality(1e-9));
     }
 
     #[test]
@@ -326,16 +301,19 @@ mod tests {
     fn metric_picks_dense_storage_with_sharp_hop_bound() {
         let net = net();
         let cm = ChainMetric::build(&net, NodeId::new(0), &vms(), Cost::ZERO).unwrap();
-        // Tiny instance (source + 3 VMs): AutoMetric materializes eagerly;
-        // only past AUTO_DENSE_CUTOVER points does it stay lazy.
+        // The bound the exact search prunes with is the cheapest hop of
+        // the instance: s–VM1, distance 1 plus potential c(VM1)/2 = 1.
         assert!(cm.metric().is_dense());
-        let dense = densify(cm.metric());
-        let bound = cm.metric().hop_lower_bound();
-        // Either representation prunes with the exact cheapest hop: the
-        // dense side memoizes it, the lazy side gets it from the
-        // finiteness scan.
-        assert!(bound > Cost::ZERO);
-        assert_eq!(bound, dense.min_hop());
+        let mut cheapest = Cost::INFINITY;
+        for i in 0..cm.len() {
+            for j in 0..cm.len() {
+                if i != j {
+                    cheapest = cheapest.min(cm.metric().cost(i, j));
+                }
+            }
+        }
+        assert_eq!(cm.metric().min_hop(), cheapest);
+        assert_eq!(cheapest, Cost::new(2.0));
     }
 
     #[test]

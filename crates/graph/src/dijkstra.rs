@@ -184,6 +184,19 @@ impl ShortestPaths {
     }
 }
 
+/// What [`DijkstraWorkspace::repair`] made of a cached tree and the cost
+/// changes since it was computed.
+#[derive(Debug)]
+pub enum Repair {
+    /// No change can touch the tree: the old tree *is* the fresh tree, and
+    /// the caller keeps using it (no copy was made).
+    Unchanged,
+    /// The affected region was re-relaxed; the tree equals a fresh run's.
+    Repaired(ShortestPaths),
+    /// Repairing is not worthwhile or not provably exact; run cold.
+    GaveUp,
+}
+
 /// A reusable Dijkstra scratchpad: epoch-stamped `dist`/`parent`/`site`
 /// arrays plus a drained heap.
 ///
@@ -403,33 +416,36 @@ impl DijkstraWorkspace {
 
     /// Dynamic-SSSP tree repair (Ramalingam–Reps style): given the tree
     /// `old` previously computed for `sources` and the cost-journal slice
-    /// `changes` that separates it from `graph`'s current costs, rebuilds
-    /// only the *affected region* and returns a tree **bit-identical to a
+    /// `changes` that separates it from `graph`'s current costs, decides
+    /// whether any change can touch the tree and, if so, rebuilds only the
+    /// *affected region*. Either way the answer is **bit-identical to a
     /// fresh Dijkstra** — distances, parent hops, Voronoi sites and every
     /// tie-break included (the identity argument lives in
     /// `docs/DYNSSSP.md`).
     ///
-    /// Returns `None` when repairing is not worthwhile: the affected
+    /// [`Repair::Unchanged`] costs O(|changes|) and copies nothing.
+    /// [`Repair::GaveUp`] means repairing is not worthwhile — the affected
     /// region (dirty seeds plus their whole old-tree subtrees) exceeds
-    /// `max(8, n / 4)` vertices, or `old` does not cover the graph. The
-    /// caller then falls back to a cold run.
+    /// `max(8, n / 4)` vertices, or `old` does not cover the graph — or
+    /// not provably exact (an ambiguous zero-cost plateau tie). The caller
+    /// then falls back to a cold run.
     ///
     /// The pass reuses the workspace's heap and stamp buffers (the stamp
-    /// array doubles as the region marker), so its only O(n) work is the
-    /// child-list pass and the output clone — the price a cache miss pays
-    /// for its snapshot anyway. The workspace's previous run is
-    /// invalidated, exactly as a fresh [`run`](DijkstraWorkspace::run)
-    /// would invalidate it.
+    /// array doubles as the region marker), so a re-relaxation's only O(n)
+    /// work is the child-list pass and the output clone — the price a
+    /// cache miss pays for its snapshot anyway. The workspace's previous
+    /// run is invalidated, exactly as a fresh
+    /// [`run`](DijkstraWorkspace::run) would invalidate it.
     pub fn repair(
         &mut self,
         graph: &Graph,
         old: &ShortestPaths,
         sources: &[NodeId],
         changes: &[CostChange],
-    ) -> Option<ShortestPaths> {
+    ) -> Repair {
         let n = graph.node_count();
         if old.len() != n {
-            return None;
+            return Repair::GaveUp;
         }
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
@@ -464,15 +480,16 @@ impl DijkstraWorkspace {
                     self.region.push(y);
                     if self.region.len() > cap {
                         self.epoch += 1;
-                        return None;
+                        return Repair::GaveUp;
                     }
                 }
             }
         }
         if self.region.is_empty() {
-            // Every change provably lost every relaxation: the old tree
+            // Every change provably lost every relaxation (or restored a
+            // tree hop to the cost its label was built from): the old tree
             // is the fresh tree.
-            return Some(old.clone());
+            return Repair::Unchanged;
         }
 
         // Phase 1b: close the region downward. Every old-tree descendant
@@ -512,7 +529,7 @@ impl DijkstraWorkspace {
                     self.region.push(NodeId::new(k));
                     if self.region.len() > cap {
                         self.epoch += 1;
-                        return None;
+                        return Repair::GaveUp;
                     }
                 }
             }
@@ -582,7 +599,7 @@ impl DijkstraWorkspace {
                     if let Some((p, pe)) = sp.parent[vi] {
                         if d == sp.dist[p.index()] && (displaced(&sp, u) || displaced(&sp, p)) {
                             self.epoch += 1;
-                            return None;
+                            return Repair::GaveUp;
                         }
                         if self.stamp[vi] != self.epoch {
                             // Still-valid label: flip when this candidate's
@@ -614,7 +631,7 @@ impl DijkstraWorkspace {
         // workspace's label arrays no longer correspond to it; retire the
         // epoch so the accessors read as "no run" rather than garbage.
         self.epoch += 1;
-        Some(sp)
+        Repair::Repaired(sp)
     }
 
     /// Number of runs performed.
@@ -772,6 +789,15 @@ mod tests {
         }
     }
 
+    /// The tree a repair outcome stands for (`None`: the caller runs cold).
+    fn tree_of(outcome: Repair, old: &ShortestPaths) -> Option<ShortestPaths> {
+        match outcome {
+            Repair::Unchanged => Some(old.clone()),
+            Repair::Repaired(tree) => Some(tree),
+            Repair::GaveUp => None,
+        }
+    }
+
     /// Repaired trees must match a fresh run on every label — distance,
     /// parent hop, and site — not just distances.
     fn assert_tree_identical(g: &Graph, got: &ShortestPaths, want: &ShortestPaths, ctx: &str) {
@@ -792,9 +818,7 @@ mod tests {
         g.set_edge_cost(EdgeId::new(0), Cost::new(9.0));
         let changes = g.cost_changes_since(e0).unwrap().to_vec();
         let mut ws = DijkstraWorkspace::new();
-        let repaired = ws
-            .repair(&g, &old, &srcs, &changes)
-            .expect("region is tiny");
+        let repaired = tree_of(ws.repair(&g, &old, &srcs, &changes), &old).expect("region is tiny");
         let fresh = ShortestPaths::from_sources(&g, srcs);
         assert_tree_identical(&g, &repaired, &fresh, "reprice up");
         assert_eq!(repaired.dist(NodeId::new(2)), Cost::new(5.0));
@@ -810,13 +834,15 @@ mod tests {
         g.set_edge_cost(EdgeId::new(2), Cost::new(50.0));
         let changes = g.cost_changes_since(e0).unwrap().to_vec();
         let mut ws = DijkstraWorkspace::new();
-        let repaired = ws.repair(&g, &old, &srcs, &changes).unwrap();
-        assert_tree_identical(&g, &repaired, &old, "losing change");
+        assert!(matches!(
+            ws.repair(&g, &old, &srcs, &changes),
+            Repair::Unchanged
+        ));
         // ...while the same edge getting *better* flips node 2's parent.
         let e1 = g.cost_epoch();
         g.set_edge_cost(EdgeId::new(2), Cost::new(0.5));
         let changes = g.cost_changes_since(e1).unwrap().to_vec();
-        let repaired = ws.repair(&g, &old, &srcs, &changes).unwrap();
+        let repaired = tree_of(ws.repair(&g, &old, &srcs, &changes), &old).unwrap();
         let fresh = ShortestPaths::from_sources(&g, srcs);
         assert_tree_identical(&g, &repaired, &fresh, "winning change");
         assert_eq!(
@@ -840,7 +866,7 @@ mod tests {
         g.set_edge_cost(EdgeId::new(3), Cost::new(3.0));
         let changes = g.cost_changes_since(e0).unwrap().to_vec();
         let mut ws = DijkstraWorkspace::new();
-        let repaired = ws.repair(&g, &old, &srcs, &changes).unwrap();
+        let repaired = tree_of(ws.repair(&g, &old, &srcs, &changes), &old).unwrap();
         let fresh = ShortestPaths::from_sources(&g, srcs);
         assert_tree_identical(&g, &repaired, &fresh, "tie after reprice");
         // The tie at node 3 goes to source 4: it proposed first (popped at
@@ -867,8 +893,7 @@ mod tests {
         g.set_edge_cost(EdgeId::new(3), Cost::new(5.0));
         let changes = g.cost_changes_since(e0).unwrap().to_vec();
         let mut ws = DijkstraWorkspace::new();
-        let repaired = ws
-            .repair(&g, &old, &srcs, &changes)
+        let repaired = tree_of(ws.repair(&g, &old, &srcs, &changes), &old)
             .expect("a leaf vm plateau must not block the repair");
         let fresh = ShortestPaths::from_sources(&g, srcs);
         assert_tree_identical(&g, &repaired, &fresh, "leaf vm zero edge");
@@ -900,7 +925,7 @@ mod tests {
         let changes = g.cost_changes_since(e0).unwrap().to_vec();
         let mut ws = DijkstraWorkspace::new();
         assert!(
-            ws.repair(&g, &old, &srcs, &changes).is_none(),
+            matches!(ws.repair(&g, &old, &srcs, &changes), Repair::GaveUp),
             "ambiguous plateau ties must fall back to a cold run"
         );
         // The workspace stays reusable after the bail.
@@ -926,10 +951,13 @@ mod tests {
         }
         let changes = g.cost_changes_since(e0).unwrap().to_vec();
         let mut ws = DijkstraWorkspace::new();
-        assert!(ws.repair(&g, &old, &srcs, &changes).is_none());
+        assert!(matches!(
+            ws.repair(&g, &old, &srcs, &changes),
+            Repair::GaveUp
+        ));
         // A tree sized for a smaller graph is rejected outright.
         g.add_node();
-        assert!(ws.repair(&g, &old, &srcs, &[]).is_none());
+        assert!(matches!(ws.repair(&g, &old, &srcs, &[]), Repair::GaveUp));
     }
 
     #[test]
@@ -955,7 +983,7 @@ mod tests {
                 }
                 let changes = g.cost_changes_since(e0).unwrap().to_vec();
                 let fresh = ShortestPaths::from_sources(&g, srcs.iter().copied());
-                if let Some(repaired) = ws.repair(&g, &old, &srcs, &changes) {
+                if let Some(repaired) = tree_of(ws.repair(&g, &old, &srcs, &changes), &old) {
                     assert_tree_identical(
                         &g,
                         &repaired,

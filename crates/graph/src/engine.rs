@@ -16,30 +16,31 @@
 //! * hits return a cheap [`Arc`] clone of the cached tree — zero O(n)
 //!   allocation on the warm path.
 //!
-//! # Edge-scoped (dirty-set) invalidation
+//! # Edge-scoped invalidation: one repair pass, two outcomes
 //!
-//! An epoch mismatch no longer condemns a cached tree outright. Cost-only
-//! mutations are journaled per edge ([`Graph::cost_changes_since`]), and a
-//! stale entry from the same lineage is **revalidated** — re-offered at the
-//! current epoch without running Dijkstra, counted in
-//! [`PathEngineStats::repairs`] — when every dirtied edge provably cannot
-//! change the tree. The safety rule, per dirtied edge `{u, v}` with new
-//! cost `c`:
+//! An epoch mismatch does not condemn a cached tree. Cost-only mutations
+//! are journaled per edge ([`Graph::cost_changes_since`]), and the newest
+//! stale entry whose lineage is still journaled goes through
+//! [`DijkstraWorkspace::repair`], which looks at each dirtied edge
+//! `{x, y}` with its current cost `c`:
 //!
-//! * the edge is not a parent (tree) edge of `u` or `v` in the cached tree,
-//!   and
-//! * it loses every relaxation strictly: `dist(u) + c > dist(v)` **and**
-//!   `dist(v) + c > dist(u)` (or both endpoints are unreachable).
+//! * **unchanged** — every tree hop still carries the cost its label was
+//!   built from (`dist(x) + c == dist(y)`, so a reprice that was restored
+//!   before the query counts) and every non-tree hop loses its relaxation
+//!   strictly (`dist(x) + c > dist(y)` both ways). A fresh Dijkstra would
+//!   relax the same edges in the same `(cost, node)` heap order, so the
+//!   cached tree equals the recomputation **bit for bit**; the same `Arc`
+//!   is re-offered at the current epoch, counted in
+//!   [`PathEngineStats::repairs`].
+//! * **re-relaxed** — some hop was repriced off its label, or now wins or
+//!   ties: only the affected region is rebuilt (`docs/DYNSSSP.md`),
+//!   counted in [`PathEngineStats::partial_repairs`] on top of `misses`
+//!   and `stale`.
 //!
-//! Under that rule a fresh Dijkstra would relax the same edges in the same
-//! `(cost, node)` heap order and lose on the dirtied edge everywhere it did
-//! before, so the cached tree equals the recomputation **bit for bit** —
-//! distances, parents and Voronoi sites included — at any thread count.
-//! Anything else (a tree edge repriced, a shortcut created, a tie
-//! introduced, a structural mutation, journal overflow) falls back to a
-//! full recompute of that entry; untouched entries are never discarded.
-//! This is the cheap half of a Ramalingam–Reps decremental update: repair
-//! where a no-op is provable, recompute otherwise.
+//! When the pass gives up (region too large, an ambiguous zero-cost
+//! plateau) or no lineage is journaled (a structural mutation, journal
+//! overflow), that entry is recomputed cold; untouched entries are never
+//! discarded.
 //!
 //! # Sharing semantics
 //!
@@ -70,30 +71,9 @@
 //! assert_eq!(engine.from_source(&g, NodeId::new(0)).dist(NodeId::new(2)), Cost::new(12.0));
 //! ```
 
-use crate::{CostChange, DijkstraWorkspace, Graph, NodeId, ShortestPaths};
+use crate::{DijkstraWorkspace, Graph, NodeId, Repair, ShortestPaths};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// Returns `true` when none of the journaled `changes` can affect `paths`:
-/// per dirtied edge, it is not a tree edge of the cached run and its new
-/// cost loses every relaxation strictly (or it joins two unreachable
-/// nodes). Under this rule a fresh Dijkstra reproduces `paths` bit for bit
-/// (see the module docs for the argument).
-fn tree_unaffected(graph: &Graph, paths: &ShortestPaths, changes: &[CostChange]) -> bool {
-    changes.iter().all(|ch| {
-        let edge = graph.edge(ch.edge);
-        let (u, v) = edge.endpoints();
-        let (du, dv) = (paths.dist(u), paths.dist(v));
-        if !du.is_finite() && !dv.is_finite() {
-            return true;
-        }
-        let is_tree_edge = |x: NodeId| paths.parent(x).is_some_and(|(_, e)| e == ch.edge);
-        if is_tree_edge(u) || is_tree_edge(v) {
-            return false;
-        }
-        du + edge.cost > dv && dv + edge.cost > du
-    })
-}
 
 /// Source sets kept before stale/overflowing entries are evicted.
 const MAX_ENTRIES: usize = 4096;
@@ -116,11 +96,12 @@ pub struct PathEngineStats {
     pub stale: u64,
     /// Bulk evictions triggered by the entry cap.
     pub evictions: u64,
-    /// Stale entries revalidated without a Dijkstra: every journaled dirty
-    /// edge was provably unable to change the tree (see the module docs).
+    /// Stale entries re-offered unchanged, without a Dijkstra: the repair
+    /// pass found no journaled dirty edge able to change the tree (see the
+    /// module docs).
     pub repairs: u64,
-    /// Misses answered by the dynamic-SSSP repair pass instead of a cold
-    /// Dijkstra: only the affected region was re-relaxed (see
+    /// Misses answered by the repair pass re-relaxing only the affected
+    /// region instead of a cold Dijkstra (see
     /// [`DijkstraWorkspace::repair`]). Counted *in addition to* `misses`
     /// and `stale` — the repaired tree is bit-identical to the cold
     /// solve it replaced, so downstream counters are unchanged.
@@ -187,46 +168,39 @@ impl PathEngine {
                 inner.stats.hits += 1;
                 return Arc::clone(paths);
             }
-            // Edge-scoped invalidation: revalidate a same-lineage entry the
-            // dirtied edges provably cannot affect (module docs), newest
-            // first. The repaired tree is *added* at the current epoch —
-            // the old entry survives, so a pre-mutation clone still hits.
-            let repaired = entries.iter().rev().find_map(|(e0, paths)| {
-                graph
-                    .cost_changes_since(*e0)
-                    .filter(|changes| tree_unaffected(graph, paths, changes))
-                    .map(|_| Arc::clone(paths))
-            });
-            if let Some(paths) = repaired {
-                inner.stats.repairs += 1;
-                entries.push((epoch, Arc::clone(&paths)));
-                if entries.len() > EPOCHS_PER_SET {
-                    entries.remove(0);
-                }
-                return paths;
-            }
-            inner.stats.stale += 1;
-            // Middle tier: dynamic-SSSP repair. The newest entry whose
-            // lineage is still journaled gets its affected region
-            // re-relaxed in place of a cold Dijkstra — bit-identical
-            // output (docs/DYNSSSP.md), so only `partial_repairs` can
-            // tell the difference.
+            // Edge-scoped invalidation (module docs): the newest entry
+            // whose lineage is still journaled goes through the repair
+            // pass. The answer is *added* at the current epoch — the old
+            // entry survives, so a pre-mutation clone still hits.
             let candidate = entries.iter().rev().find_map(|(e0, paths)| {
                 graph
                     .cost_changes_since(*e0)
                     .map(|changes| (Arc::clone(paths), changes))
             });
-            if let Some((old, changes)) = candidate {
-                if let Some(repaired) = inner.workspace.repair(graph, &old, key, changes) {
+            let outcome = candidate
+                .map(|(old, changes)| (inner.workspace.repair(graph, &old, key, changes), old));
+            let reused = match outcome {
+                Some((Repair::Unchanged, old)) => {
+                    inner.stats.repairs += 1;
+                    Some(old)
+                }
+                Some((Repair::Repaired(tree), _)) => {
+                    inner.stats.stale += 1;
                     inner.stats.misses += 1;
                     inner.stats.partial_repairs += 1;
-                    let paths = Arc::new(repaired);
-                    entries.push((epoch, Arc::clone(&paths)));
-                    if entries.len() > EPOCHS_PER_SET {
-                        entries.remove(0);
-                    }
-                    return paths;
+                    Some(Arc::new(tree))
                 }
+                Some((Repair::GaveUp, _)) | None => {
+                    inner.stats.stale += 1;
+                    None
+                }
+            };
+            if let Some(paths) = reused {
+                entries.push((epoch, Arc::clone(&paths)));
+                if entries.len() > EPOCHS_PER_SET {
+                    entries.remove(0);
+                }
+                return paths;
             }
         }
         inner.stats.misses += 1;
@@ -399,6 +373,29 @@ mod tests {
             "an improving edge forces recompute"
         );
         assert_eq!(t0c.dist(NodeId::new(3)), Cost::new(2.0));
+    }
+
+    #[test]
+    fn restored_tree_edge_is_reoffered_unchanged() {
+        // What a leave followed by a join does to a congestion-priced
+        // link: a tree edge repriced and then restored (A→B→A) before the
+        // next query. The labels still stand, so the same Arc comes back
+        // with no clone, no Dijkstra and no miss.
+        let mut g = line(6);
+        let engine = PathEngine::new();
+        let s = NodeId::new(0);
+        let before = engine.from_source(&g, s);
+        let e = g.edge_between(NodeId::new(2), NodeId::new(3)).unwrap();
+        g.set_edge_cost(e, Cost::new(4.0));
+        g.set_edge_cost(e, Cost::new(1.0));
+        let was = engine.stats();
+        assert!(Arc::ptr_eq(&before, &engine.from_source(&g, s)));
+        let now = engine.stats();
+        assert_eq!(now.repairs, was.repairs + 1);
+        assert_eq!(
+            (now.misses, now.stale, now.partial_repairs),
+            (was.misses, was.stale, was.partial_repairs)
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod rng;
 mod unionfind;
 
 pub use cost::Cost;
-pub use dijkstra::{DijkstraWorkspace, ShortestPaths};
+pub use dijkstra::{DijkstraWorkspace, Repair, ShortestPaths};
 pub use engine::{PathEngine, PathEngineStats};
 pub use generators::CostRange;
 pub use graph::{CostChange, Edge, Graph};

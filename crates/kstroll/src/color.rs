@@ -8,7 +8,7 @@
 //! attractive inside SOFDA (Procedure 3 needs a stroll from every source to
 //! every candidate last VM).
 
-use crate::{Metric, Stroll};
+use crate::{DenseMetric, Stroll};
 use sof_graph::{Cost, Rng64};
 
 /// Cheapest colorful-path table for one source: per target the best stroll
@@ -43,8 +43,8 @@ fn stall_window(k: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `k == 0` or `k > 63`.
-pub fn color_coding_all_targets<M: Metric + ?Sized>(
-    metric: &M,
+pub fn color_coding_all_targets(
+    metric: &DenseMetric,
     source: usize,
     k: usize,
     trials: usize,
@@ -100,10 +100,8 @@ pub fn color_coding_all_targets<M: Metric + ?Sized>(
                 if !cur.is_finite() {
                     continue;
                 }
-                // One row fetch per extended state: the DP relaxation below
-                // is by far the hottest metric reader in the crate, so dense
-                // and pinned-lazy metrics hand out a borrowed slice and every
-                // hop read becomes a plain indexed load.
+                // The DP relaxation below is by far the hottest metric
+                // reader in the crate: one row fetch per extended state.
                 let vrow = metric.row(v);
                 for w in 0..n {
                     let cbit = 1usize << color[w];
@@ -111,11 +109,7 @@ pub fn color_coding_all_targets<M: Metric + ?Sized>(
                         continue;
                     }
                     let nm = mask | cbit;
-                    let hop = match vrow {
-                        Some(r) => r[w],
-                        None => metric.cost(v, w),
-                    };
-                    let nc = cur + hop;
+                    let nc = cur + vrow[w];
                     if nc < dp[nm * n + w] {
                         dp[nm * n + w] = nc;
                         pred[nm * n + w] = mask * n + v;
@@ -163,8 +157,8 @@ pub fn color_coding_all_targets<M: Metric + ?Sized>(
 }
 
 /// Single-target convenience wrapper around [`color_coding_all_targets`].
-pub fn color_coding_stroll<M: Metric + ?Sized>(
-    metric: &M,
+pub fn color_coding_stroll(
+    metric: &DenseMetric,
     source: usize,
     target: usize,
     k: usize,
@@ -196,7 +190,7 @@ pub fn default_trials(k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{exact_stroll, DenseMetric};
+    use crate::exact_stroll;
 
     fn euclid(n: usize, seed: u64) -> DenseMetric {
         let mut rng = Rng64::seed_from(seed);

@@ -1,6 +1,6 @@
 //! Exact k-stroll via branch-and-bound depth-first search.
 
-use crate::{Metric, Stroll};
+use crate::{DenseMetric, Stroll};
 use sof_graph::Cost;
 
 /// Upper bound on the DFS search-space estimate accepted by
@@ -37,8 +37,8 @@ pub fn estimated_work(n: usize, k: usize) -> f64 {
 /// assert_eq!(s.nodes, vec![0, 1, 2, 3]);
 /// assert_eq!(s.cost, Cost::new(3.0));
 /// ```
-pub fn exact_stroll<M: Metric + ?Sized>(
-    metric: &M,
+pub fn exact_stroll(
+    metric: &DenseMetric,
     source: usize,
     target: usize,
     k: usize,
@@ -55,11 +55,7 @@ pub fn exact_stroll<M: Metric + ?Sized>(
 /// `exact_stroll(metric, source, t, k)` bit-for-bit — stably sorting the
 /// full row and skipping used nodes visits candidates in exactly the order
 /// the per-call filtered sort did.
-pub fn exact_all_targets<M: Metric + ?Sized>(
-    metric: &M,
-    source: usize,
-    k: usize,
-) -> Vec<Option<Stroll>> {
+pub fn exact_all_targets(metric: &DenseMetric, source: usize, k: usize) -> Vec<Option<Stroll>> {
     let n = metric.len();
     let mut out: Vec<Option<Stroll>> = vec![None; n];
     if source >= n {
@@ -105,15 +101,11 @@ impl ExactWorkspace {
         }
     }
 
-    fn ensure_row<M: Metric + ?Sized>(&mut self, metric: &M, v: usize) {
+    fn ensure_row(&mut self, metric: &DenseMetric, v: usize) {
         if self.rows[v].is_empty() {
             let mut row: Vec<usize> = (0..metric.len()).collect();
-            // Same values either way; the borrowed slice skips the per-key
-            // virtual/locked lookup inside the stable sort.
-            match metric.row(v) {
-                Some(costs) => row.sort_by_key(|&w| costs[w]),
-                None => row.sort_by_key(|&w| metric.cost(v, w)),
-            }
+            let costs = metric.row(v);
+            row.sort_by_key(|&w| costs[w]);
             self.rows[v] = row;
         }
     }
@@ -123,7 +115,7 @@ impl ExactWorkspace {
     /// worthwhile when the DFS has at least two interior levels to prune
     /// (`k >= 4`); the scan amortizes over the `n × n^(k-2)` search nodes
     /// it guards.
-    fn ensure_bounds<M: Metric + ?Sized>(&mut self, metric: &M, k: usize) {
+    fn ensure_bounds(&mut self, metric: &DenseMetric, k: usize) {
         if self.cheap.len() >= k {
             return;
         }
@@ -132,15 +124,10 @@ impl ExactWorkspace {
         self.min_in.clear();
         self.min_in.resize(n, Cost::INFINITY);
         for i in 0..n {
-            let row = metric.row(i);
-            for j in 0..n {
+            for (j, &c) in metric.row(i).iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                let c = match row {
-                    Some(r) => r[j],
-                    None => metric.cost(i, j),
-                };
                 all.push(c);
                 if c < self.min_in[j] {
                     self.min_in[j] = c;
@@ -160,8 +147,8 @@ impl ExactWorkspace {
     }
 }
 
-fn exact_stroll_with<M: Metric + ?Sized>(
-    metric: &M,
+fn exact_stroll_with(
+    metric: &DenseMetric,
     source: usize,
     target: usize,
     k: usize,
@@ -181,9 +168,8 @@ fn exact_stroll_with<M: Metric + ?Sized>(
         return Some(Stroll::from_nodes(metric, vec![source, target]));
     }
 
-    // Admissible per-hop lower bound supplied by the metric (the cheapest
-    // off-diagonal hop for dense instances, zero for lazy ones).
-    let min_edge = metric.hop_lower_bound();
+    // Admissible per-hop lower bound: the cheapest off-diagonal hop.
+    let min_edge = metric.min_hop();
 
     // With two or more interior levels the search is deep enough that the
     // stronger distinct-hops + closing-hop tables pay for their O(n²)
@@ -192,13 +178,6 @@ fn exact_stroll_with<M: Metric + ?Sized>(
         ws.ensure_bounds(metric, k);
     }
 
-    // Borrow every row once up front: the DFS below visits up to millions
-    // of nodes, and fetching the row inside the recursion (one virtual call
-    // plus a once-cell check per node) is measurably slower than indexing
-    // this table. Metrics without borrowable rows yield `None` entries and
-    // keep the pointwise fallback.
-    let rows: Vec<Option<&[Cost]>> = (0..n).map(|v| metric.row(v)).collect();
-
     let interior = k - 2;
     ws.used[source] = true;
     ws.used[target] = true;
@@ -206,10 +185,8 @@ fn exact_stroll_with<M: Metric + ?Sized>(
     ws.path.push(source);
     let mut best: Option<(Cost, Vec<usize>)> = None;
 
-    #[allow(clippy::too_many_arguments)] // recursion state threaded explicitly
-    fn dfs<M: Metric + ?Sized>(
-        metric: &M,
-        rows: &[Option<&[Cost]>],
+    fn dfs(
+        metric: &DenseMetric,
         ws: &mut ExactWorkspace,
         target: usize,
         remaining: usize,
@@ -218,16 +195,8 @@ fn exact_stroll_with<M: Metric + ?Sized>(
         best: &mut Option<(Cost, Vec<usize>)>,
     ) {
         let cur = *ws.path.last().expect("path never empty");
-        // Rows were borrowed once before the search started; dense and
-        // pinned-lazy metrics make every hop read below a plain indexed
-        // load, capped metrics fall back to the pointwise call.
-        let row = rows[cur];
-        let hop = |w: usize| match row {
-            Some(r) => r[w],
-            None => metric.cost(cur, w),
-        };
         if remaining == 0 {
-            let total = cur_cost + hop(target);
+            let total = cur_cost + metric.cost(cur, target);
             if best.as_ref().is_none_or(|(b, _)| total < *b) {
                 let mut nodes = ws.path.clone();
                 nodes.push(target);
@@ -259,6 +228,7 @@ fn exact_stroll_with<M: Metric + ?Sized>(
         // stable ordering and skipping nodes already on the path (plus the
         // endpoints, marked used for the whole search).
         ws.ensure_row(metric, cur);
+        let hop = metric.row(cur);
         for i in 0..ws.rows[cur].len() {
             let v = ws.rows[cur][i];
             if ws.used[v] {
@@ -268,12 +238,11 @@ fn exact_stroll_with<M: Metric + ?Sized>(
             ws.path.push(v);
             dfs(
                 metric,
-                rows,
                 ws,
                 target,
                 remaining - 1,
                 min_edge,
-                cur_cost + hop(v),
+                cur_cost + hop[v],
                 best,
             );
             ws.path.pop();
@@ -283,7 +252,6 @@ fn exact_stroll_with<M: Metric + ?Sized>(
 
     dfs(
         metric,
-        &rows,
         ws,
         target,
         interior,
@@ -352,18 +320,21 @@ mod tests {
         // Unit-ish integer costs maximize tie-break stress: the shared
         // workspace must reproduce not just the optimal cost but the exact
         // node sequence the standalone search picks among equal optima.
-        let m = DenseMetric::symmetric_from_fn(12, |i, j| {
-            Cost::new(1.0 + ((i * 7 + j * 3) % 4) as f64)
-        });
-        for k in 1..=5 {
-            let all = exact_all_targets(&m, 2, k);
-            for (t, entry) in all.iter().enumerate() {
-                let single = exact_stroll(&m, 2, t, k);
-                assert_eq!(
-                    entry.as_ref().map(|s| (&s.nodes, s.cost)),
-                    single.as_ref().map(|s| (&s.nodes, s.cost)),
-                    "k={k} t={t}"
-                );
+        // 120 points is larger than any Fig. 8–10 sweep builds.
+        for (n, max_k) in [(12, 5), (120, 4)] {
+            let m = DenseMetric::symmetric_from_fn(n, |i, j| {
+                Cost::new(1.0 + ((i * 7 + j * 3) % 4) as f64)
+            });
+            for k in 1..=max_k {
+                let all = exact_all_targets(&m, 2, k);
+                for (t, entry) in all.iter().enumerate() {
+                    let single = exact_stroll(&m, 2, t, k);
+                    assert_eq!(
+                        entry.as_ref().map(|s| (&s.nodes, s.cost)),
+                        single.as_ref().map(|s| (&s.nodes, s.cost)),
+                        "n={n} k={k} t={t}"
+                    );
+                }
             }
         }
     }

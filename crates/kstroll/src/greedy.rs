@@ -1,6 +1,6 @@
 //! Greedy insertion heuristic with local-search polishing.
 
-use crate::{Metric, Stroll};
+use crate::{DenseMetric, Stroll};
 use sof_graph::Cost;
 
 /// Maximum improvement passes of the local search.
@@ -22,8 +22,8 @@ const MAX_PASSES: usize = 32;
 /// let s = greedy_stroll(&m, 0, 4, 5).unwrap();
 /// assert_eq!(s.cost, Cost::new(4.0));
 /// ```
-pub fn greedy_stroll<M: Metric + ?Sized>(
-    metric: &M,
+pub fn greedy_stroll(
+    metric: &DenseMetric,
     source: usize,
     target: usize,
     k: usize,
@@ -43,12 +43,8 @@ pub fn greedy_stroll<M: Metric + ?Sized>(
     used[source] = true;
     used[target] = true;
 
-    // Cheapest-insertion construction. Rows of the current path nodes are
-    // fetched once per insertion round (and `row(v)` once per candidate), so
-    // metrics that expose borrowed rows serve the O(n·k) scan with plain
-    // indexed loads; `None` rows fall back to the identical pointwise call.
+    // Cheapest-insertion construction.
     while path.len() < k {
-        let path_rows: Vec<Option<&[Cost]>> = path.iter().map(|&a| metric.row(a)).collect();
         let mut best: Option<(Cost, usize, usize)> = None; // (delta, node, pos)
         for (v, &taken) in used.iter().enumerate() {
             if taken {
@@ -57,20 +53,8 @@ pub fn greedy_stroll<M: Metric + ?Sized>(
             let vrow = metric.row(v);
             for pos in 1..path.len() {
                 let (a, b) = (path[pos - 1], path[pos]);
-                let arow = path_rows[pos - 1];
-                let av = match arow {
-                    Some(r) => r[v],
-                    None => metric.cost(a, v),
-                };
-                let vb = match vrow {
-                    Some(r) => r[b],
-                    None => metric.cost(v, b),
-                };
-                let ab = match arow {
-                    Some(r) => r[b],
-                    None => metric.cost(a, b),
-                };
-                let delta = av + vb - ab;
+                let arow = metric.row(a);
+                let delta = arow[v] + vrow[b] - arow[b];
                 if best.is_none_or(|(d, _, _)| delta < d) {
                     best = Some((delta, v, pos));
                 }
@@ -85,28 +69,18 @@ pub fn greedy_stroll<M: Metric + ?Sized>(
     for _ in 0..MAX_PASSES {
         let mut improved = false;
 
-        // Swap an interior node for an unused node. This scans every unused
-        // node per position, so it borrows `row(a)`/`row(v)` where the
-        // metric offers them (same values as the pointwise fallback).
+        // Swap an interior node for an unused node.
         for i in 1..path.len() - 1 {
             let (a, b) = (path[i - 1], path[i + 1]);
             let arow = metric.row(a);
-            let ac = |w: usize| match arow {
-                Some(r) => r[w],
-                None => metric.cost(a, w),
-            };
-            let old = ac(path[i]) + metric.cost(path[i], b);
+            let old = arow[path[i]] + metric.cost(path[i], b);
             let mut best_v = None;
             let mut best_new = old;
             for (v, &taken) in used.iter().enumerate() {
                 if taken {
                     continue;
                 }
-                let vb = match metric.row(v) {
-                    Some(r) => r[b],
-                    None => metric.cost(v, b),
-                };
-                let new = ac(v) + vb;
+                let new = arow[v] + metric.cost(v, b);
                 if new < best_new {
                     best_new = new;
                     best_v = Some(v);
@@ -169,7 +143,7 @@ pub fn greedy_stroll<M: Metric + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{exact_stroll, DenseMetric};
+    use crate::exact_stroll;
     use sof_graph::Rng64;
 
     fn random_metric(n: usize, rng: &mut Rng64) -> DenseMetric {

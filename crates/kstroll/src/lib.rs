@@ -21,10 +21,8 @@
 //! [`StrollSolver`] picks automatically. Exact ≤ the paper's 2-approx, so
 //! all approximation bounds are preserved.
 //!
-//! Every solver is generic over the [`Metric`] trait: [`DenseMetric`] is the
-//! eager `n × n` matrix, [`LazyMetric`] materializes rows on demand from a
-//! cost oracle (e.g. a memoized shortest-path engine) and answers
-//! bit-identically to the dense instance built from the same oracle.
+//! Every solver reads one concrete instance type, [`DenseMetric`]: the
+//! `n × n` matrix Procedure 1 builds over `M ∪ {s}`.
 //!
 //! # Examples
 //!
@@ -50,7 +48,7 @@ mod stroll;
 pub use color::{color_coding_all_targets, color_coding_stroll, default_trials, ColorCodingResult};
 pub use exact::{estimated_work, exact_all_targets, exact_stroll, AUTO_EXACT_WORK_LIMIT};
 pub use greedy::greedy_stroll;
-pub use metric::{AutoMetric, DenseMetric, LazyMetric, Metric, AUTO_DENSE_CUTOVER};
+pub use metric::DenseMetric;
 pub use stroll::Stroll;
 
 use sof_graph::Rng64;
@@ -81,9 +79,9 @@ impl StrollSolver {
     ///
     /// Returns `None` when the instance is infeasible (`k > n`, or a
     /// degenerate endpoint combination).
-    pub fn solve<M: Metric + ?Sized>(
+    pub fn solve(
         self,
-        metric: &M,
+        metric: &DenseMetric,
         source: usize,
         target: usize,
         k: usize,
@@ -114,9 +112,9 @@ impl StrollSolver {
     ///
     /// `best[t]` is the cheapest stroll from `source` to `t` on `k` distinct
     /// nodes, or `None` if infeasible.
-    pub fn solve_all_targets<M: Metric + ?Sized>(
+    pub fn solve_all_targets(
         self,
-        metric: &M,
+        metric: &DenseMetric,
         source: usize,
         k: usize,
         rng: &mut Rng64,

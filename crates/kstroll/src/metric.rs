@@ -1,56 +1,6 @@
-//! Metric instances for the k-stroll solvers: the [`Metric`] trait, the
-//! eager [`DenseMetric`] matrix and the on-demand [`LazyMetric`].
+//! The metric instance every k-stroll solver consumes: [`DenseMetric`].
 
 use sof_graph::Cost;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// A finite metric space over points `0..len()`, as consumed by every
-/// k-stroll solver.
-///
-/// Implementations must be deterministic: `cost(i, j)` always returns the
-/// same value for the same instance, so lazily materialized metrics answer
-/// bit-identically to eager ones. The diagonal is zero.
-pub trait Metric {
-    /// Number of points.
-    fn len(&self) -> usize;
-
-    /// Cost between points `i` and `j` (`ZERO` on the diagonal).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    fn cost(&self, i: usize, j: usize) -> Cost;
-
-    /// Borrowed view of row `i` (`row(i)[j] == cost(i, j)`), when the
-    /// implementation can expose one without copying: dense storage and
-    /// pinned lazy rows can; a capped lazy cache cannot (the row may be
-    /// evicted under the caller). Hot search loops read the slice directly
-    /// — a plain indexed load — and fall back to [`Metric::cost`] on
-    /// `None`.
-    fn row(&self, i: usize) -> Option<&[Cost]> {
-        let _ = i;
-        None
-    }
-
-    /// An admissible lower bound on the cost of any hop between two
-    /// distinct points. The exact search uses it for pruning; `ZERO` (the
-    /// default) is always sound and never changes which stroll is returned,
-    /// only how many branches are explored.
-    fn hop_lower_bound(&self) -> Cost {
-        Cost::ZERO
-    }
-
-    /// Returns `true` for the empty instance.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total cost of a node sequence.
-    fn path_cost(&self, path: &[usize]) -> Cost {
-        path.windows(2).map(|w| self.cost(w[0], w[1])).sum()
-    }
-}
 
 /// A complete weighted graph stored as a dense symmetric matrix.
 ///
@@ -85,14 +35,17 @@ impl DenseMetric {
         F: FnMut(usize, usize) -> Cost,
     {
         let mut d = vec![Cost::ZERO; n * n];
+        let mut min_hop = Cost::INFINITY;
         for i in 0..n {
             for j in 0..n {
                 if i != j {
-                    d[i * n + j] = f(i, j);
+                    let c = f(i, j);
+                    d[i * n + j] = c;
+                    min_hop = min_hop.min(c);
                 }
             }
         }
-        DenseMetric::assemble(n, d)
+        DenseMetric { n, d, min_hop }
     }
 
     /// Builds a symmetric metric from an upper-triangle function.
@@ -101,23 +54,13 @@ impl DenseMetric {
         F: FnMut(usize, usize) -> Cost,
     {
         let mut d = vec![Cost::ZERO; n * n];
+        let mut min_hop = Cost::INFINITY;
         for i in 0..n {
             for j in i + 1..n {
                 let c = f(i, j);
                 d[i * n + j] = c;
                 d[j * n + i] = c;
-            }
-        }
-        DenseMetric::assemble(n, d)
-    }
-
-    fn assemble(n: usize, d: Vec<Cost>) -> DenseMetric {
-        let mut min_hop = Cost::INFINITY;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    min_hop = min_hop.min(d[i * n + j]);
-                }
+                min_hop = min_hop.min(c);
             }
         }
         DenseMetric { n, d, min_hop }
@@ -152,6 +95,24 @@ impl DenseMetric {
         self.d[i * self.n + j]
     }
 
+    /// Row `i` as a slice: `row(i)[j] == cost(i, j)`. The search loops read
+    /// hops through this — one bounds check per row instead of per hop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[Cost] {
+        &self.d[i * self.n..(i + 1) * self.n]
+    }
+
+    // Only caller: `benchmark/src/oneshot.rs`, for its `kstroll.dense_share`
+    // row. The benchmark PR that retires that row deletes this method.
+    #[doc(hidden)]
+    pub fn is_dense(&self) -> bool {
+        true
+    }
+
     /// Total cost of a node sequence.
     pub fn path_cost(&self, path: &[usize]) -> Cost {
         path.windows(2).map(|w| self.cost(w[0], w[1])).sum()
@@ -180,435 +141,9 @@ impl DenseMetric {
     }
 }
 
-impl Metric for DenseMetric {
-    #[inline]
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn cost(&self, i: usize, j: usize) -> Cost {
-        DenseMetric::cost(self, i, j)
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> Option<&[Cost]> {
-        Some(&self.d[i * self.n..(i + 1) * self.n])
-    }
-
-    /// The precomputed cheapest off-diagonal hop — the strongest admissible
-    /// bound a dense instance can offer.
-    #[inline]
-    fn hop_lower_bound(&self) -> Cost {
-        self.min_hop
-    }
-}
-
-/// Default number of rows a [`LazyMetric`] keeps materialized at once.
-const DEFAULT_ROW_CAP: usize = 256;
-
-/// A metric whose rows are materialized on demand from a cost oracle.
-///
-/// Procedure 1 instances are only ever probed along the rows the solvers
-/// actually visit (the source row, rows of VMs entering a partial stroll),
-/// so building the full `n × n` matrix up front wastes `O(n)` shortest-path
-/// trees per solve on large networks. `LazyMetric` instead materializes one
-/// row per first touch and caches the hottest rows, evicting stale rows
-/// first (least-recently-used, ties broken toward the smallest index) once
-/// the cap is reached. When the cap covers every row — the common case for
-/// Procedure 1's small instances — eviction can never trigger, rows are
-/// write-once, and the solver-facing read path is a single atomic load
-/// instead of a lock.
-///
-/// The oracle is consulted with exactly the same `(i, j)` pairs and in the
-/// same per-row order as [`DenseMetric::from_fn`] fills its matrix, and the
-/// diagonal is forced to zero the same way, so a `LazyMetric` answers
-/// bit-identically to the `DenseMetric` built from the same oracle.
-/// [`Metric::hop_lower_bound`] defaults to the always-admissible zero
-/// (scanning all `n²` entries would defeat laziness); exact search then
-/// prunes less aggressively but returns the same stroll. Callers that know
-/// a cheap sound bound can install it with
-/// [`LazyMetric::with_hop_lower_bound`].
-///
-/// # Examples
-///
-/// ```
-/// use sof_kstroll::{DenseMetric, LazyMetric, Metric};
-/// use sof_graph::Cost;
-///
-/// let f = |i: usize, j: usize| Cost::new((i as f64 - j as f64).abs());
-/// let dense = DenseMetric::from_fn(4, f);
-/// let lazy = LazyMetric::from_fn(4, f);
-/// assert_eq!(Metric::cost(&dense, 1, 3), lazy.cost(1, 3));
-/// assert_eq!(lazy.rows_built(), 1);
-/// ```
-pub struct LazyMetric {
-    n: usize,
-    cost_of: Box<dyn Fn(usize, usize) -> Cost + Send + Sync>,
-    hop_bound: Cost,
-    cap: usize,
-    store: RowStore,
-}
-
-/// Row storage, picked once at construction.
-enum RowStore {
-    /// `cap >= n`: eviction can never trigger, so every row is write-once
-    /// and the solver-facing read path is a single atomic load — no lock
-    /// on the DFS hot path.
-    Pinned {
-        rows: Vec<OnceLock<Box<[Cost]>>>,
-        rows_built: AtomicU64,
-    },
-    /// `cap < n`: bounded LRU with stale-first eviction behind a mutex.
-    Capped(Mutex<RowCache>),
-}
-
-struct RowCache {
-    rows: Vec<Option<Row>>,
-    /// Number of `Some` rows, tracked so eviction avoids an O(n) scan.
-    live: usize,
-    /// Monotone access clock backing the LRU policy.
-    clock: u64,
-    cap: usize,
-    rows_built: u64,
-    evictions: u64,
-}
-
-struct Row {
-    d: Box<[Cost]>,
-    last_used: u64,
-}
-
-impl LazyMetric {
-    /// Builds an `n`-point lazy metric from a cost oracle (diagonal forced
-    /// to 0), keeping a default of 256 rows hot (see [`Self::row_cap`]).
-    pub fn from_fn<F>(n: usize, f: F) -> LazyMetric
-    where
-        F: Fn(usize, usize) -> Cost + Send + Sync + 'static,
-    {
-        LazyMetric::with_row_cap(n, DEFAULT_ROW_CAP, f)
-    }
-
-    /// Like [`LazyMetric::from_fn`] with an explicit row-cache capacity
-    /// (clamped to at least one row).
-    pub fn with_row_cap<F>(n: usize, cap: usize, f: F) -> LazyMetric
-    where
-        F: Fn(usize, usize) -> Cost + Send + Sync + 'static,
-    {
-        let cap = cap.max(1);
-        let store = if cap >= n {
-            RowStore::Pinned {
-                rows: (0..n).map(|_| OnceLock::new()).collect(),
-                rows_built: AtomicU64::new(0),
-            }
-        } else {
-            RowStore::Capped(Mutex::new(RowCache {
-                rows: (0..n).map(|_| None).collect(),
-                live: 0,
-                clock: 0,
-                cap,
-                rows_built: 0,
-                evictions: 0,
-            }))
-        };
-        LazyMetric {
-            n,
-            cost_of: Box::new(f),
-            hop_bound: Cost::ZERO,
-            cap,
-            store,
-        }
-    }
-
-    /// Maximum number of rows kept materialized at once.
-    pub fn row_cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Installs an explicit admissible hop lower bound.
-    ///
-    /// The caller promises `bound <= cost(i, j)` for all `i != j`; a sound
-    /// bound only changes how aggressively the exact search prunes, never
-    /// which stroll it returns. Useful when the oracle's structure yields a
-    /// cheap bound (e.g. node-potential terms) without the O(n²) scan that
-    /// [`DenseMetric`] performs eagerly.
-    #[must_use]
-    pub fn with_hop_lower_bound(mut self, bound: Cost) -> LazyMetric {
-        self.hop_bound = bound;
-        self
-    }
-
-    /// Number of rows materialized so far (rebuilds after eviction count
-    /// again).
-    pub fn rows_built(&self) -> u64 {
-        match &self.store {
-            RowStore::Pinned { rows_built, .. } => rows_built.load(Ordering::Relaxed),
-            RowStore::Capped(cache) => lock(cache).rows_built,
-        }
-    }
-
-    /// Number of rows evicted to stay under the cap.
-    pub fn evictions(&self) -> u64 {
-        match &self.store {
-            RowStore::Pinned { .. } => 0,
-            RowStore::Capped(cache) => lock(cache).evictions,
-        }
-    }
-
-    /// Materializes row `i` with the same oracle calls, in the same order,
-    /// as one row of [`DenseMetric::from_fn`].
-    fn build_row(&self, i: usize) -> Box<[Cost]> {
-        (0..self.n)
-            .map(|k| {
-                if k == i {
-                    Cost::ZERO
-                } else {
-                    (self.cost_of)(i, k)
-                }
-            })
-            .collect()
-    }
-}
-
-fn lock(cache: &Mutex<RowCache>) -> std::sync::MutexGuard<'_, RowCache> {
-    cache.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-impl std::fmt::Debug for LazyMetric {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (live, built, evicted) = match &self.store {
-            RowStore::Pinned { rows, rows_built } => {
-                let live = rows.iter().filter(|r| r.get().is_some()).count();
-                (live, rows_built.load(Ordering::Relaxed), 0)
-            }
-            RowStore::Capped(cache) => {
-                let c = lock(cache);
-                (c.live, c.rows_built, c.evictions)
-            }
-        };
-        f.debug_struct("LazyMetric")
-            .field("n", &self.n)
-            .field("cap", &self.cap)
-            .field("live_rows", &live)
-            .field("rows_built", &built)
-            .field("evictions", &evicted)
-            .finish()
-    }
-}
-
-impl Metric for LazyMetric {
-    #[inline]
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn hop_lower_bound(&self) -> Cost {
-        self.hop_bound
-    }
-
-    /// Pinned rows are write-once, so handing out a borrow is safe; capped
-    /// rows can be evicted and stay behind [`Metric::cost`].
-    #[inline]
-    fn row(&self, i: usize) -> Option<&[Cost]> {
-        assert!(i < self.n, "index out of range");
-        match &self.store {
-            RowStore::Pinned { rows, rows_built } => Some(rows[i].get_or_init(|| {
-                rows_built.fetch_add(1, Ordering::Relaxed);
-                self.build_row(i)
-            })),
-            RowStore::Capped(_) => None,
-        }
-    }
-
-    #[inline]
-    fn cost(&self, i: usize, j: usize) -> Cost {
-        assert!(i < self.n && j < self.n, "index out of range");
-        match &self.store {
-            RowStore::Pinned { rows, rows_built } => {
-                let row = rows[i].get_or_init(|| {
-                    rows_built.fetch_add(1, Ordering::Relaxed);
-                    self.build_row(i)
-                });
-                row[j]
-            }
-            RowStore::Capped(cache) => {
-                let mut cache = lock(cache);
-                cache.clock += 1;
-                let now = cache.clock;
-                if cache.rows[i].is_none() {
-                    if cache.live >= cache.cap {
-                        // Stale-first eviction: drop the least-recently-used
-                        // row, ties broken toward the smallest index so the
-                        // policy is deterministic.
-                        let victim = cache
-                            .rows
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(v, row)| row.as_ref().map(|r| (r.last_used, v)))
-                            .min()
-                            .map(|(_, v)| v)
-                            .expect("cap >= 1 and cache is full");
-                        cache.rows[victim] = None;
-                        cache.live -= 1;
-                        cache.evictions += 1;
-                    }
-                    let d = self.build_row(i);
-                    cache.rows[i] = Some(Row { d, last_used: now });
-                    cache.live += 1;
-                    cache.rows_built += 1;
-                }
-                let row = cache.rows[i].as_mut().expect("row materialized above");
-                row.last_used = now;
-                row.d[j]
-            }
-        }
-    }
-}
-
-/// Instances at or below this size are materialized eagerly by
-/// [`AutoMetric::from_fn`]: the `n²` build is a handful of kilobytes and a
-/// few thousand O(1) oracle calls, while the lazy bookkeeping (boxed oracle,
-/// per-row cells) costs more than it saves. Above it, rows stay on demand.
-pub const AUTO_DENSE_CUTOVER: usize = 96;
-
-/// A [`Metric`] that picks its storage by instance size: dense at or below
-/// [`AUTO_DENSE_CUTOVER`] points, lazy above.
-///
-/// The SOF pipeline builds one metric per (source, VM-set) pair, thousands
-/// of times per run, and those instances are usually tiny — for them an
-/// eager matrix is both smaller and faster than lazy row cells. The same
-/// constructor keeps arbitrarily large instances (exact-search relaxations,
-/// whole-topology sweeps) from ever paying the O(n²) wall, by switching to
-/// [`LazyMetric`] row-on-demand storage. Both representations consult the
-/// oracle in the same per-row order, so which one is picked never changes a
-/// solver's answer.
-#[derive(Debug)]
-pub enum AutoMetric {
-    /// Eagerly materialized (small instance).
-    Dense(DenseMetric),
-    /// Rows on demand (large instance).
-    Lazy(LazyMetric),
-}
-
-impl AutoMetric {
-    /// Builds an `n`-point metric from a cost oracle (diagonal forced to
-    /// 0), choosing the storage by `n`.
-    pub fn from_fn<F>(n: usize, f: F) -> AutoMetric
-    where
-        F: Fn(usize, usize) -> Cost + Send + Sync + 'static,
-    {
-        if n <= AUTO_DENSE_CUTOVER {
-            AutoMetric::Dense(DenseMetric::from_fn(n, f))
-        } else {
-            AutoMetric::Lazy(LazyMetric::from_fn(n, f))
-        }
-    }
-
-    /// Installs an admissible hop lower bound on the lazy representation.
-    ///
-    /// The dense representation already memoizes the exact cheapest
-    /// off-diagonal hop — the strongest admissible bound — at construction,
-    /// so the caller's bound (necessarily no stronger) is dropped there.
-    #[must_use]
-    pub fn with_hop_lower_bound(self, bound: Cost) -> AutoMetric {
-        match self {
-            AutoMetric::Dense(m) => AutoMetric::Dense(m),
-            AutoMetric::Lazy(m) => AutoMetric::Lazy(m.with_hop_lower_bound(bound)),
-        }
-    }
-
-    /// `true` when the eager representation was picked.
-    pub fn is_dense(&self) -> bool {
-        matches!(self, AutoMetric::Dense(_))
-    }
-
-    /// Rows materialized so far (`n` immediately for the dense side).
-    pub fn rows_built(&self) -> u64 {
-        match self {
-            AutoMetric::Dense(m) => m.len() as u64,
-            AutoMetric::Lazy(m) => m.rows_built(),
-        }
-    }
-}
-
-impl Metric for AutoMetric {
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            AutoMetric::Dense(m) => Metric::len(m),
-            AutoMetric::Lazy(m) => Metric::len(m),
-        }
-    }
-
-    #[inline]
-    fn cost(&self, i: usize, j: usize) -> Cost {
-        match self {
-            AutoMetric::Dense(m) => Metric::cost(m, i, j),
-            AutoMetric::Lazy(m) => Metric::cost(m, i, j),
-        }
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> Option<&[Cost]> {
-        match self {
-            AutoMetric::Dense(m) => Metric::row(m, i),
-            AutoMetric::Lazy(m) => Metric::row(m, i),
-        }
-    }
-
-    #[inline]
-    fn hop_lower_bound(&self) -> Cost {
-        match self {
-            AutoMetric::Dense(m) => Metric::hop_lower_bound(m),
-            AutoMetric::Lazy(m) => Metric::hop_lower_bound(m),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn auto_metric_picks_storage_by_size() {
-        let f = |i: usize, j: usize| Cost::new((i * 3 + j) as f64 + 0.5);
-        let small = AutoMetric::from_fn(AUTO_DENSE_CUTOVER, f);
-        assert!(small.is_dense());
-        assert_eq!(small.rows_built(), AUTO_DENSE_CUTOVER as u64);
-        let large = AutoMetric::from_fn(AUTO_DENSE_CUTOVER + 1, f);
-        assert!(!large.is_dense());
-        assert_eq!(large.rows_built(), 0);
-    }
-
-    #[test]
-    fn auto_metric_answers_identically_on_both_sides() {
-        let f = |i: usize, j: usize| Cost::new(((i * 7 + j * 3) % 11) as f64 + 0.25);
-        // Same oracle through all three types: AutoMetric must agree with
-        // both representations bit-for-bit regardless of which it picked.
-        let auto_small = AutoMetric::from_fn(6, f);
-        let auto_large = AutoMetric::from_fn(AUTO_DENSE_CUTOVER + 4, f);
-        let dense_small = DenseMetric::from_fn(6, f);
-        let lazy_large = LazyMetric::from_fn(AUTO_DENSE_CUTOVER + 4, f);
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(auto_small.cost(i, j), Metric::cost(&dense_small, i, j));
-            }
-        }
-        for i in 0..AUTO_DENSE_CUTOVER + 4 {
-            for j in 0..AUTO_DENSE_CUTOVER + 4 {
-                assert_eq!(auto_large.cost(i, j), lazy_large.cost(i, j));
-            }
-        }
-        // Dense side keeps its own exact min-hop; lazy side takes the
-        // caller's bound.
-        let b = Cost::new(0.25);
-        assert_eq!(
-            auto_small.with_hop_lower_bound(b).hop_lower_bound(),
-            dense_small.min_hop()
-        );
-        assert_eq!(auto_large.with_hop_lower_bound(b).hop_lower_bound(), b);
-    }
 
     #[test]
     fn from_fn_zero_diagonal() {
@@ -634,65 +169,21 @@ mod tests {
     }
 
     #[test]
-    fn lazy_matches_dense_bit_for_bit() {
-        let f = |i: usize, j: usize| Cost::new(((i * 7 + j * 3) % 11) as f64 + 0.25);
-        let dense = DenseMetric::from_fn(6, f);
-        let lazy = LazyMetric::from_fn(6, f);
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(DenseMetric::cost(&dense, i, j), Metric::cost(&lazy, i, j));
-            }
-        }
-        assert_eq!(lazy.rows_built(), 6);
-        assert_eq!(lazy.evictions(), 0);
-    }
-
-    #[test]
-    fn lazy_builds_rows_on_demand_only() {
-        let lazy = LazyMetric::from_fn(8, |i, j| Cost::new((i + j) as f64));
-        assert_eq!(lazy.rows_built(), 0);
-        assert_eq!(Metric::cost(&lazy, 3, 5), Cost::new(8.0));
-        assert_eq!(Metric::cost(&lazy, 3, 1), Cost::new(4.0));
-        assert_eq!(lazy.rows_built(), 1);
-    }
-
-    #[test]
-    fn lazy_eviction_is_stale_first_and_deterministic() {
-        let lazy = LazyMetric::with_row_cap(4, 2, |i, j| Cost::new((i * 10 + j) as f64));
-        let _ = Metric::cost(&lazy, 0, 1); // rows: {0}
-        let _ = Metric::cost(&lazy, 1, 0); // rows: {0, 1}
-        let _ = Metric::cost(&lazy, 0, 2); // touch 0: now 1 is stalest
-        let _ = Metric::cost(&lazy, 2, 3); // evicts 1
-        assert_eq!(lazy.evictions(), 1);
-        // Row 1 rebuilds transparently with identical values.
-        assert_eq!(Metric::cost(&lazy, 1, 3), Cost::new(13.0));
-        assert_eq!(lazy.rows_built(), 4);
-        assert_eq!(lazy.evictions(), 2);
-    }
-
-    #[test]
-    fn pinned_and_capped_stores_answer_identically() {
-        // cap >= n takes the lock-free write-once path; cap < n the LRU
-        // path. Same oracle, same answers, bit for bit.
-        let f = |i: usize, j: usize| Cost::new(((i * 13 + j * 5) % 9) as f64 + 0.5);
-        let pinned = LazyMetric::with_row_cap(5, 5, f);
-        let capped = LazyMetric::with_row_cap(5, 2, f);
-        for i in 0..5 {
-            for j in 0..5 {
-                assert_eq!(Metric::cost(&pinned, i, j), Metric::cost(&capped, i, j));
-            }
-        }
-        assert_eq!(pinned.rows_built(), 5);
-        assert_eq!(pinned.evictions(), 0);
-        assert!(capped.evictions() > 0);
-    }
-
-    #[test]
     fn dense_trait_bound_is_min_hop() {
+        // The bound the exact search prunes with is the cheapest entry of
+        // the rows it reads.
         let m = DenseMetric::from_fn(3, |i, j| Cost::new((i + j) as f64));
-        assert_eq!(Metric::hop_lower_bound(&m), m.min_hop());
-        let lazy = LazyMetric::from_fn(3, |i, j| Cost::new((i + j) as f64));
-        assert_eq!(lazy.hop_lower_bound(), Cost::ZERO);
+        let mut cheapest = Cost::INFINITY;
+        for i in 0..3 {
+            for j in 0..3 {
+                assert_eq!(m.row(i)[j], m.cost(i, j));
+                if i != j {
+                    cheapest = cheapest.min(m.row(i)[j]);
+                }
+            }
+        }
+        assert_eq!(m.min_hop(), cheapest);
+        assert_eq!(m.min_hop(), Cost::new(1.0));
     }
 
     #[test]

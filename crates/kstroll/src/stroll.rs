@@ -1,6 +1,6 @@
 //! The k-stroll result type.
 
-use crate::Metric;
+use crate::DenseMetric;
 use sof_graph::Cost;
 
 /// A solution of the k-stroll problem: a simple path in the metric instance
@@ -19,7 +19,7 @@ pub struct Stroll {
 
 impl Stroll {
     /// Builds a stroll from a node sequence, computing its cost.
-    pub fn from_nodes<M: Metric + ?Sized>(metric: &M, nodes: Vec<usize>) -> Stroll {
+    pub fn from_nodes(metric: &DenseMetric, nodes: Vec<usize>) -> Stroll {
         let cost = metric.path_cost(&nodes);
         Stroll { nodes, cost }
     }
@@ -39,9 +39,9 @@ impl Stroll {
     /// # Errors
     ///
     /// Returns a description of the violated invariant.
-    pub fn validate<M: Metric + ?Sized>(
+    pub fn validate(
         &self,
-        metric: &M,
+        metric: &DenseMetric,
         source: usize,
         target: usize,
         k: usize,
@@ -75,7 +75,6 @@ impl Stroll {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DenseMetric;
 
     fn line_metric(n: usize) -> DenseMetric {
         DenseMetric::from_fn(n, |i, j| Cost::new((i as f64 - j as f64).abs()))

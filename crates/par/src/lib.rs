@@ -11,9 +11,7 @@
 //! millisecond-scale calls (the exact solver forks 4–5 child relaxations
 //! per branch-and-bound expansion) no longer pay per-call thread spawn and
 //! join costs. Workers are spawned lazily up to the largest requested
-//! count and parked on a condvar between jobs. Set `SOF_PAR_POOL=0` to
-//! fall back to the previous spawn-scoped-threads-per-call behavior (the
-//! `path_engine` example benches one against the other).
+//! count and parked on a condvar between jobs.
 //!
 //! **Determinism guarantee:** every primitive here produces output that is
 //! a pure function of its input, *independent of the thread count*. Work is
@@ -113,10 +111,6 @@ struct Poison(Mutex<Option<(usize, String)>>);
 impl Poison {
     fn new() -> Poison {
         Poison(Mutex::new(None))
-    }
-
-    fn is_set(&self) -> bool {
-        self.0.lock().expect("poison lock").is_some()
     }
 
     fn record(&self, index: usize, payload: Box<dyn std::any::Any + Send>) {
@@ -258,72 +252,28 @@ where
     }
     let poison = Poison::new();
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    if pool::enabled() {
-        let run_one = |i: usize| -> bool {
-            match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                Ok(r) => {
-                    collected
-                        .lock()
-                        .expect("no panic holds the lock")
-                        .push((i, r));
-                    true
-                }
-                Err(payload) => {
-                    poison.record(i, payload);
-                    false
-                }
+    let run_one = |i: usize| -> bool {
+        match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
+            Ok(r) => {
+                collected
+                    .lock()
+                    .expect("no panic holds the lock")
+                    .push((i, r));
+                true
             }
-        };
-        pool::run(items.len(), workers - 1, &run_one);
-    } else {
-        scoped_map(items, workers, &f, &poison, &collected);
-    }
+            Err(payload) => {
+                poison.record(i, payload);
+                false
+            }
+        }
+    };
+    pool::run(items.len(), workers - 1, &run_one);
     if let Some(err) = poison.into_error() {
         return Err(err);
     }
     let mut pairs = collected.into_inner().expect("participants drained");
     pairs.sort_unstable_by_key(|&(i, _)| i);
     Ok(pairs.into_iter().map(|(_, r)| r).collect())
-}
-
-/// The pre-pool implementation: scoped threads spawned per call. Kept
-/// behind `SOF_PAR_POOL=0` as a debugging fallback and as the baseline leg
-/// of the spawn-vs-pool microbench.
-fn scoped_map<T, R, F>(
-    items: &[T],
-    workers: usize,
-    f: &F,
-    poison: &Poison,
-    collected: &Mutex<Vec<(usize, R)>>,
-) where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                IN_POOL.with(|c| c.set(true));
-                loop {
-                    if poison.is_set() {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= items.len() {
-                        break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                        Ok(r) => collected
-                            .lock()
-                            .expect("no panic holds the lock")
-                            .push((i, r)),
-                        Err(payload) => poison.record(i, payload),
-                    }
-                }
-            });
-        }
-    });
 }
 
 /// Like [`par_map_indexed`] but with mutable access: each item is visited
@@ -371,32 +321,7 @@ where
             }
         }
     };
-    if pool::enabled() {
-        pool::run(len, workers - 1, &run_one);
-    } else {
-        // Fallback without persistent workers: same claim protocol on
-        // scoped threads.
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    IN_POOL.with(|c| c.set(true));
-                    loop {
-                        if poison.is_set() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= len {
-                            break;
-                        }
-                        if !run_one(i) {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-    }
+    pool::run(len, workers - 1, &run_one);
     if let Some(err) = poison.into_error() {
         return Err(err);
     }

@@ -185,14 +185,6 @@ fn shared() -> &'static Arc<Shared> {
     })
 }
 
-/// Returns `true` unless the `SOF_PAR_POOL=0` escape hatch selects the
-/// legacy spawn-per-call path (kept for debugging and as the baseline leg
-/// of the `path_engine` microbench).
-pub(crate) fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("SOF_PAR_POOL").map_or(true, |v| v.trim() != "0"))
-}
-
 /// Lazily grows the pool towards `target` persistent workers.
 fn ensure_workers(target: usize) {
     let target = target.min(MAX_WORKERS);

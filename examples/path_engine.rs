@@ -1,15 +1,9 @@
-//! Microbenchmark for PR 5's two amortization layers:
-//!
-//! 1. **PathEngine**: cold (first-sight) vs warm (cache-hit) shortest-path
-//!    query latency, plus the cost of an epoch-bump invalidation.
-//! 2. **sof_par pool**: per-call overhead of `par_map_indexed` on tiny
-//!    tasks through the persistent pool. Run once normally and once with
-//!    `SOF_PAR_POOL=0` to compare against the legacy spawn-per-call path
-//!    (the flag is latched at first use, so it cannot toggle in-process).
+//! Microbenchmark for the `PathEngine`: cold (first-sight) vs warm
+//! (cache-hit) shortest-path query latency, plus the cost of an epoch-bump
+//! invalidation.
 //!
 //! ```sh
 //! cargo run --release --example path_engine
-//! SOF_PAR_POOL=0 cargo run --release --example path_engine
 //! ```
 
 use sof::graph::{generators, Cost, CostRange, NodeId, PathEngine, Rng64, ShortestPaths};
@@ -86,41 +80,4 @@ fn main() {
     }
     let refill = t.elapsed();
     println!("epoch bump             : {bump:>9.1?} (invalidates lazily); refill {refill:>9.1?}");
-
-    // par_map overhead on tiny tasks: the exact solver's usage profile is
-    // thousands of ~ms-scale batches of 4-5 items.
-    let pool_mode = if std::env::var("SOF_PAR_POOL").map_or(true, |v| v.trim() != "0") {
-        "persistent pool"
-    } else {
-        "legacy spawn-per-call"
-    };
-    println!(
-        "\n# sof_par tiny-batch overhead ({pool_mode}, {} threads)",
-        sof::par::current_threads()
-    );
-    let items: Vec<u64> = (0..5).collect();
-    const BATCHES: u32 = 2000;
-    let t = Instant::now();
-    for round in 0..BATCHES as u64 {
-        let out = sof::par::par_map_indexed(&items, 0, |i, &x| {
-            // ~tens of µs of real work, like a small child relaxation.
-            let mut acc = x + round;
-            for k in 0..4000u64 {
-                acc = acc
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(k + i as u64);
-            }
-            acc
-        })
-        .unwrap();
-        std::hint::black_box(out);
-    }
-    let batched = t.elapsed();
-    println!(
-        "{BATCHES} batches of {} tasks : {:>9.1?} total, {:>8.1?}/batch",
-        items.len(),
-        batched,
-        batched / BATCHES
-    );
-    println!("(run with SOF_PAR_POOL=0 / SOF_THREADS=N to compare modes)");
 }

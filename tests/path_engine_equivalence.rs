@@ -97,16 +97,19 @@ fn table2_exact_matches_pre_engine_golden_across_thread_counts() {
     }
 }
 
-/// The dynamic-SSSP middle tier actually fires on a miniature fig12 —
-/// requests 6 is the smallest scale at which a congestion batch leaves an
-/// affected region under the repair cap — and stays invisible in results:
-/// serial and pooled runs emit byte-identical reports (partial repairs are
-/// timing-gated, so the bytes match the no-repair world) with a nonzero
-/// partial-repair count at both thread counts.
+/// The dynamic-SSSP repair pass actually re-relaxes on a miniature fig12 —
+/// requests 12 is the smallest scale at which a congestion batch leaves a
+/// non-empty affected region under the repair cap (on the Cogent leg; up
+/// to 11 the only stale trees the pass accepts are SoftLayer ones whose
+/// repriced tree hops were restored, which it re-offers unchanged) — and
+/// stays invisible in results: serial and pooled runs emit byte-identical
+/// reports (partial repairs are timing-gated, so the bytes match the
+/// no-repair world) with a nonzero partial-repair count at both thread
+/// counts.
 #[test]
 fn fig12_partial_repairs_fire_and_stay_invisible() {
     let overrides = Overrides {
-        requests: Some(6),
+        requests: Some(12),
         ..Overrides::default()
     };
     let mut reports = Vec::new();
@@ -137,7 +140,7 @@ fn fig12_partial_repairs_fire_and_stay_invisible() {
             .sum();
         assert!(
             partials > 0,
-            "threads={threads}: expected the dynamic-SSSP repair tier to fire"
+            "threads={threads}: expected the dynamic-SSSP repair pass to re-relax a region"
         );
         reports.push(write_jsonl(&report, false));
     }
