@@ -70,9 +70,11 @@ pub enum JoinStrategy {
     #[default]
     FullSearch,
     /// Only attach where the chain is already complete (`f(x) = |C|`), via
-    /// a single shortest-path tree from the new destination. Orders of
-    /// magnitude faster — the hot path of the online engine — and always
-    /// feasible on connected networks with a non-empty forest.
+    /// one bounded search from the new destination that stops at the
+    /// nearest such point ([`sof_graph::PathEngine::nearest_target`]) — no
+    /// tree is built or cached. Orders of magnitude faster — the hot path
+    /// of the online engine — and always feasible on connected networks
+    /// with a non-empty forest.
     TailAttach,
 }
 
@@ -160,80 +162,99 @@ pub fn destination_join_with(
         }
     }
 
-    let sp_from_d = network.paths().from_source(network.graph(), d);
     // (cost, walk, pos, extension nodes, extension VNF offsets)
     type Extension = (Cost, usize, usize, Vec<NodeId>, Vec<usize>);
     let mut best: Option<Extension> = None;
-    for (&x, &(f, wi, pos)) in &best_at {
-        let remaining = chain_len - f;
-        if strategy == JoinStrategy::TailAttach && remaining != 0 {
-            continue;
-        }
-        if remaining == 0 {
-            // Plain shortest path x → d.
-            let cost = sp_from_d.dist(x);
-            if !cost.is_finite() {
-                continue;
-            }
-            if best.as_ref().is_none_or(|(b, ..)| cost < *b) {
-                let mut path = sp_from_d.path_to(x).expect("finite distance");
+    if strategy == JoinStrategy::TailAttach {
+        // The nearest complete-chain attach point, lowest node id among
+        // equals — what scanning `d`'s full tree in `best_at` order picks —
+        // from a search that stops at that attach point's distance.
+        best = network
+            .paths()
+            .nearest_target(
+                network.graph(),
+                d,
+                |_, _, _| true,
+                |x| best_at.get(&x).is_some_and(|&(f, ..)| f == chain_len),
+            )
+            .map(|hit| {
+                let (_, wi, pos) = best_at[&hit.target];
+                let mut path = hit.path;
                 path.reverse(); // now x → d
-                best = Some((cost, wi, pos, path, vec![]));
-            }
-        } else {
-            if free.len() < remaining {
-                continue;
-            }
-            // k-stroll from x through `remaining` free VMs to d, on a metric
-            // over {x} ∪ free ∪ {d} with halved VM potentials.
-            let mut nodes = vec![x];
-            nodes.extend(free.iter().copied().filter(|&v| v != x && v != d));
-            if d != x {
-                nodes.push(d);
-            } else {
-                continue;
-            }
-            let closure =
-                sof_graph::MetricClosure::with_engine(network.graph(), nodes, network.paths());
-            let nodes = closure.terminals().to_vec();
-            let Some(xi) = nodes.iter().position(|&n| n == x) else {
-                continue;
-            };
-            let Some(di) = nodes.iter().position(|&n| n == d) else {
-                continue;
-            };
-            let pot: Vec<Cost> = nodes
-                .iter()
-                .map(|&n| {
-                    if n == x || n == d {
-                        Cost::ZERO
-                    } else {
-                        network.node_cost(n) / 2.0
-                    }
-                })
-                .collect();
-            let metric = sof_kstroll::DenseMetric::from_fn(nodes.len(), |i, j| {
-                closure.dist_between(nodes[i], nodes[j]) + pot[i] + pot[j]
+                (hit.cost, wi, pos, path, vec![])
             });
-            let mut rng = sof_graph::Rng64::seed_from(0xD_E57 ^ d.index() as u64);
-            let Some(stroll) =
-                sof_kstroll::StrollSolver::Auto.solve(&metric, xi, di, remaining + 2, &mut rng)
-            else {
-                continue;
-            };
-            let cost = stroll.cost; // potentials of x, d are zero → true cost
-            if best.as_ref().is_none_or(|(b, ..)| cost < *b) {
-                // Expand through shortest paths.
-                let mut ext = vec![x];
-                let mut offsets = Vec::new();
-                for pair in stroll.nodes.windows(2) {
-                    let (a, b) = (nodes[pair[0]], nodes[pair[1]]);
-                    let path = closure.path_between(a, b).expect("finite");
-                    ext.extend_from_slice(&path[1..]);
-                    offsets.push(ext.len() - 1);
+    } else {
+        // One pass over every forest node; the k-stroll closures below
+        // read `d`'s whole tree, so it is computed (and cached) once.
+        let sp_from_d = network.paths().from_source(network.graph(), d);
+        for (&x, &(f, wi, pos)) in &best_at {
+            let remaining = chain_len - f;
+            if remaining == 0 {
+                // Plain shortest path x → d.
+                let cost = sp_from_d.dist(x);
+                if !cost.is_finite() {
+                    continue;
                 }
-                offsets.pop(); // last stroll node is d, not a VM
-                best = Some((cost, wi, pos, ext, offsets));
+                if best.as_ref().is_none_or(|(b, ..)| cost < *b) {
+                    let mut path = sp_from_d.path_to(x).expect("finite distance");
+                    path.reverse(); // now x → d
+                    best = Some((cost, wi, pos, path, vec![]));
+                }
+            } else {
+                if free.len() < remaining {
+                    continue;
+                }
+                // k-stroll from x through `remaining` free VMs to d, on a metric
+                // over {x} ∪ free ∪ {d} with halved VM potentials.
+                let mut nodes = vec![x];
+                nodes.extend(free.iter().copied().filter(|&v| v != x && v != d));
+                if d != x {
+                    nodes.push(d);
+                } else {
+                    continue;
+                }
+                let closure =
+                    sof_graph::MetricClosure::with_engine(network.graph(), nodes, network.paths());
+                let nodes = closure.terminals().to_vec();
+                let Some(xi) = nodes.iter().position(|&n| n == x) else {
+                    continue;
+                };
+                let Some(di) = nodes.iter().position(|&n| n == d) else {
+                    continue;
+                };
+                let pot: Vec<Cost> = nodes
+                    .iter()
+                    .map(|&n| {
+                        if n == x || n == d {
+                            Cost::ZERO
+                        } else {
+                            network.node_cost(n) / 2.0
+                        }
+                    })
+                    .collect();
+                let metric = sof_kstroll::DenseMetric::from_fn(nodes.len(), |i, j| {
+                    closure.dist_between(nodes[i], nodes[j]) + pot[i] + pot[j]
+                });
+                let mut rng = sof_graph::Rng64::seed_from(0xD_E57 ^ d.index() as u64);
+                let Some(stroll) =
+                    sof_kstroll::StrollSolver::Auto.solve(&metric, xi, di, remaining + 2, &mut rng)
+                else {
+                    continue;
+                };
+                let cost = stroll.cost; // potentials of x, d are zero → true cost
+                if best.as_ref().is_none_or(|(b, ..)| cost < *b) {
+                    // Expand through shortest paths.
+                    let mut ext = vec![x];
+                    let mut offsets = Vec::new();
+                    for pair in stroll.nodes.windows(2) {
+                        let (a, b) = (nodes[pair[0]], nodes[pair[1]]);
+                        let path = closure.path_between(a, b).expect("finite");
+                        ext.extend_from_slice(&path[1..]);
+                        offsets.push(ext.len() - 1);
+                    }
+                    offsets.pop(); // last stroll node is d, not a VM
+                    best = Some((cost, wi, pos, ext, offsets));
+                }
             }
         }
     }
@@ -268,9 +289,10 @@ pub fn destination_join_with(
 /// replacement walk for destination `d` that attaches where the chain is
 /// already complete and traverses **none** of the banned elements — not in
 /// the host-walk prefix it inherits and not in the fresh extension, which
-/// runs over a banned-element-filtered shortest-path tree
-/// ([`sof_graph::ShortestPaths::from_sources_filtered`]) instead of a
-/// cost-mutated graph, so the shared [`sof_graph::PathEngine`] stays warm.
+/// is the answer of a bounded search from `d` that may not take a banned
+/// hop ([`sof_graph::PathEngine::nearest_target`]) — a filter, not a
+/// cost-mutated graph, so the shared [`sof_graph::PathEngine`] stays warm,
+/// and a search that stops at the nearest surviving attach point.
 ///
 /// Returns the planned walk and its attachment cost. The caller applies it
 /// (e.g. [`crate::OnlineSession::switch_walk`]) or discards it — planning
@@ -327,29 +349,26 @@ pub fn plan_attach_avoiding(
         ));
     }
 
-    let sp =
-        sof_graph::ShortestPaths::from_sources_filtered(network.graph(), [d], |from, _edge, to| {
-            if banned_nodes.contains(&to) && to != d {
-                return false;
-            }
-            let (a, b) = (from.min(to), from.max(to));
-            !banned_edges.contains(&(a, b))
-        });
-    let mut best: Option<(Cost, NodeId, usize, usize)> = None;
-    for (&x, &(wi, pos)) in &best_at {
-        let cost = sp.dist(x);
-        if !cost.is_finite() {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(b, ..)| cost < *b) {
-            best = Some((cost, x, wi, pos));
-        }
-    }
-    let (added, _x, wi, pos) = best.ok_or_else(|| {
-        DynamicsError::Infeasible("every surviving attach point is cut off by failures".into())
-    })?;
+    let hit = network
+        .paths()
+        .nearest_target(
+            network.graph(),
+            d,
+            |from, _edge, to| {
+                if banned_nodes.contains(&to) && to != d {
+                    return false;
+                }
+                let (a, b) = (from.min(to), from.max(to));
+                !banned_edges.contains(&(a, b))
+            },
+            |x| best_at.contains_key(&x),
+        )
+        .ok_or_else(|| {
+            DynamicsError::Infeasible("every surviving attach point is cut off by failures".into())
+        })?;
+    let (wi, pos) = best_at[&hit.target];
     let host = &forest.walks[wi];
-    let mut path = sp.path_to(host.nodes[pos]).expect("finite distance");
+    let mut path = hit.path;
     path.reverse(); // now x → d
     let mut nodes = host.nodes[..=pos].to_vec();
     nodes.extend_from_slice(&path[1..]);
@@ -366,7 +385,7 @@ pub fn plan_attach_avoiding(
             nodes,
             vnf_positions,
         },
-        added,
+        hit.cost,
     ))
 }
 

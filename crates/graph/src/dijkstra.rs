@@ -69,60 +69,6 @@ impl ShortestPaths {
         ws.into_paths()
     }
 
-    /// Runs multi-source Dijkstra relaxing only the edges `allow` accepts.
-    ///
-    /// The filter sees each candidate hop as `(from, edge, to)`; returning
-    /// `false` makes the hop impassable for this run without touching the
-    /// graph's costs (so shared caches like [`crate::PathEngine`] stay
-    /// warm). Sources are seeded unconditionally — exclude unusable
-    /// sources before calling. This is the routing primitive under
-    /// survivability's "reattach avoiding failed elements": temporarily
-    /// severed links and nodes are modelled as a filter, not a mutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any source is out of range.
-    pub fn from_sources_filtered<I, F>(graph: &Graph, sources: I, mut allow: F) -> ShortestPaths
-    where
-        I: IntoIterator<Item = NodeId>,
-        F: FnMut(NodeId, EdgeId, NodeId) -> bool,
-    {
-        let n = graph.node_count();
-        let mut sp = ShortestPaths {
-            dist: vec![Cost::INFINITY; n],
-            parent: vec![None; n],
-            site: vec![None; n],
-        };
-        let mut heap: BinaryHeap<Reverse<(Cost, NodeId)>> = BinaryHeap::new();
-        for s in sources {
-            assert!(s.index() < n, "source {s} out of range");
-            if sp.dist[s.index()] > Cost::ZERO {
-                sp.dist[s.index()] = Cost::ZERO;
-                sp.site[s.index()] = Some(s);
-                heap.push(Reverse((Cost::ZERO, s)));
-            }
-        }
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > sp.dist[u.index()] {
-                continue;
-            }
-            let su = sp.site[u.index()];
-            for (v, e) in graph.neighbors(u) {
-                if !allow(u, e, v) {
-                    continue;
-                }
-                let nd = d + graph.edge_cost(e);
-                if nd < sp.dist[v.index()] {
-                    sp.dist[v.index()] = nd;
-                    sp.parent[v.index()] = Some((u, e));
-                    sp.site[v.index()] = su;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        sp
-    }
-
     /// Distance from the closest source to `v`.
     #[inline]
     pub fn dist(&self, v: NodeId) -> Cost {
@@ -184,6 +130,21 @@ impl ShortestPaths {
     }
 }
 
+/// Answer of a bounded search
+/// ([`DijkstraWorkspace::nearest_target`]): the accepted target closest to
+/// the source, exactly as a scan of the full tree would pick it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NearestTarget {
+    /// Shortest-path distance from the source to `target`.
+    pub cost: Cost,
+    /// The nearest accepted target; among several at distance `cost`, the
+    /// one with the smallest [`NodeId`].
+    pub target: NodeId,
+    /// The tree path realizing `cost`, source first and `target` last —
+    /// the same hops a full tree's `path_to(target)` follows.
+    pub path: Vec<NodeId>,
+}
+
 /// What [`DijkstraWorkspace::repair`] made of a cached tree and the cost
 /// changes since it was computed.
 #[derive(Debug)]
@@ -239,6 +200,9 @@ pub struct DijkstraWorkspace {
     len: usize,
     runs: u64,
     grows: u64,
+    /// Vertices settled (popped with a final label) by the latest bounded
+    /// search.
+    settled: usize,
     /// Scratch for [`DijkstraWorkspace::repair`]: the affected region in
     /// discovery order, plus a child-list CSR over the old tree's parent
     /// pointers (offsets and flattened child ids).
@@ -264,6 +228,83 @@ impl DijkstraWorkspace {
     where
         I: IntoIterator<Item = NodeId>,
     {
+        self.search(graph, sources, |_, _, _| true, |_| false);
+    }
+
+    /// Bounded search: the `is_target` vertex closest to `source` when
+    /// only the hops `allow(from, edge, to)` accepts may be taken, with its
+    /// distance and tree path — or `None` when no target is reachable.
+    ///
+    /// The answer is **exactly** what scanning a full (equally filtered)
+    /// tree for the cheapest target, lowest [`NodeId`] first and replacing
+    /// only on strictly smaller distance, would return, but the search
+    /// stops as soon as every vertex no farther than that target is
+    /// settled: it costs O(ball around `source`), not O(n). The argument
+    /// is in `docs/DYNSSSP.md` ("Bounded search"); in short, the loop is
+    /// [`run`](DijkstraWorkspace::run)'s own, a settled vertex's distance
+    /// and parent hop are final, and the loop keeps going until the popped
+    /// distance *exceeds* the first settled target's, so a target behind a
+    /// zero-cost hop at the same distance is seen too.
+    ///
+    /// Labels beyond that distance are tentative, so the epoch is retired
+    /// before returning (as [`repair`](DijkstraWorkspace::repair) does):
+    /// afterwards the accessors and [`snapshot`](DijkstraWorkspace::snapshot)
+    /// read "no run", never a truncated tree.
+    /// [`settled`](DijkstraWorkspace::settled) reports the work done.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range.
+    pub fn nearest_target<F, T>(
+        &mut self,
+        graph: &Graph,
+        source: NodeId,
+        allow: F,
+        mut is_target: T,
+    ) -> Option<NearestTarget>
+    where
+        F: FnMut(NodeId, EdgeId, NodeId) -> bool,
+        T: FnMut(NodeId) -> bool,
+    {
+        // The target test runs exactly once per settled vertex, so it
+        // does the counting: `run`'s loop carries no counter.
+        let mut settled = 0;
+        let found = self
+            .search(graph, [source], allow, |v| {
+                settled += 1;
+                is_target(v)
+            })
+            .map(|(cost, target)| NearestTarget {
+                cost,
+                target,
+                path: self.path_to(target).expect("a settled target is labelled"),
+            });
+        self.settled = settled;
+        self.epoch += 1;
+        found
+    }
+
+    /// The one cold-search loop: multi-source Dijkstra relaxing only the
+    /// hops `allow` accepts, popping in `(dist, node)` order and relaxing
+    /// with strict `<`. Once a popped vertex satisfies `is_target`, the
+    /// loop finishes that distance — everything popped at the same
+    /// distance, including vertices discovered through zero-cost hops
+    /// after the first target — and stops at the first larger key,
+    /// returning the smallest-id target seen. With a target test that never
+    /// fires it labels everything reachable and returns `None`.
+    #[inline]
+    fn search<I, F, T>(
+        &mut self,
+        graph: &Graph,
+        sources: I,
+        mut allow: F,
+        mut is_target: T,
+    ) -> Option<(Cost, NodeId)>
+    where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, EdgeId, NodeId) -> bool,
+        T: FnMut(NodeId) -> bool,
+    {
         let n = graph.node_count();
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
@@ -283,12 +324,22 @@ impl DijkstraWorkspace {
                 self.heap.push(Reverse((Cost::ZERO, s)));
             }
         }
+        let mut nearest: Option<(Cost, NodeId)> = None;
         while let Some(Reverse((d, u))) = self.heap.pop() {
+            if nearest.is_some_and(|(bound, _)| d > bound) {
+                break;
+            }
             if d > self.dist_at(u.index()) {
                 continue;
             }
+            if is_target(u) {
+                nearest = Some(nearest.map_or((d, u), |best| best.min((d, u))));
+            }
             let su = self.site_at(u.index());
             for (v, e) in graph.neighbors(u) {
+                if !allow(u, e, v) {
+                    continue;
+                }
                 let nd = d + graph.edge_cost(e);
                 if nd < self.dist_at(v.index()) {
                     self.write(v.index(), nd, Some((u, e)), su);
@@ -296,6 +347,7 @@ impl DijkstraWorkspace {
                 }
             }
         }
+        nearest
     }
 
     #[inline]
@@ -645,6 +697,15 @@ impl DijkstraWorkspace {
     pub fn grows(&self) -> u64 {
         self.grows
     }
+
+    /// Vertices settled — popped with their final label — by the latest
+    /// [`nearest_target`](DijkstraWorkspace::nearest_target): the ball
+    /// around its source. A deterministic measure of the work the search
+    /// did ([`run`](DijkstraWorkspace::run) settles every reachable vertex
+    /// and does not count).
+    pub fn settled(&self) -> usize {
+        self.settled
+    }
 }
 
 #[cfg(test)]
@@ -721,22 +782,115 @@ mod tests {
         let g = diamond();
         // Unfiltered, the cheap route 0→1→2 wins; banning the 0–1 hop
         // forces the expensive direct edge instead of mutating any cost.
+        // A target test nothing matches makes the search label everything
+        // the filter lets it reach.
         let banned = (NodeId::new(0), NodeId::new(1));
-        let sp = ShortestPaths::from_sources_filtered(&g, [NodeId::new(0)], |u, _, v| {
-            (u.min(v), u.max(v)) != banned
-        });
-        assert_eq!(sp.dist(NodeId::new(2)), Cost::new(5.0));
+        let mut ws = DijkstraWorkspace::new();
+        let none = ws.search(
+            &g,
+            [NodeId::new(0)],
+            |u, _, v| (u.min(v), u.max(v)) != banned,
+            |_| false,
+        );
+        assert_eq!(none, None);
+        assert_eq!(ws.dist(NodeId::new(2)), Cost::new(5.0));
         assert_eq!(
-            sp.path_to(NodeId::new(2)).unwrap(),
+            ws.path_to(NodeId::new(2)).unwrap(),
             vec![NodeId::new(0), NodeId::new(2)]
         );
-        assert_eq!(sp.dist(NodeId::new(1)), Cost::new(6.0), "via 2");
+        assert_eq!(ws.dist(NodeId::new(1)), Cost::new(6.0), "via 2");
+        // The same filter, bounded: node 1 is the only target, and its
+        // answer is the label the full filtered run gave it.
+        let hit = ws
+            .nearest_target(
+                &g,
+                NodeId::new(0),
+                |u, _, v| (u.min(v), u.max(v)) != banned,
+                |v| v == NodeId::new(1),
+            )
+            .unwrap();
+        assert_eq!((hit.cost, hit.target), (Cost::new(6.0), NodeId::new(1)));
+        assert_eq!(
+            hit.path,
+            vec![NodeId::new(0), NodeId::new(2), NodeId::new(1)]
+        );
         // An all-pass filter matches the unfiltered run exactly.
-        let open = ShortestPaths::from_sources_filtered(&g, [NodeId::new(0)], |_, _, _| true);
+        ws.search(&g, [NodeId::new(0)], |_, _, _| true, |_| false);
         let reference = ShortestPaths::from_source(&g, NodeId::new(0));
         for v in g.nodes() {
-            assert_eq!(open.dist(v), reference.dist(v));
-            assert_eq!(open.path_to(v), reference.path_to(v));
+            assert_eq!(ws.dist(v), reference.dist(v));
+            assert_eq!(ws.parent(v), reference.parent(v));
+            assert_eq!(ws.path_to(v), reference.path_to(v));
+        }
+    }
+
+    #[test]
+    fn bounded_search_stops_at_the_nearest_target() {
+        // 0 -1- 1 -1- 2 -1- 3 -1- 4 -1- 5: from 0 with targets {2, 5} the
+        // search settles 0, 1, 2 and stops when 3 is popped.
+        let mut g = Graph::with_nodes(6);
+        for i in 0..5 {
+            g.add_edge(NodeId::new(i), NodeId::new(i + 1), Cost::new(1.0));
+        }
+        let mut ws = DijkstraWorkspace::new();
+        let targets = [NodeId::new(2), NodeId::new(5)];
+        let hit = ws
+            .nearest_target(&g, NodeId::new(0), |_, _, _| true, |v| targets.contains(&v))
+            .unwrap();
+        assert_eq!((hit.cost, hit.target), (Cost::new(2.0), NodeId::new(2)));
+        assert_eq!(
+            hit.path,
+            vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]
+        );
+        assert_eq!(ws.settled(), 3);
+        // The truncated run is retired: nothing of it can be read back or
+        // snapshotted as if it were a tree.
+        assert_eq!(ws.dist(NodeId::new(1)), Cost::INFINITY);
+        assert_eq!(ws.snapshot().dist(NodeId::new(0)), Cost::INFINITY);
+        // The source itself may be the target.
+        let own = ws
+            .nearest_target(&g, NodeId::new(5), |_, _, _| true, |v| targets.contains(&v))
+            .unwrap();
+        assert_eq!((own.cost, own.target), (Cost::ZERO, NodeId::new(5)));
+        assert_eq!(own.path, vec![NodeId::new(5)]);
+        assert_eq!(ws.settled(), 1);
+        // No reachable target: None, after labelling all that is reachable.
+        assert_eq!(
+            ws.nearest_target(&g, NodeId::new(0), |_, _, _| true, |_| false),
+            None
+        );
+        assert_eq!(ws.settled(), 6);
+        // And the workspace is as good as new for a full run.
+        ws.run(&g, [NodeId::new(0)]);
+        assert_eq!(ws.dist(NodeId::new(5)), Cost::new(5.0));
+        assert_eq!(ws.grows(), 1);
+    }
+
+    #[test]
+    fn bounded_search_finishes_the_distance_of_its_first_target() {
+        // 0 -2- 3, 0 -2- 2 -0- 1: targets 3 and 1 both sit at distance 2.
+        // Node 2 pops before 3 and pushes 1 at the same key; 1 pops first
+        // and is the answer. With node 1's hop at cost zero from *3*
+        // instead, 3 pops first and 1 is only discovered afterwards — the
+        // loop must keep going at distance 2 to see it.
+        for via in [2usize, 3] {
+            let mut g = Graph::with_nodes(4);
+            g.add_edge(NodeId::new(0), NodeId::new(3), Cost::new(2.0));
+            g.add_edge(NodeId::new(0), NodeId::new(2), Cost::new(2.0));
+            g.add_edge(NodeId::new(via), NodeId::new(1), Cost::ZERO);
+            let targets = [NodeId::new(1), NodeId::new(3)];
+            let mut ws = DijkstraWorkspace::new();
+            let hit = ws
+                .nearest_target(&g, NodeId::new(0), |_, _, _| true, |v| targets.contains(&v))
+                .unwrap();
+            let full = ShortestPaths::from_source(&g, NodeId::new(0));
+            assert_eq!(full.dist(NodeId::new(1)), full.dist(NodeId::new(3)));
+            assert_eq!(
+                (hit.cost, hit.target),
+                (Cost::new(2.0), NodeId::new(1)),
+                "via {via}: the lowest id among the targets tied at the bound"
+            );
+            assert_eq!(Some(hit.path), full.path_to(NodeId::new(1)), "via {via}");
         }
     }
 

@@ -42,6 +42,36 @@
 //! overflow), that entry is recomputed cold; untouched entries are never
 //! discarded.
 //!
+//! # Bounded search: nearest target without a tree
+//!
+//! "Which of these vertices is closest to `source`, and by which path?" —
+//! the question behind a tail-attach join and a survivability reattachment
+//! — does not need a tree. [`PathEngine::nearest_target`] runs the
+//! workspace's one cold-search loop from `source`, relaxing only the hops
+//! its `allow(from, edge, to)` filter accepts, and stops once every vertex
+//! no farther than the nearest accepted target is settled: O(ball), not
+//! O(n). The answer is exact, not a heuristic (full argument in
+//! `docs/DYNSSSP.md`):
+//!
+//! * **pop order and strict `<`** — the loop pops in `(dist, node)` order
+//!   and relaxes only on strict improvement, so a settled vertex's distance
+//!   and parent hop are final and equal a full run's bit for bit, and so is
+//!   the parent chain behind it;
+//! * **finish the plateau at `D`** — the loop keeps popping until the
+//!   popped distance *exceeds* the first settled target's distance `D`: a
+//!   zero-cost hop (VM nodes hang off their datacenter at cost zero) can
+//!   discover another target at `D` after the first one was popped;
+//! * **smallest-id tie-break** — among the targets at `D` the smallest
+//!   [`NodeId`] wins, which is what a `NodeId`-ordered scan of the full
+//!   tree that replaces only on strictly smaller distance picks;
+//! * **epoch retired** — labels beyond `D` are tentative, so the workspace
+//!   epoch is retired before the call returns (as the repair pass does):
+//!   a truncated run can never be snapshotted or cached.
+//!
+//! A bounded search is not a cache query: it reads no entry, inserts none,
+//! and counts in **none** of the six [`PathEngineStats`] fields. Its work
+//! is reported separately by [`PathEngine::bounded_work`].
+//!
 //! # Sharing semantics
 //!
 //! The handle is internally synchronized (`Arc<Mutex<…>>`): cloning a
@@ -71,7 +101,7 @@
 //! assert_eq!(engine.from_source(&g, NodeId::new(0)).dist(NodeId::new(2)), Cost::new(12.0));
 //! ```
 
-use crate::{DijkstraWorkspace, Graph, NodeId, Repair, ShortestPaths};
+use crate::{DijkstraWorkspace, EdgeId, Graph, NearestTarget, NodeId, Repair, ShortestPaths};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -108,6 +138,18 @@ pub struct PathEngineStats {
     pub partial_repairs: u64,
 }
 
+/// Deterministic work done by [`PathEngine::nearest_target`] calls — kept
+/// apart from [`PathEngineStats`] because a bounded search is not a cache
+/// query.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BoundedWork {
+    /// Bounded searches run.
+    pub searches: u64,
+    /// Vertices those searches settled, in total
+    /// ([`DijkstraWorkspace::settled`] summed).
+    pub settled: u64,
+}
+
 #[derive(Debug, Default)]
 struct EngineInner {
     /// Sorted, deduplicated source set → trees per cost epoch, most recent
@@ -115,6 +157,7 @@ struct EngineInner {
     cache: HashMap<Vec<NodeId>, Vec<(u64, Arc<ShortestPaths>)>>,
     workspace: DijkstraWorkspace,
     stats: PathEngineStats,
+    bounded: BoundedWork,
 }
 
 /// A memoizing shortest-path engine; see the [module docs](self).
@@ -224,6 +267,46 @@ impl PathEngine {
             entries.remove(0);
         }
         paths
+    }
+
+    /// The `is_target` vertex closest to `source` over the hops `allow`
+    /// accepts, with its distance and tree path (source first), or `None`
+    /// when no target is reachable — exactly the target, cost and path a
+    /// scan of the full (equally filtered) tree from `source` would pick,
+    /// found by a search that stops at that target's distance (see the
+    /// [module docs](self)). Nothing is cached and no
+    /// [`PathEngineStats`] field moves.
+    ///
+    /// The closures run under the engine's lock: they must not query the
+    /// engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range.
+    pub fn nearest_target<F, T>(
+        &self,
+        graph: &Graph,
+        source: NodeId,
+        allow: F,
+        is_target: T,
+    ) -> Option<NearestTarget>
+    where
+        F: FnMut(NodeId, EdgeId, NodeId) -> bool,
+        T: FnMut(NodeId) -> bool,
+    {
+        let mut guard = self.inner.lock().expect("path engine lock");
+        let inner = &mut *guard;
+        let found = inner
+            .workspace
+            .nearest_target(graph, source, allow, is_target);
+        inner.bounded.searches += 1;
+        inner.bounded.settled += inner.workspace.settled() as u64;
+        found
+    }
+
+    /// Work done by [`nearest_target`](PathEngine::nearest_target) so far.
+    pub fn bounded_work(&self) -> BoundedWork {
+        self.inner.lock().expect("path engine lock").bounded
     }
 
     /// Usage counters (hits / misses / stale replacements / evictions /
@@ -432,6 +515,44 @@ mod tests {
         let rerouted = engine.from_source(&g, s);
         assert_eq!(rerouted.dist(NodeId::new(11)), Cost::new(0.5));
         assert_eq!(engine.stats().partial_repairs, 1);
+    }
+
+    #[test]
+    fn bounded_search_is_not_a_cache_query() {
+        // A bounded call between two tree queries: no entry appears, none
+        // of the six counters moves, and the workspace it truncated still
+        // serves the next cold miss correctly.
+        let mut rng = crate::Rng64::seed_from(21);
+        let g =
+            crate::generators::gnp_connected(40, 0.12, crate::CostRange::new(1.0, 5.0), &mut rng);
+        let engine = PathEngine::new();
+        let tree = engine.from_source(&g, NodeId::new(3));
+        let (len, stats) = (engine.len(), engine.stats());
+        let targets = [NodeId::new(11), NodeId::new(30)];
+        let hit = engine
+            .nearest_target(&g, NodeId::new(3), |_, _, _| true, |v| targets.contains(&v))
+            .expect("connected graph");
+        let want = targets
+            .iter()
+            .copied()
+            .min_by_key(|&t| (tree.dist(t), t))
+            .unwrap();
+        assert_eq!((hit.cost, hit.target), (tree.dist(want), want));
+        assert_eq!(Some(hit.path), tree.path_to(want));
+        assert_eq!(engine.len(), len);
+        assert_eq!(engine.stats(), stats);
+        let work = engine.bounded_work();
+        assert_eq!(work.searches, 1);
+        assert!(0 < work.settled && work.settled < 40, "{work:?}");
+        // Workspace reuse after the truncated run.
+        let next = engine.from_source(&g, NodeId::new(17));
+        let reference = ShortestPaths::from_source(&g, NodeId::new(17));
+        for v in g.nodes() {
+            assert_eq!(next.dist(v), reference.dist(v));
+            assert_eq!(next.parent(v), reference.parent(v));
+            assert_eq!(next.site(v), reference.site(v));
+        }
+        assert_eq!(engine.stats().misses, stats.misses + 1);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   trees with *edge-scoped* invalidation: a cost change dirties only the
 //!   mutated edges ([`Graph::cost_changes_since`]), and cached trees those
 //!   edges cannot affect are revalidated instead of recomputed (see the
-//!   module docs for the exact safety rule),
+//!   module docs for the exact safety rule); plus one uncached *bounded
+//!   search* ([`PathEngine::nearest_target`]) for "which of these vertices
+//!   is closest", which stops at the answer instead of labelling the graph,
 //! * [`MetricClosure`] — pairwise terminal distances with realizing paths,
 //!   optionally engine-backed ([`MetricClosure::with_engine`]),
 //! * [`minimum_spanning_forest`] — Kruskal MST over a [`UnionFind`],
@@ -55,8 +57,8 @@ mod rng;
 mod unionfind;
 
 pub use cost::Cost;
-pub use dijkstra::{DijkstraWorkspace, Repair, ShortestPaths};
-pub use engine::{PathEngine, PathEngineStats};
+pub use dijkstra::{DijkstraWorkspace, NearestTarget, Repair, ShortestPaths};
+pub use engine::{BoundedWork, PathEngine, PathEngineStats};
 pub use generators::CostRange;
 pub use graph::{CostChange, Edge, Graph};
 pub use ids::{EdgeId, NodeId};

@@ -12,7 +12,7 @@ use sof::core::{
 };
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64, ShortestPaths};
 use sof::spec::shim::{apply_overrides, Overrides};
-use sof::spec::{presets, run_spec, write_jsonl, Detail, RunOptions};
+use sof::spec::{presets, run_spec, write_jsonl, RunOptions};
 
 fn golden(name: &str) -> String {
     std::fs::read_to_string(format!("crates/spec/specs/golden/{name}.jsonl"))
@@ -97,56 +97,116 @@ fn table2_exact_matches_pre_engine_golden_across_thread_counts() {
     }
 }
 
-/// The dynamic-SSSP repair pass actually re-relaxes on a miniature fig12 —
-/// requests 12 is the smallest scale at which a congestion batch leaves a
-/// non-empty affected region under the repair cap (on the Cogent leg; up
-/// to 11 the only stale trees the pass accepts are SoftLayer ones whose
-/// repriced tree hops were restored, which it re-offers unchanged) — and
-/// stays invisible in results: serial and pooled runs emit byte-identical
-/// reports (partial repairs are timing-gated, so the bytes match the
-/// no-repair world) with a nonzero partial-repair count at both thread
-/// counts.
+/// A longer fig12 (requests 12: joins, leaves, reroutes and a rebuild on
+/// both legs) emits byte-identical reports at both thread counts. fig12 is
+/// **not** where the dynamic-SSSP repair pass earns its keep: the stale
+/// trees it used to repair there were those of rejoining destinations, and
+/// a tail-attach join no longer builds a tree at all (it runs a bounded
+/// search), so at this scale the pass re-relaxes nothing. Its witness is
+/// `inet3000_online_partial_repairs_fire_and_stay_invisible` below.
 #[test]
-fn fig12_partial_repairs_fire_and_stay_invisible() {
+fn fig12_requests_12_is_byte_identical_across_thread_counts() {
     let overrides = Overrides {
         requests: Some(12),
         ..Overrides::default()
     };
-    let mut reports = Vec::new();
-    for threads in [1usize, 4] {
-        let mut spec = presets::preset("fig12").expect("bundled preset").unwrap();
-        apply_overrides(&mut spec, &overrides);
-        spec.validate().unwrap();
-        let report = run_spec(
-            &spec,
-            &RunOptions {
-                threads,
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        let partials: u64 = report
-            .sections
-            .iter()
-            .filter_map(|s| match &s.detail {
-                Detail::Online(d) => Some(
-                    d.sessions
-                        .iter()
-                        .map(|st| st.engine_partial_repairs)
-                        .sum::<u64>(),
-                ),
-                _ => None,
-            })
-            .sum();
-        assert!(
-            partials > 0,
-            "threads={threads}: expected the dynamic-SSSP repair pass to re-relax a region"
-        );
-        reports.push(write_jsonl(&report, false));
-    }
     assert_eq!(
-        reports[0], reports[1],
+        run_preset("fig12", &overrides, 1),
+        run_preset("fig12", &overrides, 4),
         "thread count leaked into the report"
+    );
+}
+
+/// The dynamic-SSSP repair pass engages where it earns its keep — the
+/// benchmark's `online-inet10k` regime at a third of the size: one
+/// `OnlineSession` on `inet_sized(3000, 6000, 120, seed)` with 40 VMs, 6
+/// sources, groups of 8 and one viewer leaving and one joining per arrival
+/// under the default `OnlineConfig`. Each arrival reprices a handful of
+/// links, so the rebuild on the eighth arrival finds its VM and source
+/// trees stale and most of them inside the repair cap — and stays
+/// invisible in results: a twin session whose engine is emptied before
+/// every arrival (so it never repairs) reports bit-equal costs and equal
+/// forests.
+///
+/// The same run is the work witness for the bounded join: every
+/// tail-attach join runs exactly one bounded search, and that search
+/// settles fewer than a tenth of the graph's vertices.
+#[test]
+fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
+    use sof::sim::{ChurnParams, ChurnStream, WorkloadParams};
+    use sof::topo::{build_instance, inet_sized, ScenarioParams};
+    let seed = 13;
+    let churn = ChurnParams {
+        base: WorkloadParams {
+            sources: (6, 6),
+            destinations: (8, 8),
+            chain_len: 3,
+            demand_mbps: 5.0,
+        },
+        leaves: (1, 1),
+        joins: (1, 1),
+    };
+    let topo = inet_sized(3000, 6000, 120, seed);
+    let make = || {
+        // The builder draws placeholder endpoints; the first arrival
+        // replaces them with the group.
+        let params = ScenarioParams {
+            vm_count: 40,
+            sources: 1,
+            destinations: 1,
+            chain_len: churn.base.chain_len,
+            setup_scale: 1.0,
+            seed,
+        };
+        OnlineSession::new(
+            build_instance(&topo, &params),
+            Box::new(Sofda),
+            SofdaConfig::default(),
+            OnlineConfig::default(),
+        )
+    };
+    let (mut warm, mut twin) = (make(), make());
+    let n = warm.instance().network.node_count() as u64;
+    let mut stream = ChurnStream::new(churn, 3000, seed);
+    let mut rebuilds = 0;
+    for arrival in 0..10 {
+        let request = if arrival == 0 {
+            stream.current().clone()
+        } else {
+            stream.next_request()
+        };
+        let before = warm.instance().network.paths().bounded_work();
+        let a = warm.arrive(request.clone()).unwrap();
+        twin.instance().network.paths().clear();
+        let b = twin.arrive(request).unwrap();
+        assert_eq!(a.forest_cost.to_bits(), b.forest_cost.to_bits());
+        assert_eq!(a.accumulated_cost.to_bits(), b.accumulated_cost.to_bits());
+        assert_eq!((a.rebuilt, a.joined, a.left), (b.rebuilt, b.joined, b.left));
+        assert_eq!(warm.forest(), twin.forest(), "arrival {arrival}");
+        let after = warm.instance().network.paths().bounded_work();
+        if a.rebuilt {
+            rebuilds += 1;
+            assert_eq!(after, before, "a rebuild joins nobody");
+        } else {
+            assert_eq!((a.joined, a.left), (1, 1), "arrival {arrival}");
+            assert_eq!(after.searches, before.searches + 1, "one search per join");
+            let settled = after.settled - before.settled;
+            assert!(
+                settled * 10 < n,
+                "arrival {arrival}: the join settled {settled} of {n} vertices"
+            );
+        }
+    }
+    assert_eq!(rebuilds, 2, "the first embed and the drift rebuild");
+    let stats = warm.instance().network.paths().stats();
+    assert!(
+        stats.partial_repairs > 0,
+        "expected the dynamic-SSSP repair pass to re-relax a region: {stats:?}"
+    );
+    assert_eq!(
+        twin.instance().network.paths().stats().partial_repairs,
+        0,
+        "the twin's emptied engine has nothing to repair"
     );
 }
 

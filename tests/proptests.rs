@@ -183,6 +183,100 @@ proptest! {
         }
     }
 
+    /// The bounded nearest-target search answers exactly what a scan of the
+    /// full tree does — same cost, same target (lowest id among equals),
+    /// same path — on graphs full of distance ties and zero-cost hops, under
+    /// a random edge filter, whether the source is itself a target, several
+    /// targets tie at the answer's distance (one of them only reachable
+    /// through a zero-cost hop from the other), or no target is reachable.
+    #[test]
+    fn bounded_search_equals_full_tree_scan(
+        seed in 0u64..6000,
+        targets in 0usize..6,
+        banned_pct in 0usize..60,
+        shape in 0usize..4,
+    ) {
+        use sof::graph::{Graph, PathEngine, ShortestPaths};
+        let mut rng = Rng64::seed_from(seed);
+        let n = 18usize;
+        let mut g = generators::gnp_connected(n, 0.18, CostRange::new(1.0, 4.0), &mut rng);
+        // Small integer costs make equal distances common; a quarter of the
+        // links cost nothing, like the VM–datacenter hops of real instances.
+        for e in (0..g.edge_count()).map(sof::graph::EdgeId::new) {
+            let c = if rng.below(4) == 0 { 0.0 } else { g.edge_cost(e).value().floor() };
+            g.set_edge_cost(e, Cost::new(c));
+        }
+        let source = NodeId::new(rng.below(n));
+        let mut wanted: Vec<NodeId> =
+            rng.sample_indices(n, targets).into_iter().map(NodeId::new).collect();
+        match shape {
+            // The source is a target: cost 0, path [source] — unless a
+            // zero-cost hop reaches a target with a lower id.
+            1 => wanted.push(source),
+            // Two targets joined by a zero-cost hop: whichever is popped
+            // first, the other is discovered at the same distance.
+            2 => {
+                let a = NodeId::new(rng.below(n));
+                let b = NodeId::new((a.index() + 1 + rng.below(n - 1)) % n);
+                match g.edge_between(a, b) {
+                    Some(e) => g.set_edge_cost(e, Cost::ZERO),
+                    None => {
+                        g.add_edge(a, b, Cost::ZERO);
+                    }
+                }
+                wanted.extend([a, b]);
+            }
+            _ => {}
+        }
+        let mut banned: Vec<bool> =
+            (0..g.edge_count()).map(|_| rng.below(100) < banned_pct).collect();
+        if shape == 3 {
+            // Cut the source off: nothing but itself is reachable.
+            for (_, e) in g.neighbors(source) {
+                banned[e.index()] = true;
+            }
+        }
+        // Reference: the same graph without the banned links (same insertion
+        // order, so the same relaxation order), one full tree, and the scan
+        // the §VII-C join used to run over it.
+        let mut open = Graph::with_nodes(n);
+        for (e, edge) in g.edges() {
+            if !banned[e.index()] {
+                open.add_edge(edge.u, edge.v, edge.cost);
+            }
+        }
+        let full = ShortestPaths::from_source(&open, source);
+        wanted.sort_unstable();
+        wanted.dedup();
+        let mut expect: Option<(Cost, NodeId)> = None;
+        for &t in &wanted {
+            let d = full.dist(t);
+            if d.is_finite() && expect.is_none_or(|(best, _)| d < best) {
+                expect = Some((d, t));
+            }
+        }
+        let engine = PathEngine::new();
+        let got = engine.nearest_target(
+            &g,
+            source,
+            |_, e, _| !banned[e.index()],
+            |v| wanted.contains(&v),
+        );
+        match (got, expect) {
+            (None, None) => {}
+            (Some(hit), Some((cost, target))) => {
+                prop_assert_eq!((hit.cost, hit.target), (cost, target));
+                prop_assert_eq!(Some(hit.path), full.path_to(target));
+            }
+            (got, expect) => prop_assert!(false, "bounded {got:?}, full scan {expect:?}"),
+        }
+        if shape == 3 {
+            prop_assert_eq!(expect.map(|(_, t)| t), wanted.contains(&source).then_some(source));
+        }
+        prop_assert_eq!(engine.stats(), sof::graph::PathEngineStats::default());
+        prop_assert!(engine.is_empty());
+    }
+
     /// Greedy k-stroll never beats exact, and both validate.
     #[test]
     fn kstroll_orders(seed in 0u64..5000, k in 2usize..6) {
