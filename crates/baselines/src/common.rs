@@ -1,6 +1,8 @@
 //! Shared machinery for the baseline algorithms.
 
-use sof_core::{ChainMetric, DestWalk, ServiceForest, SofInstance, SofdaConfig, SolveError};
+use sof_core::{
+    ChainMetric, DestWalk, SearchContext, ServiceForest, SofInstance, SofdaConfig, SolveError,
+};
 use sof_graph::{Cost, NodeId, Rng64};
 use sof_steiner::SteinerTree;
 
@@ -48,6 +50,7 @@ pub(crate) fn cheapest_chain_to_tree(
     tree_nodes: &[NodeId],
     config: &SofdaConfig,
     rng: &mut Rng64,
+    search: &mut SearchContext,
 ) -> Option<CandidateTree> {
     let network = &instance.network;
     let chain_len = instance.chain_len();
@@ -58,7 +61,7 @@ pub(crate) fn cheapest_chain_to_tree(
         return None;
     }
     let cm = ChainMetric::build(network, source, vms, config.source_cost())?;
-    let chains = cm.chains_to_all_vms(chain_len, config.stroll, rng);
+    let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, rng, search);
     let mut best: Option<CandidateTree> = None;
     for (target, stroll, chain_cost) in chains {
         let u = cm.node(target);
@@ -178,14 +181,23 @@ pub(crate) fn used_vms(trees: &[CandidateTree]) -> Vec<NodeId> {
 /// Iterative multi-source extension shared by eST and eNEMP: starting from
 /// one tree, repeatedly propose a tree from an unused source (chain on
 /// unused VMs via `propose`) and keep it while the priced total decreases.
+/// `search` is the solve's k-stroll context: every source proposed for in
+/// one pass sees the same free VMs, so they share its table.
 pub(crate) fn grow_forest<F>(
     instance: &SofInstance,
     mut trees: Vec<CandidateTree>,
     config: &SofdaConfig,
+    search: &mut SearchContext,
     mut propose: F,
 ) -> Result<GrownForest, SolveError>
 where
-    F: FnMut(&SofInstance, NodeId, &[NodeId], &mut Rng64) -> Option<CandidateTree>,
+    F: FnMut(
+        &SofInstance,
+        NodeId,
+        &[NodeId],
+        &mut Rng64,
+        &mut SearchContext,
+    ) -> Option<CandidateTree>,
 {
     let mut rng = Rng64::seed_from(config.seed ^ 0xE57);
     let (mut best_cost, mut best_buckets) = assign_and_price(instance, &trees, config)?;
@@ -206,7 +218,7 @@ where
             if used_sources.contains(&s) {
                 continue;
             }
-            let Some(cand) = propose(instance, s, &free_vms, &mut rng) else {
+            let Some(cand) = propose(instance, s, &free_vms, &mut rng, search) else {
                 continue;
             };
             let mut tentative = trees.clone();

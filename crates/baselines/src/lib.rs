@@ -44,7 +44,7 @@
 mod common;
 
 use common::{assemble, assign_and_price, cheapest_chain_to_tree, grow_forest, CandidateTree};
-use sof_core::{SofInstance, SofdaConfig, SolveError, SolveOutcome, SolveStats};
+use sof_core::{SearchContext, SofInstance, SofdaConfig, SolveError, SolveOutcome, SolveStats};
 use sof_graph::{Cost, NodeId, Rng64};
 use sof_steiner::SteinerTree;
 
@@ -78,6 +78,7 @@ fn best_root(
 /// the VM pool is smaller than the chain.
 pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOutcome, SolveError> {
     let mut rng = Rng64::seed_from(config.seed ^ 0x57);
+    let mut search = SearchContext::new();
     let (root, tree) = best_root(instance, config)?;
     let tree_nodes: Vec<NodeId> = if tree.edges.is_empty() {
         vec![root]
@@ -91,6 +92,7 @@ pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOut
         &tree_nodes,
         config,
         &mut rng,
+        &mut search,
     )
     .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
     let trees = vec![cand];
@@ -98,6 +100,7 @@ pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOut
     let forest = assemble(instance, &trees, &buckets, config)?;
     let stats = SolveStats {
         candidate_chains: 1,
+        stroll_nodes: search.nodes(),
         steiner_cost: tree.cost,
         ..SolveStats::default()
     };
@@ -111,6 +114,7 @@ pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOut
 /// Same conditions as [`solve_st`].
 pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOutcome, SolveError> {
     let mut rng = Rng64::seed_from(config.seed ^ 0xE57);
+    let mut search = SearchContext::new();
     let (root, tree) = best_root(instance, config)?;
     let tree_nodes: Vec<NodeId> = if tree.edges.is_empty() {
         vec![root]
@@ -124,6 +128,7 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
         &tree_nodes,
         config,
         &mut rng,
+        &mut search,
     )
     .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
     let cfg = *config;
@@ -131,7 +136,8 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
         instance,
         vec![first],
         config,
-        move |inst, s, free_vms, rng| {
+        &mut search,
+        move |inst, s, free_vms, rng, search| {
             // A fresh tree from s: span {s} ∪ D, chain on free VMs.
             let mut terminals = vec![s];
             terminals.extend_from_slice(&inst.request.destinations);
@@ -141,12 +147,13 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
             } else {
                 tree.nodes(inst.network.graph()).into_iter().collect()
             };
-            cheapest_chain_to_tree(inst, s, free_vms, &nodes, &cfg, rng)
+            cheapest_chain_to_tree(inst, s, free_vms, &nodes, &cfg, rng, search)
         },
     )?;
     let forest = assemble(instance, &trees, &buckets, config)?;
     let stats = SolveStats {
         candidate_chains: trees.len(),
+        stroll_nodes: search.nodes(),
         ..SolveStats::default()
     };
     finish(instance, forest, stats)
@@ -160,6 +167,7 @@ fn enemp_candidate(
     vms: &[NodeId],
     config: &SofdaConfig,
     rng: &mut Rng64,
+    search: &mut SearchContext,
 ) -> Option<CandidateTree> {
     let network = &instance.network;
     let chain_len = instance.chain_len();
@@ -170,7 +178,7 @@ fn enemp_candidate(
         return None;
     }
     let cm = sof_core::ChainMetric::build(network, s, vms, config.source_cost())?;
-    let chains = cm.chains_to_all_vms(chain_len, config.stroll, rng);
+    let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, rng, search);
     let mut best: Option<(Cost, CandidateTree)> = None;
     for (target, stroll, chain_cost) in chains {
         let m = cm.node(target);
@@ -209,20 +217,24 @@ pub fn solve_enemp(
     config: &SofdaConfig,
 ) -> Result<SolveOutcome, SolveError> {
     let mut rng = Rng64::seed_from(config.seed ^ 0xEE);
+    let mut search = SearchContext::new();
     // First tree: best source by plain Steiner cost, then NEMP candidate.
     let (root, _) = best_root(instance, config)?;
-    let first = enemp_candidate(instance, root, &instance.network.vms(), config, &mut rng)
+    let vms = instance.network.vms();
+    let first = enemp_candidate(instance, root, &vms, config, &mut rng, &mut search)
         .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
     let cfg = *config;
     let (_, trees, buckets) = grow_forest(
         instance,
         vec![first],
         config,
-        move |inst, s, free_vms, rng| enemp_candidate(inst, s, free_vms, &cfg, rng),
+        &mut search,
+        move |inst, s, free_vms, rng, search| enemp_candidate(inst, s, free_vms, &cfg, rng, search),
     )?;
     let forest = assemble(instance, &trees, &buckets, config)?;
     let stats = SolveStats {
         candidate_chains: trees.len(),
+        stroll_nodes: search.nodes(),
         ..SolveStats::default()
     };
     finish(instance, forest, stats)

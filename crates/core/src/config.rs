@@ -81,6 +81,10 @@ impl SofdaConfig {
 pub struct SolveStats {
     /// Candidate service chains evaluated.
     pub candidate_chains: usize,
+    /// DFS nodes the exact k-stroll searches expanded pricing them — a
+    /// work count that repeats exactly at any thread count (0 when no
+    /// exact search ran).
+    pub stroll_nodes: u64,
     /// Conflict-resolution counters (SOFDA only).
     pub conflicts: ConflictStats,
     /// Cost of the intermediate Steiner tree (auxiliary graph for SOFDA,

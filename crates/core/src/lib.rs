@@ -86,6 +86,7 @@ pub use forest::{DestWalk, ForestCost, ForestError, ForestStats, ServiceForest};
 pub use instance::{InstanceError, Network, NodeKind, Request, ServiceChain, SofInstance};
 pub use online::{ArrivalReport, DriftPolicy, EmbedMode, OnlineConfig, OnlineSession, OnlineStats};
 pub use pool::SessionPool;
+pub use sof_kstroll::SearchContext;
 pub use sofda::solve_sofda;
 pub use sofda_ss::solve_sofda_ss;
 pub use solver::{Sofda, SofdaSs, Solver};

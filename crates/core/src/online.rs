@@ -180,6 +180,8 @@ pub struct OnlineStats {
     pub arrivals: usize,
     /// Full solver runs (initial embeds, drift rebuilds, fallbacks).
     pub full_solves: usize,
+    /// [`crate::SolveStats::stroll_nodes`] summed over those runs.
+    pub stroll_nodes: u64,
     /// Arrivals served purely by incremental operations.
     pub incremental_events: usize,
     /// Destinations joined incrementally.
@@ -879,6 +881,7 @@ impl OnlineSession {
                 self.forest = Some(out.forest);
                 self.churn_since_solve = 0;
                 self.stats.full_solves += 1;
+                self.stats.stroll_nodes += out.stats.stroll_nodes;
                 Ok(())
             }
             Err(e) => {

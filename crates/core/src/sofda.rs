@@ -11,8 +11,8 @@
 //! adding links or VMs, preserving Theorem 3's `3ρST` bound.
 
 use crate::{
-    ChainMetric, ChainWalk, DestWalk, ServiceForest, SofInstance, SofdaConfig, SolveError,
-    SolveOutcome, SolveStats, WalkSet,
+    ChainMetric, ChainWalk, DestWalk, SearchContext, ServiceForest, SofInstance, SofdaConfig,
+    SolveError, SolveOutcome, SolveStats, WalkSet,
 };
 use sof_graph::{Cost, Graph, NodeId, Rng64};
 use sof_steiner::SteinerTree;
@@ -137,11 +137,13 @@ pub fn solve_sofda(
         vm_dup.insert(v, d);
     }
 
+    let mut search = SearchContext::new();
     for (si, &s) in sources.iter().enumerate() {
         let Some(cm) = ChainMetric::build(network, s, &vms, config.source_cost()) else {
             continue;
         };
-        for (target, stroll, chain_cost) in cm.chains_to_all_vms(chain_len, config.stroll, &mut rng)
+        for (target, stroll, chain_cost) in
+            cm.chains_to_all_vms_in(chain_len, config.stroll, &mut rng, &mut search)
         {
             let u = cm.node(target);
             let (walk, positions) = cm.expand(&stroll);
@@ -150,6 +152,7 @@ pub fn solve_sofda(
             stats.candidate_chains += 1;
         }
     }
+    stats.stroll_nodes = search.nodes();
     if chain_walks.is_empty() {
         return Err(SolveError::Infeasible(
             "no candidate service chain exists".into(),

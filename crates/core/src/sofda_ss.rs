@@ -7,8 +7,8 @@
 //! `(2+ρST)·OPT`.
 
 use crate::{
-    ChainMetric, DestWalk, ServiceForest, SofInstance, SofdaConfig, SolveError, SolveOutcome,
-    SolveStats,
+    ChainMetric, DestWalk, SearchContext, ServiceForest, SofInstance, SofdaConfig, SolveError,
+    SolveOutcome, SolveStats,
 };
 use sof_graph::{Cost, Rng64};
 
@@ -92,7 +92,9 @@ pub fn solve_sofda_ss(
         .ok_or_else(|| SolveError::Infeasible("some VM unreachable from the source".into()))?;
 
     // One multi-target k-stroll run covers every candidate last VM.
-    let chains = cm.chains_to_all_vms(chain_len, config.stroll, &mut rng);
+    let mut search = SearchContext::new();
+    let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, &mut rng, &mut search);
+    stats.stroll_nodes = search.nodes();
     if chains.is_empty() {
         return Err(SolveError::Infeasible(
             "no service chain with the demanded length exists".into(),

@@ -12,10 +12,20 @@
 //! `u`, true chain cost = generic path cost + `(c(s) + c(u))/2`, and the
 //! optimal path is the same. This lets SOFDA solve one multi-target k-stroll
 //! per source instead of `|M|` separate instances.
+//!
+//! Second observation: off the source's row and column the metric is the
+//! same for every source — `tree(a).dist(b) + c(a)/2 + c(b)/2` reads VM
+//! `a`'s engine-cached tree and two setup costs, none of which know the
+//! source (Appendix D's `source_cost` only enters row and column 0). So
+//! the exact search's cost-to-go table is built once per solve: the solver
+//! (`solve_sofda`, `solve_sofda_ss`, each `sof_baselines` solve) owns one
+//! [`SearchContext`] and hands it to every source's
+//! [`ChainMetric::chains_to_all_vms_in`]; a stand-alone
+//! [`ChainMetric::chains_to_all_vms`] builds a private one.
 
 use crate::Network;
 use sof_graph::{Cost, MetricClosure, NodeId};
-use sof_kstroll::{DenseMetric, Stroll, StrollSolver};
+use sof_kstroll::{DenseMetric, SearchContext, Stroll, StrollSolver};
 
 /// The transformed k-stroll instance for one source (all last VMs at once).
 #[derive(Debug)]
@@ -164,8 +174,21 @@ impl ChainMetric {
         solver: StrollSolver,
         rng: &mut sof_graph::Rng64,
     ) -> Vec<(usize, Stroll, Cost)> {
+        self.chains_to_all_vms_in(chain_len, solver, rng, &mut SearchContext::new())
+    }
+
+    /// [`Self::chains_to_all_vms`] on the caller's search context — the one
+    /// it passes for every source of the solve it is running. The result
+    /// does not depend on what the context has seen.
+    pub fn chains_to_all_vms_in(
+        &self,
+        chain_len: usize,
+        solver: StrollSolver,
+        rng: &mut sof_graph::Rng64,
+        search: &mut SearchContext,
+    ) -> Vec<(usize, Stroll, Cost)> {
         let k = chain_len + 1;
-        let best = solver.solve_all_targets(&self.metric, 0, k, rng);
+        let best = solver.solve_all_targets(&self.metric, 0, k, rng, search);
         best.into_iter()
             .enumerate()
             .skip(1) // index 0 is the source itself
@@ -298,22 +321,57 @@ mod tests {
     }
 
     #[test]
-    fn metric_picks_dense_storage_with_sharp_hop_bound() {
+    fn vm_block_is_bit_identical_across_sources() {
+        // What lets one cost-to-go table serve a whole solve: off row and
+        // column 0 every source's metric holds the same bits, Appendix D's
+        // source cost included. (Node 0 and node 3 see the VMs from
+        // opposite ends of the line.)
         let net = net();
-        let cm = ChainMetric::build(&net, NodeId::new(0), &vms(), Cost::ZERO).unwrap();
-        // The bound the exact search prunes with is the cheapest hop of
-        // the instance: s–VM1, distance 1 plus potential c(VM1)/2 = 1.
-        assert!(cm.metric().is_dense());
-        let mut cheapest = Cost::INFINITY;
-        for i in 0..cm.len() {
-            for j in 0..cm.len() {
-                if i != j {
-                    cheapest = cheapest.min(cm.metric().cost(i, j));
+        let vms = vec![NodeId::new(1), NodeId::new(2)];
+        let a = ChainMetric::build(&net, NodeId::new(0), &vms, Cost::ZERO).unwrap();
+        let b = ChainMetric::build(&net, NodeId::new(3), &vms, Cost::new(10.0)).unwrap();
+        assert_ne!(a.metric().row(0), b.metric().row(0));
+        for i in 1..a.len() {
+            assert_eq!(a.node(i), b.node(i));
+            assert_eq!(a.metric().row(i)[1..], b.metric().row(i)[1..]);
+        }
+    }
+
+    #[test]
+    fn shared_search_context_changes_no_chain() {
+        // One context across sources 4 and 5 (switches: same VM block, the
+        // table is kept) and 0 and 3 (VMs themselves: their metric is one
+        // node short, the context starts over), with an Appendix D source
+        // cost: every source's chains equal the ones a private context
+        // finds and the per-target `exact_stroll`s. Fails when the context
+        // keeps a table across metrics that differ off row and column 0.
+        let mut net = net();
+        net.make_vm(NodeId::new(0), Cost::new(9.0));
+        for (at, cost) in [(1, 1.5), (2, 0.7)] {
+            let s = net.add_node(crate::NodeKind::Switch, Cost::ZERO);
+            net.graph_mut()
+                .add_edge(s, NodeId::new(at), Cost::new(cost));
+        }
+        let vms = net.vms();
+        let mut shared = SearchContext::new();
+        let mut rng = Rng64::seed_from(1);
+        for chain_len in [2, 3] {
+            for s in [4, 0, 5, 4, 3] {
+                let cm = ChainMetric::build(&net, NodeId::new(s), &vms, Cost::new(10.0)).unwrap();
+                let got =
+                    cm.chains_to_all_vms_in(chain_len, StrollSolver::Exact, &mut rng, &mut shared);
+                assert_eq!(
+                    got,
+                    cm.chains_to_all_vms(chain_len, StrollSolver::Exact, &mut rng)
+                );
+                assert!(!got.is_empty());
+                for (t, stroll, _) in &got {
+                    let single = sof_kstroll::exact_stroll(cm.metric(), 0, *t, chain_len + 1);
+                    assert_eq!(single.as_ref(), Some(stroll), "source {s} target {t}");
                 }
             }
         }
-        assert_eq!(cm.metric().min_hop(), cheapest);
-        assert_eq!(cheapest, Cost::new(2.0));
+        assert!(shared.nodes() > 0);
     }
 
     #[test]

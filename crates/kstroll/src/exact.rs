@@ -1,4 +1,5 @@
-//! Exact k-stroll via branch-and-bound depth-first search.
+//! Exact k-stroll via branch-and-bound depth-first search, pruned by one
+//! lower bound: the cost-to-go table of [`SearchContext`].
 
 use crate::{DenseMetric, Stroll};
 use sof_graph::Cost;
@@ -6,6 +7,13 @@ use sof_graph::Cost;
 /// Upper bound on the DFS search-space estimate accepted by
 /// [`estimated_work`]-guarded callers (the `Auto` solver).
 pub const AUTO_EXACT_WORK_LIMIT: f64 = 5e6;
+
+/// Relative slack `δ` of the prune test, see [`SearchContext`]: the table
+/// sums a completion right to left, the search sums the same hops left to
+/// right, and over at most `k` non-negative terms the two roundings are
+/// under `2k` ulps apart (`k · 2.3e-16`). `1e-12` covers any chain this
+/// crate can search and is far below any difference the cost model makes.
+const DELTA: f64 = 1e-12;
 
 /// Estimates the unpruned DFS node count for an instance.
 pub fn estimated_work(n: usize, k: usize) -> f64 {
@@ -43,231 +51,284 @@ pub fn exact_stroll(
     target: usize,
     k: usize,
 ) -> Option<Stroll> {
-    let mut ws = ExactWorkspace::new(metric.len());
-    exact_stroll_with(metric, source, target, k, &mut ws)
+    SearchContext::new().stroll(metric, source, target, k)
 }
 
-/// Exact k-strolls from `source` to **every** target on one shared
-/// workspace: the nearest-first candidate orderings (one stable row sort
-/// per visited node) and the search buffers are computed once and reused
-/// across all `n` targets, instead of re-allocated and re-sorted inside
-/// every DFS node of every per-target call. Entry `t` equals
-/// `exact_stroll(metric, source, t, k)` bit-for-bit — stably sorting the
-/// full row and skipping used nodes visits candidates in exactly the order
-/// the per-call filtered sort did.
+/// Exact k-strolls from `source` to **every** target on a private
+/// [`SearchContext`]. Entry `t` equals `exact_stroll(metric, source, t, k)`
+/// bit-for-bit.
 pub fn exact_all_targets(metric: &DenseMetric, source: usize, k: usize) -> Vec<Option<Stroll>> {
-    let n = metric.len();
-    let mut out: Vec<Option<Stroll>> = vec![None; n];
-    if source >= n {
-        return out;
-    }
-    let mut ws = ExactWorkspace::new(n);
-    for (t, slot) in out.iter_mut().enumerate() {
-        *slot = exact_stroll_with(metric, source, t, k, &mut ws);
-    }
-    out
+    SearchContext::new().all_targets(metric, source, k)
 }
 
-/// Reusable state shared by every target of one `(metric, source)` search:
-/// per-node candidate orderings plus the DFS scratch buffers.
-struct ExactWorkspace {
-    /// `rows[v]` = all nodes stably sorted by `cost(v, ·)` ascending
-    /// (computed lazily, once per `v`). Skipping `used` nodes while
-    /// scanning such a row reproduces the nearest-first order the search
-    /// previously obtained by filtering and re-sorting per DFS node.
+/// What the exact searches of one solve share. Whoever runs the solve owns
+/// it and hands it to each search; nothing outlives the solve.
+///
+/// **The bound.** `togo[t][r·n + v]` is the cheapest walk `v → t` on exactly
+/// `r + 1` hops that never stands still, never enters the source and keeps
+/// `t` out of its interior: `togo[t][v] = m(v, t)` and
+/// `togo[t][r·n + v] = min over w ∉ {v, t, source} of m(v, w) +
+/// togo[t][(r−1)·n + w]`, built per target column, level by level, the
+/// first time a search needs it — `O(k·n²)` a column. A DFS node at `cur`
+/// with `r` interior nodes still to place is cut when
+/// `(cost so far + togo[t][r·n + cur]) · (1 − δ) ≥ incumbent`. Every simple
+/// completion the DFS could still enumerate is one of the walks the
+/// recursion minimises over (dropping "simple" and "avoids the prefix" only
+/// admits more walks), so the bound exceeds no leaf total below the node by
+/// more than the rounding `δ` absorbs; the incumbent is only replaced on a
+/// strict improvement, so a cut removes no leaf that could have replaced
+/// it, and the stroll returned — tie-breaks and cost bits included — is the
+/// one an unpruned search in the same order returns.
+///
+/// **What is shared.** Below the root the DFS never stands on the source
+/// and the recursion never steps onto it, so no table entry that is read
+/// and no candidate ordering of a non-source node depends on the source's
+/// row or column: they stay valid for every metric that agrees with the
+/// first one off that row and column — in SOFDA, every source's
+/// Procedure-1 metric over one VM set. The context checks that agreement
+/// itself (one `n²` comparison per call) and starts over when it fails: a
+/// foreign metric costs a rebuild, never a wrong answer.
+#[derive(Debug)]
+pub struct SearchContext {
+    /// Size, source index and entries of the metric the tables below were
+    /// built on (its source row and column are never compared or read).
+    n: usize,
+    source: usize,
+    seen: Vec<Cost>,
+    /// Cost-to-go columns, one per target; empty until first needed.
+    togo: Vec<Vec<Cost>>,
+    /// `rows[v]` = every node but the source, stably sorted by
+    /// `cost(v, ·)` ascending (lazily, once per `v`). Scanning it and
+    /// skipping `used` nodes is the nearest-first order of the search.
     rows: Vec<Vec<usize>>,
     used: Vec<bool>,
     path: Vec<usize>,
-    /// `cheap[r]` = sum of the `r` globally smallest hop costs — an
-    /// admissible lower bound on any `r` distinct remaining hops. Built
-    /// once per workspace for `k >= 4` searches (empty otherwise); any
-    /// admissible bound prunes only branches that cannot *strictly* beat
-    /// the incumbent, so strengthening it never changes which stroll is
-    /// returned, tie-breaks included.
-    cheap: Vec<Cost>,
-    /// Cheapest incoming hop per node: `min_in[t]` bounds the closing hop
-    /// into target `t`. Built together with `cheap`.
-    min_in: Vec<Cost>,
+    /// DFS nodes expanded since construction.
+    nodes: u64,
+    /// `1 − DELTA`; a field so a test can show what its sign protects.
+    slack: f64,
 }
 
-impl ExactWorkspace {
-    fn new(n: usize) -> ExactWorkspace {
-        ExactWorkspace {
-            rows: vec![Vec::new(); n],
-            used: vec![false; n],
+impl Default for SearchContext {
+    fn default() -> SearchContext {
+        SearchContext::new()
+    }
+}
+
+impl SearchContext {
+    /// An empty context; the first search sizes it.
+    pub fn new() -> SearchContext {
+        SearchContext {
+            n: 0,
+            source: 0,
+            seen: Vec::new(),
+            togo: Vec::new(),
+            rows: Vec::new(),
+            used: Vec::new(),
             path: Vec::with_capacity(8),
-            cheap: Vec::new(),
-            min_in: Vec::new(),
+            nodes: 0,
+            slack: 1.0 - DELTA,
         }
+    }
+
+    /// DFS nodes expanded by every search run on this context so far: a
+    /// pure function of the metrics, sources and `k`s searched, in order,
+    /// so it repeats exactly where wall-clock does not.
+    pub fn nodes(&self) -> u64 {
+        self.nodes
+    }
+
+    /// [`exact_stroll`] on this context.
+    pub fn stroll(
+        &mut self,
+        metric: &DenseMetric,
+        source: usize,
+        target: usize,
+        k: usize,
+    ) -> Option<Stroll> {
+        without_search(metric, source, target, k).unwrap_or_else(|| {
+            self.adopt(metric, source);
+            self.search(metric, target, k)
+        })
+    }
+
+    /// [`exact_all_targets`] on this context.
+    pub fn all_targets(
+        &mut self,
+        metric: &DenseMetric,
+        source: usize,
+        k: usize,
+    ) -> Vec<Option<Stroll>> {
+        let n = metric.len();
+        // Exactly the `k`s for which some target needs a search.
+        if source < n && (3..=n).contains(&k) {
+            self.adopt(metric, source);
+        }
+        (0..n)
+            .map(|t| {
+                without_search(metric, source, t, k).unwrap_or_else(|| self.search(metric, t, k))
+            })
+            .collect()
+    }
+
+    /// Points the context at `(metric, source)`: keeps the cached columns
+    /// and orderings when the metric agrees with the one they were built
+    /// on everywhere off the source's row and column, drops them otherwise.
+    fn adopt(&mut self, metric: &DenseMetric, source: usize) {
+        let n = metric.len();
+        let agrees = self.n == n
+            && self.source == source
+            && (0..n).filter(|&i| i != source).all(|i| {
+                let (row, seen) = (metric.row(i), &self.seen[i * n..(i + 1) * n]);
+                row[..source] == seen[..source] && row[source + 1..] == seen[source + 1..]
+            });
+        if agrees {
+            // The source's own ordering is the one thing read from its row.
+            self.rows[source].clear();
+            return;
+        }
+        self.n = n;
+        self.source = source;
+        self.seen.clear();
+        for i in 0..n {
+            self.seen.extend_from_slice(metric.row(i));
+        }
+        self.togo.iter_mut().for_each(Vec::clear);
+        self.togo.resize(n, Vec::new());
+        self.rows.iter_mut().for_each(Vec::clear);
+        self.rows.resize(n, Vec::new());
+        self.used.clear();
+        self.used.resize(n, false);
     }
 
     fn ensure_row(&mut self, metric: &DenseMetric, v: usize) {
         if self.rows[v].is_empty() {
-            let mut row: Vec<usize> = (0..metric.len()).collect();
             let costs = metric.row(v);
+            let source = self.source;
+            let row = &mut self.rows[v];
+            row.extend((0..costs.len()).filter(|&w| w != source));
             row.sort_by_key(|&w| costs[w]);
-            self.rows[v] = row;
         }
     }
 
-    /// Builds the pruning tables (`cheap` prefix sums up to `k - 1` hops
-    /// plus per-node cheapest incoming hop) from one O(n²) scan. Only
-    /// worthwhile when the DFS has at least two interior levels to prune
-    /// (`k >= 4`); the scan amortizes over the `n × n^(k-2)` search nodes
-    /// it guards.
-    fn ensure_bounds(&mut self, metric: &DenseMetric, k: usize) {
-        if self.cheap.len() >= k {
-            return;
+    /// Grows `target`'s cost-to-go column to `levels` levels.
+    fn ensure_togo(&mut self, metric: &DenseMetric, target: usize, levels: usize) {
+        let (n, source) = (self.n, self.source);
+        let col = &mut self.togo[target];
+        if col.is_empty() {
+            col.extend((0..n).map(|v| metric.cost(v, target)));
         }
-        let n = metric.len();
-        let mut all: Vec<Cost> = Vec::with_capacity(n * n.saturating_sub(1));
-        self.min_in.clear();
-        self.min_in.resize(n, Cost::INFINITY);
-        for i in 0..n {
-            for (j, &c) in metric.row(i).iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                all.push(c);
-                if c < self.min_in[j] {
-                    self.min_in[j] = c;
-                }
+        while col.len() < levels * n {
+            // The level below, closed to walks through the target or the
+            // source; standing still (`w == v`) is skipped in the scan.
+            let mut below: Vec<f64> = col[col.len() - n..].iter().map(|c| c.value()).collect();
+            below[target] = f64::INFINITY;
+            below[source] = f64::INFINITY;
+            for v in 0..n {
+                let hop = metric.row(v);
+                let cheapest = (0..v)
+                    .chain(v + 1..n)
+                    .map(|w| hop[w].value() + below[w])
+                    .fold(f64::INFINITY, |a, b| if b < a { b } else { a });
+                col.push(Cost::new(cheapest));
             }
         }
-        all.sort_unstable();
-        self.cheap.clear();
-        self.cheap.push(Cost::ZERO);
-        for r in 1..k {
-            let prev = self.cheap[r - 1];
-            self.cheap.push(match all.get(r - 1) {
-                Some(&c) => prev + c,
-                None => Cost::INFINITY,
-            });
-        }
-    }
-}
-
-fn exact_stroll_with(
-    metric: &DenseMetric,
-    source: usize,
-    target: usize,
-    k: usize,
-    ws: &mut ExactWorkspace,
-) -> Option<Stroll> {
-    let n = metric.len();
-    if source >= n || target >= n || k > n {
-        return None;
-    }
-    if source == target {
-        return (k == 1).then(|| Stroll::from_nodes(metric, vec![source]));
-    }
-    if k < 2 {
-        return None;
-    }
-    if k == 2 {
-        return Some(Stroll::from_nodes(metric, vec![source, target]));
     }
 
-    // Admissible per-hop lower bound: the cheapest off-diagonal hop.
-    let min_edge = metric.min_hop();
-
-    // With two or more interior levels the search is deep enough that the
-    // stronger distinct-hops + closing-hop tables pay for their O(n²)
-    // build; below that the flat `min_edge` bound stays.
-    if k >= 4 {
-        ws.ensure_bounds(metric, k);
+    /// One `(target, k)` search on the adopted metric, `k ≥ 3`.
+    fn search(&mut self, metric: &DenseMetric, target: usize, k: usize) -> Option<Stroll> {
+        let source = self.source;
+        // The deepest node that can be cut has `k - 3` interior nodes still
+        // to place (the root has no incumbent to be cut against).
+        let interior = k - 2;
+        self.ensure_togo(metric, target, interior);
+        let togo = std::mem::take(&mut self.togo[target]);
+        self.used[source] = true;
+        self.used[target] = true;
+        self.path.clear();
+        self.path.push(source);
+        let mut best: Option<(Cost, Vec<usize>)> = None;
+        self.dfs(metric, &togo, target, interior, Cost::ZERO, &mut best);
+        self.used[source] = false;
+        self.used[target] = false;
+        self.togo[target] = togo;
+        best.map(|(_, nodes)| Stroll::from_nodes(metric, nodes))
     }
-
-    let interior = k - 2;
-    ws.used[source] = true;
-    ws.used[target] = true;
-    ws.path.clear();
-    ws.path.push(source);
-    let mut best: Option<(Cost, Vec<usize>)> = None;
 
     fn dfs(
+        &mut self,
         metric: &DenseMetric,
-        ws: &mut ExactWorkspace,
+        togo: &[Cost],
         target: usize,
         remaining: usize,
-        min_edge: Cost,
         cur_cost: Cost,
         best: &mut Option<(Cost, Vec<usize>)>,
     ) {
-        let cur = *ws.path.last().expect("path never empty");
+        self.nodes += 1;
+        let cur = *self.path.last().expect("path never empty");
         if remaining == 0 {
             let total = cur_cost + metric.cost(cur, target);
             if best.as_ref().is_none_or(|(b, _)| total < *b) {
-                let mut nodes = ws.path.clone();
+                let mut nodes = self.path.clone();
                 nodes.push(target);
                 *best = Some((total, nodes));
             }
             return;
         }
-        // Lower bound on the remaining hops. With the pruning tables
-        // built: the `remaining` interior hops are distinct, so they sum
-        // to at least `cheap[remaining]`, and the closing hop into the
-        // target costs at least its cheapest incoming edge — take the
-        // best of that and `cheap[remaining + 1]` (all hops counted as
-        // distinct). Without them: every hop costs at least `min_edge`.
-        // Both are admissible, and the incumbent is only ever replaced on
-        // a *strict* improvement, so the choice affects how many branches
-        // are explored but never which stroll is returned.
+        // The one prune test; see `SearchContext` for why it cuts no leaf
+        // that could strictly beat the incumbent.
         if let Some((b, _)) = best {
-            let bound = if ws.cheap.is_empty() {
-                cur_cost + min_edge * (remaining as f64 + 1.0)
-            } else {
-                let with_close = ws.cheap[remaining] + ws.min_in[target];
-                cur_cost + with_close.max(ws.cheap[remaining + 1])
-            };
-            if bound >= *b {
+            let bound = cur_cost + togo[remaining * self.n + cur];
+            if bound.value() * self.slack >= b.value() {
                 return;
             }
         }
         // Visit nearest-first for stronger pruning, scanning the memoized
         // stable ordering and skipping nodes already on the path (plus the
-        // endpoints, marked used for the whole search).
-        ws.ensure_row(metric, cur);
+        // target, marked used for the whole search).
+        self.ensure_row(metric, cur);
         let hop = metric.row(cur);
-        for i in 0..ws.rows[cur].len() {
-            let v = ws.rows[cur][i];
-            if ws.used[v] {
+        for i in 0..self.rows[cur].len() {
+            let v = self.rows[cur][i];
+            if self.used[v] {
                 continue;
             }
-            ws.used[v] = true;
-            ws.path.push(v);
-            dfs(
-                metric,
-                ws,
-                target,
-                remaining - 1,
-                min_edge,
-                cur_cost + hop[v],
-                best,
-            );
-            ws.path.pop();
-            ws.used[v] = false;
+            self.used[v] = true;
+            self.path.push(v);
+            self.dfs(metric, togo, target, remaining - 1, cur_cost + hop[v], best);
+            self.path.pop();
+            self.used[v] = false;
         }
     }
+}
 
-    dfs(
-        metric,
-        ws,
-        target,
-        interior,
-        min_edge,
-        Cost::ZERO,
-        &mut best,
-    );
-    ws.used[source] = false;
-    ws.used[target] = false;
-    best.map(|(_, nodes)| Stroll::from_nodes(metric, nodes))
+/// The answers that need no search: `Some(answer)` for an infeasible or
+/// degenerate `(source, target, k)`, `None` when the DFS has to run.
+fn without_search(
+    metric: &DenseMetric,
+    source: usize,
+    target: usize,
+    k: usize,
+) -> Option<Option<Stroll>> {
+    let n = metric.len();
+    if source >= n || target >= n || k > n {
+        return Some(None);
+    }
+    if source == target {
+        return Some((k == 1).then(|| Stroll::from_nodes(metric, vec![source])));
+    }
+    match k {
+        0 | 1 => Some(None),
+        2 => Some(Some(Stroll::from_nodes(metric, vec![source, target]))),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::DenseMetric;
+    use sof_graph::Rng64;
 
     fn line(n: usize) -> DenseMetric {
         DenseMetric::from_fn(n, |i, j| Cost::new((i as f64 - j as f64).abs()))
@@ -339,17 +400,165 @@ mod tests {
         }
     }
 
+    /// A small metric with every trap the bound has to survive: integer
+    /// costs (exact ties), then entries moved up an ulp or two on one side
+    /// only, so totals that tie on paper differ in their last bits and the
+    /// matrix is asymmetric.
+    fn tie_stress(rng: &mut Rng64, n: usize) -> DenseMetric {
+        let ties = DenseMetric::symmetric_from_fn(n, |_, _| Cost::new((1 + rng.below(4)) as f64));
+        let mut ulps = vec![0u64; n * n];
+        for _ in 0..n * n {
+            ulps[rng.below(n) * n + rng.below(n)] += 1;
+        }
+        DenseMetric::from_fn(n, |i, j| {
+            Cost::new(f64::from_bits(
+                ties.cost(i, j).value().to_bits() + ulps[i * n + j],
+            ))
+        })
+    }
+
+    /// Calls `visit(path, cost)` for every simple path from `path[0]` that
+    /// places `remaining` more nodes (never `target`), `cost` summed left
+    /// to right as the search sums it.
+    fn simple_paths(
+        m: &DenseMetric,
+        target: usize,
+        remaining: usize,
+        path: &mut Vec<usize>,
+        cost: Cost,
+        visit: &mut impl FnMut(&[usize], Cost),
+    ) {
+        visit(path, cost);
+        if remaining == 0 {
+            return;
+        }
+        let cur = *path.last().unwrap();
+        for v in (0..m.len()).filter(|&v| v != target) {
+            if !path.contains(&v) {
+                path.push(v);
+                simple_paths(m, target, remaining - 1, path, cost + m.cost(cur, v), visit);
+                path.pop();
+            }
+        }
+    }
+
     #[test]
-    fn min_hop_is_memoized_correctly() {
-        let m = DenseMetric::from_fn(5, |i, j| Cost::new((i * 5 + j) as f64 + 1.0));
-        let mut expect = Cost::INFINITY;
-        for i in 0..5 {
-            for j in 0..5 {
-                if i != j {
-                    expect = expect.min(m.cost(i, j));
+    fn cost_to_go_underestimates_every_simple_completion() {
+        // Admissibility, entry by entry: for every simple path p from a
+        // non-source v that places r more nodes and then closes into t,
+        // togo[t][r·n + v] · (1 − δ) ≤ p's left-to-right cost. Fails when
+        // the recursion skips a w it must admit (say `w < v` only) or adds
+        // anything to an entry.
+        let mut rng = Rng64::seed_from(0xC0570);
+        for case in 0..40 {
+            let n = 4 + case % 5;
+            let m = tie_stress(&mut rng, n);
+            let (source, k) = (rng.below(n), 6.min(n));
+            let mut ctx = SearchContext::new();
+            ctx.all_targets(&m, source, k);
+            for t in (0..n).filter(|&t| t != source) {
+                let togo = &ctx.togo[t];
+                assert_eq!(togo.len(), (k - 2) * n);
+                for v in (0..n).filter(|&v| v != source && v != t) {
+                    // The one-hop entry *is* the matrix entry.
+                    assert_eq!(togo[v], m.cost(v, t));
+                    simple_paths(&m, t, k - 3, &mut vec![v], Cost::ZERO, &mut |p, c| {
+                        if p.contains(&source) {
+                            return;
+                        }
+                        let r = p.len() - 1;
+                        let closed = c + m.cost(*p.last().unwrap(), t);
+                        let bound = togo[r * n + v].value() * (1.0 - DELTA);
+                        assert!(
+                            bound <= closed.value(),
+                            "case {case}: togo[{t}][{r}][{v}] = {bound} > {closed} via {p:?}"
+                        );
+                    });
                 }
             }
         }
-        assert_eq!(m.min_hop(), expect);
+    }
+
+    #[test]
+    fn slack_sign_decides_ulp_ties() {
+        // What δ's sign protects: on metrics whose optimal totals differ
+        // only in their last bits, a search cutting at `bound·(1 + δ) ≥
+        // best` drops the strictly cheaper stroll that the search cutting
+        // at `bound·(1 − δ)` finds. (`tests/proptests.rs` holds the latter
+        // to an unpruned enumeration.)
+        let mut rng = Rng64::seed_from(0x51ACC);
+        let mut differed = 0;
+        for case in 0..200 {
+            let n = 5 + case % 5;
+            let m = tie_stress(&mut rng, n);
+            let k = 4 + case % 3;
+            let good = SearchContext::new().all_targets(&m, 0, k.min(n));
+            let mut flipped = SearchContext::new();
+            flipped.slack = 1.0 + DELTA;
+            if flipped.all_targets(&m, 0, k.min(n)) != good {
+                differed += 1;
+            }
+        }
+        // 96 of the 200 when this was written.
+        assert!(
+            differed > 20,
+            "only {differed} metrics told the signs apart"
+        );
+    }
+
+    #[test]
+    fn reused_context_matches_fresh_ones() {
+        // One context across sources, ks and unrelated metrics answers as
+        // a fresh one does: columns deepen on demand, and a metric that
+        // disagrees off the source's row and column starts over. Fails
+        // when `adopt` stops comparing the source index or the entries.
+        let mut rng = Rng64::seed_from(0x5A4ED);
+        let mut ctx = SearchContext::new();
+        for case in 0..60 {
+            let n = 5 + case % 4;
+            let m = tie_stress(&mut rng, n);
+            for (source, k) in [(0, 4), (0, 6), (1, 5), (0, 3)] {
+                let k = k.min(n);
+                assert_eq!(
+                    ctx.all_targets(&m, source, k),
+                    exact_all_targets(&m, source, k),
+                    "case {case} source {source} k {k}"
+                );
+            }
+            // Same block, different source row and column: the cached
+            // columns are kept and must still be right.
+            let other = DenseMetric::from_fn(n, |i, j| {
+                if i == 0 || j == 0 {
+                    m.cost(i, j) + Cost::new(0.5)
+                } else {
+                    m.cost(i, j)
+                }
+            });
+            assert_eq!(
+                ctx.all_targets(&other, 0, 4),
+                exact_all_targets(&other, 0, 4)
+            );
+            assert_eq!(
+                ctx.seen[1],
+                m.cost(0, 1),
+                "case {case}: columns were rebuilt"
+            );
+        }
+    }
+
+    #[test]
+    fn node_count_is_deterministic_and_sharing_does_not_move_it() {
+        let mut rng = Rng64::seed_from(7);
+        let m = tie_stress(&mut rng, 9);
+        let run = |ctx: &mut SearchContext| {
+            let before = ctx.nodes();
+            ctx.all_targets(&m, 0, 5);
+            ctx.nodes() - before
+        };
+        let mut shared = SearchContext::new();
+        let first = run(&mut shared);
+        assert!(first > 0);
+        assert_eq!(run(&mut shared), first);
+        assert_eq!(run(&mut SearchContext::new()), first);
     }
 }

@@ -11,9 +11,13 @@
 //! (min-excess paths over dense junction trees) is impractical to reproduce,
 //! and here `k = |C|+1 ≤ 8`, so this crate instead offers (see DESIGN.md §5):
 //!
-//! * [`exact_stroll`] — branch-and-bound enumeration, exact for small `k`
-//!   ([`exact_all_targets`] amortizes one sorted-row workspace over every
-//!   target of a source — the hot path of SOFDA's Procedure 3),
+//! * [`exact_stroll`] — branch-and-bound enumeration, exact for small `k`,
+//!   pruned by one cost-to-go bound. The bound's table and the candidate
+//!   orderings live in a [`SearchContext`] that the caller running a solve
+//!   owns and passes to every search of that solve — the hot path of
+//!   SOFDA's Procedure 3 is `|S|` calls of [`SearchContext::all_targets`]
+//!   on one context; `exact_stroll` and [`exact_all_targets`] build a
+//!   private one,
 //! * [`color_coding_stroll`] — randomized color-coding DP, near-exact with
 //!   high probability, solving **all targets per source at once**,
 //! * [`greedy_stroll`] — deterministic cheapest-insertion + local search.
@@ -46,7 +50,9 @@ mod metric;
 mod stroll;
 
 pub use color::{color_coding_all_targets, color_coding_stroll, default_trials, ColorCodingResult};
-pub use exact::{estimated_work, exact_all_targets, exact_stroll, AUTO_EXACT_WORK_LIMIT};
+pub use exact::{
+    estimated_work, exact_all_targets, exact_stroll, SearchContext, AUTO_EXACT_WORK_LIMIT,
+};
 pub use greedy::greedy_stroll;
 pub use metric::DenseMetric;
 pub use stroll::Stroll;
@@ -111,13 +117,16 @@ impl StrollSolver {
     /// a candidate chain from each source to each VM).
     ///
     /// `best[t]` is the cheapest stroll from `source` to `t` on `k` distinct
-    /// nodes, or `None` if infeasible.
+    /// nodes, or `None` if infeasible. The exact search runs on `search`,
+    /// the caller's context for the solve this call belongs to; the other
+    /// solvers leave it untouched.
     pub fn solve_all_targets(
         self,
         metric: &DenseMetric,
         source: usize,
         k: usize,
         rng: &mut Rng64,
+        search: &mut SearchContext,
     ) -> Vec<Option<Stroll>> {
         let n = metric.len();
         match self {
@@ -128,9 +137,7 @@ impl StrollSolver {
                 }
                 res
             }
-            // One shared workspace (sorted candidate rows + DFS buffers)
-            // serves every target; bit-identical to per-target solves.
-            StrollSolver::Exact => exact_all_targets(metric, source, k),
+            StrollSolver::Exact => search.all_targets(metric, source, k),
             StrollSolver::Greedy => (0..n)
                 .map(|t| {
                     if t == source {
@@ -141,7 +148,7 @@ impl StrollSolver {
                 .collect(),
             StrollSolver::Auto => {
                 if estimated_work(n, k) <= AUTO_EXACT_WORK_LIMIT {
-                    return exact_all_targets(metric, source, k);
+                    return search.all_targets(metric, source, k);
                 }
                 let cc = color_coding_all_targets(metric, source, k, Self::AUTO_CC_TRIALS, rng);
                 (0..n)
@@ -191,7 +198,8 @@ mod tests {
     fn all_targets_consistent_with_single_target() {
         let m = euclid(9, 11);
         let mut rng = Rng64::seed_from(13);
-        let all = StrollSolver::Exact.solve_all_targets(&m, 0, 4, &mut rng);
+        let mut search = SearchContext::new();
+        let all = StrollSolver::Exact.solve_all_targets(&m, 0, 4, &mut rng, &mut search);
         for (t, entry) in all.iter().enumerate().skip(1) {
             let single = StrollSolver::Exact.solve(&m, 0, t, 4, &mut rng).unwrap();
             assert_eq!(entry.as_ref().unwrap().cost, single.cost);

@@ -22,10 +22,6 @@ use sof_graph::Cost;
 pub struct DenseMetric {
     n: usize,
     d: Vec<Cost>,
-    /// Cheapest off-diagonal hop, computed once at construction. The exact
-    /// k-stroll search uses it as an admissible lower bound on every
-    /// remaining hop; memoizing it here saves an O(n²) rescan per call.
-    min_hop: Cost,
 }
 
 impl DenseMetric {
@@ -35,17 +31,14 @@ impl DenseMetric {
         F: FnMut(usize, usize) -> Cost,
     {
         let mut d = vec![Cost::ZERO; n * n];
-        let mut min_hop = Cost::INFINITY;
         for i in 0..n {
             for j in 0..n {
                 if i != j {
-                    let c = f(i, j);
-                    d[i * n + j] = c;
-                    min_hop = min_hop.min(c);
+                    d[i * n + j] = f(i, j);
                 }
             }
         }
-        DenseMetric { n, d, min_hop }
+        DenseMetric { n, d }
     }
 
     /// Builds a symmetric metric from an upper-triangle function.
@@ -54,23 +47,14 @@ impl DenseMetric {
         F: FnMut(usize, usize) -> Cost,
     {
         let mut d = vec![Cost::ZERO; n * n];
-        let mut min_hop = Cost::INFINITY;
         for i in 0..n {
             for j in i + 1..n {
                 let c = f(i, j);
                 d[i * n + j] = c;
                 d[j * n + i] = c;
-                min_hop = min_hop.min(c);
             }
         }
-        DenseMetric { n, d, min_hop }
-    }
-
-    /// The cheapest hop between two distinct nodes
-    /// ([`Cost::INFINITY`] for `n < 2`).
-    #[inline]
-    pub fn min_hop(&self) -> Cost {
-        self.min_hop
+        DenseMetric { n, d }
     }
 
     /// Number of nodes.
@@ -169,21 +153,16 @@ mod tests {
     }
 
     #[test]
-    fn dense_trait_bound_is_min_hop() {
-        // The bound the exact search prunes with is the cheapest entry of
-        // the rows it reads.
-        let m = DenseMetric::from_fn(3, |i, j| Cost::new((i + j) as f64));
-        let mut cheapest = Cost::INFINITY;
+    fn rows_read_what_cost_reads() {
+        // The search loops and the cost-to-go recursion read hops through
+        // `row`; an asymmetric fill keeps the two index orders apart.
+        let m = DenseMetric::from_fn(3, |i, j| Cost::new((i * 3 + j) as f64));
         for i in 0..3 {
             for j in 0..3 {
                 assert_eq!(m.row(i)[j], m.cost(i, j));
-                if i != j {
-                    cheapest = cheapest.min(m.row(i)[j]);
-                }
             }
         }
-        assert_eq!(m.min_hop(), cheapest);
-        assert_eq!(m.min_hop(), Cost::new(1.0));
+        assert_eq!(m.row(1), [Cost::new(3.0), Cost::ZERO, Cost::new(5.0)]);
     }
 
     #[test]

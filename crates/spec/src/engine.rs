@@ -1085,6 +1085,7 @@ fn run_single_group(
         t.joins = st.joins;
         t.leaves = st.leaves;
         t.fallbacks = st.fallbacks;
+        t.stroll_nodes = st.stroll_nodes;
         let eng = session.instance().network.paths().stats();
         t.engine_hits = eng.hits;
         t.engine_misses = eng.misses;

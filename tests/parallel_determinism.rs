@@ -10,13 +10,13 @@
 //! `--threads`/`SOF_THREADS` override) so the tests cannot race each other.
 
 use sof::core::{
-    Network, OnlineConfig, OnlineSession, Request, ServiceChain, ServiceForest, SessionPool,
-    SofInstance, Sofda, SofdaConfig,
+    solve_sofda, Network, OnlineConfig, OnlineSession, Request, ServiceChain, ServiceForest,
+    SessionPool, SofInstance, Sofda, SofdaConfig,
 };
 use sof::exact::solve_exact_with;
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64};
 use sof::sim::{ChurnParams, ChurnStream, WorkloadParams};
-use sof::topo::{build_instance, softlayer, ScenarioParams};
+use sof::topo::{build_instance, cogent, softlayer, ScenarioParams};
 use sof_bench::{average_with, comparison_sweep_tables};
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -179,4 +179,52 @@ fn exact_solver_matches_serial_search_exactly() {
             );
         }
     }
+}
+
+/// The exact k-stroll's work witness on Fig. 9's regime (Cogent, 35 VMs,
+/// chain of 4, 14 sources — the first four `oneshot-kstroll` instances at
+/// benchmark seed 13): `SolveStats::stroll_nodes` repeats exactly from run
+/// to run and at every thread count, and stays under twice the count
+/// measured when the cost-to-go bound landed (614 792 nodes; the three
+/// bounds it replaced expanded 8 077 924 on the same instances). Fails
+/// when the bound is weakened — dropping the recursion's `w ∉ {v, t}`
+/// exclusion, which keeps every result and so passes every equivalence
+/// test, reads 1 633 412 — which wall-clock on a shared CI box cannot show.
+#[test]
+fn stroll_nodes_are_exact_and_under_their_ceiling() {
+    const MEASURED: u64 = 614_792;
+    let topo = cogent();
+    let instances: Vec<SofInstance> = (0..4)
+        .map(|i| {
+            build_instance(
+                &topo,
+                &ScenarioParams {
+                    vm_count: 35,
+                    sources: 14,
+                    destinations: 6,
+                    chain_len: 4,
+                    setup_scale: 1.0,
+                    seed: 13 * 1_000_003 + i,
+                },
+            )
+        })
+        .collect();
+    let nodes_at = |threads: usize| -> Vec<u64> {
+        sof::par::par_map_indexed(&instances, threads, |_, inst| {
+            let out = solve_sofda(inst, &SofdaConfig::default()).unwrap();
+            out.forest.validate(inst).unwrap();
+            out.stats.stroll_nodes
+        })
+        .unwrap()
+    };
+    let serial = nodes_at(1);
+    assert!(serial.iter().all(|&n| n > 0));
+    for threads in THREADS {
+        assert_eq!(nodes_at(threads), serial, "threads={threads}");
+    }
+    let total: u64 = serial.iter().sum();
+    assert!(
+        total <= 2 * MEASURED,
+        "{total} DFS nodes, measured {MEASURED} when the bound landed"
+    );
 }

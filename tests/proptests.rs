@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sof::core::{solve_sofda, Network, Request, ServiceChain, SofInstance, SofdaConfig};
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64};
-use sof::kstroll::{exact_stroll, greedy_stroll, DenseMetric};
+use sof::kstroll::{exact_all_targets, exact_stroll, greedy_stroll, DenseMetric};
 
 fn random_instance(
     seed: u64,
@@ -35,6 +35,39 @@ fn random_instance(
         ),
     )
     .unwrap()
+}
+
+/// The exact k-stroll with its bound taken out: every simple path from
+/// `path[0]` on `k` nodes ending in `target`, candidates nearest-first
+/// (ties by index), hops summed left to right, the incumbent replaced only
+/// on a strict improvement.
+fn unpruned_stroll(
+    m: &DenseMetric,
+    target: usize,
+    k: usize,
+    path: &mut Vec<usize>,
+    cost: Cost,
+    best: &mut Option<(Vec<usize>, Cost)>,
+) {
+    let cur = *path.last().unwrap();
+    if path.len() + 1 == k {
+        let total = cost + m.cost(cur, target);
+        if best.as_ref().is_none_or(|(_, b)| total < *b) {
+            let mut nodes = path.clone();
+            nodes.push(target);
+            *best = Some((nodes, total));
+        }
+        return;
+    }
+    let mut next: Vec<usize> = (0..m.len())
+        .filter(|v| *v != target && !path.contains(v))
+        .collect();
+    next.sort_by_key(|&v| m.cost(cur, v));
+    for v in next {
+        path.push(v);
+        unpruned_stroll(m, target, k, path, cost + m.cost(cur, v), best);
+        path.pop();
+    }
 }
 
 proptest! {
@@ -369,6 +402,62 @@ proptest! {
 // Properties of the `sof_par` worker pool itself: index-addressed output
 // identical to a serial `map` for arbitrary lengths and thread counts, and
 // a panicking task poisons the pool into an error instead of deadlocking.
+proptest! {
+    // Cheap cases; a third of them carry the ulp ties.
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The pruned exact search returns what the unpruned enumeration in
+    /// the same order returns — nodes and cost bits — on real-valued
+    /// asymmetric metrics, on integer ones (exact ties), and on integer
+    /// ones with entries moved an ulp or two on one side (totals that tie
+    /// on paper and differ in their last bits). Fails when the prune test's
+    /// slack changes sign (`bound·(1 + δ) ≥ best` drops the ulp-cheaper
+    /// stroll) and when the cost-to-go recursion over-excludes (minimising
+    /// over `w < v` only, or over unused nodes only, overestimates).
+    /// Dropping its `w ∉ {v, t}` exclusion is *not* caught here — that only
+    /// weakens the bound; the node-count ceiling in
+    /// `tests/parallel_determinism.rs` catches it.
+    #[test]
+    fn exact_kstroll_matches_unpruned_enumeration(
+        seed in 0u64..100_000,
+        n in 3usize..10,
+        k in 1usize..7,
+    ) {
+        let mut rng = Rng64::seed_from(seed);
+        let kind = seed % 3;
+        let base = if kind == 0 {
+            DenseMetric::from_fn(n, |_, _| Cost::new(rng.range_f64(0.5, 4.0)))
+        } else {
+            DenseMetric::symmetric_from_fn(n, |_, _| Cost::new((1 + rng.below(4)) as f64))
+        };
+        let mut ulps = vec![0u64; n * n];
+        if kind == 2 {
+            for _ in 0..n * n {
+                ulps[rng.below(n) * n + rng.below(n)] += 1;
+            }
+        }
+        let m = DenseMetric::from_fn(n, |i, j| {
+            Cost::new(f64::from_bits(base.cost(i, j).value().to_bits() + ulps[i * n + j]))
+        });
+        let source = rng.below(n);
+        let pruned = exact_all_targets(&m, source, k);
+        for (t, got) in pruned.iter().enumerate() {
+            let mut expect = None;
+            if t != source && (2..=n).contains(&k) {
+                unpruned_stroll(&m, t, k, &mut vec![source], Cost::ZERO, &mut expect);
+            } else if t == source && k == 1 {
+                expect = Some((vec![source], Cost::ZERO));
+            }
+            let got = got.as_ref().map(|s| (s.nodes.clone(), s.cost.value().to_bits()));
+            let expect = expect.map(|(nodes, c)| (nodes, c.value().to_bits()));
+            prop_assert!(
+                got == expect,
+                "kind {kind} n {n} k {k} source {source} target {t}: {got:?} vs {expect:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
