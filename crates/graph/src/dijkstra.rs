@@ -1,8 +1,7 @@
 //! Single-source and multi-source Dijkstra shortest paths.
 
+use crate::queue::MonotoneQueue;
 use crate::{Cost, CostChange, EdgeId, Graph, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Repair bails out once the affected region exceeds this fraction of the
 /// node count — beyond it a fresh run's simple sweep beats the repair
@@ -159,7 +158,7 @@ pub enum Repair {
 }
 
 /// A reusable Dijkstra scratchpad: epoch-stamped `dist`/`parent`/`site`
-/// arrays plus a drained heap.
+/// arrays plus an emptied monotone queue.
 ///
 /// Resetting between runs is O(1) — a single epoch bump lazily invalidates
 /// every slot — so once the arrays have grown to the graph size, repeated
@@ -170,7 +169,8 @@ pub enum Repair {
 /// (re-seeded with the grown tree each attachment).
 ///
 /// Results are bit-identical to [`ShortestPaths::from_sources`]: both run
-/// the same relaxation with the same `(cost, node)` heap order.
+/// the same relaxation and pop in the same ascending `(dist, node)` order
+/// (the queue's contract — `docs/DYNSSSP.md`, "The queue").
 ///
 /// # Examples
 ///
@@ -195,7 +195,7 @@ pub struct DijkstraWorkspace {
     dist: Vec<Cost>,
     parent: Vec<Option<(NodeId, EdgeId)>>,
     site: Vec<Option<NodeId>>,
-    heap: BinaryHeap<Reverse<(Cost, NodeId)>>,
+    queue: MonotoneQueue,
     /// Node count of the most recent run.
     len: usize,
     runs: u64,
@@ -316,16 +316,16 @@ impl DijkstraWorkspace {
         self.len = n;
         self.epoch += 1;
         self.runs += 1;
-        self.heap.clear();
+        self.queue.clear();
         for s in sources {
             assert!(s.index() < n, "source {s} out of range");
             if self.dist_at(s.index()) > Cost::ZERO {
                 self.write(s.index(), Cost::ZERO, None, Some(s));
-                self.heap.push(Reverse((Cost::ZERO, s)));
+                self.queue.push(Cost::ZERO, s);
             }
         }
         let mut nearest: Option<(Cost, NodeId)> = None;
-        while let Some(Reverse((d, u))) = self.heap.pop() {
+        while let Some((d, u)) = self.queue.pop() {
             if nearest.is_some_and(|(bound, _)| d > bound) {
                 break;
             }
@@ -343,7 +343,7 @@ impl DijkstraWorkspace {
                 let nd = d + graph.edge_cost(e);
                 if nd < self.dist_at(v.index()) {
                     self.write(v.index(), nd, Some((u, e)), su);
-                    self.heap.push(Reverse((nd, v)));
+                    self.queue.push(nd, v);
                 }
             }
         }
@@ -482,7 +482,7 @@ impl DijkstraWorkspace {
     /// not provably exact (an ambiguous zero-cost plateau tie). The caller
     /// then falls back to a cold run.
     ///
-    /// The pass reuses the workspace's heap and stamp buffers (the stamp
+    /// The pass reuses the workspace's queue and stamp buffers (the stamp
     /// array doubles as the region marker), so a re-relaxation's only O(n)
     /// work is the child-list pass and the output clone — the price a
     /// cache miss pays for its snapshot anyway. The workspace's previous
@@ -508,7 +508,7 @@ impl DijkstraWorkspace {
         }
         let cap = REGION_FLOOR.max(n / REGION_FRACTION);
         self.epoch += 1;
-        self.heap.clear();
+        self.queue.clear();
         self.region.clear();
 
         // Phase 1a: seed the region with every vertex a dirtied edge can
@@ -589,9 +589,10 @@ impl DijkstraWorkspace {
 
         // Phase 2: restricted Dijkstra. Labels live in a clone of the old
         // tree; region labels are invalidated, region sources re-seeded,
-        // and every still-valid vertex adjacent to the region enters the
-        // heap at its old label — the same (dist, node) key a full run
-        // would pop it with.
+        // and every still-valid vertex adjacent to the region is queued
+        // at its old label — the same (dist, node) key a full run would
+        // pop it with. All of it before the first pop, so no seed can
+        // undercut one (the queue's monotonicity precondition).
         let mut sp = old.clone();
         for &v in &self.region {
             sp.dist[v.index()] = Cost::INFINITY;
@@ -602,18 +603,18 @@ impl DijkstraWorkspace {
             if self.stamp[s.index()] == self.epoch {
                 sp.dist[s.index()] = Cost::ZERO;
                 sp.site[s.index()] = Some(s);
-                self.heap.push(Reverse((Cost::ZERO, s)));
+                self.queue.push(Cost::ZERO, s);
             }
         }
         for &v in &self.region {
             for (b, _) in graph.neighbors(v) {
                 let bi = b.index();
                 if self.stamp[bi] != self.epoch && sp.dist[bi].is_finite() {
-                    self.heap.push(Reverse((sp.dist[bi], b)));
+                    self.queue.push(sp.dist[bi], b);
                 }
             }
         }
-        while let Some(Reverse((d, u))) = self.heap.pop() {
+        while let Some((d, u)) = self.queue.pop() {
             if d > sp.dist[u.index()] {
                 continue;
             }
@@ -628,13 +629,13 @@ impl DijkstraWorkspace {
                     sp.dist[vi] = nd;
                     sp.parent[vi] = Some((u, e));
                     sp.site[vi] = su;
-                    self.heap.push(Reverse((nd, v)));
+                    self.queue.push(nd, v);
                 } else if nd == sp.dist[vi] {
                     // A tie. A fresh run parents v on the first proposer in
                     // *pop* order, and pop order equals (dist, node) key
                     // order except for vertices whose own parent hop costs
                     // zero: those are discovered through an equal-distance
-                    // plateau and enter the heap later than their key
+                    // plateau and are queued later than their key
                     // suggests. When such a "displaced" vertex takes part
                     // in an equal-key contest, no local rule can
                     // reconstruct the fresh order — give up and let the
@@ -664,14 +665,14 @@ impl DijkstraWorkspace {
                             if p == u && pe == e {
                                 if sp.site[vi] != su {
                                     sp.site[vi] = su;
-                                    self.heap.push(Reverse((nd, v)));
+                                    self.queue.push(nd, v);
                                 }
                             } else if (d, u) < (sp.dist[p.index()], p) {
                                 sp.parent[vi] = Some((u, e));
                                 if sp.site[vi] != su {
                                     sp.site[vi] = su;
                                 }
-                                self.heap.push(Reverse((nd, v)));
+                                self.queue.push(nd, v);
                             }
                         }
                     }
@@ -705,6 +706,14 @@ impl DijkstraWorkspace {
     /// and does not count).
     pub fn settled(&self) -> usize {
         self.settled
+    }
+
+    /// Queue entries re-placed by bucket redistribution over the
+    /// workspace's lifetime — searches and repairs alike. The queue's
+    /// deterministic work count: it depends only on the sequence of pushes
+    /// and pops, so it is byte-stable where wall-clock is not.
+    pub fn queue_moves(&self) -> u64 {
+        self.queue.moves()
     }
 }
 

@@ -28,7 +28,7 @@
 //!   built from (`dist(x) + c == dist(y)`, so a reprice that was restored
 //!   before the query counts) and every non-tree hop loses its relaxation
 //!   strictly (`dist(x) + c > dist(y)` both ways). A fresh Dijkstra would
-//!   relax the same edges in the same `(cost, node)` heap order, so the
+//!   relax the same edges in the same `(dist, node)` pop order, so the
 //!   cached tree equals the recomputation **bit for bit**; the same `Arc`
 //!   is re-offered at the current epoch, counted in
 //!   [`PathEngineStats::repairs`].

@@ -8,7 +8,9 @@
 //! * [`ShortestPaths`] — single- and multi-source Dijkstra with path
 //!   reconstruction and Voronoi sites (for Mehlhorn's Steiner algorithm),
 //! * [`DijkstraWorkspace`] — a reusable, epoch-stamped Dijkstra scratchpad:
-//!   O(1) reset between runs, zero O(n) allocation once warm,
+//!   O(1) reset between runs, zero O(n) allocation once warm, and one
+//!   monotone radix queue under every search and repair that pops in exact
+//!   `(dist, node)` order without a comparison heap,
 //! * [`PathEngine`] — a memoizing shortest-path service keyed by
 //!   `(source set, cost epoch)`; hands out shared `Arc<ShortestPaths>`
 //!   trees with *edge-scoped* invalidation: a cost change dirties only the
@@ -53,6 +55,7 @@ mod graph;
 mod ids;
 mod metric;
 mod mst;
+mod queue;
 mod rng;
 mod unionfind;
 

@@ -210,6 +210,50 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
     );
 }
 
+/// The queue's work witness on Table I's regime at CI size — the
+/// benchmark's `oneshot-inet5k` shape on `inet_sized(600, 1200, 240, 13)`
+/// with the paper's 25 VMs and 14 sources: the 39 full trees a chain-metric
+/// build asks for, run on one workspace as the engine runs them.
+/// `DijkstraWorkspace::queue_moves` (entries re-placed when a bucket is
+/// redistributed) depends only on the push/pop sequence, so it repeats
+/// exactly — on a reused workspace too — and it stays under twice the
+/// count measured when the queue landed (151 265 moves, 3 879 a tree; a
+/// 5 025-vertex tree of the benchmark takes about 43 500 for 7 200
+/// pushes). A change to how the queue files or redistributes entries
+/// keeps every tree as long as it keeps the pop order, so no equivalence
+/// test sees what it costs; this count does, where wall-clock on a shared
+/// CI box cannot.
+#[test]
+fn queue_moves_are_exact_and_under_their_ceiling() {
+    use sof::graph::DijkstraWorkspace;
+    use sof::topo::{build_instance, inet_sized, ScenarioParams};
+    const MEASURED: u64 = 151_265;
+    let topo = inet_sized(600, 1200, 240, 13);
+    let inst = build_instance(&topo, &ScenarioParams::paper_defaults().with_seed(13));
+    let mut roots = inst.network.vms();
+    roots.extend(&inst.request.sources);
+    assert_eq!(roots.len(), 39);
+    let graph = inst.network.graph();
+    let mut ws = DijkstraWorkspace::new();
+    let mut moves_after = || {
+        for &root in &roots {
+            ws.run(graph, [root]);
+            assert!(roots.iter().all(|&r| ws.dist(r).is_finite()));
+        }
+        ws.queue_moves()
+    };
+    let first = moves_after();
+    assert_eq!(
+        moves_after(),
+        2 * first,
+        "the count is cumulative and exact"
+    );
+    assert!(
+        first > 0 && first <= 2 * MEASURED,
+        "{first} queue moves over 39 trees, measured {MEASURED} when the queue landed"
+    );
+}
+
 fn random_instance(seed: u64) -> SofInstance {
     let mut rng = Rng64::seed_from(seed);
     let g = generators::gnp_connected(28, 0.16, CostRange::new(1.0, 7.0), &mut rng);

@@ -2,8 +2,10 @@
 
 use proptest::prelude::*;
 use sof::core::{solve_sofda, Network, Request, ServiceChain, SofInstance, SofdaConfig};
-use sof::graph::{generators, Cost, CostRange, NodeId, Rng64};
+use sof::graph::{generators, Cost, CostRange, EdgeId, Graph, NodeId, Rng64};
 use sof::kstroll::{exact_all_targets, exact_stroll, greedy_stroll, DenseMetric};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 fn random_instance(
     seed: u64,
@@ -68,6 +70,64 @@ fn unpruned_stroll(
         unpruned_stroll(m, target, k, path, cost + m.cost(cur, v), best);
         path.pop();
     }
+}
+
+/// 18 nodes, small integer link costs so equal distances are common, and a
+/// quarter of the links at cost zero, like the VM–datacenter hops of real
+/// instances.
+fn tie_rich_graph(rng: &mut Rng64) -> Graph {
+    let mut g = generators::gnp_connected(18, 0.18, CostRange::new(1.0, 4.0), rng);
+    for e in (0..g.edge_count()).map(EdgeId::new) {
+        let c = if rng.below(4) == 0 {
+            0.0
+        } else {
+            g.edge_cost(e).value().floor()
+        };
+        g.set_edge_cost(e, Cost::new(c));
+    }
+    g
+}
+
+/// Labels of a textbook Dijkstra.
+struct TextbookTree {
+    dist: Vec<Cost>,
+    parent: Vec<Option<(NodeId, EdgeId)>>,
+    site: Vec<Option<NodeId>>,
+}
+
+/// The oracle for every tree the workspace builds: the loop it ran before
+/// its comparison heap was replaced, on the std heap it ran on — pop in
+/// `(dist, node)` order, skip stale entries, relax on strict `<`.
+fn textbook_dijkstra(g: &Graph, sources: &[NodeId]) -> TextbookTree {
+    let n = g.node_count();
+    let mut t = TextbookTree {
+        dist: vec![Cost::INFINITY; n],
+        parent: vec![None; n],
+        site: vec![None; n],
+    };
+    let mut heap = BinaryHeap::new();
+    for &s in sources {
+        if t.dist[s.index()] > Cost::ZERO {
+            t.dist[s.index()] = Cost::ZERO;
+            t.site[s.index()] = Some(s);
+            heap.push(Reverse((Cost::ZERO, s)));
+        }
+    }
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if d > t.dist[u.index()] {
+            continue;
+        }
+        for (v, e) in g.neighbors(u) {
+            let nd = d + g.edge_cost(e);
+            if nd < t.dist[v.index()] {
+                t.dist[v.index()] = nd;
+                t.parent[v.index()] = Some((u, e));
+                t.site[v.index()] = t.site[u.index()];
+                heap.push(Reverse((nd, v)));
+            }
+        }
+    }
+    t
 }
 
 proptest! {
@@ -229,16 +289,10 @@ proptest! {
         banned_pct in 0usize..60,
         shape in 0usize..4,
     ) {
-        use sof::graph::{Graph, PathEngine, ShortestPaths};
+        use sof::graph::{PathEngine, ShortestPaths};
         let mut rng = Rng64::seed_from(seed);
-        let n = 18usize;
-        let mut g = generators::gnp_connected(n, 0.18, CostRange::new(1.0, 4.0), &mut rng);
-        // Small integer costs make equal distances common; a quarter of the
-        // links cost nothing, like the VM–datacenter hops of real instances.
-        for e in (0..g.edge_count()).map(sof::graph::EdgeId::new) {
-            let c = if rng.below(4) == 0 { 0.0 } else { g.edge_cost(e).value().floor() };
-            g.set_edge_cost(e, Cost::new(c));
-        }
+        let mut g = tie_rich_graph(&mut rng);
+        let n = g.node_count();
         let source = NodeId::new(rng.below(n));
         let mut wanted: Vec<NodeId> =
             rng.sample_indices(n, targets).into_iter().map(NodeId::new).collect();
@@ -308,6 +362,83 @@ proptest! {
         }
         prop_assert_eq!(engine.stats(), sof::graph::PathEngineStats::default());
         prop_assert!(engine.is_empty());
+    }
+
+    /// Every tree and every bounded answer the workspace's monotone queue
+    /// produces equals the textbook comparison-heap Dijkstra's, label for
+    /// label — distances to the bit, parent hops, Voronoi sites, and the
+    /// bounded search's cost, target and path — on the three shapes that
+    /// stress pop order differently: skewed float costs with zero-cost
+    /// leaf VMs, a unit-cost grid (every distance a mass tie), and small
+    /// integers mixed with zero-cost links (plateaus).
+    #[test]
+    fn trees_equal_the_textbook_heap_dijkstra(
+        seed in 0u64..5000,
+        shape in 0usize..3,
+        targets in 1usize..7,
+    ) {
+        use sof::graph::{DijkstraWorkspace, ShortestPaths};
+        let mut rng = Rng64::seed_from(seed);
+        let g = match shape {
+            0 => {
+                let mut g = generators::inet_like(300, 600, CostRange::UNIT, &mut rng);
+                for e in (0..g.edge_count()).map(EdgeId::new) {
+                    // Table I's link costs: six decades, down to 1e-6.
+                    let c = sof::core::fortz_thorup(rng.next_f64().max(1e-6), 1.0);
+                    g.set_edge_cost(e, c);
+                }
+                for _ in 0..25 {
+                    let host = NodeId::new(rng.below(300));
+                    let vm = g.add_node();
+                    g.add_edge(host, vm, Cost::ZERO);
+                }
+                g
+            }
+            1 => generators::grid(12, 9, CostRange::UNIT, &mut rng),
+            _ => tie_rich_graph(&mut rng),
+        };
+        let n = g.node_count();
+        let pick = |rng: &mut Rng64, k: usize| -> Vec<NodeId> {
+            rng.sample_indices(n, k).into_iter().map(NodeId::new).collect()
+        };
+        let mut ws = DijkstraWorkspace::new();
+        for sources in [pick(&mut rng, 1), pick(&mut rng, 3)] {
+            let want = textbook_dijkstra(&g, &sources);
+            let got = ShortestPaths::from_sources(&g, sources.iter().copied());
+            // And on a reused workspace, whose queue the previous round's
+            // bounded search left non-empty.
+            ws.run(&g, sources.iter().copied());
+            for v in g.nodes() {
+                let i = v.index();
+                let want = (v, want.dist[i], want.parent[i], want.site[i]);
+                prop_assert_eq!((v, got.dist(v), got.parent(v), got.site(v)), want);
+                prop_assert_eq!((v, ws.dist(v), ws.parent(v), ws.site(v)), want);
+            }
+
+            // Bounded: the first target of a `NodeId`-ordered strict-`<`
+            // scan over the textbook tree, and its parent chain.
+            let source = sources[0];
+            let want = textbook_dijkstra(&g, &[source]);
+            let mut wanted = pick(&mut rng, targets);
+            wanted.sort_unstable();
+            let mut expect: Option<(Cost, NodeId)> = None;
+            for &t in &wanted {
+                let d = want.dist[t.index()];
+                if d.is_finite() && expect.is_none_or(|(best, _)| d < best) {
+                    expect = Some((d, t));
+                }
+            }
+            let (cost, target) = expect.expect("every generator is connected");
+            let mut path = vec![target];
+            while let Some((p, _)) = want.parent[path.last().unwrap().index()] {
+                path.push(p);
+            }
+            path.reverse();
+            let hit = ws
+                .nearest_target(&g, source, |_, _, _| true, |v| wanted.contains(&v))
+                .expect("a reachable target");
+            prop_assert_eq!((hit.cost, hit.target, hit.path), (cost, target, path));
+        }
     }
 
     /// Greedy k-stroll never beats exact, and both validate.
