@@ -13,6 +13,7 @@
 use crate::wire::{ApiError, Body};
 use sof_core::{ArrivalReport, OnlineConfig, OnlineSession, Request, ServiceChain, SofdaConfig};
 use sof_graph::{NodeId, PathEngineStats};
+use sof_spec::field::in_range;
 use sof_spec::value::Value;
 use sof_survive::ElementRef;
 use sof_topo::{
@@ -23,6 +24,31 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+// Caps on every integer a request body can name. Constants, not settings:
+// each is at least ten times what any preset, test or benchmark script
+// sends, and small enough that what it sizes cannot exhaust memory — a
+// failed allocation aborts the process, and no `catch_unwind` sees that.
+
+/// Longest service chain a session may demand (`chain_len`).
+pub const MAX_CHAIN_LEN: u64 = 64;
+/// Most VMs one session's instance may hold (`vm_count`; `vms_per_dc`, and
+/// `vms_per_dc` × the topology's data centers).
+pub const MAX_VM_COUNT: u64 = 1_000;
+/// Largest synthesized topology (`nodes`).
+pub const MAX_TOPOLOGY_NODES: u64 = 100_000;
+/// Most regions in one multi-region build (`regions`).
+pub const MAX_REGIONS: u64 = 64;
+/// Largest single region (`regions[i].nodes`; the library holds
+/// `regions[i].dcs` to it).
+pub const MAX_REGION_NODES: u64 = 1_000;
+/// Most gateway links per region pair (`gateway_links`).
+pub const MAX_GATEWAY_LINKS: u64 = 64;
+/// Longest TTL or scheduled repair, ten years (`ttl_secs`, `repair_secs`).
+pub const MAX_SECS: u64 = 10 * 365 * 86_400;
+/// Largest node index (`destination`, `vm`, `node`, and the entries of
+/// `sources`, `destinations`, `link`): what a `NodeId` can hold.
+pub const MAX_NODE_INDEX: u64 = u32::MAX as u64;
 
 /// A registered topology: either a named library topology or a built
 /// multi-region network.
@@ -138,13 +164,22 @@ fn nodes_value(nodes: &[NodeId]) -> Value {
     Value::Array(nodes.iter().map(|n| Value::Int(n.index() as i64)).collect())
 }
 
+/// The nodes the list `key` names, each index within [`MAX_NODE_INDEX`].
+fn node_ids(key: &str, list: Vec<u64>) -> Result<Vec<NodeId>, ApiError> {
+    let node = |(i, n)| {
+        let n = in_range(&format!("{key}[{i}]"), n, &(0..=MAX_NODE_INDEX))?;
+        Ok(NodeId::new(n as usize))
+    };
+    list.into_iter().enumerate().map(node).collect()
+}
+
 /// Reads the element reference a fail/repair body names: exactly one of
 /// `vm`, `link` (`[u, v]`), `node`, or `domain`.
 fn read_element(body: &mut Body) -> Result<ElementRef, ApiError> {
-    let vm = body.opt_u64("vm")?;
-    let link = body.opt_node_list("link")?;
-    let node = body.opt_u64("node")?;
-    let domain = body.opt_str("domain")?;
+    let vm = body.within("vm", 0..=MAX_NODE_INDEX)?;
+    let link = body.opt("link")?.map(|l| node_ids("link", l)).transpose()?;
+    let node = body.within("node", 0..=MAX_NODE_INDEX)?;
+    let domain: Option<String> = body.opt("domain")?;
     let given = [
         vm.is_some(),
         link.is_some(),
@@ -172,12 +207,20 @@ fn read_element(body: &mut Body) -> Result<ElementRef, ApiError> {
         if u == v {
             return Err(ApiError::bad_request("'link' endpoints must differ"));
         }
-        return Ok(ElementRef::link(*u, *v));
+        return Ok(ElementRef::link(u.index(), v.index()));
     }
     if let Some(n) = node {
         return Ok(ElementRef::Node(n as usize));
     }
     Ok(ElementRef::Domain(domain.expect("counted above")))
+}
+
+/// Reads the whole `{"destination": n}` body of a join or leave.
+fn read_destination(body: &mut Body) -> Result<NodeId, ApiError> {
+    let n = body.req("destination")?;
+    let n = in_range("destination", n, &(0..=MAX_NODE_INDEX))?;
+    body.finish()?;
+    Ok(NodeId::new(n as usize))
 }
 
 /// Resolves a domain name to its region's nodes (regions topologies only).
@@ -295,7 +338,7 @@ impl Registry {
     /// 400 for malformed bodies or library-rejected parameters, 409 for a
     /// duplicate name.
     pub fn create_topology(&mut self, mut body: Body) -> Result<Value, ApiError> {
-        let name = body.str("name")?;
+        let name: String = body.req("name")?;
         if name.is_empty() {
             return Err(ApiError::bad_request("'name' must not be empty"));
         }
@@ -304,24 +347,34 @@ impl Registry {
                 "topology '{name}' already exists"
             )));
         }
-        let named = body.opt_str("topology")?;
-        let regions = body.opt_regions("regions")?;
-        let seed = body.opt_u64("seed")?.unwrap_or(7);
+        let named: Option<String> = body.opt("topology")?;
+        let regions: Option<Vec<RegionDef>> = body.opt("regions")?;
+        let seed = body.or("seed", 7u64)?;
         let topo = match (named, regions) {
             (Some(reg_name), None) => {
                 let mut spec = TopologySpec::named(reg_name);
-                spec.nodes = body.opt_u64("nodes")?.map(|n| n as usize);
+                spec.nodes = body
+                    .within("nodes", 0..=MAX_TOPOLOGY_NODES)?
+                    .map(|n| n as usize);
                 body.finish()?;
                 Topo::Named(build_named(&spec, seed).map_err(ApiError::bad_request)?)
             }
             (None, Some(regions)) => {
+                if regions.len() as u64 > MAX_REGIONS {
+                    return Err(ApiError::bad_request(format!(
+                        "'regions' must list at most {MAX_REGIONS} regions, found {}",
+                        regions.len()
+                    )));
+                }
+                for (i, r) in regions.iter().enumerate() {
+                    let at = format!("regions[{i}].nodes");
+                    in_range(&at, r.nodes as u64, &(0..=MAX_REGION_NODES))?;
+                }
+                let links = body.within("gateway_links", 0..=MAX_GATEWAY_LINKS)?;
                 let params = RegionsParams {
-                    regions: regions
-                        .into_iter()
-                        .map(|(n, nodes, dcs)| RegionDef::new(n, nodes, dcs))
-                        .collect(),
-                    gateway_links: body.opt_u64("gateway_links")?.unwrap_or(2) as usize,
-                    pair_cost: body.opt_matrix("pair_cost")?,
+                    regions,
+                    gateway_links: links.unwrap_or(2) as usize,
+                    pair_cost: body.opt("pair_cost")?,
                 };
                 body.finish()?;
                 params.validate().map_err(ApiError::bad_request)?;
@@ -358,23 +411,15 @@ impl Registry {
     /// 400 for malformed bodies or out-of-range nodes, 404 for an unknown
     /// topology, 409 when the initial embedding is infeasible.
     pub fn create_session(&mut self, mut body: Body) -> Result<Value, ApiError> {
-        let topology = body.str("topology")?;
-        let sources: Vec<NodeId> = body
-            .node_list("sources")?
-            .into_iter()
-            .map(NodeId::new)
-            .collect();
-        let destinations: Vec<NodeId> = body
-            .node_list("destinations")?
-            .into_iter()
-            .map(NodeId::new)
-            .collect();
-        let solver_name = body.opt_str("solver")?.unwrap_or_else(|| "SOFDA".into());
-        let chain_len = body.opt_u64("chain_len")?.unwrap_or(2) as usize;
-        let seed = body.opt_u64("seed")?.unwrap_or(0x50F);
-        let vm_count = body.opt_u64("vm_count")?.unwrap_or(25) as usize;
-        let vms_per_dc = body.opt_u64("vms_per_dc")?.unwrap_or(1) as usize;
-        let ttl = match body.opt_u64("ttl_secs")? {
+        let topology: String = body.req("topology")?;
+        let sources = node_ids("sources", body.req("sources")?)?;
+        let destinations = node_ids("destinations", body.req("destinations")?)?;
+        let solver_name = body.or("solver", "SOFDA".to_string())?;
+        let chain_len = body.within("chain_len", 0..=MAX_CHAIN_LEN)?.unwrap_or(2) as usize;
+        let seed = body.or("seed", 0x50Fu64)?;
+        let vm_count = body.within("vm_count", 0..=MAX_VM_COUNT)?.unwrap_or(25) as usize;
+        let vms_per_dc = body.within("vms_per_dc", 0..=MAX_VM_COUNT)?.unwrap_or(1) as usize;
+        let ttl = match body.within("ttl_secs", 0..=MAX_SECS)? {
             None => self.default_ttl,
             Some(0) => None,
             Some(secs) => Some(Duration::from_secs(secs)),
@@ -436,6 +481,14 @@ impl Registry {
                 build_instance(t, &params)
             }
             Topo::Regions(rt) => {
+                let vms = (rt.topo.dc_nodes.len() * vms_per_dc) as u64;
+                if vms > MAX_VM_COUNT {
+                    return Err(ApiError::bad_request(format!(
+                        "'vms_per_dc' × the topology's {} data centers must be at most \
+                         {MAX_VM_COUNT} VMs, found {vms}",
+                        rt.topo.dc_nodes.len()
+                    )));
+                }
                 let scenario = RegionScenario {
                     vms_per_dc,
                     setup_scale: 1.0,
@@ -486,8 +539,7 @@ impl Registry {
     /// 404 for an unknown session, 400 for a missing/duplicate
     /// destination, 409 when re-embedding fails.
     pub fn session_join(&mut self, id: u64, mut body: Body) -> Result<Value, ApiError> {
-        let destination = NodeId::new(body.u64("destination")? as usize);
-        body.finish()?;
+        let destination = read_destination(&mut body)?;
         let entry = self.entry(id)?;
         let request = {
             let req = &entry.session.instance().request;
@@ -517,8 +569,7 @@ impl Registry {
     ///
     /// 404 for an unknown session, 400 when the destination is not served.
     pub fn session_leave(&mut self, id: u64, mut body: Body) -> Result<Value, ApiError> {
-        let destination = NodeId::new(body.u64("destination")? as usize);
-        body.finish()?;
+        let destination = read_destination(&mut body)?;
         let entry = self.entry(id)?;
         let cost = entry
             .session
@@ -553,7 +604,7 @@ impl Registry {
     /// that is not a VM, a non-existent link, or an unknown domain.
     pub fn session_fail(&mut self, id: u64, mut body: Body) -> Result<Value, ApiError> {
         let element = read_element(&mut body)?;
-        let repair_secs = body.opt_u64("repair_secs")?;
+        let repair_secs = body.within("repair_secs", 0..=MAX_SECS)?;
         body.finish()?;
         // Resolve domain membership before mutably borrowing the session.
         let topology = self

@@ -1,11 +1,12 @@
-//! The JSON wire vocabulary: strict request-body readers over
-//! [`sof_spec::value::Value`] and the error type every handler returns.
-//!
-//! Bodies are read the way spec files are: every field is taken by name,
-//! type mismatches name the offending path, and unknown keys are rejected
-//! — a misspelled field fails loudly instead of silently defaulting.
+//! The JSON wire vocabulary: the request body and the error type every
+//! handler returns. Bodies are read by the reader spec files are read by
+//! ([`sof_spec::field::Reader`]): fields are taken by name, mismatches name
+//! the offending path, unknown keys are rejected. This module adds the HTTP
+//! side only: what a body is, and that a reading error is a 400.
 
+use sof_spec::field::Reader;
 use sof_spec::value::{parse_json, quote_string, Value};
+use std::ops::{Deref, DerefMut};
 
 /// A handler failure: the HTTP status plus a human-actionable message,
 /// serialized as `{"error": …}`.
@@ -18,29 +19,25 @@ pub struct ApiError {
 }
 
 impl ApiError {
+    fn new(status: u16, message: impl Into<String>) -> ApiError {
+        let message = message.into();
+        ApiError { status, message }
+    }
+
     /// A 400 with a message.
     pub fn bad_request(message: impl Into<String>) -> ApiError {
-        ApiError {
-            status: 400,
-            message: message.into(),
-        }
+        ApiError::new(400, message)
     }
 
     /// A 404 with a message.
     pub fn not_found(message: impl Into<String>) -> ApiError {
-        ApiError {
-            status: 404,
-            message: message.into(),
-        }
+        ApiError::new(404, message)
     }
 
     /// A 409 for semantically-valid requests the engine cannot satisfy
     /// (infeasible embeddings, duplicate names).
     pub fn conflict(message: impl Into<String>) -> ApiError {
-        ApiError {
-            status: 409,
-            message: message.into(),
-        }
+        ApiError::new(409, message)
     }
 
     /// The `{"error": …}` body for this failure.
@@ -49,291 +46,83 @@ impl ApiError {
     }
 }
 
-/// One `{name, nodes, dcs}` row from a `regions` array, in field order.
-pub type RegionRow = (String, usize, usize);
-
-/// A strict reader over a parsed JSON body.
-#[derive(Debug)]
-pub struct Body {
-    entries: Vec<(String, Value)>,
+/// A reading error is the client's: 400.
+impl From<String> for ApiError {
+    fn from(message: String) -> ApiError {
+        ApiError::bad_request(message)
+    }
 }
 
+/// A parsed JSON request body: the shared strict [`Reader`] over its
+/// top-level object (`opt` / `req` / `or` / `within` / `finish`), whose
+/// `String` errors become 400s through `?`.
+#[derive(Debug)]
+pub struct Body(Reader<'static>);
+
 impl Body {
-    /// Parses the request body as a JSON object. An empty body reads as an
-    /// empty object, so bodyless POSTs to endpoints with all-optional
-    /// fields work.
-    ///
-    /// # Errors
-    ///
-    /// 400 naming the parse failure or the non-object top level.
+    /// Parses the request body as a JSON object; an empty body reads as
+    /// `{}`, so bodyless POSTs to all-optional endpoints work. Anything
+    /// else is a 400 naming the parse failure or the non-object top level.
     pub fn parse(bytes: &[u8]) -> Result<Body, ApiError> {
-        let trimmed = std::str::from_utf8(bytes)
+        let text = std::str::from_utf8(bytes)
             .map_err(|_| ApiError::bad_request("request body is not UTF-8"))?
             .trim();
-        if trimmed.is_empty() {
-            return Ok(Body {
-                entries: Vec::new(),
-            });
-        }
-        let value = parse_json(trimmed)
-            .map_err(|e| ApiError::bad_request(format!("request body is not JSON: {e}")))?;
+        let value = if text.is_empty() {
+            Value::table()
+        } else {
+            parse_json(text).map_err(|e| format!("request body is not JSON: {e}"))?
+        };
         match value {
-            Value::Table(entries) => Ok(Body { entries }),
+            Value::Table(entries) => Ok(Body(Reader::owned(entries))),
             other => Err(ApiError::bad_request(format!(
                 "request body must be a JSON object, found {}",
                 other.type_name()
             ))),
         }
     }
+}
 
-    fn take(&mut self, key: &str) -> Option<Value> {
-        let idx = self.entries.iter().position(|(k, _)| k == key)?;
-        Some(self.entries.remove(idx).1)
+impl Deref for Body {
+    type Target = Reader<'static>;
+
+    fn deref(&self) -> &Reader<'static> {
+        &self.0
     }
+}
 
-    /// A required string field.
-    ///
-    /// # Errors
-    ///
-    /// 400 when absent or not a string.
-    pub fn str(&mut self, key: &str) -> Result<String, ApiError> {
-        match self.take(key) {
-            Some(Value::Str(s)) => Ok(s),
-            Some(other) => Err(ApiError::bad_request(format!(
-                "'{key}' must be a string, found {}",
-                other.type_name()
-            ))),
-            None => Err(ApiError::bad_request(format!(
-                "missing required field '{key}'"
-            ))),
-        }
-    }
-
-    /// An optional string field.
-    ///
-    /// # Errors
-    ///
-    /// 400 when present but not a string.
-    pub fn opt_str(&mut self, key: &str) -> Result<Option<String>, ApiError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Str(s)) => Ok(Some(s)),
-            Some(other) => Err(ApiError::bad_request(format!(
-                "'{key}' must be a string, found {}",
-                other.type_name()
-            ))),
-        }
-    }
-
-    /// An optional non-negative integer field.
-    ///
-    /// # Errors
-    ///
-    /// 400 when present but not a non-negative integer.
-    pub fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, ApiError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Int(i)) if i >= 0 => Ok(Some(i as u64)),
-            Some(other) => Err(ApiError::bad_request(format!(
-                "'{key}' must be a non-negative integer, found {}",
-                match other {
-                    Value::Int(i) => i.to_string(),
-                    v => v.type_name().to_string(),
-                }
-            ))),
-        }
-    }
-
-    /// A required non-negative integer field.
-    ///
-    /// # Errors
-    ///
-    /// 400 when absent or not a non-negative integer.
-    pub fn u64(&mut self, key: &str) -> Result<u64, ApiError> {
-        self.opt_u64(key)?
-            .ok_or_else(|| ApiError::bad_request(format!("missing required field '{key}'")))
-    }
-
-    /// A required array of non-negative integers (node indices).
-    ///
-    /// # Errors
-    ///
-    /// 400 when absent, not an array, or any element is not a
-    /// non-negative integer.
-    pub fn node_list(&mut self, key: &str) -> Result<Vec<usize>, ApiError> {
-        match self.take(key) {
-            Some(Value::Array(items)) => items
-                .iter()
-                .enumerate()
-                .map(|(i, v)| match v {
-                    Value::Int(n) if *n >= 0 => Ok(*n as usize),
-                    other => Err(ApiError::bad_request(format!(
-                        "'{key}[{i}]' must be a non-negative node index, found {}",
-                        other.type_name()
-                    ))),
-                })
-                .collect(),
-            Some(other) => Err(ApiError::bad_request(format!(
-                "'{key}' must be an array of node indices, found {}",
-                other.type_name()
-            ))),
-            None => Err(ApiError::bad_request(format!(
-                "missing required field '{key}'"
-            ))),
-        }
-    }
-
-    /// An optional array of non-negative integers (node indices).
-    ///
-    /// # Errors
-    ///
-    /// 400 when present but not an array of non-negative integers.
-    pub fn opt_node_list(&mut self, key: &str) -> Result<Option<Vec<usize>>, ApiError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Array(items)) => items
-                .iter()
-                .enumerate()
-                .map(|(i, v)| match v {
-                    Value::Int(n) if *n >= 0 => Ok(*n as usize),
-                    other => Err(ApiError::bad_request(format!(
-                        "'{key}[{i}]' must be a non-negative node index, found {}",
-                        other.type_name()
-                    ))),
-                })
-                .collect::<Result<Vec<usize>, ApiError>>()
-                .map(Some),
-            Some(other) => Err(ApiError::bad_request(format!(
-                "'{key}' must be an array of node indices, found {}",
-                other.type_name()
-            ))),
-        }
-    }
-
-    /// An optional matrix of numbers (e.g. a region pair-cost matrix).
-    ///
-    /// # Errors
-    ///
-    /// 400 naming the offending row or cell.
-    pub fn opt_matrix(&mut self, key: &str) -> Result<Option<Vec<Vec<f64>>>, ApiError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Array(rows)) => {
-                let mut matrix = Vec::with_capacity(rows.len());
-                for (i, row) in rows.iter().enumerate() {
-                    let Value::Array(cells) = row else {
-                        return Err(ApiError::bad_request(format!(
-                            "'{key}[{i}]' must be an array of numbers, found {}",
-                            row.type_name()
-                        )));
-                    };
-                    let mut out = Vec::with_capacity(cells.len());
-                    for (j, cell) in cells.iter().enumerate() {
-                        match cell.as_f64() {
-                            Some(f) => out.push(f),
-                            None => {
-                                return Err(ApiError::bad_request(format!(
-                                    "'{key}[{i}][{j}]' must be a number, found {}",
-                                    cell.type_name()
-                                )))
-                            }
-                        }
-                    }
-                    matrix.push(out);
-                }
-                Ok(Some(matrix))
-            }
-            Some(other) => Err(ApiError::bad_request(format!(
-                "'{key}' must be an array of number rows, found {}",
-                other.type_name()
-            ))),
-        }
-    }
-
-    /// An optional array of `{name, nodes, dcs}` region tables.
-    ///
-    /// # Errors
-    ///
-    /// 400 naming the offending region or field.
-    pub fn opt_regions(&mut self, key: &str) -> Result<Option<Vec<RegionRow>>, ApiError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Array(items)) => {
-                let mut regions = Vec::with_capacity(items.len());
-                for (i, item) in items.into_iter().enumerate() {
-                    let Value::Table(entries) = item else {
-                        return Err(ApiError::bad_request(format!(
-                            "'{key}[{i}]' must be an object with name/nodes/dcs, found {}",
-                            item.type_name()
-                        )));
-                    };
-                    let mut sub = Body { entries };
-                    let name = sub.str("name").map_err(|e| {
-                        ApiError::bad_request(format!("'{key}[{i}]': {}", e.message))
-                    })?;
-                    let nodes = sub.u64("nodes").map_err(|e| {
-                        ApiError::bad_request(format!("'{key}[{i}]': {}", e.message))
-                    })?;
-                    let dcs = sub.u64("dcs").map_err(|e| {
-                        ApiError::bad_request(format!("'{key}[{i}]': {}", e.message))
-                    })?;
-                    sub.finish().map_err(|e| {
-                        ApiError::bad_request(format!("'{key}[{i}]': {}", e.message))
-                    })?;
-                    regions.push((name, nodes as usize, dcs as usize));
-                }
-                Ok(Some(regions))
-            }
-            Some(other) => Err(ApiError::bad_request(format!(
-                "'{key}' must be an array of region objects, found {}",
-                other.type_name()
-            ))),
-        }
-    }
-
-    /// Rejects any field not taken by an earlier accessor.
-    ///
-    /// # Errors
-    ///
-    /// 400 naming the first unknown field.
-    pub fn finish(self) -> Result<(), ApiError> {
-        match self.entries.first() {
-            None => Ok(()),
-            Some((key, _)) => Err(ApiError::bad_request(format!("unknown field '{key}'"))),
-        }
+impl DerefMut for Body {
+    fn deref_mut(&mut self) -> &mut Reader<'static> {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sof_topo::RegionDef;
 
     #[test]
     fn strict_body_reading() {
         let mut b = Body::parse(br#"{"name":"t","seed":7,"dests":[1,2]}"#).unwrap();
-        assert_eq!(b.str("name").unwrap(), "t");
-        assert_eq!(b.opt_u64("seed").unwrap(), Some(7));
-        assert_eq!(b.node_list("dests").unwrap(), vec![1, 2]);
+        assert_eq!(b.req::<String>("name").unwrap(), "t");
+        assert_eq!(b.opt::<u64>("seed").unwrap(), Some(7));
+        assert_eq!(b.req::<Vec<usize>>("dests").unwrap(), vec![1, 2]);
         b.finish().unwrap();
-
         let mut b = Body::parse(br#"{"typo":1}"#).unwrap();
-        assert!(b.opt_u64("seed").unwrap().is_none());
-        let err = b.finish().unwrap_err();
+        assert!(b.opt::<u64>("seed").unwrap().is_none());
+        let err = ApiError::from(b.finish().unwrap_err());
         assert_eq!(err.status, 400);
         assert!(err.message.contains("'typo'"), "{}", err.message);
-
         let err = Body::parse(b"[1,2]").unwrap_err();
         assert!(err.message.contains("object"), "{}", err.message);
         let err = Body::parse(b"{nope").unwrap_err();
         assert!(err.message.contains("not JSON"), "{}", err.message);
         assert!(Body::parse(b"  ").unwrap().finish().is_ok());
-
         let mut b = Body::parse(br#"{"m":[[1,2],[2,"x"]]}"#).unwrap();
-        let err = b.opt_matrix("m").unwrap_err();
-        assert!(err.message.contains("'m[1][1]'"), "{}", err.message);
-
+        let err = b.opt::<Vec<Vec<f64>>>("m").unwrap_err();
+        assert!(err.contains("'m[1][1]'"), "{err}");
         let mut b = Body::parse(br#"{"regions":[{"name":"r","nodes":4,"dcs":1,"x":0}]}"#).unwrap();
-        let err = b.opt_regions("regions").unwrap_err();
-        assert!(err.message.contains("'regions[0]'"), "{}", err.message);
+        let err = b.opt::<Vec<RegionDef>>("regions").unwrap_err();
+        assert!(err.contains("'regions[0].x'"), "{err}");
     }
 }

@@ -1,7 +1,7 @@
 //! # sof-par — deterministic parallelism on a persistent worker pool
 //!
 //! A small `std::thread`-based worker pool for the embarrassingly parallel
-//! layers of the workspace: per-seed sweeps in `sof_bench`, independent
+//! layers of the workspace: per-seed sweeps in `sof_spec::oneshot`, independent
 //! `OnlineSession`s in `sof_core::SessionPool`, and the child relaxations of
 //! `sof_exact`'s branch-and-bound.
 //!

@@ -12,17 +12,17 @@
 //! controllers (a message round-trip per link), and VNF conflicts are
 //! resolved on the assembled walks exactly as in the centralized algorithm.
 //!
-//! Controllers run as real threads communicating over crossbeam channels;
+//! Controllers run as real threads communicating over `std::sync::mpsc` channels;
 //! [`DistributedOutcome::message_count`] reports the east-west traffic.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use sof_core::{
     DestWalk, Network, Request, ServiceForest, SofInstance, SofdaConfig, SolveError, SolveOutcome,
 };
 use sof_graph::{Cost, Graph, NodeId, PathEngine, PathEngineStats, Rng64, ShortestPaths};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A partition of the network into controller domains.
 #[derive(Clone, Debug)]
@@ -144,10 +144,12 @@ fn domain_state(
 ) -> Arc<DomainState> {
     type Cache = Mutex<HashMap<(u64, usize, usize), (u64, Arc<DomainState>)>>;
     static CACHE: OnceLock<Cache> = OnceLock::new();
+    // Entries are whole or absent at every step, so a lock poisoned by a
+    // panicking solve still guards a valid map: recover it.
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let epoch = graph.cost_epoch();
     let key = (seed, k, d);
-    if let Some((e, state)) = cache.lock().get(&key) {
+    if let Some((e, state)) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
         if *e == epoch {
             return Arc::clone(state);
         }
@@ -156,7 +158,7 @@ fn domain_state(
         local: local_subgraph(graph, part, d),
         engine: PathEngine::new(),
     });
-    let mut guard = cache.lock();
+    let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
     if guard.len() >= 64 {
         guard.clear();
     }
@@ -217,7 +219,7 @@ pub fn distributed_sofda(
     }
     let network = Arc::new(instance.network.clone());
     let part = Arc::new(DomainPartition::new(network.graph(), k, config.seed));
-    let msg_count = Arc::new(Mutex::new(0usize));
+    let msg_count = Arc::new(AtomicUsize::new(0));
 
     // Anchor set per domain: borders + local sources/VMs/destinations.
     let mut anchors_of: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); k];
@@ -237,11 +239,11 @@ pub fn distributed_sofda(
     }
 
     // Spawn controllers.
-    let (to_leader, from_controllers) = unbounded::<(usize, Message)>();
+    let (to_leader, from_controllers) = channel::<(usize, Message)>();
     let mut to_controllers: Vec<Sender<Message>> = Vec::with_capacity(k);
     let mut handles = Vec::with_capacity(k);
     for (d, domain_anchors) in anchors_of.iter().enumerate() {
-        let (tx, rx): (Sender<Message>, Receiver<Message>) = unbounded();
+        let (tx, rx): (Sender<Message>, Receiver<Message>) = channel();
         to_controllers.push(tx);
         let state = domain_state(network.graph(), &part, config.seed, k, d);
         let anchors: Vec<NodeId> = domain_anchors.iter().copied().collect();
@@ -264,7 +266,7 @@ pub fn distributed_sofda(
                 }
                 trees.insert(a, sp);
             }
-            *msg_count.lock() += 1;
+            msg_count.fetch_add(1, Ordering::Relaxed);
             leader
                 .send((d, Message::AnchorMatrix { entries }))
                 .expect("leader alive");
@@ -272,7 +274,7 @@ pub fn distributed_sofda(
             while let Ok(msg) = rx.recv() {
                 match msg {
                     Message::Expand { a, b, reply } => {
-                        *msg_count.lock() += 2; // request + response
+                        msg_count.fetch_add(2, Ordering::Relaxed); // request + response
                         let sp = trees.get(&a).expect("expansion endpoints are anchors");
                         let path = sp
                             .path_to(local.index_of[&b])
@@ -380,7 +382,7 @@ pub fn distributed_sofda(
             let key = if ia < ib { (ia, ib) } else { (ib, ia) };
             if let Some(&d) = intra_edges.get(&key) {
                 // Ask controller d to expand.
-                let (reply_tx, reply_rx) = unbounded();
+                let (reply_tx, reply_rx) = channel();
                 to_controllers[d]
                     .send(Message::Expand {
                         a,
@@ -419,7 +421,7 @@ pub fn distributed_sofda(
     }
     forest.validate(instance).map_err(SolveError::Internal)?;
     let cost = forest.cost(&instance.network);
-    let messages = *msg_count.lock();
+    let messages = msg_count.load(Ordering::Relaxed);
     let mut engine_stats = PathEngineStats::default();
     for d in 0..k {
         let s = domain_state(network.graph(), &part, config.seed, k, d)

@@ -1,13 +1,14 @@
 //! The spec-to-engine compiler: [`run_spec`] turns a validated
 //! [`ScenarioSpec`] into a [`RunReport`] by driving the existing
-//! machinery — [`sof_bench::sweep_tables`] / [`sof_bench::average_with`]
-//! for one-shot workloads, [`sof_core::OnlineSession`] /
+//! machinery — [`crate::oneshot::sweep_tables`] /
+//! [`crate::oneshot::average_with`] for one-shot workloads, [`sof_core::OnlineSession`] /
 //! [`sof_core::SessionPool`] for online ones, and the flow-level QoE
 //! simulator for the testbed table.
 //!
 //! Every numeric result is deterministic for a fixed spec + seed and any
 //! thread count; only fields tagged as timings vary.
 
+use crate::oneshot::{self, ParamField, SweepAxis};
 use crate::report::{
     Cell, Detail, ExtraRow, OnlineDetail, OnlineSolverStats, PoolDetail, ReportMeta, RunReport,
     Section, Table, TableRow,
@@ -15,7 +16,6 @@ use crate::report::{
 use crate::spec::{
     ChurnSpec, FailureSpec, GridMetric, OnlineGroup, ScaleSpec, ScenarioSpec, SpecError, Workload,
 };
-use sof_bench::{ParamField, SweepAxis};
 use sof_core::{
     fortz_thorup, EmbedMode, OnlineSession, Request, ServiceChain, SessionPool, SofInstance, Solver,
 };
@@ -33,10 +33,6 @@ pub struct RunOptions {
     pub threads: usize,
     /// Include wall-clock measurements in the JSONL output.
     pub timings: bool,
-    /// Phrase skip-notes in terms of the legacy binaries' flags (the
-    /// shims set this to stay byte-identical to the historical output);
-    /// off, notes reference the spec keys instead.
-    pub legacy_notes: bool,
 }
 
 fn solver_by_name(name: &str) -> Result<Box<dyn Solver>, SpecError> {
@@ -505,7 +501,7 @@ fn run_sweep(
     let topo = build_named(&spec.topology, seed).map_err(SpecError)?;
     let algos = resolve_solvers(solver_names)?;
     let topo_label = display_label(&spec.topology.name).to_string();
-    let tables = sof_bench::sweep_tables(
+    let tables = oneshot::sweep_tables(
         &topo,
         &spec.params,
         &spec.sofda,
@@ -614,7 +610,7 @@ fn run_grid(
                 cols.field.apply(&mut p, cv);
                 build_instance(&topo, &p)
             };
-            row.push(sof_bench::average_with(
+            row.push(oneshot::average_with(
                 solver.as_ref(),
                 seeds,
                 seed,
@@ -696,7 +692,7 @@ fn run_runtime(
             let mut p = spec.params.with_seed(seed + s as u64);
             p.sources = s;
             let inst = build_instance(&topo, &p);
-            match sof_bench::run(solver.as_ref(), &inst, &spec.sofda) {
+            match oneshot::run(solver.as_ref(), &inst, &spec.sofda) {
                 Some(r) => {
                     cells.push(Cell::timing(r.millis / 1e3, 2));
                     extra_rows.push(ExtraRow {
@@ -776,7 +772,7 @@ fn run_qoe(
                 ),
             )
             .expect("valid instance");
-            let Some(r) = sof_bench::run(algo.as_ref(), &inst, &spec.sofda.with_seed(seed)) else {
+            let Some(r) = oneshot::run(algo.as_ref(), &inst, &spec.sofda.with_seed(seed)) else {
                 continue;
             };
             let forest = r.outcome.expect("present").forest;
@@ -959,7 +955,7 @@ fn run_online(
                 opts,
             )?
         } else {
-            run_single_group(spec, gi, group, seed, solver_names, failures, opts)?
+            run_single_group(spec, gi, group, seed, solver_names, failures)?
         };
         sections.push(section);
     }
@@ -973,7 +969,6 @@ fn section_id(gi: usize, topo_name: &str) -> String {
     format!("group{gi}:{topo_name}")
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_single_group(
     spec: &ScenarioSpec,
     gi: usize,
@@ -981,7 +976,6 @@ fn run_single_group(
     seed: u64,
     solver_names: &[String],
     failures: Option<&FailureSpec>,
-    opts: &RunOptions,
 ) -> Result<Section, SpecError> {
     let topo = group_topology(spec, group, seed)?;
     if group.requests == 0 {
@@ -1095,9 +1089,6 @@ fn run_single_group(
     }
     let suffix = if group.scratch {
         ""
-    } else if opts.legacy_notes {
-        // The historical fig12 wording, kept verbatim for shim parity.
-        "; from-scratch baseline skipped, pass --scratch 2 to run it"
     } else {
         "; from-scratch baseline skipped (set scratch = true in the spec to run it)"
     };

@@ -3,10 +3,11 @@
 //! Experiments are **data** here, not binaries: a [`ScenarioSpec`]
 //! (TOML or JSON) names a topology, scenario parameters, a cost/solver
 //! configuration and a workload; [`run_spec`] compiles it onto the
-//! existing `Solver` / `OnlineSession` / `SessionPool` / `sof_bench`
-//! machinery and returns a structured [`RunReport`], which serializes as
-//! deterministic JSON lines ([`write_jsonl`]) or as the legacy markdown
-//! tables ([`render_markdown`]).
+//! existing `Solver` / `OnlineSession` / `SessionPool` machinery and the
+//! crate's own one-shot engine ([`oneshot`]) and returns a structured
+//! [`RunReport`], which serializes as deterministic JSON lines
+//! ([`write_jsonl`]) or as the legacy markdown tables
+//! ([`render_markdown`]).
 //!
 //! The paper's eight figures/tables ship as bundled presets
 //! ([`presets::PRESETS`], checked in under `crates/spec/specs/`), and the
@@ -59,9 +60,11 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod field;
+pub mod oneshot;
+pub mod overrides;
 pub mod presets;
 pub mod report;
-pub mod shim;
 mod spec;
 pub mod value;
 
@@ -71,3 +74,50 @@ pub use spec::{
     ChurnSpec, ConvergeSpec, FailureSpec, GridMetric, OnlineGroup, OnlineSpec, ScaleSpec,
     ScenarioSpec, SpecError, Workload,
 };
+
+#[cfg(test)]
+mod tests {
+    use crate::oneshot::{average_with, run};
+    use sof_core::SofdaConfig;
+    use sof_topo::{build_instance, softlayer, ScenarioParams};
+
+    #[test]
+    fn run_all_registered_comparison_solvers_once() {
+        let topo = softlayer();
+        let mut p = ScenarioParams::paper_defaults().with_seed(5);
+        p.destinations = 4;
+        p.sources = 6;
+        p.vm_count = 12;
+        let inst = build_instance(&topo, &p);
+        for solver in sof_solvers::comparison_set(true) {
+            let r = run(solver.as_ref(), &inst, &SofdaConfig::default()).expect("feasible");
+            assert!(r.cost > 0.0, "{}", solver.name());
+        }
+    }
+
+    #[test]
+    fn capability_hints_skip_oversized_instances() {
+        let topo = softlayer();
+        let mut p = ScenarioParams::paper_defaults().with_seed(6);
+        p.destinations = 12; // beyond the exact solver's |D| ≤ 10 envelope
+        let inst = build_instance(&topo, &p);
+        let exact = sof_solvers::by_name("CPLEX*").unwrap();
+        assert!(run(exact.as_ref(), &inst, &SofdaConfig::default()).is_none());
+    }
+
+    #[test]
+    fn averaging_is_deterministic() {
+        let topo = softlayer();
+        let make = |seed: u64| {
+            let mut p = ScenarioParams::paper_defaults().with_seed(seed);
+            p.destinations = 3;
+            p.sources = 4;
+            p.vm_count = 10;
+            build_instance(&topo, &p)
+        };
+        let sofda = sof_core::Sofda;
+        let a = average_with(&sofda, 3, 100, &SofdaConfig::default(), make, 0).unwrap();
+        let b = average_with(&sofda, 3, 100, &SofdaConfig::default(), make, 0).unwrap();
+        assert_eq!(a.0, b.0);
+    }
+}

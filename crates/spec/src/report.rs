@@ -243,9 +243,9 @@ impl RunReport {
     }
 }
 
-/// Renders the report exactly as the legacy fig/table binaries printed it
-/// (markdown headings + tables + the online epilogues), so the preset
-/// shims preserve their historical output byte for byte.
+/// Renders the report exactly as the pre-spec fig/table binaries printed
+/// it (markdown headings + tables + the online epilogues); CI diffs
+/// `specs/golden/fig8.md`, captured from the last of them, against it.
 pub fn render_markdown(report: &RunReport) -> String {
     let mut out = String::new();
     out.push_str(&format!("# {}\n", report.meta.heading));

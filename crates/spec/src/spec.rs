@@ -1,11 +1,13 @@
 //! The declarative [`ScenarioSpec`] model: what an experiment *is*, as
 //! data — topology, scenario parameters, cost/solver configuration and a
-//! workload — plus strict parsing (unknown keys are errors), semantic
-//! validation with actionable messages, and lossless serialization back to
-//! TOML or JSON.
+//! workload — plus semantic validation with actionable messages and, at the
+//! bottom, the codec: one field list per table type, from which strict
+//! parsing (unknown keys are errors), defaults and lossless serialization
+//! back to TOML or JSON all come (see [`crate::field`]).
 
+use crate::field::{keys, named_field, read_table, table_field, Field, Reader};
+use crate::oneshot::{standard_axes, ParamField, SweepAxis};
 use crate::value::{parse_json, parse_toml, write_json, write_toml, ParseError, Value};
-use sof_bench::{ParamField, SweepAxis};
 use sof_core::{DriftPolicy, JoinStrategy, OnlineConfig, SofdaConfig};
 use sof_graph::Cost;
 use sof_kstroll::StrollSolver;
@@ -38,203 +40,6 @@ fn fail<T>(msg: impl Into<String>) -> Result<T, SpecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Strict table reader: every key must be consumed, leftovers are errors.
-// ---------------------------------------------------------------------------
-
-struct Reader<'v> {
-    ctx: String,
-    entries: Vec<(&'v String, &'v Value)>,
-    taken: Vec<bool>,
-}
-
-impl<'v> Reader<'v> {
-    fn new(ctx: &str, v: &'v Value) -> Result<Reader<'v>, SpecError> {
-        match v {
-            Value::Table(entries) => Ok(Reader {
-                ctx: ctx.to_string(),
-                entries: entries.iter().map(|(k, v)| (k, v)).collect(),
-                taken: vec![false; entries.len()],
-            }),
-            other => fail(format!(
-                "{ctx}: expected a table, found {}",
-                other.type_name()
-            )),
-        }
-    }
-
-    fn take(&mut self, key: &str) -> Option<&'v Value> {
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            if *k == key {
-                self.taken[i] = true;
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn path(&self, key: &str) -> String {
-        if self.ctx.is_empty() {
-            format!("'{key}'")
-        } else {
-            format!("'{}.{key}'", self.ctx)
-        }
-    }
-
-    fn opt_str(&mut self, key: &str) -> Result<Option<String>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Str(s)) => Ok(Some(s.clone())),
-            Some(other) => fail(format!(
-                "{} must be a string, found {}",
-                self.path(key),
-                other.type_name()
-            )),
-        }
-    }
-
-    fn str_or(&mut self, key: &str, default: &str) -> Result<String, SpecError> {
-        Ok(self.opt_str(key)?.unwrap_or_else(|| default.to_string()))
-    }
-
-    fn opt_bool(&mut self, key: &str) -> Result<Option<bool>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Bool(b)) => Ok(Some(*b)),
-            Some(other) => fail(format!(
-                "{} must be a boolean, found {}",
-                self.path(key),
-                other.type_name()
-            )),
-        }
-    }
-
-    fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Int(i)) if *i >= 0 => Ok(Some(*i as u64)),
-            Some(Value::Int(i)) => fail(format!(
-                "{} must be a non-negative integer, found {i}",
-                self.path(key)
-            )),
-            Some(other) => fail(format!(
-                "{} must be an integer, found {}",
-                self.path(key),
-                other.type_name()
-            )),
-        }
-    }
-
-    fn opt_usize(&mut self, key: &str) -> Result<Option<usize>, SpecError> {
-        Ok(self.opt_u64(key)?.map(|v| v as usize))
-    }
-
-    fn opt_f64(&mut self, key: &str) -> Result<Option<f64>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(v) => v.as_f64().map(Some).ok_or_else(|| {
-                SpecError(format!(
-                    "{} must be a number, found {}",
-                    self.path(key),
-                    v.type_name()
-                ))
-            }),
-        }
-    }
-
-    fn opt_usize_list(&mut self, key: &str) -> Result<Option<Vec<usize>>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Array(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    match item {
-                        Value::Int(i) if *i >= 0 => out.push(*i as usize),
-                        other => {
-                            return fail(format!(
-                                "{} must contain non-negative integers, found {}",
-                                self.path(key),
-                                other.type_name()
-                            ))
-                        }
-                    }
-                }
-                Ok(Some(out))
-            }
-            Some(other) => fail(format!(
-                "{} must be an array, found {}",
-                self.path(key),
-                other.type_name()
-            )),
-        }
-    }
-
-    fn opt_str_list(&mut self, key: &str) -> Result<Option<Vec<String>>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(Value::Array(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    match item {
-                        Value::Str(s) => out.push(s.clone()),
-                        other => {
-                            return fail(format!(
-                                "{} must contain strings, found {}",
-                                self.path(key),
-                                other.type_name()
-                            ))
-                        }
-                    }
-                }
-                Ok(Some(out))
-            }
-            Some(other) => fail(format!(
-                "{} must be an array, found {}",
-                self.path(key),
-                other.type_name()
-            )),
-        }
-    }
-
-    /// A `[lo, hi]` inclusive range.
-    fn opt_range(&mut self, key: &str) -> Result<Option<(usize, usize)>, SpecError> {
-        let Some(list) = self.opt_usize_list(key)? else {
-            return Ok(None);
-        };
-        match list.as_slice() {
-            [lo, hi] if lo <= hi => Ok(Some((*lo, *hi))),
-            [lo, hi] => fail(format!(
-                "{} range is inverted ([{lo}, {hi}])",
-                self.path(key)
-            )),
-            other => fail(format!(
-                "{} must be a two-element [lo, hi] range, found {} element(s)",
-                self.path(key),
-                other.len()
-            )),
-        }
-    }
-
-    /// Sub-tables/arrays handed to nested readers.
-    fn take_raw(&mut self, key: &str) -> Option<&'v Value> {
-        self.take(key)
-    }
-
-    /// Errors on any unconsumed key, naming it and the valid keys.
-    fn finish(self, valid: &[&str]) -> Result<(), SpecError> {
-        for (i, (k, _)) in self.entries.iter().enumerate() {
-            if !self.taken[i] {
-                return fail(format!(
-                    "unknown key {} (valid keys here: {})",
-                    self.path(k),
-                    valid.join(", ")
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The model
 // ---------------------------------------------------------------------------
 
@@ -264,11 +69,11 @@ impl GridMetric {
         }
     }
 
-    fn from_name(name: &str) -> Result<GridMetric, SpecError> {
+    fn from_name(name: &str) -> Result<GridMetric, String> {
         match name {
             "cost" => Ok(GridMetric::Cost),
             "used_vms" => Ok(GridMetric::UsedVms),
-            other => fail(format!(
+            other => Err(format!(
                 "unknown metric '{other}' (expected 'cost' or 'used_vms')"
             )),
         }
@@ -394,23 +199,6 @@ pub struct FailureEventSpec {
 }
 
 impl FailureSpec {
-    /// The axis with every field at its reader default, for the given
-    /// legacy kind.
-    pub fn defaults(kind: &str) -> FailureSpec {
-        FailureSpec {
-            every: 10,
-            kind: kind.to_string(),
-            count: 1,
-            process: "periodic".into(),
-            rate: 0.0,
-            scope: vec![kind.to_string()],
-            repair: (0, 0),
-            policies: vec!["reactive".into()],
-            seed: 0,
-            events: Vec::new(),
-        }
-    }
-
     /// Compiles the axis into a validated [`sof_survive::FailurePlan`]
     /// running under `policy` (one of [`FailureSpec::policies`]).
     ///
@@ -523,6 +311,28 @@ impl ScaleSpec {
             RegionDef::new("eu-west", 8, 2),
             RegionDef::new("ap-south", 8, 2),
         ]
+    }
+}
+
+/// What a bare `kind = "churn-at-scale"` table runs.
+impl Default for ScaleSpec {
+    fn default() -> ScaleSpec {
+        ScaleSpec {
+            seed: 1000,
+            solver: "SOFDA".into(),
+            groups: 100,
+            events: 100_000,
+            window: 1000,
+            emit_events: false,
+            vms_per_dc: 1,
+            regions: ScaleSpec::default_regions(),
+            gateway_links: 2,
+            pair_cost: None,
+            churn: GroupChurnConfig::default(),
+            failures: None,
+            converge: None,
+            max_seconds: None,
+        }
     }
 }
 
@@ -768,57 +578,7 @@ impl ScenarioSpec {
     /// [`SpecError`] naming the offending key for structural problems
     /// (wrong types, unknown keys) or the violated constraint.
     pub fn from_value(v: &Value) -> Result<ScenarioSpec, SpecError> {
-        let mut r = Reader::new("", v)?;
-        let name = r
-            .opt_str("name")?
-            .ok_or_else(|| SpecError("spec is missing the required 'name' key".into()))?;
-        let label = r.str_or("label", &name)?;
-        let title = r.str_or("title", "")?;
-        let description = r.str_or("description", "")?;
-
-        let topology = match r.take_raw("topology") {
-            None => TopologySpec::named("softlayer"),
-            Some(t) => read_topology("topology", t)?,
-        };
-        let params = match r.take_raw("params") {
-            None => ScenarioParams::paper_defaults(),
-            Some(t) => read_params(t)?,
-        };
-        let sofda = match r.take_raw("sofda") {
-            None => SofdaConfig::default(),
-            Some(t) => read_sofda(t)?,
-        };
-        let online = match r.take_raw("online") {
-            None => OnlineSpec::default(),
-            Some(t) => read_online(t)?,
-        };
-        let workload_value = r
-            .take_raw("workload")
-            .ok_or_else(|| SpecError("spec is missing the required [workload] table".into()))?;
-        let workload = read_workload(workload_value)?;
-        r.finish(&[
-            "name",
-            "label",
-            "title",
-            "description",
-            "topology",
-            "params",
-            "sofda",
-            "online",
-            "workload",
-        ])?;
-
-        let spec = ScenarioSpec {
-            name,
-            label,
-            title,
-            description,
-            topology,
-            params,
-            sofda,
-            online,
-            workload,
-        };
+        let spec = ScenarioSpec::read(v, "").map_err(SpecError)?;
         spec.validate()?;
         Ok(spec)
     }
@@ -1099,17 +859,7 @@ impl ScenarioSpec {
     /// appears, defaults included, so a round trip through
     /// [`ScenarioSpec::from_value`] is the identity.
     pub fn to_value(&self) -> Value {
-        let mut root = Value::table();
-        root.set("name", Value::Str(self.name.clone()));
-        root.set("label", Value::Str(self.label.clone()));
-        root.set("title", Value::Str(self.title.clone()));
-        root.set("description", Value::Str(self.description.clone()));
-        root.set("topology", topology_value(&self.topology));
-        root.set("params", params_value(&self.params));
-        root.set("sofda", sofda_value(&self.sofda));
-        root.set("online", online_value(&self.online));
-        root.set("workload", workload_value(&self.workload));
-        root
+        self.write().expect("a table type always writes")
     }
 
     /// Serializes the spec as TOML (see [`ScenarioSpec::to_value`]).
@@ -1124,51 +874,13 @@ impl ScenarioSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Readers for the sub-tables
+// The codec: one field list per table type. Parsing, defaults, emitting and
+// unknown-key rejection all come from these declarations (`crate::field`
+// has the grammar); `validate` above holds the semantic checks, which are
+// not a copy of any list. The hand-written impls are the irregular spots.
 // ---------------------------------------------------------------------------
 
-fn read_topology(ctx: &str, v: &Value) -> Result<TopologySpec, SpecError> {
-    // A bare string is shorthand for { name = "..." }.
-    if let Value::Str(name) = v {
-        return Ok(TopologySpec::named(name.clone()));
-    }
-    let mut r = Reader::new(ctx, v)?;
-    let name = r
-        .opt_str("name")?
-        .ok_or_else(|| SpecError(format!("'{ctx}.name' is required")))?;
-    let spec = TopologySpec {
-        name,
-        nodes: r.opt_usize("nodes")?,
-        links: r.opt_usize("links")?,
-        dcs: r.opt_usize("dcs")?,
-        seed: r.opt_u64("seed")?,
-    };
-    r.finish(&["name", "nodes", "links", "dcs", "seed"])?;
-    Ok(spec)
-}
-
-fn read_params(v: &Value) -> Result<ScenarioParams, SpecError> {
-    let mut r = Reader::new("params", v)?;
-    let d = ScenarioParams::paper_defaults();
-    let p = ScenarioParams {
-        vm_count: r.opt_usize("vm_count")?.unwrap_or(d.vm_count),
-        sources: r.opt_usize("sources")?.unwrap_or(d.sources),
-        destinations: r.opt_usize("destinations")?.unwrap_or(d.destinations),
-        chain_len: r.opt_usize("chain_len")?.unwrap_or(d.chain_len),
-        setup_scale: r.opt_f64("setup_scale")?.unwrap_or(d.setup_scale),
-        seed: d.seed,
-    };
-    r.finish(&[
-        "vm_count",
-        "sources",
-        "destinations",
-        "chain_len",
-        "setup_scale",
-    ])?;
-    Ok(p)
-}
-
-fn steiner_name(s: SteinerSolver) -> &'static str {
+fn steiner_name(s: &SteinerSolver) -> &'static str {
     match s {
         SteinerSolver::Mehlhorn => "mehlhorn",
         SteinerSolver::Kmb => "kmb",
@@ -1178,21 +890,21 @@ fn steiner_name(s: SteinerSolver) -> &'static str {
     }
 }
 
-fn parse_steiner(name: &str) -> Result<SteinerSolver, SpecError> {
+fn parse_steiner(name: &str) -> Result<SteinerSolver, String> {
     match name.to_ascii_lowercase().as_str() {
         "mehlhorn" => Ok(SteinerSolver::Mehlhorn),
         "kmb" => Ok(SteinerSolver::Kmb),
         "takahashi" | "takahashi-matsuyama" => Ok(SteinerSolver::TakahashiMatsuyama),
         "dreyfus-wagner" | "exact" => Ok(SteinerSolver::DreyfusWagner),
         "auto" => Ok(SteinerSolver::Auto),
-        other => fail(format!(
+        other => Err(format!(
             "unknown steiner solver '{other}' (expected mehlhorn, kmb, takahashi, \
              dreyfus-wagner, or auto)"
         )),
     }
 }
 
-fn stroll_name(s: StrollSolver) -> String {
+fn stroll_name(s: &StrollSolver) -> String {
     match s {
         StrollSolver::Exact => "exact".into(),
         StrollSolver::Greedy => "greedy".into(),
@@ -1201,811 +913,237 @@ fn stroll_name(s: StrollSolver) -> String {
     }
 }
 
-fn parse_stroll(name: &str) -> Result<StrollSolver, SpecError> {
+fn parse_stroll(name: &str) -> Result<StrollSolver, String> {
     let lower = name.to_ascii_lowercase();
     if let Some(trials) = lower.strip_prefix("color-coding:") {
-        let trials: usize = trials.parse().map_err(|_| {
-            SpecError(format!(
+        return match trials.parse() {
+            Ok(0) => Err("color-coding needs at least one trial".into()),
+            Ok(trials) => Ok(StrollSolver::ColorCoding { trials }),
+            Err(_) => Err(format!(
                 "invalid color-coding trial count in '{name}' (expected color-coding:N)"
-            ))
-        })?;
-        if trials == 0 {
-            return fail("color-coding needs at least one trial");
-        }
-        return Ok(StrollSolver::ColorCoding { trials });
+            )),
+        };
     }
     match lower.as_str() {
         "exact" => Ok(StrollSolver::Exact),
         "greedy" => Ok(StrollSolver::Greedy),
         "auto" => Ok(StrollSolver::Auto),
-        other => fail(format!(
+        other => Err(format!(
             "unknown stroll solver '{other}' (expected exact, greedy, color-coding:N, or auto)"
         )),
     }
 }
 
-fn read_sofda(v: &Value) -> Result<SofdaConfig, SpecError> {
-    let mut r = Reader::new("sofda", v)?;
-    let d = SofdaConfig::default();
-    let steiner = match r.opt_str("steiner")? {
-        None => d.steiner,
-        Some(s) => parse_steiner(&s)?,
-    };
-    let stroll = match r.opt_str("stroll")? {
-        None => d.stroll,
-        Some(s) => parse_stroll(&s)?,
-    };
-    let shorten = r.opt_bool("shorten")?.unwrap_or(d.shorten);
-    let source_setup_cost = match r.opt_f64("source_setup_cost")? {
-        None => None,
-        Some(c) if c >= 0.0 => Some(Cost::new(c)),
-        Some(c) => return fail(format!("'sofda.source_setup_cost' must be ≥ 0, got {c}")),
-    };
-    r.finish(&["steiner", "stroll", "shorten", "source_setup_cost"])?;
-    Ok(SofdaConfig {
-        steiner,
-        stroll,
-        shorten,
-        source_setup_cost,
-        seed: d.seed,
-    })
+named_field!(SteinerSolver, parse_steiner, steiner_name);
+named_field!(StrollSolver, parse_stroll, stroll_name);
+named_field!(DriftPolicy, DriftPolicy::from_name, DriftPolicy::as_str);
+named_field!(JoinStrategy, JoinStrategy::from_name, JoinStrategy::as_str);
+named_field!(ParamField, ParamField::from_name, ParamField::as_str);
+named_field!(GridMetric, GridMetric::from_name, GridMetric::as_str);
+
+impl Field for Cost {
+    fn read(v: &Value, at: &str) -> Result<Cost, String> {
+        let c = f64::read(v, at)?;
+        if c >= 0.0 {
+            Ok(Cost::new(c))
+        } else {
+            Err(format!("'{at}' must be ≥ 0, got {c}"))
+        }
+    }
+
+    fn write(&self) -> Option<Value> {
+        Some(Value::Float(self.value()))
+    }
 }
 
-fn read_online(v: &Value) -> Result<OnlineSpec, SpecError> {
-    let mut r = Reader::new("online", v)?;
-    let d = OnlineSpec::default();
-    let drift_policy = match r.opt_str("drift_policy")? {
-        None => d.drift_policy,
-        Some(s) => DriftPolicy::from_name(&s).map_err(SpecError)?,
-    };
-    let join = match r.opt_str("join")? {
-        None => d.join,
-        Some(s) => JoinStrategy::from_name(&s).map_err(SpecError)?,
-    };
-    let spec = OnlineSpec {
-        drift: r.opt_f64("drift")?.unwrap_or(d.drift),
-        drift_policy,
-        reroute_every: r.opt_usize("reroute_every")?.unwrap_or(d.reroute_every),
-        join,
-        link_capacity: r.opt_f64("link_capacity")?.unwrap_or(d.link_capacity),
-        vm_capacity: r.opt_f64("vm_capacity")?.unwrap_or(d.vm_capacity),
-    };
-    r.finish(&[
-        "drift",
-        "drift_policy",
-        "reroute_every",
-        "join",
-        "link_capacity",
-        "vm_capacity",
-    ])?;
-    Ok(spec)
+table_field!(ScenarioParams {
+    ..ScenarioParams::paper_defaults();
+    vm_count, sources, destinations, chain_len, setup_scale
+});
+table_field!(SofdaConfig {
+    ..SofdaConfig::default();
+    steiner, stroll, shorten, source_setup_cost
+});
+table_field!(OnlineSpec {
+    ..OnlineSpec::default();
+    drift, drift_policy, reroute_every, join, link_capacity, vm_capacity
+});
+table_field!(GroupChurnConfig {
+    ..GroupChurnConfig::default();
+    viewers, sources, chain_len, demand_mbps, leaves, joins, lifetime, roam
+});
+table_field!(SweepAxis {
+    field,
+    values,
+    label = ParamField::default_label(&field).to_string()
+});
+table_field!(ChurnSpec {
+    sources,
+    destinations,
+    chain_len = 3,
+    demand_mbps = 5.0,
+    leaves,
+    joins
+});
+table_field!(OnlineGroup {
+    topology = None,
+    requests,
+    scratch = false,
+    vms_per_dc = 5,
+    churn
+});
+table_field!(RegionDef { name, nodes, dcs = 1 });
+table_field!(ConvergeSpec { epsilon = 1e-3, patience = 3 });
+table_field!(FailureEventSpec { at, element, repair = 0 });
+table_field!(FailureSpec {
+    every = 10,
+    kind = "vm".to_string(),
+    count = 1,
+    process = "periodic".to_string(),
+    rate = 0.0,
+    scope = vec![kind.clone()],
+    repair = (0, 0),
+    policies = vec!["reactive".to_string()],
+    seed = 0,
+    events = Vec::new()
+});
+
+keys!(topology: TopologySpec = TopologySpec {
+    name,
+    nodes = None,
+    links = None,
+    dcs = None,
+    seed = None
+});
+
+impl Field for TopologySpec {
+    fn read(v: &Value, at: &str) -> Result<TopologySpec, String> {
+        // A bare string is shorthand for { name = "..." }.
+        match v {
+            Value::Str(name) => Ok(TopologySpec::named(name.clone())),
+            table => read_table(table, at, topology::read),
+        }
+    }
+
+    fn write(&self) -> Option<Value> {
+        let mut t = Value::table();
+        topology::write(self, &mut t);
+        Some(t)
+    }
 }
 
-fn read_axis(ctx: &str, v: &Value) -> Result<SweepAxis, SpecError> {
-    let mut r = Reader::new(ctx, v)?;
-    let field_name = r
-        .opt_str("field")?
-        .ok_or_else(|| SpecError(format!("'{ctx}.field' is required")))?;
-    let field = ParamField::from_name(&field_name).map_err(SpecError)?;
-    let values = r
-        .opt_usize_list("values")?
-        .ok_or_else(|| SpecError(format!("'{ctx}.values' is required")))?;
-    let label = r
-        .opt_str("label")?
-        .unwrap_or_else(|| field.default_label().to_string());
-    r.finish(&["field", "values", "label"])?;
-    Ok(SweepAxis {
-        label,
-        field,
-        values,
-    })
+fn names(list: &[&str]) -> Vec<String> {
+    list.iter().map(|s| s.to_string()).collect()
 }
 
-fn read_churn(ctx: &str, v: &Value) -> Result<ChurnSpec, SpecError> {
-    let mut r = Reader::new(ctx, v)?;
-    let need_range = |r: &mut Reader<'_>, key: &str| -> Result<(usize, usize), SpecError> {
-        r.opt_range(key)?
-            .ok_or_else(|| SpecError(format!("'{ctx}.{key}' is required (a [lo, hi] range)")))
-    };
-    let sources = need_range(&mut r, "sources")?;
-    let destinations = need_range(&mut r, "destinations")?;
-    let leaves = need_range(&mut r, "leaves")?;
-    let joins = need_range(&mut r, "joins")?;
-    let spec = ChurnSpec {
-        sources,
-        destinations,
-        chain_len: r.opt_usize("chain_len")?.unwrap_or(3),
-        demand_mbps: r.opt_f64("demand_mbps")?.unwrap_or(5.0),
-        leaves,
-        joins,
-    };
-    r.finish(&[
-        "sources",
-        "destinations",
-        "chain_len",
-        "demand_mbps",
-        "leaves",
-        "joins",
-    ])?;
-    Ok(spec)
-}
+keys!(cost_curve: Workload = Workload::CostCurve {
+    points = 24,
+    step = 0.05,
+    capacity = 1.0
+});
+keys!(sweep: Workload = Workload::Sweep {
+    solvers = Vec::new(),
+    seeds = 1,
+    seed = 1000,
+    axes = standard_axes(0)
+});
+keys!(grid: Workload = Workload::Grid {
+    solver = "SOFDA".to_string(),
+    seeds = 1,
+    seed = 1000,
+    rows,
+    cols,
+    metrics = vec![GridMetric::Cost]
+});
+keys!(runtime: Workload = Workload::Runtime {
+    solver = "SOFDA".to_string(),
+    seed = 1000,
+    sizes = vec![1000, 2000, 3000, 4000, 5000],
+    sources = vec![2, 8, 14, 20, 26]
+});
+keys!(qoe: Workload = Workload::Qoe {
+    solvers = names(&["SOFDA", "eNEMP", "eST"]),
+    seeds = 1,
+    seed = 1000
+});
+keys!(online: Workload = Workload::Online {
+    seed = 1000,
+    solvers = names(&["SOFDA", "eNEMP", "eST", "ST"]),
+    sessions = 1,
+    groups,
+    failures = None
+});
+keys!(scale: ScaleSpec = ScaleSpec {
+    ..ScaleSpec::default();
+    seed, solver, groups, events, window, vms_per_dc, gateway_links, regions, pair_cost, churn,
+    failures, converge, max_seconds
+});
 
-fn read_group(ctx: &str, v: &Value) -> Result<OnlineGroup, SpecError> {
-    let mut r = Reader::new(ctx, v)?;
-    let topology = match r.take_raw("topology") {
-        None => None,
-        Some(t) => Some(read_topology(&format!("{ctx}.topology"), t)?),
-    };
-    let requests = r
-        .opt_usize("requests")?
-        .ok_or_else(|| SpecError(format!("'{ctx}.requests' is required")))?;
-    let scratch = r.opt_bool("scratch")?.unwrap_or(false);
-    let vms_per_dc = r.opt_usize("vms_per_dc")?.unwrap_or(5);
-    let churn_value = r
-        .take_raw("churn")
-        .ok_or_else(|| SpecError(format!("'{ctx}.churn' is required")))?;
-    let churn = read_churn(&format!("{ctx}.churn"), churn_value)?;
-    r.finish(&["topology", "requests", "scratch", "vms_per_dc", "churn"])?;
-    Ok(OnlineGroup {
-        topology,
-        requests,
-        scratch,
-        vms_per_dc,
-        churn,
-    })
-}
-
-fn read_workload(v: &Value) -> Result<Workload, SpecError> {
-    let mut r = Reader::new("workload", v)?;
-    let kind = r
-        .opt_str("kind")?
-        .ok_or_else(|| SpecError("'workload.kind' is required".into()))?;
-    let workload = match kind.as_str() {
-        "cost-curve" => {
-            let w = Workload::CostCurve {
-                points: r.opt_usize("points")?.unwrap_or(24),
-                step: r.opt_f64("step")?.unwrap_or(0.05),
-                capacity: r.opt_f64("capacity")?.unwrap_or(1.0),
-            };
-            r.finish(&["kind", "points", "step", "capacity"])?;
-            w
-        }
-        "sweep" => {
-            let solvers = r.opt_str_list("solvers")?.unwrap_or_default();
-            let seeds = r.opt_u64("seeds")?.unwrap_or(1);
-            let seed = r.opt_u64("seed")?.unwrap_or(1000);
-            let axes = match r.take_raw("axes") {
-                None => sof_bench::standard_axes(0),
-                Some(Value::Array(items)) => {
-                    let mut axes = Vec::with_capacity(items.len());
-                    for (i, item) in items.iter().enumerate() {
-                        axes.push(read_axis(&format!("workload.axes[{i}]"), item)?);
-                    }
-                    axes
-                }
-                Some(other) => {
-                    return fail(format!(
-                        "'workload.axes' must be an array of tables, found {}",
-                        other.type_name()
-                    ))
-                }
-            };
-            let w = Workload::Sweep {
-                solvers,
-                seeds,
-                seed,
-                axes,
-            };
-            r.finish(&["kind", "solvers", "seeds", "seed", "axes"])?;
-            w
-        }
-        "grid" => {
-            let solver = r.str_or("solver", "SOFDA")?;
-            let seeds = r.opt_u64("seeds")?.unwrap_or(1);
-            let seed = r.opt_u64("seed")?.unwrap_or(1000);
-            let rows_value = r
-                .take_raw("rows")
-                .ok_or_else(|| SpecError("'workload.rows' is required for grid".into()))?;
-            let rows = read_axis("workload.rows", rows_value)?;
-            let cols_value = r
-                .take_raw("cols")
-                .ok_or_else(|| SpecError("'workload.cols' is required for grid".into()))?;
-            let cols = read_axis("workload.cols", cols_value)?;
-            let metric_names = r
-                .opt_str_list("metrics")?
-                .unwrap_or_else(|| vec!["cost".into()]);
-            let mut metrics = Vec::with_capacity(metric_names.len());
-            for m in &metric_names {
-                metrics.push(GridMetric::from_name(m)?);
-            }
-            let w = Workload::Grid {
-                solver,
-                seeds,
-                seed,
-                rows,
-                cols,
-                metrics,
-            };
-            r.finish(&["kind", "solver", "seeds", "seed", "rows", "cols", "metrics"])?;
-            w
-        }
-        "runtime" => {
-            let w = Workload::Runtime {
-                solver: r.str_or("solver", "SOFDA")?,
-                seed: r.opt_u64("seed")?.unwrap_or(1000),
-                sizes: r
-                    .opt_usize_list("sizes")?
-                    .unwrap_or_else(|| vec![1000, 2000, 3000, 4000, 5000]),
-                sources: r
-                    .opt_usize_list("sources")?
-                    .unwrap_or_else(|| vec![2, 8, 14, 20, 26]),
-            };
-            r.finish(&["kind", "solver", "seed", "sizes", "sources"])?;
-            w
-        }
-        "qoe" => {
-            let w = Workload::Qoe {
-                solvers: r
-                    .opt_str_list("solvers")?
-                    .unwrap_or_else(|| vec!["SOFDA".into(), "eNEMP".into(), "eST".into()]),
-                seeds: r.opt_u64("seeds")?.unwrap_or(1),
-                seed: r.opt_u64("seed")?.unwrap_or(1000),
-            };
-            r.finish(&["kind", "solvers", "seeds", "seed"])?;
-            w
-        }
-        "online" => {
-            let seed = r.opt_u64("seed")?.unwrap_or(1000);
-            let solvers = r
-                .opt_str_list("solvers")?
-                .unwrap_or_else(|| vec!["SOFDA".into(), "eNEMP".into(), "eST".into(), "ST".into()]);
-            let sessions = r.opt_usize("sessions")?.unwrap_or(1);
-            let groups = match r.take_raw("groups") {
-                None => return fail("'workload.groups' is required for online"),
-                Some(Value::Array(items)) => {
-                    let mut groups = Vec::with_capacity(items.len());
-                    for (i, item) in items.iter().enumerate() {
-                        groups.push(read_group(&format!("workload.groups[{i}]"), item)?);
-                    }
-                    groups
-                }
-                Some(other) => {
-                    return fail(format!(
-                        "'workload.groups' must be an array of tables, found {}",
-                        other.type_name()
-                    ))
-                }
-            };
-            let failures = match r.take_raw("failures") {
-                None => None,
-                Some(t) => Some(Box::new(read_failures("workload.failures", t)?)),
-            };
-            let w = Workload::Online {
-                seed,
-                solvers,
-                sessions,
-                groups,
-                failures,
-            };
-            r.finish(&["kind", "seed", "solvers", "sessions", "groups", "failures"])?;
-            w
-        }
-        "churn-at-scale" => {
-            let seed = r.opt_u64("seed")?.unwrap_or(1000);
-            let solver = r.str_or("solver", "SOFDA")?;
-            let groups = r.opt_usize("groups")?.unwrap_or(100);
-            let events = r.opt_u64("events")?.unwrap_or(100_000);
-            let window = r.opt_u64("window")?.unwrap_or(1000);
-            let emit = r.str_or("emit", "windows")?;
-            let emit_events = match emit.as_str() {
-                "windows" => false,
-                "events" => true,
-                other => {
-                    return fail(format!(
-                        "'workload.emit' must be \"windows\" or \"events\", got \"{other}\""
-                    ))
-                }
-            };
-            let vms_per_dc = r.opt_usize("vms_per_dc")?.unwrap_or(1);
-            let gateway_links = r.opt_usize("gateway_links")?.unwrap_or(2);
-            let regions = match r.take_raw("regions") {
-                None => ScaleSpec::default_regions(),
-                Some(Value::Array(items)) => {
-                    let mut regions = Vec::with_capacity(items.len());
-                    for (i, item) in items.iter().enumerate() {
-                        regions.push(read_region(&format!("workload.regions[{i}]"), item)?);
-                    }
-                    regions
-                }
-                Some(other) => {
-                    return fail(format!(
-                        "'workload.regions' must be an array of tables, found {}",
-                        other.type_name()
-                    ))
-                }
-            };
-            let pair_cost = match r.take_raw("pair_cost") {
-                None => None,
-                Some(Value::Array(rows)) => {
-                    let mut matrix = Vec::with_capacity(rows.len());
-                    for (i, row) in rows.iter().enumerate() {
-                        let Value::Array(cells) = row else {
-                            return fail(format!(
-                                "'workload.pair_cost[{i}]' must be an array of numbers, found {}",
-                                row.type_name()
-                            ));
-                        };
-                        let mut out = Vec::with_capacity(cells.len());
-                        for (j, cell) in cells.iter().enumerate() {
-                            match cell.as_f64() {
-                                Some(f) => out.push(f),
-                                None => {
-                                    return fail(format!(
-                                        "'workload.pair_cost[{i}][{j}]' must be a number, \
-                                         found {}",
-                                        cell.type_name()
-                                    ))
-                                }
-                            }
-                        }
-                        matrix.push(out);
-                    }
-                    Some(matrix)
-                }
-                Some(other) => {
-                    return fail(format!(
-                        "'workload.pair_cost' must be an array of number rows \
-                         (one per region), found {}",
-                        other.type_name()
-                    ))
-                }
-            };
-            let churn = match r.take_raw("churn") {
-                None => GroupChurnConfig::default(),
-                Some(t) => read_scale_churn("workload.churn", t)?,
-            };
-            let failures = match r.take_raw("failures") {
-                None => None,
-                Some(t) => Some(Box::new(read_failures("workload.failures", t)?)),
-            };
-            let converge = match r.take_raw("converge") {
-                None => None,
-                Some(t) => {
-                    let mut cr = Reader::new("workload.converge", t)?;
-                    let c = ConvergeSpec {
-                        epsilon: cr.opt_f64("epsilon")?.unwrap_or(1e-3),
-                        patience: cr.opt_usize("patience")?.unwrap_or(3),
-                    };
-                    cr.finish(&["epsilon", "patience"])?;
-                    Some(c)
-                }
-            };
-            let max_seconds = r.opt_f64("max_seconds")?;
-            let w = Workload::ChurnAtScale(ScaleSpec {
-                seed,
-                solver,
-                groups,
-                events,
-                window,
-                emit_events,
-                vms_per_dc,
-                regions,
-                gateway_links,
-                pair_cost,
-                churn,
-                failures,
-                converge,
-                max_seconds,
-            });
-            r.finish(&[
-                "kind",
-                "seed",
-                "solver",
-                "groups",
-                "events",
-                "window",
-                "emit",
-                "vms_per_dc",
-                "gateway_links",
-                "regions",
-                "pair_cost",
-                "churn",
-                "failures",
-                "converge",
-                "max_seconds",
-            ])?;
-            w
-        }
+/// The one renamed key: `emit = "windows" | "events"` is
+/// [`ScaleSpec::emit_events`].
+fn read_scale(r: &mut Reader<'_>) -> Result<Workload, String> {
+    let mut s = scale::read(r)?;
+    s.emit_events = match r.or("emit", "windows".to_string())?.as_str() {
+        "windows" => false,
+        "events" => true,
         other => {
-            return fail(format!(
+            let at = r.path("emit");
+            return Err(format!(
+                "'{at}' must be \"windows\" or \"events\", got \"{other}\""
+            ));
+        }
+    };
+    Ok(Workload::ChurnAtScale(s))
+}
+
+impl Field for Workload {
+    fn read(v: &Value, at: &str) -> Result<Workload, String> {
+        read_table(v, at, |r| match r.req::<String>("kind")?.as_str() {
+            "cost-curve" => cost_curve::read(r),
+            "sweep" => sweep::read(r),
+            "grid" => grid::read(r),
+            "runtime" => runtime::read(r),
+            "qoe" => qoe::read(r),
+            "online" => online::read(r),
+            "churn-at-scale" => read_scale(r),
+            other => Err(format!(
                 "unknown workload kind '{other}' (expected cost-curve, sweep, grid, runtime, \
                  qoe, online, or churn-at-scale)"
-            ))
-        }
-    };
-    Ok(workload)
-}
-
-fn read_region(ctx: &str, v: &Value) -> Result<RegionDef, SpecError> {
-    let mut r = Reader::new(ctx, v)?;
-    let name = r
-        .opt_str("name")?
-        .ok_or_else(|| SpecError(format!("'{ctx}.name' is required")))?;
-    let nodes = r
-        .opt_usize("nodes")?
-        .ok_or_else(|| SpecError(format!("'{ctx}.nodes' is required")))?;
-    let dcs = r.opt_usize("dcs")?.unwrap_or(1);
-    r.finish(&["name", "nodes", "dcs"])?;
-    Ok(RegionDef { name, nodes, dcs })
-}
-
-fn read_scale_churn(ctx: &str, v: &Value) -> Result<GroupChurnConfig, SpecError> {
-    let mut r = Reader::new(ctx, v)?;
-    let d = GroupChurnConfig::default();
-    let lifetime = match r.opt_range("lifetime")? {
-        Some((lo, hi)) => (lo as u64, hi as u64),
-        None => d.lifetime,
-    };
-    let cfg = GroupChurnConfig {
-        viewers: r.opt_range("viewers")?.unwrap_or(d.viewers),
-        sources: r.opt_range("sources")?.unwrap_or(d.sources),
-        chain_len: r.opt_usize("chain_len")?.unwrap_or(d.chain_len),
-        demand_mbps: r.opt_f64("demand_mbps")?.unwrap_or(d.demand_mbps),
-        leaves: r.opt_range("leaves")?.unwrap_or(d.leaves),
-        joins: r.opt_range("joins")?.unwrap_or(d.joins),
-        lifetime,
-        roam: r.opt_f64("roam")?.unwrap_or(d.roam),
-    };
-    r.finish(&[
-        "viewers",
-        "sources",
-        "chain_len",
-        "demand_mbps",
-        "leaves",
-        "joins",
-        "lifetime",
-        "roam",
-    ])?;
-    Ok(cfg)
-}
-
-fn read_failures(ctx: &str, v: &Value) -> Result<FailureSpec, SpecError> {
-    let mut r = Reader::new(ctx, v)?;
-    let kind = r.str_or("kind", "vm")?;
-    let d = FailureSpec::defaults(&kind);
-    let events = match r.take_raw("events") {
-        None => Vec::new(),
-        Some(Value::Array(items)) => {
-            let mut events = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let ectx = format!("{ctx}.events[{i}]");
-                let mut er = Reader::new(&ectx, item)?;
-                let ev = FailureEventSpec {
-                    at: er
-                        .opt_usize("at")?
-                        .ok_or_else(|| SpecError(format!("'{ectx}.at' is required")))?,
-                    element: er
-                        .opt_str("element")?
-                        .ok_or_else(|| SpecError(format!("'{ectx}.element' is required")))?,
-                    repair: er.opt_usize("repair")?.unwrap_or(0),
-                };
-                er.finish(&["at", "element", "repair"])?;
-                events.push(ev);
-            }
-            events
-        }
-        Some(other) => {
-            return fail(format!(
-                "'{ctx}.events' must be an array of tables, found {}",
-                other.type_name()
-            ))
-        }
-    };
-    let f = FailureSpec {
-        every: r.opt_usize("every")?.unwrap_or(d.every),
-        count: r.opt_usize("count")?.unwrap_or(d.count),
-        process: r.str_or("process", &d.process)?,
-        rate: r.opt_f64("rate")?.unwrap_or(d.rate),
-        scope: r.opt_str_list("scope")?.unwrap_or(d.scope),
-        repair: r.opt_range("repair")?.unwrap_or(d.repair),
-        policies: r.opt_str_list("policies")?.unwrap_or(d.policies),
-        seed: r.opt_u64("seed")?.unwrap_or(d.seed),
-        kind,
-        events,
-    };
-    r.finish(&[
-        "every", "kind", "count", "process", "rate", "scope", "repair", "policies", "seed",
-        "events",
-    ])?;
-    Ok(f)
-}
-
-// ---------------------------------------------------------------------------
-// Writers (Value builders)
-// ---------------------------------------------------------------------------
-
-fn usize_array(values: &[usize]) -> Value {
-    Value::Array(values.iter().map(|&v| Value::Int(v as i64)).collect())
-}
-
-fn str_array(values: &[String]) -> Value {
-    Value::Array(values.iter().map(|v| Value::Str(v.clone())).collect())
-}
-
-fn range_value(r: (usize, usize)) -> Value {
-    Value::Array(vec![Value::Int(r.0 as i64), Value::Int(r.1 as i64)])
-}
-
-fn failures_value(f: &FailureSpec) -> Value {
-    let mut fv = Value::table();
-    fv.set("every", Value::Int(f.every as i64));
-    fv.set("kind", Value::Str(f.kind.clone()));
-    fv.set("count", Value::Int(f.count as i64));
-    fv.set("process", Value::Str(f.process.clone()));
-    fv.set("rate", Value::Float(f.rate));
-    fv.set("scope", str_array(&f.scope));
-    fv.set("repair", range_value(f.repair));
-    fv.set("policies", str_array(&f.policies));
-    fv.set("seed", Value::Int(f.seed as i64));
-    if !f.events.is_empty() {
-        fv.set(
-            "events",
-            Value::Array(
-                f.events
-                    .iter()
-                    .map(|ev| {
-                        let mut evv = Value::table();
-                        evv.set("at", Value::Int(ev.at as i64));
-                        evv.set("element", Value::Str(ev.element.clone()));
-                        evv.set("repair", Value::Int(ev.repair as i64));
-                        evv
-                    })
-                    .collect(),
-            ),
-        );
+            )),
+        })
     }
-    fv
-}
 
-fn topology_value(t: &TopologySpec) -> Value {
-    let mut v = Value::table();
-    v.set("name", Value::Str(t.name.clone()));
-    if let Some(n) = t.nodes {
-        v.set("nodes", Value::Int(n as i64));
-    }
-    if let Some(n) = t.links {
-        v.set("links", Value::Int(n as i64));
-    }
-    if let Some(n) = t.dcs {
-        v.set("dcs", Value::Int(n as i64));
-    }
-    if let Some(s) = t.seed {
-        v.set("seed", Value::Int(s as i64));
-    }
-    v
-}
-
-fn params_value(p: &ScenarioParams) -> Value {
-    let mut v = Value::table();
-    v.set("vm_count", Value::Int(p.vm_count as i64));
-    v.set("sources", Value::Int(p.sources as i64));
-    v.set("destinations", Value::Int(p.destinations as i64));
-    v.set("chain_len", Value::Int(p.chain_len as i64));
-    v.set("setup_scale", Value::Float(p.setup_scale));
-    v
-}
-
-fn sofda_value(c: &SofdaConfig) -> Value {
-    let mut v = Value::table();
-    v.set("steiner", Value::Str(steiner_name(c.steiner).into()));
-    v.set("stroll", Value::Str(stroll_name(c.stroll)));
-    v.set("shorten", Value::Bool(c.shorten));
-    if let Some(cost) = c.source_setup_cost {
-        v.set("source_setup_cost", Value::Float(cost.value()));
-    }
-    v
-}
-
-fn online_value(o: &OnlineSpec) -> Value {
-    let mut v = Value::table();
-    v.set("drift", Value::Float(o.drift));
-    v.set("drift_policy", Value::Str(o.drift_policy.as_str().into()));
-    v.set("reroute_every", Value::Int(o.reroute_every as i64));
-    v.set("join", Value::Str(o.join.as_str().into()));
-    v.set("link_capacity", Value::Float(o.link_capacity));
-    v.set("vm_capacity", Value::Float(o.vm_capacity));
-    v
-}
-
-fn axis_value(a: &SweepAxis) -> Value {
-    let mut v = Value::table();
-    v.set("field", Value::Str(a.field.as_str().into()));
-    v.set("values", usize_array(&a.values));
-    v.set("label", Value::Str(a.label.clone()));
-    v
-}
-
-fn churn_value(c: &ChurnSpec) -> Value {
-    let mut v = Value::table();
-    v.set("sources", range_value(c.sources));
-    v.set("destinations", range_value(c.destinations));
-    v.set("chain_len", Value::Int(c.chain_len as i64));
-    v.set("demand_mbps", Value::Float(c.demand_mbps));
-    v.set("leaves", range_value(c.leaves));
-    v.set("joins", range_value(c.joins));
-    v
-}
-
-fn workload_value(w: &Workload) -> Value {
-    let mut v = Value::table();
-    v.set("kind", Value::Str(w.kind().into()));
-    match w {
-        Workload::CostCurve {
-            points,
-            step,
-            capacity,
-        } => {
-            v.set("points", Value::Int(*points as i64));
-            v.set("step", Value::Float(*step));
-            v.set("capacity", Value::Float(*capacity));
-        }
-        Workload::Sweep {
-            solvers,
-            seeds,
-            seed,
-            axes,
-        } => {
-            v.set("solvers", str_array(solvers));
-            v.set("seeds", Value::Int(*seeds as i64));
-            v.set("seed", Value::Int(*seed as i64));
-            v.set("axes", Value::Array(axes.iter().map(axis_value).collect()));
-        }
-        Workload::Grid {
-            solver,
-            seeds,
-            seed,
-            rows,
-            cols,
-            metrics,
-        } => {
-            v.set("solver", Value::Str(solver.clone()));
-            v.set("seeds", Value::Int(*seeds as i64));
-            v.set("seed", Value::Int(*seed as i64));
-            v.set("rows", axis_value(rows));
-            v.set("cols", axis_value(cols));
-            v.set(
-                "metrics",
-                Value::Array(
-                    metrics
-                        .iter()
-                        .map(|m| Value::Str(m.as_str().into()))
-                        .collect(),
-                ),
-            );
-        }
-        Workload::Runtime {
-            solver,
-            seed,
-            sizes,
-            sources,
-        } => {
-            v.set("solver", Value::Str(solver.clone()));
-            v.set("seed", Value::Int(*seed as i64));
-            v.set("sizes", usize_array(sizes));
-            v.set("sources", usize_array(sources));
-        }
-        Workload::Qoe {
-            solvers,
-            seeds,
-            seed,
-        } => {
-            v.set("solvers", str_array(solvers));
-            v.set("seeds", Value::Int(*seeds as i64));
-            v.set("seed", Value::Int(*seed as i64));
-        }
-        Workload::Online {
-            seed,
-            solvers,
-            sessions,
-            groups,
-            failures,
-        } => {
-            v.set("seed", Value::Int(*seed as i64));
-            v.set("solvers", str_array(solvers));
-            v.set("sessions", Value::Int(*sessions as i64));
-            v.set(
-                "groups",
-                Value::Array(
-                    groups
-                        .iter()
-                        .map(|g| {
-                            let mut gv = Value::table();
-                            if let Some(t) = &g.topology {
-                                gv.set("topology", topology_value(t));
-                            }
-                            gv.set("requests", Value::Int(g.requests as i64));
-                            gv.set("scratch", Value::Bool(g.scratch));
-                            gv.set("vms_per_dc", Value::Int(g.vms_per_dc as i64));
-                            gv.set("churn", churn_value(&g.churn));
-                            gv
-                        })
-                        .collect(),
-                ),
-            );
-            if let Some(f) = failures {
-                v.set("failures", failures_value(f));
+    fn write(&self) -> Option<Value> {
+        let mut t = Value::table();
+        t.set("kind", Value::Str(self.kind().into()));
+        match self {
+            Workload::CostCurve { .. } => cost_curve::write(self, &mut t),
+            Workload::Sweep { .. } => sweep::write(self, &mut t),
+            Workload::Grid { .. } => grid::write(self, &mut t),
+            Workload::Runtime { .. } => runtime::write(self, &mut t),
+            Workload::Qoe { .. } => qoe::write(self, &mut t),
+            Workload::Online { .. } => online::write(self, &mut t),
+            Workload::ChurnAtScale(s) => {
+                scale::write(s, &mut t);
+                let emit = if s.emit_events { "events" } else { "windows" };
+                t.set("emit", Value::Str(emit.into()));
             }
         }
-        Workload::ChurnAtScale(s) => {
-            v.set("seed", Value::Int(s.seed as i64));
-            v.set("solver", Value::Str(s.solver.clone()));
-            v.set("groups", Value::Int(s.groups as i64));
-            v.set("events", Value::Int(s.events as i64));
-            v.set("window", Value::Int(s.window as i64));
-            v.set(
-                "emit",
-                Value::Str(if s.emit_events { "events" } else { "windows" }.into()),
-            );
-            v.set("vms_per_dc", Value::Int(s.vms_per_dc as i64));
-            v.set("gateway_links", Value::Int(s.gateway_links as i64));
-            v.set(
-                "regions",
-                Value::Array(
-                    s.regions
-                        .iter()
-                        .map(|r| {
-                            let mut rv = Value::table();
-                            rv.set("name", Value::Str(r.name.clone()));
-                            rv.set("nodes", Value::Int(r.nodes as i64));
-                            rv.set("dcs", Value::Int(r.dcs as i64));
-                            rv
-                        })
-                        .collect(),
-                ),
-            );
-            if let Some(m) = &s.pair_cost {
-                v.set(
-                    "pair_cost",
-                    Value::Array(
-                        m.iter()
-                            .map(|row| Value::Array(row.iter().map(|&f| Value::Float(f)).collect()))
-                            .collect(),
-                    ),
-                );
-            }
-            let c = &s.churn;
-            let mut cv = Value::table();
-            cv.set("viewers", range_value(c.viewers));
-            cv.set("sources", range_value(c.sources));
-            cv.set("chain_len", Value::Int(c.chain_len as i64));
-            cv.set("demand_mbps", Value::Float(c.demand_mbps));
-            cv.set("leaves", range_value(c.leaves));
-            cv.set("joins", range_value(c.joins));
-            cv.set(
-                "lifetime",
-                Value::Array(vec![
-                    Value::Int(c.lifetime.0 as i64),
-                    Value::Int(c.lifetime.1 as i64),
-                ]),
-            );
-            cv.set("roam", Value::Float(c.roam));
-            v.set("churn", cv);
-            if let Some(f) = &s.failures {
-                v.set("failures", failures_value(f));
-            }
-            if let Some(conv) = &s.converge {
-                let mut cov = Value::table();
-                cov.set("epsilon", Value::Float(conv.epsilon));
-                cov.set("patience", Value::Int(conv.patience as i64));
-                v.set("converge", cov);
-            }
-            if let Some(secs) = s.max_seconds {
-                v.set("max_seconds", Value::Float(secs));
-            }
-        }
+        Some(t)
     }
-    v
 }
+
+table_field!(ScenarioSpec {
+    name,
+    label = String::clone(&name),
+    title = String::new(),
+    description = String::new(),
+    topology = TopologySpec::named("softlayer"),
+    params = ScenarioParams::paper_defaults(),
+    sofda = SofdaConfig::default(),
+    online = OnlineSpec::default(),
+    workload
+});
 
 #[cfg(test)]
 mod tests {

@@ -128,6 +128,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of arrays, objects and inline tables either front end
+/// accepts (serde_json's default). Both parsers recurse once per level, so
+/// without a limit a few kilobytes of `[` overflow the stack — an abort no
+/// `catch_unwind` sees.
+pub const MAX_DEPTH: usize = 128;
+
 fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError {
         line,
@@ -143,6 +149,8 @@ struct Scanner<'a> {
     src: &'a [u8],
     pos: usize,
     line: usize,
+    /// Open arrays / objects / inline tables around the cursor.
+    depth: usize,
 }
 
 impl<'a> Scanner<'a> {
@@ -151,7 +159,27 @@ impl<'a> Scanner<'a> {
             src: src.as_bytes(),
             pos: 0,
             line: 1,
+            depth: 0,
         }
+    }
+
+    /// Consumes an opening bracket, refusing to nest past [`MAX_DEPTH`].
+    fn open(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return err(
+                self.line,
+                format!("nesting deeper than the limit of {MAX_DEPTH} levels"),
+            );
+        }
+        self.bump();
+        Ok(())
+    }
+
+    /// Consumes a closing bracket.
+    fn close(&mut self) {
+        self.depth -= 1;
+        self.bump();
     }
 
     fn peek(&self) -> Option<u8> {
@@ -327,6 +355,12 @@ impl<'a> Scanner<'a> {
                 self.pos += 1;
                 self.skip_inline_ws();
                 path.push(self.parse_key()?);
+                if path.len() > MAX_DEPTH {
+                    return err(
+                        self.line,
+                        format!("dotted key nests deeper than the limit of {MAX_DEPTH} levels"),
+                    );
+                }
             } else {
                 return Ok(path);
             }
@@ -364,12 +398,12 @@ impl<'a> Scanner<'a> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.parse_basic_string()?)),
             Some(b'[') => {
-                self.bump();
+                self.open()?;
                 let mut items = Vec::new();
                 loop {
                     self.skip_trivia();
                     if self.peek() == Some(b']') {
-                        self.bump();
+                        self.close();
                         return Ok(Value::Array(items));
                     }
                     items.push(self.parse_value()?);
@@ -384,11 +418,11 @@ impl<'a> Scanner<'a> {
                 }
             }
             Some(b'{') => {
-                self.bump();
+                self.open()?;
                 let mut table = Value::table();
                 self.skip_inline_ws();
                 if self.peek() == Some(b'}') {
-                    self.bump();
+                    self.close();
                     return Ok(table);
                 }
                 loop {
@@ -405,9 +439,14 @@ impl<'a> Scanner<'a> {
                     let value = self.parse_value()?;
                     table.set(&key, value);
                     self.skip_inline_ws();
-                    match self.bump() {
-                        Some(b',') => {}
-                        Some(b'}') => return Ok(table),
+                    match self.peek() {
+                        Some(b',') => {
+                            self.bump();
+                        }
+                        Some(b'}') => {
+                            self.close();
+                            return Ok(table);
+                        }
                         _ => return err(self.line, "expected ',' or '}' in inline table"),
                     }
                 }
@@ -659,11 +698,11 @@ fn parse_json_value(s: &mut Scanner<'_>) -> Result<Value, ParseError> {
     match s.peek() {
         Some(b'"') => Ok(Value::Str(s.parse_basic_string()?)),
         Some(b'{') => {
-            s.bump();
+            s.open()?;
             let mut table = Value::table();
             s.skip_trivia();
             if s.peek() == Some(b'}') {
-                s.bump();
+                s.close();
                 return Ok(table);
             }
             loop {
@@ -683,28 +722,38 @@ fn parse_json_value(s: &mut Scanner<'_>) -> Result<Value, ParseError> {
                 let value = parse_json_value(s)?;
                 table.set(&key, value);
                 s.skip_trivia();
-                match s.bump() {
-                    Some(b',') => {}
-                    Some(b'}') => return Ok(table),
+                match s.peek() {
+                    Some(b',') => {
+                        s.bump();
+                    }
+                    Some(b'}') => {
+                        s.close();
+                        return Ok(table);
+                    }
                     _ => return err(s.line, "expected ',' or '}' in object"),
                 }
             }
         }
         Some(b'[') => {
-            s.bump();
+            s.open()?;
             let mut items = Vec::new();
             s.skip_trivia();
             if s.peek() == Some(b']') {
-                s.bump();
+                s.close();
                 return Ok(Value::Array(items));
             }
             loop {
                 s.skip_trivia();
                 items.push(parse_json_value(s)?);
                 s.skip_trivia();
-                match s.bump() {
-                    Some(b',') => {}
-                    Some(b']') => return Ok(Value::Array(items)),
+                match s.peek() {
+                    Some(b',') => {
+                        s.bump();
+                    }
+                    Some(b']') => {
+                        s.close();
+                        return Ok(Value::Array(items));
+                    }
                     _ => return err(s.line, "expected ',' or ']' in array"),
                 }
             }
@@ -896,6 +945,47 @@ churn = { sources = [8, 12], demand = 5.0 }
         );
         let err = parse_json("{\"a\":1}{").unwrap_err();
         assert!(err.to_string().contains("trailing content"));
+    }
+
+    /// Both parsers recurse once per bracket; without the limit 10 000 × `[`
+    /// overflows a 2 MiB thread stack and aborts the process.
+    #[test]
+    fn nesting_is_refused_past_the_depth_limit() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let inner = if open == "[" { "" } else { "1" };
+            let doc =
+                |depth: usize| format!("{}{inner}{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse_json(&doc(MAX_DEPTH)).is_ok(), "{open} at the limit");
+            let err = parse_json(&doc(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper"), "{err}");
+            assert!(err.to_string().contains("128"), "{err}");
+            assert_eq!(err.line, 1);
+        }
+        // TOML arrays and inline tables run through the same counter.
+        assert!(parse_toml(&format!("a = {}\n", nest("[", "]", MAX_DEPTH))).is_ok());
+        let err =
+            parse_toml(&format!("x = 1\na = {}\n", nest("[", "]", MAX_DEPTH + 1))).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+        assert_eq!(err.line, 2);
+        let inline =
+            |depth: usize| format!("a = {}1{}\n", "{ k = ".repeat(depth), " }".repeat(depth));
+        assert!(parse_toml(&inline(MAX_DEPTH)).is_ok());
+        assert!(parse_toml(&inline(MAX_DEPTH + 1)).is_err());
+        // Mixed nesting counts every level, and siblings do not add up.
+        assert!(parse_json(&format!(
+            "[{},{}]",
+            nest("[", "]", 100),
+            nest("[", "]", 100)
+        ))
+        .is_ok());
+        assert!(parse_json(&"[".repeat(200_000)).is_err());
+        // Dotted keys nest tables without recursion; bound them the same way.
+        let dotted = |n: usize| format!("{} = 1\n", vec!["k"; n].join("."));
+        assert!(parse_toml(&dotted(MAX_DEPTH)).is_ok());
+        assert!(parse_toml(&dotted(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use sof::core::{Network, Request, ServiceChain, SofInstance, Sofda, SofdaConfig};
 use sof::exact::solve_exact_with;
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64};
+use sof::spec::oneshot::average_with;
 use sof::topo::{build_instance, softlayer, ScenarioParams};
-use sof_bench::average_with;
 use std::time::Instant;
 
 /// A 5-destination instance with scarce VMs on a larger substrate, so the

@@ -10,7 +10,7 @@
 //! (deterministic for a fixed seed and any `--threads`); pass
 //! `--format markdown` for the legacy figure tables.
 
-use sof_spec::shim::{apply_overrides, Overrides};
+use sof_spec::overrides::{apply_overrides, Overrides};
 use sof_spec::{
     render_markdown, run_churn_stream, run_spec, write_jsonl, Detail, RunOptions, RunReport,
     ScenarioSpec, Workload,
@@ -75,24 +75,23 @@ fn fatal(msg: impl std::fmt::Display) -> ! {
     exit(2);
 }
 
-fn load_spec(target: &str) -> ScenarioSpec {
+/// Resolves a run target: a bundled preset name, or a spec file —
+/// anything containing a path separator, ending in .toml/.json, or naming
+/// an existing file is read from disk.
+fn resolve(target: &str) -> Result<ScenarioSpec, String> {
     let looks_like_path = target.contains('/')
         || target.ends_with(".toml")
         || target.ends_with(".json")
         || Path::new(target).exists();
     if looks_like_path {
-        match ScenarioSpec::from_path(Path::new(target)) {
-            Ok(s) => s,
-            Err(e) => fatal(e),
-        }
-    } else {
-        match sof_spec::presets::preset(target) {
-            Some(Ok(s)) => s,
-            Some(Err(e)) => fatal(format!("bundled preset '{target}' is invalid: {e}")),
-            None => fatal(format!(
-                "unknown preset '{target}' (run `sof list`, or pass a spec file path)"
-            )),
-        }
+        return ScenarioSpec::from_path(Path::new(target)).map_err(|e| e.to_string());
+    }
+    match sof_spec::presets::preset(target) {
+        Some(Ok(s)) => Ok(s),
+        Some(Err(e)) => Err(format!("bundled preset '{target}' is invalid: {e}")),
+        None => Err(format!(
+            "unknown preset '{target}' (run `sof list`, or pass a spec file path)"
+        )),
     }
 }
 
@@ -153,7 +152,7 @@ fn cmd_run(args: Vec<String>) {
     if let Some(t) = threads {
         sof_par::set_threads(t);
     }
-    let mut spec = load_spec(&target);
+    let mut spec = resolve(&target).unwrap_or_else(|e| fatal(e));
     for name in apply_overrides(&mut spec, &overrides) {
         eprintln!(
             "warning: --{name} does not apply to a '{}' workload and was ignored",
@@ -166,7 +165,6 @@ fn cmd_run(args: Vec<String>) {
     let opts = RunOptions {
         threads: 0,
         timings,
-        legacy_notes: false,
     };
     match format.as_str() {
         "jsonl" | "json" => {
@@ -310,14 +308,13 @@ fn cmd_bench_snapshot(args: Vec<String>) {
     let opts = RunOptions {
         threads: 0,
         timings: true,
-        legacy_notes: false,
     };
     let mut entries: Vec<String> = Vec::new();
     for &(name, preset, flags) in BENCH_PRESETS {
         if !wanted(name) {
             continue;
         }
-        let mut spec = load_spec(preset);
+        let mut spec = resolve(preset).unwrap_or_else(|e| fatal(e));
         let mut overrides = Overrides::default();
         let mut flag_it = flags.split_whitespace();
         while let Some(flag) = flag_it.next() {
@@ -646,23 +643,7 @@ fn cmd_validate(args: Vec<String>) {
     };
     let mut failed = false;
     for target in &targets {
-        let looks_like_path = target.contains('/')
-            || target.ends_with(".toml")
-            || target.ends_with(".json")
-            || Path::new(target).exists();
-        let result = if looks_like_path {
-            ScenarioSpec::from_path(Path::new(target))
-        } else {
-            match sof_spec::presets::preset(target) {
-                Some(r) => r,
-                None => {
-                    eprintln!("{target}: unknown preset");
-                    failed = true;
-                    continue;
-                }
-            }
-        };
-        match result {
+        match resolve(target) {
             Ok(spec) => {
                 // The round trip is part of the contract: serializing and
                 // re-parsing must be the identity.
@@ -678,8 +659,9 @@ fn cmd_validate(args: Vec<String>) {
                     }
                 }
             }
+            // Every `resolve` error already names its target.
             Err(e) => {
-                eprintln!("{target}: {e}");
+                eprintln!("{e}");
                 failed = true;
             }
         }

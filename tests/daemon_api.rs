@@ -411,3 +411,146 @@ fn shutdown_endpoint_requests_stop() {
     assert!(handle.stop_requested());
     handle.stop();
 }
+
+fn healthz_on_a_fresh_connection(handle: &sof::daemon::ServerHandle) {
+    let (status, body) = Client::new(handle.addr())
+        .request("GET", "/healthz", "")
+        .expect("the daemon is still there");
+    assert_eq!(status, 200, "{body}");
+}
+
+/// A body of nothing but `[` is refused by the parser's depth limit. Before
+/// the limit, `parse_json_value` recursed once per bracket and overflowed
+/// the connection thread's 2 MiB stack at about 10 000 of them — an abort,
+/// which `catch_unwind` never sees: at the parent commit this test does not
+/// fail, it kills the test process.
+#[test]
+fn deeply_nested_body_is_a_400_not_a_stack_overflow() {
+    let handle = start(ServerConfig::default());
+    let mut c = Client::new(handle.addr());
+    let (status, body) = c
+        .request("POST", "/v1/sessions", &"[".repeat(200_000))
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nest") && body.contains("128"), "{body}");
+    healthz_on_a_fresh_connection(&handle);
+    drop(c); // an idle keep-alive connection holds `stop` for its read timeout
+    handle.stop();
+}
+
+/// Sizes that used to be cast to `usize` and built. At the parent commit
+/// the first two end the test process by allocation failure
+/// (`Graph::add_node`, `ServiceChain::with_len`'s 96 GB `Vec`) and the
+/// third is answered 500 (`Instant + Duration` overflows in `touch`).
+#[test]
+fn absurd_sizes_are_a_400_naming_the_field_not_an_abort() {
+    let handle = start(ServerConfig::default());
+    let mut c = Client::new(handle.addr());
+    let (status, body) = c
+        .request(
+            "POST",
+            "/v1/topologies",
+            r#"{"name":"t","topology":"testbed"}"#,
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    for (field, value) in [
+        ("vm_count", "1000000000000"),
+        ("chain_len", "4000000000"),
+        ("ttl_secs", "9223372036854775807"),
+    ] {
+        let request =
+            format!(r#"{{"topology":"t","sources":[0],"destinations":[3],"{field}":{value}}}"#);
+        let (status, body) = c.request("POST", "/v1/sessions", &request).unwrap();
+        assert_eq!(status, 400, "{field}: {body}");
+        assert!(
+            body.contains(&format!("'{field}' must be between 0 and ")),
+            "{body}"
+        );
+        assert!(body.contains(&format!("found {value}")), "{body}");
+        healthz_on_a_fresh_connection(&handle);
+    }
+    drop(c);
+    handle.stop();
+}
+
+/// Every integer a body can name has a cap, stated once in
+/// `sof::daemon::registry`: one past the cap is a 400 naming the field and
+/// the range; at the cap the request gets past the reader (it is accepted,
+/// or refused for what it asks — an unknown topology or session, a library
+/// validator).
+#[test]
+fn every_wire_integer_is_capped() {
+    use sof::daemon::registry::*;
+    let handle = start(ServerConfig::default());
+    let mut c = Client::new(handle.addr());
+    // `path field body`, with `#` for the value, `@` for a session on a
+    // topology nobody registered and `%` for a small region.
+    let cases = r#"
+        /v1/sessions            chain_len        {@,"chain_len":#}
+        /v1/sessions            vm_count         {@,"vm_count":#}
+        /v1/sessions            vms_per_dc       {@,"vms_per_dc":#}
+        /v1/sessions            ttl_secs         {@,"ttl_secs":#}
+        /v1/sessions            sources[1]       {"topology":"nope","sources":[0,#],"destinations":[3]}
+        /v1/sessions            destinations[0]  {"topology":"nope","sources":[0],"destinations":[#]}
+        /v1/topologies          nodes            {"name":"n","topology":"softlayer","nodes":#}
+        /v1/topologies          gateway_links    {"name":"g","regions":[%,%],"gateway_links":#}
+        /v1/topologies          regions[1].nodes {"name":"r","regions":[%,{"name":"c","nodes":#}]}
+        /v1/sessions/99/join    destination      {"destination":#}
+        /v1/sessions/99/leave   destination      {"destination":#}
+        /v1/sessions/99/fail    vm               {"vm":#}
+        /v1/sessions/99/repair  node             {"node":#}
+        /v1/sessions/99/fail    link[1]          {"link":[0,#]}
+        /v1/sessions/99/fail    repair_secs      {"node":1,"repair_secs":#}"#;
+    let region = r#"{"name":"b","nodes":4,"dcs":1}"#;
+    for case in cases.lines().skip(1) {
+        let [path, field, template] = case.split_whitespace().collect::<Vec<_>>()[..] else {
+            panic!("three columns: {case}");
+        };
+        let cap = match field {
+            "chain_len" => MAX_CHAIN_LEN,
+            "vm_count" | "vms_per_dc" => MAX_VM_COUNT,
+            "ttl_secs" | "repair_secs" => MAX_SECS,
+            "nodes" => MAX_TOPOLOGY_NODES,
+            "gateway_links" => MAX_GATEWAY_LINKS,
+            "regions[1].nodes" => MAX_REGION_NODES,
+            _ => MAX_NODE_INDEX,
+        };
+        let body = |value: u64| {
+            template
+                .replace('@', r#""topology":"nope","sources":[0],"destinations":[3]"#)
+                .replace('%', region)
+                .replace('#', &value.to_string())
+        };
+        // Past the cap first: at the cap a topology may well register.
+        let (status, reply) = c.request("POST", path, &body(cap + 1)).unwrap();
+        assert_eq!(status, 400, "{field} past its cap: {reply}");
+        let want = format!("'{field}' must be between 0 and {cap}, found {}", cap + 1);
+        assert!(reply.contains(&want), "wanted \"{want}\": {reply}");
+        let (status, reply) = c.request("POST", path, &body(cap)).unwrap();
+        assert!(
+            (status == 200 || (400..500).contains(&status)) && !reply.contains("must be between"),
+            "{field} at its cap {cap}: {status} {reply}"
+        );
+    }
+    // The list itself is capped, and so is the product the two VM knobs
+    // make on a regions topology.
+    let many = vec![region; MAX_REGIONS as usize + 1].join(",");
+    let many = format!(r#"{{"name":"m","regions":[{many}]}}"#);
+    let (status, reply) = c.request("POST", "/v1/topologies", &many).unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("at most 64 regions"), "{reply}");
+    let wide = r#"{"name":"w","regions":[{"name":"a","nodes":1000,"dcs":1000}]}"#;
+    let (status, reply) = c.request("POST", "/v1/topologies", wide).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    let session = r#"{"topology":"w","sources":[0],"destinations":[3],"vms_per_dc":2}"#;
+    let (status, reply) = c.request("POST", "/v1/sessions", session).unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(
+        reply.contains("must be at most 1000 VMs, found 2000"),
+        "{reply}"
+    );
+    healthz_on_a_fresh_connection(&handle);
+    drop(c); // an idle keep-alive connection holds `stop` for its read timeout
+    handle.stop();
+}

@@ -16,8 +16,8 @@ use sof::core::{
 use sof::exact::solve_exact_with;
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64};
 use sof::sim::{ChurnParams, ChurnStream, WorkloadParams};
+use sof::spec::oneshot::{average_with, standard_axes, sweep_tables};
 use sof::topo::{build_instance, cogent, softlayer, ScenarioParams};
-use sof_bench::{average_with, comparison_sweep_tables};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -25,7 +25,19 @@ const THREADS: [usize; 3] = [1, 2, 8];
 fn comparison_sweeps_are_thread_count_independent() {
     let topo = softlayer();
     let algos = sof::solvers::comparison_set(false);
-    let serial = comparison_sweep_tables(&topo, &algos, 2, 1000, 1, 1);
+    let sweep = |threads: usize| {
+        sweep_tables(
+            &topo,
+            &ScenarioParams::paper_defaults(),
+            &SofdaConfig::default(),
+            &algos,
+            &standard_axes(1),
+            2,
+            1000,
+            threads,
+        )
+    };
+    let serial = sweep(1);
     assert!(!serial.is_empty() && serial.iter().all(|t| !t.rows.is_empty()));
     // Something actually solved: at least one mean cost present.
     assert!(serial
@@ -33,7 +45,7 @@ fn comparison_sweeps_are_thread_count_independent() {
         .flat_map(|t| t.rows.iter().flatten())
         .any(Option::is_some));
     for threads in THREADS {
-        let parallel = comparison_sweep_tables(&topo, &algos, 2, 1000, 1, threads);
+        let parallel = sweep(threads);
         // SweepTable: PartialEq compares every mean cost bit-for-bit.
         assert_eq!(parallel, serial, "threads={threads}");
     }

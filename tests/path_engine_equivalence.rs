@@ -11,7 +11,7 @@ use sof::core::{
     SofdaConfig,
 };
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64, ShortestPaths};
-use sof::spec::shim::{apply_overrides, Overrides};
+use sof::spec::overrides::{apply_overrides, Overrides};
 use sof::spec::{presets, run_spec, write_jsonl, RunOptions};
 
 fn golden(name: &str) -> String {

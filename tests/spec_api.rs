@@ -155,7 +155,6 @@ churn = { sources = [1, 2], destinations = [2, 4], leaves = [0, 1], joins = [0, 
             &RunOptions {
                 threads,
                 timings: false,
-                legacy_notes: false,
             },
         )
         .unwrap();
@@ -181,9 +180,11 @@ churn = { sources = [1, 2], destinations = [2, 4], leaves = [0, 1], joins = [0, 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Randomized sweep specs round-trip losslessly through TOML and JSON.
+    /// Randomized specs of every workload kind round-trip losslessly
+    /// through TOML and JSON.
     #[test]
     fn random_sweep_specs_round_trip(
+        kind in 0usize..7,
         seed in 0u64..100_000,
         seeds in 1u64..9,
         vm_count in 1usize..60,
@@ -196,21 +197,55 @@ proptest! {
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
             .join(", ");
+        let axis = |table: &str, field: &str| {
+            format!("{table}\nfield = \"{field}\"\nvalues = [{values_str}]\n")
+        };
+        let (name, workload) = match kind {
+            0 => ("cost-curve", format!("points = {vm_count}\nstep = 0.{seeds}\n")),
+            1 => ("sweep", format!(
+                "solvers = [\"SOFDA\"]\nseeds = {seeds}\nseed = {seed}\n{}",
+                axis("[[workload.axes]]", "destinations")
+            )),
+            2 => ("grid", format!(
+                "solver = \"eST\"\nseeds = {seeds}\nseed = {seed}\nmetrics = [\"used_vms\"]\n{}{}",
+                axis("[workload.rows]", "setup_scale"),
+                axis("[workload.cols]", "sources")
+            )),
+            3 => ("runtime", format!(
+                "seed = {seed}\nsizes = [{}]\nsources = [{values_str}]\n",
+                10 + vm_count
+            )),
+            4 => ("qoe", format!("solvers = [\"eST\"]\nseeds = {seeds}\nseed = {seed}\n")),
+            5 => ("online", format!(
+                "seed = {seed}\nsessions = {seeds}\n[[workload.groups]]\nrequests = {axis_len}\n\
+                 topology = \"testbed\"\nchurn = {{ sources = [1, {chain}], destinations = [2, 3], \
+                 chain_len = {chain}, leaves = [0, 1], joins = [0, {axis_len}] }}\n\
+                 [workload.failures]\nevery = {chain}\n"
+            )),
+            _ => ("churn-at-scale", format!(
+                "seed = {seed}\ngroups = {vm_count}\nwindow = {seeds}\nmax_seconds = {chain}.5\n\
+                 [workload.churn]\nchain_len = {chain}\nlifetime = [{axis_len}, {}]\n\
+                 [workload.converge]\npatience = {chain}\n",
+                axis_len + vm_count
+            )),
+        };
         let src = format!(
             "name = \"rand\"\nlabel = \"R {seed}\"\n\
              [params]\nvm_count = {vm_count}\nchain_len = {chain}\n\
-             [workload]\nkind = \"sweep\"\nsolvers = [\"SOFDA\"]\n\
-             seeds = {seeds}\nseed = {seed}\n\
-             [[workload.axes]]\nfield = \"destinations\"\nvalues = [{values_str}]\n"
+             [workload]\nkind = \"{name}\"\n{workload}"
         );
         let spec = ScenarioSpec::from_toml(&src).unwrap();
         prop_assert_eq!(&ScenarioSpec::from_toml(&spec.to_toml()).unwrap(), &spec);
         prop_assert_eq!(&ScenarioSpec::from_json(&spec.to_json()).unwrap(), &spec);
-        let Workload::Sweep { seeds: s, seed: b, ref axes, .. } = spec.workload else {
-            panic!("sweep expected");
-        };
-        prop_assert_eq!((s, b), (seeds, seed));
-        prop_assert_eq!(&axes[0].values, &values);
+        prop_assert_eq!(spec.workload.kind(), name);
+        prop_assert_eq!(spec.params.vm_count, vm_count);
+        if kind > 0 {
+            prop_assert_eq!(spec.workload.seed(), seed);
+        }
+        if let Workload::Sweep { seeds: s, ref axes, .. } = spec.workload {
+            prop_assert_eq!(s, seeds);
+            prop_assert_eq!(&axes[0].values, &values);
+        }
     }
 
     /// Out-of-range numbers are rejected, never silently clamped.
