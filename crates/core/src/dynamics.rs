@@ -9,6 +9,7 @@
 //! Dijkstras, and the former per-call `BTreeMap<NodeId, ShortestPaths>`
 //! caches (with their per-entry deep clones) are gone.
 
+use crate::faults::Faults;
 use crate::{DestWalk, ServiceForest, SofInstance};
 use sof_graph::{Cost, NodeId};
 use std::collections::BTreeMap;
@@ -287,10 +288,11 @@ pub fn destination_join_with(
 
 /// Survivability variant of a tail-attach join: plans (without applying) a
 /// replacement walk for destination `d` that attaches where the chain is
-/// already complete and traverses **none** of the banned elements — not in
-/// the host-walk prefix it inherits and not in the fresh extension, which
-/// is the answer of a bounded search from `d` that may not take a banned
-/// hop ([`sof_graph::PathEngine::nearest_target`]) — a filter, not a
+/// already complete and traverses **nothing** `avoid` covers — not in the
+/// host-walk prefix it inherits and not in the fresh extension, which is
+/// the answer of a bounded search from `d` that takes only hops
+/// [`Faults::hop_allowed`] admits
+/// ([`sof_graph::PathEngine::nearest_target`]) — a filter, not a
 /// cost-mutated graph, so the shared [`sof_graph::PathEngine`] stays warm,
 /// and a search that stops at the nearest surviving attach point.
 ///
@@ -301,37 +303,30 @@ pub fn plan_attach_avoiding(
     instance: &SofInstance,
     forest: &ServiceForest,
     d: NodeId,
-    banned_edges: &std::collections::BTreeSet<(NodeId, NodeId)>,
-    banned_nodes: &std::collections::BTreeSet<NodeId>,
+    avoid: &Faults,
 ) -> Result<(DestWalk, Cost), DynamicsError> {
     if d.index() >= instance.network.node_count() {
         return Err(DynamicsError::Infeasible(format!("{d} out of range")));
     }
-    if banned_nodes.contains(&d) {
+    if avoid.vm_down(d) {
         return Err(DynamicsError::Infeasible(format!("{d} is a failed node")));
     }
     let network = &instance.network;
     let chain_len = forest.chain_len;
 
     // Complete-chain attach points on *surviving* walk prefixes: a prefix
-    // that itself crosses a banned element can't host the reattachment.
+    // that itself crosses a failed element can't host the reattachment.
     let mut best_at: BTreeMap<NodeId, (usize, usize)> = BTreeMap::new(); // node -> (walk, pos)
     for (wi, w) in forest.walks.iter().enumerate() {
         if w.destination == d {
             continue; // the broken walk being replaced is not a host
         }
         let mut f = 0usize;
-        let mut clean = true;
         for (pos, &node) in w.nodes.iter().enumerate() {
-            if banned_nodes.contains(&node) {
-                clean = false;
-            }
-            if pos > 0 {
-                let (a, b) = (w.nodes[pos - 1].min(node), w.nodes[pos - 1].max(node));
-                if banned_edges.contains(&(a, b)) {
-                    clean = false;
-                }
-            }
+            let clean = match pos {
+                0 => !avoid.vm_down(node),
+                _ => avoid.hop_allowed(w.nodes[pos - 1], node),
+            };
             if !clean {
                 break;
             }
@@ -354,13 +349,7 @@ pub fn plan_attach_avoiding(
         .nearest_target(
             network.graph(),
             d,
-            |from, _edge, to| {
-                if banned_nodes.contains(&to) && to != d {
-                    return false;
-                }
-                let (a, b) = (from.min(to), from.max(to));
-                !banned_edges.contains(&(a, b))
-            },
+            |from, _edge, to| avoid.hop_allowed(from, to),
             |x| best_at.contains_key(&x),
         )
         .ok_or_else(|| {
@@ -845,25 +834,24 @@ mod tests {
 
     #[test]
     fn plan_attach_avoiding_routes_around_banned_elements() {
-        use std::collections::BTreeSet;
+        use crate::faults::Element;
         for seed in 30..36 {
             let (inst, forest) = solved(seed);
             if forest.walks.len() < 2 {
                 continue;
             }
             let d = forest.walks[0].destination;
-            let no_edges: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-            let no_nodes: BTreeSet<NodeId> = BTreeSet::new();
             // With nothing banned the plan matches a plain tail-attach.
             let (walk, _cost) =
-                plan_attach_avoiding(&inst, &forest, d, &no_edges, &no_nodes).unwrap();
+                plan_attach_avoiding(&inst, &forest, d, &Faults::default()).unwrap();
             assert_eq!(walk.destination, d);
             assert_eq!(walk.vnf_positions.len(), forest.chain_len);
             // Ban the last hop of d's current walk; the plan must avoid it.
             let old = &forest.walks[0].nodes;
             let (u, v) = (old[old.len() - 2], old[old.len() - 1]);
-            let banned: BTreeSet<_> = [(u.min(v), u.max(v))].into();
-            match plan_attach_avoiding(&inst, &forest, d, &banned, &no_nodes) {
+            let mut banned = Faults::default();
+            banned.insert(Element::Link(u, v));
+            match plan_attach_avoiding(&inst, &forest, d, &banned) {
                 Ok((walk, _)) => {
                     assert!(walk
                         .nodes

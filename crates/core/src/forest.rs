@@ -257,6 +257,16 @@ impl ServiceForest {
             .collect()
     }
 
+    /// Destinations whose walks run a VNF on `vm`, in walk order. The
+    /// disruption test for a VM failure.
+    pub fn destinations_on_vm(&self, vm: NodeId) -> Vec<NodeId> {
+        self.walks
+            .iter()
+            .filter(|w| w.vnf_positions.iter().any(|&p| w.nodes[p] == vm))
+            .map(|w| w.destination)
+            .collect()
+    }
+
     /// Destinations whose walks visit `n` anywhere (endpoint, transit hop,
     /// or VNF placement), in walk order. The disruption test for a node or
     /// domain failure.

@@ -69,6 +69,7 @@ mod config;
 mod conflict;
 mod cost_model;
 pub mod dynamics;
+pub mod faults;
 mod forest;
 mod instance;
 mod online;
@@ -82,6 +83,7 @@ pub use config::{ChainAssignment, SofdaConfig, SolveError, SolveOutcome, SolveSt
 pub use conflict::{ChainWalk, ConflictError, ConflictStats, WalkSet};
 pub use cost_model::{fortz_thorup, LoadTracker};
 pub use dynamics::JoinStrategy;
+pub use faults::{Element, Faults, FAILED_COST};
 pub use forest::{DestWalk, ForestCost, ForestError, ForestStats, ServiceForest};
 pub use instance::{InstanceError, Network, NodeKind, Request, ServiceChain, SofInstance};
 pub use online::{ArrivalReport, DriftPolicy, EmbedMode, OnlineConfig, OnlineSession, OnlineStats};

@@ -11,6 +11,22 @@
 //! threshold — or whenever an incremental step fails or invalidates the
 //! forest.
 //!
+//! # Failures
+//!
+//! A session holds the set of failed elements ([`Faults`]) and nothing
+//! else about them: [`fail`](OnlineSession::fail) and
+//! [`repair`](OnlineSession::repair) edit the set,
+//! [`faults`](OnlineSession::faults) reads it, and every cost refresh
+//! prices a link or VM at [`FAILED_COST`] plus its congestion surcharge
+//! exactly while the set covers it ([`crate::faults`] states the covering
+//! rule). The static base costs are never written after
+//! [`OnlineSession::new`], so any order of fails and repairs leaves
+//! exactly what is still failed priced out. A failure never drops the
+//! forest: the caller recovers the destinations `fail` reports (a
+//! protection policy's switchover) or calls
+//! [`clear_forest`](OnlineSession::clear_forest) for a rebuild at the next
+//! arrival.
+//!
 //! # Examples
 //!
 //! ```
@@ -52,6 +68,7 @@
 //! ```
 
 use crate::dynamics::{self, JoinStrategy};
+use crate::faults::{Element, Faults, FAILED_COST};
 use crate::{
     fortz_thorup, LoadTracker, Request, ServiceForest, SofInstance, SofdaConfig, SolveError, Solver,
 };
@@ -193,7 +210,7 @@ pub struct OnlineStats {
     /// Incremental attempts abandoned for a rebuild (dynamics error or
     /// validation failure).
     pub fallbacks: usize,
-    /// VMs marked failed via [`OnlineSession::fail_vm`].
+    /// [`Element::Vm`] failures injected via [`OnlineSession::fail`].
     pub vm_failures: usize,
 }
 
@@ -214,18 +231,6 @@ pub struct ArrivalReport {
     pub millis: f64,
 }
 
-/// Setup cost assigned to failed VMs: finite (so the convex congestion
-/// arithmetic stays well-behaved) but far beyond any real setup cost, so
-/// every solver routes around the failure when any alternative exists.
-fn failed_vm_cost() -> Cost {
-    Cost::new(1e9)
-}
-
-/// A failed switch's restoration record: the node, its incident edges'
-/// pristine base costs, and the node's pristine VM setup cost when it is
-/// also a VM.
-type FailedNode = (NodeId, Vec<(EdgeId, Cost)>, Option<Cost>);
-
 /// An incremental online embedding session: one solver, one standing
 /// forest, congestion-aware costs. See the [module docs](self) for the
 /// lifecycle and an example.
@@ -235,19 +240,21 @@ pub struct OnlineSession {
     opts: OnlineConfig,
     instance: SofInstance,
     tracker: LoadTracker,
-    /// Static topology link costs captured at construction; congestion is
-    /// charged **on top** so unloaded links never become free.
+    /// Static topology link costs captured at construction and never
+    /// written again; congestion is charged **on top** so unloaded links
+    /// never become free.
     base_edge_costs: Vec<Cost>,
-    /// Static VM setup costs captured at construction.
+    /// Static VM setup costs captured at construction, never written again.
     base_vm_costs: Vec<(NodeId, Cost)>,
     forest: Option<ServiceForest>,
-    /// Failed links: normalized endpoints, edge id, pristine base cost.
-    failed_links: Vec<((NodeId, NodeId), EdgeId, Cost)>,
-    /// Failed switches: node, incident-edge pristine base costs, and the
-    /// node's pristine VM setup cost when it is also a VM.
-    failed_nodes: Vec<FailedNode>,
-    /// Failed VMs and their pristine setup costs (for repair).
-    failed_vms: Vec<(NodeId, Cost)>,
+    /// What is failed. Everything else about failures is derived from it.
+    faults: Faults,
+    /// What congestion is charged on top of, per edge and per VM: the base
+    /// cost, or [`FAILED_COST`] while `faults` covers the element. Derived
+    /// — rewritten whole from the base costs and the set whenever the set
+    /// changes — so the cost refresh stays one pass over dense arrays.
+    edge_floor: Vec<Cost>,
+    vm_floor: Vec<(NodeId, Cost)>,
     accumulated: f64,
     churn_since_solve: usize,
     /// Standing forest cost measured right after the last full solve
@@ -269,10 +276,10 @@ impl OnlineSession {
         opts: OnlineConfig,
     ) -> OnlineSession {
         let tracker = LoadTracker::new(&instance.network, opts.link_capacity, opts.vm_capacity);
-        let base_edge_costs = (0..instance.network.graph().edge_count())
+        let base_edge_costs: Vec<Cost> = (0..instance.network.graph().edge_count())
             .map(|i| instance.network.graph().edge_cost(EdgeId::new(i)))
             .collect();
-        let base_vm_costs = instance
+        let base_vm_costs: Vec<(NodeId, Cost)> = instance
             .network
             .vms()
             .into_iter()
@@ -284,12 +291,12 @@ impl OnlineSession {
             opts,
             instance,
             tracker,
+            edge_floor: base_edge_costs.clone(),
+            vm_floor: base_vm_costs.clone(),
             base_edge_costs,
             base_vm_costs,
             forest: None,
-            failed_links: Vec::new(),
-            failed_nodes: Vec::new(),
-            failed_vms: Vec::new(),
+            faults: Faults::default(),
             accumulated: 0.0,
             churn_since_solve: 0,
             cost_at_solve: 0.0,
@@ -298,23 +305,43 @@ impl OnlineSession {
         }
     }
 
-    /// Congestion-aware cost refresh: static base cost **plus** the convex
+    /// Congestion-aware cost refresh: static base cost — [`FAILED_COST`]
+    /// for an element the fault set covers — **plus** the convex
     /// Fortz–Thorup surcharge for the current load. (Pure
     /// [`LoadTracker::refresh_costs`] would price unloaded resources at
     /// zero, which lets a from-scratch solver dodge all standing load for
     /// free and makes mode comparisons meaningless.)
     fn refresh_costs(&mut self) {
         let net = &mut self.instance.network;
-        for (i, &base) in self.base_edge_costs.iter().enumerate() {
+        for (i, &base) in self.edge_floor.iter().enumerate() {
             let e = EdgeId::new(i);
             let congestion = fortz_thorup(self.tracker.edge_load(e), self.tracker.edge_capacity(e));
             net.graph_mut()
                 .set_edge_cost(e, base + congestion * self.tracker.edge_cost_scale);
         }
-        for &(v, base) in &self.base_vm_costs {
+        for &(v, base) in &self.vm_floor {
             let congestion = fortz_thorup(self.tracker.node_load(v), self.tracker.node_capacity(v));
             net.set_node_cost(v, base + congestion * self.tracker.node_cost_scale);
         }
+    }
+
+    /// Re-derives what the refresh charges congestion on top of from the
+    /// base costs and the fault set, and reprices. Called whenever the set
+    /// changed.
+    fn apply_faults(&mut self) {
+        let failed = Cost::new(FAILED_COST);
+        for (e, edge) in self.instance.network.graph().edges() {
+            let down = self.faults.edge_down(edge.u, edge.v);
+            self.edge_floor[e.index()] = if down {
+                failed
+            } else {
+                self.base_edge_costs[e.index()]
+            };
+        }
+        for (floor, &(v, base)) in self.vm_floor.iter_mut().zip(&self.base_vm_costs) {
+            floor.1 = if self.faults.vm_down(v) { failed } else { base };
+        }
+        self.refresh_costs();
     }
 
     /// The driving solver's display name.
@@ -408,260 +435,86 @@ impl OnlineSession {
         Ok(cost)
     }
 
-    /// Injects a VM failure: `vm`'s setup cost is raised to a prohibitive
-    /// level so no future embedding selects it, and if the standing forest
-    /// currently runs a VNF on it the forest is dropped — the next
-    /// [`arrive`](OnlineSession::arrive) then rebuilds around the failure.
-    ///
-    /// Returns `true` when the standing forest was using the VM (i.e. the
-    /// failure actually disrupted service).
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Infeasible`] when `vm` is not a VM of this network.
-    pub fn fail_vm(&mut self, vm: NodeId) -> Result<bool, SolveError> {
-        let slot = self
-            .base_vm_costs
-            .iter()
-            .position(|(v, _)| *v == vm)
-            .ok_or_else(|| SolveError::Infeasible(format!("{vm} is not a VM")))?;
-        if !self.failed_vms.iter().any(|(v, _)| *v == vm) {
-            self.failed_vms.push((vm, self.base_vm_costs[slot].1));
-        }
-        self.base_vm_costs[slot].1 = failed_vm_cost();
-        self.stats.vm_failures += 1;
-        let disrupted = self
-            .forest
-            .as_ref()
-            .and_then(|f| f.enabled_vms().ok())
-            .is_some_and(|used| used.contains_key(&vm));
-        if disrupted {
-            self.forest = None;
-        }
-        self.refresh_costs();
-        Ok(disrupted)
-    }
-
-    /// Protection-aware VM failure: prices `vm` out like
-    /// [`fail_vm`](OnlineSession::fail_vm) but **leaves the standing forest
-    /// up**, returning the destinations whose walks run a VNF on the failed
-    /// VM so a protection policy can decide how to recover them.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Infeasible`] when `vm` is not a VM of this network.
-    pub fn fail_vm_soft(&mut self, vm: NodeId) -> Result<Vec<NodeId>, SolveError> {
-        let slot = self
-            .base_vm_costs
-            .iter()
-            .position(|(v, _)| *v == vm)
-            .ok_or_else(|| SolveError::Infeasible(format!("{vm} is not a VM")))?;
-        if !self.failed_vms.iter().any(|(v, _)| *v == vm) {
-            self.failed_vms.push((vm, self.base_vm_costs[slot].1));
-        }
-        self.base_vm_costs[slot].1 = failed_vm_cost();
-        self.stats.vm_failures += 1;
-        self.refresh_costs();
-        Ok(self
-            .forest
-            .as_ref()
-            .map(|f| {
-                f.walks
-                    .iter()
-                    .filter(|w| (0..w.vnf_positions.len()).any(|i| w.vnf_node(i) == vm))
-                    .map(|w| w.destination)
-                    .collect()
-            })
-            .unwrap_or_default())
-    }
-
-    /// Repairs a VM failed via [`fail_vm`](OnlineSession::fail_vm) or
-    /// [`fail_vm_soft`](OnlineSession::fail_vm_soft): its pristine setup
-    /// cost is restored so future embeddings select it again.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Infeasible`] when `vm` is not currently failed.
-    pub fn repair_vm(&mut self, vm: NodeId) -> Result<(), SolveError> {
-        let i = self
-            .failed_vms
-            .iter()
-            .position(|(v, _)| *v == vm)
-            .ok_or_else(|| SolveError::Infeasible(format!("{vm} is not a failed VM")))?;
-        let (_, pristine) = self.failed_vms.remove(i);
-        if let Some(slot) = self.base_vm_costs.iter_mut().find(|(v, _)| *v == vm) {
-            slot.1 = pristine;
-        }
-        self.refresh_costs();
-        Ok(())
-    }
-
-    /// Injects a link failure: the link's base cost is raised to a
-    /// prohibitive level so nothing routes over it, and the destinations
-    /// whose standing walks traverse it are returned. The forest is **not**
-    /// dropped — the protection layer decides how those destinations
-    /// recover (reactive drop, backup switchover, or standby swap).
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Infeasible`] when no link connects `u` and `v`.
-    pub fn fail_link(&mut self, u: NodeId, v: NodeId) -> Result<Vec<NodeId>, SolveError> {
-        let e = self
-            .instance
-            .network
-            .graph()
-            .edge_between(u, v)
-            .ok_or_else(|| SolveError::Infeasible(format!("no link between {u} and {v}")))?;
-        let key = (u.min(v), u.max(v));
-        if !self.failed_links.iter().any(|(k, ..)| *k == key) {
-            // If a failed switch already priced this edge out, carry ITS
-            // recorded pristine value so repairs compose in any order.
-            let pristine = self
-                .failed_nodes
-                .iter()
-                .flat_map(|(_, edges, _)| edges)
-                .find(|(fe, _)| *fe == e)
-                .map(|&(_, c)| c)
-                .unwrap_or(self.base_edge_costs[e.index()]);
-            self.failed_links.push((key, e, pristine));
-            self.base_edge_costs[e.index()] = failed_vm_cost();
-            self.refresh_costs();
-        }
-        Ok(self
-            .forest
-            .as_ref()
-            .map(|f| f.destinations_via_edge(u, v))
-            .unwrap_or_default())
-    }
-
-    /// Repairs a link failed via [`fail_link`](OnlineSession::fail_link):
-    /// its pristine base cost is restored so routes use it again.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Infeasible`] when the link is not currently failed.
-    pub fn repair_link(&mut self, u: NodeId, v: NodeId) -> Result<(), SolveError> {
-        let key = (u.min(v), u.max(v));
-        let i = self
-            .failed_links
-            .iter()
-            .position(|(k, ..)| *k == key)
-            .ok_or_else(|| SolveError::Infeasible(format!("link {u}-{v} is not failed")))?;
-        let (_, e, pristine) = self.failed_links.remove(i);
-        self.base_edge_costs[e.index()] = pristine;
-        self.refresh_costs();
-        Ok(())
-    }
-
-    /// Injects a switch (transit node) failure: every incident link is
-    /// priced out and the destinations whose walks visit the node are
-    /// returned; the forest is left standing for the protection layer.
-    /// Idempotent — failing an already-failed node just re-reports the
+    /// Injects a failure: `element` joins the [fault set](Self::faults),
+    /// everything it covers is priced out (see [`crate::faults`]), and the
+    /// destinations whose standing walks it breaks are returned — those
+    /// running a VNF on a failed VM, traversing a failed link, or visiting
+    /// a failed node. The forest is **not** dropped: the caller decides how
+    /// those destinations recover (a protection policy's switchover, or
+    /// [`clear_forest`](Self::clear_forest) for a rebuild at the next
+    /// arrival). Idempotent — failing a failed element re-reports the
     /// affected destinations.
     ///
     /// # Errors
     ///
-    /// [`SolveError::Infeasible`] when the node is out of range, or is a
-    /// source/destination of the current request — endpoint failures are
-    /// a different event (the group member leaving), not a transit fault.
-    pub fn fail_node(&mut self, n: NodeId) -> Result<Vec<NodeId>, SolveError> {
-        if n.index() >= self.instance.network.node_count() {
-            return Err(SolveError::Infeasible(format!("{n} out of range")));
-        }
-        if self.instance.request.sources.contains(&n)
-            || self.instance.request.destinations.contains(&n)
-        {
-            return Err(SolveError::Infeasible(format!(
-                "{n} is a source or destination of the current request; \
-                 node failures model transit elements only"
-            )));
-        }
-        let affected = self
-            .forest
-            .as_ref()
-            .map(|f| f.destinations_via_node(n))
-            .unwrap_or_default();
-        if self.failed_nodes.iter().any(|(m, ..)| *m == n) {
-            return Ok(affected);
-        }
-        let incident: Vec<(EdgeId, Cost)> = {
-            let g = self.instance.network.graph();
-            let mut seen = BTreeSet::new();
-            g.neighbors(n)
-                .filter(|&(_, e)| seen.insert(e))
-                .map(|(_, e)| {
-                    // Carry the link-failure pristine when one is on file.
-                    let pristine = self
-                        .failed_links
-                        .iter()
-                        .find(|(_, fe, _)| *fe == e)
-                        .map(|&(_, _, c)| c)
-                        .unwrap_or(self.base_edge_costs[e.index()]);
-                    (e, pristine)
-                })
-                .collect()
+    /// [`SolveError::Infeasible`] when the element is not on this network
+    /// (a node out of range, a `Vm` that is not a VM, a `Link` with no
+    /// link between its endpoints), or is a `Node` that is a source or
+    /// destination of the current request — an endpoint failing is a
+    /// different event (the group member leaving), not a transit fault.
+    pub fn fail(&mut self, element: Element) -> Result<Vec<NodeId>, SolveError> {
+        let net = &self.instance.network;
+        let on_net = |n: NodeId| n.index() < net.node_count();
+        let forest = self.forest.as_ref();
+        let affected = match element {
+            Element::Vm(vm) => {
+                if !(on_net(vm) && net.is_vm(vm)) {
+                    return Err(SolveError::Infeasible(format!("{vm} is not a VM")));
+                }
+                self.stats.vm_failures += 1;
+                forest.map(|f| f.destinations_on_vm(vm))
+            }
+            Element::Link(u, v) => {
+                if !(on_net(u) && on_net(v)) || net.graph().edge_between(u, v).is_none() {
+                    return Err(SolveError::Infeasible(format!(
+                        "no link between {u} and {v}"
+                    )));
+                }
+                forest.map(|f| f.destinations_via_edge(u, v))
+            }
+            Element::Node(n) => {
+                if !on_net(n) {
+                    return Err(SolveError::Infeasible(format!("{n} out of range")));
+                }
+                let req = &self.instance.request;
+                if req.sources.contains(&n) || req.destinations.contains(&n) {
+                    return Err(SolveError::Infeasible(format!(
+                        "{n} is a source or destination of the current request; \
+                         node failures model transit elements only"
+                    )));
+                }
+                forest.map(|f| f.destinations_via_node(n))
+            }
         };
-        for &(e, _) in &incident {
-            self.base_edge_costs[e.index()] = failed_vm_cost();
+        if self.faults.insert(element) {
+            self.apply_faults();
         }
-        let vm_pristine = self
-            .base_vm_costs
-            .iter()
-            .position(|(v, _)| *v == n)
-            .map(|i| {
-                let pristine = self.base_vm_costs[i].1;
-                self.base_vm_costs[i].1 = failed_vm_cost();
-                pristine
-            });
-        self.failed_nodes.push((n, incident, vm_pristine));
-        self.refresh_costs();
-        Ok(affected)
+        Ok(affected.unwrap_or_default())
     }
 
-    /// Repairs a switch failed via [`fail_node`](OnlineSession::fail_node):
-    /// incident links (except ones independently failed) and the node's VM
-    /// pricing are restored.
+    /// Repairs a failed element: it leaves the [fault set](Self::faults)
+    /// and whatever no other failure still covers is priced normally
+    /// again, so future embeddings use it.
     ///
     /// # Errors
     ///
-    /// [`SolveError::Infeasible`] when the node is not currently failed.
-    pub fn repair_node(&mut self, n: NodeId) -> Result<(), SolveError> {
-        let i = self
-            .failed_nodes
-            .iter()
-            .position(|(m, ..)| *m == n)
-            .ok_or_else(|| SolveError::Infeasible(format!("{n} is not a failed node")))?;
-        let (_, incident, vm_pristine) = self.failed_nodes.remove(i);
-        for (e, pristine) in incident {
-            if self.failed_links.iter().any(|(_, fe, _)| *fe == e) {
-                continue; // still link-failed; repair_link restores it
-            }
-            self.base_edge_costs[e.index()] = pristine;
+    /// [`SolveError::Infeasible`] when `element` is not currently failed.
+    pub fn repair(&mut self, element: Element) -> Result<(), SolveError> {
+        if !self.faults.remove(element) {
+            return Err(SolveError::Infeasible(match element {
+                Element::Vm(vm) => format!("{vm} is not a failed VM"),
+                Element::Link(u, v) => format!("link {u}-{v} is not failed"),
+                Element::Node(n) => format!("{n} is not a failed node"),
+            }));
         }
-        if let Some(pristine) = vm_pristine {
-            if let Some(slot) = self.base_vm_costs.iter_mut().find(|(v, _)| *v == n) {
-                slot.1 = pristine;
-            }
-        }
-        self.refresh_costs();
+        self.apply_faults();
         Ok(())
     }
 
-    /// Normalized endpoint pairs of currently failed links.
-    pub fn failed_edges(&self) -> BTreeSet<(NodeId, NodeId)> {
-        self.failed_links.iter().map(|&(k, ..)| k).collect()
-    }
-
-    /// Nodes a recovery route must avoid: failed switches plus failed VMs.
-    /// (Transit through a failed VM's switch may be physically fine, but
-    /// banning it keeps "never traverses a failed element" a hard
-    /// guarantee rather than a pricing tendency.)
-    pub fn failed_switches(&self) -> BTreeSet<NodeId> {
-        self.failed_nodes
-            .iter()
-            .map(|&(n, ..)| n)
-            .chain(self.failed_vms.iter().map(|&(v, _)| v))
-            .collect()
+    /// What is currently failed, with the predicates that follow from it
+    /// ([`Faults::walk_avoids`], [`Faults::forest_avoids`], …).
+    pub fn faults(&self) -> &Faults {
+        &self.faults
     }
 
     /// The SOFDA configuration driving this session's solves, so protection
@@ -719,18 +572,16 @@ impl OnlineSession {
             .forest
             .as_ref()
             .ok_or_else(|| SolveError::Infeasible("nothing embedded yet".into()))?;
-        let mut banned_edges = self.failed_edges();
-        let banned_nodes = self.failed_switches();
+        let mut avoid = self.faults.clone();
         if disjoint_from_primary {
             if let Some(w) = forest.walks.iter().find(|w| w.destination == d) {
                 for pair in w.nodes.windows(2) {
-                    banned_edges.insert((pair[0].min(pair[1]), pair[0].max(pair[1])));
+                    avoid.insert(Element::Link(pair[0], pair[1]));
                 }
             }
         }
-        let (walk, cost) =
-            dynamics::plan_attach_avoiding(&self.instance, forest, d, &banned_edges, &banned_nodes)
-                .map_err(|e| SolveError::Infeasible(e.to_string()))?;
+        let (walk, cost) = dynamics::plan_attach_avoiding(&self.instance, forest, d, &avoid)
+            .map_err(|e| SolveError::Infeasible(e.to_string()))?;
         Ok((walk, cost.value()))
     }
 
@@ -1098,9 +949,9 @@ mod tests {
             .copied()
             .collect();
         assert!(!used.is_empty());
-        let disrupted = s.fail_vm(used[0]).unwrap();
-        assert!(disrupted, "forest was using the VM");
-        assert!(s.forest().is_none(), "standing forest dropped");
+        let disrupted = s.fail(Element::Vm(used[0])).unwrap();
+        assert!(!disrupted.is_empty(), "forest was using the VM");
+        s.clear_forest();
         assert_eq!(s.stats().vm_failures, 1);
         // The next arrival rebuilds and routes around the failed VM.
         let r = s.arrive(snapshot(s.instance(), base)).unwrap();
@@ -1112,7 +963,7 @@ mod tests {
         );
         // Failing a non-VM errors cleanly.
         let not_vm = s.instance().request.sources[0];
-        assert!(s.fail_vm(not_vm).is_err());
+        assert!(s.fail(Element::Vm(not_vm)).is_err());
     }
 
     #[test]
@@ -1127,11 +978,11 @@ mod tests {
             let n = w.nodes.len();
             (w.destination, w.nodes[n - 2], w.nodes[n - 1])
         };
-        let affected = s.fail_link(u, v).unwrap();
+        let affected = s.fail(Element::Link(u, v)).unwrap();
         assert!(affected.contains(&d));
         assert!(s.forest().is_some(), "policy decides; forest stands");
         let key = (u.min(v), u.max(v));
-        assert!(s.failed_edges().contains(&key));
+        assert!(s.faults().contains(Element::Link(v, u)));
         match s.plan_reattach(d, false) {
             Ok((walk, cost)) => {
                 assert!(walk
@@ -1145,14 +996,19 @@ mod tests {
             Err(SolveError::Infeasible(_)) => {} // d genuinely cut off
             Err(e) => panic!("unexpected error: {e}"),
         }
-        s.repair_link(u, v).unwrap();
-        assert!(s.failed_edges().is_empty());
+        s.repair(Element::Link(u, v)).unwrap();
+        assert!(s.faults().is_empty());
         // The repaired link is priced normally again, so future embeddings
         // reuse it.
         let e = s.instance().network.graph().edge_between(u, v).unwrap();
         assert!(s.instance().network.graph().edge_cost(e).value() < 1e8);
-        assert!(s.repair_link(u, v).is_err(), "double repair rejected");
-        assert!(s.fail_link(u, NodeId::new(u.index())).is_err());
+        assert!(
+            s.repair(Element::Link(u, v)).is_err(),
+            "double repair rejected"
+        );
+        assert!(s.fail(Element::Link(u, u)).is_err());
+        let off_net = NodeId::new(s.instance().network.node_count());
+        assert!(s.fail(Element::Link(off_net, u)).is_err());
     }
 
     #[test]
@@ -1161,7 +1017,7 @@ mod tests {
         let base = s.instance().request.destinations.clone();
         s.arrive(snapshot(s.instance(), base.clone())).unwrap();
         let src = s.instance().request.sources[0];
-        let err = s.fail_node(src).unwrap_err();
+        let err = s.fail(Element::Node(src)).unwrap_err();
         assert!(err.to_string().contains("transit"), "{err}");
         let n = s
             .instance()
@@ -1173,13 +1029,13 @@ mod tests {
                     && !s.instance().request.destinations.contains(n)
             })
             .unwrap();
-        let _ = s.fail_node(n).unwrap();
-        assert!(s.failed_switches().contains(&n));
+        let _ = s.fail(Element::Node(n)).unwrap();
+        assert!(s.faults().vm_down(n));
         // Idempotent re-failure, then a clean repair.
-        let _ = s.fail_node(n).unwrap();
-        s.repair_node(n).unwrap();
-        assert!(s.failed_switches().is_empty());
-        assert!(s.repair_node(n).is_err());
+        let _ = s.fail(Element::Node(n)).unwrap();
+        s.repair(Element::Node(n)).unwrap();
+        assert!(s.faults().is_empty());
+        assert!(s.repair(Element::Node(n)).is_err());
     }
 
     #[test]
@@ -1196,13 +1052,13 @@ mod tests {
             .next()
             .unwrap();
         let pristine = s.instance().network.node_cost(vm);
-        let affected = s.fail_vm_soft(vm).unwrap();
+        let affected = s.fail(Element::Vm(vm)).unwrap();
         assert!(!affected.is_empty(), "an enabled VM disrupts its walks");
-        assert!(s.forest().is_some(), "soft failure leaves the forest up");
-        assert!(s.failed_switches().contains(&vm));
-        s.repair_vm(vm).unwrap();
+        assert!(s.forest().is_some(), "a failure leaves the forest up");
+        assert!(s.faults().vm_down(vm));
+        s.repair(Element::Vm(vm)).unwrap();
         assert_eq!(s.instance().network.node_cost(vm), pristine);
-        assert!(s.repair_vm(vm).is_err());
+        assert!(s.repair(Element::Vm(vm)).is_err());
     }
 
     #[test]

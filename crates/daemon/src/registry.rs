@@ -11,11 +11,13 @@
 //! id instead of by ownership.
 
 use crate::wire::{ApiError, Body};
-use sof_core::{ArrivalReport, OnlineConfig, OnlineSession, Request, ServiceChain, SofdaConfig};
+use sof_core::{
+    ArrivalReport, Element, OnlineConfig, OnlineSession, Request, ServiceChain, SofdaConfig,
+};
 use sof_graph::{NodeId, PathEngineStats};
 use sof_spec::field::in_range;
 use sof_spec::value::Value;
-use sof_survive::ElementRef;
+use sof_survive::{fail_elements, repair_elements, ElementRef};
 use sof_topo::{
     build_instance, build_named, build_region_instance, build_regions, RegionDef, RegionScenario,
     RegionTopology, RegionsParams, ScenarioParams, Topology, TopologySpec,
@@ -90,8 +92,9 @@ struct SessionEntry {
     /// Behind its own lock so a shared-lock `GET` can renew the TTL
     /// without holding the registry exclusively.
     deadline: Mutex<Option<Instant>>,
-    /// Scheduled repairs the janitor applies once their instant passes.
-    repairs: Vec<(Instant, ElementRef)>,
+    /// Scheduled repairs the janitor applies once their instant passes:
+    /// the failed reference as it was resolved when it failed.
+    repairs: Vec<(Instant, Vec<Element>)>,
 }
 
 impl SessionEntry {
@@ -119,15 +122,6 @@ pub struct DaemonStats {
     pub sessions_expired: u64,
     /// Sessions deleted by clients.
     pub sessions_deleted: u64,
-}
-
-fn add_engine(into: &mut PathEngineStats, s: PathEngineStats) {
-    into.hits += s.hits;
-    into.misses += s.misses;
-    into.stale += s.stale;
-    into.evictions += s.evictions;
-    into.repairs += s.repairs;
-    into.partial_repairs += s.partial_repairs;
 }
 
 /// The daemon's mutable state (topologies, sessions, counters).
@@ -230,18 +224,16 @@ fn domain_nodes(
     name: &str,
 ) -> Result<Vec<NodeId>, ApiError> {
     match topologies.get(topology) {
-        Some(Topo::Regions(rt)) => {
-            match (0..rt.region_count()).find(|&r| rt.region_name(r) == name) {
-                Some(r) => Ok(rt.region_nodes(r).to_vec()),
-                None => Err(ApiError::bad_request(format!(
-                    "unknown domain '{name}' (topology '{topology}' has: {})",
-                    (0..rt.region_count())
-                        .map(|r| rt.region_name(r))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))),
-            }
-        }
+        Some(Topo::Regions(rt)) => match rt.region_named(name) {
+            Some(r) => Ok(rt.region_nodes(r).to_vec()),
+            None => Err(ApiError::bad_request(format!(
+                "unknown domain '{name}' (topology '{topology}' has: {})",
+                (0..rt.region_count())
+                    .map(|r| rt.region_name(r))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ))),
+        },
         Some(Topo::Named(_)) => Err(ApiError::bad_request(format!(
             "topology '{topology}' is not a multi-region build; \
              domain failures need a regions topology"
@@ -249,26 +241,6 @@ fn domain_nodes(
         None => Err(ApiError::not_found(format!(
             "unknown topology '{topology}'"
         ))),
-    }
-}
-
-/// Applies one element repair to a session. Domain repairs restore every
-/// region node that was failed, skipping the rest.
-fn repair_in_session(
-    session: &mut OnlineSession,
-    element: &ElementRef,
-    domain: Option<Vec<NodeId>>,
-) -> Result<(), sof_core::SolveError> {
-    match element {
-        ElementRef::Vm(n) => session.repair_vm(NodeId::new(*n)),
-        ElementRef::Link(u, v) => session.repair_link(NodeId::new(*u), NodeId::new(*v)),
-        ElementRef::Node(n) => session.repair_node(NodeId::new(*n)),
-        ElementRef::Domain(_) => {
-            for n in domain.unwrap_or_default() {
-                let _ = session.repair_node(n);
-            }
-            Ok(())
-        }
     }
 }
 
@@ -530,6 +502,23 @@ impl Registry {
             .ok_or_else(|| ApiError::not_found(format!("no session {id}")))
     }
 
+    /// Session `id`, and what `element` names on its topology — the
+    /// daemon's one call of [`ElementRef::resolve`], made once per fail or
+    /// repair request (a scheduled repair keeps the answer).
+    fn resolve(
+        &mut self,
+        id: u64,
+        element: &ElementRef,
+    ) -> Result<(&mut SessionEntry, Vec<Element>), ApiError> {
+        let entry = self
+            .sessions
+            .get_mut(&id)
+            .ok_or_else(|| ApiError::not_found(format!("no session {id}")))?;
+        let physical =
+            element.resolve(|name| domain_nodes(&self.topologies, &entry.topology, name))?;
+        Ok((entry, physical))
+    }
+
     /// `POST /v1/sessions/{id}/join` — adds `{"destination": n}` to the
     /// served group via the §VII-C incremental join (full rebuild only on
     /// drift or failure, exactly the library's policy).
@@ -593,77 +582,43 @@ impl Registry {
     /// plus an optional `"repair_secs"` scheduling an automatic repair the
     /// janitor applies once the interval passes.
     ///
-    /// VM failures keep the legacy semantics (the disrupted forest
-    /// rebuilds on the next join, `disrupted` is a boolean); link, node
-    /// and domain failures leave the forest standing and report the
-    /// disconnected destinations.
+    /// Every failure is [`OnlineSession::fail`]. Link, node and domain
+    /// failures leave the forest standing and report the disconnected
+    /// destinations (a domain fails every node of its region except the
+    /// request's own endpoints); a VM failure that disrupts the forest is
+    /// followed by [`OnlineSession::clear_forest`], so the forest rebuilds
+    /// on the next join, and `disrupted` is a boolean.
     ///
     /// # Errors
     ///
     /// 404 for an unknown session, 400 for a malformed element, a node
-    /// that is not a VM, a non-existent link, or an unknown domain.
+    /// that is not a VM, a non-existent link, an endpoint of the request
+    /// failed as a node, or an unknown domain.
     pub fn session_fail(&mut self, id: u64, mut body: Body) -> Result<Value, ApiError> {
         let element = read_element(&mut body)?;
         let repair_secs = body.within("repair_secs", 0..=MAX_SECS)?;
         body.finish()?;
-        // Resolve domain membership before mutably borrowing the session.
-        let topology = self
-            .sessions
-            .get(&id)
-            .ok_or_else(|| ApiError::not_found(format!("no session {id}")))?
-            .topology
-            .clone();
-        let domain = match &element {
-            ElementRef::Domain(name) => Some(domain_nodes(&self.topologies, &topology, name)?),
-            _ => None,
-        };
-        let entry = self.sessions.get_mut(&id).expect("checked above");
+        let (entry, physical) = self.resolve(id, &element)?;
+        let dests = fail_elements(&mut entry.session, &physical)
+            .map_err(|e| ApiError::bad_request(format!("fail failed: {e}")))?;
         let mut v = Value::table();
         v.set("id", Value::Int(id as i64));
         v.set("element", Value::Str(element.to_string()));
-        match &element {
-            ElementRef::Vm(n) => {
-                let disrupted = entry
-                    .session
-                    .fail_vm(NodeId::new(*n))
-                    .map_err(|e| ApiError::bad_request(format!("fail failed: {e}")))?;
-                v.set("disrupted", Value::Bool(disrupted));
+        if matches!(element, ElementRef::Vm(_)) {
+            let disrupted = !dests.is_empty();
+            if disrupted {
+                entry.session.clear_forest();
             }
-            ElementRef::Link(u, w) => {
-                let dests = entry
-                    .session
-                    .fail_link(NodeId::new(*u), NodeId::new(*w))
-                    .map_err(|e| ApiError::bad_request(format!("fail failed: {e}")))?;
-                v.set("disrupted", Value::Int(dests.len() as i64));
-                v.set("disconnected", nodes_value(&dests));
-            }
-            ElementRef::Node(n) => {
-                let dests = entry
-                    .session
-                    .fail_node(NodeId::new(*n))
-                    .map_err(|e| ApiError::bad_request(format!("fail failed: {e}")))?;
-                v.set("disrupted", Value::Int(dests.len() as i64));
-                v.set("disconnected", nodes_value(&dests));
-            }
-            ElementRef::Domain(_) => {
-                // Endpoint nodes of the request are skipped (a member
-                // leaving is a different event than a transit fault).
-                let mut dests: std::collections::BTreeSet<NodeId> =
-                    std::collections::BTreeSet::new();
-                for n in domain.clone().expect("resolved above") {
-                    if let Ok(d) = entry.session.fail_node(n) {
-                        dests.extend(d);
-                    }
-                }
-                let dests: Vec<NodeId> = dests.into_iter().collect();
-                v.set("disrupted", Value::Int(dests.len() as i64));
-                v.set("disconnected", nodes_value(&dests));
-            }
+            v.set("disrupted", Value::Bool(disrupted));
+        } else {
+            let dests: Vec<NodeId> = dests.into_iter().collect();
+            v.set("disrupted", Value::Int(dests.len() as i64));
+            v.set("disconnected", nodes_value(&dests));
         }
         if let Some(secs) = repair_secs.filter(|&s| s > 0) {
             entry
                 .repairs
-                .push((Instant::now() + Duration::from_secs(secs), element));
+                .push((Instant::now() + Duration::from_secs(secs), physical));
             v.set("repair_in_secs", Value::Int(secs as i64));
         }
         entry.touch(Instant::now());
@@ -681,20 +636,12 @@ impl Registry {
     pub fn session_repair(&mut self, id: u64, mut body: Body) -> Result<Value, ApiError> {
         let element = read_element(&mut body)?;
         body.finish()?;
-        let topology = self
-            .sessions
-            .get(&id)
-            .ok_or_else(|| ApiError::not_found(format!("no session {id}")))?
-            .topology
-            .clone();
-        let domain = match &element {
-            ElementRef::Domain(name) => Some(domain_nodes(&self.topologies, &topology, name)?),
-            _ => None,
-        };
-        let entry = self.sessions.get_mut(&id).expect("checked above");
-        repair_in_session(&mut entry.session, &element, domain)
+        let (entry, physical) = self.resolve(id, &element)?;
+        repair_elements(&mut entry.session, &physical)
             .map_err(|e| ApiError::bad_request(format!("repair failed: {e}")))?;
-        entry.repairs.retain(|(_, e)| e != &element);
+        entry
+            .repairs
+            .retain(|(_, scheduled)| scheduled != &physical);
         entry.touch(Instant::now());
         let mut v = Value::table();
         v.set("id", Value::Int(id as i64));
@@ -757,10 +704,7 @@ impl Registry {
     }
 
     fn retire(&mut self, entry: SessionEntry) {
-        add_engine(
-            &mut self.retired_engine,
-            entry.session.instance().network.paths().stats(),
-        );
+        self.retired_engine += entry.session.instance().network.paths().stats();
     }
 
     /// `DELETE /v1/sessions/{id}` — tears the session down.
@@ -788,23 +732,14 @@ impl Registry {
             if entry.repairs.iter().all(|(t, _)| *t > now) {
                 continue;
             }
-            let due: Vec<ElementRef> = entry
-                .repairs
-                .iter()
-                .filter(|(t, _)| *t <= now)
-                .map(|(_, e)| e.clone())
-                .collect();
-            entry.repairs.retain(|(t, _)| *t > now);
-            for element in due {
-                let domain = match &element {
-                    ElementRef::Domain(name) => {
-                        domain_nodes(&self.topologies, &entry.topology, name).ok()
-                    }
-                    _ => None,
-                };
+            let (due, later) = std::mem::take(&mut entry.repairs)
+                .into_iter()
+                .partition(|(t, _)| *t <= now);
+            entry.repairs = later;
+            for (_, physical) in due {
                 // A client may have repaired (or re-failed) the element in
                 // the meantime; a stale scheduled repair is not an error.
-                let _ = repair_in_session(&mut entry.session, &element, domain);
+                let _ = repair_elements(&mut entry.session, &physical);
             }
         }
         let dead: Vec<u64> = self
@@ -854,10 +789,7 @@ impl Registry {
         v.set("topologies", Value::Int(self.topologies.len() as i64));
         let mut engine = self.retired_engine;
         for entry in self.sessions.values() {
-            add_engine(
-                &mut engine,
-                entry.session.instance().network.paths().stats(),
-            );
+            engine += entry.session.instance().network.paths().stats();
         }
         v.set("engine", engine_value(engine));
         v.set(

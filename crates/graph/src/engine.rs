@@ -138,6 +138,28 @@ pub struct PathEngineStats {
     pub partial_repairs: u64,
 }
 
+impl std::ops::AddAssign for PathEngineStats {
+    /// Adds every counter of `other`: totals over several engines. The
+    /// destructuring makes a new counter a compile error here, not a
+    /// total that silently leaves it out.
+    fn add_assign(&mut self, other: PathEngineStats) {
+        let PathEngineStats {
+            hits,
+            misses,
+            stale,
+            evictions,
+            repairs,
+            partial_repairs,
+        } = other;
+        self.hits += hits;
+        self.misses += misses;
+        self.stale += stale;
+        self.evictions += evictions;
+        self.repairs += repairs;
+        self.partial_repairs += partial_repairs;
+    }
+}
+
 /// Deterministic work done by [`PathEngine::nearest_target`] calls — kept
 /// apart from [`PathEngineStats`] because a bounded search is not a cache
 /// query.

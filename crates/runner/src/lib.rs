@@ -62,7 +62,7 @@ mod ward;
 pub use events::{GroupChurnConfig, GroupEvent, GroupProcess};
 pub use runner::{Runner, RunnerConfig, RunnerHandle, Summary};
 pub use sink::{
-    CollectSink, EngineTotals, EventRecord, FailureRecord, FailureTotals, JsonlSink, Record,
-    RecoveryRecord, RecoverySummary, Sink, SummaryRecord, WindowRecord,
+    CollectSink, EventRecord, FailureRecord, FailureTotals, JsonlSink, Record, RecoveryRecord,
+    RecoverySummary, Sink, SummaryRecord, WindowRecord,
 };
 pub use ward::{StopReason, Ward};

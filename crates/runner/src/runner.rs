@@ -3,15 +3,15 @@
 
 use crate::events::{GroupChurnConfig, GroupProcess};
 use crate::sink::{
-    ChannelSink, EngineTotals, EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord,
+    ChannelSink, EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord,
     RecoverySummary, Sink, SummaryRecord, WindowRecord,
 };
 use crate::ward::{StopReason, Ward, WardSet};
-use sof_core::{OnlineConfig, OnlineSession, Request, SessionPool, SofdaConfig};
-use sof_graph::NodeId;
+use sof_core::{Element, OnlineConfig, OnlineSession, Request, SessionPool, SofdaConfig};
+use sof_graph::{NodeId, PathEngineStats};
 use sof_survive::{
-    universe_for_scopes, ElementRef, FailureDriver, FailurePlan, ProtectionPolicy, Protector,
-    RecoveryMetrics,
+    fail_elements, repair_elements, universe_for_scopes, ElementRef, FailureDriver, FailurePlan,
+    ProtectionPolicy, Protector, RecoveryMetrics,
 };
 use sof_topo::{
     build_region_instance, build_regions, RegionScenario, RegionTopology, RegionsParams,
@@ -279,7 +279,7 @@ pub struct Runner {
     windows: u64,
     /// Stats carried over from retired sessions.
     retired_cost: f64,
-    retired_engine: EngineTotals,
+    retired_engine: PathEngineStats,
     failure: Option<FailureState>,
 }
 
@@ -318,7 +318,7 @@ impl Runner {
             errors: 0,
             windows: 0,
             retired_cost: 0.0,
-            retired_engine: EngineTotals::default(),
+            retired_engine: PathEngineStats::default(),
             failure,
         })
     }
@@ -466,7 +466,7 @@ impl Runner {
                     let old = self.pool.replace(slot, session);
                     self.retired += 1;
                     self.retired_cost += old.accumulated_cost();
-                    add_engine(&mut self.retired_engine, &old);
+                    self.retired_engine += old.instance().network.paths().stats();
                     self.procs[slot] = fresh;
                     self.procs[slot]
                         .next_event()
@@ -560,8 +560,10 @@ impl Runner {
 
         for element in &events.repairs {
             fs.metrics.repair_events += 1;
+            let physical = physical_elements(element, &self.rt);
             for session in self.pool.sessions_mut() {
-                repair_element(session, element, &self.rt);
+                // Elements that were never down in this session are ignored.
+                let _ = repair_elements(session, &physical);
             }
             self.emit(Record::Failure(FailureRecord {
                 seq: self.seq,
@@ -582,9 +584,12 @@ impl Runner {
             let mut affected: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); self.procs.len()];
             for (element, repair_at) in &events.failures {
                 fs.metrics.fail_events += 1;
+                let physical = physical_elements(element, &self.rt);
                 let mut disrupted = 0u64;
                 for (slot, session) in self.pool.sessions_mut().iter_mut().enumerate() {
-                    let broken = fail_element(session, element, &self.rt);
+                    // A failure the session refuses (not on its network, or
+                    // one of its endpoints) disrupts nothing there.
+                    let broken = fail_elements(session, &physical).unwrap_or_default();
                     disrupted += broken.len() as u64;
                     affected[slot].extend(broken);
                 }
@@ -673,10 +678,10 @@ impl Runner {
     /// Path-cache counters summed over every session ever stepped. Each
     /// session owns its private engine, so the totals are deterministic
     /// for any thread count.
-    fn engine_totals(&self) -> EngineTotals {
+    fn engine_totals(&self) -> PathEngineStats {
         let mut totals = self.retired_engine;
         for session in self.pool.sessions() {
-            add_engine(&mut totals, session);
+            totals += session.instance().network.paths().stats();
         }
         totals
     }
@@ -710,61 +715,13 @@ fn make_session(rt: &RegionTopology, cfg: &RunnerConfig, proc: &GroupProcess) ->
     OnlineSession::new(instance, solver, sofda, online)
 }
 
-/// Applies one failed element to one session, returning the destinations it
-/// disconnected. Failures of elements the session's forest does not use (or
-/// that are already down) disrupt nothing and are silently absorbed.
-fn fail_element(
-    session: &mut OnlineSession,
-    element: &ElementRef,
-    rt: &RegionTopology,
-) -> Vec<NodeId> {
-    match element {
-        ElementRef::Vm(v) => session.fail_vm_soft(NodeId::new(*v)).unwrap_or_default(),
-        ElementRef::Link(u, v) => session
-            .fail_link(NodeId::new(*u), NodeId::new(*v))
-            .unwrap_or_default(),
-        ElementRef::Node(n) => session.fail_node(NodeId::new(*n)).unwrap_or_default(),
-        ElementRef::Domain(name) => {
-            let mut out = Vec::new();
-            if let Some(r) = (0..rt.region_count()).find(|&r| rt.region_name(r) == name) {
-                for &n in rt.region_nodes(r) {
-                    out.extend(session.fail_node(n).unwrap_or_default());
-                }
-            }
-            out
-        }
-    }
-}
-
-/// Undoes [`fail_element`]: restores the element for future embeddings.
-/// Elements that were never down in this session are ignored.
-fn repair_element(session: &mut OnlineSession, element: &ElementRef, rt: &RegionTopology) {
-    match element {
-        ElementRef::Vm(v) => {
-            let _ = session.repair_vm(NodeId::new(*v));
-        }
-        ElementRef::Link(u, v) => {
-            let _ = session.repair_link(NodeId::new(*u), NodeId::new(*v));
-        }
-        ElementRef::Node(n) => {
-            let _ = session.repair_node(NodeId::new(*n));
-        }
-        ElementRef::Domain(name) => {
-            if let Some(r) = (0..rt.region_count()).find(|&r| rt.region_name(r) == name) {
-                for &n in rt.region_nodes(r) {
-                    let _ = session.repair_node(n);
-                }
-            }
-        }
-    }
-}
-
-fn add_engine(totals: &mut EngineTotals, session: &OnlineSession) {
-    let stats = session.instance().network.paths().stats();
-    totals.hits += stats.hits;
-    totals.misses += stats.misses;
-    totals.stale += stats.stale;
-    totals.repairs += stats.repairs;
+/// What `element` names on the run's base topology (shared by every group's
+/// instance); an unknown domain names nothing.
+fn physical_elements(element: &ElementRef, rt: &RegionTopology) -> Vec<Element> {
+    let nodes_of = |r| rt.region_nodes(r).to_vec();
+    element
+        .resolve(|name| rt.region_named(name).map(nodes_of).ok_or(()))
+        .unwrap_or_default()
 }
 
 /// Handle to a runner on a background thread.

@@ -14,23 +14,10 @@
 //! JSONL bytes — is deterministic for a fixed seed at any thread count.
 
 use crate::ward::StopReason;
+use sof_graph::PathEngineStats;
 use std::io::{self, Write};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
-
-/// Cumulative `PathEngine` cache counters summed over every session the
-/// run has stepped (retired sessions included).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineTotals {
-    /// Queries served from cached trees.
-    pub hits: u64,
-    /// Queries that ran a Dijkstra.
-    pub misses: u64,
-    /// Misses whose source set was cached under older epochs.
-    pub stale: u64,
-    /// Stale entries revalidated in place without a Dijkstra.
-    pub repairs: u64,
-}
 
 /// Cumulative failure-subsystem counters carried by window records (only
 /// present when the run has a failure plan).
@@ -139,8 +126,9 @@ pub struct WindowRecord {
     pub mean_cost: f64,
     /// Total accumulated embedding cost (retired groups included).
     pub accumulated_cost: f64,
-    /// Cumulative path-cache counters at window close.
-    pub engine: EngineTotals,
+    /// Cumulative `PathEngine` cache counters at window close, summed over
+    /// every session the run has stepped (retired sessions included).
+    pub engine: PathEngineStats,
     /// Cumulative failure-subsystem counters at window close (failure
     /// plans only).
     pub failures: Option<FailureTotals>,
@@ -538,11 +526,12 @@ mod tests {
             leaves: 3,
             mean_cost: 12.5,
             accumulated_cost: 100.0,
-            engine: EngineTotals {
+            engine: PathEngineStats {
                 hits: 9,
                 misses: 2,
                 stale: 1,
                 repairs: 1,
+                ..PathEngineStats::default()
             },
             failures: None,
             millis: None,

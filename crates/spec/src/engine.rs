@@ -17,7 +17,8 @@ use crate::spec::{
     ChurnSpec, FailureSpec, GridMetric, OnlineGroup, ScaleSpec, ScenarioSpec, SpecError, Workload,
 };
 use sof_core::{
-    fortz_thorup, EmbedMode, OnlineSession, Request, ServiceChain, SessionPool, SofInstance, Solver,
+    fortz_thorup, Element, EmbedMode, OnlineSession, Request, ServiceChain, SessionPool,
+    SofInstance, Solver,
 };
 use sof_graph::{Cost, NodeId, Rng64};
 use sof_runner::{CollectSink, JsonlSink, Record, Runner, RunnerConfig, Summary, Ward};
@@ -880,18 +881,20 @@ fn run_qoe(
 // ---------------------------------------------------------------------------
 
 /// Fails up to `count` VMs currently carrying VNFs in the session
-/// (deterministically: the lowest-id enabled VMs). Returns how many were
-/// actually failed.
+/// (deterministically: the lowest-id enabled VMs) and drops the forest
+/// they disrupted, so the next arrival rebuilds around them. Returns how
+/// many were actually failed.
 fn inject_vm_failures(session: &mut OnlineSession, count: usize) -> usize {
     let Some(used) = session.forest().and_then(|f| f.enabled_vms().ok()) else {
         return 0;
     };
     let victims: Vec<NodeId> = used.keys().copied().take(count).collect();
-    let mut injected = 0;
-    for vm in victims {
-        if session.fail_vm(vm).is_ok() {
-            injected += 1;
-        }
+    let injected = victims
+        .into_iter()
+        .filter(|&vm| session.fail(Element::Vm(vm)).is_ok())
+        .count();
+    if injected > 0 {
+        session.clear_forest();
     }
     injected
 }

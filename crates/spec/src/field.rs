@@ -405,6 +405,8 @@ mod tests {
             ("churn = { lifetime = [9, 5] }", "'workload.churn.lifetime' range is inverted ([9, 5])"),
             ("churn = { joins = [1, 2, 3] }", "'workload.churn.joins' must be a two-element [lo, hi] range, found 3 element(s)"),
             ("churn = 4", "'workload.churn' must be a table, found integer"),
+            // The dropped `kind` shorthand is an unknown key like any other.
+            ("failures = { kind = \"vm\" }", "unknown key 'workload.failures.kind' (valid keys here: every, count, process, rate, scope, repair, policies, seed, events)"),
             ("emit = \"all\"", "'workload.emit' must be \"windows\" or \"events\", got \"all\""),
         ] {
             let src = format!("name = \"m\"\n[workload]\nkind = \"churn-at-scale\"\n{keys}\n");

@@ -164,8 +164,6 @@ pub struct OnlineGroup {
 pub struct FailureSpec {
     /// Periodic fire interval in arrivals/rounds (≥ 1).
     pub every: usize,
-    /// Legacy element kind (online only accepts `"vm"`).
-    pub kind: String,
     /// Elements failed per periodic firing.
     pub count: usize,
     /// Failure process: `"periodic"`, `"poisson"`, or `"scripted"`.
@@ -173,7 +171,7 @@ pub struct FailureSpec {
     /// Per-element per-round failure probability (poisson process).
     pub rate: f64,
     /// Element kinds the universe draws from (subset of `"vm"`, `"link"`,
-    /// `"node"`, `"domain"`); defaults to `[kind]`.
+    /// `"node"`, `"domain"`); online only accepts `["vm"]`.
     pub scope: Vec<String>,
     /// Inclusive rounds-until-repair range; `[0, 0]` = permanent.
     pub repair: (usize, usize),
@@ -768,12 +766,6 @@ impl ScenarioSpec {
                     if f.every == 0 {
                         return fail("'workload.failures.every' must be at least 1");
                     }
-                    if f.kind != "vm" {
-                        return fail(format!(
-                            "'workload.failures.kind' must be \"vm\", got \"{}\"",
-                            f.kind
-                        ));
-                    }
                     if f.count == 0 {
                         return fail("'workload.failures.count' must be at least 1");
                     }
@@ -997,11 +989,10 @@ table_field!(ConvergeSpec { epsilon = 1e-3, patience = 3 });
 table_field!(FailureEventSpec { at, element, repair = 0 });
 table_field!(FailureSpec {
     every = 10,
-    kind = "vm".to_string(),
     count = 1,
     process = "periodic".to_string(),
     rate = 0.0,
-    scope = vec![kind.clone()],
+    scope = vec!["vm".to_string()],
     repair = (0, 0),
     policies = vec!["reactive".to_string()],
     seed = 0,
@@ -1281,7 +1272,8 @@ every = 2
         assert_eq!(groups[0].topology.as_ref().unwrap().name, "testbed");
         assert_eq!(groups[0].churn.chain_len, 3, "default chain length");
         let f = failures.as_ref().unwrap();
-        assert_eq!((f.every, f.kind.as_str(), f.count), (2, "vm", 1));
+        assert_eq!((f.every, f.count), (2, 1));
+        assert_eq!(f.scope, ["vm"], "default scope");
         let again = ScenarioSpec::from_toml(&spec.to_toml()).unwrap();
         assert_eq!(spec, again);
     }

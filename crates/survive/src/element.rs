@@ -6,7 +6,14 @@
 //! every group in a run. The string form (`"link:3-7"`, `"domain:us-east"`)
 //! is the wire/spec syntax used by scripted event lists and the record
 //! stream.
+//!
+//! A session knows nothing symbolic: [`ElementRef::resolve`] turns a
+//! reference into the physical [`Element`]s it names on one network, and
+//! [`fail_elements`] / [`repair_elements`] apply such a list to a session.
 
+use sof_core::{Element, OnlineSession, SolveError};
+use sof_graph::NodeId;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
@@ -44,6 +51,80 @@ impl ElementRef {
             ElementRef::Domain(_) => "domain",
         }
     }
+
+    /// The physical elements this reference names — the one place a
+    /// symbolic reference becomes something a session can fail or repair.
+    /// A VM, link or node is itself; a domain is every node of its region,
+    /// which `region_nodes` looks up by name (or says why it cannot).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `region_nodes` answers for a domain it does not know.
+    pub fn resolve<E>(
+        &self,
+        region_nodes: impl FnOnce(&str) -> Result<Vec<NodeId>, E>,
+    ) -> Result<Vec<Element>, E> {
+        Ok(match self {
+            ElementRef::Vm(v) => vec![Element::Vm(NodeId::new(*v))],
+            ElementRef::Link(u, v) => vec![Element::Link(NodeId::new(*u), NodeId::new(*v))],
+            ElementRef::Node(n) => vec![Element::Node(NodeId::new(*n))],
+            ElementRef::Domain(name) => {
+                region_nodes(name)?.into_iter().map(Element::Node).collect()
+            }
+        })
+    }
+}
+
+/// Applies `apply` to each element, skipping the ones it refuses; the
+/// first refusal is the answer only when every element was refused.
+fn apply_each<T>(
+    elements: &[Element],
+    mut apply: impl FnMut(Element) -> Result<T, SolveError>,
+) -> Result<Vec<T>, SolveError> {
+    let mut applied = Vec::new();
+    let mut refusal = None;
+    for &element in elements {
+        match apply(element) {
+            Ok(done) => applied.push(done),
+            Err(e) => {
+                refusal.get_or_insert(e);
+            }
+        }
+    }
+    match refusal {
+        Some(e) if applied.is_empty() => Err(e),
+        _ => Ok(applied),
+    }
+}
+
+/// Fails every element of a resolved reference in `session`, returning
+/// the destinations whose walks broke. An element the session refuses is
+/// skipped — that is how a domain failure passes over the request's own
+/// endpoints, which [`OnlineSession::fail`] will not fail as nodes.
+///
+/// # Errors
+///
+/// The first refusal, when the session refused every element.
+pub fn fail_elements(
+    session: &mut OnlineSession,
+    elements: &[Element],
+) -> Result<BTreeSet<NodeId>, SolveError> {
+    let broken = apply_each(elements, |e| session.fail(e))?;
+    Ok(broken.into_iter().flatten().collect())
+}
+
+/// Repairs every element of a resolved reference in `session`, skipping
+/// the ones that are not failed there (a domain's skipped endpoints, a
+/// node a client already repaired by itself).
+///
+/// # Errors
+///
+/// The first refusal, when none of the elements was failed.
+pub fn repair_elements(
+    session: &mut OnlineSession,
+    elements: &[Element],
+) -> Result<(), SolveError> {
+    apply_each(elements, |e| session.repair(e)).map(drop)
 }
 
 impl fmt::Display for ElementRef {
@@ -125,5 +206,21 @@ mod tests {
         assert_eq!(ElementRef::link(1, 2).scope(), "link");
         assert_eq!(ElementRef::Node(1).scope(), "node");
         assert_eq!(ElementRef::Domain("d".into()).scope(), "domain");
+    }
+
+    #[test]
+    fn a_domain_resolves_to_its_nodes_and_the_rest_to_themselves() {
+        let n = NodeId::new;
+        let regions = |name: &str| match name {
+            "west" => Ok(vec![n(4), n(5)]),
+            other => Err(format!("no region {other}")),
+        };
+        let resolve = |text: &str| text.parse::<ElementRef>().unwrap().resolve(regions);
+        assert_eq!(resolve("vm:12"), Ok(vec![Element::Vm(n(12))]));
+        assert_eq!(resolve("link:7-3"), Ok(vec![Element::Link(n(3), n(7))]));
+        assert_eq!(resolve("node:5"), Ok(vec![Element::Node(n(5))]));
+        let west = vec![Element::Node(n(4)), Element::Node(n(5))];
+        assert_eq!(resolve("domain:west"), Ok(west));
+        assert_eq!(resolve("domain:east"), Err("no region east".to_string()));
     }
 }

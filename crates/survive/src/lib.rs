@@ -54,9 +54,7 @@ mod metrics;
 mod policy;
 mod process;
 
-pub use element::ElementRef;
+pub use element::{fail_elements, repair_elements, ElementRef};
 pub use metrics::RecoveryMetrics;
-pub use policy::{
-    forest_avoids, universe_for_scopes, walk_avoids, ProtectionPolicy, Protector, RecoveryOutcome,
-};
+pub use policy::{universe_for_scopes, ProtectionPolicy, Protector, RecoveryOutcome};
 pub use process::{FailureDriver, FailurePlan, ProcessKind, RoundEvents, ScriptedEvent};

@@ -184,20 +184,15 @@ impl Protector {
         };
         if self.policy == ProtectionPolicy::StandbyForest {
             if let Some(standby) = self.standby.take() {
-                let avoids = forest_avoids(
-                    &standby,
-                    &session.failed_edges(),
-                    &session.failed_switches(),
-                );
-                if avoids && session.replace_forest(standby).is_ok() {
+                if session.faults().forest_avoids(&standby)
+                    && session.replace_forest(standby).is_ok()
+                {
                     outcome.recovered = affected.len();
                     return outcome;
                 }
             }
         }
         if self.policy != ProtectionPolicy::Reactive {
-            let banned_e = session.failed_edges();
-            let banned_n = session.failed_switches();
             let mut all_switched = true;
             for &d in affected {
                 let planned = self
@@ -205,7 +200,7 @@ impl Protector {
                     .iter()
                     .position(|(bd, ..)| *bd == d)
                     .map(|i| self.backups.swap_remove(i))
-                    .filter(|(_, walk, _)| walk_avoids(walk, &banned_e, &banned_n))
+                    .filter(|(_, walk, _)| session.faults().walk_avoids(walk))
                     .map(|(_, walk, cost)| (walk, cost));
                 let fresh = planned.or_else(|| session.plan_reattach(d, false).ok());
                 let Some((walk, cost)) = fresh else {
@@ -231,33 +226,6 @@ impl Protector {
         outcome.pending = true;
         outcome
     }
-}
-
-/// Whether a single walk traverses none of the banned elements.
-pub fn walk_avoids(
-    walk: &DestWalk,
-    banned_edges: &BTreeSet<(NodeId, NodeId)>,
-    banned_nodes: &BTreeSet<NodeId>,
-) -> bool {
-    if walk.nodes.iter().any(|n| banned_nodes.contains(n)) {
-        return false;
-    }
-    walk.nodes.windows(2).all(|p| {
-        let (a, b) = (p[0].min(p[1]), p[0].max(p[1]));
-        !banned_edges.contains(&(a, b))
-    })
-}
-
-/// Whether every walk of a forest avoids the banned elements.
-pub fn forest_avoids(
-    forest: &ServiceForest,
-    banned_edges: &BTreeSet<(NodeId, NodeId)>,
-    banned_nodes: &BTreeSet<NodeId>,
-) -> bool {
-    forest
-        .walks
-        .iter()
-        .all(|w| walk_avoids(w, banned_edges, banned_nodes))
 }
 
 /// The element universe for one scope over a base topology, in stable
@@ -286,6 +254,7 @@ pub fn universe_for_scopes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sof_core::{Element, Faults};
 
     #[test]
     fn policy_names_round_trip() {
@@ -314,13 +283,18 @@ mod tests {
             nodes: vec![NodeId::new(0), NodeId::new(1), NodeId::new(3)],
             vnf_positions: vec![1],
         };
-        let no_edges: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        let no_nodes: BTreeSet<NodeId> = BTreeSet::new();
-        assert!(walk_avoids(&walk, &no_edges, &no_nodes));
-        let banned_e: BTreeSet<_> = [(NodeId::new(0), NodeId::new(1))].into();
-        assert!(!walk_avoids(&walk, &banned_e, &no_nodes));
-        let banned_n: BTreeSet<_> = [NodeId::new(1)].into();
-        assert!(!walk_avoids(&walk, &no_edges, &banned_n));
+        let avoids = |failed: &[Element]| {
+            let mut faults = Faults::default();
+            for &e in failed {
+                faults.insert(e);
+            }
+            faults.walk_avoids(&walk)
+        };
+        assert!(avoids(&[]));
+        assert!(!avoids(&[Element::Link(NodeId::new(1), NodeId::new(0))]));
+        assert!(!avoids(&[Element::Node(NodeId::new(1))]));
+        assert!(!avoids(&[Element::Vm(NodeId::new(1))]));
+        assert!(avoids(&[Element::Link(NodeId::new(0), NodeId::new(3))]));
     }
 
     #[test]

@@ -189,6 +189,11 @@ impl RegionTopology {
     pub fn region_name(&self, r: usize) -> &str {
         &self.params.regions[r].name
     }
+
+    /// The index of the region called `name`, if there is one.
+    pub fn region_named(&self, name: &str) -> Option<usize> {
+        (0..self.region_count()).find(|&r| self.region_name(r) == name)
+    }
 }
 
 /// Builds a multi-region topology deterministically from `seed`.

@@ -38,7 +38,6 @@ churn = { sources = [8, 12], destinations = [13, 17], chain_len = 3, demand_mbps
 
 [workload.failures]
 every = 8
-kind = "vm"
 count = 1
 "#,
     )?;

@@ -29,7 +29,9 @@
 //! * [`survive`] — the survivability subsystem: deterministic link/node/
 //!   VM/domain failure processes with repair times, protection policies
 //!   (reactive / backup paths / standby forest) over `core::OnlineSession`,
-//!   and recovery/availability metrics,
+//!   and recovery/availability metrics; a session itself knows only the
+//!   set of failed elements ([`core::faults`], through
+//!   `OnlineSession::fail` / `repair` / `faults`),
 //! * [`sdn`] — flow-rule compilation and distributed multi-controller SOFDA,
 //! * [`daemon`] — `sofd`, the long-running embedding service: a
 //!   dependency-free HTTP/1.1 control plane (`sof serve`) over

@@ -315,6 +315,46 @@ fn survivability_fail_and_repair_endpoints() {
     handle.stop();
 }
 
+/// The number after `"forest_cost":` in a reply.
+fn forest_cost(body: &str) -> &str {
+    let key = "\"forest_cost\":";
+    let rest = &body[body.find(key).expect("forest_cost present") + key.len()..];
+    &rest[..rest.find([',', '}']).expect("a number ends")]
+}
+
+/// A repaired domain is back in service at its old prices: the same join
+/// costs the same before a `domain` fail/repair pair and after it. A domain
+/// fails adjacent nodes, so the link between two of them is covered twice
+/// and must come back only, and exactly, when both are repaired. (With a
+/// pristine cost remembered per failed node the second node remembered the
+/// first one's 1e9, and this join read 2000000122.5773802.) Fails when
+/// `repair` leaves any element of the domain priced out.
+#[test]
+fn a_repaired_domain_prices_a_join_as_before_it_failed() {
+    let handle = start(ServerConfig::default());
+    let mut c = Client::new(handle.addr());
+    c.request("POST", "/v1/topologies", BENCH_TOPO).unwrap();
+    let (status, body) = c.request("POST", "/v1/sessions", SESSION).unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    let mut post = |path: &str, body: &str| {
+        let (status, reply) = c
+            .request("POST", &format!("/v1/sessions/1/{path}"), body)
+            .unwrap();
+        assert_eq!(status, 200, "{path} {body}: {reply}");
+        reply
+    };
+    let before = post("join", "{\"destination\":7}");
+    post("leave", "{\"destination\":7}");
+    post("fail", "{\"domain\":\"eu-west\"}");
+    post("repair", "{\"domain\":\"eu-west\"}");
+    let after = post("join", "{\"destination\":7}");
+    assert_eq!(forest_cost(&after), forest_cost(&before));
+
+    drop(c);
+    handle.stop();
+}
+
 /// The janitor expires idle sessions past their TTL; touched sessions
 /// live on.
 #[test]

@@ -6,9 +6,9 @@
 //! protector switchover never routes through a failed element while
 //! repaired elements go straight back into service.
 
-use sof::core::{EmbedMode, OnlineConfig, OnlineSession, Request, SofdaConfig};
+use sof::core::{Element, EmbedMode, OnlineConfig, OnlineSession, Request, SofdaConfig};
 use sof::spec::{presets, run_churn_stream, RunOptions};
-use sof::survive::{forest_avoids, ProtectionPolicy, Protector};
+use sof::survive::{ProtectionPolicy, Protector};
 use sof::topo::{build_instance, softlayer, ScenarioParams};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -137,7 +137,7 @@ fn backup_switchover_never_traverses_a_failed_element() {
     let mut protector = Protector::new(ProtectionPolicy::BackupPaths, None);
     protector.prewarm(&mut s);
     let (d, u, v) = last_hop(&s);
-    let affected = s.fail_link(u, v).unwrap();
+    let affected = s.fail(Element::Link(u, v)).unwrap();
     assert!(affected.contains(&d), "last hop disrupts its destination");
     let outcome = protector.recover(&mut s, &affected);
     assert_eq!(outcome.affected, affected.len());
@@ -148,7 +148,7 @@ fn backup_switchover_never_traverses_a_failed_element() {
         let forest = s.forest().expect("recovered forest stands");
         forest.validate(s.instance()).unwrap();
         assert!(
-            forest_avoids(forest, &s.failed_edges(), &s.failed_switches()),
+            s.faults().forest_avoids(forest),
             "recovered forest still traverses a failed element"
         );
     }
@@ -165,12 +165,12 @@ fn standby_swap_is_zero_cost_and_avoids_failures() {
     protector.prewarm(&mut s);
     assert!(protector.standby_ready(), "standby solve must succeed here");
     let (_, u, v) = last_hop(&s);
-    let affected = s.fail_link(u, v).unwrap();
+    let affected = s.fail(Element::Link(u, v)).unwrap();
     let outcome = protector.recover(&mut s, &affected);
     if let Some(forest) = s.forest() {
         forest.validate(s.instance()).unwrap();
         assert!(
-            forest_avoids(forest, &s.failed_edges(), &s.failed_switches()),
+            s.faults().forest_avoids(forest),
             "post-recovery forest traverses a failed element"
         );
         // The disjointness-priced standby avoided the primary's links, so
@@ -185,7 +185,7 @@ fn standby_swap_is_zero_cost_and_avoids_failures() {
     }
 }
 
-/// Repaired elements return to service: after `repair_link` the edge is
+/// Repaired elements return to service: after `repair` the edge is
 /// priced at its pristine cost again and a fresh embedding of the same
 /// group is free to route through it.
 #[test]
@@ -194,13 +194,13 @@ fn repaired_links_are_reused_by_later_embeddings() {
     let (_, u, v) = last_hop(&s);
     let e = s.instance().network.graph().edge_between(u, v).unwrap();
     let pristine = s.instance().network.graph().edge_cost(e);
-    let _ = s.fail_link(u, v).unwrap();
+    let _ = s.fail(Element::Link(u, v)).unwrap();
     assert!(
         s.instance().network.graph().edge_cost(e) > pristine,
         "failure must surcharge the link"
     );
-    s.repair_link(u, v).unwrap();
-    assert!(s.failed_edges().is_empty());
+    s.repair(Element::Link(u, v)).unwrap();
+    assert!(s.faults().is_empty());
     assert_eq!(
         s.instance().network.graph().edge_cost(e),
         pristine,
@@ -223,4 +223,66 @@ fn repaired_links_are_reused_by_later_embeddings() {
             .any(|p| (p[0].min(p[1]), p[0].max(p[1])) == key)
     });
     assert!(uses_repaired, "optimal embedding reuses the repaired link");
+}
+
+/// Every link and VM of `s` priced bit for bit as in `twin`.
+fn assert_priced_like(s: &OnlineSession, twin: &OnlineSession, after: &str) {
+    let (net, expect) = (&s.instance().network, &twin.instance().network);
+    for (e, _) in net.graph().edges() {
+        let (got, want) = (net.graph().edge_cost(e), expect.graph().edge_cost(e));
+        assert_eq!(
+            got.value().to_bits(),
+            want.value().to_bits(),
+            "{after}: {e:?}"
+        );
+    }
+    for vm in net.vms() {
+        let (got, want) = (net.node_cost(vm), expect.node_cost(vm));
+        assert_eq!(
+            got.value().to_bits(),
+            want.value().to_bits(),
+            "{after}: {vm}"
+        );
+    }
+}
+
+/// Fails and repairs compose in any order: once everything failed has been
+/// repaired, every link and VM is priced exactly as in a twin session that
+/// saw the same arrivals and never failed anything. Two sequences that used
+/// to leak 1e9 for the rest of the session's life: two adjacent nodes
+/// failed and repaired in the same order (the second node recorded the
+/// first one's 1e9 as their shared link's pristine cost), and a VM failed
+/// first as a VM and then as a node (the node recorded the VM's 1e9). Fails
+/// when a repair restores a remembered price instead of re-deriving it from
+/// what is still failed.
+#[test]
+fn repairs_compose_back_to_the_never_failed_prices() {
+    let twin = embedded_session(7);
+
+    let mut s = embedded_session(7);
+    let req = &s.instance().request;
+    let transit = |n| !req.sources.contains(&n) && !req.destinations.contains(&n);
+    let (a, b) = s
+        .instance()
+        .network
+        .graph()
+        .edges()
+        .map(|(_, e)| (e.u, e.v))
+        .find(|&(u, v)| transit(u) && transit(v))
+        .expect("two adjacent transit nodes");
+    for n in [a, b] {
+        s.fail(Element::Node(n)).unwrap();
+    }
+    for n in [a, b] {
+        s.repair(Element::Node(n)).unwrap();
+    }
+    assert_priced_like(&s, &twin, "two adjacent nodes");
+
+    let mut s = embedded_session(7);
+    let v = s.instance().network.vms()[0];
+    s.fail(Element::Vm(v)).unwrap();
+    s.fail(Element::Node(v)).unwrap();
+    s.repair(Element::Vm(v)).unwrap();
+    s.repair(Element::Node(v)).unwrap();
+    assert_priced_like(&s, &twin, "a VM, then its node");
 }

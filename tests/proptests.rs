@@ -487,6 +487,185 @@ proptest! {
         forest.validate(&inst).unwrap();
     }
 
+    /// A session's failure pricing is a function of *what is failed now*,
+    /// never of the order it got there. 200 steps a case interleave fails
+    /// and repairs of overlapping VMs, links, nodes and node groups (a
+    /// domain's shape) with arrivals; a plain model — three sets and the
+    /// covering rule spelled out — says after every step which links and
+    /// VMs are priced out, every reattachment the session plans avoids
+    /// what the model holds failed, and once the rest is repaired the
+    /// session prices the twin's forest bit for bit as the never-failed
+    /// twin does. Fails when `edge_down` ignores failed endpoints (a failed
+    /// node's links stay in service), and when a repair restores a
+    /// remembered price instead of re-deriving it.
+    #[test]
+    fn fail_repair_interleavings_price_what_the_fault_set_covers(seed in 0u64..4000) {
+        use sof::core::{Element, OnlineConfig, OnlineSession, FAILED_COST};
+        use sof::survive::{fail_elements, repair_elements};
+        use std::collections::BTreeSet;
+
+        let inst = random_instance(seed, 20, 6, 2, 5, 2);
+        let session = |inst: &SofInstance| {
+            OnlineSession::new(
+                inst.clone(),
+                sof::solvers::by_name("SOFDA").expect("registered"),
+                SofdaConfig::default().with_seed(seed),
+                OnlineConfig::default(),
+            )
+        };
+        let (mut s, mut twin) = (session(&inst), session(&inst));
+        let mut rng = Rng64::seed_from(seed ^ 0xfa17);
+        let n = inst.network.node_count();
+        let vms = inst.network.vms();
+        let links: Vec<(NodeId, NodeId)> =
+            inst.network.graph().edges().map(|(_, e)| (e.u, e.v)).collect();
+        let node = |rng: &mut Rng64| NodeId::new(rng.below(n));
+        let groups: Vec<Vec<NodeId>> = (0..3)
+            .map(|_| rng.sample_indices(n, 4).into_iter().map(NodeId::new).collect())
+            .collect();
+        let as_nodes = |g: &[NodeId]| g.iter().map(|&n| Element::Node(n)).collect::<Vec<_>>();
+        let pool = inst.request.destinations.clone();
+        let arrival = |rng: &mut Rng64| {
+            let keep = 1 + rng.below(pool.len());
+            let dests = rng.sample_indices(pool.len(), keep).into_iter().map(|i| pool[i]);
+            Request::new(inst.request.sources.clone(), dests.collect(), inst.request.chain.clone())
+        };
+
+        // The model: what is failed, and nothing else.
+        let mut failed: BTreeSet<Element> = BTreeSet::new();
+        let link = |u: NodeId, v: NodeId| Element::Link(u.min(v), u.max(v));
+
+        let first = arrival(&mut rng);
+        s.arrive(first.clone()).unwrap();
+        twin.arrive(first).unwrap();
+        let mut steps = 0;
+        for _ in 0..200 {
+            steps += 1;
+            let endpoint = |s: &OnlineSession, n: NodeId| {
+                let req = &s.instance().request;
+                req.sources.contains(&n) || req.destinations.contains(&n)
+            };
+            let broken = match rng.below(10) {
+                // Fail one element; the session refuses exactly what is
+                // not there to fail.
+                0..=2 => {
+                    let (element, valid) = match rng.below(3) {
+                        0 => {
+                            let v = node(&mut rng);
+                            (Element::Vm(v), vms.contains(&v))
+                        }
+                        1 => {
+                            let (u, v) = links[rng.below(links.len())];
+                            (link(v, u), true)
+                        }
+                        _ => {
+                            let v = node(&mut rng);
+                            (Element::Node(v), !endpoint(&s, v))
+                        }
+                    };
+                    let answer = s.fail(element);
+                    prop_assert!(answer.is_ok() == valid, "step {steps}: fail {element:?}");
+                    if valid {
+                        failed.insert(element);
+                    }
+                    answer.unwrap_or_default()
+                }
+                // Fail a group as a domain fails: every node but the
+                // request's own endpoints.
+                3 => {
+                    let group = &groups[rng.below(groups.len())];
+                    let expect: Vec<NodeId> =
+                        group.iter().copied().filter(|&v| !endpoint(&s, v)).collect();
+                    let answer = fail_elements(&mut s, &as_nodes(group));
+                    prop_assert_eq!(answer.is_ok(), !expect.is_empty());
+                    failed.extend(expect.into_iter().map(Element::Node));
+                    answer.unwrap_or_default().into_iter().collect()
+                }
+                // Repair something that may or may not be failed.
+                4..=6 => {
+                    let standing = failed.iter().nth(rng.below(failed.len().max(1)));
+                    let element = match (rng.below(2), standing) {
+                        (0, Some(&e)) => e,
+                        _ => Element::Node(node(&mut rng)),
+                    };
+                    prop_assert_eq!(s.repair(element).is_ok(), failed.remove(&element));
+                    Vec::new()
+                }
+                7 => {
+                    let group = &groups[rng.below(groups.len())];
+                    let mut any = false;
+                    for &v in group {
+                        any |= failed.remove(&Element::Node(v));
+                    }
+                    prop_assert_eq!(repair_elements(&mut s, &as_nodes(group)).is_ok(), any);
+                    Vec::new()
+                }
+                // The group moves on, in both sessions. A session cut off
+                // by its failures may refuse; its twin never does.
+                _ => {
+                    let request = arrival(&mut rng);
+                    let _ = s.arrive(request.clone());
+                    twin.arrive(request).unwrap();
+                    Vec::new()
+                }
+            };
+
+            // The covering rule, from the model's three kinds of entry.
+            let node_down = |v: NodeId| failed.contains(&Element::Node(v));
+            let vm_down = |v: NodeId| node_down(v) || failed.contains(&Element::Vm(v));
+            let edge_down =
+                |u: NodeId, v: NodeId| node_down(u) || node_down(v) || failed.contains(&link(u, v));
+            let net = &s.instance().network;
+            for (e, edge) in net.graph().edges() {
+                let priced_out = net.graph().edge_cost(e).value() >= FAILED_COST;
+                prop_assert!(priced_out == edge_down(edge.u, edge.v), "step {steps}: {edge:?}");
+            }
+            for &v in &vms {
+                let priced_out = net.node_cost(v).value() >= FAILED_COST;
+                prop_assert!(priced_out == vm_down(v), "step {steps}: VM {v}");
+            }
+            prop_assert_eq!(s.faults().iter().collect::<BTreeSet<_>>(), failed.clone());
+
+            // Whatever reattachment the session plans, for any served
+            // destination, avoids what the model holds failed. The broken
+            // ones take theirs, as a backup-paths policy would, or the
+            // forest is dropped for the next arrival to rebuild.
+            let served: Vec<NodeId> = s
+                .forest()
+                .map(|f| f.walks.iter().map(|w| w.destination).collect())
+                .unwrap_or_default();
+            for d in served {
+                let plan = s.plan_reattach(d, rng.below(2) == 0);
+                if let Ok((walk, _)) = &plan {
+                    prop_assert!(s.faults().walk_avoids(walk), "step {steps}: {walk:?}");
+                    prop_assert!(walk.nodes.iter().all(|&v| !vm_down(v)));
+                    prop_assert!(walk.nodes.windows(2).all(|h| !edge_down(h[0], h[1])));
+                }
+                if broken.contains(&d) && !plan.is_ok_and(|(walk, _)| s.switch_walk(walk).is_ok()) {
+                    s.clear_forest();
+                    break;
+                }
+            }
+        }
+        prop_assert!(steps >= 200);
+
+        // Repair the rest: nothing of any failure is left in any price.
+        for element in std::mem::take(&mut failed) {
+            s.repair(element).unwrap();
+        }
+        prop_assert!(s.faults().is_empty());
+        s.replace_forest(twin.forest().expect("the twin stands").clone()).unwrap();
+        let (net, expect) = (&s.instance().network, &twin.instance().network);
+        for (e, _) in net.graph().edges() {
+            let (got, want) = (net.graph().edge_cost(e), expect.graph().edge_cost(e));
+            prop_assert!(got.value().to_bits() == want.value().to_bits(), "{e:?}: {got} for {want}");
+        }
+        for &v in &vms {
+            let (got, want) = (net.node_cost(v), expect.node_cost(v));
+            prop_assert!(got.value().to_bits() == want.value().to_bits(), "VM {v}: {got} for {want}");
+        }
+    }
+
     /// Every registered solver on random feasible instances returns a
     /// validator-feasible forest and never beats the exact solver when both
     /// succeed (budget 300 proves optimality at these sizes, making

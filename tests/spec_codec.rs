@@ -28,7 +28,6 @@ online = { drift = 1.5, drift_policy = "cost", reroute_every = 4, join = "full-s
 const FAILURES: &str = r#"
 [workload.failures]
 every = 3
-kind = "vm"
 count = 2
 process = "periodic"
 rate = 0.25
@@ -116,8 +115,7 @@ fn maximal_specs() -> Vec<(&'static str, String)> {
             "online" => FAILURES.to_string(),
             "churn-at-scale" => FAILURES
                 .replace("process = \"periodic\"", "process = \"poisson\"")
-                .replace("scope = [\"vm\"]", "scope = [\"link\", \"vm\"]")
-                .replace("kind = \"vm\"", "kind = \"link\""),
+                .replace("scope = [\"vm\"]", "scope = [\"link\", \"vm\"]"),
             _ => String::new(),
         };
         let src = format!(
