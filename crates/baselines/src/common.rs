@@ -3,7 +3,7 @@
 use sof_core::{
     ChainMetric, DestWalk, SearchContext, ServiceForest, SofInstance, SofdaConfig, SolveError,
 };
-use sof_graph::{Cost, NodeId, Rng64};
+use sof_graph::{Cost, NodeId};
 use sof_steiner::SteinerTree;
 
 /// A grown forest: total priced cost, the kept candidate trees, and the
@@ -49,7 +49,6 @@ pub(crate) fn cheapest_chain_to_tree(
     vms: &[NodeId],
     tree_nodes: &[NodeId],
     config: &SofdaConfig,
-    rng: &mut Rng64,
     search: &mut SearchContext,
 ) -> Option<CandidateTree> {
     let network = &instance.network;
@@ -61,7 +60,7 @@ pub(crate) fn cheapest_chain_to_tree(
         return None;
     }
     let cm = ChainMetric::build(network, source, vms, config.source_cost())?;
-    let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, rng, search);
+    let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, search);
     let mut best: Option<CandidateTree> = None;
     for (target, stroll, chain_cost) in chains {
         let u = cm.node(target);
@@ -191,15 +190,8 @@ pub(crate) fn grow_forest<F>(
     mut propose: F,
 ) -> Result<GrownForest, SolveError>
 where
-    F: FnMut(
-        &SofInstance,
-        NodeId,
-        &[NodeId],
-        &mut Rng64,
-        &mut SearchContext,
-    ) -> Option<CandidateTree>,
+    F: FnMut(&SofInstance, NodeId, &[NodeId], &mut SearchContext) -> Option<CandidateTree>,
 {
-    let mut rng = Rng64::seed_from(config.seed ^ 0xE57);
     let (mut best_cost, mut best_buckets) = assign_and_price(instance, &trees, config)?;
     loop {
         let used_sources: Vec<NodeId> = trees.iter().map(|t| t.source).collect();
@@ -218,7 +210,7 @@ where
             if used_sources.contains(&s) {
                 continue;
             }
-            let Some(cand) = propose(instance, s, &free_vms, &mut rng, search) else {
+            let Some(cand) = propose(instance, s, &free_vms, search) else {
                 continue;
             };
             let mut tentative = trees.clone();

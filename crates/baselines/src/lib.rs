@@ -45,7 +45,7 @@ mod common;
 
 use common::{assemble, assign_and_price, cheapest_chain_to_tree, grow_forest, CandidateTree};
 use sof_core::{SearchContext, SofInstance, SofdaConfig, SolveError, SolveOutcome, SolveStats};
-use sof_graph::{Cost, NodeId, Rng64};
+use sof_graph::{Cost, NodeId};
 use sof_steiner::SteinerTree;
 
 /// Picks the source whose Steiner tree over `{s} ∪ D` is cheapest.
@@ -77,7 +77,6 @@ fn best_root(
 /// [`SolveError::Infeasible`] when no source reaches every destination or
 /// the VM pool is smaller than the chain.
 pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOutcome, SolveError> {
-    let mut rng = Rng64::seed_from(config.seed ^ 0x57);
     let mut search = SearchContext::new();
     let (root, tree) = best_root(instance, config)?;
     let tree_nodes: Vec<NodeId> = if tree.edges.is_empty() {
@@ -91,7 +90,6 @@ pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOut
         &instance.network.vms(),
         &tree_nodes,
         config,
-        &mut rng,
         &mut search,
     )
     .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
@@ -101,6 +99,7 @@ pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOut
     let stats = SolveStats {
         candidate_chains: 1,
         stroll_nodes: search.nodes(),
+        stroll_handovers: search.handovers(),
         steiner_cost: tree.cost,
         ..SolveStats::default()
     };
@@ -113,7 +112,6 @@ pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOut
 ///
 /// Same conditions as [`solve_st`].
 pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOutcome, SolveError> {
-    let mut rng = Rng64::seed_from(config.seed ^ 0xE57);
     let mut search = SearchContext::new();
     let (root, tree) = best_root(instance, config)?;
     let tree_nodes: Vec<NodeId> = if tree.edges.is_empty() {
@@ -127,7 +125,6 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
         &instance.network.vms(),
         &tree_nodes,
         config,
-        &mut rng,
         &mut search,
     )
     .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
@@ -137,7 +134,7 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
         vec![first],
         config,
         &mut search,
-        move |inst, s, free_vms, rng, search| {
+        move |inst, s, free_vms, search| {
             // A fresh tree from s: span {s} ∪ D, chain on free VMs.
             let mut terminals = vec![s];
             terminals.extend_from_slice(&inst.request.destinations);
@@ -147,13 +144,14 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
             } else {
                 tree.nodes(inst.network.graph()).into_iter().collect()
             };
-            cheapest_chain_to_tree(inst, s, free_vms, &nodes, &cfg, rng, search)
+            cheapest_chain_to_tree(inst, s, free_vms, &nodes, &cfg, search)
         },
     )?;
     let forest = assemble(instance, &trees, &buckets, config)?;
     let stats = SolveStats {
         candidate_chains: trees.len(),
         stroll_nodes: search.nodes(),
+        stroll_handovers: search.handovers(),
         ..SolveStats::default()
     };
     finish(instance, forest, stats)
@@ -166,7 +164,6 @@ fn enemp_candidate(
     s: NodeId,
     vms: &[NodeId],
     config: &SofdaConfig,
-    rng: &mut Rng64,
     search: &mut SearchContext,
 ) -> Option<CandidateTree> {
     let network = &instance.network;
@@ -178,7 +175,7 @@ fn enemp_candidate(
         return None;
     }
     let cm = sof_core::ChainMetric::build(network, s, vms, config.source_cost())?;
-    let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, rng, search);
+    let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, search);
     let mut best: Option<(Cost, CandidateTree)> = None;
     for (target, stroll, chain_cost) in chains {
         let m = cm.node(target);
@@ -216,12 +213,11 @@ pub fn solve_enemp(
     instance: &SofInstance,
     config: &SofdaConfig,
 ) -> Result<SolveOutcome, SolveError> {
-    let mut rng = Rng64::seed_from(config.seed ^ 0xEE);
     let mut search = SearchContext::new();
     // First tree: best source by plain Steiner cost, then NEMP candidate.
     let (root, _) = best_root(instance, config)?;
     let vms = instance.network.vms();
-    let first = enemp_candidate(instance, root, &vms, config, &mut rng, &mut search)
+    let first = enemp_candidate(instance, root, &vms, config, &mut search)
         .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
     let cfg = *config;
     let (_, trees, buckets) = grow_forest(
@@ -229,12 +225,13 @@ pub fn solve_enemp(
         vec![first],
         config,
         &mut search,
-        move |inst, s, free_vms, rng, search| enemp_candidate(inst, s, free_vms, &cfg, rng, search),
+        move |inst, s, free_vms, search| enemp_candidate(inst, s, free_vms, &cfg, search),
     )?;
     let forest = assemble(instance, &trees, &buckets, config)?;
     let stats = SolveStats {
         candidate_chains: trees.len(),
         stroll_nodes: search.nodes(),
+        stroll_handovers: search.handovers(),
         ..SolveStats::default()
     };
     finish(instance, forest, stats)
@@ -313,7 +310,7 @@ fn finish(
 mod tests {
     use super::*;
     use sof_core::{solve_sofda, Network, Request, ServiceChain};
-    use sof_graph::{generators, CostRange};
+    use sof_graph::{generators, CostRange, Rng64};
 
     fn random_instance(seed: u64, chain: usize) -> SofInstance {
         let mut rng = Rng64::seed_from(seed);

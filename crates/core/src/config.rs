@@ -25,7 +25,9 @@ pub struct SofdaConfig {
     pub steiner: SteinerSolver,
     /// k-stroll solver used for service chains.
     pub stroll: StrollSolver,
-    /// Seed for the randomized components (color coding).
+    /// Seed for randomized components: `sof_sdn`'s distributed SOFDA draws
+    /// its domain partition from it. The centralized solvers and the
+    /// baselines are deterministic and never read it.
     pub seed: u64,
     /// Appendix D: per-source setup cost (`None` = §III's free sources).
     pub source_setup_cost: Option<Cost>,
@@ -85,6 +87,10 @@ pub struct SolveStats {
     /// work count that repeats exactly at any thread count (0 when no
     /// exact search ran).
     pub stroll_nodes: u64,
+    /// k-stroll searches answered by greedy insertion because the solve's
+    /// node budget was spent ([`sof_kstroll::AUTO_NODE_BUDGET`]): while it
+    /// is 0, every chain `StrollSolver::Auto` priced is optimal.
+    pub stroll_handovers: u64,
     /// Conflict-resolution counters (SOFDA only).
     pub conflicts: ConflictStats,
     /// Cost of the intermediate Steiner tree (auxiliary graph for SOFDA,

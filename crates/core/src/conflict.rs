@@ -21,7 +21,7 @@
 //! protect against pathological cascades (never observed in tests; the
 //! paper proves one of the cases always applies).
 
-use crate::Network;
+use crate::{Network, SearchContext};
 use serde::{Deserialize, Serialize};
 use sof_graph::{Cost, NodeId};
 use std::collections::HashMap;
@@ -174,17 +174,24 @@ impl WalkSet {
     }
 
     /// Adds a chain walk, resolving conflicts per Procedure 4; returns the
-    /// stable slot of the (possibly rewritten) walk.
+    /// stable slot of the (possibly rewritten) walk. `search` is the k-stroll
+    /// context of the solve the walk belongs to: a fallback chain is
+    /// searched on it, so every fallback of a solve spends the one budget.
     ///
     /// # Errors
     ///
     /// [`ConflictError::Unresolvable`] when even the fallback cannot place
     /// the chain.
-    pub fn add_walk(&mut self, w: ChainWalk, network: &Network) -> Result<usize, ConflictError> {
+    pub fn add_walk(
+        &mut self,
+        w: ChainWalk,
+        network: &Network,
+        search: &mut SearchContext,
+    ) -> Result<usize, ConflictError> {
         assert_eq!(w.vnf_positions.len(), self.chain_len, "wrong chain length");
         let slot = self.slots.len();
         self.slots.push(None);
-        self.place(slot, w, network, 0)?;
+        self.place(slot, w, network, 0, search)?;
         Ok(slot)
     }
 
@@ -196,6 +203,7 @@ impl WalkSet {
         mut w: ChainWalk,
         network: &Network,
         depth: usize,
+        search: &mut SearchContext,
     ) -> Result<(), ConflictError> {
         const MAX_DEPTH: usize = 64;
         let mut guard = 0usize;
@@ -204,7 +212,7 @@ impl WalkSet {
             guard += 1;
             if guard > 4 * (self.chain_len + 2) || depth > MAX_DEPTH {
                 self.stats.fallbacks += 1;
-                w = self.fallback_chain(&w, network)?;
+                w = self.fallback_chain(&w, network, search)?;
                 break;
             }
             let conflicts = self.conflicts_of(&w);
@@ -249,7 +257,7 @@ impl WalkSet {
         // Re-add displaced walks; they resolve via case 1 against the new
         // prefix (their wanted index at u is smaller than the new label).
         for (dep_slot, dep) in displaced {
-            self.place(dep_slot, dep, network, depth + 1)?;
+            self.place(dep_slot, dep, network, depth + 1, search)?;
         }
         Ok(())
     }
@@ -261,6 +269,7 @@ impl WalkSet {
         &mut self,
         w: &ChainWalk,
         network: &Network,
+        search: &mut SearchContext,
     ) -> Result<ChainWalk, ConflictError> {
         let err = ConflictError::Unresolvable { source: w.source };
         let last = self.chain_len.checked_sub(1);
@@ -280,15 +289,10 @@ impl WalkSet {
             crate::ChainMetric::build(network, w.source, &free, Cost::ZERO).ok_or(err.clone())?;
         // The anchor must stay the same so distribution tails remain valid.
         let target = cm.index_of(w.anchor());
-        let mut rng = sof_graph::Rng64::seed_from(0xFA11_BACC);
         let stroll = match target {
-            Some(t) if t != 0 => sof_kstroll::StrollSolver::Auto.solve(
-                cm.metric(),
-                0,
-                t,
-                self.chain_len + 1,
-                &mut rng,
-            ),
+            Some(t) if t != 0 => {
+                sof_kstroll::StrollSolver::Auto.solve(cm.metric(), 0, t, self.chain_len + 1, search)
+            }
             _ => None,
         };
         let stroll = stroll.ok_or(err)?;
@@ -307,38 +311,6 @@ impl WalkSet {
             .enumerate()
             .filter_map(|(i, w)| w.map(|w| (i, w)))
             .collect()
-    }
-
-    /// Shortens pass-through stretches of every walk with current shortest
-    /// paths (the paper's "the sub-walk … can be shortened" step), keeping
-    /// anchors (source, VNF VMs, last VM) fixed.
-    pub fn shorten_all(&mut self, network: &Network) {
-        for slot in 0..self.slots.len() {
-            let Some(w) = self.slots[slot].clone() else {
-                continue;
-            };
-            let mut anchors = vec![0usize];
-            anchors.extend_from_slice(&w.vnf_positions);
-            if *anchors.last().expect("non-empty") != w.nodes.len() - 1 {
-                anchors.push(w.nodes.len() - 1);
-            }
-            let mut nodes = vec![w.nodes[0]];
-            let mut positions = Vec::with_capacity(w.vnf_positions.len());
-            for a in anchors.windows(2) {
-                let (from, to) = (w.nodes[a[0]], w.nodes[a[1]]);
-                let sp = network.paths().from_source(network.graph(), from);
-                let path = sp.path_to(to).expect("network is connected");
-                nodes.extend_from_slice(&path[1..]);
-                if positions.len() < w.vnf_positions.len() {
-                    positions.push(nodes.len() - 1);
-                }
-            }
-            self.slots[slot] = Some(ChainWalk {
-                source: w.source,
-                nodes,
-                vnf_positions: positions,
-            });
-        }
     }
 }
 
@@ -387,6 +359,11 @@ mod tests {
         net
     }
 
+    /// `add_walk` on a context of its own: no test here reaches a fallback.
+    fn add(set: &mut WalkSet, w: ChainWalk, network: &Network) -> usize {
+        set.add_walk(w, network, &mut SearchContext::new()).unwrap()
+    }
+
     fn walk(src: usize, nodes: &[usize], pos: &[usize]) -> ChainWalk {
         ChainWalk {
             source: NodeId::new(src),
@@ -399,10 +376,8 @@ mod tests {
     fn disjoint_walks_coexist() {
         let network = net();
         let mut set = WalkSet::new(2);
-        set.add_walk(walk(0, &[0, 7, 6], &[1, 2]), &network)
-            .unwrap();
-        set.add_walk(walk(1, &[1, 2, 3], &[1, 2]), &network)
-            .unwrap();
+        add(&mut set, walk(0, &[0, 7, 6], &[1, 2]), &network);
+        add(&mut set, walk(1, &[1, 2, 3], &[1, 2]), &network);
         assert_eq!(set.stats.total(), 0);
         assert_eq!(set.enabled().count(), 4);
     }
@@ -411,11 +386,9 @@ mod tests {
     fn shared_consistent_vms_are_free() {
         let network = net();
         let mut set = WalkSet::new(2);
-        set.add_walk(walk(0, &[0, 7, 6], &[1, 2]), &network)
-            .unwrap();
+        add(&mut set, walk(0, &[0, 7, 6], &[1, 2]), &network);
         // Same placements from another source: no conflict.
-        set.add_walk(walk(1, &[1, 0, 7, 6], &[2, 3]), &network)
-            .unwrap();
+        add(&mut set, walk(1, &[1, 0, 7, 6], &[2, 3]), &network);
         assert_eq!(set.stats.total(), 0);
         assert_eq!(set.enabled().count(), 2);
     }
@@ -425,13 +398,10 @@ mod tests {
         let network = net();
         let mut set = WalkSet::new(2);
         // W1: f1@7, f2@6.
-        set.add_walk(walk(0, &[0, 7, 6], &[1, 2]), &network)
-            .unwrap();
+        add(&mut set, walk(0, &[0, 7, 6], &[1, 2]), &network);
         // W2 wants f1@6 (enabled f2@6): j=0 < i=1 → case 1: W2 adopts W1's
         // prefix through 6 and keeps its own f2@5... but W2's own f2 is at 5.
-        let slot = set
-            .add_walk(walk(1, &[1, 0, 6, 5], &[2, 3]), &network)
-            .unwrap();
+        let slot = add(&mut set, walk(1, &[1, 0, 6, 5], &[2, 3]), &network);
         assert_eq!(set.stats.case1, 1);
         let w2 = set.walk(slot);
         // New W2 = W1 prefix (0,7,6) + suffix (5).
@@ -457,12 +427,10 @@ mod tests {
         let network = net();
         let mut set = WalkSet::new(2);
         // W1: f1@6, f2@5.
-        set.add_walk(walk(0, &[0, 7, 6, 5], &[2, 3]), &network)
-            .unwrap();
+        add(&mut set, walk(0, &[0, 7, 6, 5], &[2, 3]), &network);
         // W2 wants f2@6 (enabled f1@6): j=1 > i=0, no earlier conflict →
         // case 3: W1 is displaced and re-attached to W2's prefix.
-        set.add_walk(walk(1, &[1, 2, 3, 4, 5, 6], &[2, 5]), &network)
-            .unwrap();
+        add(&mut set, walk(1, &[1, 2, 3, 4, 5, 6], &[2, 5]), &network);
         assert!(set.stats.case3 >= 1);
         // All walks consistent afterwards.
         let mut map: HashMap<NodeId, usize> = HashMap::new();

@@ -186,8 +186,11 @@ pub fn destination_join_with(
             });
     } else {
         // One pass over every forest node; the k-stroll closures below
-        // read `d`'s whole tree, so it is computed (and cached) once.
+        // read `d`'s whole tree, so it is computed (and cached) once. Every
+        // attach point's search runs on one context: the join has one node
+        // budget, not one per forest node.
         let sp_from_d = network.paths().from_source(network.graph(), d);
+        let mut search = sof_kstroll::SearchContext::new();
         for (&x, &(f, wi, pos)) in &best_at {
             let remaining = chain_len - f;
             if remaining == 0 {
@@ -236,10 +239,13 @@ pub fn destination_join_with(
                 let metric = sof_kstroll::DenseMetric::from_fn(nodes.len(), |i, j| {
                     closure.dist_between(nodes[i], nodes[j]) + pot[i] + pot[j]
                 });
-                let mut rng = sof_graph::Rng64::seed_from(0xD_E57 ^ d.index() as u64);
-                let Some(stroll) =
-                    sof_kstroll::StrollSolver::Auto.solve(&metric, xi, di, remaining + 2, &mut rng)
-                else {
+                let Some(stroll) = sof_kstroll::StrollSolver::Auto.solve(
+                    &metric,
+                    xi,
+                    di,
+                    remaining + 2,
+                    &mut search,
+                ) else {
                     continue;
                 };
                 let cost = stroll.cost; // potentials of x, d are zero → true cost

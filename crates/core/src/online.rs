@@ -199,6 +199,8 @@ pub struct OnlineStats {
     pub full_solves: usize,
     /// [`crate::SolveStats::stroll_nodes`] summed over those runs.
     pub stroll_nodes: u64,
+    /// [`crate::SolveStats::stroll_handovers`] summed over those runs.
+    pub stroll_handovers: u64,
     /// Arrivals served purely by incremental operations.
     pub incremental_events: usize,
     /// Destinations joined incrementally.
@@ -733,6 +735,7 @@ impl OnlineSession {
                 self.churn_since_solve = 0;
                 self.stats.full_solves += 1;
                 self.stats.stroll_nodes += out.stats.stroll_nodes;
+                self.stats.stroll_handovers += out.stats.stroll_handovers;
                 Ok(())
             }
             Err(e) => {

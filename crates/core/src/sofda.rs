@@ -14,7 +14,7 @@ use crate::{
     ChainMetric, ChainWalk, DestWalk, SearchContext, ServiceForest, SofInstance, SofdaConfig,
     SolveError, SolveOutcome, SolveStats, WalkSet,
 };
-use sof_graph::{Cost, Graph, NodeId, Rng64};
+use sof_graph::{Cost, Graph, NodeId};
 use sof_steiner::SteinerTree;
 use std::collections::{BTreeMap, HashMap};
 
@@ -62,7 +62,6 @@ pub fn solve_sofda(
     let sources = &instance.request.sources;
     let dests = &instance.request.destinations;
     let chain_len = instance.chain_len();
-    let mut rng = Rng64::seed_from(config.seed);
     let mut stats = SolveStats::default();
 
     let n = network.node_count();
@@ -143,7 +142,7 @@ pub fn solve_sofda(
             continue;
         };
         for (target, stroll, chain_cost) in
-            cm.chains_to_all_vms_in(chain_len, config.stroll, &mut rng, &mut search)
+            cm.chains_to_all_vms_in(chain_len, config.stroll, &mut search)
         {
             let u = cm.node(target);
             let (walk, positions) = cm.expand(&stroll);
@@ -152,7 +151,6 @@ pub fn solve_sofda(
             stats.candidate_chains += 1;
         }
     }
-    stats.stroll_nodes = search.nodes();
     if chain_walks.is_empty() {
         return Err(SolveError::Infeasible(
             "no candidate service chain exists".into(),
@@ -215,7 +213,7 @@ pub fn solve_sofda(
             vnf_positions: positions,
         };
         let slot = set
-            .add_walk(cw, network)
+            .add_walk(cw, network, &mut search)
             .map_err(|e| SolveError::Infeasible(e.to_string()))?;
         slot_of.insert(*key, slot);
     }
@@ -223,6 +221,8 @@ pub fn solve_sofda(
     // it is only kept if the *total* cost improves — per-walk shortening
     // here could break cross-walk sharing and regress the union cost.
     stats.conflicts = set.stats;
+    stats.stroll_nodes = search.nodes();
+    stats.stroll_handovers = search.handovers();
 
     // --- Assemble per-destination walks. ----------------------------------
     // Each chain is taken out of the walk set once; all but the last tail
@@ -304,7 +304,7 @@ fn root_tree(aux: &Graph, tree: &SteinerTree, root: NodeId) -> HashMap<NodeId, N
 mod tests {
     use super::*;
     use crate::{solve_sofda_ss, Network, Request, ServiceChain};
-    use sof_graph::{generators, CostRange};
+    use sof_graph::{generators, CostRange, Rng64};
 
     fn random_instance(
         seed: u64,

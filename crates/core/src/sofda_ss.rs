@@ -10,7 +10,7 @@ use crate::{
     ChainMetric, DestWalk, SearchContext, ServiceForest, SofInstance, SofdaConfig, SolveError,
     SolveOutcome, SolveStats,
 };
-use sof_graph::{Cost, Rng64};
+use sof_graph::Cost;
 
 /// Solves the single-source SOF problem (Algorithm 1).
 ///
@@ -55,7 +55,6 @@ pub fn solve_sofda_ss(
     let network = &instance.network;
     let dests = &instance.request.destinations;
     let chain_len = instance.chain_len();
-    let mut rng = Rng64::seed_from(config.seed);
     let mut stats = SolveStats::default();
 
     // |C| = 0: the forest is a plain Steiner tree rooted at the source.
@@ -93,8 +92,9 @@ pub fn solve_sofda_ss(
 
     // One multi-target k-stroll run covers every candidate last VM.
     let mut search = SearchContext::new();
-    let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, &mut rng, &mut search);
+    let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, &mut search);
     stats.stroll_nodes = search.nodes();
+    stats.stroll_handovers = search.handovers();
     if chains.is_empty() {
         return Err(SolveError::Infeasible(
             "no service chain with the demanded length exists".into(),

@@ -167,28 +167,30 @@ impl ChainMetric {
     }
 
     /// Solves the k-stroll for every candidate last VM at once and returns
-    /// `(target index, stroll, true chain cost)` triples.
+    /// `(target index, stroll, true chain cost)` triples. `_rng` is never
+    /// read — no k-stroll solver is randomized; the parameter stays because
+    /// `benchmark/` links this signature.
     pub fn chains_to_all_vms(
         &self,
         chain_len: usize,
         solver: StrollSolver,
-        rng: &mut sof_graph::Rng64,
+        _rng: &mut sof_graph::Rng64,
     ) -> Vec<(usize, Stroll, Cost)> {
-        self.chains_to_all_vms_in(chain_len, solver, rng, &mut SearchContext::new())
+        self.chains_to_all_vms_in(chain_len, solver, &mut SearchContext::new())
     }
 
     /// [`Self::chains_to_all_vms`] on the caller's search context — the one
     /// it passes for every source of the solve it is running. The result
-    /// does not depend on what the context has seen.
+    /// does not depend on what the context has seen while its node budget
+    /// lasts; past it `StrollSolver::Auto` answers with greedy chains.
     pub fn chains_to_all_vms_in(
         &self,
         chain_len: usize,
         solver: StrollSolver,
-        rng: &mut sof_graph::Rng64,
         search: &mut SearchContext,
     ) -> Vec<(usize, Stroll, Cost)> {
         let k = chain_len + 1;
-        let best = solver.solve_all_targets(&self.metric, 0, k, rng, search);
+        let best = solver.solve_all_targets(&self.metric, 0, k, search);
         best.into_iter()
             .enumerate()
             .skip(1) // index 0 is the source itself
@@ -358,8 +360,7 @@ mod tests {
         for chain_len in [2, 3] {
             for s in [4, 0, 5, 4, 3] {
                 let cm = ChainMetric::build(&net, NodeId::new(s), &vms, Cost::new(10.0)).unwrap();
-                let got =
-                    cm.chains_to_all_vms_in(chain_len, StrollSolver::Exact, &mut rng, &mut shared);
+                let got = cm.chains_to_all_vms_in(chain_len, StrollSolver::Exact, &mut shared);
                 assert_eq!(
                     got,
                     cm.chains_to_all_vms(chain_len, StrollSolver::Exact, &mut rng)

@@ -21,7 +21,6 @@
 //!   is closest", which stops at the answer instead of labelling the graph,
 //! * [`MetricClosure`] — pairwise terminal distances with realizing paths,
 //!   optionally engine-backed ([`MetricClosure::with_engine`]),
-//! * [`minimum_spanning_forest`] — Kruskal MST over a [`UnionFind`],
 //! * [`generators`] — deterministic connected random topologies (Erdős–Rényi,
 //!   ring, grid, Waxman, Inet-style power law),
 //! * [`Rng64`] — a seedable xoshiro256** generator so every experiment in the
@@ -54,7 +53,6 @@ pub mod generators;
 mod graph;
 mod ids;
 mod metric;
-mod mst;
 mod queue;
 mod rng;
 mod unionfind;
@@ -66,6 +64,5 @@ pub use generators::CostRange;
 pub use graph::{CostChange, Edge, Graph};
 pub use ids::{EdgeId, NodeId};
 pub use metric::MetricClosure;
-pub use mst::{edge_set_cost, minimum_spanning_forest};
 pub use rng::Rng64;
 pub use unionfind::UnionFind;

@@ -1,12 +1,20 @@
 //! Exact k-stroll via branch-and-bound depth-first search, pruned by one
 //! lower bound: the cost-to-go table of [`SearchContext`].
 
-use crate::{DenseMetric, Stroll};
+use crate::{greedy_stroll, DenseMetric, Stroll};
 use sof_graph::Cost;
 
-/// Upper bound on the DFS search-space estimate accepted by
-/// [`estimated_work`]-guarded callers (the `Auto` solver).
-pub const AUTO_EXACT_WORK_LIMIT: f64 = 5e6;
+/// DFS nodes the [`crate::StrollSolver::Auto`] searches of one
+/// [`SearchContext`] — one solve with its conflict fallbacks, or one
+/// full-search join — may expand before the rest are answered by
+/// [`greedy_stroll`]. Measured, not estimated (`docs/METRICS.md`, "Which
+/// search runs"): the worst solve over the full axes of the paper's
+/// Figs. 8–11 expands 9.3 M nodes, and with every axis at its far end at
+/// once (26 sources, 10 destinations, 45 VMs, chain of 7) 41.6 M (eNEMP;
+/// SOFDA 26.9 M), so the paper's whole parameter range is searched exactly
+/// with 4× to spare, and an operation far outside it costs 1.6–2.8 s of
+/// search in a release build before greedy takes over.
+pub const AUTO_NODE_BUDGET: u64 = 180_000_000;
 
 /// Relative slack `δ` of the prune test, see [`SearchContext`]: the table
 /// sums a completion right to left, the search sums the same hops left to
@@ -14,19 +22,6 @@ pub const AUTO_EXACT_WORK_LIMIT: f64 = 5e6;
 /// under `2k` ulps apart (`k · 2.3e-16`). `1e-12` covers any chain this
 /// crate can search and is far below any difference the cost model makes.
 const DELTA: f64 = 1e-12;
-
-/// Estimates the unpruned DFS node count for an instance.
-pub fn estimated_work(n: usize, k: usize) -> f64 {
-    if k < 2 {
-        return 1.0;
-    }
-    let interior = k - 2;
-    let mut work = 1.0f64;
-    for i in 0..interior {
-        work *= (n.saturating_sub(2 + i)) as f64;
-    }
-    work
-}
 
 /// Finds the **minimum-cost** simple path from `source` to `target` visiting
 /// exactly `k` distinct nodes, by exhaustive search with cost pruning.
@@ -88,6 +83,18 @@ pub fn exact_all_targets(metric: &DenseMetric, source: usize, k: usize) -> Vec<O
 /// Procedure-1 metric over one VM set. The context checks that agreement
 /// itself (one `n²` comparison per call) and starts over when it fails: a
 /// foreign metric costs a rebuild, never a wrong answer.
+///
+/// **The budget.** [`SearchContext::stroll`] and
+/// [`SearchContext::all_targets`] search to the end whatever it costs: they
+/// are the reference. [`crate::StrollSolver::Auto`] runs the same search —
+/// same order, same bound, same strict-`<` rule, so the same stroll bit for
+/// bit — while [`SearchContext::nodes`] is below [`AUTO_NODE_BUDGET`]. The
+/// search that reaches it stops expanding (the count can pass the budget by
+/// the leaves of one expansion, fewer than `n`) and answers with the
+/// cheaper of its incumbent and [`greedy_stroll`]; every later budgeted
+/// search on the context answers with `greedy_stroll` and builds no column.
+/// The counter is never reset — not by a foreign metric either — so one
+/// context is one operation's allowance.
 #[derive(Debug)]
 pub struct SearchContext {
     /// Size, source index and entries of the metric the tables below were
@@ -105,6 +112,11 @@ pub struct SearchContext {
     path: Vec<usize>,
     /// DFS nodes expanded since construction.
     nodes: u64,
+    /// The `nodes` count at which the call in flight stops expanding:
+    /// [`AUTO_NODE_BUDGET`] under `Auto`, `u64::MAX` for a reference search.
+    limit: u64,
+    /// Searches answered by greedy because `nodes` had reached their limit.
+    handovers: u64,
     /// `1 − DELTA`; a field so a test can show what its sign protects.
     slack: f64,
 }
@@ -127,6 +139,8 @@ impl SearchContext {
             used: Vec::new(),
             path: Vec::with_capacity(8),
             nodes: 0,
+            limit: u64::MAX,
+            handovers: 0,
             slack: 1.0 - DELTA,
         }
     }
@@ -138,6 +152,13 @@ impl SearchContext {
         self.nodes
     }
 
+    /// Budgeted searches this context answered with [`greedy_stroll`]
+    /// because its node budget was spent: 0 means every stroll it returned
+    /// is optimal.
+    pub fn handovers(&self) -> u64 {
+        self.handovers
+    }
+
     /// [`exact_stroll`] on this context.
     pub fn stroll(
         &mut self,
@@ -146,10 +167,7 @@ impl SearchContext {
         target: usize,
         k: usize,
     ) -> Option<Stroll> {
-        without_search(metric, source, target, k).unwrap_or_else(|| {
-            self.adopt(metric, source);
-            self.search(metric, target, k)
-        })
+        self.stroll_until(u64::MAX, metric, source, target, k)
     }
 
     /// [`exact_all_targets`] on this context.
@@ -159,11 +177,41 @@ impl SearchContext {
         source: usize,
         k: usize,
     ) -> Vec<Option<Stroll>> {
+        self.all_targets_until(u64::MAX, metric, source, k)
+    }
+
+    /// [`Self::stroll`] while `nodes() < limit`, [`greedy_stroll`] from
+    /// there on (see the type's docs, "The budget").
+    pub(crate) fn stroll_until(
+        &mut self,
+        limit: u64,
+        metric: &DenseMetric,
+        source: usize,
+        target: usize,
+        k: usize,
+    ) -> Option<Stroll> {
+        without_search(metric, source, target, k).unwrap_or_else(|| {
+            self.adopt(metric, source);
+            self.limit = limit;
+            self.search(metric, target, k)
+        })
+    }
+
+    /// [`Self::all_targets`] while `nodes() < limit`, [`greedy_stroll`]
+    /// from there on.
+    pub(crate) fn all_targets_until(
+        &mut self,
+        limit: u64,
+        metric: &DenseMetric,
+        source: usize,
+        k: usize,
+    ) -> Vec<Option<Stroll>> {
         let n = metric.len();
         // Exactly the `k`s for which some target needs a search.
         if source < n && (3..=n).contains(&k) {
             self.adopt(metric, source);
         }
+        self.limit = limit;
         (0..n)
             .map(|t| {
                 without_search(metric, source, t, k).unwrap_or_else(|| self.search(metric, t, k))
@@ -235,8 +283,31 @@ impl SearchContext {
         }
     }
 
-    /// One `(target, k)` search on the adopted metric, `k ≥ 3`.
+    /// One `(target, k)` answer on the adopted metric, `k ≥ 3`: the optimum
+    /// when the search ends with `nodes < limit`, else the cheaper of what
+    /// it found and [`greedy_stroll`].
     fn search(&mut self, metric: &DenseMetric, target: usize, k: usize) -> Option<Stroll> {
+        // Nothing is built for a search that may not expand its root.
+        let mut found = None;
+        if self.nodes < self.limit {
+            found = self.exhaust(metric, target, k);
+            if self.nodes < self.limit {
+                return found;
+            }
+        }
+        // Spent before this search or under it: what it found, if anything,
+        // is a stroll but not known to be the cheapest.
+        self.handovers += 1;
+        let greedy = greedy_stroll(metric, self.source, target, k);
+        match (found, greedy) {
+            (Some(f), Some(g)) => Some(if g.cost < f.cost { g } else { f }),
+            (f, g) => f.or(g),
+        }
+    }
+
+    /// The DFS for one `(target, k)`, from the root until it is exhausted
+    /// or `nodes` reaches `limit`; returns its incumbent.
+    fn exhaust(&mut self, metric: &DenseMetric, target: usize, k: usize) -> Option<Stroll> {
         let source = self.source;
         // The deepest node that can be cut has `k - 3` interior nodes still
         // to place (the root has no incumbent to be cut against).
@@ -264,9 +335,9 @@ impl SearchContext {
         cur_cost: Cost,
         best: &mut Option<(Cost, Vec<usize>)>,
     ) {
-        self.nodes += 1;
         let cur = *self.path.last().expect("path never empty");
         if remaining == 0 {
+            self.nodes += 1;
             let total = cur_cost + metric.cost(cur, target);
             if best.as_ref().is_none_or(|(b, _)| total < *b) {
                 let mut nodes = self.path.clone();
@@ -275,6 +346,15 @@ impl SearchContext {
             }
             return;
         }
+        // The budget is tested where a node has children to place, not at
+        // the leaves, which are most nodes (testing there too read +1 % on
+        // `oneshot-kstroll`): once it is spent no interior node is counted,
+        // so `nodes` passes `limit` by at most the leaves of the one
+        // expansion in flight.
+        if self.nodes >= self.limit {
+            return;
+        }
+        self.nodes += 1;
         // The one prune test; see `SearchContext` for why it cuts no leaf
         // that could strictly beat the incumbent.
         if let Some((b, _)) = best {
@@ -367,13 +447,6 @@ mod tests {
         assert!(exact_stroll(&m, 0, 0, 2).is_none()); // s == t, k != 1
         assert!(exact_stroll(&m, 0, 2, 1).is_none()); // k < 2, s != t
         assert_eq!(exact_stroll(&m, 1, 1, 1).unwrap().nodes, vec![1]);
-    }
-
-    #[test]
-    fn work_estimate_grows() {
-        assert_eq!(estimated_work(10, 2), 1.0);
-        assert_eq!(estimated_work(10, 3), 8.0);
-        assert_eq!(estimated_work(10, 4), 8.0 * 7.0);
     }
 
     #[test]
@@ -544,6 +617,109 @@ mod tests {
                 "case {case}: columns were rebuilt"
             );
         }
+    }
+
+    /// Integer costs 2…4 on even cases, points in the unit square on odd
+    /// ones: both respect the triangle inequality, which `greedy_stroll`'s
+    /// insertion deltas assume (`tie_stress` does not).
+    fn metric_for(case: usize, rng: &mut Rng64, n: usize) -> DenseMetric {
+        if case.is_multiple_of(2) {
+            return DenseMetric::symmetric_from_fn(n, |_, _| Cost::new((2 + rng.below(3)) as f64));
+        }
+        let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.next_f64(), rng.next_f64())).collect();
+        DenseMetric::symmetric_from_fn(n, |i, j| {
+            Cost::new((pts[i].0 - pts[j].0).hypot(pts[i].1 - pts[j].1))
+        })
+    }
+
+    /// What every budgeted answer must hold; returns the answers and how
+    /// many of them beat greedy outright.
+    fn check_budgeted(
+        ctx: &mut SearchContext,
+        budget: u64,
+        m: &DenseMetric,
+        source: usize,
+        k: usize,
+    ) -> (Vec<Option<Stroll>>, usize) {
+        let all = ctx.all_targets_until(budget, m, source, k);
+        // Past the budget by the leaves of one expansion at most.
+        assert!(ctx.nodes() < budget + m.len() as u64, "{}", ctx.nodes());
+        let mut beat_greedy = 0;
+        for (t, got) in all.iter().enumerate() {
+            let greedy = greedy_stroll(m, source, t, k);
+            assert_eq!(got.is_some(), greedy.is_some(), "target {t}");
+            if let (Some(got), Some(greedy)) = (got, greedy) {
+                got.validate(m, source, t, k).unwrap();
+                assert!(got.cost <= greedy.cost, "target {t}: {got:?} vs {greedy:?}");
+                beat_greedy += usize::from(got.cost < greedy.cost);
+            }
+        }
+        (all, beat_greedy)
+    }
+
+    #[test]
+    fn a_spent_budget_hands_over_to_greedy_and_stays_spent() {
+        // Small budgets on metrics an exact search needs thousands of nodes
+        // for. Fails when `dfs` never tests the budget (`nodes()` runs past
+        // it and nothing is handed over), and when a search the budget cut
+        // short returns its incumbent without comparing greedy (the
+        // incumbent after a few nodes is the nearest-neighbour path, which
+        // greedy's local search beats).
+        let mut rng = Rng64::seed_from(0xB0D6E7);
+        let (mut spent, mut beat_greedy) = (0, 0);
+        for case in 0..120 {
+            let n = 9 + case % 6;
+            let m = metric_for(case, &mut rng, n);
+            let (source, k) = (rng.below(n), 5 + case % 3);
+            let budget = [0, 1, 6, 60, 2_000, 200_000][case % 6];
+            let mut ctx = SearchContext::new();
+            let (all, beat) = check_budgeted(&mut ctx, budget, &m, source, k);
+            beat_greedy += beat;
+
+            // The same calls in the same order spend it at the same node.
+            let mut again = SearchContext::new();
+            assert_eq!(again.all_targets_until(budget, &m, source, k), all);
+            assert_eq!(
+                (again.nodes(), again.handovers()),
+                (ctx.nodes(), ctx.handovers())
+            );
+
+            if ctx.nodes() < budget {
+                assert_eq!(ctx.handovers(), 0, "case {case}");
+                assert_eq!(all, exact_all_targets(&m, source, k));
+                continue;
+            }
+            spent += 1;
+            assert!(ctx.handovers() > 0, "case {case}");
+
+            // Spent is sticky: a foreign metric restarts the tables, not
+            // the count, and every budgeted search on it is greedy's.
+            let other = metric_for(case + 1, &mut rng, n + 1);
+            let (spent_at, before) = (ctx.nodes(), ctx.handovers());
+            let (got, _) = check_budgeted(&mut ctx, budget, &other, 0, k);
+            for (t, got) in got.iter().enumerate() {
+                assert_eq!(
+                    *got,
+                    greedy_stroll(&other, 0, t, k),
+                    "case {case} target {t}"
+                );
+            }
+            assert_eq!(ctx.handovers() - before, n as u64, "case {case}");
+            assert_eq!(ctx.nodes(), spent_at);
+            assert!(
+                ctx.togo.iter().all(Vec::is_empty),
+                "a spent budget built a column"
+            );
+            // The reference search on the same context is not budgeted.
+            assert_eq!(
+                ctx.all_targets(&other, 0, k),
+                exact_all_targets(&other, 0, k)
+            );
+            assert!(ctx.nodes() > spent_at);
+        }
+        // 100 of the 120 cases and 127 answers when this was written.
+        assert!(spent >= 60, "only {spent} cases spent their budget");
+        assert!(beat_greedy > 50, "only {beat_greedy} answers beat greedy");
     }
 
     #[test]

@@ -1083,6 +1083,7 @@ fn run_single_group(
         t.leaves = st.leaves;
         t.fallbacks = st.fallbacks;
         t.stroll_nodes = st.stroll_nodes;
+        t.stroll_handovers = st.stroll_handovers;
         let eng = session.instance().network.paths().stats();
         t.engine_hits = eng.hits;
         t.engine_misses = eng.misses;

@@ -414,6 +414,13 @@ mod tests {
         }
         let err = ScenarioSpec::from_json("[1]").unwrap_err();
         assert_eq!(err.to_string(), "expected a table, found array");
+        // The retired solver's spec value is an unknown name like any other.
+        let src = "name = \"m\"\nsofda = { stroll = \"color-coding:12\" }\n\
+                   [workload]\nkind = \"churn-at-scale\"\n";
+        assert_eq!(
+            ScenarioSpec::from_toml(src).unwrap_err().to_string(),
+            "'sofda.stroll': unknown stroll solver 'color-coding:12' (expected exact, greedy, or auto)"
+        );
     }
 
     #[test]

@@ -135,6 +135,9 @@ pub struct OnlineSolverStats {
     /// the full solves (deterministic, but reported with the work counters
     /// below, behind the timing gate).
     pub stroll_nodes: u64,
+    /// Lifetime counter: k-stroll searches those solves' node budgets
+    /// handed to greedy insertion (0 = every chain priced was optimal).
+    pub stroll_handovers: u64,
     /// `PathEngine` counter: trees served straight from the cache.
     pub engine_hits: u64,
     /// `PathEngine` counter: trees built by a full Dijkstra.
@@ -403,7 +406,7 @@ pub fn write_jsonl(report: &RunReport, timings: bool) -> String {
                     // deterministic golden stream. `stroll_nodes` repeats
                     // exactly but is a work measurement like them, and rides
                     // with them so no golden gains a line.
-                    let counters: [(&str, f64, bool); 15] = [
+                    let counters: [(&str, f64, bool); 16] = [
                         ("full_solves", s.full_solves as f64, false),
                         ("incremental_events", s.incremental_events as f64, false),
                         ("joins", s.joins as f64, false),
@@ -414,6 +417,7 @@ pub fn write_jsonl(report: &RunReport, timings: bool) -> String {
                         ("solve_n", s.solve_n as f64, false),
                         ("inc_n", s.inc_n as f64, false),
                         ("stroll_nodes", s.stroll_nodes as f64, true),
+                        ("stroll_handovers", s.stroll_handovers as f64, true),
                         ("engine_hits", s.engine_hits as f64, true),
                         ("engine_misses", s.engine_misses as f64, true),
                         ("engine_stale", s.engine_stale as f64, true),

@@ -896,32 +896,21 @@ fn parse_steiner(name: &str) -> Result<SteinerSolver, String> {
     }
 }
 
-fn stroll_name(s: &StrollSolver) -> String {
+fn stroll_name(s: &StrollSolver) -> &'static str {
     match s {
-        StrollSolver::Exact => "exact".into(),
-        StrollSolver::Greedy => "greedy".into(),
-        StrollSolver::Auto => "auto".into(),
-        StrollSolver::ColorCoding { trials } => format!("color-coding:{trials}"),
+        StrollSolver::Exact => "exact",
+        StrollSolver::Greedy => "greedy",
+        StrollSolver::Auto => "auto",
     }
 }
 
 fn parse_stroll(name: &str) -> Result<StrollSolver, String> {
-    let lower = name.to_ascii_lowercase();
-    if let Some(trials) = lower.strip_prefix("color-coding:") {
-        return match trials.parse() {
-            Ok(0) => Err("color-coding needs at least one trial".into()),
-            Ok(trials) => Ok(StrollSolver::ColorCoding { trials }),
-            Err(_) => Err(format!(
-                "invalid color-coding trial count in '{name}' (expected color-coding:N)"
-            )),
-        };
-    }
-    match lower.as_str() {
+    match name.to_ascii_lowercase().as_str() {
         "exact" => Ok(StrollSolver::Exact),
         "greedy" => Ok(StrollSolver::Greedy),
         "auto" => Ok(StrollSolver::Auto),
         other => Err(format!(
-            "unknown stroll solver '{other}' (expected exact, greedy, color-coding:N, or auto)"
+            "unknown stroll solver '{other}' (expected exact, greedy, or auto)"
         )),
     }
 }

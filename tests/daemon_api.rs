@@ -594,3 +594,50 @@ fn every_wire_integer_is_capped() {
     drop(c); // an idle keep-alive connection holds `stop` for its read timeout
     handle.stop();
 }
+
+/// Chains inside the wire caps that no exact search finishes: what bounds
+/// the work of a `chain_len` / `vm_count` is the k-stroll search's node
+/// budget, not a table sized from the body. Each create is a 200 with a
+/// forest — a create with its conflict fallbacks spends one budget and
+/// prices the rest of its chains greedily — and a later join answers too.
+/// Before the budget the first body ended the test process (the
+/// color coding fallback asked for `2^31 · 61` table entries: `memory
+/// allocation of 1047972020224 bytes failed`, which `catch_unwind` never
+/// sees) and chains of 63 and 64 tripped its `assert!((1..=63).contains(&k))`
+/// and were answered 500. Fails when `dfs` never tests the budget: the
+/// first create outlives the client's timeout.
+#[test]
+fn long_chains_inside_the_caps_embed_on_a_budget() {
+    let handle = start(ServerConfig::default());
+    // A debug build takes 15–20 s to spend a budget.
+    let mut c = Client::new(handle.addr()).with_timeout(Duration::from_secs(60));
+    let (status, body) = c
+        .request(
+            "POST",
+            "/v1/topologies",
+            r#"{"name":"c","topology":"cogent"}"#,
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    for (chain_len, vm_count) in [(30, 60), (63, 100), (64, 100)] {
+        let request = format!(
+            r#"{{"topology":"c","sources":[0,1],"destinations":[5,9,17],"chain_len":{chain_len},"vm_count":{vm_count}}}"#
+        );
+        let (status, body) = c.request("POST", "/v1/sessions", &request).unwrap();
+        assert_eq!(status, 200, "chain_len {chain_len}: {body}");
+        let cost: f64 = forest_cost(&body).parse().expect("a number");
+        assert!(
+            cost.is_finite() && cost > 0.0,
+            "chain_len {chain_len}: {body}"
+        );
+        healthz_on_a_fresh_connection(&handle);
+    }
+    let (status, body) = c
+        .request("POST", "/v1/sessions/1/join", r#"{"destination":23}"#)
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(forest_cost(&body).parse::<f64>().is_ok(), "{body}");
+    healthz_on_a_fresh_connection(&handle);
+    drop(c); // an idle keep-alive connection holds `stop` for its read timeout
+    handle.stop();
+}

@@ -240,3 +240,53 @@ fn stroll_nodes_are_exact_and_under_their_ceiling() {
         "{total} DFS nodes, measured {MEASURED} when the bound landed"
     );
 }
+
+/// Why a chain is, or is not, optimal: `SolveStats::stroll_handovers`
+/// counts the k-stroll searches a solve's node budget handed to greedy
+/// insertion. It is 0 on every solve of Fig. 9's chain axis (Cogent, paper
+/// defaults, chains of 3…7 at seed 2000 — the long end is where the old
+/// work estimate gave up on the exact search), so those chains are
+/// optimal; a chain of 12 spends the budget, hands the rest over, and
+/// still embeds. Both counters repeat exactly at any thread
+/// count. Fails when `dfs` never tests the budget (the chain-12 solve
+/// does not return in this test's lifetime) and when a spent context
+/// keeps searching instead of handing over.
+#[test]
+fn stroll_handovers_are_zero_on_the_paper_axis_and_count_past_the_budget() {
+    let topo = cogent();
+    let instances: Vec<SofInstance> = [3, 4, 5, 6, 7, 12]
+        .into_iter()
+        .map(|chain_len| {
+            let mut p = ScenarioParams::paper_defaults().with_seed(2000);
+            p.chain_len = chain_len;
+            build_instance(&topo, &p)
+        })
+        .collect();
+    let stats_at = |threads: usize| -> Vec<(u64, u64, u64)> {
+        sof::par::par_map_indexed(&instances, threads, |_, inst| {
+            let out = solve_sofda(inst, &SofdaConfig::default()).unwrap();
+            out.forest.validate(inst).unwrap();
+            (
+                out.stats.stroll_nodes,
+                out.stats.stroll_handovers,
+                out.cost.total().value().to_bits(),
+            )
+        })
+        .unwrap()
+    };
+    let serial = stats_at(1);
+    assert_eq!(stats_at(4), serial);
+    let (paper, long) = serial.split_at(5);
+    for (chain_len, &(nodes, handovers, _)) in (3..).zip(paper) {
+        assert!(
+            nodes > 0 && nodes < sof::kstroll::AUTO_NODE_BUDGET / 4,
+            "chain {chain_len}: {nodes} nodes"
+        );
+        assert_eq!(handovers, 0, "chain {chain_len}");
+    }
+    // Spent to within the leaves of the one expansion in flight (25 VMs).
+    let (nodes, handovers, _) = long[0];
+    let past = nodes.checked_sub(sof::kstroll::AUTO_NODE_BUDGET);
+    assert!(past.is_some_and(|p| p < 25), "{nodes} nodes");
+    assert!(handovers > 0);
+}

@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 use sof::core::{solve_sofda, Network, Request, ServiceChain, SofInstance, SofdaConfig};
 use sof::graph::{generators, Cost, CostRange, EdgeId, Graph, NodeId, Rng64};
-use sof::kstroll::{exact_all_targets, exact_stroll, greedy_stroll, DenseMetric};
+use sof::kstroll::{
+    exact_all_targets, exact_stroll, greedy_stroll, DenseMetric, SearchContext, StrollSolver,
+};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -765,6 +767,55 @@ proptest! {
                 "kind {kind} n {n} k {k} source {source} target {t}: {got:?} vs {expect:?}"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// While its node budget lasts `StrollSolver::Auto` *is* the exact
+    /// search: the same strolls (nodes and cost bits) and the same DFS node
+    /// count as `StrollSolver::Exact`, for every target at once on contexts
+    /// shared across two sources and for one target on private ones, on
+    /// Euclidean metrics and on integer ones full of ties. Fails when
+    /// `Auto` hands over before its budget is reached (searching until a
+    /// node count of 0 answers with greedy strolls and expands nothing) or
+    /// searches in any other order than the reference.
+    #[test]
+    fn auto_kstroll_is_the_exact_search_while_its_budget_lasts(
+        seed in 0u64..100_000,
+        n in 3usize..15,
+        k in 1usize..8,
+    ) {
+        let mut rng = Rng64::seed_from(seed);
+        let m = if seed.is_multiple_of(2) {
+            let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.next_f64(), rng.next_f64())).collect();
+            DenseMetric::symmetric_from_fn(n, |i, j| {
+                Cost::new((pts[i].0 - pts[j].0).hypot(pts[i].1 - pts[j].1))
+            })
+        } else {
+            DenseMetric::symmetric_from_fn(n, |_, _| Cost::new((1 + rng.below(4)) as f64))
+        };
+        let bits = |all: &[Option<sof::kstroll::Stroll>]| -> Vec<Option<(Vec<usize>, u64)>> {
+            all.iter()
+                .map(|s| s.as_ref().map(|s| (s.nodes.clone(), s.cost.value().to_bits())))
+                .collect()
+        };
+        let (mut auto, mut exact) = (SearchContext::new(), SearchContext::new());
+        for source in [rng.below(n), rng.below(n)] {
+            let got = StrollSolver::Auto.solve_all_targets(&m, source, k, &mut auto);
+            let want = StrollSolver::Exact.solve_all_targets(&m, source, k, &mut exact);
+            prop_assert!(bits(&got) == bits(&want), "n {n} k {k} source {source}");
+            prop_assert_eq!(auto.nodes(), exact.nodes());
+
+            let target = rng.below(n);
+            let (mut auto, mut exact) = (SearchContext::new(), SearchContext::new());
+            let single = StrollSolver::Auto.solve(&m, source, target, k, &mut auto);
+            prop_assert!(bits(&[single]) == bits(&want[target..=target]), "target {target}");
+            StrollSolver::Exact.solve(&m, source, target, k, &mut exact);
+            prop_assert_eq!((auto.nodes(), auto.handovers()), (exact.nodes(), 0));
+        }
+        prop_assert_eq!(auto.handovers(), 0);
     }
 }
 

@@ -19,7 +19,7 @@ title = "every key of every table"
 description = "a maximal spec"
 topology = { name = "inet", nodes = 6000, links = 13000, dcs = 50, seed = 9 }
 params = { vm_count = 9, sources = 3, destinations = 4, chain_len = 2, setup_scale = 1.5 }
-sofda = { steiner = "kmb", stroll = "color-coding:12", shorten = false, source_setup_cost = 0.5 }
+sofda = { steiner = "kmb", stroll = "greedy", shorten = false, source_setup_cost = 0.5 }
 online = { drift = 1.5, drift_policy = "cost", reroute_every = 4, join = "full-search", link_capacity = 80.0, vm_capacity = 4.0 }
 "#;
 
