@@ -18,7 +18,7 @@ use std::fmt;
 /// assert_eq!(config.seed, 7);
 /// assert_eq!(config.steiner, SteinerSolver::Mehlhorn);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SofdaConfig {
     /// Steiner solver used for the distribution trees / auxiliary graph
     /// (`ρST = 2` for the approximations).
@@ -174,11 +174,11 @@ mod tests {
     fn builder_chains() {
         let c = SofdaConfig::default()
             .with_seed(1)
-            .with_steiner(SteinerSolver::Kmb)
+            .with_steiner(SteinerSolver::TakahashiMatsuyama)
             .with_stroll(StrollSolver::Greedy)
             .with_source_setup_cost(Cost::new(3.0));
         assert_eq!(c.seed, 1);
-        assert_eq!(c.steiner, SteinerSolver::Kmb);
+        assert_eq!(c.steiner, SteinerSolver::TakahashiMatsuyama);
         assert_eq!(c.stroll, StrollSolver::Greedy);
         assert_eq!(c.source_cost(), Cost::new(3.0));
         assert_eq!(SofdaConfig::default().source_cost(), Cost::ZERO);

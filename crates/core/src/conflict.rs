@@ -22,7 +22,6 @@
 //! paper proves one of the cases always applies).
 
 use crate::{Network, SearchContext};
-use serde::{Deserialize, Serialize};
 use sof_graph::{Cost, NodeId};
 use std::collections::HashMap;
 use std::fmt;
@@ -56,7 +55,7 @@ impl ChainWalk {
 }
 
 /// Counters describing which resolution paths fired.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConflictStats {
     /// Conflicts resolved by attaching the new walk at the conflict VM.
     pub case1: usize,

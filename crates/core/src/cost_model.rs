@@ -2,7 +2,6 @@
 //! the online load tracker driving Fig. 12.
 
 use crate::{Network, ServiceForest};
-use serde::{Deserialize, Serialize};
 use sof_graph::{Cost, EdgeId, NodeId};
 
 /// Piecewise-linear convex cost of carrying load `l` on a resource of
@@ -53,7 +52,7 @@ pub fn fortz_thorup(load: f64, capacity: f64) -> Cost {
 /// each accepted request adds its demand to every link its forest uses
 /// (once per chain segment, mirroring the bandwidth actually consumed) and
 /// one unit of work to every enabled VM.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LoadTracker {
     edge_load: Vec<f64>,
     edge_capacity: Vec<f64>,

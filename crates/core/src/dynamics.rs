@@ -63,7 +63,7 @@ pub fn destination_leave(
 }
 
 /// How [`destination_join_with`] searches for an attach point.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum JoinStrategy {
     /// Consider every forest node, including ones mid-chain (the remaining
     /// VNFs are completed by a fresh k-stroll over free VMs). Finds the

@@ -1,7 +1,6 @@
 //! Service overlay forest representation, cost accounting and validation.
 
 use crate::{Network, SofInstance};
-use serde::{Deserialize, Serialize};
 use sof_graph::{Cost, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -11,7 +10,7 @@ use std::fmt;
 /// `vnf_positions[i]` is the index into `nodes` of the VM running the
 /// `i`-th VNF (0-based). A walk may revisit nodes — the paper's node-cloning
 /// semantics — but each VNF position is distinct.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DestWalk {
     /// The destination served by this walk.
     pub destination: NodeId,
@@ -121,7 +120,7 @@ impl fmt::Display for ForestError {
 impl std::error::Error for ForestError {}
 
 /// Setup + connection cost of a forest (the paper's objective).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ForestCost {
     /// Total setup cost of enabled VMs.
     pub setup: Cost,
@@ -149,7 +148,7 @@ impl fmt::Display for ForestCost {
 }
 
 /// Aggregate statistics of a forest.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ForestStats {
     /// Number of distinct sources used (= number of service trees).
     pub trees: usize,
@@ -169,7 +168,7 @@ pub struct ForestStats {
 /// that segment is charged once (`τ_{f,u,v}`); enabled VMs are charged their
 /// setup cost once (`σ_{f,u}`). Revisiting a link in another segment pays
 /// again — the "cloned node" semantics of §III.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServiceForest {
     /// Chain length `|C|`.
     pub chain_len: usize,

@@ -1,11 +1,10 @@
 //! Problem instance model: network, service chain, request.
 
-use serde::{Deserialize, Serialize};
 use sof_graph::{Cost, Graph, NodeId, PathEngine};
 use std::fmt;
 
 /// Role of a network node (§III of the paper: `V = M ∪ U`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A switch / router; setup cost is always 0.
     #[default]
@@ -59,20 +58,18 @@ impl std::error::Error for InstanceError {}
 /// assert_eq!(net.vms(), vec![NodeId::new(1)]);
 /// assert_eq!(net.node_cost(NodeId::new(1)), Cost::new(5.0));
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Network {
     graph: Graph,
     kinds: Vec<NodeKind>,
     costs: Vec<Cost>,
     /// Memoizing shortest-path service for this network's graph. Shared by
-    /// clones (an `Arc` handle), skipped by serde (a deserialized network
-    /// starts cold). Every shortest-path consumer in the workspace — the
-    /// §VII-C dynamics, walk shortening, conflict resolution, the chain
-    /// metric and the baselines — queries it instead of running throwaway
+    /// clones (an `Arc` handle). Every shortest-path consumer in the
+    /// workspace — the §VII-C dynamics, walk shortening, conflict resolution,
+    /// the chain metric and the baselines — queries it instead of throwaway
     /// Dijkstras, so a standing network (e.g. an `OnlineSession`) keeps its
     /// trees warm across operations. Graph mutations invalidate lazily via
     /// [`Graph::cost_epoch`].
-    #[serde(skip, default)]
     paths: PathEngine,
 }
 
@@ -247,7 +244,7 @@ impl Network {
 /// assert_eq!(chain.len(), 2);
 /// assert_eq!(chain.name(1), "watermark");
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceChain {
     names: Vec<String>,
 }
@@ -298,7 +295,7 @@ impl ServiceChain {
 
 /// A multicast request: sources holding the content, destinations demanding
 /// it, and the VNF chain each destination's copy must traverse.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Request {
     /// Candidate sources `S`.
     pub sources: Vec<NodeId>,
@@ -320,7 +317,7 @@ impl Request {
 }
 
 /// A complete, validated SOF problem instance.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SofInstance {
     /// The physical network.
     pub network: Network,

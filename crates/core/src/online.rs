@@ -72,13 +72,12 @@ use crate::faults::{Element, Faults, FAILED_COST};
 use crate::{
     fortz_thorup, LoadTracker, Request, ServiceForest, SofInstance, SofdaConfig, SolveError, Solver,
 };
-use serde::{Deserialize, Serialize};
 use sof_graph::{Cost, EdgeId, NodeId};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// How the session re-embeds when the served group changes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EmbedMode {
     /// Re-run the solver from scratch on every arrival (the seed behavior
     /// of Fig. 12; the comparison baseline).
@@ -90,7 +89,7 @@ pub enum EmbedMode {
 }
 
 /// What "drift" means for the full-rebuild fallback.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DriftPolicy {
     /// Rebuild once the destinations churned since the last full solve
     /// reach `rebuild_drift × |D|` — cheap bookkeeping, but blind to how
@@ -130,7 +129,7 @@ impl DriftPolicy {
 }
 
 /// Tuning knobs for an [`OnlineSession`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OnlineConfig {
     /// Re-embedding strategy.
     pub mode: EmbedMode,

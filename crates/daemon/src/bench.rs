@@ -4,7 +4,8 @@
 //! p50/p99 latency (the `BENCH_8` trajectory entry).
 
 use crate::client::Client;
-use sof_spec::value::json_f64;
+use sof_spec::field::put;
+use sof_spec::value::{parse_json, write_json, Value};
 use std::io;
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -50,17 +51,20 @@ pub struct BenchReport {
 impl BenchReport {
     /// The report as one JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"connections\":{},\"requests\":{},\"errors\":{},\"wall_ms\":{},\
-             \"requests_per_sec\":{},\"p50_ms\":{},\"p99_ms\":{}}}",
-            self.connections,
-            self.requests,
-            self.errors,
-            json_f64((self.wall_ms * 10.0).round() / 10.0),
-            json_f64((self.requests_per_sec * 10.0).round() / 10.0),
-            json_f64((self.p50_ms * 1000.0).round() / 1000.0),
-            json_f64((self.p99_ms * 1000.0).round() / 1000.0),
-        )
+        let rounded = |x: f64, unit: f64| (x * unit).round() / unit;
+        let mut v = Value::table();
+        put(&mut v, "connections", &self.connections);
+        put(&mut v, "requests", &self.requests);
+        put(&mut v, "errors", &self.errors);
+        put(&mut v, "wall_ms", &rounded(self.wall_ms, 10.0));
+        put(
+            &mut v,
+            "requests_per_sec",
+            &rounded(self.requests_per_sec, 10.0),
+        );
+        put(&mut v, "p50_ms", &rounded(self.p50_ms, 1000.0));
+        put(&mut v, "p99_ms", &rounded(self.p99_ms, 1000.0));
+        write_json(&v)
     }
 }
 
@@ -148,6 +152,18 @@ fn drive(addr: SocketAddr, conn: usize, budget: usize) -> (Vec<f64>, usize) {
     let mut errors = 0usize;
     let mut session: Option<u64> = None;
     let mut joined = false;
+    // The two bodies the loop posts: this connection's session, one viewer.
+    let mut create = Value::table();
+    put(&mut create, "topology", &"bench".to_string());
+    put(&mut create, "sources", &vec![0u64]);
+    put(&mut create, "destinations", &vec![3u64, 9]);
+    put(&mut create, "chain_len", &2u64);
+    put(&mut create, "seed", &(100 + conn));
+    put(&mut create, "ttl_secs", &0u64);
+    let create = write_json(&create);
+    let mut viewer = Value::table();
+    put(&mut viewer, "destination", &5u64);
+    let viewer = write_json(&viewer);
     let timed = |client: &mut Client,
                  latencies: &mut Vec<f64>,
                  errors: &mut usize,
@@ -169,18 +185,13 @@ fn drive(addr: SocketAddr, conn: usize, budget: usize) -> (Vec<f64>, usize) {
     while latencies.len() < budget {
         match session {
             None => {
-                let body = format!(
-                    "{{\"topology\":\"bench\",\"sources\":[0],\"destinations\":[3,9],\
-                     \"chain_len\":2,\"seed\":{},\"ttl_secs\":0}}",
-                    100 + conn
-                );
                 let response = timed(
                     &mut client,
                     &mut latencies,
                     &mut errors,
                     "POST",
                     "/v1/sessions",
-                    &body,
+                    &create,
                 );
                 session = response.as_deref().and_then(parse_id);
                 joined = false;
@@ -204,7 +215,7 @@ fn drive(addr: SocketAddr, conn: usize, budget: usize) -> (Vec<f64>, usize) {
                         &mut errors,
                         "POST",
                         &format!("/v1/sessions/{id}/leave"),
-                        "{\"destination\":5}",
+                        &viewer,
                     );
                     joined = false;
                 } else {
@@ -214,7 +225,7 @@ fn drive(addr: SocketAddr, conn: usize, budget: usize) -> (Vec<f64>, usize) {
                         &mut errors,
                         "POST",
                         &format!("/v1/sessions/{id}/join"),
-                        "{\"destination\":5}",
+                        &viewer,
                     );
                     joined = true;
                 }
@@ -228,10 +239,10 @@ fn drive(addr: SocketAddr, conn: usize, budget: usize) -> (Vec<f64>, usize) {
     (latencies, errors)
 }
 
-/// Pulls `"id":N` out of a create/join response without a full JSON parse.
+/// The `id` of a create/join response.
 fn parse_id(response: &str) -> Option<u64> {
-    let idx = response.find("\"id\":")?;
-    let rest = &response[idx + 5..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+    match parse_json(response).ok()?.get("id")? {
+        Value::Int(id) => u64::try_from(*id).ok(),
+        _ => None,
+    }
 }

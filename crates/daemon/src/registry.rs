@@ -688,6 +688,11 @@ impl Registry {
         let mut c = Value::table();
         c.set("arrivals", Value::Int(stats.arrivals as i64));
         c.set("full_solves", Value::Int(stats.full_solves as i64));
+        c.set("stroll_nodes", Value::Int(stats.stroll_nodes as i64));
+        c.set(
+            "stroll_handovers",
+            Value::Int(stats.stroll_handovers as i64),
+        );
         c.set("incremental", Value::Int(stats.incremental_events as i64));
         c.set("joins", Value::Int(stats.joins as i64));
         c.set("leaves", Value::Int(stats.leaves as i64));

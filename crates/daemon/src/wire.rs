@@ -4,8 +4,8 @@
 //! the offending path, unknown keys are rejected. This module adds the HTTP
 //! side only: what a body is, and that a reading error is a 400.
 
-use sof_spec::field::Reader;
-use sof_spec::value::{parse_json, quote_string, Value};
+use sof_spec::field::{put, Reader};
+use sof_spec::value::{parse_json, write_json, Value};
 use std::ops::{Deref, DerefMut};
 
 /// A handler failure: the HTTP status plus a human-actionable message,
@@ -42,7 +42,9 @@ impl ApiError {
 
     /// The `{"error": …}` body for this failure.
     pub fn to_json(&self) -> String {
-        format!("{{\"error\":{}}}", quote_string(&self.message))
+        let mut v = Value::table();
+        put(&mut v, "error", &self.message);
+        write_json(&v)
     }
 }
 

@@ -5,7 +5,6 @@
 //! never NaN, which lets it implement [`Ord`] / [`Eq`] / [`Hash`] and be used
 //! directly inside binary heaps and B-tree keys.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -23,8 +22,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!((a + b).value(), 3.5);
 /// assert!(Cost::INFINITY > b);
 /// ```
-#[derive(Clone, Copy, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, Default)]
 pub struct Cost(f64);
 
 impl Cost {

@@ -1,10 +1,9 @@
 //! Undirected weighted graph with adjacency lists.
 
 use crate::{Cost, EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// An undirected edge with a non-negative cost.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// First endpoint.
     pub u: NodeId,
@@ -65,8 +64,7 @@ impl Edge {
 /// assert_eq!(g.edge_count(), 2);
 /// assert!(g.is_connected());
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-#[serde(from = "GraphData", into = "GraphData")]
+#[derive(Clone, Debug, Default)]
 pub struct Graph {
     adj: Vec<Vec<(NodeId, EdgeId)>>,
     edges: Vec<Edge>,
@@ -74,8 +72,7 @@ pub struct Graph {
     ///
     /// Freshly drawn from a global counter on every mutation, so two graphs
     /// share an epoch only when one is an unmutated clone of the other —
-    /// i.e. equal epochs imply equal contents. Not serialized (clones of a
-    /// deserialized graph get fresh epochs as they mutate).
+    /// i.e. equal epochs imply equal contents.
     epoch: u64,
     /// Recent cost-only mutations, oldest first (see
     /// [`Graph::cost_changes_since`]). Cloned with the graph, so a clone's
@@ -117,32 +114,6 @@ fn next_cost_epoch() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Serialized form of a [`Graph`]: node count plus edge list.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct GraphData {
-    nodes: usize,
-    edges: Vec<Edge>,
-}
-
-impl From<GraphData> for Graph {
-    fn from(data: GraphData) -> Graph {
-        let mut g = Graph::with_nodes(data.nodes);
-        for e in data.edges {
-            g.add_edge(e.u, e.v, e.cost);
-        }
-        g
-    }
-}
-
-impl From<Graph> for GraphData {
-    fn from(g: Graph) -> GraphData {
-        GraphData {
-            nodes: g.node_count(),
-            edges: g.edges,
-        }
-    }
 }
 
 impl Graph {
@@ -513,31 +484,5 @@ mod tests {
             .cost_changes_since(g.cost_epoch())
             .expect("current epoch always traces");
         assert!(kept.is_empty());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let g = triangle();
-        let json = serde_json_lite(&g);
-        assert!(json.contains("\"nodes\":3"));
-    }
-
-    // Minimal serialization smoke test without pulling serde_json:
-    // serialize through serde's derived impl into a debug-ish string using
-    // the `serde::Serialize` trait with a tiny writer is overkill here, so we
-    // simply re-build from GraphData.
-    fn serde_json_lite(g: &Graph) -> String {
-        let data = GraphData {
-            nodes: g.node_count(),
-            edges: g.edges.clone(),
-        };
-        let rebuilt = Graph::from(data.clone());
-        assert_eq!(rebuilt.node_count(), g.node_count());
-        assert_eq!(rebuilt.edge_count(), g.edge_count());
-        format!(
-            "{{\"nodes\":{},\"edges\":{}}}",
-            data.nodes,
-            data.edges.len()
-        )
     }
 }

@@ -1,6 +1,5 @@
 //! Typed node and edge identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node inside a [`Graph`](crate::Graph).
@@ -16,8 +15,7 @@ use std::fmt;
 /// assert_eq!(n.index(), 3);
 /// assert_eq!(format!("{n}"), "n3");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -61,8 +59,7 @@ impl From<usize> for NodeId {
 /// let e = EdgeId::new(7);
 /// assert_eq!(e.index(), 7);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(u32);
 
 impl EdgeId {

@@ -9,14 +9,13 @@
 //! function of `(run_seed, group_id)`, so timelines replay bit-identically
 //! at any thread count without storing anything but the stream cursors.
 
-use serde::{Deserialize, Serialize};
 use sof_core::Request;
 use sof_graph::{NodeId, Rng64};
 use sof_sim::{ChurnParams, ChurnStream, WorkloadParams};
 use sof_topo::RegionTopology;
 
 /// Churn-process shape shared by every group of a run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GroupChurnConfig {
     /// Inclusive range of initial viewer counts.
     pub viewers: (usize, usize),

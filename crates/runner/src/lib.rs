@@ -19,8 +19,10 @@
 //!   windowed mean forest cost — checked between lockstep rounds.
 //! * **Sinks** ([`Sink`]): a subscriber layer that receives every
 //!   [`Record`] (meta, per-event samples, windowed aggregates, summary)
-//!   the moment it is produced. [`JsonlSink`] streams the stable golden
-//!   line format; [`Runner::subscribe`] hands out an `mpsc` channel.
+//!   the moment it is produced. Records are typed — this crate knows no
+//!   output format (`sof_spec::sink` renders them as the golden JSON
+//!   lines); [`CollectSink`] buffers them and [`Runner::subscribe`] hands
+//!   out an `mpsc` channel.
 //!
 //! Stepping is lockstep: each round, every live slot pulls one event from
 //! its group's stream and the pool arrives them via order-preserving
@@ -62,7 +64,7 @@ mod ward;
 pub use events::{GroupChurnConfig, GroupEvent, GroupProcess};
 pub use runner::{Runner, RunnerConfig, RunnerHandle, Summary};
 pub use sink::{
-    CollectSink, EventRecord, FailureRecord, FailureTotals, JsonlSink, Record, RecoveryRecord,
+    CollectSink, EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord,
     RecoverySummary, Sink, SummaryRecord, WindowRecord,
 };
 pub use ward::{StopReason, Ward};

@@ -118,6 +118,21 @@ impl RunnerConfig {
                 self.solver
             ));
         }
+        // Records end up in documents whose integers are `i64` (the spec
+        // layer's rule for the same fields): refuse what could not be
+        // written back, before anything runs.
+        let budgets = self.wards.iter().filter_map(|w| match w {
+            Ward::MaxEvents(n) => Some(("MaxEvents ward", *n)),
+            _ => None,
+        });
+        for (what, n) in [("seed", self.seed), ("window", self.window)]
+            .into_iter()
+            .chain(budgets)
+        {
+            if n > i64::MAX as u64 {
+                return Err(format!("{what} must be at most {}", i64::MAX));
+            }
+        }
         for ward in &self.wards {
             if let Ward::ConvergedCost { epsilon, patience } = ward {
                 // Mirrors the spec layer's 'workload.converge' rules: the

@@ -1,21 +1,22 @@
-//! Subscriber/sink metric layer: incremental JSONL records instead of one
+//! Subscriber/sink metric layer: incremental typed records instead of one
 //! end-of-run report.
 //!
 //! The runner pushes every [`Record`] to each attached [`Sink`] the
 //! moment it is produced, so a churn-at-scale run emits its metrics while
 //! it executes and retains only the open window's accumulators — O(1) in
-//! the event count. [`JsonlSink`] writes the stable line format the
-//! golden tests diff; [`CollectSink`] buffers records for tests; channel
-//! subscribers (see [`Runner::subscribe`](crate::Runner::subscribe))
-//! receive clones of the same stream.
+//! the event count. Records are typed and this crate knows no output
+//! format: [`CollectSink`] buffers them for tests and report building,
+//! channel subscribers (see [`Runner::subscribe`](crate::Runner::subscribe))
+//! receive clones of the same stream, and `sof_spec::sink::JsonlSink`
+//! writes the JSON lines the golden tests diff.
 //!
 //! Wall-clock fields (`millis`) are `None` unless the runner was built
-//! with timings enabled, so the default record stream — and therefore the
-//! JSONL bytes — is deterministic for a fixed seed at any thread count.
+//! with timings enabled, so the default record stream is deterministic for
+//! a fixed seed at any thread count.
 
 use crate::ward::StopReason;
 use sof_graph::PathEngineStats;
-use std::io::{self, Write};
+use std::io;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 
@@ -221,199 +222,6 @@ pub enum Record {
     Summary(SummaryRecord),
 }
 
-impl Record {
-    /// Renders the record as one JSON line (no trailing newline). Key
-    /// order is fixed; `millis` fields are omitted when `None`, so
-    /// default-mode output is byte-stable.
-    pub fn to_json(&self) -> String {
-        match self {
-            Record::Meta {
-                name,
-                groups,
-                regions,
-                seed,
-                solver,
-                window,
-                events_target,
-                policy,
-            } => {
-                let regions = regions
-                    .iter()
-                    .map(|r| quote(r))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let target = match events_target {
-                    Some(t) => t.to_string(),
-                    None => "null".into(),
-                };
-                let mut line = format!(
-                    "{{\"type\":\"meta\",\"subsystem\":\"churn-at-scale\",\"name\":{},\
-                     \"groups\":{groups},\"regions\":[{regions}],\"seed\":{seed},\
-                     \"solver\":{},\"window\":{window},\"events_target\":{target}",
-                    quote(name),
-                    quote(solver),
-                );
-                if let Some(p) = policy {
-                    line.push_str(&format!(",\"policy\":{}", quote(p)));
-                }
-                line.push('}');
-                line
-            }
-            Record::Window(w) => {
-                let mut line = format!(
-                    "{{\"type\":\"window\",\"index\":{},\"events\":{},\"total_events\":{},\
-                     \"active\":{},\"retired\":{},\"errors\":{},\"full_solves\":{},\
-                     \"incremental\":{},\"joins\":{},\"leaves\":{},\"mean_cost\":{},\
-                     \"accumulated_cost\":{},\"engine_hits\":{},\"engine_misses\":{},\
-                     \"engine_stale\":{},\"engine_repairs\":{}",
-                    w.index,
-                    w.events,
-                    w.total_events,
-                    w.active,
-                    w.retired,
-                    w.errors,
-                    w.full_solves,
-                    w.incremental,
-                    w.joins,
-                    w.leaves,
-                    float(w.mean_cost),
-                    float(w.accumulated_cost),
-                    w.engine.hits,
-                    w.engine.misses,
-                    w.engine.stale,
-                    w.engine.repairs,
-                );
-                if let Some(f) = &w.failures {
-                    line.push_str(&format!(
-                        ",\"fail_events\":{},\"repair_events\":{},\"disruptions\":{},\
-                         \"pending\":{}",
-                        f.fail_events, f.repair_events, f.disruptions, f.pending,
-                    ));
-                }
-                push_millis(&mut line, w.millis);
-                line.push('}');
-                line
-            }
-            Record::Event(e) => {
-                let mut line = format!(
-                    "{{\"type\":\"event\",\"seq\":{},\"slot\":{},\"group\":{},\"kind\":{},\
-                     \"viewers\":{},\"joined\":{},\"left\":{},\"rebuilt\":{},\"cost\":{}",
-                    e.seq,
-                    e.slot,
-                    e.group,
-                    if e.initial {
-                        "\"initial\""
-                    } else {
-                        "\"churn\""
-                    },
-                    e.viewers,
-                    e.joined,
-                    e.left,
-                    e.rebuilt,
-                    float(e.cost),
-                );
-                push_millis(&mut line, e.millis);
-                line.push('}');
-                line
-            }
-            Record::Failure(f) => {
-                let repair = match f.repair_at {
-                    Some(r) => r.to_string(),
-                    None => "null".into(),
-                };
-                format!(
-                    "{{\"type\":\"failure\",\"seq\":{},\"round\":{},\"action\":\"{}\",\
-                     \"element\":{},\"disrupted\":{},\"repair_at\":{repair}}}",
-                    f.seq,
-                    f.round,
-                    f.action,
-                    quote(&f.element),
-                    f.disrupted,
-                )
-            }
-            Record::Recovery(r) => {
-                format!(
-                    "{{\"type\":\"recovery\",\"seq\":{},\"round\":{},\"policy\":\"{}\",\
-                     \"disrupted\":{},\"recovered\":{},\"cost\":{},\"pending\":{}}}",
-                    r.seq,
-                    r.round,
-                    r.policy,
-                    r.disrupted,
-                    r.recovered,
-                    float(r.cost),
-                    r.pending,
-                )
-            }
-            Record::Summary(s) => {
-                let mut line = format!(
-                    "{{\"type\":\"summary\",\"events\":{},\"windows\":{},\"groups_seen\":{},\
-                     \"retired\":{},\"errors\":{},\"accumulated_cost\":{},\"stop\":\"{}\"",
-                    s.events,
-                    s.windows,
-                    s.groups_seen,
-                    s.retired,
-                    s.errors,
-                    float(s.accumulated_cost),
-                    s.stop.as_str(),
-                );
-                if let Some(r) = &s.recovery {
-                    line.push_str(&format!(
-                        ",\"fail_events\":{},\"repair_events\":{},\"disruptions\":{},\
-                         \"immediate\":{},\"recoveries\":{},\"mean_recovery_cost\":{},\
-                         \"mean_events_to_restore\":{},\"availability\":{}",
-                        r.fail_events,
-                        r.repair_events,
-                        r.disruptions,
-                        r.immediate,
-                        r.recoveries,
-                        float(r.mean_recovery_cost),
-                        float(r.mean_events_to_restore),
-                        float(r.availability),
-                    ));
-                }
-                push_millis(&mut line, s.millis);
-                line.push('}');
-                line
-            }
-        }
-    }
-}
-
-fn push_millis(line: &mut String, millis: Option<f64>) {
-    if let Some(ms) = millis {
-        line.push_str(&format!(",\"millis\":{}", float(ms)));
-    }
-}
-
-/// Shortest round-trip float, valid JSON (mirrors `sof_spec`'s format so
-/// the two JSONL dialects agree byte-for-byte on numbers).
-fn float(f: f64) -> String {
-    if f.is_finite() {
-        format!("{f:?}")
-    } else {
-        "null".into()
-    }
-}
-
-/// JSON string quoting (mirrors `sof_spec::quote_string`).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Receives the runner's record stream incrementally.
 pub trait Sink: Send {
     /// Handles one record. Errors abort the run.
@@ -423,29 +231,6 @@ pub trait Sink: Send {
     /// of the run).
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
-    }
-}
-
-/// Writes each record as one JSON line the moment it arrives.
-pub struct JsonlSink<W: Write + Send> {
-    out: W,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps a writer (pair with `BufWriter` for event-mode runs).
-    pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink { out }
-    }
-}
-
-impl<W: Write + Send> Sink for JsonlSink<W> {
-    fn record(&mut self, record: &Record) -> io::Result<()> {
-        self.out.write_all(record.to_json().as_bytes())?;
-        self.out.write_all(b"\n")
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()
     }
 }
 
@@ -488,193 +273,5 @@ impl Sink for ChannelSink {
     fn record(&mut self, record: &Record) -> io::Result<()> {
         let _ = self.tx.send(record.clone());
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn record_lines_are_stable() {
-        let meta = Record::Meta {
-            name: "t".into(),
-            groups: 4,
-            regions: vec!["a".into(), "b".into()],
-            seed: 7,
-            solver: "SOFDA".into(),
-            window: 8,
-            events_target: Some(40),
-            policy: None,
-        };
-        assert_eq!(
-            meta.to_json(),
-            "{\"type\":\"meta\",\"subsystem\":\"churn-at-scale\",\"name\":\"t\",\"groups\":4,\
-             \"regions\":[\"a\",\"b\"],\"seed\":7,\"solver\":\"SOFDA\",\"window\":8,\
-             \"events_target\":40}"
-        );
-        let win = Record::Window(WindowRecord {
-            index: 0,
-            events: 8,
-            total_events: 8,
-            active: 4,
-            retired: 1,
-            errors: 0,
-            full_solves: 4,
-            incremental: 4,
-            joins: 5,
-            leaves: 3,
-            mean_cost: 12.5,
-            accumulated_cost: 100.0,
-            engine: PathEngineStats {
-                hits: 9,
-                misses: 2,
-                stale: 1,
-                repairs: 1,
-                ..PathEngineStats::default()
-            },
-            failures: None,
-            millis: None,
-        });
-        assert_eq!(
-            win.to_json(),
-            "{\"type\":\"window\",\"index\":0,\"events\":8,\"total_events\":8,\"active\":4,\
-             \"retired\":1,\"errors\":0,\"full_solves\":4,\"incremental\":4,\"joins\":5,\
-             \"leaves\":3,\"mean_cost\":12.5,\"accumulated_cost\":100.0,\"engine_hits\":9,\
-             \"engine_misses\":2,\"engine_stale\":1,\"engine_repairs\":1}"
-        );
-        let ev = Record::Event(EventRecord {
-            seq: 3,
-            slot: 1,
-            group: 9,
-            initial: true,
-            viewers: 5,
-            joined: 0,
-            left: 0,
-            rebuilt: true,
-            cost: 4.0,
-            millis: Some(1.25),
-        });
-        assert_eq!(
-            ev.to_json(),
-            "{\"type\":\"event\",\"seq\":3,\"slot\":1,\"group\":9,\"kind\":\"initial\",\
-             \"viewers\":5,\"joined\":0,\"left\":0,\"rebuilt\":true,\"cost\":4.0,\
-             \"millis\":1.25}"
-        );
-        let sum = Record::Summary(SummaryRecord {
-            events: 40,
-            windows: 5,
-            groups_seen: 6,
-            retired: 2,
-            errors: 0,
-            accumulated_cost: 321.0,
-            stop: StopReason::MaxEvents,
-            recovery: None,
-            millis: None,
-        });
-        assert_eq!(
-            sum.to_json(),
-            "{\"type\":\"summary\",\"events\":40,\"windows\":5,\"groups_seen\":6,\"retired\":2,\
-             \"errors\":0,\"accumulated_cost\":321.0,\"stop\":\"max-events\"}"
-        );
-    }
-
-    #[test]
-    fn failure_subsystem_record_lines_are_stable() {
-        let meta = Record::Meta {
-            name: "t".into(),
-            groups: 4,
-            regions: vec!["a".into()],
-            seed: 7,
-            solver: "SOFDA".into(),
-            window: 8,
-            events_target: Some(40),
-            policy: Some("standby-forest".into()),
-        };
-        assert!(
-            meta.to_json()
-                .ends_with("\"events_target\":40,\"policy\":\"standby-forest\"}"),
-            "{}",
-            meta.to_json()
-        );
-        let fail = Record::Failure(FailureRecord {
-            seq: 12,
-            round: 3,
-            action: "fail",
-            element: "link:3-7".into(),
-            disrupted: 2,
-            repair_at: Some(9),
-        });
-        assert_eq!(
-            fail.to_json(),
-            "{\"type\":\"failure\",\"seq\":12,\"round\":3,\"action\":\"fail\",\
-             \"element\":\"link:3-7\",\"disrupted\":2,\"repair_at\":9}"
-        );
-        let rec = Record::Recovery(RecoveryRecord {
-            seq: 12,
-            round: 3,
-            policy: "backup-paths",
-            disrupted: 2,
-            recovered: 2,
-            cost: 6.5,
-            pending: 0,
-        });
-        assert_eq!(
-            rec.to_json(),
-            "{\"type\":\"recovery\",\"seq\":12,\"round\":3,\"policy\":\"backup-paths\",\
-             \"disrupted\":2,\"recovered\":2,\"cost\":6.5,\"pending\":0}"
-        );
-        let sum = Record::Summary(SummaryRecord {
-            events: 40,
-            windows: 5,
-            groups_seen: 6,
-            retired: 2,
-            errors: 0,
-            accumulated_cost: 321.0,
-            stop: StopReason::MaxEvents,
-            recovery: Some(RecoverySummary {
-                fail_events: 4,
-                repair_events: 2,
-                disruptions: 3,
-                immediate: 2,
-                recoveries: 3,
-                mean_recovery_cost: 10.5,
-                mean_events_to_restore: 0.5,
-                availability: 0.975,
-            }),
-            millis: None,
-        });
-        assert_eq!(
-            sum.to_json(),
-            "{\"type\":\"summary\",\"events\":40,\"windows\":5,\"groups_seen\":6,\"retired\":2,\
-             \"errors\":0,\"accumulated_cost\":321.0,\"stop\":\"max-events\",\"fail_events\":4,\
-             \"repair_events\":2,\"disruptions\":3,\"immediate\":2,\"recoveries\":3,\
-             \"mean_recovery_cost\":10.5,\"mean_events_to_restore\":0.5,\"availability\":0.975}"
-        );
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_record() {
-        let mut buf = Vec::new();
-        {
-            let mut sink = JsonlSink::new(&mut buf);
-            sink.record(&Record::Summary(SummaryRecord {
-                events: 1,
-                windows: 1,
-                groups_seen: 1,
-                retired: 0,
-                errors: 0,
-                accumulated_cost: 1.0,
-                stop: StopReason::Stopped,
-                recovery: None,
-                millis: None,
-            }))
-            .unwrap();
-            sink.flush().unwrap();
-        }
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 1);
-        assert!(text.ends_with('\n'));
-        assert!(text.contains("\"stop\":\"stopped\""));
     }
 }

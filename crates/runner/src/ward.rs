@@ -8,11 +8,10 @@
 //! output); [`Ward::ConvergedCost`] watches the windowed mean forest cost
 //! and stops once it has settled.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A stop condition.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Ward {
     /// Stop once this many events have been processed (the runner never
     /// oversteps: the final round is trimmed to land exactly on the
@@ -33,7 +32,7 @@ pub enum Ward {
 }
 
 /// Why a run stopped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {
     /// The [`Ward::MaxEvents`] budget was reached.
     MaxEvents,

@@ -4,7 +4,7 @@ use sof_core::{Request, ServiceChain};
 use sof_graph::{NodeId, Rng64};
 
 /// Generator parameters for one network (§VIII-A online setup).
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadParams {
     /// Inclusive range of candidate-source counts per request.
     pub sources: (usize, usize),
@@ -121,7 +121,7 @@ impl Iterator for RequestStream {
 /// fixed). This is the workload the incremental `OnlineSession` engine is
 /// built for — each event is a handful of §VII-C joins/leaves instead of a
 /// fresh request.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChurnParams {
     /// Draws the initial request (and fixes demand/chain length).
     pub base: WorkloadParams,

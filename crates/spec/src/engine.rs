@@ -8,20 +8,23 @@
 //! Every numeric result is deterministic for a fixed spec + seed and any
 //! thread count; only fields tagged as timings vary.
 
+use crate::field::put;
 use crate::oneshot::{self, ParamField, SweepAxis};
 use crate::report::{
-    Cell, Detail, ExtraRow, OnlineDetail, OnlineSolverStats, PoolDetail, ReportMeta, RunReport,
-    Section, Table, TableRow,
+    self, Cell, Detail, ExtraRow, OnlineDetail, OnlineSolverStats, PoolDetail, ReportMeta,
+    RunReport, Section, Table, TableRow,
 };
+use crate::sink::JsonlSink;
 use crate::spec::{
     ChurnSpec, FailureSpec, GridMetric, OnlineGroup, ScaleSpec, ScenarioSpec, SpecError, Workload,
 };
+use crate::value::{write_json, Value};
 use sof_core::{
     fortz_thorup, Element, EmbedMode, OnlineSession, Request, ServiceChain, SessionPool,
     SofInstance, Solver,
 };
 use sof_graph::{Cost, NodeId, Rng64};
-use sof_runner::{CollectSink, JsonlSink, Record, Runner, RunnerConfig, Summary, Ward};
+use sof_runner::{CollectSink, Record, Runner, RunnerConfig, Summary, Ward};
 use sof_sim::{simulate_sessions, ChurnStream, EnvironmentProfile, PlayerConfig, Session};
 use sof_topo::{build_instance, build_named, display_label, RegionsParams, Topology};
 use std::time::Instant;
@@ -194,25 +197,23 @@ pub fn run_churn_stream<W: std::io::Write + Send + 'static>(
         let summary = runner.run().map_err(SpecError)?;
         legs.push((policy.clone(), summary));
     }
-    {
-        let mut line = String::from("{\"type\":\"policy-comparison\",\"legs\":[");
-        for (i, (policy, summary)) in legs.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let r = summary.recovery.unwrap_or_default();
-            line.push_str(&format!(
-                "{{\"policy\":\"{policy}\",\"disruptions\":{},\"mean_recovery_cost\":{},\
-                 \"availability\":{}}}",
-                r.disruptions,
-                crate::value::json_f64(r.mean_recovery_cost),
-                crate::value::json_f64(r.availability),
-            ));
-        }
-        line.push_str("]}");
-        let mut w = shared.0.lock().expect("comparison stream");
-        writeln!(w, "{line}").map_err(|e| SpecError(format!("stream write failed: {e}")))?;
-    }
+    let mut line = report::line("policy-comparison");
+    let legs_value = legs.iter().map(|(policy, summary)| {
+        let r = summary.recovery.unwrap_or_default();
+        let mut leg = Value::table();
+        put(&mut leg, "policy", policy);
+        put(&mut leg, "disruptions", &r.disruptions);
+        put(&mut leg, "mean_recovery_cost", &r.mean_recovery_cost);
+        put(&mut leg, "availability", &r.availability);
+        leg
+    });
+    line.set("legs", Value::Array(legs_value.collect()));
+    writeln!(
+        shared.0.lock().expect("comparison stream"),
+        "{}",
+        write_json(&line)
+    )
+    .map_err(|e| SpecError(format!("stream write failed: {e}")))?;
     Ok(legs.remove(0).1)
 }
 
@@ -1076,20 +1077,8 @@ fn run_single_group(
         }
     }
     for (session, t) in engines.iter().zip(&mut stats) {
-        let st = session.stats();
-        t.full_solves = st.full_solves;
-        t.incremental_events = st.incremental_events;
-        t.joins = st.joins;
-        t.leaves = st.leaves;
-        t.fallbacks = st.fallbacks;
-        t.stroll_nodes = st.stroll_nodes;
-        t.stroll_handovers = st.stroll_handovers;
-        let eng = session.instance().network.paths().stats();
-        t.engine_hits = eng.hits;
-        t.engine_misses = eng.misses;
-        t.engine_stale = eng.stale;
-        t.engine_repairs = eng.repairs;
-        t.engine_partial_repairs = eng.partial_repairs;
+        t.session = *session.stats();
+        t.engine = session.instance().network.paths().stats();
     }
     let suffix = if group.scratch {
         ""

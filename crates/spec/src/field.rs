@@ -1,5 +1,6 @@
 //! The one typed codec between [`Value`] trees and the model: spec files
-//! and `sofd` request bodies are both read through it.
+//! and `sofd` request bodies are both read through it, and every line or
+//! reply the system emits is a table built with [`put`].
 //!
 //! A [`Field`] is a type that reads itself from a [`Value`] (naming the
 //! offending path on a mismatch) and writes itself back. A [`Reader`] takes
@@ -71,8 +72,14 @@ impl Field for u64 {
         }
     }
 
+    /// # Panics
+    ///
+    /// Past `i64::MAX`: a document's integers are `i64`, and the validators
+    /// reject what a file could not say ([`fits_int`]) before anything is
+    /// written.
     fn write(&self) -> Option<Value> {
-        Some(Value::Int(*self as i64))
+        let n = i64::try_from(*self).expect("an integer a document can hold (validated)");
+        Some(Value::Int(n))
     }
 }
 
@@ -83,7 +90,7 @@ impl Field for usize {
     }
 
     fn write(&self) -> Option<Value> {
-        Some(Value::Int(*self as i64))
+        (*self as u64).write()
     }
 }
 
@@ -156,6 +163,15 @@ impl<T: Field + PartialOrd + Display> Field for (T, T) {
                 .filter_map(T::write)
                 .collect(),
         ))
+    }
+}
+
+/// Refuses an integer no document can hold ([`Value::Int`] is an `i64`):
+/// `'at' must be at most 9223372036854775807`.
+pub fn fits_int(at: &str, n: u64) -> Result<(), String> {
+    match i64::try_from(n) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(format!("'{at}' must be at most {}", i64::MAX)),
     }
 }
 
@@ -281,6 +297,11 @@ pub fn put<T: Field>(t: &mut Value, key: &str, v: &T) {
     if let Some(v) = v.write() {
         t.set(key, v);
     }
+}
+
+/// Sets `key` in the table `t`, to `null` when `v` writes as absent.
+pub fn put_or_null<T: Field>(t: &mut Value, key: &str, v: &T) {
+    t.set(key, v.write().unwrap_or(Value::Null));
 }
 
 /// `Field` for an enum that has a spec-file name: `parse` is
@@ -420,6 +441,11 @@ mod tests {
         assert_eq!(
             ScenarioSpec::from_toml(src).unwrap_err().to_string(),
             "'sofda.stroll': unknown stroll solver 'color-coding:12' (expected exact, greedy, or auto)"
+        );
+        let src = src.replace("stroll = \"color-coding:12\"", "steiner = \"kmb\"");
+        assert_eq!(
+            ScenarioSpec::from_toml(&src).unwrap_err().to_string(),
+            "'sofda.steiner': unknown steiner solver 'kmb' (expected mehlhorn, takahashi, dreyfus-wagner, or auto)"
         );
     }
 

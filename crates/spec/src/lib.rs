@@ -65,6 +65,7 @@ pub mod oneshot;
 pub mod overrides;
 pub mod presets;
 pub mod report;
+pub mod sink;
 mod spec;
 pub mod value;
 

@@ -18,7 +18,7 @@ use std::time::Instant;
 /// A sweepable field of [`sof_topo::ScenarioParams`] — the data form of
 /// what used to be per-binary setter closures, so declarative scenario
 /// specs can name axes in files.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParamField {
     /// `sources` (candidate source count).
     Sources,
@@ -90,7 +90,7 @@ impl ParamField {
 
 /// One declarative sweep axis: which parameter varies, over which values,
 /// under which display label.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepAxis {
     /// Display label (figure column header; defaults per field).
     pub label: String,

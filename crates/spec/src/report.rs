@@ -9,7 +9,10 @@
 //! [`Cell::timing`]/[`ExtraRow::timing`] and only emitted when explicitly
 //! requested.
 
-use crate::value::{json_f64, quote_string};
+use crate::field::{put, put_or_null};
+use crate::value::{write_json, Value};
+use sof_core::OnlineStats;
+use sof_graph::PathEngineStats;
 
 /// Run-level metadata (the JSONL header line).
 #[derive(Clone, Debug, PartialEq)]
@@ -121,36 +124,10 @@ pub struct OnlineSolverStats {
     pub inc_ms: f64,
     /// Arrivals served incrementally.
     pub inc_n: usize,
-    /// Lifetime counter: full solver runs.
-    pub full_solves: usize,
-    /// Lifetime counter: purely incremental arrivals.
-    pub incremental_events: usize,
-    /// Lifetime counter: destinations joined incrementally.
-    pub joins: usize,
-    /// Lifetime counter: destinations removed incrementally.
-    pub leaves: usize,
-    /// Lifetime counter: incremental attempts abandoned for a rebuild.
-    pub fallbacks: usize,
-    /// Lifetime counter: DFS nodes the exact k-stroll search expanded over
-    /// the full solves (deterministic, but reported with the work counters
-    /// below, behind the timing gate).
-    pub stroll_nodes: u64,
-    /// Lifetime counter: k-stroll searches those solves' node budgets
-    /// handed to greedy insertion (0 = every chain priced was optimal).
-    pub stroll_handovers: u64,
-    /// `PathEngine` counter: trees served straight from the cache.
-    pub engine_hits: u64,
-    /// `PathEngine` counter: trees built by a full Dijkstra.
-    pub engine_misses: u64,
-    /// `PathEngine` counter: misses whose source was cached under an older
-    /// cost epoch.
-    pub engine_stale: u64,
-    /// `PathEngine` counter: stale trees revalidated in place without a
-    /// Dijkstra (edge-scoped invalidation).
-    pub engine_repairs: u64,
-    /// `PathEngine` counter: stale misses answered by the dynamic-SSSP
-    /// repair pass (affected region only) instead of a cold Dijkstra.
-    pub engine_partial_repairs: u64,
+    /// The session's lifetime counters.
+    pub session: OnlineStats,
+    /// The session's `PathEngine` cache counters.
+    pub engine: PathEngineStats,
 }
 
 impl OnlineSolverStats {
@@ -305,11 +282,11 @@ fn render_online_detail(d: &OnlineDetail, out: &mut String) {
              {} fallbacks)\n",
             s.label,
             s.total_ms() / 1e3,
-            s.full_solves,
-            s.incremental_events,
-            s.joins,
-            s.leaves,
-            s.fallbacks
+            s.session.full_solves,
+            s.session.incremental_events,
+            s.session.joins,
+            s.session.leaves,
+            s.session.fallbacks
         ));
     }
     // The incremental session right after the optional scratch baseline.
@@ -350,36 +327,38 @@ fn render_online_detail(d: &OnlineDetail, out: &mut String) {
 /// thread count.
 pub fn write_jsonl(report: &RunReport, timings: bool) -> String {
     let mut out = String::new();
+    let mut emit = |line: Value| {
+        out.push_str(&write_json(&line));
+        out.push('\n');
+    };
     let m = &report.meta;
-    out.push_str(&format!(
-        "{{\"type\":\"meta\",\"spec\":{},\"seed\":{},\"seeds\":{},\"solvers\":[{}]}}\n",
-        quote_string(&m.spec),
-        m.seed,
-        m.seeds,
-        m.solvers
-            .iter()
-            .map(|s| quote_string(s))
-            .collect::<Vec<_>>()
-            .join(",")
-    ));
+    let mut meta = line("meta");
+    put(&mut meta, "spec", &m.spec);
+    put(&mut meta, "seed", &m.seed);
+    put(&mut meta, "seeds", &m.seeds);
+    put(&mut meta, "solvers", &m.solvers);
+    emit(meta);
     for section in &report.sections {
-        let sid = quote_string(&section.id);
+        // `row` and `stat` lines open alike: type, then section.
+        let in_section = |kind: &str| {
+            let mut t = line(kind);
+            put(&mut t, "section", &section.id);
+            t
+        };
         if let Some(table) = &section.table {
             for row in &table.rows {
                 for (col, cell) in table.columns.iter().zip(&row.cells) {
                     if cell.timing && !timings {
                         continue;
                     }
-                    let x = match row.x {
-                        Some(x) => json_f64(x),
-                        None => quote_string(&row.label),
-                    };
-                    out.push_str(&format!(
-                        "{{\"type\":\"row\",\"section\":{sid},\"x\":{x},\"col\":{},\
-                         \"value\":{}}}\n",
-                        quote_string(col),
-                        json_opt(cell.value)
-                    ));
+                    let mut t = in_section("row");
+                    match row.x {
+                        Some(x) => put(&mut t, "x", &x),
+                        None => put(&mut t, "x", &row.label),
+                    }
+                    put(&mut t, "col", col);
+                    put_or_null(&mut t, "value", &cell.value);
+                    emit(t);
                 }
             }
         }
@@ -387,89 +366,83 @@ pub fn write_jsonl(report: &RunReport, timings: bool) -> String {
             if extra.timing && !timings {
                 continue;
             }
-            out.push_str(&format!(
-                "{{\"type\":\"row\",\"section\":{sid},\"x\":{},\"col\":{},\"metric\":{},\
-                 \"value\":{}}}\n",
-                quote_string(&extra.x),
-                quote_string(&extra.col),
-                quote_string(&extra.metric),
-                json_opt(extra.value)
-            ));
+            let mut t = in_section("row");
+            put(&mut t, "x", &extra.x);
+            put(&mut t, "col", &extra.col);
+            put(&mut t, "metric", &extra.metric);
+            put_or_null(&mut t, "value", &extra.value);
+            emit(t);
         }
+        // A stat's value is a float whatever it counts (`"value":4.0`).
+        let mut stat = |solver: Option<&String>, name: &str, value: f64| {
+            let mut t = in_section("stat");
+            if let Some(solver) = solver {
+                put(&mut t, "solver", solver);
+            }
+            put(&mut t, "name", &name.to_string());
+            put(&mut t, "value", &value);
+            emit(t);
+        };
         match &section.detail {
             Detail::None => {}
             Detail::Online(d) => {
                 for s in &d.sessions {
+                    // The destructuring makes a new engine counter a compile
+                    // error here, not a row that is silently missing.
+                    let PathEngineStats {
+                        hits,
+                        misses,
+                        stale,
+                        evictions,
+                        repairs,
+                        partial_repairs,
+                    } = s.engine;
                     // Engine counters ride behind the timing gate: they are
                     // cache-effectiveness measurements (warmth-dependent, and
                     // sensitive to thread interleaving), not part of the
                     // deterministic golden stream. `stroll_nodes` repeats
                     // exactly but is a work measurement like them, and rides
                     // with them so no golden gains a line.
-                    let counters: [(&str, f64, bool); 16] = [
-                        ("full_solves", s.full_solves as f64, false),
-                        ("incremental_events", s.incremental_events as f64, false),
-                        ("joins", s.joins as f64, false),
-                        ("leaves", s.leaves as f64, false),
-                        ("fallbacks", s.fallbacks as f64, false),
+                    let counters: [(&str, f64, bool); 17] = [
+                        ("full_solves", s.session.full_solves as f64, false),
+                        (
+                            "incremental_events",
+                            s.session.incremental_events as f64,
+                            false,
+                        ),
+                        ("joins", s.session.joins as f64, false),
+                        ("leaves", s.session.leaves as f64, false),
+                        ("fallbacks", s.session.fallbacks as f64, false),
                         ("solve_ms", s.solve_ms, true),
                         ("inc_ms", s.inc_ms, true),
                         ("solve_n", s.solve_n as f64, false),
                         ("inc_n", s.inc_n as f64, false),
-                        ("stroll_nodes", s.stroll_nodes as f64, true),
-                        ("stroll_handovers", s.stroll_handovers as f64, true),
-                        ("engine_hits", s.engine_hits as f64, true),
-                        ("engine_misses", s.engine_misses as f64, true),
-                        ("engine_stale", s.engine_stale as f64, true),
-                        ("engine_repairs", s.engine_repairs as f64, true),
-                        (
-                            "engine_partial_repairs",
-                            s.engine_partial_repairs as f64,
-                            true,
-                        ),
+                        ("stroll_nodes", s.session.stroll_nodes as f64, true),
+                        ("stroll_handovers", s.session.stroll_handovers as f64, true),
+                        ("engine_hits", hits as f64, true),
+                        ("engine_misses", misses as f64, true),
+                        ("engine_stale", stale as f64, true),
+                        ("engine_evictions", evictions as f64, true),
+                        ("engine_repairs", repairs as f64, true),
+                        ("engine_partial_repairs", partial_repairs as f64, true),
                     ];
                     for (name, value, timing) in counters {
-                        if timing && !timings {
-                            continue;
+                        if !timing || timings {
+                            stat(Some(&s.label), name, value);
                         }
-                        out.push_str(&format!(
-                            "{{\"type\":\"stat\",\"section\":{sid},\"solver\":{},\"name\":{},\
-                             \"value\":{}}}\n",
-                            quote_string(&s.label),
-                            quote_string(name),
-                            json_f64(value)
-                        ));
                     }
                 }
-                for (name, value) in [
-                    ("failures", d.failures as f64),
-                    ("vm_failures", d.vm_failures as f64),
-                ] {
-                    out.push_str(&format!(
-                        "{{\"type\":\"stat\",\"section\":{sid},\"name\":{},\"value\":{}}}\n",
-                        quote_string(name),
-                        json_f64(value)
-                    ));
-                }
+                stat(None, "failures", d.failures as f64);
+                stat(None, "vm_failures", d.vm_failures as f64);
             }
             Detail::Pool(d) => {
-                let counters: [(&str, f64, bool); 6] = [
-                    ("sessions", d.groups as f64, false),
-                    ("full_solves", d.solves as f64, false),
-                    ("incremental_events", d.incremental as f64, false),
-                    ("failures", d.failures as f64, false),
-                    ("vm_failures", d.vm_failures as f64, false),
-                    ("secs", d.secs, true),
-                ];
-                for (name, value, timing) in counters {
-                    if timing && !timings {
-                        continue;
-                    }
-                    out.push_str(&format!(
-                        "{{\"type\":\"stat\",\"section\":{sid},\"name\":{},\"value\":{}}}\n",
-                        quote_string(name),
-                        json_f64(value)
-                    ));
+                stat(None, "sessions", d.groups as f64);
+                stat(None, "full_solves", d.solves as f64);
+                stat(None, "incremental_events", d.incremental as f64);
+                stat(None, "failures", d.failures as f64);
+                stat(None, "vm_failures", d.vm_failures as f64);
+                if timings {
+                    stat(None, "secs", d.secs);
                 }
             }
         }
@@ -477,11 +450,9 @@ pub fn write_jsonl(report: &RunReport, timings: bool) -> String {
     out
 }
 
-fn json_opt(v: Option<f64>) -> String {
-    match v {
-        Some(v) if v.is_finite() => json_f64(v),
-        _ => "null".into(),
-    }
+/// A line's table, opened with its `type`.
+pub(crate) fn line(kind: &str) -> Value {
+    Value::Table(vec![("type".into(), Value::Str(kind.into()))])
 }
 
 #[cfg(test)]
@@ -536,16 +507,84 @@ mod tests {
 
     #[test]
     fn jsonl_is_valid_json_and_hides_timings_by_default() {
-        let report = tiny_report();
+        let mut report = tiny_report();
+        report.sections[0].detail = Detail::Online(OnlineDetail {
+            failures: 1,
+            vm_failures: 2,
+            sessions: vec![OnlineSolverStats {
+                label: "SOFDA".into(),
+                solve_ms: 2.5,
+                solve_n: 1,
+                inc_ms: 0.5,
+                inc_n: 3,
+                session: OnlineStats {
+                    full_solves: 1,
+                    incremental_events: 3,
+                    stroll_nodes: 70,
+                    ..OnlineStats::default()
+                },
+                engine: PathEngineStats {
+                    hits: 9,
+                    ..PathEngineStats::default()
+                },
+            }],
+            ..OnlineDetail::default()
+        });
         let jsonl = write_jsonl(&report, false);
         for line in jsonl.lines() {
             crate::value::parse_json(line).expect("every line parses as JSON");
         }
-        assert!(jsonl.contains("\"value\":null"), "{jsonl}");
+        let row = "{\"type\":\"row\",\"section\":\"cost vs #destinations\",\"x\":2.0,";
+        assert!(
+            jsonl.contains(&format!("{row}\"col\":\"CPLEX*\",\"value\":null}}\n")),
+            "an empty cell is null: {jsonl}"
+        );
         assert!(!jsonl.contains("millis"), "timings hidden: {jsonl}");
         let with = write_jsonl(&report, true);
         assert!(with.contains("\"metric\":\"millis\""), "{with}");
         // Two runs of the same report serialize identically.
         assert_eq!(jsonl, write_jsonl(&report, false));
+
+        // The stat rows: names, order, float-typed counts, and which of them
+        // wait for `--timings`.
+        let stats = |jsonl: &str| -> Vec<String> {
+            let prefix = "{\"type\":\"stat\",\"section\":\"cost vs #destinations\",";
+            let stat = |line: &str| line.strip_prefix(prefix).map(String::from);
+            jsonl.lines().filter_map(stat).collect()
+        };
+        let of = |name: &str, value: &str| {
+            format!("\"solver\":\"SOFDA\",\"name\":\"{name}\",\"value\":{value}}}")
+        };
+        let closing = [
+            "\"name\":\"failures\",\"value\":1.0}".to_string(),
+            "\"name\":\"vm_failures\",\"value\":2.0}".to_string(),
+        ];
+        let ungated = [
+            of("full_solves", "1.0"),
+            of("incremental_events", "3.0"),
+            of("joins", "0.0"),
+            of("leaves", "0.0"),
+            of("fallbacks", "0.0"),
+            of("solve_n", "1.0"),
+            of("inc_n", "3.0"),
+        ];
+        assert_eq!(stats(&jsonl), [&ungated[..], &closing[..]].concat());
+        let all = [
+            &ungated[..5],
+            &[of("solve_ms", "2.5"), of("inc_ms", "0.5")],
+            &ungated[5..],
+            &[
+                of("stroll_nodes", "70.0"),
+                of("stroll_handovers", "0.0"),
+                of("engine_hits", "9.0"),
+                of("engine_misses", "0.0"),
+                of("engine_stale", "0.0"),
+                of("engine_evictions", "0.0"),
+                of("engine_repairs", "0.0"),
+                of("engine_partial_repairs", "0.0"),
+            ],
+            &closing[..],
+        ];
+        assert_eq!(stats(&with), all.concat());
     }
 }

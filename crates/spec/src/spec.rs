@@ -5,7 +5,7 @@
 //! parsing (unknown keys are errors), defaults and lossless serialization
 //! back to TOML or JSON all come (see [`crate::field`]).
 
-use crate::field::{keys, named_field, read_table, table_field, Field, Reader};
+use crate::field::{fits_int, keys, named_field, read_table, table_field, Field, Reader};
 use crate::oneshot::{standard_axes, ParamField, SweepAxis};
 use crate::value::{parse_json, parse_toml, write_json, write_toml, ParseError, Value};
 use sof_core::{DriftPolicy, JoinStrategy, OnlineConfig, SofdaConfig};
@@ -592,6 +592,22 @@ impl ScenarioSpec {
             return fail("'name' must not be empty");
         }
         sof_topo::validate_named(&self.topology).map_err(SpecError)?;
+        // A document's integers are `i64`: a seed a file cannot say is not
+        // one `--seed` may set, or the spec would not read back.
+        let (seed, seeds) = (self.workload.seed(), self.workload.seeds());
+        let mut ints = vec![("workload.seed", seed), ("workload.seeds", seeds)];
+        let failures = match &self.workload {
+            Workload::ChurnAtScale(s) => {
+                ints.extend([("workload.events", s.events), ("workload.window", s.window)]);
+                s.failures.as_ref()
+            }
+            Workload::Online { failures, .. } => failures.as_ref(),
+            _ => None,
+        };
+        ints.extend(failures.map(|f| ("workload.failures.seed", f.seed)));
+        for (at, n) in ints {
+            fits_int(at, n).map_err(SpecError)?;
+        }
         let p = &self.params;
         if p.chain_len == 0 {
             return fail("'params.chain_len' must be at least 1");
@@ -875,7 +891,6 @@ impl ScenarioSpec {
 fn steiner_name(s: &SteinerSolver) -> &'static str {
     match s {
         SteinerSolver::Mehlhorn => "mehlhorn",
-        SteinerSolver::Kmb => "kmb",
         SteinerSolver::TakahashiMatsuyama => "takahashi",
         SteinerSolver::DreyfusWagner => "dreyfus-wagner",
         SteinerSolver::Auto => "auto",
@@ -885,13 +900,12 @@ fn steiner_name(s: &SteinerSolver) -> &'static str {
 fn parse_steiner(name: &str) -> Result<SteinerSolver, String> {
     match name.to_ascii_lowercase().as_str() {
         "mehlhorn" => Ok(SteinerSolver::Mehlhorn),
-        "kmb" => Ok(SteinerSolver::Kmb),
         "takahashi" | "takahashi-matsuyama" => Ok(SteinerSolver::TakahashiMatsuyama),
         "dreyfus-wagner" | "exact" => Ok(SteinerSolver::DreyfusWagner),
         "auto" => Ok(SteinerSolver::Auto),
         other => Err(format!(
-            "unknown steiner solver '{other}' (expected mehlhorn, kmb, takahashi, \
-             dreyfus-wagner, or auto)"
+            "unknown steiner solver '{other}' (expected mehlhorn, takahashi, dreyfus-wagner, \
+             or auto)"
         )),
     }
 }

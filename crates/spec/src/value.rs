@@ -1,11 +1,11 @@
 //! A small self-contained document model with TOML and JSON front ends.
 //!
-//! The build environment vendors a no-op `serde` stand-in (see
-//! `vendor/serde`), so the spec layer carries its own parsing and
-//! serialization: a [`Value`] tree (insertion-ordered tables, so
-//! serialization is deterministic), a TOML-subset reader/writer covering
-//! everything scenario specs use, and a JSON reader/writer for `.json`
-//! specs and `RunReport` JSON-lines output.
+//! Every document the workspace reads or writes is a [`Value`] tree
+//! (insertion-ordered tables, so output is deterministic): a TOML-subset
+//! reader/writer covering everything scenario specs use, and a JSON
+//! reader/writer for `.json` specs, `sofd` bodies and replies, and every
+//! JSON line a run emits. [`write_json`] is the only producer of JSON bytes
+//! (SPEC_FORMAT.md, "Output formats", lists what it guarantees).
 //!
 //! The TOML subset: `[table]` / `[[array-of-tables]]` headers with dotted
 //! paths, `key = value` pairs (bare or quoted keys, dotted keys), basic
@@ -129,7 +129,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Deepest nesting of arrays, objects and inline tables either front end
-/// accepts (serde_json's default). Both parsers recurse once per level, so
+/// accepts. Both parsers recurse once per level, so
 /// without a limit a few kilobytes of `[` overflow the stack — an abort no
 /// `catch_unwind` sees.
 pub const MAX_DEPTH: usize = 128;
@@ -576,7 +576,7 @@ pub fn parse_toml(src: &str) -> Result<Value, ParseError> {
     }
 }
 
-/// Serializes a [`Value::Table`] as TOML. Scalar and array entries come
+/// Writes a [`Value::Table`] as TOML. Scalar and array entries come
 /// first, then sub-tables as `[path]` sections and arrays of tables as
 /// `[[path]]` sections — the same shape [`parse_toml`] accepts, so
 /// `parse(write(v)) == v` for any table-rooted value (see the module
@@ -774,8 +774,10 @@ fn parse_json_keyword(s: &mut Scanner<'_>, word: &str, v: Value) -> Result<Value
     Ok(v)
 }
 
-/// Serializes any [`Value`] as compact JSON (no insignificant whitespace,
-/// keys in insertion order — deterministic for a given value).
+/// Writes any [`Value`] as compact JSON: no insignificant whitespace, keys
+/// in insertion order, floats in their shortest round-trip form (`4.0`, not
+/// `4`), and `null` for a float JSON has no spelling for (NaN, ±∞) — the
+/// output always parses back with [`parse_json`].
 pub fn write_json(value: &Value) -> String {
     let mut out = String::new();
     write_json_value(value, &mut out);
@@ -783,11 +785,13 @@ pub fn write_json(value: &Value) -> String {
 }
 
 fn write_json_value(value: &Value, out: &mut String) {
+    use std::fmt::Write;
     match value {
         Value::Null => out.push_str("null"),
-        Value::Str(s) => out.push_str(&quote_string(s)),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => out.push_str(&json_f64(*f)),
+        Value::Str(s) => push_quoted(out, s),
+        Value::Int(i) => write!(out, "{i}").expect("writing to a String"),
+        Value::Float(f) if f.is_finite() => out.push_str(&json_f64(*f)),
+        Value::Float(_) => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Array(items) => {
             out.push('[');
@@ -805,7 +809,7 @@ fn write_json_value(value: &Value, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&quote_string(k));
+                push_quoted(out, k);
                 out.push(':');
                 write_json_value(v, out);
             }
@@ -814,18 +818,21 @@ fn write_json_value(value: &Value, out: &mut String) {
     }
 }
 
-/// Formats a float as JSON: shortest round-trip representation, with the
-/// guarantee that the result is valid JSON (finite values only).
-pub fn json_f64(f: f64) -> String {
-    debug_assert!(f.is_finite(), "non-finite values must be emitted as null");
-    let s = format!("{f:?}");
-    // Rust prints integral floats as "1.0" — already valid JSON.
-    s
+/// A finite float's shortest round-trip form; Rust prints integral floats
+/// as `1.0`, which is already valid JSON.
+fn json_f64(f: f64) -> String {
+    format!("{f:?}")
 }
 
 /// Quotes a string with JSON/TOML basic-string escaping.
-pub fn quote_string(s: &str) -> String {
+fn quote_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    out
+}
+
+/// Appends [`quote_string`]'s output to `out`.
+fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -839,7 +846,6 @@ pub fn quote_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -1003,5 +1009,21 @@ churn = { sources = [8, 12], demand = 5.0 }
         assert_eq!(json_f64(1.0), "1.0");
         assert_eq!(json_f64(0.05), "0.05");
         assert_eq!(json_f64(123.45), "123.45");
+    }
+
+    /// JSON has no NaN or infinity: the writer says `null`, in both
+    /// profiles, and reads its own output back.
+    #[test]
+    fn non_finite_floats_write_as_null() {
+        let v = Value::Array(vec![
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(1.5),
+        ]);
+        let json = write_json(&v);
+        assert_eq!(json, "[null,null,null,1.5]");
+        let nulls = vec![Value::Null, Value::Null, Value::Null, Value::Float(1.5)];
+        assert_eq!(parse_json(&json).unwrap(), Value::Array(nulls));
     }
 }

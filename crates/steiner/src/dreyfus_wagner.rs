@@ -186,7 +186,7 @@ pub fn dreyfus_wagner(graph: &Graph, terminals: &[NodeId]) -> Result<SteinerTree
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{kmb, mehlhorn, takahashi_matsuyama};
+    use crate::{mehlhorn, takahashi_matsuyama};
     use sof_graph::{generators, CostRange, Rng64};
 
     #[test]
@@ -204,7 +204,6 @@ mod tests {
             exact.validate(&g, &ts).unwrap();
             for (name, tree) in [
                 ("mehlhorn", mehlhorn(&g, &ts).unwrap()),
-                ("kmb", kmb(&g, &ts).unwrap()),
                 ("tm", takahashi_matsuyama(&g, &ts).unwrap()),
             ] {
                 tree.validate(&g, &ts).unwrap();

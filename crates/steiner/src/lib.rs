@@ -5,7 +5,6 @@
 //! throughout the reproduction:
 //!
 //! * [`mehlhorn`] — the default 2-approximation (one multi-source Dijkstra),
-//! * [`kmb`] — the classical Kou–Markowsky–Berman 2-approximation,
 //! * [`takahashi_matsuyama`] — the shortest-path-attachment heuristic whose
 //!   incremental structure the distributed controller (§VI) mirrors,
 //! * [`dreyfus_wagner`] — exact dynamic programming for small terminal sets
@@ -31,13 +30,11 @@
 #![warn(missing_docs)]
 
 mod dreyfus_wagner;
-mod kmb;
 mod mehlhorn;
 mod takahashi;
 mod tree;
 
 pub use dreyfus_wagner::{dreyfus_wagner, MAX_DW_TERMINALS};
-pub use kmb::{kmb, kmb_with_engine};
 pub use mehlhorn::{mehlhorn, mehlhorn_with_engine};
 pub use takahashi::takahashi_matsuyama;
 pub use tree::{SteinerError, SteinerTree};
@@ -48,18 +45,15 @@ use sof_graph::{Graph, NodeId, PathEngine};
 ///
 /// `Auto` uses exact [`dreyfus_wagner`] on small instances and otherwise the
 /// better of [`mehlhorn`] and [`takahashi_matsuyama`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SteinerSolver {
     /// Mehlhorn's 2-approximation (fastest).
     Mehlhorn,
-    /// Kou–Markowsky–Berman 2-approximation.
-    Kmb,
     /// Takahashi–Matsuyama attachment heuristic.
     TakahashiMatsuyama,
     /// Exact Dreyfus–Wagner (small terminal sets only).
     DreyfusWagner,
     /// Exact when cheap, otherwise best-of-two heuristics.
-    #[default]
     Auto,
 }
 
@@ -100,10 +94,6 @@ impl SteinerSolver {
         };
         match self {
             SteinerSolver::Mehlhorn => mehlhorn_of(terminals),
-            SteinerSolver::Kmb => match engine {
-                Some(e) => kmb_with_engine(graph, terminals, e),
-                None => kmb(graph, terminals),
-            },
             SteinerSolver::TakahashiMatsuyama => takahashi_matsuyama(graph, terminals),
             SteinerSolver::DreyfusWagner => dreyfus_wagner(graph, terminals),
             SteinerSolver::Auto => {
@@ -157,7 +147,6 @@ mod tests {
         g.add_edge(NodeId::new(0), NodeId::new(1), Cost::new(3.0));
         for solver in [
             SteinerSolver::Mehlhorn,
-            SteinerSolver::Kmb,
             SteinerSolver::TakahashiMatsuyama,
             SteinerSolver::DreyfusWagner,
             SteinerSolver::Auto,

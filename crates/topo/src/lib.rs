@@ -42,7 +42,6 @@ pub use regions::{
     build_region_instance, build_regions, RegionDef, RegionScenario, RegionTopology, RegionsParams,
 };
 
-use serde::{Deserialize, Serialize};
 use sof_core::{fortz_thorup, Network, NodeKind, Request, ServiceChain, SofInstance};
 use sof_graph::{Cost, Graph, NodeId, Rng64};
 
@@ -199,7 +198,7 @@ pub fn display_label(name: &str) -> &str {
 /// A declarative reference to a registered topology: the name plus the
 /// optional sizing knobs the `inet` family accepts. This is the lookup key
 /// scenario specs use, so experiments can name networks as data.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TopologySpec {
     /// Registry name (see [`TOPOLOGY_NAMES`]).
     pub name: String,
@@ -316,7 +315,7 @@ pub fn build_named(spec: &TopologySpec, default_seed: u64) -> Result<Topology, S
 }
 
 /// Parameters of one evaluation scenario (Figs. 8–11 defaults: §VIII-A).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScenarioParams {
     /// Total VMs attached to data centers.
     pub vm_count: usize,

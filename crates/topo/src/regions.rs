@@ -33,12 +33,11 @@
 //! ```
 
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 use sof_core::{fortz_thorup, Network, NodeKind, Request, ServiceChain, SofInstance};
 use sof_graph::{Cost, Graph, NodeId, Rng64};
 
 /// One named region: a contiguous block of access nodes, some hosting DCs.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegionDef {
     /// Human-readable region name (e.g. `"us-east"`).
     pub name: String,
@@ -60,7 +59,7 @@ impl RegionDef {
 }
 
 /// Parameters of a multi-region network.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RegionsParams {
     /// The regions, in id order.
     pub regions: Vec<RegionDef>,
@@ -269,7 +268,7 @@ pub fn build_regions(params: &RegionsParams, seed: u64) -> Result<RegionTopology
 
 /// Scenario knobs for one region-aware instance (the per-group network a
 /// churn-at-scale runner builds).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RegionScenario {
     /// VMs attached to every DC node.
     pub vms_per_dc: usize,

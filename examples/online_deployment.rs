@@ -47,11 +47,12 @@ count = 1
     // The structured report exposes what the session engine did.
     for section in &report.sections {
         if let Detail::Online(d) = &section.detail {
-            for s in &d.sessions {
+            for session in &d.sessions {
+                let s = &session.session;
                 println!(
                     "{}: {} arrivals → {} full solves, {} incremental events \
                      ({} joins, {} leaves), {} injected VM failure(s)",
-                    s.label,
+                    session.label,
                     s.full_solves + s.incremental_events,
                     s.full_solves,
                     s.incremental_events,

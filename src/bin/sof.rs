@@ -10,6 +10,7 @@
 //! (deterministic for a fixed seed and any `--threads`); pass
 //! `--format markdown` for the legacy figure tables.
 
+use sof_graph::PathEngineStats;
 use sof_spec::overrides::{apply_overrides, Overrides};
 use sof_spec::{
     render_markdown, run_churn_stream, run_spec, write_jsonl, Detail, RunOptions, RunReport,
@@ -243,21 +244,16 @@ const BENCH_PRESETS: &[(&str, &str, &str)] = &[
 ];
 
 /// Sums the `PathEngine` counters over every online session in the
-/// report: (hits, misses, stale, repairs, partial_repairs). `None` when
-/// the report has no online sections (sweeps don't surface per-session
-/// engine stats).
-fn engine_counters(report: &RunReport) -> Option<(u64, u64, u64, u64, u64)> {
+/// report. `None` when the report has no online sections (sweeps don't
+/// surface per-session engine stats).
+fn engine_counters(report: &RunReport) -> Option<PathEngineStats> {
     let mut any = false;
-    let mut sum = (0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut sum = PathEngineStats::default();
     for section in &report.sections {
         if let Detail::Online(d) = &section.detail {
             for s in &d.sessions {
                 any = true;
-                sum.0 += s.engine_hits;
-                sum.1 += s.engine_misses;
-                sum.2 += s.engine_stale;
-                sum.3 += s.engine_repairs;
-                sum.4 += s.engine_partial_repairs;
+                sum += s.engine;
             }
         }
     }
@@ -337,7 +333,10 @@ fn cmd_bench_snapshot(args: Vec<String>) {
             }
             wall_ms.push(start.elapsed().as_secs_f64() * 1e3);
         }
-        let engine = last_report.as_ref().and_then(engine_counters);
+        let engine = last_report
+            .as_ref()
+            .and_then(engine_counters)
+            .map(|e| (e.hits, e.misses, e.stale, e.repairs, e.partial_repairs));
         let engine_note = engine
             .map(|(h, m, s, r, p)| {
                 format!("  engine hits {h} / misses {m} / stale {s} / repairs {r} / partial {p}")

@@ -638,6 +638,25 @@ fn long_chains_inside_the_caps_embed_on_a_budget() {
     assert_eq!(status, 200, "{body}");
     assert!(forest_cost(&body).parse::<f64>().is_ok(), "{body}");
     healthz_on_a_fresh_connection(&handle);
+    // The session says over the wire whether its chains are optimal: the
+    // chain of 30 spent its node budget and was handed to greedy insertion,
+    // a chain of 3 is searched to the end.
+    let short = r#"{"topology":"c","sources":[0,1],"destinations":[5,9,17],"chain_len":3}"#;
+    let (status, body) = c.request("POST", "/v1/sessions", short).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let counter = |c: &mut Client, id: u64, name: &str| -> i64 {
+        let (status, body) = c.request("GET", &format!("/v1/sessions/{id}"), "").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let reply = sof::spec::value::parse_json(&body).expect("a JSON reply");
+        match reply.get("counters").and_then(|t| t.get(name)) {
+            Some(sof::spec::value::Value::Int(n)) => *n,
+            other => panic!("counters.{name} is {other:?} in {body}"),
+        }
+    };
+    assert!(counter(&mut c, 1, "stroll_handovers") > 0);
+    assert!(counter(&mut c, 1, "stroll_nodes") > 0);
+    assert_eq!(counter(&mut c, 4, "stroll_handovers"), 0);
+    assert!(counter(&mut c, 4, "stroll_nodes") > 0);
     drop(c); // an idle keep-alive connection holds `stop` for its read timeout
     handle.stop();
 }

@@ -466,7 +466,7 @@ proptest! {
         let g = generators::gnp_connected(14, 0.3, CostRange::new(1.0, 9.0), &mut rng);
         let ts: Vec<NodeId> = rng.sample_indices(14, k).into_iter().map(NodeId::new).collect();
         let exact = sof::steiner::dreyfus_wagner(&g, &ts).unwrap();
-        for solver in [sof::steiner::SteinerSolver::Mehlhorn, sof::steiner::SteinerSolver::Kmb] {
+        for solver in [sof::steiner::SteinerSolver::Mehlhorn, sof::steiner::SteinerSolver::TakahashiMatsuyama] {
             let t = solver.solve(&g, &ts).unwrap();
             t.validate(&g, &ts).unwrap();
             prop_assert!(t.cost <= exact.cost * 2.0 + Cost::new(1e-9));

@@ -120,7 +120,7 @@ every = 3
         panic!("expected online detail");
     };
     assert!(d.vm_failures >= 1, "failures injected at arrivals 3 and 6");
-    let stats = &d.sessions[0];
+    let stats = &d.sessions[0].session;
     assert_eq!(
         stats.full_solves + stats.incremental_events + d.failures,
         8,

@@ -19,7 +19,7 @@ title = "every key of every table"
 description = "a maximal spec"
 topology = { name = "inet", nodes = 6000, links = 13000, dcs = 50, seed = 9 }
 params = { vm_count = 9, sources = 3, destinations = 4, chain_len = 2, setup_scale = 1.5 }
-sofda = { steiner = "kmb", stroll = "greedy", shorten = false, source_setup_cost = 0.5 }
+sofda = { steiner = "takahashi", stroll = "greedy", shorten = false, source_setup_cost = 0.5 }
 online = { drift = 1.5, drift_policy = "cost", reroute_every = 4, join = "full-search", link_capacity = 80.0, vm_capacity = 4.0 }
 "#;
 
@@ -329,4 +329,74 @@ fn spec_format_md_has_a_row_for_every_key() {
         missing.is_empty(),
         "SPEC_FORMAT.md has no table row for: {missing:?}"
     );
+}
+
+/// A document's integers are `i64`, so a seed past `i64::MAX` is one no
+/// file can say: `validate()` refuses it by name — it used to be written
+/// as `-1`, which the spec's own reader then refused — and the largest
+/// seed a file can say reads back as itself.
+#[test]
+fn integers_a_document_cannot_hold_are_refused_by_name() {
+    use sof::spec::overrides::{apply_overrides, Overrides};
+    let (_, sweep) = &maximal_specs()[1];
+    let mut spec = ScenarioSpec::from_toml(sweep).unwrap();
+    let seeded = |seed: u64| Overrides {
+        seed: Some(seed),
+        ..Overrides::default()
+    };
+    apply_overrides(&mut spec, &seeded(i64::MAX as u64));
+    spec.validate().unwrap();
+    assert!(spec.to_json().contains("\"seed\":9223372036854775807"));
+    assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
+    assert_eq!(ScenarioSpec::from_toml(&spec.to_toml()).unwrap(), spec);
+    for seed in [i64::MAX as u64 + 1, u64::MAX] {
+        apply_overrides(&mut spec, &seeded(seed));
+        assert_eq!(
+            spec.validate().unwrap_err().to_string(),
+            "'workload.seed' must be at most 9223372036854775807"
+        );
+    }
+    // The same rule for the other integers that are not sizes of something.
+    let (_, scale) = maximal_specs().pop().unwrap();
+    for at in [
+        "workload.events",
+        "workload.window",
+        "workload.failures.seed",
+    ] {
+        let mut spec = ScenarioSpec::from_toml(&scale).unwrap();
+        let sof::spec::Workload::ChurnAtScale(s) = &mut spec.workload else {
+            panic!("the last maximal spec is churn-at-scale");
+        };
+        match at {
+            "workload.events" => s.events = u64::MAX,
+            "workload.window" => s.window = u64::MAX,
+            _ => s.failures.as_mut().unwrap().seed = u64::MAX,
+        }
+        assert_eq!(
+            spec.validate().unwrap_err().to_string(),
+            format!("'{at}' must be at most 9223372036854775807")
+        );
+    }
+}
+
+/// The one writer's float, escape, separator and key-order rules are the
+/// goldens': every committed line parses and writes back as itself. (Fails
+/// when floats are formatted with `{}` instead of `{:?}` — `4.0` becomes
+/// `4` — or when tables stop keeping insertion order.)
+#[test]
+fn every_golden_line_reserialises_byte_for_byte() {
+    let dir = "crates/spec/specs/golden";
+    let mut lines = 0;
+    for entry in std::fs::read_dir(dir).expect("the golden directory") {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|ext| ext != "jsonl") {
+            continue;
+        }
+        for line in std::fs::read_to_string(&path).unwrap().lines() {
+            let value = parse_json(line).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(write_json(&value), line, "{}", path.display());
+            lines += 1;
+        }
+    }
+    assert!(lines >= 374, "only {lines} golden lines found");
 }
