@@ -373,8 +373,18 @@ impl ServiceForest {
             for s in 0..bounds.len() - 1 {
                 let (lo, hi) = (bounds[s], bounds[s + 1]);
                 let (a, b) = (w.nodes[lo], w.nodes[hi]);
-                let sp = network.paths().from_source(network.graph(), a);
-                let path = sp.path_to(b).expect("forest nodes are connected");
+                // Every tree is rooted at a VM, whose tree the solve that
+                // made this forest already holds: the segment out of the
+                // source is read from its first VNF VM's tree backwards
+                // (the graph is undirected). Only a chainless walk has no
+                // VM to root at and roots at the source.
+                let from_far_end = s == 0 && !w.vnf_positions.is_empty();
+                let (root, far) = if from_far_end { (b, a) } else { (a, b) };
+                let sp = network.paths().from_source(network.graph(), root);
+                let mut path = sp.path_to(far).expect("forest nodes are connected");
+                if from_far_end {
+                    path.reverse();
+                }
                 new_nodes.extend_from_slice(&path[1..]);
                 if s < w.vnf_positions.len() {
                     new_positions.push(new_nodes.len() - 1);

@@ -22,10 +22,20 @@
 //! [`SearchContext`] and hands it to every source's
 //! [`ChainMetric::chains_to_all_vms_in`]; a stand-alone
 //! [`ChainMetric::chains_to_all_vms`] builds a private one.
+//!
+//! Third observation: the network is undirected, so the source's row is
+//! its column read backwards — `tree(u).dist(s)` is the distance `s → u`
+//! and `tree(u).path_to(s)` reversed is a shortest path `s → u`. No tree
+//! is rooted at the source: a build asks the engine for the VM trees only,
+//! the ones every source of the solve shares, and `ChainMetric`'s private
+//! `dist` / `path` pair is the one place that knows a hop out of index 0
+//! is read from the tree at its other end. Row 0 therefore equals column
+//! 0 bit for bit, which is the symmetry Lemma 1 states.
 
 use crate::Network;
-use sof_graph::{Cost, MetricClosure, NodeId};
+use sof_graph::{Cost, NodeId, ShortestPaths};
 use sof_kstroll::{DenseMetric, SearchContext, Stroll, StrollSolver};
+use std::sync::Arc;
 
 /// The transformed k-stroll instance for one source (all last VMs at once).
 #[derive(Debug)]
@@ -34,8 +44,9 @@ pub struct ChainMetric {
     metric: DenseMetric,
     /// Index → network node; index 0 is the source.
     nodes: Vec<NodeId>,
-    /// Shortest-path closure over `nodes` for walk expansion.
-    closure: MetricClosure,
+    /// `trees[i - 1]` is the shortest-path tree rooted at VM `nodes[i]`;
+    /// the source has none.
+    trees: Vec<Arc<ShortestPaths>>,
     /// Setup cost charged for the source (0 unless Appendix D).
     source_cost: Cost,
     /// Setup costs of `nodes` (index-aligned; 0 for the source slot).
@@ -64,10 +75,13 @@ impl ChainMetric {
                 nodes.push(v);
             }
         }
-        // Engine-backed closure: the VM trees are shared across every
-        // source's ChainMetric within a solve — and across solves while the
-        // network is unchanged — instead of re-running k Dijkstras here.
-        let closure = MetricClosure::with_engine(network.graph(), nodes.clone(), network.paths());
+        // Engine-backed: the VM trees are shared across every source's
+        // ChainMetric within a solve — and across solves while the network
+        // is unchanged — instead of re-running k Dijkstras here.
+        let trees = nodes[1..]
+            .iter()
+            .map(|&v| network.paths().from_source(network.graph(), v))
+            .collect();
         let setup: Vec<Cost> = nodes
             .iter()
             .enumerate()
@@ -79,30 +93,56 @@ impl ChainMetric {
                 }
             })
             .collect();
-        let n = nodes.len();
         let pot: Vec<Cost> = setup
             .iter()
             .enumerate()
             .map(|(i, &c)| if i == 0 { source_cost / 2.0 } else { c / 2.0 })
             .collect();
-        // One pass over the O(1) closure lookups fills the matrix and
-        // checks that every pairwise distance is finite.
+        let mut cm = ChainMetric {
+            // Filled below, once `dist` has a `self` to read the trees from.
+            metric: DenseMetric::from_fn(0, |_, _| Cost::ZERO),
+            nodes,
+            trees,
+            source_cost,
+            setup,
+        };
+        // One pass over the O(1) tree lookups fills the matrix and checks
+        // that every pairwise distance is finite. Row 0 is column 0, summed
+        // in column 0's order, so the two hold the same bits.
         let mut finite = true;
-        let metric = DenseMetric::from_fn(n, |i, j| {
-            let d = closure.dist_between(nodes[i], nodes[j]);
+        cm.metric = DenseMetric::from_fn(cm.nodes.len(), |i, j| {
+            let (i, j) = if i == 0 { (j, i) } else { (i, j) };
+            let d = cm.dist(i, j);
             finite &= d.is_finite();
             d + pot[i] + pot[j]
         });
-        if !finite {
-            return None;
+        finite.then_some(cm)
+    }
+
+    /// The tree a hop between metric indices `i ≠ j` is read from and the
+    /// node to look up in it: the tree rooted at `i` — or, out of the source
+    /// (index 0, which has no tree), the one at `j`. The graph is undirected,
+    /// so that tree holds the same distance and the same path backwards.
+    fn tree_and_far_end(&self, i: usize, j: usize) -> (&ShortestPaths, NodeId) {
+        let (root, far) = if i == 0 { (j, i) } else { (i, j) };
+        (&self.trees[root - 1], self.nodes[far])
+    }
+
+    /// Shortest-path distance between metric indices `i ≠ j`.
+    fn dist(&self, i: usize, j: usize) -> Cost {
+        let (tree, far) = self.tree_and_far_end(i, j);
+        tree.dist(far)
+    }
+
+    /// A shortest path from metric index `i` to `j ≠ i` (`i`'s node first),
+    /// or `None` when there is none.
+    fn path(&self, i: usize, j: usize) -> Option<Vec<NodeId>> {
+        let (tree, far) = self.tree_and_far_end(i, j);
+        let mut path = tree.path_to(far)?;
+        if i == 0 {
+            path.reverse();
         }
-        Some(ChainMetric {
-            metric,
-            nodes,
-            closure,
-            source_cost,
-            setup,
-        })
+        Some(path)
     }
 
     /// The generic metric (node potentials included).
@@ -141,7 +181,7 @@ impl ChainMetric {
     /// last VM index `last` — used by tests to pin the construction to the
     /// paper's formula.
     pub fn procedure1_edge_cost(&self, i: usize, j: usize, last: usize) -> Cost {
-        let dist = self.closure.dist_between(self.nodes[i], self.nodes[j]);
+        let dist = self.dist(i, j);
         let share = if self.source_cost == Cost::ZERO {
             if i == 0 {
                 (self.setup[last] + self.setup[j]) / 2.0
@@ -211,11 +251,9 @@ impl ChainMetric {
         let mut walk: Vec<NodeId> = vec![self.nodes[stroll.nodes[0]]];
         let mut positions = Vec::with_capacity(stroll.nodes.len().saturating_sub(1));
         for pair in stroll.nodes.windows(2) {
-            let (a, b) = (self.nodes[pair[0]], self.nodes[pair[1]]);
             let path = self
-                .closure
-                .path_between(a, b)
-                .expect("closure distances are finite");
+                .path(pair[0], pair[1])
+                .expect("metric distances are finite");
             walk.extend_from_slice(&path[1..]);
             positions.push(walk.len() - 1);
         }
@@ -327,11 +365,14 @@ mod tests {
         // What lets one cost-to-go table serve a whole solve: off row and
         // column 0 every source's metric holds the same bits, Appendix D's
         // source cost included. (Node 0 and node 3 see the VMs from
-        // opposite ends of the line.)
+        // opposite ends of the line.) The block is read from the VM trees
+        // alone, so the second source's build roots nothing new.
         let net = net();
         let vms = vec![NodeId::new(1), NodeId::new(2)];
         let a = ChainMetric::build(&net, NodeId::new(0), &vms, Cost::ZERO).unwrap();
+        assert_eq!(net.paths().stats().misses, 2);
         let b = ChainMetric::build(&net, NodeId::new(3), &vms, Cost::new(10.0)).unwrap();
+        assert_eq!(net.paths().stats().misses, 2);
         assert_ne!(a.metric().row(0), b.metric().row(0));
         for i in 1..a.len() {
             assert_eq!(a.node(i), b.node(i));

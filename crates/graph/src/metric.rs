@@ -7,8 +7,10 @@ use std::sync::Arc;
 ///
 /// For `k` terminals this runs `k` Dijkstras and stores the shortest-path
 /// trees, so pairwise distances *and* realizing paths are available. It backs
-/// both the KMB Steiner approximation and Procedure 1's k-stroll instance
-/// construction (which needs shortest paths between every pair of VMs).
+/// the k-stroll instance of a §VII-C `FullSearch` join (`sof_core::dynamics`:
+/// shortest paths between a forest node, the free VMs and the joining
+/// destination). Procedure 1's own instance (`sof_core::ChainMetric`) holds
+/// its VM trees directly and roots none at the source.
 ///
 /// # Examples
 ///

@@ -6,9 +6,9 @@
 //!
 //! * [`graph`] — weighted-graph substrate (Dijkstra, MST, metric closure,
 //!   deterministic topology generators, seedable RNG),
-//! * [`steiner`] — Steiner tree portfolio (Mehlhorn/KMB/Takahashi 2-approx,
+//! * [`steiner`] — Steiner tree portfolio (Mehlhorn/Takahashi 2-approx,
 //!   exact Dreyfus–Wagner),
-//! * [`kstroll`] — k-stroll solvers (exact, color coding, greedy),
+//! * [`kstroll`] — k-stroll solvers (exact, greedy, budgeted `Auto`),
 //! * [`core`] — the SOF problem model, SOFDA / SOFDA-SS approximation
 //!   algorithms, VNF conflict resolution, cost model, dynamic operations,
 //! * [`par`] — deterministic scoped worker pool (`par_map_indexed`,

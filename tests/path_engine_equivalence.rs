@@ -122,8 +122,8 @@ fn fig12_requests_12_is_byte_identical_across_thread_counts() {
 /// `OnlineSession` on `inet_sized(3000, 6000, 120, seed)` with 40 VMs, 6
 /// sources, groups of 8 and one viewer leaving and one joining per arrival
 /// under the default `OnlineConfig`. Each arrival reprices a handful of
-/// links, so the rebuild on the eighth arrival finds its VM and source
-/// trees stale and most of them inside the repair cap — and stays
+/// links, so the rebuild on the eighth arrival finds its VM trees stale
+/// and most of them inside the repair cap — and stays
 /// invisible in results: a twin session whose engine is emptied before
 /// every arrival (so it never repairs) reports bit-equal costs and equal
 /// forests.
@@ -212,27 +212,27 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
 
 /// The queue's work witness on Table I's regime at CI size — the
 /// benchmark's `oneshot-inet5k` shape on `inet_sized(600, 1200, 240, 13)`
-/// with the paper's 25 VMs and 14 sources: the 39 full trees a chain-metric
-/// build asks for, run on one workspace as the engine runs them.
+/// with the paper's 25 VMs and 14 sources: the 25 full trees a solve's
+/// chain metrics ask for (one per VM, none at a source), run on one
+/// workspace as the engine runs them.
 /// `DijkstraWorkspace::queue_moves` (entries re-placed when a bucket is
 /// redistributed) depends only on the push/pop sequence, so it repeats
 /// exactly — on a reused workspace too — and it stays under twice the
-/// count measured when the queue landed (151 265 moves, 3 879 a tree; a
-/// 5 025-vertex tree of the benchmark takes about 43 500 for 7 200
-/// pushes). A change to how the queue files or redistributes entries
-/// keeps every tree as long as it keeps the pop order, so no equivalence
-/// test sees what it costs; this count does, where wall-clock on a shared
-/// CI box cannot.
+/// measured count (97 028 moves, 3 881 a tree; 151 265 over 39 trees when
+/// the queue landed and the 14 sources were roots too; a 5 025-vertex tree
+/// of the benchmark takes about 43 500 for 7 200 pushes). A change to how
+/// the queue files or redistributes entries keeps every tree as long as it
+/// keeps the pop order, so no equivalence test sees what it costs; this
+/// count does, where wall-clock on a shared CI box cannot.
 #[test]
 fn queue_moves_are_exact_and_under_their_ceiling() {
     use sof::graph::DijkstraWorkspace;
     use sof::topo::{build_instance, inet_sized, ScenarioParams};
-    const MEASURED: u64 = 151_265;
+    const MEASURED: u64 = 97_028;
     let topo = inet_sized(600, 1200, 240, 13);
     let inst = build_instance(&topo, &ScenarioParams::paper_defaults().with_seed(13));
-    let mut roots = inst.network.vms();
-    roots.extend(&inst.request.sources);
-    assert_eq!(roots.len(), 39);
+    let roots = inst.network.vms();
+    assert_eq!(roots.len(), 25);
     let graph = inst.network.graph();
     let mut ws = DijkstraWorkspace::new();
     let mut moves_after = || {
@@ -250,7 +250,41 @@ fn queue_moves_are_exact_and_under_their_ceiling() {
     );
     assert!(
         first > 0 && first <= 2 * MEASURED,
-        "{first} queue moves over 39 trees, measured {MEASURED} when the queue landed"
+        "{first} queue moves over 25 trees, measured {MEASURED}"
+    );
+}
+
+/// The work witness for "a solve never roots a shortest-path tree at a
+/// non-VM while the chain is non-empty", on the same inet-600 instance:
+/// `solve_sofda` (25 VMs, 14 sources) leaves exactly one engine miss per VM
+/// — 25, where it was 39 while every source's chain metric rooted a tree of
+/// its own — and `solve_sofda_ss` from the first source alone leaves the
+/// same 25, where it was 26. Engine counts depend only on the query
+/// sequence, so they repeat exactly at any thread count. Two stubs sink it:
+/// `ChainMetric::build` rooting a tree at `nodes[0]` again, and
+/// `ServiceForest::shorten` rooting a walk's first segment at its source
+/// `a`.
+#[test]
+fn a_solve_roots_its_trees_at_vms_only() {
+    use sof::core::solve_sofda_ss;
+    use sof::topo::{build_instance, inet_sized, ScenarioParams};
+    let topo = inet_sized(600, 1200, 240, 13);
+    let make = || build_instance(&topo, &ScenarioParams::paper_defaults().with_seed(13));
+
+    let inst = make();
+    let vms = inst.network.vms().len() as u64;
+    assert_eq!((vms, inst.request.sources.len()), (25, 14));
+    solve_sofda(&inst, &SofdaConfig::default()).unwrap();
+    let stats = inst.network.paths().stats();
+    assert_eq!(stats.misses, vms, "one cold tree per VM: {stats:?}");
+
+    let mut single = make();
+    single.request.sources.truncate(1);
+    solve_sofda_ss(&single, &SofdaConfig::default()).unwrap();
+    let stats = single.network.paths().stats();
+    assert_eq!(
+        stats.misses, vms,
+        "none at the one source either: {stats:?}"
     );
 }
 

@@ -163,6 +163,65 @@ proptest! {
         prop_assert!(cm.metric().respects_triangle_inequality(1e-6));
     }
 
+    /// No tree is rooted at the source: its row of the metric is its column
+    /// read backwards — bit for bit, and equal to the distance VM `j`'s own
+    /// tree gives plus the two potentials — and every chain still expands
+    /// into a walk that starts at the source, follows network links, runs
+    /// each VNF on the stroll's VM and costs what the stroll said. Also
+    /// with the source itself a VM of the set, and with an Appendix D
+    /// source cost.
+    #[test]
+    fn source_row_is_the_vm_column_read_backwards(
+        seed in 0u64..5000,
+        chain in 1usize..4,
+        source_is_vm in 0usize..2,
+        appendix_d in 0usize..2,
+    ) {
+        let inst = random_instance(seed, 16, 6, 1, 1, chain);
+        let (net, g) = (&inst.network, inst.network.graph());
+        let vms = net.vms();
+        let source = [inst.request.sources[0], vms[seed as usize % vms.len()]][source_is_vm];
+        let source_cost = Cost::new([0.0, 0.3 + (seed % 7) as f64][appendix_d]);
+        let cm = sof::core::ChainMetric::build(net, source, &vms, source_cost).unwrap();
+        prop_assert_eq!(cm.len(), vms.len() + 1 - source_is_vm);
+        prop_assert_eq!(net.paths().stats().misses, cm.len() as u64 - 1);
+        let m = cm.metric();
+        for j in 1..cm.len() {
+            let from_vm = sof::graph::ShortestPaths::from_source(g, cm.node(j)).dist(source);
+            let expect = from_vm + net.node_cost(cm.node(j)) / 2.0 + source_cost / 2.0;
+            prop_assert_eq!(m.cost(j, 0).value().to_bits(), expect.value().to_bits());
+            prop_assert_eq!(m.cost(0, j).value().to_bits(), expect.value().to_bits());
+        }
+        let mut rng = Rng64::seed_from(seed);
+        let chains = cm.chains_to_all_vms(chain, StrollSolver::Exact, &mut rng);
+        prop_assert!(!chains.is_empty());
+        for (t, stroll, cost) in chains {
+            let (walk, positions) = cm.expand(&stroll);
+            prop_assert_eq!(walk[0], source);
+            prop_assert!(g.walk_cost(&walk).is_some(), "walk {walk:?} leaves the network");
+            let placed: Vec<NodeId> = positions.iter().map(|&p| walk[p]).collect();
+            let strolled: Vec<NodeId> = stroll.nodes[1..].iter().map(|&i| cm.node(i)).collect();
+            prop_assert_eq!(&placed, &strolled);
+            prop_assert_eq!(placed.last(), Some(&cm.node(t)));
+            let walked = cm.walk_cost(net, &walk, &positions);
+            prop_assert!(walked.approx_eq(cost), "walk costs {walked}, stroll {cost}");
+        }
+    }
+
+    /// A VM no path reaches makes the build refuse, whichever end the
+    /// distance is read from.
+    #[test]
+    fn a_vm_cut_off_from_the_source_has_no_chain_metric(seed in 0u64..5000) {
+        let mut inst = random_instance(seed, 12, 4, 1, 1, 2);
+        let source = inst.request.sources[0];
+        let build = |net: &Network| {
+            sof::core::ChainMetric::build(net, source, &net.vms(), Cost::ZERO)
+        };
+        prop_assert!(build(&inst.network).is_some());
+        inst.network.add_node(sof::core::NodeKind::Vm, Cost::new(1.0));
+        prop_assert!(build(&inst.network).is_none());
+    }
+
     /// After an arbitrary mix of edge repricings (including no-op rewrites),
     /// a persistent `PathEngine` — hitting, repairing, or recomputing its
     /// cached trees — always serves trees identical to a from-scratch
