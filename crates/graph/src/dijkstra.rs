@@ -17,7 +17,9 @@ const REGION_FLOOR: usize = 8;
 /// Stores, for every node, the distance to the closest source, the parent
 /// hop on a shortest path, and which source ("site") it is closest to — the
 /// latter turns the structure into a Voronoi partition, which is what
-/// Mehlhorn's Steiner approximation consumes.
+/// Mehlhorn's Steiner approximation consumes. A tree with one root keeps no
+/// site array: every reachable node's site is that root, so it holds 20
+/// bytes a vertex where a multi-root tree holds 28.
 ///
 /// # Examples
 ///
@@ -38,7 +40,10 @@ const REGION_FLOOR: usize = 8;
 pub struct ShortestPaths {
     dist: Vec<Cost>,
     parent: Vec<Option<(NodeId, EdgeId)>>,
+    /// Closest root per vertex; empty unless there are several roots.
     site: Vec<Option<NodeId>>,
+    /// The root of a single-root tree: the site of everything reachable.
+    root: Option<NodeId>,
 }
 
 impl ShortestPaths {
@@ -51,10 +56,10 @@ impl ShortestPaths {
     ///
     /// Every node is labelled with its closest source (`site`).
     ///
-    /// This is a convenience wrapper that allocates a fresh
-    /// [`DijkstraWorkspace`] per call; hot paths that run many Dijkstras
-    /// should reuse a workspace (or go through [`crate::PathEngine`], which
-    /// also memoizes whole trees) — both produce bit-identical results.
+    /// This is a convenience wrapper around [`DijkstraWorkspace::tree`] on
+    /// a fresh workspace; hot paths that run many Dijkstras should reuse a
+    /// workspace (or go through [`crate::PathEngine`], which also memoizes
+    /// whole trees) — both produce bit-identical results.
     ///
     /// # Panics
     ///
@@ -63,9 +68,10 @@ impl ShortestPaths {
     where
         I: IntoIterator<Item = NodeId>,
     {
-        let mut ws = DijkstraWorkspace::new();
-        ws.run(graph, sources);
-        ws.into_paths()
+        let mut roots: Vec<NodeId> = sources.into_iter().collect();
+        roots.sort_unstable();
+        roots.dedup();
+        DijkstraWorkspace::new().tree(graph, &roots)
     }
 
     /// Distance from the closest source to `v`.
@@ -77,7 +83,24 @@ impl ShortestPaths {
     /// The source closest to `v`, or `None` if `v` is unreachable.
     #[inline]
     pub fn site(&self, v: NodeId) -> Option<NodeId> {
-        self.site[v.index()]
+        self.site_at(v.index())
+    }
+
+    #[inline]
+    fn site_at(&self, i: usize) -> Option<NodeId> {
+        if self.site.is_empty() {
+            self.root.filter(|_| self.dist[i].is_finite())
+        } else {
+            self.site[i]
+        }
+    }
+
+    /// A single-root tree stores no sites: there is nothing to write.
+    #[inline]
+    fn set_site(&mut self, i: usize, s: Option<NodeId>) {
+        if let Some(slot) = self.site.get_mut(i) {
+            *slot = s;
+        }
     }
 
     /// Parent hop of `v` on its shortest path, or `None` at sources and
@@ -157,20 +180,185 @@ pub enum Repair {
     GaveUp,
 }
 
+/// Where a search keeps the labels it writes: the workspace's stamped
+/// scratch ([`Stamped`]) or the tree a full run returns
+/// ([`ShortestPaths`]). [`relax_from`] is the one loop over both.
+trait Labels {
+    fn dist(&self, i: usize) -> Cost;
+    fn site(&self, i: usize) -> Option<NodeId>;
+    fn write(&mut self, i: usize, d: Cost, p: Option<(NodeId, EdgeId)>, s: Option<NodeId>);
+}
+
+/// A full run labels the tree it returns in place: allocated unreached,
+/// written once per improving relaxation, never copied.
+impl Labels for ShortestPaths {
+    #[inline]
+    fn dist(&self, i: usize) -> Cost {
+        self.dist[i]
+    }
+
+    #[inline]
+    fn site(&self, i: usize) -> Option<NodeId> {
+        self.site_at(i)
+    }
+
+    #[inline]
+    fn write(&mut self, i: usize, d: Cost, p: Option<(NodeId, EdgeId)>, s: Option<NodeId>) {
+        self.dist[i] = d;
+        self.parent[i] = p;
+        self.set_site(i, s);
+    }
+}
+
+/// Epoch-stamped label arrays: a slot is live iff `stamp[i] == epoch`, so
+/// one epoch bump resets them all.
+#[derive(Clone, Debug, Default)]
+struct Stamped {
+    epoch: u64,
+    stamp: Vec<u64>,
+    dist: Vec<Cost>,
+    parent: Vec<Option<(NodeId, EdgeId)>>,
+    site: Vec<Option<NodeId>>,
+}
+
+impl Stamped {
+    /// Grows the arrays to cover `n` vertices; `true` if they had to.
+    fn fit(&mut self, n: usize) -> bool {
+        let grows = self.stamp.len() < n;
+        if grows {
+            self.stamp.resize(n, 0);
+            self.dist.resize(n, Cost::INFINITY);
+            self.parent.resize(n, None);
+            self.site.resize(n, None);
+        }
+        grows
+    }
+
+    #[inline]
+    fn parent(&self, i: usize) -> Option<(NodeId, EdgeId)> {
+        if self.stamp[i] == self.epoch {
+            self.parent[i]
+        } else {
+            None
+        }
+    }
+}
+
+impl Labels for Stamped {
+    #[inline]
+    fn dist(&self, i: usize) -> Cost {
+        if self.stamp[i] == self.epoch {
+            self.dist[i]
+        } else {
+            Cost::INFINITY
+        }
+    }
+
+    #[inline]
+    fn site(&self, i: usize) -> Option<NodeId> {
+        if self.stamp[i] == self.epoch {
+            self.site[i]
+        } else {
+            None
+        }
+    }
+
+    #[inline]
+    fn write(&mut self, i: usize, d: Cost, p: Option<(NodeId, EdgeId)>, s: Option<NodeId>) {
+        self.stamp[i] = self.epoch;
+        self.dist[i] = d;
+        self.parent[i] = p;
+        self.site[i] = s;
+    }
+}
+
+/// The one cold-search loop: multi-source Dijkstra over `labels` (all
+/// unreached on entry), relaxing only the hops `allow` accepts, popping in
+/// `(dist, node)` order and relaxing with strict `<`. Once a popped vertex
+/// satisfies `is_target`, the loop finishes that distance — everything
+/// popped at the same distance, including vertices discovered through
+/// zero-cost hops after the first target — and stops at the first larger
+/// key, returning the smallest-id target seen. With a target test that
+/// never fires it labels everything reachable and returns `None`.
+///
+/// With `queue_leaves` off, an improving relaxation into a vertex of
+/// degree 1 writes its label and does not queue it: the label is final the
+/// moment the vertex's only neighbour is popped, and its own pop would
+/// re-scan the arc it came in by and improve nothing, so every other entry
+/// still pops in the same order and every label is the same
+/// (`docs/DYNSSSP.md`, "Full runs"). Only a run that tests no target at the
+/// pop may turn it off.
+#[inline]
+fn relax_from<L, I, F, T>(
+    graph: &Graph,
+    queue: &mut MonotoneQueue,
+    labels: &mut L,
+    sources: I,
+    mut allow: F,
+    mut is_target: T,
+    queue_leaves: bool,
+) -> Option<(Cost, NodeId)>
+where
+    L: Labels,
+    I: IntoIterator<Item = NodeId>,
+    F: FnMut(NodeId, EdgeId, NodeId) -> bool,
+    T: FnMut(NodeId) -> bool,
+{
+    let n = graph.node_count();
+    queue.clear();
+    for s in sources {
+        assert!(s.index() < n, "source {s} out of range");
+        if labels.dist(s.index()) > Cost::ZERO {
+            labels.write(s.index(), Cost::ZERO, None, Some(s));
+            queue.push(Cost::ZERO, s);
+        }
+    }
+    let mut nearest: Option<(Cost, NodeId)> = None;
+    while let Some((d, u)) = queue.pop() {
+        if nearest.is_some_and(|(bound, _)| d > bound) {
+            break;
+        }
+        if d > labels.dist(u.index()) {
+            continue;
+        }
+        if is_target(u) {
+            nearest = Some(nearest.map_or((d, u), |best| best.min((d, u))));
+        }
+        let su = labels.site(u.index());
+        for (v, e) in graph.neighbors(u) {
+            if !allow(u, e, v) {
+                continue;
+            }
+            let nd = d + graph.edge_cost(e);
+            if nd < labels.dist(v.index()) {
+                labels.write(v.index(), nd, Some((u, e)), su);
+                if queue_leaves || graph.degree(v) != 1 {
+                    queue.push(nd, v);
+                }
+            }
+        }
+    }
+    nearest
+}
+
 /// A reusable Dijkstra scratchpad: epoch-stamped `dist`/`parent`/`site`
 /// arrays plus an emptied monotone queue.
 ///
 /// Resetting between runs is O(1) — a single epoch bump lazily invalidates
 /// every slot — so once the arrays have grown to the graph size, repeated
-/// runs perform **zero O(n) allocation**. This is the engine under
-/// [`ShortestPaths::from_sources`] (fresh workspace per call), the
-/// memoizing [`crate::PathEngine`] (one long-lived workspace), and the
-/// incremental restarts of the Takahashi–Matsuyama Steiner heuristic
-/// (re-seeded with the grown tree each attachment).
+/// [`run`](DijkstraWorkspace::run)s and bounded searches perform **zero
+/// O(n) allocation**: that is what the incremental restarts of the
+/// Takahashi–Matsuyama Steiner heuristic (re-seeded with the grown tree
+/// each attachment) and [`nearest_target`](DijkstraWorkspace::nearest_target)
+/// need. A full run whose tree outlives the workspace —
+/// [`tree`](DijkstraWorkspace::tree), the engine under
+/// [`ShortestPaths::from_sources`] and a [`crate::PathEngine`] miss —
+/// bypasses the stamped arrays and labels the tree it returns in place,
+/// sharing only the queue.
 ///
-/// Results are bit-identical to [`ShortestPaths::from_sources`]: both run
-/// the same relaxation and pop in the same ascending `(dist, node)` order
-/// (the queue's contract — `docs/DYNSSSP.md`, "The queue").
+/// Both stores are labelled by the same relaxation loop popping in the same
+/// ascending `(dist, node)` order (the queue's contract —
+/// `docs/DYNSSSP.md`, "The queue"), so their results are bit-identical.
 ///
 /// # Examples
 ///
@@ -186,18 +374,13 @@ pub enum Repair {
 /// ws.run(&g, [NodeId::new(2)]); // reuses the same buffers
 /// assert_eq!(ws.dist(NodeId::new(0)), Cost::new(3.0));
 /// assert_eq!(ws.grows(), 1, "arrays were allocated exactly once");
+/// let tree = ws.tree(&g, &[NodeId::new(0)]); // owned, written once
+/// assert_eq!(tree.dist(NodeId::new(2)), Cost::new(3.0));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DijkstraWorkspace {
-    /// Current run id; a slot is live iff `stamp[i] == epoch`.
-    epoch: u64,
-    stamp: Vec<u64>,
-    dist: Vec<Cost>,
-    parent: Vec<Option<(NodeId, EdgeId)>>,
-    site: Vec<Option<NodeId>>,
+    labels: Stamped,
     queue: MonotoneQueue,
-    /// Node count of the most recent run.
-    len: usize,
     runs: u64,
     grows: u64,
     /// Vertices settled (popped with a final label) by the latest bounded
@@ -231,6 +414,47 @@ impl DijkstraWorkspace {
         self.search(graph, sources, |_, _, _| true, |_| false);
     }
 
+    /// Full run from `roots` (sorted and deduplicated, as
+    /// [`crate::PathEngine`] keys them) into a tree of its own: `dist` and
+    /// `parent` — and `site` only for several roots — are allocated
+    /// unreached and labelled in place, so the tree is written once and
+    /// nothing is copied out of the workspace, whose latest
+    /// [`run`](DijkstraWorkspace::run) stays readable. Labels equal
+    /// `run`'s bit for bit; vertices of degree 1 are labelled without
+    /// being queued (`docs/DYNSSSP.md`, "Full runs").
+    ///
+    /// # Panics
+    ///
+    /// Panics if any root is out of range.
+    pub fn tree(&mut self, graph: &Graph, roots: &[NodeId]) -> ShortestPaths {
+        debug_assert!(roots.windows(2).all(|w| w[0] < w[1]), "unsorted roots");
+        let n = graph.node_count();
+        let mut tree = ShortestPaths {
+            dist: vec![Cost::INFINITY; n],
+            parent: vec![None; n],
+            site: if roots.len() > 1 {
+                vec![None; n]
+            } else {
+                Vec::new()
+            },
+            root: match roots {
+                [root] => Some(*root),
+                _ => None,
+            },
+        };
+        self.runs += 1;
+        relax_from(
+            graph,
+            &mut self.queue,
+            &mut tree,
+            roots.iter().copied(),
+            |_, _, _| true,
+            |_| false,
+            false,
+        );
+        tree
+    }
+
     /// Bounded search: the `is_target` vertex closest to `source` when
     /// only the hops `allow(from, edge, to)` accepts may be taken, with its
     /// distance and tree path — or `None` when no target is reachable.
@@ -248,8 +472,7 @@ impl DijkstraWorkspace {
     ///
     /// Labels beyond that distance are tentative, so the epoch is retired
     /// before returning (as [`repair`](DijkstraWorkspace::repair) does):
-    /// afterwards the accessors and [`snapshot`](DijkstraWorkspace::snapshot)
-    /// read "no run", never a truncated tree.
+    /// afterwards the accessors read "no run", never a truncated tree.
     /// [`settled`](DijkstraWorkspace::settled) reports the work done.
     ///
     /// # Panics
@@ -280,130 +503,67 @@ impl DijkstraWorkspace {
                 path: self.path_to(target).expect("a settled target is labelled"),
             });
         self.settled = settled;
-        self.epoch += 1;
+        self.labels.epoch += 1;
         found
     }
 
-    /// The one cold-search loop: multi-source Dijkstra relaxing only the
-    /// hops `allow` accepts, popping in `(dist, node)` order and relaxing
-    /// with strict `<`. Once a popped vertex satisfies `is_target`, the
-    /// loop finishes that distance — everything popped at the same
-    /// distance, including vertices discovered through zero-cost hops
-    /// after the first target — and stops at the first larger key,
-    /// returning the smallest-id target seen. With a target test that never
-    /// fires it labels everything reachable and returns `None`.
+    /// [`relax_from`] on the stamped arrays, every reached vertex queued:
+    /// a bounded search tests its targets at the pop, and VMs and
+    /// destinations are leaves.
     #[inline]
     fn search<I, F, T>(
         &mut self,
         graph: &Graph,
         sources: I,
-        mut allow: F,
-        mut is_target: T,
+        allow: F,
+        is_target: T,
     ) -> Option<(Cost, NodeId)>
     where
         I: IntoIterator<Item = NodeId>,
         F: FnMut(NodeId, EdgeId, NodeId) -> bool,
         T: FnMut(NodeId) -> bool,
     {
-        let n = graph.node_count();
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.dist.resize(n, Cost::INFINITY);
-            self.parent.resize(n, None);
-            self.site.resize(n, None);
-            self.grows += 1;
-        }
-        self.len = n;
-        self.epoch += 1;
+        self.grows += u64::from(self.labels.fit(graph.node_count()));
+        self.labels.epoch += 1;
         self.runs += 1;
-        self.queue.clear();
-        for s in sources {
-            assert!(s.index() < n, "source {s} out of range");
-            if self.dist_at(s.index()) > Cost::ZERO {
-                self.write(s.index(), Cost::ZERO, None, Some(s));
-                self.queue.push(Cost::ZERO, s);
-            }
-        }
-        let mut nearest: Option<(Cost, NodeId)> = None;
-        while let Some((d, u)) = self.queue.pop() {
-            if nearest.is_some_and(|(bound, _)| d > bound) {
-                break;
-            }
-            if d > self.dist_at(u.index()) {
-                continue;
-            }
-            if is_target(u) {
-                nearest = Some(nearest.map_or((d, u), |best| best.min((d, u))));
-            }
-            let su = self.site_at(u.index());
-            for (v, e) in graph.neighbors(u) {
-                if !allow(u, e, v) {
-                    continue;
-                }
-                let nd = d + graph.edge_cost(e);
-                if nd < self.dist_at(v.index()) {
-                    self.write(v.index(), nd, Some((u, e)), su);
-                    self.queue.push(nd, v);
-                }
-            }
-        }
-        nearest
-    }
-
-    #[inline]
-    fn dist_at(&self, i: usize) -> Cost {
-        if self.stamp[i] == self.epoch {
-            self.dist[i]
-        } else {
-            Cost::INFINITY
-        }
-    }
-
-    #[inline]
-    fn parent_at(&self, i: usize) -> Option<(NodeId, EdgeId)> {
-        if self.stamp[i] == self.epoch {
-            self.parent[i]
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn site_at(&self, i: usize) -> Option<NodeId> {
-        if self.stamp[i] == self.epoch {
-            self.site[i]
-        } else {
-            None
-        }
+        relax_from(
+            graph,
+            &mut self.queue,
+            &mut self.labels,
+            sources,
+            allow,
+            is_target,
+            true,
+        )
     }
 
     /// Distance from the closest source of the latest run to `v`.
     #[inline]
     pub fn dist(&self, v: NodeId) -> Cost {
-        self.dist_at(v.index())
+        self.labels.dist(v.index())
     }
 
     /// The source closest to `v` in the latest run.
     #[inline]
     pub fn site(&self, v: NodeId) -> Option<NodeId> {
-        self.site_at(v.index())
+        self.labels.site(v.index())
     }
 
     /// Parent hop of `v` in the latest run.
     #[inline]
     pub fn parent(&self, v: NodeId) -> Option<(NodeId, EdgeId)> {
-        self.parent_at(v.index())
+        self.labels.parent(v.index())
     }
 
     /// Shortest path from the closest source to `v` (source first), or
     /// `None` if `v` is unreachable. Allocates only the returned path.
     pub fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        if !self.dist_at(v.index()).is_finite() {
+        if !self.dist(v).is_finite() {
             return None;
         }
         let mut path = vec![v];
         let mut cur = v;
-        while let Some((p, _)) = self.parent_at(cur.index()) {
+        while let Some((p, _)) = self.parent(cur) {
             path.push(p);
             cur = p;
         }
@@ -413,57 +573,17 @@ impl DijkstraWorkspace {
 
     /// Edges of the shortest path to `v` in source→`v` order.
     pub fn edges_to(&self, v: NodeId) -> Option<Vec<EdgeId>> {
-        if !self.dist_at(v.index()).is_finite() {
+        if !self.dist(v).is_finite() {
             return None;
         }
         let mut edges = Vec::new();
         let mut cur = v;
-        while let Some((p, e)) = self.parent_at(cur.index()) {
+        while let Some((p, e)) = self.parent(cur) {
             edges.push(e);
             cur = p;
         }
         edges.reverse();
         Some(edges)
-    }
-
-    #[inline]
-    fn write(&mut self, i: usize, d: Cost, p: Option<(NodeId, EdgeId)>, s: Option<NodeId>) {
-        self.stamp[i] = self.epoch;
-        self.dist[i] = d;
-        self.parent[i] = p;
-        self.site[i] = s;
-    }
-
-    /// Copies the latest run out into an owned [`ShortestPaths`]
-    /// (the workspace stays warm). One O(n) copy — the price of a cache
-    /// miss in [`crate::PathEngine`]; cache hits pay nothing.
-    pub fn snapshot(&self) -> ShortestPaths {
-        let n = self.len;
-        ShortestPaths {
-            dist: (0..n).map(|i| self.dist_at(i)).collect(),
-            parent: (0..n).map(|i| self.parent_at(i)).collect(),
-            site: (0..n).map(|i| self.site_at(i)).collect(),
-        }
-    }
-
-    /// Consumes the workspace into an owned [`ShortestPaths`] without
-    /// copying the arrays (used by [`ShortestPaths::from_sources`]).
-    fn into_paths(mut self) -> ShortestPaths {
-        for i in 0..self.len {
-            if self.stamp[i] != self.epoch {
-                self.dist[i] = Cost::INFINITY;
-                self.parent[i] = None;
-                self.site[i] = None;
-            }
-        }
-        self.dist.truncate(self.len);
-        self.parent.truncate(self.len);
-        self.site.truncate(self.len);
-        ShortestPaths {
-            dist: self.dist,
-            parent: self.parent,
-            site: self.site,
-        }
     }
 
     /// Dynamic-SSSP tree repair (Ramalingam–Reps style): given the tree
@@ -484,8 +604,9 @@ impl DijkstraWorkspace {
     ///
     /// The pass reuses the workspace's queue and stamp buffers (the stamp
     /// array doubles as the region marker), so a re-relaxation's only O(n)
-    /// work is the child-list pass and the output clone — the price a
-    /// cache miss pays for its snapshot anyway. The workspace's previous
+    /// work is the child-list pass and the output clone — what `old`
+    /// stores, so no site array for a single-root tree, which is what a
+    /// cold miss allocates for its tree anyway. The workspace's previous
     /// run is invalidated, exactly as a fresh
     /// [`run`](DijkstraWorkspace::run) would invalidate it.
     pub fn repair(
@@ -499,15 +620,9 @@ impl DijkstraWorkspace {
         if old.len() != n {
             return Repair::GaveUp;
         }
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.dist.resize(n, Cost::INFINITY);
-            self.parent.resize(n, None);
-            self.site.resize(n, None);
-            self.grows += 1;
-        }
+        self.grows += u64::from(self.labels.fit(n));
         let cap = REGION_FLOOR.max(n / REGION_FRACTION);
-        self.epoch += 1;
+        self.labels.epoch += 1;
         self.queue.clear();
         self.region.clear();
 
@@ -527,11 +642,11 @@ impl DijkstraWorkspace {
                 } else {
                     dx.is_finite() && dx + c <= dy
                 };
-                if dirty && self.stamp[y.index()] != self.epoch {
-                    self.stamp[y.index()] = self.epoch;
+                if dirty && self.labels.stamp[y.index()] != self.labels.epoch {
+                    self.labels.stamp[y.index()] = self.labels.epoch;
                     self.region.push(y);
                     if self.region.len() > cap {
-                        self.epoch += 1;
+                        self.labels.epoch += 1;
                         return Repair::GaveUp;
                     }
                 }
@@ -576,11 +691,11 @@ impl DijkstraWorkspace {
             let start = if x == 0 { 0 } else { self.kid_off[x - 1] };
             for i in start..self.kid_off[x] {
                 let k = self.kids[i as usize] as usize;
-                if self.stamp[k] != self.epoch {
-                    self.stamp[k] = self.epoch;
+                if self.labels.stamp[k] != self.labels.epoch {
+                    self.labels.stamp[k] = self.labels.epoch;
                     self.region.push(NodeId::new(k));
                     if self.region.len() > cap {
-                        self.epoch += 1;
+                        self.labels.epoch += 1;
                         return Repair::GaveUp;
                     }
                 }
@@ -595,21 +710,18 @@ impl DijkstraWorkspace {
         // undercut one (the queue's monotonicity precondition).
         let mut sp = old.clone();
         for &v in &self.region {
-            sp.dist[v.index()] = Cost::INFINITY;
-            sp.parent[v.index()] = None;
-            sp.site[v.index()] = None;
+            sp.write(v.index(), Cost::INFINITY, None, None);
         }
         for &s in sources {
-            if self.stamp[s.index()] == self.epoch {
-                sp.dist[s.index()] = Cost::ZERO;
-                sp.site[s.index()] = Some(s);
+            if self.labels.stamp[s.index()] == self.labels.epoch {
+                sp.write(s.index(), Cost::ZERO, None, Some(s));
                 self.queue.push(Cost::ZERO, s);
             }
         }
         for &v in &self.region {
             for (b, _) in graph.neighbors(v) {
                 let bi = b.index();
-                if self.stamp[bi] != self.epoch && sp.dist[bi].is_finite() {
+                if self.labels.stamp[bi] != self.labels.epoch && sp.dist[bi].is_finite() {
                     self.queue.push(sp.dist[bi], b);
                 }
             }
@@ -618,17 +730,15 @@ impl DijkstraWorkspace {
             if d > sp.dist[u.index()] {
                 continue;
             }
-            let su = sp.site[u.index()];
+            let su = sp.site(u);
             for (v, e) in graph.neighbors(u) {
                 let vi = v.index();
                 let nd = d + graph.edge_cost(e);
                 if nd < sp.dist[vi] {
                     // Plain fresh semantics; a still-valid vertex that
                     // improves joins the region from here on.
-                    self.stamp[vi] = self.epoch;
-                    sp.dist[vi] = nd;
-                    sp.parent[vi] = Some((u, e));
-                    sp.site[vi] = su;
+                    self.labels.stamp[vi] = self.labels.epoch;
+                    sp.write(vi, nd, Some((u, e)), su);
                     self.queue.push(nd, v);
                 } else if nd == sp.dist[vi] {
                     // A tie. A fresh run parents v on the first proposer in
@@ -651,10 +761,10 @@ impl DijkstraWorkspace {
                     };
                     if let Some((p, pe)) = sp.parent[vi] {
                         if d == sp.dist[p.index()] && (displaced(&sp, u) || displaced(&sp, p)) {
-                            self.epoch += 1;
+                            self.labels.epoch += 1;
                             return Repair::GaveUp;
                         }
-                        if self.stamp[vi] != self.epoch {
+                        if self.labels.stamp[vi] != self.labels.epoch {
                             // Still-valid label: flip when this candidate's
                             // key strictly beats the stored parent's, and
                             // cascade site changes through unchanged parent
@@ -663,15 +773,13 @@ impl DijkstraWorkspace {
                             // first proposer — same as a fresh run's
                             // strict-< rule.
                             if p == u && pe == e {
-                                if sp.site[vi] != su {
-                                    sp.site[vi] = su;
+                                if sp.site(v) != su {
+                                    sp.set_site(vi, su);
                                     self.queue.push(nd, v);
                                 }
                             } else if (d, u) < (sp.dist[p.index()], p) {
                                 sp.parent[vi] = Some((u, e));
-                                if sp.site[vi] != su {
-                                    sp.site[vi] = su;
-                                }
+                                sp.set_site(vi, su);
                                 self.queue.push(nd, v);
                             }
                         }
@@ -683,7 +791,7 @@ impl DijkstraWorkspace {
         // The stamp array was borrowed as the region marker, so the
         // workspace's label arrays no longer correspond to it; retire the
         // epoch so the accessors read as "no run" rather than garbage.
-        self.epoch += 1;
+        self.labels.epoch += 1;
         Repair::Repaired(sp)
     }
 
@@ -852,10 +960,12 @@ mod tests {
             vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]
         );
         assert_eq!(ws.settled(), 3);
-        // The truncated run is retired: nothing of it can be read back or
-        // snapshotted as if it were a tree.
+        // The truncated run is retired: nothing of it can be read back as
+        // if it were a tree.
         assert_eq!(ws.dist(NodeId::new(1)), Cost::INFINITY);
-        assert_eq!(ws.snapshot().dist(NodeId::new(0)), Cost::INFINITY);
+        assert_eq!(ws.dist(NodeId::new(0)), Cost::INFINITY);
+        assert_eq!(ws.parent(NodeId::new(2)), None);
+        assert_eq!(ws.path_to(NodeId::new(2)), None);
         // The source itself may be the target.
         let own = ws
             .nearest_target(&g, NodeId::new(5), |_, _, _| true, |v| targets.contains(&v))
@@ -926,30 +1036,70 @@ mod tests {
     fn workspace_matches_from_sources_on_random_graphs() {
         for seed in 0..6u64 {
             let mut rng = crate::Rng64::seed_from(seed);
-            let g = crate::generators::gnp_connected(
+            let mut g = crate::generators::gnp_connected(
                 40,
                 0.12,
                 crate::CostRange::new(1.0, 7.0),
                 &mut rng,
             );
+            // A zero-cost leaf, as VMs are attached, and a vertex no root
+            // reaches: its site is `None` in both stores.
+            let vm = g.add_node();
+            g.add_edge(NodeId::new(5), vm, Cost::ZERO);
+            let island = g.add_node();
             let mut ws = DijkstraWorkspace::new();
-            for sources in [vec![0usize], vec![3, 17], vec![1, 2, 39]] {
+            for sources in [vec![0usize], vec![40], vec![3, 17], vec![1, 2, 39, 40]] {
                 let srcs: Vec<NodeId> = sources.iter().map(|&i| NodeId::new(i)).collect();
                 let reference = ShortestPaths::from_sources(&g, srcs.iter().copied());
+                // The stamped run queues leaves and carries a site per
+                // vertex whatever the root count: it is the reference for
+                // the sites a single-root tree answers without storing.
+                assert_eq!(reference.site.is_empty(), srcs.len() == 1);
                 ws.run(&g, srcs.iter().copied());
-                let snap = ws.snapshot();
                 for v in g.nodes() {
                     assert_eq!(ws.dist(v), reference.dist(v), "seed {seed} node {v}");
-                    assert_eq!(snap.dist(v), reference.dist(v));
                     assert_eq!(ws.parent(v), reference.parent(v));
-                    assert_eq!(snap.parent(v), reference.parent(v));
-                    assert_eq!(ws.site(v), reference.site(v));
+                    assert_eq!(ws.site(v), reference.site(v), "seed {seed} node {v}");
                     assert_eq!(ws.path_to(v), reference.path_to(v));
                     assert_eq!(ws.edges_to(v), reference.edges_to(v));
                 }
+                assert_eq!(reference.site(island), None);
+                // A full run on the warm workspace leaves the stamped run
+                // readable and equals the fresh workspace's tree.
+                let tree = ws.tree(&g, &srcs);
+                assert_tree_identical(&g, &tree, &reference, "warm workspace");
+                assert_eq!(ws.site(vm), reference.site(vm));
             }
             assert_eq!(ws.grows(), 1);
         }
+    }
+
+    /// The memory witness: the tree an engine miss caches for one root
+    /// stores no site per vertex — 20 bytes a vertex, not 28 — and still
+    /// answers `site` with its root; several roots do store them. Sunk by
+    /// `tree` allocating `site` whatever the root count, which no
+    /// equivalence test sees: the answers are the same.
+    #[test]
+    fn single_root_engine_trees_store_no_sites() {
+        let mut rng = crate::Rng64::seed_from(13);
+        let mut g = crate::generators::inet_like(300, 600, crate::CostRange::UNIT, &mut rng);
+        let vms: Vec<NodeId> = (0..25)
+            .map(|_| {
+                let vm = g.add_node();
+                g.add_edge(NodeId::new(rng.below(300)), vm, Cost::ZERO);
+                vm
+            })
+            .collect();
+        let engine = crate::PathEngine::new();
+        for &vm in &vms {
+            let tree = engine.from_source(&g, vm);
+            assert_eq!(tree.site.capacity(), 0, "tree rooted at {vm}");
+            assert!(g.nodes().all(|v| tree.site(v) == Some(vm)));
+        }
+        assert_eq!(engine.stats().misses, 25);
+        let voronoi = engine.from_sources(&g, &vms);
+        assert_eq!(voronoi.site.len(), g.node_count());
+        assert!(vms.iter().all(|&vm| voronoi.site(vm) == Some(vm)));
     }
 
     /// The tree a repair outcome stands for (`None`: the caller runs cold).
@@ -1094,7 +1244,11 @@ mod tests {
         // The workspace stays reusable after the bail.
         ws.run(&g, srcs);
         let fresh = ShortestPaths::from_sources(&g, srcs);
-        assert_tree_identical(&g, &ws.snapshot(), &fresh, "post-bail run");
+        for v in g.nodes() {
+            assert_eq!(ws.dist(v), fresh.dist(v), "post-bail run: dist of {v}");
+            assert_eq!(ws.parent(v), fresh.parent(v), "post-bail run: {v}");
+            assert_eq!(ws.site(v), fresh.site(v), "post-bail run: site of {v}");
+        }
     }
 
     #[test]
@@ -1133,9 +1287,15 @@ mod tests {
                 crate::CostRange::new(1.0, 7.0),
                 &mut rng,
             );
-            let srcs: Vec<NodeId> = vec![NodeId::new(1), NodeId::new(29)];
+            // One root on even seeds: the repaired clone then has no site
+            // array, and must still answer `site` as the fresh tree does.
+            let srcs: Vec<NodeId> = [1, 29][..1 + seed as usize % 2]
+                .iter()
+                .map(|&i| NodeId::new(i))
+                .collect();
             let mut ws = DijkstraWorkspace::new();
             let mut old = ShortestPaths::from_sources(&g, srcs.iter().copied());
+            let mut repaired_rounds = 0;
             for round in 0..10 {
                 let e0 = g.cost_epoch();
                 for _ in 0..3 {
@@ -1147,15 +1307,18 @@ mod tests {
                 let changes = g.cost_changes_since(e0).unwrap().to_vec();
                 let fresh = ShortestPaths::from_sources(&g, srcs.iter().copied());
                 if let Some(repaired) = tree_of(ws.repair(&g, &old, &srcs, &changes), &old) {
+                    assert_eq!(repaired.site.is_empty(), srcs.len() == 1);
                     assert_tree_identical(
                         &g,
                         &repaired,
                         &fresh,
                         &format!("seed {seed} round {round}"),
                     );
+                    repaired_rounds += 1;
                 }
                 old = fresh;
             }
+            assert!(repaired_rounds > 0, "seed {seed}: every repair gave up");
         }
     }
 
@@ -1172,9 +1335,10 @@ mod tests {
         assert_eq!(ws.grows(), 2);
         assert_eq!(ws.dist(NodeId::new(9)), Cost::new(9.0));
         // Shrinking back reuses the larger buffers without reallocating,
-        // and the snapshot is sized to the current graph.
+        // and reads the small graph's labels, not the big run's.
         ws.run(&small, [NodeId::new(0)]);
         assert_eq!(ws.grows(), 2);
-        assert_eq!(ws.snapshot().len(), small.node_count());
+        assert_eq!(ws.dist(NodeId::new(2)), Cost::new(2.0));
+        assert_eq!(ws.dist(NodeId::new(3)), Cost::INFINITY);
     }
 }

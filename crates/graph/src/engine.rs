@@ -10,9 +10,10 @@
 //!   epoch is [`Graph::cost_epoch`] — a stamp renewed on every mutation —
 //!   so a cost or topology change *lazily* invalidates the cache (no eager
 //!   clearing, no risk of serving stale distances);
-//! * misses run through one long-lived [`DijkstraWorkspace`], so the
-//!   Dijkstra itself does no O(n) allocation once warm (the only O(n) work
-//!   on a miss is the snapshot copied into the cache);
+//! * misses run through one long-lived [`DijkstraWorkspace`], whose queue
+//!   stays warm; the only O(n) allocation on a miss is the tree itself,
+//!   labelled in place by [`DijkstraWorkspace::tree`] — 20 bytes a vertex
+//!   for one root, 28 for several — and nothing is copied into the cache;
 //! * hits return a cheap [`Arc`] clone of the cached tree — zero O(n)
 //!   allocation on the warm path.
 //!
@@ -66,7 +67,7 @@
 //!   tree that replaces only on strictly smaller distance picks;
 //! * **epoch retired** — labels beyond `D` are tentative, so the workspace
 //!   epoch is retired before the call returns (as the repair pass does):
-//!   a truncated run can never be snapshotted or cached.
+//!   a truncated run can never be read back or cached.
 //!
 //! A bounded search is not a cache query: it reads no entry, inserts none,
 //! and counts in **none** of the six [`PathEngineStats`] fields. Its work
@@ -269,8 +270,7 @@ impl PathEngine {
             }
         }
         inner.stats.misses += 1;
-        inner.workspace.run(graph, key.iter().copied());
-        let paths = Arc::new(inner.workspace.snapshot());
+        let paths = Arc::new(inner.workspace.tree(graph, key));
         if inner.cache.len() >= MAX_ENTRIES && !inner.cache.contains_key(key) {
             // Drop source sets with no tree at the current epoch first; if
             // the cache is still full the whole map goes (rare, and
@@ -400,7 +400,7 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.stale, 1);
         assert_eq!(stats.misses, 2);
-        // The pre-mutation Arc still reads the old (consistent) snapshot.
+        // The pre-mutation Arc still reads the old (consistent) tree.
         assert_eq!(before.dist(NodeId::new(3)), Cost::new(3.0));
     }
 

@@ -96,12 +96,42 @@ pub struct CostChange {
 /// changes — and overflow drops the oldest records, advancing `base`.
 #[derive(Clone, Debug, Default)]
 struct CostJournal {
-    /// Oldest epoch still reconstructible from `records` (the epoch the
-    /// graph had just before `records[0]` landed).
+    /// Oldest epoch still reconstructible from the kept records (the epoch
+    /// the graph had just before `records[start]` landed).
     base: u64,
     /// Cost changes in application order; `records.last().epoch` equals the
     /// graph's current epoch whenever the journal is non-empty.
     records: Vec<CostChange>,
+    /// Records before this index were dropped by overflow. Dropping one is
+    /// this index moving, not a shift of the other [`JOURNAL_CAP`]: the
+    /// dead prefix is cut off once per `JOURNAL_CAP` overflows.
+    start: usize,
+}
+
+impl CostJournal {
+    /// The kept records, oldest first: at most the last [`JOURNAL_CAP`].
+    fn kept(&self) -> &[CostChange] {
+        &self.records[self.start..]
+    }
+
+    /// Forgets everything; `epoch` is where the lineage starts over.
+    fn sever(&mut self, epoch: u64) {
+        self.records.clear();
+        self.start = 0;
+        self.base = epoch;
+    }
+
+    fn push(&mut self, change: CostChange) {
+        self.records.push(change);
+        if self.kept().len() > JOURNAL_CAP {
+            self.base = self.records[self.start].epoch;
+            self.start += 1;
+            if self.start > JOURNAL_CAP {
+                self.records.drain(..self.start);
+                self.start = 0;
+            }
+        }
+    }
 }
 
 /// Cost changes retained per graph. A congestion refresh dirties one record
@@ -131,7 +161,7 @@ impl Graph {
             epoch,
             journal: CostJournal {
                 base: epoch,
-                records: Vec::new(),
+                ..CostJournal::default()
             },
         }
     }
@@ -156,8 +186,7 @@ impl Graph {
     /// journal: cached trees predating a topology change are never repaired.
     fn sever_journal(&mut self) {
         self.epoch = next_cost_epoch();
-        self.journal.records.clear();
-        self.journal.base = self.epoch;
+        self.journal.sever(self.epoch);
     }
 
     /// Adds an undirected edge and returns its id.
@@ -231,14 +260,10 @@ impl Graph {
         }
         self.edges[e.index()].cost = cost;
         self.epoch = next_cost_epoch();
-        self.journal.records.push(CostChange {
+        self.journal.push(CostChange {
             epoch: self.epoch,
             edge: e,
         });
-        if self.journal.records.len() > JOURNAL_CAP {
-            let dropped = self.journal.records.remove(0);
-            self.journal.base = dropped.epoch;
-        }
     }
 
     /// The cost-only changes that turned the graph at `epoch` into the
@@ -250,14 +275,13 @@ impl Graph {
     /// appear more than once. [`crate::PathEngine`] uses this to decide,
     /// per cached tree, between revalidating and recomputing.
     pub fn cost_changes_since(&self, epoch: u64) -> Option<&[CostChange]> {
+        let kept = self.journal.kept();
         if epoch == self.journal.base {
-            return Some(&self.journal.records);
+            return Some(kept);
         }
-        self.journal
-            .records
-            .iter()
+        kept.iter()
             .position(|r| r.epoch == epoch)
-            .map(|pos| &self.journal.records[pos + 1..])
+            .map(|pos| &kept[pos + 1..])
     }
 
     /// Neighbors of `u` as `(neighbor, edge)` pairs, in insertion order.
@@ -471,9 +495,39 @@ mod tests {
     fn journal_overflow_advances_the_base() {
         let mut g = triangle();
         let start = g.cost_epoch();
-        let e = g.edge_between(NodeId::new(0), NodeId::new(1)).unwrap();
-        for i in 0..(JOURNAL_CAP + 5) {
-            g.set_edge_cost(e, Cost::new(10.0 + i as f64));
+        let edges: Vec<EdgeId> = g.edges().map(|(e, _)| e).collect();
+        // Every change made so far, oldest first. The dead prefix is cut
+        // off after `JOURNAL_CAP + 1` overflows, so 3 × the cap and then
+        // some crosses that point twice; the checks run at every length,
+        // on both sides of each cut.
+        let mut made: Vec<CostChange> = Vec::new();
+        for i in 0..(3 * JOURNAL_CAP + 40) {
+            let edge = edges[i % 3];
+            g.set_edge_cost(edge, Cost::new(10.0 + i as f64));
+            made.push(CostChange {
+                epoch: g.cost_epoch(),
+                edge,
+            });
+            // Exactly the last `JOURNAL_CAP` changes are kept, record by
+            // record, reachable from the epoch just before the oldest...
+            let kept = &made[made.len().saturating_sub(JOURNAL_CAP)..];
+            let base = match made.len() - kept.len() {
+                0 => start,
+                dropped => made[dropped - 1].epoch,
+            };
+            assert_eq!(g.cost_changes_since(base), Some(kept), "after {i}");
+            // ...a suffix of them from any epoch in between...
+            let mid = kept.len() / 2;
+            assert_eq!(
+                g.cost_changes_since(kept[mid].epoch),
+                Some(&kept[mid + 1..]),
+                "after {i}"
+            );
+            // ...and nothing from one change further back.
+            if made.len() > JOURNAL_CAP + 1 {
+                let forgotten = made[made.len() - JOURNAL_CAP - 2].epoch;
+                assert_eq!(g.cost_changes_since(forgotten), None, "after {i}");
+            }
         }
         assert_eq!(
             g.cost_changes_since(start),
@@ -484,5 +538,7 @@ mod tests {
             .cost_changes_since(g.cost_epoch())
             .expect("current epoch always traces");
         assert!(kept.is_empty());
+        // The dead prefix never outgrows the kept records.
+        assert!(g.journal.records.len() <= 2 * JOURNAL_CAP + 1);
     }
 }

@@ -8,9 +8,11 @@
 //! * [`ShortestPaths`] — single- and multi-source Dijkstra with path
 //!   reconstruction and Voronoi sites (for Mehlhorn's Steiner algorithm),
 //! * [`DijkstraWorkspace`] — a reusable, epoch-stamped Dijkstra scratchpad:
-//!   O(1) reset between runs, zero O(n) allocation once warm, and one
-//!   monotone radix queue under every search and repair that pops in exact
-//!   `(dist, node)` order without a comparison heap,
+//!   O(1) reset between runs, zero O(n) allocation once warm, full runs
+//!   that label the tree they return in place (a miss allocates the tree
+//!   itself and copies nothing), and one monotone radix queue under every
+//!   search and repair that pops in exact `(dist, node)` order without a
+//!   comparison heap,
 //! * [`PathEngine`] — a memoizing shortest-path service keyed by
 //!   `(source set, cost epoch)`; hands out shared `Arc<ShortestPaths>`
 //!   trees with *edge-scoped* invalidation: a cost change dirties only the

@@ -254,6 +254,43 @@ fn queue_moves_are_exact_and_under_their_ceiling() {
     );
 }
 
+/// The leaf rule's work witness, on the same 25 VM roots: the full-run
+/// path (`DijkstraWorkspace::tree`, what an engine miss and
+/// `ShortestPaths::from_sources` run) labels a vertex of degree 1 without
+/// queueing it — 156 of this instance's 625 vertices, every VM among them
+/// — so its queue re-places 80 468 entries where the stamped `run` above
+/// re-places 97 028, for the same trees. The count repeats exactly on a
+/// reused workspace, and the ceiling sits between the two, so queueing
+/// leaves again (`relax_from` pushing whatever `queue_leaves` says) sinks
+/// it while no equivalence test can: the trees do not change.
+#[test]
+fn full_runs_never_queue_a_leaf() {
+    use sof::graph::DijkstraWorkspace;
+    use sof::topo::{build_instance, inet_sized, ScenarioParams};
+    const MEASURED: u64 = 80_468;
+    const CEILING: u64 = 88_000;
+    let topo = inet_sized(600, 1200, 240, 13);
+    let inst = build_instance(&topo, &ScenarioParams::paper_defaults().with_seed(13));
+    let roots = inst.network.vms();
+    let graph = inst.network.graph();
+    let leaves = graph.nodes().filter(|&v| graph.degree(v) == 1).count();
+    assert_eq!((roots.len(), leaves, graph.node_count()), (25, 156, 625));
+    let mut ws = DijkstraWorkspace::new();
+    let mut moves_after = || {
+        for &root in &roots {
+            let tree = ws.tree(graph, &[root]);
+            assert!(graph.nodes().all(|v| tree.site(v) == Some(root)));
+        }
+        ws.queue_moves()
+    };
+    let first = moves_after();
+    assert_eq!(moves_after(), 2 * first, "cumulative and exact");
+    assert!(
+        first > 0 && first <= CEILING,
+        "{first} queue moves over 25 full runs, measured {MEASURED}"
+    );
+}
+
 /// The work witness for "a solve never roots a shortest-path tree at a
 /// non-VM while the chain is non-empty", on the same inet-600 instance:
 /// `solve_sofda` (25 VMs, 14 sources) leaves exactly one engine miss per VM

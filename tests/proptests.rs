@@ -97,6 +97,20 @@ struct TextbookTree {
     site: Vec<Option<NodeId>>,
 }
 
+impl TextbookTree {
+    /// The parent chain to `v`, root first; `None` when `v` is unreached.
+    fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
+        self.dist[v.index()].is_finite().then(|| {
+            let mut path = vec![v];
+            while let Some((p, _)) = self.parent[path.last().unwrap().index()] {
+                path.push(p);
+            }
+            path.reverse();
+            path
+        })
+    }
+}
+
 /// The oracle for every tree the workspace builds: the loop it ran before
 /// its comparison heap was replaced, on the std heap it ran on — pop in
 /// `(dist, node)` order, skip stale entries, relax on strict `<`.
@@ -425,80 +439,134 @@ proptest! {
         prop_assert!(engine.is_empty());
     }
 
-    /// Every tree and every bounded answer the workspace's monotone queue
-    /// produces equals the textbook comparison-heap Dijkstra's, label for
-    /// label — distances to the bit, parent hops, Voronoi sites, and the
-    /// bounded search's cost, target and path — on the three shapes that
-    /// stress pop order differently: skewed float costs with zero-cost
-    /// leaf VMs, a unit-cost grid (every distance a mass tie), and small
-    /// integers mixed with zero-cost links (plateaus).
+    /// Every tree and every bounded answer the workspace produces equals
+    /// the textbook comparison-heap Dijkstra's — which queues every vertex
+    /// it improves — label for label: distances to the bit, parent hops,
+    /// Voronoi sites, paths, and the bounded search's cost, target and
+    /// path. Three shapes stress pop order differently: skewed float costs
+    /// with zero-cost leaf VMs, a unit-cost grid (every distance a mass
+    /// tie), and small integers mixed with zero-cost links (plateaus).
+    /// Four small ones, all run in every case, are what a full run's leaf
+    /// rule (label a vertex of degree 1, never queue it) can get wrong: a
+    /// star, two vertices that are each other's only neighbour, a path's
+    /// two ends, and a parallel-edge pair whose far end has degree 2 and is
+    /// no leaf — the last three with an isolated vertex no root reaches.
+    /// Roots are drawn at random, at a leaf, and as a set with leaves
+    /// inside it, through `ShortestPaths::from_sources` and through the
+    /// `PathEngine`.
     #[test]
     fn trees_equal_the_textbook_heap_dijkstra(
         seed in 0u64..5000,
-        shape in 0usize..3,
+        large in 0usize..3,
         targets in 1usize..7,
     ) {
-        use sof::graph::{DijkstraWorkspace, ShortestPaths};
+        use sof::graph::{DijkstraWorkspace, PathEngine, ShortestPaths};
         let mut rng = Rng64::seed_from(seed);
-        let g = match shape {
-            0 => {
-                let mut g = generators::inet_like(300, 600, CostRange::UNIT, &mut rng);
-                for e in (0..g.edge_count()).map(EdgeId::new) {
-                    // Table I's link costs: six decades, down to 1e-6.
-                    let c = sof::core::fortz_thorup(rng.next_f64().max(1e-6), 1.0);
-                    g.set_edge_cost(e, c);
+        // Costs for the small shapes: zero-cost hops and ties both likely.
+        let small = |rng: &mut Rng64| Cost::new([0.0, 1.0, 1.0, 2.5][rng.below(4)]);
+        for shape in [large, 3, 4, 5, 6] {
+            let g = match shape {
+                0 => {
+                    let mut g = generators::inet_like(300, 600, CostRange::UNIT, &mut rng);
+                    for e in (0..g.edge_count()).map(EdgeId::new) {
+                        // Table I's link costs: six decades, down to 1e-6.
+                        let c = sof::core::fortz_thorup(rng.next_f64().max(1e-6), 1.0);
+                        g.set_edge_cost(e, c);
+                    }
+                    for _ in 0..25 {
+                        let host = NodeId::new(rng.below(300));
+                        let vm = g.add_node();
+                        g.add_edge(host, vm, Cost::ZERO);
+                    }
+                    g
                 }
-                for _ in 0..25 {
-                    let host = NodeId::new(rng.below(300));
-                    let vm = g.add_node();
-                    g.add_edge(host, vm, Cost::ZERO);
+                1 => generators::grid(12, 9, CostRange::UNIT, &mut rng),
+                2 => tie_rich_graph(&mut rng),
+                3 => {
+                    let mut g = Graph::with_nodes(2 + rng.below(7));
+                    for leaf in 1..g.node_count() {
+                        g.add_edge(NodeId::new(0), NodeId::new(leaf), small(&mut rng));
+                    }
+                    g
                 }
-                g
+                4 => {
+                    let mut g = Graph::with_nodes(3);
+                    g.add_edge(NodeId::new(0), NodeId::new(1), small(&mut rng));
+                    g
+                }
+                5 => {
+                    let mut g = Graph::with_nodes(3 + rng.below(6));
+                    for i in 0..g.node_count() - 2 {
+                        g.add_edge(NodeId::new(i), NodeId::new(i + 1), small(&mut rng));
+                    }
+                    g
+                }
+                _ => {
+                    // 0 ═ 1 — 2 — 3, and 4 on its own: vertex 0 has one
+                    // neighbour but two arcs.
+                    let mut g = Graph::with_nodes(5);
+                    g.add_edge(NodeId::new(0), NodeId::new(1), small(&mut rng));
+                    g.add_edge(NodeId::new(1), NodeId::new(0), small(&mut rng));
+                    g.add_edge(NodeId::new(1), NodeId::new(2), small(&mut rng));
+                    g.add_edge(NodeId::new(2), NodeId::new(3), small(&mut rng));
+                    g
+                }
+            };
+            let n = g.node_count();
+            let pick = |rng: &mut Rng64, k: usize| -> Vec<NodeId> {
+                rng.sample_indices(n, k.min(n)).into_iter().map(NodeId::new).collect()
+            };
+            let leaves: Vec<NodeId> = g.nodes().filter(|&v| g.degree(v) == 1).collect();
+            prop_assert!(matches!(shape, 1 | 2) || !leaves.is_empty(), "shape {shape} has leaves");
+            let mut root_sets = vec![pick(&mut rng, 1), pick(&mut rng, 3)];
+            if !leaves.is_empty() {
+                let (a, b) = (leaves[rng.below(leaves.len())], leaves[rng.below(leaves.len())]);
+                root_sets.push(vec![a]);
+                root_sets.push([vec![a, b], pick(&mut rng, 1)].concat());
             }
-            1 => generators::grid(12, 9, CostRange::UNIT, &mut rng),
-            _ => tie_rich_graph(&mut rng),
-        };
-        let n = g.node_count();
-        let pick = |rng: &mut Rng64, k: usize| -> Vec<NodeId> {
-            rng.sample_indices(n, k).into_iter().map(NodeId::new).collect()
-        };
-        let mut ws = DijkstraWorkspace::new();
-        for sources in [pick(&mut rng, 1), pick(&mut rng, 3)] {
-            let want = textbook_dijkstra(&g, &sources);
-            let got = ShortestPaths::from_sources(&g, sources.iter().copied());
-            // And on a reused workspace, whose queue the previous round's
-            // bounded search left non-empty.
-            ws.run(&g, sources.iter().copied());
-            for v in g.nodes() {
-                let i = v.index();
-                let want = (v, want.dist[i], want.parent[i], want.site[i]);
-                prop_assert_eq!((v, got.dist(v), got.parent(v), got.site(v)), want);
-                prop_assert_eq!((v, ws.dist(v), ws.parent(v), ws.site(v)), want);
-            }
+            let engine = PathEngine::new();
+            let mut ws = DijkstraWorkspace::new();
+            for sources in root_sets {
+                let want = textbook_dijkstra(&g, &sources);
+                let got = ShortestPaths::from_sources(&g, sources.iter().copied());
+                let cached = match sources[..] {
+                    [source] => engine.from_source(&g, source),
+                    _ => engine.from_sources(&g, &sources),
+                };
+                // And on a reused workspace, whose queue the previous round's
+                // bounded search left non-empty.
+                ws.run(&g, sources.iter().copied());
+                for v in g.nodes() {
+                    let i = v.index();
+                    let path = want.path_to(v);
+                    let want = (v, want.dist[i], want.parent[i], want.site[i]);
+                    prop_assert_eq!((v, got.dist(v), got.parent(v), got.site(v)), want);
+                    prop_assert_eq!((v, cached.dist(v), cached.parent(v), cached.site(v)), want);
+                    prop_assert_eq!((v, ws.dist(v), ws.parent(v), ws.site(v)), want);
+                    prop_assert_eq!(got.path_to(v), path.clone());
+                    prop_assert_eq!(cached.path_to(v), path);
+                }
 
-            // Bounded: the first target of a `NodeId`-ordered strict-`<`
-            // scan over the textbook tree, and its parent chain.
-            let source = sources[0];
-            let want = textbook_dijkstra(&g, &[source]);
-            let mut wanted = pick(&mut rng, targets);
-            wanted.sort_unstable();
-            let mut expect: Option<(Cost, NodeId)> = None;
-            for &t in &wanted {
-                let d = want.dist[t.index()];
-                if d.is_finite() && expect.is_none_or(|(best, _)| d < best) {
-                    expect = Some((d, t));
+                // Bounded: the first target of a `NodeId`-ordered strict-`<`
+                // scan over the textbook tree, and its parent chain.
+                let source = sources[0];
+                let want = textbook_dijkstra(&g, &[source]);
+                let mut wanted = pick(&mut rng, targets);
+                wanted.sort_unstable();
+                let mut expect: Option<(Cost, NodeId)> = None;
+                for &t in &wanted {
+                    let d = want.dist[t.index()];
+                    if d.is_finite() && expect.is_none_or(|(best, _)| d < best) {
+                        expect = Some((d, t));
+                    }
                 }
+                let hit = ws.nearest_target(&g, source, |_, _, _| true, |v| wanted.contains(&v));
+                prop_assert_eq!(
+                    hit.map(|hit| (hit.cost, hit.target, Some(hit.path))),
+                    expect.map(|(cost, target)| (cost, target, want.path_to(target)))
+                );
+                prop_assert!(shape > 3 || expect.is_some(), "shapes 0-3 are connected");
             }
-            let (cost, target) = expect.expect("every generator is connected");
-            let mut path = vec![target];
-            while let Some((p, _)) = want.parent[path.last().unwrap().index()] {
-                path.push(p);
-            }
-            path.reverse();
-            let hit = ws
-                .nearest_target(&g, source, |_, _, _| true, |v| wanted.contains(&v))
-                .expect("a reachable target");
-            prop_assert_eq!((hit.cost, hit.target, hit.path), (cost, target, path));
         }
     }
 
