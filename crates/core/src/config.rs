@@ -54,24 +54,6 @@ impl SofdaConfig {
         self
     }
 
-    /// Replaces the Steiner solver.
-    pub fn with_steiner(mut self, steiner: SteinerSolver) -> SofdaConfig {
-        self.steiner = steiner;
-        self
-    }
-
-    /// Replaces the k-stroll solver.
-    pub fn with_stroll(mut self, stroll: StrollSolver) -> SofdaConfig {
-        self.stroll = stroll;
-        self
-    }
-
-    /// Enables Appendix D source setup costs.
-    pub fn with_source_setup_cost(mut self, cost: Cost) -> SofdaConfig {
-        self.source_setup_cost = Some(cost);
-        self
-    }
-
     /// The source setup cost in effect (zero by default).
     pub fn source_cost(&self) -> Cost {
         self.source_setup_cost.unwrap_or(Cost::ZERO)
@@ -172,14 +154,11 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = SofdaConfig::default()
-            .with_seed(1)
-            .with_steiner(SteinerSolver::TakahashiMatsuyama)
-            .with_stroll(StrollSolver::Greedy)
-            .with_source_setup_cost(Cost::new(3.0));
+        let c = SofdaConfig {
+            source_setup_cost: Some(Cost::new(3.0)),
+            ..SofdaConfig::default().with_seed(1)
+        };
         assert_eq!(c.seed, 1);
-        assert_eq!(c.steiner, SteinerSolver::TakahashiMatsuyama);
-        assert_eq!(c.stroll, StrollSolver::Greedy);
         assert_eq!(c.source_cost(), Cost::new(3.0));
         assert_eq!(SofdaConfig::default().source_cost(), Cost::ZERO);
     }

@@ -47,22 +47,17 @@ pub fn fortz_thorup(load: f64, capacity: f64) -> Cost {
     Cost::new(v.max(0.0))
 }
 
-/// Tracks per-link and per-VM load and refreshes the network's costs with
-/// [`fortz_thorup`], implementing the online deployment model (§VII-B):
+/// Tracks per-link and per-VM load for the online deployment model
+/// (§VII-B), which prices each resource with [`fortz_thorup`] of its load:
 /// each accepted request adds its demand to every link its forest uses
 /// (once per chain segment, mirroring the bandwidth actually consumed) and
 /// one unit of work to every enabled VM.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoadTracker {
     edge_load: Vec<f64>,
     edge_capacity: Vec<f64>,
     node_load: Vec<f64>,
     node_capacity: Vec<f64>,
-    /// Multiplier translating convex link cost into the network's cost
-    /// units.
-    pub edge_cost_scale: f64,
-    /// Multiplier for VM setup costs.
-    pub node_cost_scale: f64,
 }
 
 impl LoadTracker {
@@ -73,14 +68,7 @@ impl LoadTracker {
             edge_capacity: vec![link_capacity; network.graph().edge_count()],
             node_load: vec![0.0; network.node_count()],
             node_capacity: vec![vm_capacity; network.node_count()],
-            edge_cost_scale: 1.0,
-            node_cost_scale: 1.0,
         }
-    }
-
-    /// Sets an individual link's capacity.
-    pub fn set_edge_capacity(&mut self, e: EdgeId, capacity: f64) {
-        self.edge_capacity[e.index()] = capacity;
     }
 
     /// Current load of a link.
@@ -98,25 +86,9 @@ impl LoadTracker {
         self.node_capacity[v.index()]
     }
 
-    /// Current utilization of a link.
-    pub fn edge_utilization(&self, e: EdgeId) -> f64 {
-        self.edge_load[e.index()] / self.edge_capacity[e.index()]
-    }
-
     /// Current load of a node.
     pub fn node_load(&self, v: NodeId) -> f64 {
         self.node_load[v.index()]
-    }
-
-    /// Seeds initial random-ish loads (the one-time deployment scenario
-    /// draws link usage uniformly from `(0, 1)`).
-    pub fn seed_edge_loads<F>(&mut self, mut f: F)
-    where
-        F: FnMut(EdgeId) -> f64,
-    {
-        for i in 0..self.edge_load.len() {
-            self.edge_load[i] = f(EdgeId::new(i)) * self.edge_capacity[i];
-        }
     }
 
     /// Zeroes every link and node load (capacities are kept). The online
@@ -141,20 +113,6 @@ impl LoadTracker {
         }
         for (vm, _) in forest.enabled_vms().expect("validated forest") {
             self.node_load[vm.index()] += 1.0;
-        }
-    }
-
-    /// Recomputes every link and VM cost from current loads.
-    pub fn refresh_costs(&self, network: &mut Network) {
-        for i in 0..self.edge_load.len() {
-            let c = fortz_thorup(self.edge_load[i], self.edge_capacity[i]);
-            network
-                .graph_mut()
-                .set_edge_cost(EdgeId::new(i), c * self.edge_cost_scale);
-        }
-        for v in network.vms() {
-            let c = fortz_thorup(self.node_load[v.index()], self.node_capacity[v.index()]);
-            network.set_node_cost(v, c * self.node_cost_scale);
         }
     }
 }
@@ -237,14 +195,12 @@ mod tests {
         tracker.apply_forest(&net, &forest, 5.0);
         assert_eq!(tracker.edge_load(EdgeId::new(0)), 5.0);
         assert_eq!(tracker.node_load(NodeId::new(1)), 1.0);
-        tracker.refresh_costs(&mut net);
         // 5/100 utilization is in the linear region: cost = load.
-        assert!((net.graph().edge_cost(EdgeId::new(0)).value() - 5.0).abs() < 1e-9);
+        let e = EdgeId::new(0);
+        let priced = |t: &LoadTracker| fortz_thorup(t.edge_load(e), t.edge_capacity(e));
+        assert!((priced(&tracker).value() - 5.0).abs() < 1e-9);
         // More load → higher cost.
         tracker.apply_forest(&net, &forest, 60.0);
-        let before = net.graph().edge_cost(EdgeId::new(0));
-        tracker.refresh_costs(&mut net);
-        let _ = before;
-        assert!(net.graph().edge_cost(EdgeId::new(0)).value() > 5.0);
+        assert!(priced(&tracker).value() > 5.0);
     }
 }

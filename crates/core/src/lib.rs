@@ -29,7 +29,8 @@
 //! * the incremental [`OnlineSession`] engine powering the online
 //!   deployment scenario (Fig. 12): standing forest, congestion-aware
 //!   costs, §VII-C incremental re-embedding with a drift-bounded rebuild
-//!   fallback,
+//!   fallback, stepped by one [`SessionEvent`] at a time through
+//!   [`OnlineSession::apply`],
 //! * [`SessionPool`] — many independent online sessions stepped
 //!   concurrently on `sof_par` workers with bit-identical,
 //!   thread-count-independent results.
@@ -86,7 +87,10 @@ pub use dynamics::JoinStrategy;
 pub use faults::{Element, Faults, FAILED_COST};
 pub use forest::{DestWalk, ForestCost, ForestError, ForestStats, ServiceForest};
 pub use instance::{InstanceError, Network, NodeKind, Request, ServiceChain, SofInstance};
-pub use online::{ArrivalReport, DriftPolicy, EmbedMode, OnlineConfig, OnlineSession, OnlineStats};
+pub use online::{
+    Applied, ArrivalReport, DriftPolicy, EmbedMode, OnlineConfig, OnlineSession, OnlineStats,
+    SessionEvent,
+};
 pub use pool::SessionPool;
 pub use sof_kstroll::SearchContext;
 pub use sofda::solve_sofda;

@@ -1,28 +1,30 @@
 //! The incremental online embedding engine behind Fig. 12.
 //!
 //! An [`OnlineSession`] owns a [`SofInstance`], a [`LoadTracker`] and one
-//! standing [`ServiceForest`] driven by a single [`Solver`]. Requests
-//! [`arrive`](OnlineSession::arrive) as successive snapshots of the served
-//! group; instead of re-running the solver from scratch per arrival, the
+//! standing [`ServiceForest`] driven by a single [`Solver`]. Everything
+//! that happens to it is one [`SessionEvent`], stepped through
+//! [`apply`](OnlineSession::apply): a new snapshot of the served group
+//! arrives, one destination joins or leaves, elements fail or are
+//! repaired. Instead of re-running the solver from scratch per arrival, the
 //! session diffs the destination sets and re-embeds **incrementally** with
 //! the §VII-C dynamics ([`dynamics::destination_join_with`],
 //! [`dynamics::destination_leave`], [`dynamics::reroute_all`]), falling back
 //! to a full rebuild when accumulated churn drifts past a configurable
 //! threshold — or whenever an incremental step fails or invalidates the
-//! forest.
+//! forest. In debug builds every `apply` ends with
+//! [`check_invariants`](OnlineSession::check_invariants).
 //!
 //! # Failures
 //!
 //! A session holds the set of failed elements ([`Faults`]) and nothing
-//! else about them: [`fail`](OnlineSession::fail) and
-//! [`repair`](OnlineSession::repair) edit the set,
-//! [`faults`](OnlineSession::faults) reads it, and every cost refresh
-//! prices a link or VM at [`FAILED_COST`] plus its congestion surcharge
-//! exactly while the set covers it ([`crate::faults`] states the covering
-//! rule). The static base costs are never written after
+//! else about them: [`SessionEvent::Fail`] and [`SessionEvent::Repair`]
+//! edit the set, [`faults`](OnlineSession::faults) reads it, and every
+//! cost refresh prices a link or VM at [`FAILED_COST`] plus its congestion
+//! surcharge exactly while the set covers it ([`crate::faults`] states the
+//! covering rule). The static base costs are never written after
 //! [`OnlineSession::new`], so any order of fails and repairs leaves
 //! exactly what is still failed priced out. A failure never drops the
-//! forest: the caller recovers the destinations `fail` reports (a
+//! forest: the caller recovers the destinations a `Fail` reports (a
 //! protection policy's switchover) or calls
 //! [`clear_forest`](OnlineSession::clear_forest) for a rebuild at the next
 //! arrival.
@@ -31,8 +33,8 @@
 //!
 //! ```
 //! use sof_core::{
-//!     Network, OnlineConfig, OnlineSession, Request, ServiceChain, Sofda, SofInstance,
-//!     SofdaConfig,
+//!     Applied, Network, OnlineConfig, OnlineSession, Request, ServiceChain, SessionEvent, Sofda,
+//!     SofInstance, SofdaConfig,
 //! };
 //! use sof_graph::{Cost, Graph, NodeId};
 //!
@@ -50,20 +52,21 @@
 //! let mut session =
 //!     OnlineSession::new(inst, Box::new(Sofda), SofdaConfig::default(), OnlineConfig::default());
 //! // First arrival embeds from scratch…
-//! let first = session.arrive(Request::new(
+//! let first = session.apply(SessionEvent::Arrive(Request::new(
 //!     vec![NodeId::new(0)],
 //!     vec![NodeId::new(4)],
-//!     chain.clone(),
-//! ))?;
-//! assert!(first.rebuilt);
-//! // …the next one joins the extra viewer incrementally.
-//! let second = session.arrive(Request::new(
-//!     vec![NodeId::new(0)],
-//!     vec![NodeId::new(4), NodeId::new(6)],
 //!     chain,
-//! ))?;
-//! assert!(!second.rebuilt && second.joined == 1);
-//! session.forest().expect("standing forest").validate(session.instance())?;
+//! )))?;
+//! assert!(first.report().is_some_and(|r| r.rebuilt));
+//! // …the next viewer joins incrementally…
+//! let second = session.apply(SessionEvent::Join(NodeId::new(6)))?;
+//! assert!(second.report().is_some_and(|r| !r.rebuilt && r.joined == 1));
+//! // …and leaves again.
+//! let Applied::Left(cost) = session.apply(SessionEvent::Leave(NodeId::new(6)))? else {
+//!     unreachable!("a leave answers with the forest's cost")
+//! };
+//! assert!(cost > 0.0);
+//! session.check_invariants()?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -75,6 +78,77 @@ use crate::{
 use sof_graph::{Cost, EdgeId, NodeId};
 use std::collections::BTreeSet;
 use std::time::Instant;
+
+/// One thing that happens to a session — the whole alphabet
+/// [`OnlineSession::apply`] reads.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SessionEvent {
+    /// The next snapshot of the served group
+    /// ([`OnlineSession::arrive`]).
+    Arrive(Request),
+    /// The current request plus one destination, arrived. Refused when
+    /// the destination is already served.
+    Join(NodeId),
+    /// One destination removed from the standing forest incrementally.
+    /// Adds nothing to the accumulated cost. Refused when the destination
+    /// is not served or nothing is embedded.
+    Leave(NodeId),
+    /// Elements join the [fault set](OnlineSession::faults). The session
+    /// fails every element it accepts and skips the ones it refuses — that
+    /// is how a domain failure passes over the request's own endpoints.
+    Fail(Vec<Element>),
+    /// Elements leave the fault set, skipping the ones that are not
+    /// failed.
+    Repair(Vec<Element>),
+}
+
+/// What one [`OnlineSession::apply`] did.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Applied {
+    /// An `Arrive` or a `Join`: what the re-embed did.
+    Arrival(ArrivalReport),
+    /// A `Leave`: the standing forest's cost after the removal.
+    Left(f64),
+    /// A `Fail`: the destinations whose standing walks the elements broke
+    /// (a VNF on a failed VM, a hop over a failed link, a visit to a
+    /// failed node).
+    Failed(BTreeSet<NodeId>),
+    /// A `Repair`.
+    Repaired,
+}
+
+impl Applied {
+    /// The report of an `Arrive` or a `Join`; `None` for every other
+    /// event.
+    pub fn report(&self) -> Option<ArrivalReport> {
+        match self {
+            Applied::Arrival(report) => Some(*report),
+            _ => None,
+        }
+    }
+}
+
+/// Applies `step` to every element, skipping the ones it refuses; the
+/// first refusal is the answer only when it refused them all.
+fn each<T>(
+    elements: &[Element],
+    mut step: impl FnMut(Element) -> Result<T, SolveError>,
+) -> Result<Vec<T>, SolveError> {
+    let mut applied = Vec::new();
+    let mut refusal = None;
+    for &element in elements {
+        match step(element) {
+            Ok(done) => applied.push(done),
+            Err(e) => {
+                refusal.get_or_insert(e);
+            }
+        }
+    }
+    match refusal {
+        Some(e) if applied.is_empty() => Err(e),
+        _ => Ok(applied),
+    }
+}
 
 /// How the session re-embeds when the served group changes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -175,18 +249,6 @@ impl OnlineConfig {
         self.mode = mode;
         self
     }
-
-    /// Replaces the drift threshold.
-    pub fn with_rebuild_drift(mut self, drift: f64) -> OnlineConfig {
-        self.rebuild_drift = drift;
-        self
-    }
-
-    /// Replaces the drift policy.
-    pub fn with_drift_policy(mut self, policy: DriftPolicy) -> OnlineConfig {
-        self.drift_policy = policy;
-        self
-    }
 }
 
 /// Counters accumulated over a session's lifetime.
@@ -211,11 +273,12 @@ pub struct OnlineStats {
     /// Incremental attempts abandoned for a rebuild (dynamics error or
     /// validation failure).
     pub fallbacks: usize,
-    /// [`Element::Vm`] failures injected via [`OnlineSession::fail`].
+    /// [`Element::Vm`] failures injected via [`SessionEvent::Fail`].
     pub vm_failures: usize,
 }
 
-/// What one [`OnlineSession::arrive`] did.
+/// What one arrival ([`OnlineSession::arrive`], or a
+/// [`SessionEvent::Join`]) did.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ArrivalReport {
     /// Standing forest cost after this arrival (congestion-aware units).
@@ -308,21 +371,20 @@ impl OnlineSession {
 
     /// Congestion-aware cost refresh: static base cost — [`FAILED_COST`]
     /// for an element the fault set covers — **plus** the convex
-    /// Fortz–Thorup surcharge for the current load. (Pure
-    /// [`LoadTracker::refresh_costs`] would price unloaded resources at
-    /// zero, which lets a from-scratch solver dodge all standing load for
-    /// free and makes mode comparisons meaningless.)
+    /// Fortz–Thorup surcharge for the current load. (Pricing by the
+    /// surcharge alone would price unloaded resources at zero, which lets
+    /// a from-scratch solver dodge all standing load for free and makes
+    /// mode comparisons meaningless.)
     fn refresh_costs(&mut self) {
         let net = &mut self.instance.network;
         for (i, &base) in self.edge_floor.iter().enumerate() {
             let e = EdgeId::new(i);
             let congestion = fortz_thorup(self.tracker.edge_load(e), self.tracker.edge_capacity(e));
-            net.graph_mut()
-                .set_edge_cost(e, base + congestion * self.tracker.edge_cost_scale);
+            net.graph_mut().set_edge_cost(e, base + congestion);
         }
         for &(v, base) in &self.vm_floor {
             let congestion = fortz_thorup(self.tracker.node_load(v), self.tracker.node_capacity(v));
-            net.set_node_cost(v, base + congestion * self.tracker.node_cost_scale);
+            net.set_node_cost(v, base + congestion);
         }
     }
 
@@ -370,10 +432,83 @@ impl OnlineSession {
         &self.stats
     }
 
-    /// The load tracker (e.g. to seed initial loads or inspect
-    /// utilization).
-    pub fn tracker(&self) -> &LoadTracker {
-        &self.tracker
+    /// Steps the session by one event — the one way a driver changes it.
+    /// `Arrive(r)` is exactly [`arrive`](Self::arrive)`(r)`; `Join(d)` is
+    /// the current request plus `d`, arrived. A `Fail` or `Repair` applies
+    /// every element the session accepts, and answers with the first
+    /// refusal only when it refused them all (an empty list is no
+    /// refusal). In debug builds the session then
+    /// [checks its invariants](Self::check_invariants) and panics on a
+    /// violation.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError`] when the event is refused: a required full solve
+    /// fails (the standing forest is dropped so the next arrival starts
+    /// clean), a join names a served destination, a leave one that is not
+    /// served or comes before anything is embedded, or a fail or repair
+    /// is refused for every element — one not on this network, a `Node`
+    /// that is an endpoint of the current request, a repair of what is
+    /// not failed.
+    pub fn apply(&mut self, event: SessionEvent) -> Result<Applied, SolveError> {
+        let applied = match event {
+            SessionEvent::Arrive(request) => self.arrive(request).map(Applied::Arrival),
+            SessionEvent::Join(destination) => self.join(destination).map(Applied::Arrival),
+            SessionEvent::Leave(destination) => self.depart(destination).map(Applied::Left),
+            SessionEvent::Fail(elements) => each(&elements, |e| self.fail(e))
+                .map(|broken| Applied::Failed(broken.into_iter().flatten().collect())),
+            SessionEvent::Repair(elements) => {
+                each(&elements, |e| self.repair(e)).map(|_| Applied::Repaired)
+            }
+        };
+        debug_assert_eq!(self.check_invariants(), Ok(()));
+        applied
+    }
+
+    /// What holds between any two events: a standing forest validates
+    /// against the instance, the [`LoadTracker`] holds exactly the loads
+    /// recomputed from it, and a link or VM is priced at or above
+    /// [`FAILED_COST`] exactly when the [fault set](Self::faults) covers
+    /// it. Not checked: that the forest avoids the failed elements — after
+    /// a `Fail` it stands by design until a policy recovers it — and the
+    /// loads while nothing stands (the next rebuild is priced around the
+    /// last forest's load).
+    ///
+    /// # Errors
+    ///
+    /// The first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let net = &self.instance.network;
+        if let Some(forest) = &self.forest {
+            forest
+                .validate(&self.instance)
+                .map_err(|e| format!("standing forest: {e}"))?;
+            let mut loads = LoadTracker::new(net, self.opts.link_capacity, self.opts.vm_capacity);
+            loads.apply_forest(net, forest, self.opts.demand_mbps);
+            if loads != self.tracker {
+                return Err("tracked loads differ from the standing forest's".into());
+            }
+        }
+        let priced_out = |c: Cost| c.value() >= FAILED_COST;
+        for (e, edge) in net.graph().edges() {
+            if priced_out(net.graph().edge_cost(e)) != self.faults.edge_down(edge.u, edge.v) {
+                return Err(format!(
+                    "link {}-{} priced {} against the fault set",
+                    edge.u,
+                    edge.v,
+                    net.graph().edge_cost(e)
+                ));
+            }
+        }
+        for &(v, _) in &self.vm_floor {
+            if priced_out(net.node_cost(v)) != self.faults.vm_down(v) {
+                return Err(format!(
+                    "VM {v} priced {} against the fault set",
+                    net.node_cost(v)
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Processes the next group snapshot: re-embeds on the current
@@ -381,7 +516,9 @@ impl OnlineSession {
     /// standing forest's footprint to the tracker, refreshes costs and
     /// accumulates the forest's cost **including its own congestion
     /// surcharge** — the same accounting for both modes, so a from-scratch
-    /// solver cannot "dodge" load it itself creates.
+    /// solver cannot "dodge" load it itself creates. Drivers step through
+    /// [`apply`](Self::apply); this stays public for callers that time an
+    /// arrival alone.
     ///
     /// # Errors
     ///
@@ -414,15 +551,26 @@ impl OnlineSession {
         })
     }
 
-    /// Removes one destination from the served group incrementally (a
-    /// viewer departing between arrivals). Does not touch the accumulated
-    /// cost; returns the standing forest's cost after the removal.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Infeasible`] when the destination is not served or
-    /// nothing is embedded yet.
-    pub fn depart(&mut self, destination: NodeId) -> Result<f64, SolveError> {
+    /// [`SessionEvent::Join`]: arrives the current request plus
+    /// `destination`.
+    fn join(&mut self, destination: NodeId) -> Result<ArrivalReport, SolveError> {
+        let req = &self.instance.request;
+        if req.destinations.contains(&destination) {
+            return Err(SolveError::Infeasible(format!(
+                "{destination} is already a destination"
+            )));
+        }
+        let mut destinations = req.destinations.clone();
+        destinations.push(destination);
+        let request = Request::new(req.sources.clone(), destinations, req.chain.clone());
+        self.arrive(request)
+    }
+
+    /// [`SessionEvent::Leave`]: removes one destination from the served
+    /// group incrementally (a viewer departing between arrivals). Does not
+    /// touch the accumulated cost; returns the standing forest's cost
+    /// after the removal.
+    fn depart(&mut self, destination: NodeId) -> Result<f64, SolveError> {
         let forest = self
             .forest
             .as_mut()
@@ -436,24 +584,21 @@ impl OnlineSession {
         Ok(cost)
     }
 
-    /// Injects a failure: `element` joins the [fault set](Self::faults),
-    /// everything it covers is priced out (see [`crate::faults`]), and the
-    /// destinations whose standing walks it breaks are returned — those
-    /// running a VNF on a failed VM, traversing a failed link, or visiting
-    /// a failed node. The forest is **not** dropped: the caller decides how
-    /// those destinations recover (a protection policy's switchover, or
-    /// [`clear_forest`](Self::clear_forest) for a rebuild at the next
-    /// arrival). Idempotent — failing a failed element re-reports the
-    /// affected destinations.
+    /// One element of a [`SessionEvent::Fail`]: `element` joins the
+    /// [fault set](Self::faults), everything it covers is priced out (see
+    /// [`crate::faults`]), and the destinations whose standing walks it
+    /// breaks are returned. The forest is **not** dropped: the caller
+    /// decides how those destinations recover (a protection policy's
+    /// switchover, or [`clear_forest`](Self::clear_forest) for a rebuild
+    /// at the next arrival). Idempotent — failing a failed element
+    /// re-reports the affected destinations.
     ///
-    /// # Errors
-    ///
-    /// [`SolveError::Infeasible`] when the element is not on this network
-    /// (a node out of range, a `Vm` that is not a VM, a `Link` with no
-    /// link between its endpoints), or is a `Node` that is a source or
-    /// destination of the current request — an endpoint failing is a
-    /// different event (the group member leaving), not a transit fault.
-    pub fn fail(&mut self, element: Element) -> Result<Vec<NodeId>, SolveError> {
+    /// Refuses an element that is not on this network (a node out of
+    /// range, a `Vm` that is not a VM, a `Link` with no link between its
+    /// endpoints), and a `Node` that is a source or destination of the
+    /// current request — an endpoint failing is a different event (the
+    /// group member leaving), not a transit fault.
+    fn fail(&mut self, element: Element) -> Result<Vec<NodeId>, SolveError> {
         let net = &self.instance.network;
         let on_net = |n: NodeId| n.index() < net.node_count();
         let forest = self.forest.as_ref();
@@ -493,14 +638,11 @@ impl OnlineSession {
         Ok(affected.unwrap_or_default())
     }
 
-    /// Repairs a failed element: it leaves the [fault set](Self::faults)
-    /// and whatever no other failure still covers is priced normally
-    /// again, so future embeddings use it.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Infeasible`] when `element` is not currently failed.
-    pub fn repair(&mut self, element: Element) -> Result<(), SolveError> {
+    /// One element of a [`SessionEvent::Repair`]: it leaves the
+    /// [fault set](Self::faults) and whatever no other failure still
+    /// covers is priced normally again, so future embeddings use it.
+    /// Refuses an element that is not currently failed.
+    fn repair(&mut self, element: Element) -> Result<(), SolveError> {
         if !self.faults.remove(element) {
             return Err(SolveError::Infeasible(match element {
                 Element::Vm(vm) => format!("{vm} is not a failed VM"),
@@ -861,7 +1003,10 @@ mod tests {
     #[test]
     fn drift_threshold_forces_rebuild() {
         let inst = grid_instance();
-        let opts = OnlineConfig::default().with_rebuild_drift(0.0);
+        let opts = OnlineConfig {
+            rebuild_drift: 0.0,
+            ..OnlineConfig::default()
+        };
         let mut s = OnlineSession::new(inst, Box::new(Sofda), SofdaConfig::default(), opts);
         let base = s.instance().request.destinations.clone();
         s.arrive(snapshot(s.instance(), base.clone())).unwrap();
@@ -893,9 +1038,11 @@ mod tests {
         // load surcharges its links), so the second arrival must rebuild
         // even though its churn (1 join) is far below the churn-count
         // default of 2 × |D|.
-        let opts = OnlineConfig::default()
-            .with_drift_policy(DriftPolicy::CostDrift)
-            .with_rebuild_drift(1.0);
+        let opts = OnlineConfig {
+            drift_policy: DriftPolicy::CostDrift,
+            rebuild_drift: 1.0,
+            ..OnlineConfig::default()
+        };
         let mut s = OnlineSession::new(inst, Box::new(Sofda), SofdaConfig::default(), opts);
         let base = s.instance().request.destinations.clone();
         let extra = s
@@ -914,9 +1061,11 @@ mod tests {
 
         // A generous threshold keeps the same arrival incremental: the
         // policy reacts to cost divergence, not to the churn count.
-        let opts = OnlineConfig::default()
-            .with_drift_policy(DriftPolicy::CostDrift)
-            .with_rebuild_drift(1e6);
+        let opts = OnlineConfig {
+            drift_policy: DriftPolicy::CostDrift,
+            rebuild_drift: 1e6,
+            ..OnlineConfig::default()
+        };
         let mut s = OnlineSession::new(
             grid_instance(),
             Box::new(Sofda),
@@ -1064,6 +1213,29 @@ mod tests {
     }
 
     #[test]
+    fn check_invariants_names_stale_loads_and_stale_prices() {
+        let mut s = session(EmbedMode::Incremental);
+        let base = s.instance().request.destinations.clone();
+        s.apply(SessionEvent::Arrive(snapshot(s.instance(), base)))
+            .unwrap();
+        assert_eq!(s.check_invariants(), Ok(()));
+        // A recharge that forgot to clear: the forest's load twice over.
+        let mut stale = s.tracker.clone();
+        std::mem::swap(&mut s.tracker, &mut stale);
+        let forest = s.forest.clone().unwrap();
+        s.tracker
+            .apply_forest(&s.instance.network, &forest, s.opts.demand_mbps);
+        assert!(s.check_invariants().unwrap_err().contains("loads"));
+        std::mem::swap(&mut s.tracker, &mut stale);
+        // A fault the prices never heard of.
+        let vm = s.vm_floor[0].0;
+        s.faults.insert(Element::Vm(vm));
+        assert!(s.check_invariants().unwrap_err().contains("fault set"));
+        s.apply_faults();
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
+    #[test]
     fn replace_forest_swaps_and_resets_drift_baselines() {
         let mut s = session(EmbedMode::Incremental);
         let base = s.instance().request.destinations.clone();
@@ -1074,6 +1246,76 @@ mod tests {
         let cost = s.replace_forest(standby).unwrap();
         assert!(cost > 0.0);
         s.forest().unwrap().validate(s.instance()).unwrap();
+    }
+
+    #[test]
+    fn a_fail_or_repair_skips_refusals_and_is_refused_only_whole() {
+        let mut s = session(EmbedMode::Incremental);
+        let base = s.instance().request.destinations.clone();
+        s.apply(SessionEvent::Arrive(snapshot(s.instance(), base.clone())))
+            .unwrap();
+        let vm = *s
+            .forest()
+            .unwrap()
+            .enabled_vms()
+            .unwrap()
+            .keys()
+            .next()
+            .unwrap();
+        let src = s.instance().request.sources[0];
+        // A source as a node is refused; the VM beside it still fails.
+        let both = vec![Element::Node(src), Element::Vm(vm)];
+        let Ok(Applied::Failed(broken)) = s.apply(SessionEvent::Fail(both.clone())) else {
+            panic!("a fail with one acceptable element goes through");
+        };
+        let alone: BTreeSet<NodeId> = s.fail(Element::Vm(vm)).unwrap().into_iter().collect();
+        assert!(
+            !broken.is_empty() && broken == alone,
+            "the VM's walks broke"
+        );
+        assert_eq!(s.faults().iter().collect::<Vec<_>>(), vec![Element::Vm(vm)]);
+        let refused = s.apply(SessionEvent::Fail(vec![Element::Node(src)]));
+        assert!(refused.unwrap_err().to_string().contains("transit"));
+        assert!(
+            matches!(s.apply(SessionEvent::Repair(both)), Ok(Applied::Repaired)),
+            "the source was never failed; the VM is repaired"
+        );
+        assert!(s.faults().is_empty());
+        assert!(s
+            .apply(SessionEvent::Repair(vec![Element::Vm(vm)]))
+            .is_err());
+        let nothing = s.apply(SessionEvent::Fail(Vec::new()));
+        assert!(matches!(nothing, Ok(Applied::Failed(broken)) if broken.is_empty()));
+    }
+
+    #[test]
+    fn a_join_arrives_the_current_request_plus_one() {
+        let mut s = session(EmbedMode::Incremental);
+        let base = s.instance().request.destinations.clone();
+        s.apply(SessionEvent::Arrive(snapshot(s.instance(), base.clone())))
+            .unwrap();
+        let extra = s
+            .instance()
+            .network
+            .graph()
+            .nodes()
+            .find(|n| !base.contains(n) && !s.instance().request.sources.contains(n))
+            .unwrap();
+        let joined = s
+            .apply(SessionEvent::Join(extra))
+            .unwrap()
+            .report()
+            .unwrap();
+        assert!(!joined.rebuilt && joined.joined == 1);
+        assert!(
+            s.apply(SessionEvent::Join(extra)).is_err(),
+            "already served"
+        );
+        let Ok(Applied::Left(cost)) = s.apply(SessionEvent::Leave(extra)) else {
+            panic!("a served destination leaves");
+        };
+        assert!(cost <= joined.forest_cost);
+        assert_eq!(s.stats().arrivals, 2, "a leave is not an arrival");
     }
 
     #[test]

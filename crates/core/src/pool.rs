@@ -3,16 +3,16 @@
 //! Online workloads (Fig. 12 at production scale) serve many multicast
 //! groups at once; the sessions are fully independent, so a [`SessionPool`]
 //! steps them in parallel on `sof_par` workers while keeping results
-//! bit-identical to stepping them one by one: session `i` always processes
-//! request `i`, and reports come back in session order regardless of the
+//! bit-identical to stepping them one by one: session `i` always applies
+//! event `i`, and answers come back in session order regardless of the
 //! thread count.
 //!
 //! # Examples
 //!
 //! ```
 //! use sof_core::{
-//!     Network, OnlineConfig, OnlineSession, Request, ServiceChain, SessionPool, Sofda,
-//!     SofInstance, SofdaConfig,
+//!     Network, OnlineConfig, OnlineSession, Request, ServiceChain, SessionEvent, SessionPool,
+//!     Sofda, SofInstance, SofdaConfig,
 //! };
 //! use sof_graph::{Cost, Graph, NodeId};
 //!
@@ -32,18 +32,20 @@
 //!     OnlineSession::new(inst, Box::new(Sofda), SofdaConfig::default(), OnlineConfig::default())
 //! };
 //! let mut pool = SessionPool::new(vec![session(4), session(5)]).with_threads(2);
-//! let requests: Vec<Request> = pool
+//! let events: Vec<Option<SessionEvent>> = pool
 //!     .sessions()
 //!     .iter()
-//!     .map(|s| s.instance().request.clone())
+//!     .map(|s| Some(SessionEvent::Arrive(s.instance().request.clone())))
 //!     .collect();
-//! let reports = pool.arrive_each(&requests);
+//! let reports = pool.apply(&events);
 //! assert_eq!(reports.len(), 2);
-//! assert!(reports.iter().all(|r| r.as_ref().is_ok_and(|a| a.rebuilt)));
+//! assert!(reports
+//!     .iter()
+//!     .all(|r| matches!(r, Some(Ok(a)) if a.report().is_some_and(|a| a.rebuilt))));
 //! assert!(pool.total_accumulated_cost() > 0.0);
 //! ```
 
-use crate::{ArrivalReport, OnlineSession, Request, SolveError};
+use crate::{Applied, OnlineSession, SessionEvent, SolveError};
 
 /// A pool of independent online sessions stepped concurrently.
 ///
@@ -84,15 +86,10 @@ impl SessionPool {
         &self.sessions
     }
 
-    /// Mutable access to the sessions, in pool order (e.g. for injecting
-    /// failures between steps).
+    /// Mutable access to the sessions, in pool order (e.g. for a
+    /// protection policy's recovery between steps).
     pub fn sessions_mut(&mut self) -> &mut [OnlineSession] {
         &mut self.sessions
-    }
-
-    /// Consumes the pool, returning its sessions.
-    pub fn into_sessions(self) -> Vec<OnlineSession> {
-        self.sessions
     }
 
     /// Appends a session, returning its slot index.
@@ -113,58 +110,29 @@ impl SessionPool {
         std::mem::replace(&mut self.sessions[i], session)
     }
 
-    /// Steps every session once: session `i` processes `requests[i]`.
-    /// Reports come back in session order and are bit-identical to calling
-    /// [`OnlineSession::arrive`] sequentially, for any thread count.
+    /// Steps the sessions that have an event this round: slot `i` applies
+    /// `events[i]` ([`OnlineSession::apply`]) when it is `Some`, and is
+    /// left untouched (no cost, no counters) when it is `None`. Answers
+    /// come back in slot order with `None` for idle slots, bit-identical
+    /// to a sequential sweep for any thread count.
     ///
     /// # Panics
     ///
-    /// Panics when `requests.len() != self.len()`, or when a session's
+    /// Panics when `events.len() != self.len()`, or when a session's
     /// solver panics (the worker pool surfaces it after draining cleanly).
-    pub fn arrive_each(&mut self, requests: &[Request]) -> Vec<Result<ArrivalReport, SolveError>> {
-        assert_eq!(
-            requests.len(),
-            self.sessions.len(),
-            "one request per session"
-        );
-        sof_par::par_map_mut(&mut self.sessions, self.threads, |i, session| {
-            session.arrive(requests[i].clone())
-        })
-        .unwrap_or_else(|e| panic!("session pool: {e}"))
-    }
-
-    /// Steps only the sessions that have a request this round: slot `i`
-    /// processes `requests[i]` when it is `Some`, and is left untouched
-    /// (no cost, no counters) when it is `None`. Reports come back in
-    /// slot order with `None` for idle slots; like
-    /// [`SessionPool::arrive_each`] the outcome is bit-identical to a
-    /// sequential sweep, for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `requests.len() != self.len()`, or when a session's
-    /// solver panics.
-    pub fn arrive_opt(
+    pub fn apply(
         &mut self,
-        requests: &[Option<Request>],
-    ) -> Vec<Option<Result<ArrivalReport, SolveError>>> {
+        events: &[Option<SessionEvent>],
+    ) -> Vec<Option<Result<Applied, SolveError>>> {
         assert_eq!(
-            requests.len(),
+            events.len(),
             self.sessions.len(),
-            "one request slot per session"
+            "one event slot per session"
         );
         sof_par::par_map_mut(&mut self.sessions, self.threads, |i, session| {
-            requests[i].as_ref().map(|r| session.arrive(r.clone()))
+            events[i].clone().map(|event| session.apply(event))
         })
         .unwrap_or_else(|e| panic!("session pool: {e}"))
-    }
-
-    /// Per-session accumulated costs, in pool order.
-    pub fn accumulated_costs(&self) -> Vec<f64> {
-        self.sessions
-            .iter()
-            .map(OnlineSession::accumulated_cost)
-            .collect()
     }
 
     /// Sum of accumulated costs, folded in pool order (deterministic).
@@ -179,7 +147,9 @@ impl SessionPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Network, OnlineConfig, ServiceChain, SofInstance, Sofda, SofdaConfig};
+    use crate::{
+        Element, Network, OnlineConfig, Request, ServiceChain, SofInstance, Sofda, SofdaConfig,
+    };
     use sof_graph::{generators, Cost, CostRange, NodeId, Rng64};
 
     fn session(seed: u64) -> OnlineSession {
@@ -207,6 +177,19 @@ mod tests {
         )
     }
 
+    /// One arrival of every session's own request.
+    fn arrivals(pool: &SessionPool) -> Vec<Option<SessionEvent>> {
+        let arrive = |s: &OnlineSession| SessionEvent::Arrive(s.instance().request.clone());
+        pool.sessions().iter().map(|s| Some(arrive(s))).collect()
+    }
+
+    fn accumulated_costs(pool: &SessionPool) -> Vec<f64> {
+        pool.sessions()
+            .iter()
+            .map(OnlineSession::accumulated_cost)
+            .collect()
+    }
+
     #[test]
     fn pool_matches_sequential_sessions() {
         let seeds = [3u64, 4, 5, 6, 7];
@@ -222,24 +205,72 @@ mod tests {
         for threads in [1, 2, 8] {
             let mut pool =
                 SessionPool::new(seeds.iter().map(|&s| session(s)).collect()).with_threads(threads);
-            let requests: Vec<Request> = pool
-                .sessions()
-                .iter()
-                .map(|s| s.instance().request.clone())
-                .collect();
-            let first = pool.arrive_each(&requests);
-            assert!(first.iter().all(|r| r.is_ok()), "threads={threads}");
-            pool.arrive_each(&requests);
-            assert_eq!(pool.accumulated_costs(), serial_costs, "threads={threads}");
+            let events = arrivals(&pool);
+            let first = pool.apply(&events);
+            assert!(
+                first.iter().all(|r| matches!(r, Some(Ok(_)))),
+                "threads={threads}"
+            );
+            pool.apply(&events);
+            assert_eq!(accumulated_costs(&pool), serial_costs, "threads={threads}");
             assert_eq!(pool.len(), seeds.len());
         }
     }
 
     #[test]
-    #[should_panic(expected = "one request per session")]
+    #[should_panic(expected = "one event slot per session")]
     fn mismatched_request_count_panics() {
         let mut pool = SessionPool::new(vec![session(1)]);
-        pool.arrive_each(&[]);
+        pool.apply(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one event slot per session")]
+    fn arrive_opt_mismatch_panics() {
+        // More slots than sessions, all idle: still refused.
+        let mut pool = SessionPool::new(vec![session(1)]);
+        pool.apply(&[None, None]);
+    }
+
+    #[test]
+    fn fails_and_repairs_step_like_a_sequential_sweep() {
+        // Slots 0 and 2 hold the same instance, so they share its VMs.
+        let seeds = [3u64, 4, 3];
+        let answers = |threads| {
+            let mut pool =
+                SessionPool::new(seeds.iter().map(|&s| session(s)).collect()).with_threads(threads);
+            pool.apply(&arrivals(&pool));
+            let vms = pool.sessions()[0].instance().network.vms();
+            let fail = Some(SessionEvent::Fail(vec![
+                Element::Vm(vms[0]),
+                Element::Vm(vms[1]),
+            ]));
+            let repair = Some(SessionEvent::Repair(vec![Element::Vm(vms[0])]));
+            let failed = pool.apply(&[fail.clone(), None, fail]);
+            let repaired = pool.apply(&[repair.clone(), repair, None]);
+            let plain = |answers: Vec<Option<Result<Applied, SolveError>>>| {
+                let plain = |r: Result<Applied, SolveError>| r.map_err(|e| e.to_string());
+                answers
+                    .into_iter()
+                    .map(|a| a.map(plain))
+                    .collect::<Vec<_>>()
+            };
+            let faults: Vec<usize> = pool
+                .sessions()
+                .iter()
+                .map(|s| s.faults().iter().count())
+                .collect();
+            (plain(failed), plain(repaired), faults)
+        };
+        let (failed, repaired, faults) = answers(1);
+        assert!(failed[1].is_none() && repaired[2].is_none());
+        assert_eq!(failed[0], failed[2], "one instance, one answer");
+        assert!(
+            matches!(repaired[1], Some(Err(_))),
+            "slot 1 never failed anything"
+        );
+        assert_eq!(faults, vec![1, 0, 2]);
+        assert_eq!(answers(4), (failed, repaired, faults));
     }
 
     #[test]
@@ -249,25 +280,27 @@ mod tests {
         assert_eq!(pool.len(), 3);
         let req = pool.sessions()[1].instance().request.clone();
         pool.sessions_mut()[1].arrive(req).unwrap();
-        let stepped_cost = pool.accumulated_costs()[1];
+        let stepped_cost = accumulated_costs(&pool)[1];
         assert!(stepped_cost > 0.0);
         let retired = pool.replace(1, session(9));
         assert_eq!(retired.accumulated_cost(), stepped_cost);
-        assert_eq!(pool.accumulated_costs()[1], 0.0, "fresh session in slot 1");
+        assert_eq!(accumulated_costs(&pool)[1], 0.0, "fresh session in slot 1");
         assert_eq!(pool.len(), 3);
     }
 
     #[test]
-    fn arrive_opt_skips_idle_slots() {
+    fn idle_slots_are_left_untouched() {
         let seeds = [3u64, 4, 5];
         for threads in [1, 4] {
             let mut pool =
                 SessionPool::new(seeds.iter().map(|&s| session(s)).collect()).with_threads(threads);
-            let req1 = pool.sessions()[1].instance().request.clone();
-            let reports = pool.arrive_opt(&[None, Some(req1), None]);
+            let mut events = arrivals(&pool);
+            events[0] = None;
+            events[2] = None;
+            let reports = pool.apply(&events);
             assert!(reports[0].is_none() && reports[2].is_none());
             assert!(reports[1].as_ref().unwrap().is_ok());
-            let costs = pool.accumulated_costs();
+            let costs = accumulated_costs(&pool);
             assert_eq!(costs[0], 0.0);
             assert_eq!(costs[2], 0.0);
             assert!(costs[1] > 0.0);
@@ -277,12 +310,5 @@ mod tests {
             solo.arrive(req).unwrap();
             assert_eq!(costs[1], solo.accumulated_cost(), "threads={threads}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one request slot per session")]
-    fn arrive_opt_mismatch_panics() {
-        let mut pool = SessionPool::new(vec![session(1)]);
-        pool.arrive_opt(&[None, None]);
     }
 }

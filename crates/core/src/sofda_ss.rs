@@ -257,7 +257,10 @@ mod tests {
         let base = solve_sofda_ss(&inst, &SofdaConfig::default()).unwrap();
         let with_cost = solve_sofda_ss(
             &inst,
-            &SofdaConfig::default().with_source_setup_cost(Cost::new(5.0)),
+            &SofdaConfig {
+                source_setup_cost: Some(Cost::new(5.0)),
+                ..SofdaConfig::default()
+            },
         )
         .unwrap();
         // The reported forest cost excludes the source fee, but the chosen

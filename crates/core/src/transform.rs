@@ -173,37 +173,8 @@ impl ChainMetric {
     /// Converts a generic-metric stroll cost for target index `t` into the
     /// true Procedure-1 chain cost (distances + full setup of chain VMs,
     /// plus the source cost in the Appendix D variant).
-    pub fn true_chain_cost(&self, generic_cost: Cost, target: usize) -> Cost {
+    fn true_chain_cost(&self, generic_cost: Cost, target: usize) -> Cost {
         generic_cost + self.setup[target] / 2.0 + self.source_cost / 2.0
-    }
-
-    /// Exact Procedure-1 edge cost between metric indices `i` and `j` for
-    /// last VM index `last` — used by tests to pin the construction to the
-    /// paper's formula.
-    pub fn procedure1_edge_cost(&self, i: usize, j: usize, last: usize) -> Cost {
-        let dist = self.dist(i, j);
-        let share = if self.source_cost == Cost::ZERO {
-            if i == 0 {
-                (self.setup[last] + self.setup[j]) / 2.0
-            } else if j == 0 {
-                (self.setup[i] + self.setup[last]) / 2.0
-            } else {
-                (self.setup[i] + self.setup[j]) / 2.0
-            }
-        } else {
-            // Appendix D: both s and u carry (c(s)+c(u))/2.
-            let su = self.source_cost + self.setup[last];
-            if (i == 0 && j == last) || (j == 0 && i == last) {
-                su
-            } else if i == 0 || i == last {
-                (su + self.setup[j]) / 2.0
-            } else if j == 0 || j == last {
-                (self.setup[i] + su) / 2.0
-            } else {
-                (self.setup[i] + self.setup[j]) / 2.0
-            }
-        };
-        dist + share
     }
 
     /// Solves the k-stroll for every candidate last VM at once and returns
@@ -261,7 +232,7 @@ impl ChainMetric {
     }
 
     /// True cost (distances + chain VM setups) of an expanded walk; equals
-    /// [`Self::true_chain_cost`] of the originating stroll.
+    /// the true chain cost of the originating stroll.
     pub fn walk_cost(&self, network: &Network, walk: &[NodeId], positions: &[usize]) -> Cost {
         let mut c = network
             .graph()
@@ -278,6 +249,34 @@ impl ChainMetric {
 mod tests {
     use super::*;
     use sof_graph::{Graph, Rng64};
+
+    /// Exact Procedure-1 edge cost between metric indices `i` and `j` for
+    /// last VM index `last`: pins the construction to the paper's formula.
+    fn procedure1_edge_cost(cm: &ChainMetric, i: usize, j: usize, last: usize) -> Cost {
+        let dist = cm.dist(i, j);
+        let share = if cm.source_cost == Cost::ZERO {
+            if i == 0 {
+                (cm.setup[last] + cm.setup[j]) / 2.0
+            } else if j == 0 {
+                (cm.setup[i] + cm.setup[last]) / 2.0
+            } else {
+                (cm.setup[i] + cm.setup[j]) / 2.0
+            }
+        } else {
+            // Appendix D: both s and u carry (c(s)+c(u))/2.
+            let su = cm.source_cost + cm.setup[last];
+            if (i == 0 && j == last) || (j == 0 && i == last) {
+                su
+            } else if i == 0 || i == last {
+                (su + cm.setup[j]) / 2.0
+            } else if j == 0 || j == last {
+                (cm.setup[i] + su) / 2.0
+            } else {
+                (cm.setup[i] + cm.setup[j]) / 2.0
+            }
+        };
+        dist + share
+    }
 
     /// Line 0-1-2-3 (unit links) with VMs 1 (cost 2), 2 (cost 4), 3 (cost 6).
     fn net() -> Network {
@@ -305,7 +304,7 @@ mod tests {
         let true_cost = cm.true_chain_cost(generic, 2);
         // Procedure 1 with last=2: edges (s,1): dist 1 + (c(2)+c(1))/2 = 1+3;
         // (1,2): dist 1 + (c(1)+c(2))/2 = 1+3. Total 8.
-        let p1 = cm.procedure1_edge_cost(0, 1, 2) + cm.procedure1_edge_cost(1, 2, 2);
+        let p1 = procedure1_edge_cost(&cm, 0, 1, 2) + procedure1_edge_cost(&cm, 1, 2, 2);
         assert!(true_cost.approx_eq(p1), "{true_cost} vs {p1}");
         // And equals hand-computed: dist 2 + setups c(1)+c(2) = 2 + 6 = 8.
         assert!(true_cost.approx_eq(Cost::new(8.0)));
@@ -327,7 +326,7 @@ mod tests {
         // Base 8 plus source setup 10.
         assert!(true_cost.approx_eq(Cost::new(18.0)));
         // Procedure-1 (Appendix D) edge sum agrees.
-        let p1 = cm.procedure1_edge_cost(0, 1, 2) + cm.procedure1_edge_cost(1, 2, 2);
+        let p1 = procedure1_edge_cost(&cm, 0, 1, 2) + procedure1_edge_cost(&cm, 1, 2, 2);
         assert!(true_cost.approx_eq(p1));
         assert!(cm.metric().respects_triangle_inequality(1e-9));
     }

@@ -12,12 +12,13 @@
 
 use crate::wire::{ApiError, Body};
 use sof_core::{
-    ArrivalReport, Element, OnlineConfig, OnlineSession, Request, ServiceChain, SofdaConfig,
+    Applied, ArrivalReport, Element, OnlineConfig, OnlineSession, Request, ServiceChain,
+    SessionEvent, SofdaConfig, SolveError,
 };
 use sof_graph::{NodeId, PathEngineStats};
 use sof_spec::field::in_range;
 use sof_spec::value::Value;
-use sof_survive::{fail_elements, repair_elements, ElementRef};
+use sof_survive::ElementRef;
 use sof_topo::{
     build_instance, build_named, build_region_instance, build_regions, RegionDef, RegionScenario,
     RegionTopology, RegionsParams, ScenarioParams, Topology, TopologySpec,
@@ -242,6 +243,11 @@ fn domain_nodes(
             "unknown topology '{topology}'"
         ))),
     }
+}
+
+/// The report of an `Arrive` or a `Join`.
+fn arrival(answer: Result<Applied, SolveError>) -> Result<ArrivalReport, SolveError> {
+    answer.map(|a| a.report().expect("an arrival reports"))
 }
 
 fn report_value(id: u64, r: &ArrivalReport) -> Value {
@@ -475,8 +481,7 @@ impl Registry {
             SofdaConfig::default(),
             OnlineConfig::default(),
         );
-        let report = session
-            .arrive(request)
+        let report = arrival(session.apply(SessionEvent::Arrive(request)))
             .map_err(|e| ApiError::conflict(format!("initial embedding failed: {e}")))?;
 
         let id = self.next_id;
@@ -530,21 +535,19 @@ impl Registry {
     pub fn session_join(&mut self, id: u64, mut body: Body) -> Result<Value, ApiError> {
         let destination = read_destination(&mut body)?;
         let entry = self.entry(id)?;
-        let request = {
-            let req = &entry.session.instance().request;
-            if req.destinations.contains(&destination) {
-                return Err(ApiError::bad_request(format!(
-                    "destination {} is already served by session {id}",
-                    destination.index()
-                )));
-            }
-            let mut dests = req.destinations.clone();
-            dests.push(destination);
-            Request::new(req.sources.clone(), dests, req.chain.clone())
-        };
-        let report = entry
+        if entry
             .session
-            .arrive(request)
+            .instance()
+            .request
+            .destinations
+            .contains(&destination)
+        {
+            return Err(ApiError::bad_request(format!(
+                "destination {} is already served by session {id}",
+                destination.index()
+            )));
+        }
+        let report = arrival(entry.session.apply(SessionEvent::Join(destination)))
             .map_err(|e| ApiError::conflict(format!("join failed: {e}")))?;
         entry.last_cost = report.forest_cost;
         entry.touch(Instant::now());
@@ -560,10 +563,11 @@ impl Registry {
     pub fn session_leave(&mut self, id: u64, mut body: Body) -> Result<Value, ApiError> {
         let destination = read_destination(&mut body)?;
         let entry = self.entry(id)?;
-        let cost = entry
-            .session
-            .depart(destination)
-            .map_err(|e| ApiError::bad_request(format!("leave failed: {e}")))?;
+        let cost = match entry.session.apply(SessionEvent::Leave(destination)) {
+            Ok(Applied::Left(cost)) => cost,
+            Ok(other) => unreachable!("a leave answered {other:?}"),
+            Err(e) => return Err(ApiError::bad_request(format!("leave failed: {e}"))),
+        };
         entry.last_cost = cost;
         entry.touch(Instant::now());
         let mut v = Value::table();
@@ -582,7 +586,7 @@ impl Registry {
     /// plus an optional `"repair_secs"` scheduling an automatic repair the
     /// janitor applies once the interval passes.
     ///
-    /// Every failure is [`OnlineSession::fail`]. Link, node and domain
+    /// Every failure is one [`SessionEvent::Fail`]. Link, node and domain
     /// failures leave the forest standing and report the disconnected
     /// destinations (a domain fails every node of its region except the
     /// request's own endpoints); a VM failure that disrupts the forest is
@@ -599,8 +603,11 @@ impl Registry {
         let repair_secs = body.within("repair_secs", 0..=MAX_SECS)?;
         body.finish()?;
         let (entry, physical) = self.resolve(id, &element)?;
-        let dests = fail_elements(&mut entry.session, &physical)
-            .map_err(|e| ApiError::bad_request(format!("fail failed: {e}")))?;
+        let dests = match entry.session.apply(SessionEvent::Fail(physical.clone())) {
+            Ok(Applied::Failed(dests)) => dests,
+            Ok(other) => unreachable!("a fail answered {other:?}"),
+            Err(e) => return Err(ApiError::bad_request(format!("fail failed: {e}"))),
+        };
         let mut v = Value::table();
         v.set("id", Value::Int(id as i64));
         v.set("element", Value::Str(element.to_string()));
@@ -637,7 +644,9 @@ impl Registry {
         let element = read_element(&mut body)?;
         body.finish()?;
         let (entry, physical) = self.resolve(id, &element)?;
-        repair_elements(&mut entry.session, &physical)
+        entry
+            .session
+            .apply(SessionEvent::Repair(physical.clone()))
             .map_err(|e| ApiError::bad_request(format!("repair failed: {e}")))?;
         entry
             .repairs
@@ -744,7 +753,7 @@ impl Registry {
             for (_, physical) in due {
                 // A client may have repaired (or re-failed) the element in
                 // the meantime; a stale scheduled repair is not an error.
-                let _ = repair_elements(&mut entry.session, &physical);
+                let _ = entry.session.apply(SessionEvent::Repair(physical));
             }
         }
         let dead: Vec<u64> = self

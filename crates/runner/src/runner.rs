@@ -7,11 +7,14 @@ use crate::sink::{
     RecoverySummary, Sink, SummaryRecord, WindowRecord,
 };
 use crate::ward::{StopReason, Ward, WardSet};
-use sof_core::{Element, OnlineConfig, OnlineSession, Request, SessionPool, SofdaConfig};
+use sof_core::{
+    Applied, Element, OnlineConfig, OnlineSession, SessionEvent, SessionPool, SofdaConfig,
+    SolveError,
+};
 use sof_graph::{NodeId, PathEngineStats};
 use sof_survive::{
-    fail_elements, repair_elements, universe_for_scopes, ElementRef, FailureDriver, FailurePlan,
-    ProtectionPolicy, Protector, RecoveryMetrics,
+    universe_for_scopes, ElementRef, FailureDriver, FailurePlan, ProtectionPolicy, Protector,
+    RecoveryMetrics,
 };
 use sof_topo::{
     build_region_instance, build_regions, RegionScenario, RegionTopology, RegionsParams,
@@ -464,7 +467,7 @@ impl Runner {
     /// place, pulls one event per live slot, arrives them through the
     /// pool, and folds the reports into the open window.
     fn step_round(&mut self, budget: usize, win: &mut WindowAccum) -> Result<u64, String> {
-        let mut requests: Vec<Option<Request>> = vec![None; self.procs.len()];
+        let mut events: Vec<Option<SessionEvent>> = vec![None; self.procs.len()];
         let mut initial: Vec<bool> = vec![false; self.procs.len()];
         for slot in 0..budget.min(self.procs.len()) {
             let event = match self.procs[slot].next_event() {
@@ -489,17 +492,17 @@ impl Runner {
                 }
             };
             initial[slot] = event.is_initial();
-            requests[slot] = Some(event.request().clone());
+            events[slot] = Some(SessionEvent::Arrive(event.request().clone()));
         }
-        let reports = self.pool.arrive_opt(&requests);
+        let answers = self.pool.apply(&events);
         let mut stepped = 0u64;
-        for (slot, report) in reports.into_iter().enumerate() {
-            let Some(report) = report else { continue };
+        for (slot, answer) in answers.into_iter().enumerate() {
+            let Some(answer) = answer else { continue };
             let seq = self.seq;
             self.seq += 1;
             stepped += 1;
             win.events += 1;
-            match report {
+            match answer.map(|a| a.report().expect("an arrival reports")) {
                 Ok(rep) => {
                     if rep.rebuilt {
                         win.full_solves += 1;
@@ -551,8 +554,10 @@ impl Runner {
     /// Advances the failure process by one round and applies its events to
     /// every live session: repairs first, then (after pre-provisioning
     /// protection against the still-healthy forests) the new failures, then
-    /// one recovery pass per disrupted session. Everything here is serial,
-    /// so the record stream stays byte-identical at any thread count.
+    /// one recovery pass per disrupted session. Each session sees the
+    /// round's events in the same order, and answers, recoveries and
+    /// records are folded in slot order, so the record stream stays
+    /// byte-identical at any thread count.
     fn apply_failures(&mut self) -> Result<(), String> {
         let Some(mut fs) = self.failure.take() else {
             return Ok(());
@@ -575,11 +580,8 @@ impl Runner {
 
         for element in &events.repairs {
             fs.metrics.repair_events += 1;
-            let physical = physical_elements(element, &self.rt);
-            for session in self.pool.sessions_mut() {
-                // Elements that were never down in this session are ignored.
-                let _ = repair_elements(session, &physical);
-            }
+            // Elements that were never down in a session are refused there.
+            self.apply_everywhere(SessionEvent::Repair(physical_elements(element, &self.rt)));
             self.emit(Record::Failure(FailureRecord {
                 seq: self.seq,
                 round: fs.round as u64,
@@ -599,14 +601,15 @@ impl Runner {
             let mut affected: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); self.procs.len()];
             for (element, repair_at) in &events.failures {
                 fs.metrics.fail_events += 1;
-                let physical = physical_elements(element, &self.rt);
+                let fail = SessionEvent::Fail(physical_elements(element, &self.rt));
                 let mut disrupted = 0u64;
-                for (slot, session) in self.pool.sessions_mut().iter_mut().enumerate() {
+                for (slot, answer) in self.apply_everywhere(fail).into_iter().enumerate() {
                     // A failure the session refuses (not on its network, or
                     // one of its endpoints) disrupts nothing there.
-                    let broken = fail_elements(session, &physical).unwrap_or_default();
-                    disrupted += broken.len() as u64;
-                    affected[slot].extend(broken);
+                    if let Ok(Applied::Failed(broken)) = answer {
+                        disrupted += broken.len() as u64;
+                        affected[slot].extend(broken);
+                    }
                 }
                 self.emit(Record::Failure(FailureRecord {
                     seq: self.seq,
@@ -650,6 +653,13 @@ impl Runner {
         }
         self.failure = Some(fs);
         Ok(())
+    }
+
+    /// Applies `event` to every session of the pool, answers in slot
+    /// order.
+    fn apply_everywhere(&mut self, event: SessionEvent) -> Vec<Result<Applied, SolveError>> {
+        let events = vec![Some(event); self.pool.len()];
+        self.pool.apply(&events).into_iter().flatten().collect()
     }
 
     /// Emits the open window as a record and resets the accumulators,

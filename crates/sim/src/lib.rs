@@ -4,7 +4,6 @@
 //! on an HP OpenFlow testbed and on Emulab. This crate substitutes those
 //! testbeds with a deterministic simulator (DESIGN.md §5.5):
 //!
-//! * [`EventQueue`] — a seedable, deterministic discrete-event core,
 //! * [`max_min_rates`] — progressive-filling max-min fair bandwidth sharing
 //!   across flows on capacitated links,
 //! * [`simulate_sessions`] — concurrent video downloads over an embedded
@@ -38,12 +37,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod des;
 mod flow;
 mod video;
 mod workload;
 
-pub use des::{EventQueue, SimTime};
 pub use flow::{max_min_rates, Flow};
 pub use video::{simulate_sessions, EnvironmentProfile, PlayerConfig, Qoe, Session};
 pub use workload::{ChurnParams, ChurnStream, RequestStream, WorkloadParams};

@@ -20,8 +20,8 @@ use crate::spec::{
 };
 use crate::value::{write_json, Value};
 use sof_core::{
-    fortz_thorup, Element, EmbedMode, OnlineSession, Request, ServiceChain, SessionPool,
-    SofInstance, Solver,
+    fortz_thorup, Element, EmbedMode, OnlineSession, Request, ServiceChain, SessionEvent,
+    SessionPool, SofInstance, Solver,
 };
 use sof_graph::{Cost, NodeId, Rng64};
 use sof_runner::{CollectSink, Record, Runner, RunnerConfig, Summary, Ward};
@@ -881,21 +881,35 @@ fn run_qoe(
 // online (Fig. 12)
 // ---------------------------------------------------------------------------
 
-/// Fails up to `count` VMs currently carrying VNFs in the session
-/// (deterministically: the lowest-id enabled VMs) and drops the forest
-/// they disrupted, so the next arrival rebuilds around them. Returns how
-/// many were actually failed.
-fn inject_vm_failures(session: &mut OnlineSession, count: usize) -> usize {
-    let Some(used) = session.forest().and_then(|f| f.enabled_vms().ok()) else {
+/// When `arrival` (1-based, of `arrivals`) is due under `failures`: in
+/// every session, fails up to `count` VMs currently carrying VNFs
+/// (deterministically: the lowest-id enabled VMs) as one
+/// [`SessionEvent::Fail`] and drops the forest they disrupted, so the next
+/// arrival rebuilds around them. Returns how many VMs were failed.
+fn inject_vm_failures<'a>(
+    sessions: impl IntoIterator<Item = &'a mut OnlineSession>,
+    failures: Option<&FailureSpec>,
+    arrival: usize,
+    arrivals: usize,
+) -> usize {
+    let Some(f) = failures.filter(|f| arrival.is_multiple_of(f.every) && arrival < arrivals) else {
         return 0;
     };
-    let victims: Vec<NodeId> = used.keys().copied().take(count).collect();
-    let injected = victims
-        .into_iter()
-        .filter(|&vm| session.fail(Element::Vm(vm)).is_ok())
-        .count();
-    if injected > 0 {
-        session.clear_forest();
+    let mut injected = 0;
+    for session in sessions {
+        let Some(used) = session.forest().and_then(|f| f.enabled_vms().ok()) else {
+            continue;
+        };
+        let victims: Vec<Element> = used
+            .keys()
+            .take(f.count)
+            .map(|&vm| Element::Vm(vm))
+            .collect();
+        // Every enabled VM is a VM, so the session accepts them all.
+        if !victims.is_empty() && session.apply(SessionEvent::Fail(victims.clone())).is_ok() {
+            injected += victims.len();
+            session.clear_forest();
+        }
     }
     injected
 }
@@ -1038,8 +1052,9 @@ fn run_single_group(
     for (ai, request) in events.iter().enumerate() {
         let arrival = ai + 1;
         for (si, session) in engines.iter_mut().enumerate() {
-            match session.arrive(request.clone()) {
-                Ok(report) => {
+            match session.apply(SessionEvent::Arrive(request.clone())) {
+                Ok(applied) => {
+                    let report = applied.report().expect("an arrival reports");
                     let t = &mut stats[si];
                     if report.rebuilt {
                         t.solve_ms += report.millis;
@@ -1058,13 +1073,7 @@ fn run_single_group(
                 }
             }
         }
-        if let Some(f) = failures {
-            if arrival.is_multiple_of(f.every) && arrival < events.len() {
-                for session in engines.iter_mut() {
-                    vm_failures += inject_vm_failures(session, f.count);
-                }
-            }
-        }
+        vm_failures += inject_vm_failures(&mut engines, failures, arrival, events.len());
         if arrival % 5 == 0 || arrival == events.len() {
             rows.push(TableRow {
                 label: arrival.to_string(),
@@ -1153,29 +1162,24 @@ fn run_pool_group(
     let mut arrival_failures = 0usize;
     let mut vm_failures = 0usize;
     for step in 0..group.requests {
-        let snapshots: Vec<Request> = streams
+        let arrivals: Vec<Option<SessionEvent>> = streams
             .iter_mut()
             .map(|s| {
-                if step == 0 {
+                let request = if step == 0 {
                     s.current().clone()
                 } else {
                     s.next_request()
-                }
+                };
+                Some(SessionEvent::Arrive(request))
             })
             .collect();
         arrival_failures += pool
-            .arrive_each(&snapshots)
+            .apply(&arrivals)
             .iter()
-            .filter(|r| r.is_err())
+            .filter(|r| matches!(r, Some(Err(_))))
             .count();
         let arrival = step + 1;
-        if let Some(f) = failures {
-            if arrival.is_multiple_of(f.every) && arrival < group.requests {
-                for session in pool.sessions_mut() {
-                    vm_failures += inject_vm_failures(session, f.count);
-                }
-            }
-        }
+        vm_failures += inject_vm_failures(pool.sessions_mut(), failures, arrival, group.requests);
         if arrival % 5 == 0 || arrival == group.requests {
             let total = pool.total_accumulated_cost();
             rows.push(TableRow {

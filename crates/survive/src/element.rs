@@ -8,12 +8,12 @@
 //! stream.
 //!
 //! A session knows nothing symbolic: [`ElementRef::resolve`] turns a
-//! reference into the physical [`Element`]s it names on one network, and
-//! [`fail_elements`] / [`repair_elements`] apply such a list to a session.
+//! reference into the physical [`Element`]s it names on one network, and a
+//! [`sof_core::SessionEvent::Fail`] or `Repair` of that list applies it to
+//! a session.
 
-use sof_core::{Element, OnlineSession, SolveError};
+use sof_core::Element;
 use sof_graph::NodeId;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
@@ -73,58 +73,6 @@ impl ElementRef {
             }
         })
     }
-}
-
-/// Applies `apply` to each element, skipping the ones it refuses; the
-/// first refusal is the answer only when every element was refused.
-fn apply_each<T>(
-    elements: &[Element],
-    mut apply: impl FnMut(Element) -> Result<T, SolveError>,
-) -> Result<Vec<T>, SolveError> {
-    let mut applied = Vec::new();
-    let mut refusal = None;
-    for &element in elements {
-        match apply(element) {
-            Ok(done) => applied.push(done),
-            Err(e) => {
-                refusal.get_or_insert(e);
-            }
-        }
-    }
-    match refusal {
-        Some(e) if applied.is_empty() => Err(e),
-        _ => Ok(applied),
-    }
-}
-
-/// Fails every element of a resolved reference in `session`, returning
-/// the destinations whose walks broke. An element the session refuses is
-/// skipped — that is how a domain failure passes over the request's own
-/// endpoints, which [`OnlineSession::fail`] will not fail as nodes.
-///
-/// # Errors
-///
-/// The first refusal, when the session refused every element.
-pub fn fail_elements(
-    session: &mut OnlineSession,
-    elements: &[Element],
-) -> Result<BTreeSet<NodeId>, SolveError> {
-    let broken = apply_each(elements, |e| session.fail(e))?;
-    Ok(broken.into_iter().flatten().collect())
-}
-
-/// Repairs every element of a resolved reference in `session`, skipping
-/// the ones that are not failed there (a domain's skipped endpoints, a
-/// node a client already repaired by itself).
-///
-/// # Errors
-///
-/// The first refusal, when none of the elements was failed.
-pub fn repair_elements(
-    session: &mut OnlineSession,
-    elements: &[Element],
-) -> Result<(), SolveError> {
-    apply_each(elements, |e| session.repair(e)).map(drop)
 }
 
 impl fmt::Display for ElementRef {

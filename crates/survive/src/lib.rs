@@ -54,7 +54,7 @@ mod metrics;
 mod policy;
 mod process;
 
-pub use element::{fail_elements, repair_elements, ElementRef};
+pub use element::ElementRef;
 pub use metrics::RecoveryMetrics;
 pub use policy::{universe_for_scopes, ProtectionPolicy, Protector, RecoveryOutcome};
 pub use process::{FailureDriver, FailurePlan, ProcessKind, RoundEvents, ScriptedEvent};

@@ -172,11 +172,6 @@ impl FailureDriver {
         }
     }
 
-    /// Elements currently failed, in stable order.
-    pub fn failed_elements(&self) -> impl Iterator<Item = &ElementRef> {
-        self.failed.keys()
-    }
-
     /// Produces this round's repairs and failures. Rounds must be visited
     /// in increasing order; repairs come due before new failures fire.
     pub fn advance(&mut self, round: usize) -> RoundEvents {
@@ -315,7 +310,7 @@ mod tests {
         let mut d = FailureDriver::new(&p, universe());
         let r2 = d.advance_to(2);
         assert_eq!(r2.failures.len(), 1);
-        assert_eq!(d.failed_elements().count(), 1);
+        assert_eq!(d.failed.len(), 1);
         // Repair is due exactly two rounds later.
         let r4 = {
             d.advance(3);

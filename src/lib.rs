@@ -20,7 +20,7 @@
 //!   [`core::Solver`] trait (`solvers::all()`, `solvers::by_name`),
 //! * [`topo`] — SoftLayer / Cogent / Inet / testbed topologies and the
 //!   named-topology registry specs resolve through,
-//! * [`sim`] — flow-level DES with max-min fairness, video QoE, and the
+//! * [`sim`] — flow-level simulation with max-min fairness, video QoE, and the
 //!   online request / viewer-churn workloads,
 //! * [`runner`] — streaming churn-at-scale simulation: a [`runner::Runner`]
 //!   drives a `core::SessionPool` over lazily generated event timelines
@@ -30,8 +30,9 @@
 //!   VM/domain failure processes with repair times, protection policies
 //!   (reactive / backup paths / standby forest) over `core::OnlineSession`,
 //!   and recovery/availability metrics; a session itself knows only the
-//!   set of failed elements ([`core::faults`], through
-//!   `OnlineSession::fail` / `repair` / `faults`),
+//!   set of failed elements ([`core::faults`], edited by the
+//!   `core::SessionEvent::Fail` / `Repair` events and read by
+//!   `OnlineSession::faults`),
 //! * [`sdn`] — flow-rule compilation and distributed multi-controller SOFDA,
 //! * [`daemon`] — `sofd`, the long-running embedding service: a
 //!   dependency-free HTTP/1.1 control plane (`sof serve`) over
@@ -95,10 +96,12 @@
 //!
 //! For arrival/departure workloads, drive any registered solver through the
 //! incremental [`core::OnlineSession`] engine instead of re-solving from
-//! scratch:
+//! scratch. Everything that happens to a session is one
+//! [`core::SessionEvent`] — an arrival, a join, a leave, a fail, a repair —
+//! stepped through [`core::OnlineSession::apply`]:
 //!
 //! ```
-//! use sof::core::{OnlineConfig, OnlineSession, SofdaConfig};
+//! use sof::core::{OnlineConfig, OnlineSession, SessionEvent, SofdaConfig};
 //! use sof::sim::{ChurnParams, ChurnStream};
 //! use sof::topo::{build_instance, softlayer, ScenarioParams};
 //!
@@ -113,11 +116,11 @@
 //!     OnlineConfig::default(),
 //! );
 //! let mut churn = ChurnStream::new(ChurnParams::softlayer(), 27, 7);
-//! let first = session.arrive(churn.current().clone())?;
-//! assert!(first.rebuilt); // initial embed runs the solver…
-//! let next = session.arrive(churn.next_request())?;
+//! let first = session.apply(SessionEvent::Arrive(churn.current().clone()))?;
+//! assert!(first.report().is_some_and(|r| r.rebuilt)); // initial embed runs the solver…
+//! let next = session.apply(SessionEvent::Arrive(churn.next_request()))?;
 //! // …after which viewer churn is handled by §VII-C join/leave dynamics.
-//! println!("rebuilt: {}, joined {}, left {}", next.rebuilt, next.joined, next.left);
+//! println!("{:?}", next.report());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -78,6 +78,8 @@ fn wire_round_trip() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"solver\":\"SOFDA\""), "{body}");
     assert!(body.contains("\"vm_failures\":1"), "{body}");
+    // The create and the join are arrivals; the leave is not.
+    assert!(body.contains("\"arrivals\":2"), "{body}");
 
     let (status, body) = c.request("GET", "/v1/stats", "").unwrap();
     assert_eq!(status, 200, "{body}");

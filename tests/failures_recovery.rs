@@ -6,7 +6,10 @@
 //! protector switchover never routes through a failed element while
 //! repaired elements go straight back into service.
 
-use sof::core::{Element, EmbedMode, OnlineConfig, OnlineSession, Request, SofdaConfig};
+use sof::core::{
+    Applied, Element, EmbedMode, OnlineConfig, OnlineSession, Request, SessionEvent, SofdaConfig,
+};
+use sof::graph::NodeId;
 use sof::spec::{presets, run_churn_stream, RunOptions};
 use sof::survive::{ProtectionPolicy, Protector};
 use sof::topo::{build_instance, softlayer, ScenarioParams};
@@ -115,13 +118,25 @@ fn embedded_session(seed: u64) -> OnlineSession {
         s.instance().request.destinations.clone(),
         s.instance().request.chain.clone(),
     );
-    s.arrive(first).unwrap();
+    s.apply(SessionEvent::Arrive(first)).unwrap();
     s
+}
+
+/// Fails `element` in `s`, answering with the destinations it disrupted.
+fn fail(s: &mut OnlineSession, element: Element) -> Vec<NodeId> {
+    match s.apply(SessionEvent::Fail(vec![element])) {
+        Ok(Applied::Failed(broken)) => broken.into_iter().collect(),
+        other => panic!("failing {element:?} answered {other:?}"),
+    }
+}
+
+fn repair(s: &mut OnlineSession, element: Element) {
+    s.apply(SessionEvent::Repair(vec![element])).unwrap();
 }
 
 /// The last hop of the first standing walk: failing it always disrupts
 /// that walk's destination.
-fn last_hop(s: &OnlineSession) -> (sof::graph::NodeId, sof::graph::NodeId, sof::graph::NodeId) {
+fn last_hop(s: &OnlineSession) -> (NodeId, NodeId, NodeId) {
     let w = &s.forest().unwrap().walks[0];
     let n = w.nodes.len();
     (w.destination, w.nodes[n - 2], w.nodes[n - 1])
@@ -137,7 +152,7 @@ fn backup_switchover_never_traverses_a_failed_element() {
     let mut protector = Protector::new(ProtectionPolicy::BackupPaths, None);
     protector.prewarm(&mut s);
     let (d, u, v) = last_hop(&s);
-    let affected = s.fail(Element::Link(u, v)).unwrap();
+    let affected = fail(&mut s, Element::Link(u, v));
     assert!(affected.contains(&d), "last hop disrupts its destination");
     let outcome = protector.recover(&mut s, &affected);
     assert_eq!(outcome.affected, affected.len());
@@ -165,7 +180,7 @@ fn standby_swap_is_zero_cost_and_avoids_failures() {
     protector.prewarm(&mut s);
     assert!(protector.standby_ready(), "standby solve must succeed here");
     let (_, u, v) = last_hop(&s);
-    let affected = s.fail(Element::Link(u, v)).unwrap();
+    let affected = fail(&mut s, Element::Link(u, v));
     let outcome = protector.recover(&mut s, &affected);
     if let Some(forest) = s.forest() {
         forest.validate(s.instance()).unwrap();
@@ -194,12 +209,12 @@ fn repaired_links_are_reused_by_later_embeddings() {
     let (_, u, v) = last_hop(&s);
     let e = s.instance().network.graph().edge_between(u, v).unwrap();
     let pristine = s.instance().network.graph().edge_cost(e);
-    let _ = s.fail(Element::Link(u, v)).unwrap();
+    fail(&mut s, Element::Link(u, v));
     assert!(
         s.instance().network.graph().edge_cost(e) > pristine,
         "failure must surcharge the link"
     );
-    s.repair(Element::Link(u, v)).unwrap();
+    repair(&mut s, Element::Link(u, v));
     assert!(s.faults().is_empty());
     assert_eq!(
         s.instance().network.graph().edge_cost(e),
@@ -271,18 +286,18 @@ fn repairs_compose_back_to_the_never_failed_prices() {
         .find(|&(u, v)| transit(u) && transit(v))
         .expect("two adjacent transit nodes");
     for n in [a, b] {
-        s.fail(Element::Node(n)).unwrap();
+        fail(&mut s, Element::Node(n));
     }
     for n in [a, b] {
-        s.repair(Element::Node(n)).unwrap();
+        repair(&mut s, Element::Node(n));
     }
     assert_priced_like(&s, &twin, "two adjacent nodes");
 
     let mut s = embedded_session(7);
     let v = s.instance().network.vms()[0];
-    s.fail(Element::Vm(v)).unwrap();
-    s.fail(Element::Node(v)).unwrap();
-    s.repair(Element::Vm(v)).unwrap();
-    s.repair(Element::Node(v)).unwrap();
+    fail(&mut s, Element::Vm(v));
+    fail(&mut s, Element::Node(v));
+    repair(&mut s, Element::Vm(v));
+    repair(&mut s, Element::Node(v));
     assert_priced_like(&s, &twin, "a VM, then its node");
 }

@@ -130,7 +130,10 @@ fn high_churn_crosses_drift_threshold_and_rebuilds() {
         build_instance(&topo, &p),
         sof::solvers::by_name("SOFDA").expect("registered"),
         SofdaConfig::default().with_seed(97),
-        OnlineConfig::default().with_rebuild_drift(drift),
+        OnlineConfig {
+            rebuild_drift: drift,
+            ..OnlineConfig::default()
+        },
     );
 
     let mut prev: Vec<_> = Vec::new();

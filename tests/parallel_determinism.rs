@@ -11,7 +11,7 @@
 
 use sof::core::{
     solve_sofda, Network, OnlineConfig, OnlineSession, Request, ServiceChain, ServiceForest,
-    SessionPool, SofInstance, Sofda, SofdaConfig,
+    SessionEvent, SessionPool, SofInstance, Sofda, SofdaConfig,
 };
 use sof::exact::solve_exact_with;
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64};
@@ -105,23 +105,30 @@ fn run_pool(groups: u64, events: usize, threads: usize) -> (Vec<f64>, Vec<Servic
         (0..groups).map(|g| churn_session(50 + g)).unzip();
     let mut pool = SessionPool::new(sessions).with_threads(threads);
     for step in 0..events {
-        let snapshots: Vec<Request> = streams
+        let arrivals: Vec<Option<SessionEvent>> = streams
             .iter_mut()
             .map(|s| {
-                if step == 0 {
+                let request = if step == 0 {
                     s.current().clone()
                 } else {
                     s.next_request()
-                }
+                };
+                Some(SessionEvent::Arrive(request))
             })
             .collect();
-        let reports = pool.arrive_each(&snapshots);
-        assert!(reports.iter().all(|r| r.is_ok()), "threads={threads}");
+        let answers = pool.apply(&arrivals);
+        assert!(
+            answers.iter().all(|r| matches!(r, Some(Ok(_)))),
+            "threads={threads}"
+        );
     }
-    let costs = pool.accumulated_costs();
-    let forests = pool
-        .into_sessions()
-        .into_iter()
+    let sessions = pool.sessions();
+    let costs = sessions
+        .iter()
+        .map(OnlineSession::accumulated_cost)
+        .collect();
+    let forests = sessions
+        .iter()
         .map(|s| s.forest().expect("standing forest").clone())
         .collect();
     (costs, forests)

@@ -1,13 +1,17 @@
 //! Property-based tests over randomized instances (proptest).
 
 use proptest::prelude::*;
-use sof::core::{solve_sofda, Network, Request, ServiceChain, SofInstance, SofdaConfig};
+use sof::core::{
+    solve_sofda, Applied, DriftPolicy, Element, JoinStrategy, Network, OnlineConfig, OnlineSession,
+    Request, ServiceChain, SessionEvent, SofInstance, SofdaConfig, FAILED_COST,
+};
+use sof::exact::IpFormulation;
 use sof::graph::{generators, Cost, CostRange, EdgeId, Graph, NodeId, Rng64};
 use sof::kstroll::{
     exact_all_targets, exact_stroll, greedy_stroll, DenseMetric, SearchContext, StrollSolver,
 };
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 fn random_instance(
     seed: u64,
@@ -39,6 +43,308 @@ fn random_instance(
         ),
     )
     .unwrap()
+}
+
+/// The online configurations the session-event property runs under: both
+/// drift policies × both join strategies, `combo` in `0..4`.
+fn online_config(combo: usize) -> OnlineConfig {
+    OnlineConfig {
+        drift_policy: [DriftPolicy::ChurnCount, DriftPolicy::CostDrift][combo % 2],
+        join: [JoinStrategy::TailAttach, JoinStrategy::FullSearch][combo / 2],
+        ..OnlineConfig::default()
+    }
+}
+
+/// A script of `len` session events on `inst`, after one first arrival:
+/// fails and repairs of overlapping VMs, links, nodes and node groups (a
+/// domain's shape), arrivals of random subsets of the request's
+/// destinations, and single joins and leaves among them. Drawn from `seed`
+/// alone, never from a session's state, so any subsequence of it is a
+/// script too.
+fn session_script(inst: &SofInstance, seed: u64, len: usize) -> Vec<SessionEvent> {
+    let mut rng = Rng64::seed_from(seed ^ 0xfa17);
+    let n = inst.network.node_count();
+    let links: Vec<(NodeId, NodeId)> = inst
+        .network
+        .graph()
+        .edges()
+        .map(|(_, e)| (e.u, e.v))
+        .collect();
+    let node = |rng: &mut Rng64| NodeId::new(rng.below(n));
+    let groups: Vec<Vec<Element>> = (0..3)
+        .map(|_| {
+            rng.sample_indices(n, 4)
+                .into_iter()
+                .map(|i| Element::Node(NodeId::new(i)))
+                .collect()
+        })
+        .collect();
+    let pool = &inst.request.destinations;
+    let arrival = |rng: &mut Rng64| {
+        let keep = 1 + rng.below(pool.len());
+        let dests = rng
+            .sample_indices(pool.len(), keep)
+            .into_iter()
+            .map(|i| pool[i]);
+        let request = Request::new(
+            inst.request.sources.clone(),
+            dests.collect(),
+            inst.request.chain.clone(),
+        );
+        SessionEvent::Arrive(request)
+    };
+    let mut failed_before: Vec<Element> = Vec::new();
+    let mut script = vec![arrival(&mut rng)];
+    for _ in 0..len {
+        script.push(match rng.below(14) {
+            0..=2 => {
+                let element = match rng.below(3) {
+                    0 => Element::Vm(node(&mut rng)),
+                    1 => {
+                        let (u, v) = links[rng.below(links.len())];
+                        Element::Link(u.min(v), u.max(v))
+                    }
+                    _ => Element::Node(node(&mut rng)),
+                };
+                failed_before.push(element);
+                SessionEvent::Fail(vec![element])
+            }
+            3 => SessionEvent::Fail(groups[rng.below(groups.len())].clone()),
+            // Repair something that may or may not be failed.
+            4..=6 => {
+                let element = match rng.below(2) {
+                    0 if !failed_before.is_empty() => failed_before[rng.below(failed_before.len())],
+                    _ => Element::Node(node(&mut rng)),
+                };
+                SessionEvent::Repair(vec![element])
+            }
+            7 => SessionEvent::Repair(groups[rng.below(groups.len())].clone()),
+            8..=9 => arrival(&mut rng),
+            10..=11 => SessionEvent::Join(pool[rng.below(pool.len())]),
+            _ => SessionEvent::Leave(pool[rng.below(pool.len())]),
+        });
+    }
+    script
+}
+
+/// Runs `script` on a fresh SOFDA session over `inst` beside a twin that
+/// sees only its arrivals, joins and leaves, and checks after every event:
+/// the session's own invariants; the paper's IP (§III-A) accepts the
+/// standing forest, at the cost the session reported; the reported
+/// arrival costs sum to the accumulated cost; and a plain model of the
+/// fault set — three kinds of entry and the covering rule spelled out —
+/// says which links and VMs are priced out, which elements the session
+/// refuses, and that every reattachment it plans avoids what is failed. A
+/// destination a fail broke takes its planned reattachment, as a
+/// backup-paths policy would, or the forest is dropped for the next
+/// arrival to rebuild. Once the rest is repaired, the session prices the
+/// twin's forest bit for bit as the never-failed twin does.
+fn run_session_script(
+    inst: &SofInstance,
+    opts: OnlineConfig,
+    seed: u64,
+    script: &[SessionEvent],
+) -> Result<(), TestCaseError> {
+    let session = || {
+        OnlineSession::new(
+            inst.clone(),
+            sof::solvers::by_name("SOFDA").expect("registered"),
+            SofdaConfig::default().with_seed(seed),
+            opts,
+        )
+    };
+    let (mut s, mut twin) = (session(), session());
+    let vms = inst.network.vms();
+    // The model: what is failed, and nothing else.
+    let mut failed: BTreeSet<Element> = BTreeSet::new();
+    let link = |u: NodeId, v: NodeId| Element::Link(u.min(v), u.max(v));
+    let mut arrived = 0.0;
+    for (step, event) in script.iter().enumerate() {
+        let req = &s.instance().request;
+        let endpoint = |n: &NodeId| req.sources.contains(n) || req.destinations.contains(n);
+        // The session refuses exactly what is not there to fail: a node
+        // not a VM, or a node that is an endpoint of the current request.
+        let accepted: Vec<Element> = match event {
+            SessionEvent::Fail(elements) => elements
+                .iter()
+                .copied()
+                .filter(|e| match e {
+                    Element::Vm(v) => vms.contains(v),
+                    Element::Link(..) => true,
+                    Element::Node(v) => !endpoint(v),
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        let answer = s.apply(event.clone());
+        match event {
+            SessionEvent::Fail(_) => {
+                prop_assert!(
+                    answer.is_ok() != accepted.is_empty(),
+                    "step {step}: {event:?}"
+                );
+                failed.extend(accepted);
+            }
+            SessionEvent::Repair(elements) => {
+                let any = elements.iter().fold(false, |any, e| failed.remove(e) | any);
+                prop_assert!(answer.is_ok() == any, "step {step}: {event:?}");
+            }
+            // The twin moves with the group. A session cut off by its
+            // failures may refuse an arrival; the twin never does.
+            SessionEvent::Arrive(_) => prop_assert!(twin.apply(event.clone()).is_ok()),
+            SessionEvent::Join(_) | SessionEvent::Leave(_) => {
+                let _ = twin.apply(event.clone());
+            }
+        }
+        let reported = match &answer {
+            Ok(Applied::Arrival(report)) => {
+                arrived += report.forest_cost;
+                Some(report.forest_cost)
+            }
+            Ok(Applied::Left(cost)) => Some(*cost),
+            _ => None,
+        };
+        prop_assert!(
+            arrived.to_bits() == s.accumulated_cost().to_bits(),
+            "step {step}"
+        );
+        if let (Some(forest), Some(cost)) = (s.forest(), reported) {
+            let objective = IpFormulation::build(s.instance()).check_forest(forest);
+            prop_assert!(
+                objective
+                    .as_ref()
+                    .is_ok_and(|o| o.approx_eq(Cost::new(cost))),
+                "step {step}: {event:?} reported {cost}, the IP says {objective:?}"
+            );
+        }
+
+        // The covering rule, from the model's three kinds of entry.
+        let node_down = |v: NodeId| failed.contains(&Element::Node(v));
+        let vm_down = |v: NodeId| node_down(v) || failed.contains(&Element::Vm(v));
+        let edge_down =
+            |u: NodeId, v: NodeId| node_down(u) || node_down(v) || failed.contains(&link(u, v));
+        let net = &s.instance().network;
+        for (e, edge) in net.graph().edges() {
+            let priced_out = net.graph().edge_cost(e).value() >= FAILED_COST;
+            prop_assert!(
+                priced_out == edge_down(edge.u, edge.v),
+                "step {step}: {edge:?}"
+            );
+        }
+        for &v in &vms {
+            let priced_out = net.node_cost(v).value() >= FAILED_COST;
+            prop_assert!(priced_out == vm_down(v), "step {step}: VM {v}");
+        }
+        prop_assert_eq!(s.faults().iter().collect::<BTreeSet<_>>(), failed.clone());
+
+        // Whatever reattachment the session plans, for any served
+        // destination, avoids what the model holds failed.
+        let broken = match &answer {
+            Ok(Applied::Failed(broken)) => broken.clone(),
+            _ => BTreeSet::new(),
+        };
+        let served: Vec<NodeId> = s
+            .forest()
+            .map(|f| f.walks.iter().map(|w| w.destination).collect())
+            .unwrap_or_default();
+        for d in served {
+            let plan = s.plan_reattach(d, (step + d.index()) % 2 == 0);
+            if let Ok((walk, _)) = &plan {
+                prop_assert!(s.faults().walk_avoids(walk), "step {step}: {walk:?}");
+                prop_assert!(walk.nodes.iter().all(|&v| !vm_down(v)));
+                prop_assert!(walk.nodes.windows(2).all(|h| !edge_down(h[0], h[1])));
+            }
+            if broken.contains(&d) && !plan.is_ok_and(|(walk, _)| s.switch_walk(walk).is_ok()) {
+                s.clear_forest();
+                break;
+            }
+        }
+        if let Err(e) = s.check_invariants() {
+            prop_assert!(false, "step {step}: {event:?}: {e}");
+        }
+        if let Some(forest) = s.forest() {
+            let objective = IpFormulation::build(s.instance()).check_forest(forest);
+            prop_assert!(objective.is_ok(), "step {step}: {objective:?}");
+        }
+    }
+
+    // Repair the rest: nothing of any failure is left in any price. One
+    // more arrival brings both to the same group (a leave the session
+    // refused while cut off moved the twin alone).
+    let everything = std::mem::take(&mut failed).into_iter().collect();
+    prop_assert!(s.apply(SessionEvent::Repair(everything)).is_ok());
+    prop_assert!(s.faults().is_empty());
+    let last = SessionEvent::Arrive(inst.request.clone());
+    prop_assert!(s.apply(last.clone()).is_ok() && twin.apply(last).is_ok());
+    s.replace_forest(twin.forest().expect("the twin stands").clone())
+        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    let (net, expect) = (&s.instance().network, &twin.instance().network);
+    for (e, _) in net.graph().edges() {
+        let (got, want) = (net.graph().edge_cost(e), expect.graph().edge_cost(e));
+        prop_assert!(
+            got.value().to_bits() == want.value().to_bits(),
+            "{e:?}: {got} for {want}"
+        );
+    }
+    for &v in &vms {
+        let (got, want) = (net.node_cost(v), expect.node_cost(v));
+        prop_assert!(
+            got.value().to_bits() == want.value().to_bits(),
+            "VM {v}: {got} for {want}"
+        );
+    }
+    Ok(())
+}
+
+/// The shrinker on a planted bug: a session that "panics" when a `Leave`
+/// comes right after a `Fail` of a VM the leaving destination's walk runs
+/// a VNF on. Some generated 200-event script trips it, and `shrink` cuts
+/// that script to at most five events — an arrival, the fail, the leave.
+/// Fails when `shrink` stops dropping chunks or single events.
+#[test]
+fn shrink_cuts_a_planted_session_bug_to_five_events() {
+    let planted = |inst: &SofInstance, script: &[SessionEvent]| {
+        let mut s = OnlineSession::new(
+            inst.clone(),
+            sof::solvers::by_name("SOFDA").expect("registered"),
+            SofdaConfig::default(),
+            OnlineConfig::default(),
+        );
+        let mut cut_off: Vec<NodeId> = Vec::new();
+        for event in script {
+            if let SessionEvent::Leave(d) = event {
+                assert!(!cut_off.contains(d), "{d} left right after its VM failed");
+            }
+            cut_off = match (event, s.forest()) {
+                (SessionEvent::Fail(elements), Some(forest)) => elements
+                    .iter()
+                    .flat_map(|e| match *e {
+                        Element::Vm(v) => forest.destinations_on_vm(v),
+                        _ => Vec::new(),
+                    })
+                    .collect(),
+                _ => Vec::new(),
+            };
+            let _ = s.apply(event.clone());
+        }
+        Ok(())
+    };
+    let (seed, small) = (0..100)
+        .find_map(|seed| {
+            let inst = random_instance(seed, 20, 6, 2, 5, 2);
+            let script = session_script(&inst, seed, 200);
+            shrink(seed, &script, |s| planted(&inst, s)).map(|small| (seed, small))
+        })
+        .expect("some script trips the planted bug");
+    assert!(
+        small.len() <= 5,
+        "seed {seed}: {} events: {small:?}",
+        small.len()
+    );
+    assert!(matches!(
+        small[..],
+        [.., SessionEvent::Fail(_), SessionEvent::Leave(_)]
+    ));
 }
 
 /// The exact k-stroll with its bound taken out: every simple path from
@@ -617,181 +923,27 @@ proptest! {
     }
 
     /// A session's failure pricing is a function of *what is failed now*,
-    /// never of the order it got there. 200 steps a case interleave fails
-    /// and repairs of overlapping VMs, links, nodes and node groups (a
-    /// domain's shape) with arrivals; a plain model — three sets and the
-    /// covering rule spelled out — says after every step which links and
-    /// VMs are priced out, every reattachment the session plans avoids
-    /// what the model holds failed, and once the rest is repaired the
-    /// session prices the twin's forest bit for bit as the never-failed
-    /// twin does. Fails when `edge_down` ignores failed endpoints (a failed
-    /// node's links stay in service), and when a repair restores a
-    /// remembered price instead of re-deriving it.
+    /// never of the order it got there, and every event leaves a forest
+    /// the paper's IP accepts at the cost the session reported. 200
+    /// generated events a case, the whole `SessionEvent` alphabet, under
+    /// both drift policies × both join strategies; [`run_session_script`]
+    /// lists the checks, and a failing script is shrunk before it is
+    /// reported. Fails when `edge_down` ignores failed endpoints (a failed
+    /// node's links stay in service), when a repair restores a remembered
+    /// price instead of re-deriving it, when a `Fail` stops skipping what
+    /// the session refuses, and when `recharge` stops clearing the loads
+    /// it re-derives.
     #[test]
     fn fail_repair_interleavings_price_what_the_fault_set_covers(seed in 0u64..4000) {
-        use sof::core::{Element, OnlineConfig, OnlineSession, FAILED_COST};
-        use sof::survive::{fail_elements, repair_elements};
-        use std::collections::BTreeSet;
-
         let inst = random_instance(seed, 20, 6, 2, 5, 2);
-        let session = |inst: &SofInstance| {
-            OnlineSession::new(
-                inst.clone(),
-                sof::solvers::by_name("SOFDA").expect("registered"),
-                SofdaConfig::default().with_seed(seed),
-                OnlineConfig::default(),
-            )
-        };
-        let (mut s, mut twin) = (session(&inst), session(&inst));
-        let mut rng = Rng64::seed_from(seed ^ 0xfa17);
-        let n = inst.network.node_count();
-        let vms = inst.network.vms();
-        let links: Vec<(NodeId, NodeId)> =
-            inst.network.graph().edges().map(|(_, e)| (e.u, e.v)).collect();
-        let node = |rng: &mut Rng64| NodeId::new(rng.below(n));
-        let groups: Vec<Vec<NodeId>> = (0..3)
-            .map(|_| rng.sample_indices(n, 4).into_iter().map(NodeId::new).collect())
-            .collect();
-        let as_nodes = |g: &[NodeId]| g.iter().map(|&n| Element::Node(n)).collect::<Vec<_>>();
-        let pool = inst.request.destinations.clone();
-        let arrival = |rng: &mut Rng64| {
-            let keep = 1 + rng.below(pool.len());
-            let dests = rng.sample_indices(pool.len(), keep).into_iter().map(|i| pool[i]);
-            Request::new(inst.request.sources.clone(), dests.collect(), inst.request.chain.clone())
-        };
-
-        // The model: what is failed, and nothing else.
-        let mut failed: BTreeSet<Element> = BTreeSet::new();
-        let link = |u: NodeId, v: NodeId| Element::Link(u.min(v), u.max(v));
-
-        let first = arrival(&mut rng);
-        s.arrive(first.clone()).unwrap();
-        twin.arrive(first).unwrap();
-        let mut steps = 0;
-        for _ in 0..200 {
-            steps += 1;
-            let endpoint = |s: &OnlineSession, n: NodeId| {
-                let req = &s.instance().request;
-                req.sources.contains(&n) || req.destinations.contains(&n)
-            };
-            let broken = match rng.below(10) {
-                // Fail one element; the session refuses exactly what is
-                // not there to fail.
-                0..=2 => {
-                    let (element, valid) = match rng.below(3) {
-                        0 => {
-                            let v = node(&mut rng);
-                            (Element::Vm(v), vms.contains(&v))
-                        }
-                        1 => {
-                            let (u, v) = links[rng.below(links.len())];
-                            (link(v, u), true)
-                        }
-                        _ => {
-                            let v = node(&mut rng);
-                            (Element::Node(v), !endpoint(&s, v))
-                        }
-                    };
-                    let answer = s.fail(element);
-                    prop_assert!(answer.is_ok() == valid, "step {steps}: fail {element:?}");
-                    if valid {
-                        failed.insert(element);
-                    }
-                    answer.unwrap_or_default()
-                }
-                // Fail a group as a domain fails: every node but the
-                // request's own endpoints.
-                3 => {
-                    let group = &groups[rng.below(groups.len())];
-                    let expect: Vec<NodeId> =
-                        group.iter().copied().filter(|&v| !endpoint(&s, v)).collect();
-                    let answer = fail_elements(&mut s, &as_nodes(group));
-                    prop_assert_eq!(answer.is_ok(), !expect.is_empty());
-                    failed.extend(expect.into_iter().map(Element::Node));
-                    answer.unwrap_or_default().into_iter().collect()
-                }
-                // Repair something that may or may not be failed.
-                4..=6 => {
-                    let standing = failed.iter().nth(rng.below(failed.len().max(1)));
-                    let element = match (rng.below(2), standing) {
-                        (0, Some(&e)) => e,
-                        _ => Element::Node(node(&mut rng)),
-                    };
-                    prop_assert_eq!(s.repair(element).is_ok(), failed.remove(&element));
-                    Vec::new()
-                }
-                7 => {
-                    let group = &groups[rng.below(groups.len())];
-                    let mut any = false;
-                    for &v in group {
-                        any |= failed.remove(&Element::Node(v));
-                    }
-                    prop_assert_eq!(repair_elements(&mut s, &as_nodes(group)).is_ok(), any);
-                    Vec::new()
-                }
-                // The group moves on, in both sessions. A session cut off
-                // by its failures may refuse; its twin never does.
-                _ => {
-                    let request = arrival(&mut rng);
-                    let _ = s.arrive(request.clone());
-                    twin.arrive(request).unwrap();
-                    Vec::new()
-                }
-            };
-
-            // The covering rule, from the model's three kinds of entry.
-            let node_down = |v: NodeId| failed.contains(&Element::Node(v));
-            let vm_down = |v: NodeId| node_down(v) || failed.contains(&Element::Vm(v));
-            let edge_down =
-                |u: NodeId, v: NodeId| node_down(u) || node_down(v) || failed.contains(&link(u, v));
-            let net = &s.instance().network;
-            for (e, edge) in net.graph().edges() {
-                let priced_out = net.graph().edge_cost(e).value() >= FAILED_COST;
-                prop_assert!(priced_out == edge_down(edge.u, edge.v), "step {steps}: {edge:?}");
+        let script = session_script(&inst, seed, 200);
+        for combo in 0..4 {
+            let run = |s: &[SessionEvent]| run_session_script(&inst, online_config(combo), seed, s);
+            if let Some(small) = shrink(seed, &script, run) {
+                // Fails again, now with the shrunk script's own message.
+                run(&small)?;
+                prop_assert!(false, "combo {combo}: a shrunk failing script passed");
             }
-            for &v in &vms {
-                let priced_out = net.node_cost(v).value() >= FAILED_COST;
-                prop_assert!(priced_out == vm_down(v), "step {steps}: VM {v}");
-            }
-            prop_assert_eq!(s.faults().iter().collect::<BTreeSet<_>>(), failed.clone());
-
-            // Whatever reattachment the session plans, for any served
-            // destination, avoids what the model holds failed. The broken
-            // ones take theirs, as a backup-paths policy would, or the
-            // forest is dropped for the next arrival to rebuild.
-            let served: Vec<NodeId> = s
-                .forest()
-                .map(|f| f.walks.iter().map(|w| w.destination).collect())
-                .unwrap_or_default();
-            for d in served {
-                let plan = s.plan_reattach(d, rng.below(2) == 0);
-                if let Ok((walk, _)) = &plan {
-                    prop_assert!(s.faults().walk_avoids(walk), "step {steps}: {walk:?}");
-                    prop_assert!(walk.nodes.iter().all(|&v| !vm_down(v)));
-                    prop_assert!(walk.nodes.windows(2).all(|h| !edge_down(h[0], h[1])));
-                }
-                if broken.contains(&d) && !plan.is_ok_and(|(walk, _)| s.switch_walk(walk).is_ok()) {
-                    s.clear_forest();
-                    break;
-                }
-            }
-        }
-        prop_assert!(steps >= 200);
-
-        // Repair the rest: nothing of any failure is left in any price.
-        for element in std::mem::take(&mut failed) {
-            s.repair(element).unwrap();
-        }
-        prop_assert!(s.faults().is_empty());
-        s.replace_forest(twin.forest().expect("the twin stands").clone()).unwrap();
-        let (net, expect) = (&s.instance().network, &twin.instance().network);
-        for (e, _) in net.graph().edges() {
-            let (got, want) = (net.graph().edge_cost(e), expect.graph().edge_cost(e));
-            prop_assert!(got.value().to_bits() == want.value().to_bits(), "{e:?}: {got} for {want}");
-        }
-        for &v in &vms {
-            let (got, want) = (net.node_cost(v), expect.node_cost(v));
-            prop_assert!(got.value().to_bits() == want.value().to_bits(), "VM {v}: {got} for {want}");
         }
     }
 
