@@ -123,7 +123,15 @@ fn read_response(stream: &mut TcpStream) -> io::Result<(u16, String, bool)> {
             continue;
         };
         match name.to_ascii_lowercase().as_str() {
-            "content-length" => content_length = value.trim().parse().unwrap_or(0),
+            "content-length" => {
+                let value = value.trim();
+                content_length = value.parse().map_err(|_| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("bad Content-Length '{value}'"),
+                    )
+                })?;
+            }
             "connection" => close = value.trim().eq_ignore_ascii_case("close"),
             _ => {}
         }

@@ -6,9 +6,12 @@
 //! The subset is exactly what a JSON control plane needs — request line,
 //! `Content-Length`-framed bodies, `Connection` negotiation — and every
 //! violation maps to a status code, never a panic.
+//!
+//! A connection reads through one [`reader`] for its whole life, so a
+//! request that arrives in one segment costs one `read(2)` and pipelined
+//! requests are answered in order; every reply is one `write(2)`.
 
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 
 /// Hard cap on the request line plus all headers (bytes).
 pub const MAX_HEAD: usize = 16 * 1024;
@@ -59,8 +62,17 @@ fn map_io(e: io::Error) -> ReadError {
     }
 }
 
-/// Reads one request from the stream, honoring the socket's read timeout
-/// and the `max_body` bound.
+/// The reading end of one connection. Build it once per connection, never
+/// per request: bytes of a pipelined next request wait in its buffer for
+/// the next [`read_request`], and a buffer dropped between requests drops
+/// them.
+pub fn reader<R: Read>(stream: R) -> BufReader<R> {
+    BufReader::new(stream)
+}
+
+/// Reads one request from the connection's [`reader`], honoring the
+/// socket's read timeout and the `max_body` bound. Bytes past the request
+/// stay buffered.
 ///
 /// # Errors
 ///
@@ -68,28 +80,34 @@ fn map_io(e: io::Error) -> ReadError {
 /// [`ReadError::TimedOut`] when the socket timeout expires mid-request,
 /// [`ReadError::Bad`] for protocol violations (the caller answers with the
 /// embedded status and closes), [`ReadError::Io`] otherwise.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, ReadError> {
-    // Head: byte-at-a-time until the blank line, hard-capped. Requests are
-    // small and the OS buffers the socket, so simplicity beats throughput
-    // here; bodies below are read in bulk.
+pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, ReadError> {
+    // Head: scan each fill for the blank line, hard-capped. A terminator
+    // split across two fills is found by starting each scan three bytes
+    // back; only the head is consumed, the rest stays for the body.
     let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD {
-            return Err(bad(431, "request head exceeds 16 KiB"));
-        }
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                if head.is_empty() {
-                    return Err(ReadError::Closed);
-                }
-                return Err(bad(400, "connection closed mid-request"));
-            }
-            Ok(_) => head.push(byte[0]),
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok([]) if head.is_empty() => return Err(ReadError::Closed),
+            Ok([]) => return Err(bad(400, "connection closed mid-request")),
+            Ok(buf) => buf,
             Err(e) if head.is_empty() && e.kind() == ErrorKind::ConnectionReset => {
                 return Err(ReadError::Closed)
             }
             Err(e) => return Err(map_io(e)),
+        };
+        let start = head.len();
+        let from = start.saturating_sub(3);
+        let taken = buf.len().min(MAX_HEAD - start);
+        head.extend_from_slice(&buf[..taken]);
+        if let Some(at) = head[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            let end = from + at + 4;
+            reader.consume(end - start);
+            head.truncate(end);
+            break;
+        }
+        reader.consume(taken);
+        if head.len() == MAX_HEAD {
+            return Err(bad(431, "request head exceeds 16 KiB"));
         }
     }
     let head = String::from_utf8_lossy(&head);
@@ -105,7 +123,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     }
     let path = target.split('?').next().unwrap_or("").to_string();
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut keep_alive = version == "HTTP/1.1";
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
@@ -114,9 +132,18 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         let value = value.trim();
         match name.to_ascii_lowercase().as_str() {
             "content-length" => {
-                content_length = value
+                let n = value
                     .parse()
                     .map_err(|_| bad(400, format!("bad Content-Length '{value}'")))?;
+                // Two framings that disagree are how requests get smuggled
+                // past a proxy; refuse rather than let one of them win.
+                if let Some(m) = content_length.filter(|&m| m != n) {
+                    return Err(bad(
+                        400,
+                        format!("conflicting Content-Length headers {m} and {n}"),
+                    ));
+                }
+                content_length = Some(n);
             }
             "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
             "transfer-encoding" => {
@@ -128,6 +155,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
             _ => {}
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(bad(
             413,
@@ -135,7 +163,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         ));
     }
     let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).map_err(map_io)?;
+    reader.read_exact(&mut body).map_err(map_io)?;
     Ok(Request {
         method,
         path,
@@ -161,26 +189,187 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one JSON response. A trailing newline after the body keeps
-/// `curl` output readable without changing any parser's view.
+/// Writes one JSON response, head and body in one write. A trailing
+/// newline after the body keeps `curl` output readable without changing
+/// any parser's view.
 ///
 /// # Errors
 ///
 /// Propagates socket write failures; the caller drops the connection.
-pub fn write_response(
-    stream: &mut TcpStream,
+pub fn write_response<W: Write>(
+    out: &mut W,
     status: u16,
     json_body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let body = format!("{json_body}\n");
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+    let reply = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{json_body}\n",
         reason(status),
-        body.len(),
+        json_body.len() + 1,
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    out.write_all(reply.as_bytes())?;
+    out.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts the `read` / `write` calls that reach the wrapped peer.
+    struct Counted<T> {
+        inner: T,
+        calls: usize,
+    }
+
+    impl<T> Counted<T> {
+        fn new(inner: T) -> Counted<T> {
+            Counted { inner, calls: 0 }
+        }
+    }
+
+    impl<T: Read> Read for Counted<T> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    impl<T: Write> Write for Counted<T> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// A join as `Client` sends it: 112 bytes of head, 17 of body.
+    const JOIN: &[u8] = b"POST /v1/sessions/1/join HTTP/1.1\r\nHost: 127.0.0.1:40000\r\n\
+        Content-Type: application/json\r\nContent-Length: 17\r\n\r\n{\"destination\":5}";
+    const STATS: &[u8] = b"GET /v1/stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
+
+    fn is_join(req: &Request) -> bool {
+        req.method == "POST"
+            && req.path == "/v1/sessions/1/join"
+            && req.body == b"{\"destination\":5}"
+            && req.keep_alive
+    }
+
+    fn status_of(e: ReadError) -> (u16, String) {
+        match e {
+            ReadError::Bad { status, message } => (status, message),
+            other => panic!("wanted a status, got {other:?}"),
+        }
+    }
+
+    /// The work witness of the connection reader: a request whose head and
+    /// body are already delivered costs one `read`, where reading the head
+    /// byte by byte cost 112 and the body one more.
+    #[test]
+    fn a_request_delivered_at_once_is_one_read() {
+        let mut wire = reader(Counted::new(JOIN));
+        let req = read_request(&mut wire, 1 << 20).unwrap();
+        assert!(is_join(&req), "{req:?}");
+        assert!(wire.get_ref().calls <= 1, "{} reads", wire.get_ref().calls);
+    }
+
+    /// The bytes of a pipelined second request stay buffered for the next
+    /// call: the pair costs at most two `read`s and is read in order.
+    #[test]
+    fn a_pipelined_pair_is_at_most_two_reads() {
+        let pair = [JOIN, STATS].concat();
+        let mut wire = reader(Counted::new(pair.as_slice()));
+        assert!(is_join(&read_request(&mut wire, 1 << 20).unwrap()));
+        let stats = read_request(&mut wire, 1 << 20).unwrap();
+        assert_eq!(
+            (stats.method.as_str(), stats.path.as_str()),
+            ("GET", "/v1/stats")
+        );
+        assert!(!stats.keep_alive && stats.body.is_empty());
+        assert!(wire.get_ref().calls <= 2, "{} reads", wire.get_ref().calls);
+        assert!(matches!(
+            read_request(&mut wire, 1 << 20),
+            Err(ReadError::Closed)
+        ));
+    }
+
+    /// Fills of every small size split the blank line at every offset, and
+    /// each still reads the same two requests.
+    #[test]
+    fn a_terminator_split_across_fills_is_found() {
+        let pair = [JOIN, STATS].concat();
+        for capacity in 1..=7 {
+            let mut wire = BufReader::with_capacity(capacity, pair.as_slice());
+            assert!(
+                is_join(&read_request(&mut wire, 1 << 20).unwrap()),
+                "{capacity}"
+            );
+            let stats = read_request(&mut wire, 1 << 20).unwrap();
+            assert_eq!(stats.path, "/v1/stats", "{capacity}");
+        }
+    }
+
+    /// A head of exactly 16 KiB, blank line included, is read; 16 KiB with
+    /// no blank line yet is a 431 without waiting for more.
+    #[test]
+    fn the_head_cap_is_sixteen_kib_inclusive() {
+        let line = b"GET /healthz HTTP/1.1\r\nX-Pad: ";
+        let pad = MAX_HEAD - line.len() - 4;
+        let full = [&line[..], &vec![b'a'; pad], b"\r\n\r\n"].concat();
+        for capacity in [1, 7, 8192] {
+            let mut wire = BufReader::with_capacity(capacity, full.as_slice());
+            assert_eq!(read_request(&mut wire, 0).unwrap().path, "/healthz");
+            let over = [&line[..], &vec![b'a'; pad + 1], b"\r\n\r\n"].concat();
+            let mut wire = BufReader::with_capacity(capacity, over.as_slice());
+            let (status, _) = status_of(read_request(&mut wire, 0).unwrap_err());
+            assert_eq!(status, 431, "{capacity}");
+        }
+    }
+
+    /// Two `Content-Length` headers that disagree are a 400 naming both;
+    /// identical ones frame the body as one would.
+    #[test]
+    fn conflicting_content_lengths_are_refused() {
+        let twice = |a: &str, b: &str| {
+            format!("POST /v1/sessions HTTP/1.1\r\nContent-Length: {a}\r\nContent-Length: {b}\r\n\r\n{{}}")
+        };
+        let req = twice("2", "2");
+        let req = read_request(&mut reader(req.as_bytes()), 1 << 20).unwrap();
+        assert_eq!(req.body, b"{}");
+        let req = twice("2", "7");
+        let (status, message) =
+            status_of(read_request(&mut reader(req.as_bytes()), 1 << 20).unwrap_err());
+        assert_eq!(status, 400);
+        assert_eq!(message, "conflicting Content-Length headers 2 and 7");
+    }
+
+    /// Every reply is one `write` of the bytes the daemon has always sent.
+    #[test]
+    fn a_reply_is_one_write_of_the_same_bytes() {
+        let cases: [(u16, &str, bool, &str); 2] = [
+            (
+                200,
+                "{\"ok\":true}",
+                true,
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 12\r\n\
+                 Connection: keep-alive\r\n\r\n{\"ok\":true}\n",
+            ),
+            (
+                413,
+                "{\"error\":\"too big\"}",
+                false,
+                "HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json\r\n\
+                 Content-Length: 20\r\nConnection: close\r\n\r\n{\"error\":\"too big\"}\n",
+            ),
+        ];
+        for (status, body, keep_alive, want) in cases {
+            let mut out = Counted::new(Vec::new());
+            write_response(&mut out, status, body, keep_alive).unwrap();
+            assert_eq!(out.calls, 1, "{status}");
+            assert_eq!(String::from_utf8(out.inner).unwrap(), want);
+        }
+    }
 }

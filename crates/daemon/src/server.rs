@@ -211,7 +211,7 @@ fn janitor_loop(registry: Arc<RwLock<Registry>>, stop: Arc<AtomicBool>, period: 
 }
 
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     registry: &RwLock<Registry>,
     stop: &AtomicBool,
     config: &ServerConfig,
@@ -219,12 +219,14 @@ fn handle_connection(
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.read_timeout));
     let _ = stream.set_nodelay(true);
+    let mut reader = http::reader(&stream);
+    let mut writer = &stream;
     loop {
-        match http::read_request(&mut stream, config.max_body) {
+        match http::read_request(&mut reader, config.max_body) {
             Ok(req) => {
                 let (status, body) = router::route(registry, stop, &req);
                 let keep = req.keep_alive && !stop.load(Ordering::Acquire);
-                if http::write_response(&mut stream, status, &body, keep).is_err() || !keep {
+                if http::write_response(&mut writer, status, &body, keep).is_err() || !keep {
                     return;
                 }
             }
@@ -238,13 +240,13 @@ fn handle_connection(
                     ),
                 };
                 router::read(registry).count(true);
-                let _ = http::write_response(&mut stream, e.status, &e.to_json(), false);
+                let _ = http::write_response(&mut writer, e.status, &e.to_json(), false);
                 return;
             }
             Err(ReadError::Bad { status, message }) => {
                 let e = ApiError { status, message };
                 router::read(registry).count(true);
-                let _ = http::write_response(&mut stream, e.status, &e.to_json(), false);
+                let _ = http::write_response(&mut writer, e.status, &e.to_json(), false);
                 return;
             }
         }

@@ -1,6 +1,7 @@
 //! Integration tests for `sofd`, the embedding daemon: the full wire
-//! round trip on an ephemeral port, malformed-request 4xx behavior,
-//! janitor TTL expiry, and graceful shutdown with an in-flight request.
+//! round trip on an ephemeral port, malformed-request 4xx behavior, the
+//! framing rules over a raw socket (431 / 408 / 501, pipelining), janitor
+//! TTL expiry, and graceful shutdown with an in-flight request.
 
 use sof::daemon::{Client, Server, ServerConfig};
 use std::io::{Read, Write};
@@ -439,6 +440,152 @@ fn graceful_shutdown_drains_in_flight_requests() {
             );
         }
     }
+}
+
+/// Writes `bytes` on a fresh connection as one write and returns all the
+/// daemon answers before it closes.
+fn exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream.write_all(bytes).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    reply
+}
+
+/// Each framing rule DAEMON.md promises, over a raw socket: a head that
+/// reaches 16 KiB without its blank line is a 431, `Transfer-Encoding`
+/// and an `HTTP/2.0` request line are 501s, a request line without three
+/// parts is a 400 — each answered, then closed, and the daemon serves on.
+#[test]
+fn framing_violations_get_their_status_and_close() {
+    let handle = start(ServerConfig::default());
+    let line = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+    let long_head = format!("{line}{}", "a".repeat(16 * 1024 - line.len()));
+    let cases = [
+        (
+            long_head.as_str(),
+            "431 Request Header Fields Too Large",
+            "exceeds 16 KiB",
+        ),
+        (
+            "POST /v1/sessions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            "501 Not Implemented",
+            "Transfer-Encoding is not supported",
+        ),
+        (
+            "GET /healthz HTTP/2.0\r\n\r\n",
+            "501 Not Implemented",
+            "unsupported protocol 'HTTP/2.0'",
+        ),
+        (
+            "NONSENSE\r\n\r\n",
+            "400 Bad Request",
+            "malformed request line 'NONSENSE'",
+        ),
+    ];
+    for (request, status, message) in cases {
+        let reply = exchange(handle.addr(), request.as_bytes());
+        assert!(
+            reply.starts_with(&format!("HTTP/1.1 {status}\r\n")),
+            "{reply}"
+        );
+        assert!(reply.contains("Connection: close\r\n"), "{reply}");
+        assert!(reply.contains(message), "{reply}");
+        healthz_on_a_fresh_connection(&handle);
+    }
+    handle.stop();
+}
+
+/// A head that stops partway is answered 408 once the read timeout passes.
+#[test]
+fn a_head_that_stops_partway_is_a_408() {
+    let handle = start(ServerConfig {
+        read_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    });
+    let reply = exchange(handle.addr(), b"GET /healthz HTTP/1.1\r\nHo");
+    assert!(
+        reply.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+        "{reply}"
+    );
+    assert!(reply.contains("no complete request within 0.2s"), "{reply}");
+    healthz_on_a_fresh_connection(&handle);
+    handle.stop();
+}
+
+/// Two requests sent in one write are both answered, in order: the bytes
+/// of the second stay in the connection's buffer while the first, and its
+/// body, are served. Fails when the buffer is built per request (the
+/// second request is dropped with it and the daemon answers a 408).
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let handle = start(ServerConfig::default());
+    let pair = format!(
+        "POST /v1/topologies HTTP/1.1\r\nContent-Length: {}\r\n\r\n{BENCH_TOPO}\
+         GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        BENCH_TOPO.len()
+    );
+    let reply = exchange(handle.addr(), pair.as_bytes());
+    let replies: Vec<&str> = reply.split("HTTP/1.1 ").skip(1).collect();
+    assert_eq!(replies.len(), 2, "{reply}");
+    assert!(replies[0].starts_with("200 OK\r\n"), "{reply}");
+    assert!(replies[0].contains("Connection: keep-alive\r\n"), "{reply}");
+    assert!(replies[0].contains("\"kind\":\"regions\""), "{reply}");
+    assert!(replies[1].starts_with("200 OK\r\n"), "{reply}");
+    assert!(replies[1].contains("\"ok\":true"), "{reply}");
+    handle.stop();
+}
+
+/// A head that arrives one byte per write, its blank line split across
+/// two reads, parses as if it had arrived at once.
+#[test]
+fn a_head_sent_one_byte_per_write_still_parses() {
+    let handle = start(ServerConfig::default());
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let head = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+    for (i, byte) in head.iter().enumerate() {
+        // Long enough before the last byte that "\r\n\r" is read alone.
+        let pause = if i + 1 == head.len() { 100 } else { 1 };
+        std::thread::sleep(Duration::from_millis(pause));
+        stream.write_all(&[*byte]).unwrap();
+    }
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    handle.stop();
+}
+
+/// A reply whose `Content-Length` is not a number is an `InvalidData`
+/// error at the client, not an empty body that misframes the next reply.
+#[test]
+fn the_client_refuses_a_malformed_content_length() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut head = Vec::new();
+        let mut byte = [0u8; 1];
+        while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap() == 1 {
+            head.push(byte[0]);
+        }
+        stream
+            .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: twelve\r\n\r\n{\"ok\":true}\n")
+            .unwrap();
+    });
+    let err = Client::new(addr)
+        .request("GET", "/healthz", "")
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("'twelve'"), "{err}");
+    peer.join().unwrap();
 }
 
 /// `POST /v1/shutdown` flips the stop flag the serving loop watches.
