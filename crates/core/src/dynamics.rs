@@ -2,16 +2,32 @@
 //! destination join/leave, VNF insertion/deletion, congestion rerouting and
 //! VM-overload migration — all without re-running SOFDA from scratch.
 //!
-//! Every operation's shortest-path queries go through the network's shared
-//! [`sof_graph::PathEngine`] ([`crate::Network::paths`]): repeated trees —
-//! within one operation, across operations, and across arrivals of a
-//! standing [`crate::OnlineSession`] — are cache hits instead of fresh
-//! Dijkstras, and the former per-call `BTreeMap<NodeId, ShortestPaths>`
-//! caches (with their per-entry deep clones) are gone.
+//! One tree rule holds for every edit, the one Procedure 1 follows: a walk
+//! is cut at its anchors (source, VNF VMs, destination), and each segment
+//! an edit routes is read from the tree of a VM at one of its ends. Those
+//! are the trees the solve that made the forest rooted, so at an unchanged
+//! cost epoch no edit roots a tree of its own. Rerouting, VNF insertion,
+//! deletion and migration each edit a walk's anchor list and re-route the
+//! segments it touched ([`crate::DestWalk`]'s one re-route, which
+//! [`ServiceForest::shorten`] runs too); a VM picked to run a VNF between
+//! anchors `a` and `b` is priced `tree(v).dist(a) + c(v) + tree(v).dist(b)`
+//! from its own tree. A full-search join finishes the chain from a
+//! mid-chain attach point `x` by Procedure 1 from `x` ([`ChainMetric`] over
+//! the free VMs), each last VM's leg to the destination read from that VM's
+//! tree. Two things root elsewhere: a chainless walk reads from its source,
+//! and a join's complete-chain attach point comes from a bounded search
+//! from the destination ([`sof_graph::PathEngine::nearest_target`]), which
+//! nothing caches.
+//!
+//! Every tree comes from the network's shared [`sof_graph::PathEngine`]
+//! ([`crate::Network::paths`]), so it is a cache hit within one operation,
+//! across operations, and across arrivals of a standing
+//! [`crate::OnlineSession`].
 
 use crate::faults::Faults;
-use crate::{DestWalk, ServiceForest, SofInstance};
+use crate::{ChainMetric, DestWalk, Network, ServiceForest, SofInstance};
 use sof_graph::{Cost, NodeId};
+use sof_kstroll::{SearchContext, StrollSolver};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -66,8 +82,9 @@ pub fn destination_leave(
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum JoinStrategy {
     /// Consider every forest node, including ones mid-chain (the remaining
-    /// VNFs are completed by a fresh k-stroll over free VMs). Finds the
-    /// cheapest extension but costs a metric-closure build per candidate.
+    /// VNFs are completed on free VMs by Procedure 1 from that node). Finds
+    /// the cheapest extension but costs a k-stroll search per mid-chain
+    /// node.
     #[default]
     FullSearch,
     /// Only attach where the chain is already complete (`f(x) = |C|`), via
@@ -120,6 +137,18 @@ pub fn destination_join(
     destination_join_with(instance, forest, d, JoinStrategy::FullSearch)
 }
 
+/// A join's way into the forest: attach at position `pos` of walk `wi`
+/// (node `x`), then follow `nodes` (`x` first, `d` last), running the
+/// missing VNFs at offsets `vnfs` of it.
+struct Extension {
+    cost: Cost,
+    x: NodeId,
+    wi: usize,
+    pos: usize,
+    nodes: Vec<NodeId>,
+    vnfs: Vec<usize>,
+}
+
 /// [`destination_join`] with an explicit attach-point search strategy.
 pub fn destination_join_with(
     instance: &mut SofInstance,
@@ -135,14 +164,6 @@ pub fn destination_join_with(
     }
     let network = &instance.network;
     let chain_len = forest.chain_len;
-    let enabled = forest
-        .enabled_vms()
-        .map_err(|e| DynamicsError::Infeasible(e.to_string()))?;
-    let free: Vec<NodeId> = network
-        .vms()
-        .into_iter()
-        .filter(|v| !enabled.contains_key(v))
-        .collect();
 
     // Candidate attach points: (walk index, position) with progress f(x) =
     // number of VNFs completed at/before that position; keep the best
@@ -163,123 +184,84 @@ pub fn destination_join_with(
         }
     }
 
-    // (cost, walk, pos, extension nodes, extension VNF offsets)
-    type Extension = (Cost, usize, usize, Vec<NodeId>, Vec<usize>);
-    let mut best: Option<Extension> = None;
-    if strategy == JoinStrategy::TailAttach {
-        // The nearest complete-chain attach point, lowest node id among
-        // equals — what scanning `d`'s full tree in `best_at` order picks —
-        // from a search that stops at that attach point's distance.
-        best = network
-            .paths()
-            .nearest_target(
-                network.graph(),
-                d,
-                |_, _, _| true,
-                |x| best_at.get(&x).is_some_and(|&(f, ..)| f == chain_len),
-            )
-            .map(|hit| {
-                let (_, wi, pos) = best_at[&hit.target];
-                let mut path = hit.path;
-                path.reverse(); // now x → d
-                (hit.cost, wi, pos, path, vec![])
-            });
-    } else {
-        // One pass over every forest node; the k-stroll closures below
-        // read `d`'s whole tree, so it is computed (and cached) once. Every
-        // attach point's search runs on one context: the join has one node
-        // budget, not one per forest node.
-        let sp_from_d = network.paths().from_source(network.graph(), d);
-        let mut search = sof_kstroll::SearchContext::new();
+    // The nearest complete-chain attach point, lowest node id among
+    // equals, from a search that stops at that attach point's distance.
+    let mut best = network
+        .paths()
+        .nearest_target(
+            network.graph(),
+            d,
+            |_, _, _| true,
+            |x| best_at.get(&x).is_some_and(|&(f, ..)| f == chain_len),
+        )
+        .map(|hit| {
+            let (_, wi, pos) = best_at[&hit.target];
+            let mut nodes = hit.path;
+            nodes.reverse(); // now x → d
+            Extension {
+                cost: hit.cost,
+                x: hit.target,
+                wi,
+                pos,
+                nodes,
+                vnfs: vec![],
+            }
+        });
+    if strategy == JoinStrategy::FullSearch {
+        // Every mid-chain attach point finishes the chain by Procedure 1
+        // from it over the free VMs, one chain per last VM `u`, each priced
+        // with its leg `u → d` from `u`'s own tree. One search context for
+        // every attach point: the join has one node budget, and the VM
+        // block of the metric — the same for every `x` — one table.
+        let free: Vec<NodeId> = free_vms(network, forest)?
+            .into_iter()
+            .filter(|&v| v != d)
+            .collect();
+        let mut search = SearchContext::new();
         for (&x, &(f, wi, pos)) in &best_at {
             let remaining = chain_len - f;
-            if remaining == 0 {
-                // Plain shortest path x → d.
-                let cost = sp_from_d.dist(x);
-                if !cost.is_finite() {
+            if remaining == 0 || x == d || free.len() < remaining {
+                continue;
+            }
+            let Some(cm) = ChainMetric::build(network, x, &free, Cost::ZERO) else {
+                continue;
+            };
+            for (u, stroll, chain) in
+                cm.chains_to_all_vms_in(remaining, StrollSolver::Auto, &mut search)
+            {
+                let leg = cm.vm_tree(u);
+                let cost = chain + leg.dist(d);
+                if !cost.is_finite() || best.as_ref().is_some_and(|b| (b.cost, b.x) <= (cost, x)) {
                     continue;
                 }
-                if best.as_ref().is_none_or(|(b, ..)| cost < *b) {
-                    let mut path = sp_from_d.path_to(x).expect("finite distance");
-                    path.reverse(); // now x → d
-                    best = Some((cost, wi, pos, path, vec![]));
-                }
-            } else {
-                if free.len() < remaining {
-                    continue;
-                }
-                // k-stroll from x through `remaining` free VMs to d, on a metric
-                // over {x} ∪ free ∪ {d} with halved VM potentials.
-                let mut nodes = vec![x];
-                nodes.extend(free.iter().copied().filter(|&v| v != x && v != d));
-                if d != x {
-                    nodes.push(d);
-                } else {
-                    continue;
-                }
-                let closure =
-                    sof_graph::MetricClosure::with_engine(network.graph(), nodes, network.paths());
-                let nodes = closure.terminals().to_vec();
-                let Some(xi) = nodes.iter().position(|&n| n == x) else {
-                    continue;
-                };
-                let Some(di) = nodes.iter().position(|&n| n == d) else {
-                    continue;
-                };
-                let pot: Vec<Cost> = nodes
-                    .iter()
-                    .map(|&n| {
-                        if n == x || n == d {
-                            Cost::ZERO
-                        } else {
-                            network.node_cost(n) / 2.0
-                        }
-                    })
-                    .collect();
-                let metric = sof_kstroll::DenseMetric::from_fn(nodes.len(), |i, j| {
-                    closure.dist_between(nodes[i], nodes[j]) + pot[i] + pot[j]
+                let (mut nodes, vnfs) = cm.expand(&stroll);
+                nodes.extend_from_slice(&leg.path_to(d).expect("finite distance")[1..]);
+                best = Some(Extension {
+                    cost,
+                    x,
+                    wi,
+                    pos,
+                    nodes,
+                    vnfs,
                 });
-                let Some(stroll) = sof_kstroll::StrollSolver::Auto.solve(
-                    &metric,
-                    xi,
-                    di,
-                    remaining + 2,
-                    &mut search,
-                ) else {
-                    continue;
-                };
-                let cost = stroll.cost; // potentials of x, d are zero → true cost
-                if best.as_ref().is_none_or(|(b, ..)| cost < *b) {
-                    // Expand through shortest paths.
-                    let mut ext = vec![x];
-                    let mut offsets = Vec::new();
-                    for pair in stroll.nodes.windows(2) {
-                        let (a, b) = (nodes[pair[0]], nodes[pair[1]]);
-                        let path = closure.path_between(a, b).expect("finite");
-                        ext.extend_from_slice(&path[1..]);
-                        offsets.push(ext.len() - 1);
-                    }
-                    offsets.pop(); // last stroll node is d, not a VM
-                    best = Some((cost, wi, pos, ext, offsets));
-                }
             }
         }
     }
 
-    let (added, wi, pos, ext, offsets) = best.ok_or_else(|| {
+    let ext = best.ok_or_else(|| {
         DynamicsError::Infeasible("no attach point reaches the new destination".into())
     })?;
-    let host = &forest.walks[wi];
-    let mut nodes = host.nodes[..=pos].to_vec();
+    let host = &forest.walks[ext.wi];
+    let mut nodes = host.nodes[..=ext.pos].to_vec();
     let base = nodes.len() - 1;
-    nodes.extend_from_slice(&ext[1..]);
+    nodes.extend_from_slice(&ext.nodes[1..]);
     let mut vnf_positions: Vec<usize> = host
         .vnf_positions
         .iter()
         .copied()
-        .filter(|&p| p <= pos)
+        .filter(|&p| p <= ext.pos)
         .collect();
-    vnf_positions.extend(offsets.iter().map(|&o| base + o));
+    vnf_positions.extend(ext.vnfs.iter().map(|&o| base + o));
     forest.walks.push(DestWalk {
         destination: d,
         source: host.source,
@@ -289,7 +271,7 @@ pub fn destination_join_with(
     if !instance.request.destinations.contains(&d) {
         instance.request.destinations.push(d);
     }
-    Ok(added)
+    Ok(ext.cost)
 }
 
 /// Survivability variant of a tail-attach join: plans (without applying) a
@@ -384,6 +366,43 @@ pub fn plan_attach_avoiding(
     ))
 }
 
+/// The VMs that run no VNF of `forest`, in id order.
+fn free_vms(network: &Network, forest: &ServiceForest) -> Result<Vec<NodeId>, DynamicsError> {
+    let enabled = forest
+        .enabled_vms()
+        .map_err(|e| DynamicsError::Infeasible(e.to_string()))?;
+    Ok(network
+        .vms()
+        .into_iter()
+        .filter(|v| !enabled.contains_key(v))
+        .collect())
+}
+
+/// The VM of `free` other than `a` and `b` that runs a VNF between anchors
+/// `a` and `b` cheapest — `tree(v).dist(a) + c(v) + tree(v).dist(b)`, read
+/// from `v`'s own tree — the lowest id among equals.
+fn cheapest_vm_between(
+    network: &Network,
+    free: &[NodeId],
+    a: NodeId,
+    b: NodeId,
+) -> Result<NodeId, DynamicsError> {
+    free.iter()
+        .filter(|&&v| v != a && v != b)
+        .map(|&v| {
+            let tree = network.paths().from_source(network.graph(), v);
+            (tree.dist(a) + network.node_cost(v) + tree.dist(b), v)
+        })
+        .filter(|(cost, _)| cost.is_finite())
+        .min()
+        .map(|(_, v)| v)
+        .ok_or(DynamicsError::NoFreeVm)
+}
+
+fn cut_off(w: &DestWalk) -> DynamicsError {
+    DynamicsError::Infeasible(format!("the walk to {} is cut off", w.destination))
+}
+
 /// §VII-C (3) — removes VNF `idx` from the chain: every walk reconnects the
 /// VM of `f_{idx-1}` (or the source) directly to the VM of `f_{idx+1}` (or
 /// the walk's end) along a shortest path.
@@ -395,58 +414,23 @@ pub fn vnf_delete(
     if idx >= forest.chain_len {
         return Err(DynamicsError::BadVnfIndex(idx));
     }
-    let network = instance.network.clone();
-    let names: Vec<String> = instance
-        .request
-        .chain
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != idx)
-        .map(|(_, n)| n.to_string())
-        .collect();
-    instance.request.chain = crate::ServiceChain::from_names(names);
-    for w in &mut forest.walks {
-        let p_del = w.vnf_positions[idx];
-        let p_prev = if idx == 0 {
-            0
-        } else {
-            w.vnf_positions[idx - 1]
-        };
-        let p_next = if idx + 1 < w.vnf_positions.len() {
-            w.vnf_positions[idx + 1]
-        } else {
-            w.nodes.len() - 1
-        };
-        let _ = p_del;
-        let (a, b) = (w.nodes[p_prev], w.nodes[p_next]);
-        let sp = network.paths().from_source(network.graph(), a);
-        let path = sp
-            .path_to(b)
-            .ok_or_else(|| DynamicsError::Infeasible(format!("{a} cut off from {b}")))?;
-        let mut nodes = w.nodes[..=p_prev].to_vec();
-        nodes.extend_from_slice(&path[1..]);
-        let bridge_end = nodes.len() - 1;
-        nodes.extend_from_slice(&w.nodes[p_next + 1..]);
-        let mut positions = Vec::with_capacity(w.vnf_positions.len() - 1);
-        for (i, &p) in w.vnf_positions.iter().enumerate() {
-            match i.cmp(&idx) {
-                std::cmp::Ordering::Less => positions.push(p),
-                std::cmp::Ordering::Equal => {}
-                std::cmp::Ordering::Greater => positions.push(bridge_end + (p - p_next)),
-            }
-        }
-        w.nodes = nodes;
-        w.vnf_positions = positions;
+    let mut walks = forest.walks.clone();
+    for w in &mut walks {
+        w.reroute(&instance.network, idx..=idx + 1, &[])
+            .ok_or_else(|| cut_off(w))?;
     }
+    let mut names: Vec<String> = instance.request.chain.iter().map(str::to_string).collect();
+    names.remove(idx);
+    instance.request.chain = crate::ServiceChain::from_names(names);
+    forest.walks = walks;
     forest.chain_len -= 1;
     Ok(())
 }
 
 /// §VII-C (4) — inserts a new VNF at chain position `idx` (0-based; `idx ==
-/// |C|` appends). Every walk routes through a VM chosen to minimize
-/// `dist(a, v) + c(v) + dist(v, b)`; walks may share the VM (the paper's
-/// pair-dedup), others pick the next-best free one only if the shared VM
-/// is not free.
+/// |C|` appends). Every walk routes through the free VM cheapest between
+/// its anchors `a` and `b` around the new position, so walks with the same
+/// `(a, b)` share that VM (the paper's pair-dedup).
 pub fn vnf_insert(
     instance: &mut SofInstance,
     forest: &mut ServiceForest,
@@ -456,193 +440,57 @@ pub fn vnf_insert(
     if idx > forest.chain_len {
         return Err(DynamicsError::BadVnfIndex(idx));
     }
-    let network = instance.network.clone();
-    let enabled = forest
-        .enabled_vms()
-        .map_err(|e| DynamicsError::Infeasible(e.to_string()))?;
-    // VMs that may host the new VNF: currently unused ones.
-    let free: Vec<NodeId> = network
-        .vms()
-        .into_iter()
-        .filter(|v| !enabled.contains_key(v))
-        .collect();
-    if free.is_empty() {
-        return Err(DynamicsError::NoFreeVm);
+    let network = &instance.network;
+    let free = free_vms(network, forest)?;
+    let mut walks = forest.walks.clone();
+    for w in &mut walks {
+        let (a, b) = (w.anchor(idx), w.anchor(idx + 1));
+        let v = cheapest_vm_between(network, &free, a, b)?;
+        w.reroute(network, idx..=idx, &[v])
+            .ok_or_else(|| cut_off(w))?;
     }
-    let mut chosen: BTreeMap<(NodeId, NodeId), NodeId> = BTreeMap::new(); // (a,b) -> shared v
-    let mut new_walks = forest.walks.clone();
-    for w in &mut new_walks {
-        let p_a = if idx == 0 {
-            0
-        } else {
-            w.vnf_positions[idx - 1]
-        };
-        let p_b = if idx < w.vnf_positions.len() {
-            w.vnf_positions[idx]
-        } else {
-            w.nodes.len() - 1
-        };
-        let (a, b) = (w.nodes[p_a], w.nodes[p_b]);
-        let v = match chosen.get(&(a, b)) {
-            Some(&v) => v,
-            None => {
-                let sp_a = network.paths().from_source(network.graph(), a);
-                let sp_b = network.paths().from_source(network.graph(), b);
-                let v = free
-                    .iter()
-                    .copied()
-                    .filter(|&v| v != a && v != b)
-                    .filter(|&v| sp_a.dist(v).is_finite() && sp_b.dist(v).is_finite())
-                    .min_by_key(|&v| (sp_a.dist(v) + network.node_cost(v) + sp_b.dist(v), v))
-                    .ok_or(DynamicsError::NoFreeVm)?;
-                chosen.insert((a, b), v);
-                v
-            }
-        };
-        let sp_a = network.paths().from_source(network.graph(), a);
-        let sp_v = network.paths().from_source(network.graph(), v);
-        let path_av = sp_a.path_to(v).ok_or(DynamicsError::NoFreeVm)?;
-        let path_vb = sp_v.path_to(b).ok_or(DynamicsError::NoFreeVm)?;
-        let mut nodes = w.nodes[..=p_a].to_vec();
-        nodes.extend_from_slice(&path_av[1..]);
-        let v_pos = nodes.len() - 1;
-        nodes.extend_from_slice(&path_vb[1..]);
-        let b_pos = nodes.len() - 1;
-        nodes.extend_from_slice(&w.nodes[p_b + 1..]);
-        let mut positions = Vec::with_capacity(w.vnf_positions.len() + 1);
-        for (i, &p) in w.vnf_positions.iter().enumerate() {
-            if i < idx {
-                positions.push(p);
-            } else if i == idx {
-                positions.push(v_pos);
-                positions.push(b_pos);
-            } else {
-                positions.push(b_pos + (p - p_b));
-            }
-        }
-        if idx == w.vnf_positions.len() {
-            positions.push(v_pos);
-        } else if idx < w.vnf_positions.len() {
-            // handled above: v_pos then the old idx-placement at b_pos.
-        }
-        w.nodes = nodes;
-        w.vnf_positions = positions;
-    }
-    // Update chain naming.
     let mut names: Vec<String> = instance.request.chain.iter().map(str::to_string).collect();
     names.insert(idx, name.to_string());
     instance.request.chain = crate::ServiceChain::from_names(names);
-    forest.walks = new_walks;
+    forest.walks = walks;
     forest.chain_len += 1;
     Ok(())
 }
 
-/// §VII-C (5) — after link costs changed (congestion), re-route every
-/// pass-through stretch along current shortest paths. Equivalent to
-/// [`ServiceForest::shorten`] but unconditional, since stale routes may now
-/// sit on expensive links.
+/// §VII-C (5) — after link costs changed (congestion), re-routes every
+/// segment of every walk along current shortest paths, keeping its VMs:
+/// the re-route [`ServiceForest::shorten`] tries, applied whether or not it
+/// is cheaper, since stale routes may now sit on expensive links.
 pub fn reroute_all(instance: &SofInstance, forest: &mut ServiceForest) {
-    let network = &instance.network;
-    for w in &mut forest.walks {
-        let mut anchors = vec![0usize];
-        anchors.extend_from_slice(&w.vnf_positions);
-        if *anchors.last().expect("non-empty") != w.nodes.len() - 1 {
-            anchors.push(w.nodes.len() - 1);
-        }
-        let mut nodes = vec![w.nodes[0]];
-        let mut positions = Vec::with_capacity(w.vnf_positions.len());
-        for pair in anchors.windows(2) {
-            let (a, b) = (w.nodes[pair[0]], w.nodes[pair[1]]);
-            let sp = network.paths().from_source(network.graph(), a);
-            let path = sp.path_to(b).expect("network is connected");
-            nodes.extend_from_slice(&path[1..]);
-            if positions.len() < w.vnf_positions.len() {
-                positions.push(nodes.len() - 1);
-            }
-        }
-        w.nodes = nodes;
-        w.vnf_positions = positions;
-    }
+    forest.reroute(&instance.network);
 }
 
-/// §VII-C (6) — migrates an overloaded VM: every walk using `v` re-routes
-/// through the substitute VM minimizing `dist(prev, v') + c(v') +
-/// dist(v', next)`.
+/// §VII-C (6) — migrates an overloaded VM: every walk running its VNF `i`
+/// on `v` re-routes through the free VM cheapest between the first such
+/// walk's anchors around `v`. Returns the new VM.
 pub fn migrate_vm(
     instance: &SofInstance,
     forest: &mut ServiceForest,
     v: NodeId,
 ) -> Result<NodeId, DynamicsError> {
     let network = &instance.network;
-    let enabled = forest
-        .enabled_vms()
-        .map_err(|e| DynamicsError::Infeasible(e.to_string()))?;
-    if !enabled.contains_key(&v) {
-        return Err(DynamicsError::Infeasible(format!("{v} hosts no VNF")));
-    }
-    let free: Vec<NodeId> = network
-        .vms()
-        .into_iter()
-        .filter(|x| !enabled.contains_key(x) && *x != v)
-        .collect();
-    if free.is_empty() {
-        return Err(DynamicsError::NoFreeVm);
-    }
-    // Choose the replacement using the first affected walk's neighborhood.
-    let mut replacement: Option<NodeId> = None;
-    let mut new_walks = forest.walks.clone();
-    for w in &mut new_walks {
-        let Some(i) = (0..w.vnf_positions.len()).find(|&i| w.vnf_node(i) == v) else {
-            continue;
-        };
-        let p = w.vnf_positions[i];
-        let p_a = if i == 0 { 0 } else { w.vnf_positions[i - 1] };
-        let p_b = if i + 1 < w.vnf_positions.len() {
-            w.vnf_positions[i + 1]
-        } else {
-            w.nodes.len() - 1
-        };
-        let (a, b) = (w.nodes[p_a], w.nodes[p_b]);
-        let _ = p;
-        let vv = match replacement {
-            Some(vv) => vv,
-            None => {
-                let sp_a = network.paths().from_source(network.graph(), a);
-                let sp_b = network.paths().from_source(network.graph(), b);
-                let vv = free
-                    .iter()
-                    .copied()
-                    .filter(|&x| x != a && x != b)
-                    .filter(|&x| sp_a.dist(x).is_finite() && sp_b.dist(x).is_finite())
-                    .min_by_key(|&x| (sp_a.dist(x) + network.node_cost(x) + sp_b.dist(x), x))
-                    .ok_or(DynamicsError::NoFreeVm)?;
-                replacement = Some(vv);
-                vv
-            }
-        };
-        let sp_a = network.paths().from_source(network.graph(), a);
-        let sp_v = network.paths().from_source(network.graph(), vv);
-        let path_av = sp_a.path_to(vv).ok_or(DynamicsError::NoFreeVm)?;
-        let path_vb = sp_v.path_to(b).ok_or(DynamicsError::NoFreeVm)?;
-        let mut nodes = w.nodes[..=p_a].to_vec();
-        nodes.extend_from_slice(&path_av[1..]);
-        let v_pos = nodes.len() - 1;
-        nodes.extend_from_slice(&path_vb[1..]);
-        let b_pos = nodes.len() - 1;
-        nodes.extend_from_slice(&w.nodes[p_b + 1..]);
-        let mut positions = Vec::with_capacity(w.vnf_positions.len());
-        for (j, &q) in w.vnf_positions.iter().enumerate() {
-            match j.cmp(&i) {
-                std::cmp::Ordering::Less => positions.push(q),
-                std::cmp::Ordering::Equal => positions.push(v_pos),
-                std::cmp::Ordering::Greater => positions.push(b_pos + (q - p_b)),
-            }
+    let free = free_vms(network, forest)?;
+    let runs_on_v = |w: &DestWalk| (0..w.vnf_positions.len()).find(|&i| w.vnf_node(i) == v);
+    let (i, a, b) = forest
+        .walks
+        .iter()
+        .find_map(|w| runs_on_v(w).map(|i| (i, w.anchor(i), w.anchor(i + 2))))
+        .ok_or_else(|| DynamicsError::Infeasible(format!("{v} hosts no VNF")))?;
+    let replacement = cheapest_vm_between(network, &free, a, b)?;
+    let mut walks = forest.walks.clone();
+    for w in &mut walks {
+        if runs_on_v(w).is_some() {
+            w.reroute(network, i..=i + 1, &[replacement])
+                .ok_or_else(|| cut_off(w))?;
         }
-        w.nodes = nodes;
-        w.vnf_positions = positions;
     }
-    forest.walks = new_walks;
-    replacement.ok_or_else(|| DynamicsError::Infeasible(format!("no walk routes through {v}")))
+    forest.walks = walks;
+    Ok(replacement)
 }
 
 #[cfg(test)]
@@ -808,34 +656,6 @@ mod tests {
             vnf_insert(&mut inst, &mut forest, 9, "x").unwrap_err(),
             DynamicsError::BadVnfIndex(9)
         );
-    }
-
-    #[test]
-    fn tail_attach_join_is_feasible_and_no_cheaper_than_full() {
-        for seed in 20..26 {
-            let (inst, forest) = solved(seed);
-            let served = inst.request.destinations.clone();
-            let Some(d) = inst
-                .network
-                .graph()
-                .nodes()
-                .find(|n| !served.contains(n) && !inst.request.sources.contains(n))
-            else {
-                continue;
-            };
-            let (mut inst_tail, mut tail) = (inst.clone(), forest.clone());
-            let added_tail =
-                destination_join_with(&mut inst_tail, &mut tail, d, JoinStrategy::TailAttach)
-                    .unwrap();
-            tail.validate(&inst_tail).unwrap();
-            let (mut inst_full, mut full) = (inst, forest);
-            let added_full =
-                destination_join_with(&mut inst_full, &mut full, d, JoinStrategy::FullSearch)
-                    .unwrap();
-            full.validate(&inst_full).unwrap();
-            // FullSearch considers a superset of TailAttach's candidates.
-            assert!(added_full <= added_tail + Cost::new(1e-9), "seed {seed}");
-        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::{Network, SofInstance};
 use sof_graph::{Cost, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// One destination's full service walk: source → (f1 VM) → … → (f|C| VM) → destination.
 ///
@@ -41,6 +42,83 @@ impl DestWalk {
         b.push(self.nodes.len() - 1);
         b
     }
+
+    /// Anchor `j` of the walk: the source (`j = 0`), the VM of VNF `j − 1`,
+    /// or the destination (`j = |C| + 1`). Segment `s` runs from anchor `s`
+    /// to anchor `s + 1`.
+    pub(crate) fn anchor(&self, j: usize) -> NodeId {
+        self.nodes[self.bounds()[j]]
+    }
+
+    /// Replaces segments `segments` with current shortest paths through the
+    /// anchors `via`, which take the place of the anchors strictly inside
+    /// the range; the walk outside it is kept. Every §VII-C edit is one
+    /// call: re-routing the whole walk keeps its VNF VMs, deleting VNF `i`
+    /// merges segments `i..=i + 1` through nothing, inserting one at `i`
+    /// splits segment `i` at its VM, migrating VNF `i` re-routes segments
+    /// `i..=i + 1` through the new VM. Each new segment is read from the
+    /// tree of a VM at one of its ends ([`segment_path`]).
+    ///
+    /// Returns `None`, leaving the walk as it was, when an anchor is cut
+    /// off from the next.
+    pub(crate) fn reroute(
+        &mut self,
+        network: &Network,
+        segments: RangeInclusive<usize>,
+        via: &[NodeId],
+    ) -> Option<()> {
+        let (lo, hi) = segments.into_inner();
+        let bounds = self.bounds();
+        let vnfs = self.vnf_positions.len() + lo + via.len() - hi;
+        let mut anchors = vec![self.nodes[bounds[lo]]];
+        anchors.extend_from_slice(via);
+        anchors.push(self.nodes[bounds[hi + 1]]);
+        let mut nodes = self.nodes[..=bounds[lo]].to_vec();
+        let mut positions = self.vnf_positions[..lo].to_vec();
+        for (j, pair) in anchors.windows(2).enumerate() {
+            if j > 0 {
+                positions.push(nodes.len() - 1);
+            }
+            let path = segment_path(network, pair[0], pair[1], lo + j, vnfs)?;
+            nodes.extend_from_slice(&path[1..]);
+        }
+        let (end, old_end) = (nodes.len() - 1, bounds[hi + 1]);
+        positions.extend(
+            self.vnf_positions[hi..]
+                .iter()
+                .map(|&p| end + (p - old_end)),
+        );
+        nodes.extend_from_slice(&self.nodes[old_end + 1..]);
+        self.nodes = nodes;
+        self.vnf_positions = positions;
+        Some(())
+    }
+}
+
+/// A shortest path `a → b` for segment `s` of a walk placing `vnfs` VNFs,
+/// read from the tree of the VM at one of its ends — a tree the solve that
+/// made the walk already rooted (docs/METRICS.md, "Which roots a solve asks
+/// for"). Segment 0 (source → first VNF VM) is read from that VM's tree
+/// backwards, since the network is undirected; every later segment from the
+/// VM it starts at. Only a chainless walk has no VM and reads from its
+/// source.
+fn segment_path(
+    network: &Network,
+    a: NodeId,
+    b: NodeId,
+    s: usize,
+    vnfs: usize,
+) -> Option<Vec<NodeId>> {
+    let from_far_end = s == 0 && vnfs > 0;
+    let (root, far) = if from_far_end { (b, a) } else { (a, b) };
+    let mut path = network
+        .paths()
+        .from_source(network.graph(), root)
+        .path_to(far)?;
+    if from_far_end {
+        path.reverse();
+    }
+    Some(path)
 }
 
 /// Why a forest failed validation.
@@ -357,43 +435,29 @@ impl ServiceForest {
         Ok(())
     }
 
-    /// Attempts to shorten every walk by replacing each segment between
-    /// consecutive anchors (source, VNF VMs, destination) with the current
-    /// shortest path. Keeps the change only if the total forest cost does
-    /// not increase (per-walk shortening can break cross-walk sharing).
+    /// Replaces every segment between consecutive anchors (source, VNF VMs,
+    /// destination) of every walk with the current shortest path, keeping
+    /// each walk's VMs (§VII-C (5)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if two anchors of a walk are disconnected.
+    pub(crate) fn reroute(&mut self, network: &Network) {
+        for w in &mut self.walks {
+            let vms: Vec<NodeId> = w.vnf_positions.iter().map(|&p| w.nodes[p]).collect();
+            w.reroute(network, 0..=vms.len(), &vms)
+                .expect("forest nodes are connected");
+        }
+    }
+
+    /// [`Self::reroute`], kept only if the total forest cost goes down
+    /// (per-walk shortening can break cross-walk sharing).
     ///
     /// Returns `true` if the forest was changed.
     pub fn shorten(&mut self, network: &Network) -> bool {
         let before = self.cost(network).total();
         let mut candidate = self.clone();
-        for w in &mut candidate.walks {
-            let bounds = w.bounds();
-            let mut new_nodes: Vec<NodeId> = vec![w.nodes[0]];
-            let mut new_positions = Vec::with_capacity(w.vnf_positions.len());
-            for s in 0..bounds.len() - 1 {
-                let (lo, hi) = (bounds[s], bounds[s + 1]);
-                let (a, b) = (w.nodes[lo], w.nodes[hi]);
-                // Every tree is rooted at a VM, whose tree the solve that
-                // made this forest already holds: the segment out of the
-                // source is read from its first VNF VM's tree backwards
-                // (the graph is undirected). Only a chainless walk has no
-                // VM to root at and roots at the source.
-                let from_far_end = s == 0 && !w.vnf_positions.is_empty();
-                let (root, far) = if from_far_end { (b, a) } else { (a, b) };
-                let sp = network.paths().from_source(network.graph(), root);
-                let mut path = sp.path_to(far).expect("forest nodes are connected");
-                if from_far_end {
-                    path.reverse();
-                }
-                new_nodes.extend_from_slice(&path[1..]);
-                if s < w.vnf_positions.len() {
-                    new_positions.push(new_nodes.len() - 1);
-                }
-            }
-            // Degenerate: chain may end at the destination itself.
-            w.nodes = new_nodes;
-            w.vnf_positions = new_positions;
-        }
+        candidate.reroute(network);
         let after = candidate.cost(network).total();
         if after < before {
             *self = candidate;

@@ -170,6 +170,16 @@ impl ChainMetric {
         self.nodes[i]
     }
 
+    /// The shortest-path tree rooted at the VM of metric index `i ≥ 1`: a
+    /// chain that ends there reads its next leg from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is 0 (the source has no tree) or out of range.
+    pub(crate) fn vm_tree(&self, i: usize) -> &ShortestPaths {
+        &self.trees[i - 1]
+    }
+
     /// Converts a generic-metric stroll cost for target index `t` into the
     /// true Procedure-1 chain cost (distances + full setup of chain VMs,
     /// plus the source cost in the Appendix D variant).

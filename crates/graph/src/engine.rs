@@ -2,7 +2,7 @@
 //!
 //! Every algorithm in the workspace bottoms out in (multi-source) Dijkstra
 //! queries, and most of them repeat queries — the same source trees are
-//! needed by SOFDA's metric closures, the §VII-C dynamics, walk shortening
+//! needed by SOFDA's chain metrics, the §VII-C dynamics, walk shortening
 //! and the baselines, often within one solve and always across solves on an
 //! unchanged network. [`PathEngine`] turns those repeats into cache hits:
 //!

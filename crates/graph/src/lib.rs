@@ -21,8 +21,6 @@
 //!   module docs for the exact safety rule); plus one uncached *bounded
 //!   search* ([`PathEngine::nearest_target`]) for "which of these vertices
 //!   is closest", which stops at the answer instead of labelling the graph,
-//! * [`MetricClosure`] — pairwise terminal distances with realizing paths,
-//!   optionally engine-backed ([`MetricClosure::with_engine`]),
 //! * [`generators`] — deterministic connected random topologies (Erdős–Rényi,
 //!   ring, grid, Waxman, Inet-style power law),
 //! * [`Rng64`] — a seedable xoshiro256** generator so every experiment in the
@@ -54,7 +52,6 @@ mod engine;
 pub mod generators;
 mod graph;
 mod ids;
-mod metric;
 mod queue;
 mod rng;
 mod unionfind;
@@ -65,6 +62,5 @@ pub use engine::{BoundedWork, PathEngine, PathEngineStats};
 pub use generators::CostRange;
 pub use graph::{CostChange, Edge, Graph};
 pub use ids::{EdgeId, NodeId};
-pub use metric::MetricClosure;
 pub use rng::Rng64;
 pub use unionfind::UnionFind;

@@ -36,12 +36,32 @@ pub struct Overrides {
 /// warn instead of silently running the unmodified scenario.
 pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static str> {
     let mut ignored = Vec::new();
-    if let Some(nodes) = o.nodes {
-        // Churn-at-scale builds its network from [workload.regions]; the
-        // spec topology is unused there, so resizing it would be a no-op.
-        if matches!(spec.workload, Workload::ChurnAtScale(_)) {
-            ignored.push("nodes");
-        } else {
+    // Only sweeps, grids and online groups build `[topology]`: a runtime
+    // workload sizes its own Inet graphs, qoe runs on the testbed, a cost
+    // curve has no network, and churn-at-scale builds one from
+    // [workload.regions] — resizing the spec topology there is a no-op.
+    let inapplicable: &[&'static str] = match &spec.workload {
+        Workload::CostCurve { .. } => &["nodes", "seeds", "seed", "limit", "solvers"],
+        Workload::Online { .. } => &["seeds", "limit"],
+        Workload::Runtime { .. } => &["nodes", "seeds"],
+        Workload::Qoe { .. } => &["nodes", "limit"],
+        Workload::ChurnAtScale(_) => &["nodes", "seeds", "limit"],
+        Workload::Sweep { .. } | Workload::Grid { .. } => &[],
+    };
+    for &name in inapplicable {
+        let set = match name {
+            "nodes" => o.nodes.is_some(),
+            "seeds" => o.seeds.is_some(),
+            "seed" => o.seed.is_some(),
+            "limit" => o.limit.is_some(),
+            _ => o.solvers.is_some(),
+        };
+        if set {
+            ignored.push(name);
+        }
+    }
+    if !inapplicable.contains(&"nodes") {
+        if let Some(nodes) = o.nodes {
             spec.topology.nodes = Some(nodes);
         }
     }
@@ -57,25 +77,6 @@ pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static s
             if set {
                 ignored.push(name);
             }
-        }
-    }
-    let inapplicable: &[&'static str] = match &spec.workload {
-        Workload::CostCurve { .. } => &["seeds", "seed", "limit", "solvers"],
-        Workload::Online { .. } => &["seeds", "limit"],
-        Workload::Runtime { .. } => &["seeds"],
-        Workload::Qoe { .. } => &["limit"],
-        Workload::ChurnAtScale(_) => &["seeds", "limit"],
-        Workload::Sweep { .. } | Workload::Grid { .. } => &[],
-    };
-    for &name in inapplicable {
-        let set = match name {
-            "seeds" => o.seeds.is_some(),
-            "seed" => o.seed.is_some(),
-            "limit" => o.limit.is_some(),
-            _ => o.solvers.is_some(),
-        };
-        if set {
-            ignored.push(name);
         }
     }
     match &mut spec.workload {
@@ -199,4 +200,30 @@ pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static s
         }
     }
     ignored
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::presets;
+
+    #[test]
+    fn nodes_is_ignored_where_the_spec_topology_is_never_built() {
+        let o = Overrides {
+            nodes: Some(300),
+            ..Overrides::default()
+        };
+        for name in ["table1", "fig7", "table2", "churn-at-scale"] {
+            let mut spec = presets::preset(name).unwrap().unwrap();
+            let before = spec.topology.nodes;
+            assert_eq!(apply_overrides(&mut spec, &o), ["nodes"], "{name}");
+            assert_eq!(spec.topology.nodes, before, "{name}");
+            spec.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        for name in ["fig10", "fig8", "fig11", "fig12"] {
+            let mut spec = presets::preset(name).unwrap().unwrap();
+            assert!(apply_overrides(&mut spec, &o).is_empty(), "{name}");
+            assert_eq!(spec.topology.nodes, Some(300), "{name}");
+        }
+    }
 }

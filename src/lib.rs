@@ -4,7 +4,7 @@
 //! Software-Defined Cloud Networks"* (ICDCS 2017) as a Rust workspace. This
 //! facade crate re-exports the member crates:
 //!
-//! * [`graph`] — weighted-graph substrate (Dijkstra, MST, metric closure,
+//! * [`graph`] — weighted-graph substrate (Dijkstra, MST, shortest-path engine,
 //!   deterministic topology generators, seedable RNG),
 //! * [`steiner`] — Steiner tree portfolio (Mehlhorn/Takahashi 2-approx,
 //!   exact Dreyfus–Wagner),

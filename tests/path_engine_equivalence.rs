@@ -298,9 +298,9 @@ fn full_runs_never_queue_a_leaf() {
 /// its own — and `solve_sofda_ss` from the first source alone leaves the
 /// same 25, where it was 26. Engine counts depend only on the query
 /// sequence, so they repeat exactly at any thread count. Two stubs sink it:
-/// `ChainMetric::build` rooting a tree at `nodes[0]` again, and
-/// `ServiceForest::shorten` rooting a walk's first segment at its source
-/// `a`.
+/// `ChainMetric::build` rooting a tree at `nodes[0]` again, and the walk
+/// re-route `ServiceForest::shorten` runs rooting a walk's first segment at
+/// its source `a`.
 #[test]
 fn a_solve_roots_its_trees_at_vms_only() {
     use sof::core::solve_sofda_ss;
@@ -323,6 +323,84 @@ fn a_solve_roots_its_trees_at_vms_only() {
         stats.misses, vms,
         "none at the one source either: {stats:?}"
     );
+}
+
+/// The same rule for the §VII-C edits of a standing forest: every segment
+/// an edit routes, every VM it prices and every chain a full-search join
+/// finishes is read from the tree of a VM, and the solve rooted every VM.
+/// So on the same inet-600 instance (chain of 3), at the solve's cost
+/// epoch, no edit below adds an engine miss. Rooting a segment out of the
+/// source at the source cost `reroute_all` one miss per distinct walk
+/// source, the index-0 and index-`|C|` edits one each (a source or a
+/// destination tree), and a full-search join a tree at the destination and
+/// one at every mid-chain attach point. Two stubs sink it: `reroute_all`
+/// rooting a walk's first segment at its source, and a `FullSearch` join
+/// rooting a tree at the joining destination.
+#[test]
+fn section_vii_c_edits_root_no_tree_the_solve_did_not() {
+    use sof::core::dynamics::{self, DynamicsError};
+    use sof::core::{JoinStrategy, ServiceForest};
+    use sof::topo::{build_instance, inet_sized, ScenarioParams};
+    let topo = inet_sized(600, 1200, 240, 13);
+    let inst = build_instance(&topo, &ScenarioParams::paper_defaults().with_seed(13));
+    let forest = solve_sofda(&inst, &SofdaConfig::default()).unwrap().forest;
+    let solved = inst.network.paths().stats().misses;
+    let chain = forest.chain_len;
+    assert!(chain >= 2);
+    let d = inst
+        .network
+        .graph()
+        .nodes()
+        .find(|n| !inst.request.destinations.contains(n) && !inst.request.sources.contains(n))
+        .unwrap();
+    let first_vm = forest.walks[0].vnf_node(0);
+
+    type Edit = Box<dyn Fn(&mut SofInstance, &mut ServiceForest) -> Result<(), DynamicsError>>;
+    let edits: Vec<(&str, Edit)> = vec![
+        (
+            "reroute_all",
+            Box::new(|i, f| {
+                dynamics::reroute_all(i, f);
+                Ok(())
+            }),
+        ),
+        (
+            "shorten",
+            Box::new(|i, f| {
+                f.shorten(&i.network);
+                Ok(())
+            }),
+        ),
+        (
+            "FullSearch join",
+            Box::new(move |i, f| {
+                dynamics::destination_join_with(i, f, d, JoinStrategy::FullSearch).map(drop)
+            }),
+        ),
+        (
+            "vnf_insert at 0",
+            Box::new(|i, f| dynamics::vnf_insert(i, f, 0, "probe")),
+        ),
+        (
+            "vnf_insert at |C|",
+            Box::new(move |i, f| dynamics::vnf_insert(i, f, chain, "probe")),
+        ),
+        (
+            "vnf_delete at 0",
+            Box::new(|i, f| dynamics::vnf_delete(i, f, 0)),
+        ),
+        (
+            "migrate_vm of f1's VM",
+            Box::new(move |i, f| dynamics::migrate_vm(i, f, first_vm).map(drop)),
+        ),
+    ];
+    for (name, edit) in &edits {
+        let (mut i, mut f) = (inst.clone(), forest.clone());
+        edit(&mut i, &mut f).unwrap_or_else(|e| panic!("{name}: {e}"));
+        f.validate(&i).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let stats = inst.network.paths().stats();
+        assert_eq!(stats.misses, solved, "{name} rooted a tree: {stats:?}");
+    }
 }
 
 fn random_instance(seed: u64) -> SofInstance {

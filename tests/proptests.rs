@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sof::core::{
     solve_sofda, Applied, DriftPolicy, Element, JoinStrategy, Network, OnlineConfig, OnlineSession,
-    Request, ServiceChain, SessionEvent, SofInstance, SofdaConfig, FAILED_COST,
+    Request, ServiceChain, ServiceForest, SessionEvent, SofInstance, SofdaConfig, FAILED_COST,
 };
 use sof::exact::IpFormulation;
 use sof::graph::{generators, Cost, CostRange, EdgeId, Graph, NodeId, Rng64};
@@ -43,6 +43,14 @@ fn random_instance(
         ),
     )
     .unwrap()
+}
+
+/// The paper's IP accepts `forest` on `inst` at the cost the forest itself
+/// reports.
+fn ip_accepts_at_its_cost(inst: &SofInstance, forest: &ServiceForest) -> bool {
+    IpFormulation::build(inst)
+        .check_forest(forest)
+        .is_ok_and(|objective| objective.approx_eq(forest.cost(&inst.network).total()))
 }
 
 /// The online configurations the session-event property runs under: both
@@ -920,6 +928,111 @@ proptest! {
         // Rejoin.
         sof::core::dynamics::destination_join(&mut inst, &mut forest, d).unwrap();
         forest.validate(&inst).unwrap();
+    }
+
+    /// Both join strategies admit a random unserved destination to a
+    /// solved forest: each result validates, the paper's IP accepts it at
+    /// its own cost, and it costs at most what the join reported on top of
+    /// the forest before. Full search weighs a superset of tail-attach's
+    /// attach points, so it adds no more; and where it attaches where the
+    /// chain is complete, it is tail-attach's join bit for bit. Fails when
+    /// a full-search join prices a last VM without its leg to the
+    /// destination.
+    #[test]
+    fn full_search_join_is_tail_attach_where_both_apply(
+        seed in 0u64..5000,
+        chain in 0usize..4,
+        vms in 4usize..9,
+    ) {
+        let inst = random_instance(seed, 20, vms, 2, 3, chain);
+        let forest = solve_sofda(&inst, &SofdaConfig::default()).unwrap().forest;
+        let unserved: Vec<NodeId> = inst
+            .network
+            .graph()
+            .nodes()
+            .filter(|n| !inst.request.destinations.contains(n) && !inst.request.sources.contains(n))
+            .collect();
+        let d = *Rng64::seed_from(seed).pick(&unserved);
+        let before = forest.cost(&inst.network).total();
+        let enabled = forest.enabled_vms().unwrap();
+        let mut joined = Vec::new();
+        for strategy in [JoinStrategy::TailAttach, JoinStrategy::FullSearch] {
+            let (mut inst, mut forest) = (inst.clone(), forest.clone());
+            let added =
+                sof::core::dynamics::destination_join_with(&mut inst, &mut forest, d, strategy)
+                    .unwrap();
+            forest.validate(&inst).unwrap();
+            prop_assert!(ip_accepts_at_its_cost(&inst, &forest), "{strategy:?}");
+            let after = forest.cost(&inst.network).total();
+            prop_assert!(
+                after <= before + added + Cost::new(1e-9),
+                "{strategy:?}: {after} > {before} + {added}"
+            );
+            joined.push((added, forest.walks.pop().unwrap()));
+        }
+        let (full_added, full) = joined.pop().unwrap();
+        let (tail_added, tail) = joined.pop().unwrap();
+        prop_assert!(full_added <= tail_added + Cost::new(1e-9), "{full_added} > {tail_added}");
+        if full.vnf_positions.iter().all(|&p| enabled.contains_key(&full.nodes[p])) {
+            prop_assert_eq!(full_added.value().to_bits(), tail_added.value().to_bits());
+            prop_assert_eq!(full, tail);
+        }
+    }
+
+    /// §VII-C's chain edits under the paper's IP: on a solved forest, a VNF
+    /// inserted at a random index, one deleted at a random index, a random
+    /// enabled VM migrated, and every walk rerouted after a random reprice
+    /// each leave a forest that validates and that the IP accepts at the
+    /// cost the forest reports. The chain's names follow each insert and
+    /// delete, and a migrated VM runs no VNF afterwards. Fails when a
+    /// migration re-routes only the first walk that runs a VNF on the VM.
+    #[test]
+    fn chain_edits_pass_the_ip_oracle(seed in 0u64..5000, chain in 1usize..4) {
+        use sof::core::dynamics::{self, DynamicsError};
+        let mut inst = random_instance(seed, 20, 8, 2, 3, chain);
+        let mut forest = solve_sofda(&inst, &SofdaConfig::default()).unwrap().forest;
+        let mut rng = Rng64::seed_from(seed);
+        let mut names: Vec<String> = inst.request.chain.iter().map(str::to_string).collect();
+
+        let at = rng.range(0, chain + 1);
+        dynamics::vnf_insert(&mut inst, &mut forest, at, "inserted").unwrap();
+        names.insert(at, "inserted".into());
+        prop_assert!(inst.request.chain.iter().eq(names.iter().map(String::as_str)));
+        forest.validate(&inst).unwrap();
+        prop_assert!(ip_accepts_at_its_cost(&inst, &forest), "insert at {at}");
+
+        let at = rng.range(0, chain + 1);
+        dynamics::vnf_delete(&mut inst, &mut forest, at).unwrap();
+        names.remove(at);
+        prop_assert!(inst.request.chain.iter().eq(names.iter().map(String::as_str)));
+        forest.validate(&inst).unwrap();
+        prop_assert!(ip_accepts_at_its_cost(&inst, &forest), "delete at {at}");
+
+        let enabled: Vec<NodeId> = forest.enabled_vms().unwrap().into_keys().collect();
+        let v = *rng.pick(&enabled);
+        match dynamics::migrate_vm(&inst, &mut forest, v) {
+            Ok(replacement) => {
+                let now = forest.enabled_vms().unwrap();
+                prop_assert!(!now.contains_key(&v) && now.contains_key(&replacement));
+                forest.validate(&inst).unwrap();
+                prop_assert!(ip_accepts_at_its_cost(&inst, &forest), "migrate {v}");
+            }
+            Err(DynamicsError::NoFreeVm) => {
+                prop_assert_eq!(enabled.len(), inst.network.vms().len())
+            }
+            Err(e) => prop_assert!(false, "migrate {v}: {e}"),
+        }
+
+        let edges: Vec<EdgeId> = inst.network.graph().edges().map(|(e, _)| e).collect();
+        for e in edges {
+            if rng.chance(0.3) {
+                let cost = inst.network.graph().edge_cost(e) * rng.range_f64(0.2, 5.0);
+                inst.network.graph_mut().set_edge_cost(e, cost);
+            }
+        }
+        dynamics::reroute_all(&inst, &mut forest);
+        forest.validate(&inst).unwrap();
+        prop_assert!(ip_accepts_at_its_cost(&inst, &forest), "reroute");
     }
 
     /// A session's failure pricing is a function of *what is failed now*,
