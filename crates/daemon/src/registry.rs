@@ -301,11 +301,6 @@ impl Registry {
         }
     }
 
-    /// Live session count.
-    pub fn live_sessions(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// `POST /v1/topologies` — registers a named library topology
     /// (`{"name", "topology", "nodes"?, "seed"?}`) or a multi-region build
     /// (`{"name", "regions": [{name, nodes, dcs}…], "gateway_links"?,

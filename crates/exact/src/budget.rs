@@ -59,15 +59,6 @@ pub struct ExactSolver {
     pub budget: Option<ExactBudget>,
 }
 
-impl ExactSolver {
-    /// An exact solver with a fixed node budget.
-    pub fn with_budget(budget: ExactBudget) -> ExactSolver {
-        ExactSolver {
-            budget: Some(budget),
-        }
-    }
-}
-
 impl Solver for ExactSolver {
     fn name(&self) -> &'static str {
         "CPLEX*"
@@ -166,7 +157,9 @@ mod tests {
         assert!(!solver.supports(&inst));
         assert!(solver.solve(&inst, &SofdaConfig::default()).is_err());
         // A fixed budget lifts the envelope cap.
-        let fixed = ExactSolver::with_budget(ExactBudget::new(5));
+        let fixed = ExactSolver {
+            budget: Some(ExactBudget::new(5)),
+        };
         assert_eq!(fixed.max_destinations(), None);
         assert!(fixed.supports(&inst));
     }

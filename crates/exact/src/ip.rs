@@ -1,10 +1,9 @@
 //! The paper's Integer Programming formulation (§III-A), built explicitly.
 //!
-//! The module constructs every binary variable and constraint of the SOF IP,
-//! can emit it in CPLEX-LP text format, and — most importantly for the
-//! reproduction — can **check** that an assignment derived from a
-//! [`ServiceForest`] satisfies all constraints with the objective equal to
-//! the forest's cost. This cross-validates our forest semantics against the
+//! The module constructs every binary variable and constraint of the SOF IP
+//! and — what the reproduction needs it for — **checks** that an assignment
+//! derived from a [`ServiceForest`] satisfies all constraints with the
+//! objective equal to the forest's cost. This cross-validates our forest semantics against the
 //! paper's formal model.
 //!
 //! Variables (all binary; `C⁺ = C ∪ {fS}`, `C* = C ∪ {fS, fD}`):
@@ -21,7 +20,6 @@
 use sof_core::{ServiceForest, SofInstance};
 use sof_graph::{Cost, NodeId};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// Size summary of the IP for an instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,71 +95,6 @@ impl IpFormulation {
             variables,
             constraints,
         }
-    }
-
-    /// Renders the IP in CPLEX-LP format (suitable for any MILP solver).
-    pub fn to_lp_string(&self) -> String {
-        let mut s = String::new();
-        let segs = self.segments();
-        writeln!(s, "\\ SOF IP (ICDCS'17 §III-A)").unwrap();
-        write!(s, "Minimize\n obj:").unwrap();
-        let mut first = true;
-        for f in 0..self.chain_len {
-            for u in 0..self.n {
-                let c = self.node_costs[u].value();
-                if c > 0.0 {
-                    write!(s, "{} {} sigma_{f}_{u}", if first { "" } else { " +" }, c).unwrap();
-                    first = false;
-                }
-            }
-        }
-        for f in 0..segs {
-            for (ai, &(_, _, c)) in self.arcs.iter().enumerate() {
-                if c.value() > 0.0 {
-                    write!(
-                        s,
-                        "{} {} tau_{f}_{ai}",
-                        if first { "" } else { " +" },
-                        c.value()
-                    )
-                    .unwrap();
-                    first = false;
-                }
-            }
-        }
-        writeln!(s, "\nSubject To").unwrap();
-        // (1) Σ_s γ[d][fS][s] = 1.
-        for (di, _) in self.dests.iter().enumerate() {
-            let terms: Vec<String> = self
-                .sources
-                .iter()
-                .map(|s| format!("g_{di}_S_{}", s.index()))
-                .collect();
-            writeln!(s, " c1_{di}: {} = 1", terms.join(" + ")).unwrap();
-        }
-        // (2) Σ_{u∈M} γ[d][f][u] = 1.
-        for (di, _) in self.dests.iter().enumerate() {
-            for f in 0..self.chain_len {
-                let terms: Vec<String> = self
-                    .vms
-                    .iter()
-                    .map(|u| format!("g_{di}_{f}_{}", u.index()))
-                    .collect();
-                writeln!(s, " c2_{di}_{f}: {} = 1", terms.join(" + ")).unwrap();
-            }
-        }
-        // (3)/(4) γ[d][fD][·].
-        for (di, d) in self.dests.iter().enumerate() {
-            writeln!(s, " c3_{di}: g_{di}_D_{} = 1", d.index()).unwrap();
-        }
-        // (5) γ ≤ σ; (6) Σ_f σ[f][u] ≤ 1; (7)/(8) omitted from the text dump
-        // for brevity at large sizes — counts are in `size()`; the checker
-        // enforces them all.
-        writeln!(s, "\\ … flow constraints (7)/(8) elided in text form").unwrap();
-        writeln!(s, "Binary").unwrap();
-        writeln!(s, " \\ {} binary variables", self.size().variables).unwrap();
-        writeln!(s, "End").unwrap();
-        s
     }
 
     /// Derives the variable assignment a forest induces and checks **every**
@@ -269,7 +202,7 @@ impl IpFormulation {
 mod tests {
     use super::*;
     use sof_core::{solve_sofda, Network, Request, ServiceChain, SofdaConfig};
-    use sof_graph::{generators, CostRange, Graph, Rng64};
+    use sof_graph::{generators, CostRange, Rng64};
 
     fn instance(seed: u64) -> SofInstance {
         let mut rng = Rng64::seed_from(seed);
@@ -329,31 +262,6 @@ mod tests {
                 .expect("exact forest satisfies IP");
             assert!(obj.approx_eq(out.cost));
         }
-    }
-
-    #[test]
-    fn lp_text_has_objective_and_sections() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId::new(0), NodeId::new(1), Cost::new(1.0));
-        g.add_edge(NodeId::new(1), NodeId::new(2), Cost::new(1.0));
-        let mut net = Network::all_switches(g);
-        net.make_vm(NodeId::new(1), Cost::new(2.0));
-        let inst = SofInstance::new(
-            net,
-            Request::new(
-                vec![NodeId::new(0)],
-                vec![NodeId::new(2)],
-                ServiceChain::with_len(1),
-            ),
-        )
-        .unwrap();
-        let ip = IpFormulation::build(&inst);
-        let lp = ip.to_lp_string();
-        assert!(lp.contains("Minimize"));
-        assert!(lp.contains("Subject To"));
-        assert!(lp.contains("c1_0:"));
-        assert!(lp.contains("Binary"));
-        assert!(lp.ends_with("End\n"));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   incumbent bound, with bit-identical results for any thread count
 //!   ([`solve_exact_with`] takes the count explicitly),
 //! * [`IpFormulation`] — the paper's IP built explicitly: variable /
-//!   constraint counting, CPLEX-LP text output, and full constraint
-//!   checking of any [`sof_core::ServiceForest`],
+//!   constraint counting and full constraint checking of any
+//!   [`sof_core::ServiceForest`],
 //! * [`ExactBudget`] — the destination-count budget schedule, and
 //!   [`ExactSolver`] — the [`sof_core::Solver`]-trait adapter used by the
 //!   solver registry and the evaluation's "CPLEX" column.

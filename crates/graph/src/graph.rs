@@ -327,11 +327,6 @@ impl Graph {
         count == self.adj.len()
     }
 
-    /// Sum of all edge costs.
-    pub fn total_edge_cost(&self) -> Cost {
-        self.edges.iter().map(|e| e.cost).sum()
-    }
-
     /// Total cost of a walk given as a node sequence, following the cheapest
     /// parallel edge at each hop.
     ///
@@ -364,7 +359,6 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.degree(NodeId::new(0)), 2);
-        assert_eq!(g.total_edge_cost(), Cost::new(7.0));
     }
 
     #[test]

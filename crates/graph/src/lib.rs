@@ -22,7 +22,7 @@
 //!   search* ([`PathEngine::nearest_target`]) for "which of these vertices
 //!   is closest", which stops at the answer instead of labelling the graph,
 //! * [`generators`] — deterministic connected random topologies (Erdős–Rényi,
-//!   ring, grid, Waxman, Inet-style power law),
+//!   ring, grid, Inet-style power law),
 //! * [`Rng64`] — a seedable xoshiro256** generator so every experiment in the
 //!   workspace reproduces bit-for-bit.
 //!

@@ -153,11 +153,6 @@ pub fn set_threads(threads: usize) {
     OVERRIDE.store(threads, Ordering::SeqCst);
 }
 
-/// Clears the [`set_threads`] override, restoring `SOF_THREADS`/auto.
-pub fn clear_threads() {
-    OVERRIDE.store(usize::MAX, Ordering::SeqCst);
-}
-
 /// The machine's available parallelism (at least 1).
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
@@ -528,8 +523,6 @@ mod tests {
         set_threads(5);
         assert_eq!(current_threads(), 5);
         set_threads(0);
-        assert!(current_threads() >= 1);
-        clear_threads();
         assert!(current_threads() >= 1);
     }
 }

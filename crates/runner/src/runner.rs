@@ -7,19 +7,12 @@ use crate::sink::{
     RecoverySummary, Sink, SummaryRecord, WindowRecord,
 };
 use crate::ward::{StopReason, Ward, WardSet};
-use sof_core::{
-    Applied, Element, OnlineConfig, OnlineSession, SessionEvent, SessionPool, SofdaConfig,
-    SolveError,
-};
-use sof_graph::{NodeId, PathEngineStats};
-use sof_survive::{
-    universe_for_scopes, ElementRef, FailureDriver, FailurePlan, ProtectionPolicy, Protector,
-    RecoveryMetrics,
-};
+use sof_core::{Element, OnlineConfig, OnlineSession, SessionEvent, SessionPool, SofdaConfig};
+use sof_graph::PathEngineStats;
+use sof_survive::{universe_for_scopes, ElementRef, FailurePlan, FailureRounds, Protector};
 use sof_topo::{
     build_region_instance, build_regions, RegionScenario, RegionTopology, RegionsParams,
 };
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
@@ -64,7 +57,7 @@ pub struct RunnerConfig {
     /// Stop conditions; the first to trip ends the run. With no wards the
     /// run only ends via [`RunnerHandle::stop`].
     pub wards: Vec<Ward>,
-    /// Optional failure plan: when set, a [`sof_survive::FailureDriver`]
+    /// Optional failure plan: when set, [`sof_survive::FailureRounds`]
     /// interleaves deterministic element failures (and repairs) between
     /// rounds, and the plan's protection policy answers each disruption.
     pub failures: Option<FailurePlan>,
@@ -209,77 +202,6 @@ struct WindowAccum {
     millis: f64,
 }
 
-/// Per-run survivability state: the failure-event generator, one
-/// [`Protector`] per pool slot, the recovery metrics, and the slots
-/// currently dark waiting on a deferred rebuild.
-struct FailureState {
-    driver: FailureDriver,
-    policy: ProtectionPolicy,
-    protectors: Vec<Protector>,
-    metrics: RecoveryMetrics,
-    /// Slot → (round of the disruption, destinations it darkened).
-    pending: Vec<Option<(usize, usize)>>,
-    round: usize,
-}
-
-impl FailureState {
-    fn new(plan: &FailurePlan, rt: &RegionTopology, cfg: &RunnerConfig) -> FailureState {
-        // The symbolic element universe lives on the shared base topology,
-        // so one failure trace applies identically to every group instance
-        // (all instances clone the base graph; VM ids are appended after
-        // the access nodes in the same order for every group).
-        let graph = &rt.topo.graph;
-        let links: Vec<(usize, usize)> = graph
-            .edges()
-            .map(|(_, e)| {
-                let (u, v) = (e.u.index(), e.v.index());
-                (u.min(v), u.max(v))
-            })
-            .collect();
-        let nodes: Vec<usize> = (0..graph.node_count()).collect();
-        let first_vm = graph.node_count();
-        let vms: Vec<usize> =
-            (first_vm..first_vm + rt.topo.dc_nodes.len() * cfg.vms_per_dc).collect();
-        let domains: Vec<String> = (0..rt.region_count())
-            .map(|r| rt.region_name(r).to_string())
-            .collect();
-        let universe = universe_for_scopes(&plan.scope, &links, &nodes, &vms, &domains);
-        let protectors = (0..cfg.groups)
-            .map(|_| Protector::new(plan.policy, sof_solvers::by_name(&cfg.solver)))
-            .collect();
-        FailureState {
-            driver: FailureDriver::new(plan, universe),
-            policy: plan.policy,
-            protectors,
-            metrics: RecoveryMetrics::default(),
-            pending: vec![None; cfg.groups],
-            round: 0,
-        }
-    }
-
-    fn totals(&self) -> FailureTotals {
-        FailureTotals {
-            fail_events: self.metrics.fail_events as u64,
-            repair_events: self.metrics.repair_events as u64,
-            disruptions: self.metrics.disruptions as u64,
-            pending: self.pending.iter().flatten().count() as u64,
-        }
-    }
-
-    fn summary(&self) -> RecoverySummary {
-        RecoverySummary {
-            fail_events: self.metrics.fail_events as u64,
-            repair_events: self.metrics.repair_events as u64,
-            disruptions: self.metrics.disruptions as u64,
-            immediate: self.metrics.immediate as u64,
-            recoveries: self.metrics.recoveries as u64,
-            mean_recovery_cost: self.metrics.mean_recovery_cost(),
-            mean_events_to_restore: self.metrics.mean_events_to_restore(),
-            availability: self.metrics.availability(),
-        }
-    }
-}
-
 /// A streaming churn-at-scale simulation over one [`SessionPool`].
 ///
 /// See the [crate docs](crate) for the stepping model and an example.
@@ -298,7 +220,7 @@ pub struct Runner {
     /// Stats carried over from retired sessions.
     retired_cost: f64,
     retired_engine: PathEngineStats,
-    failure: Option<FailureState>,
+    failure: Option<FailureRounds>,
 }
 
 impl Runner {
@@ -319,10 +241,7 @@ impl Runner {
             procs.push(proc);
         }
         let pool = SessionPool::new(sessions).with_threads(cfg.threads);
-        let failure = cfg
-            .failures
-            .as_ref()
-            .map(|p| FailureState::new(p, &rt, &cfg));
+        let failure = cfg.failures.as_ref().map(|p| failure_rounds(p, &rt, &cfg));
         Ok(Runner {
             next_id: cfg.groups as u64,
             cfg,
@@ -430,7 +349,7 @@ impl Runner {
             errors: self.errors,
             accumulated_cost: self.accumulated_cost(),
             stop,
-            recovery: self.failure.as_ref().map(FailureState::summary),
+            recovery: self.failure.as_ref().map(recovery_summary),
         };
         self.emit(Record::Summary(SummaryRecord {
             events: summary.events,
@@ -507,13 +426,9 @@ impl Runner {
                     if rep.rebuilt {
                         win.full_solves += 1;
                         // A full solve restores service for a slot darkened
-                        // by a deferred (reactive) recovery; the rebuild's
-                        // forest cost is that recovery's price.
-                        if let Some(fs) = self.failure.as_mut() {
-                            if let Some((r0, _)) = fs.pending[slot].take() {
-                                fs.metrics
-                                    .record_restore(fs.round - r0 + 1, rep.forest_cost);
-                            }
+                        // by a deferred (reactive) recovery.
+                        if let Some(rounds) = self.failure.as_mut() {
+                            rounds.rebuilt(slot, rep.forest_cost);
                         }
                     } else {
                         win.incremental += 1;
@@ -551,115 +466,49 @@ impl Runner {
         Ok(stepped)
     }
 
-    /// Advances the failure process by one round and applies its events to
-    /// every live session: repairs first, then (after pre-provisioning
-    /// protection against the still-healthy forests) the new failures, then
-    /// one recovery pass per disrupted session. Each session sees the
-    /// round's events in the same order, and answers, recoveries and
-    /// records are folded in slot order, so the record stream stays
-    /// byte-identical at any thread count.
+    /// Steps the pool through the failure process's next round and emits
+    /// what it did: one `failure` record per repair and per failure, then
+    /// one `recovery` record when the round disrupted anything.
     fn apply_failures(&mut self) -> Result<(), String> {
-        let Some(mut fs) = self.failure.take() else {
+        let Some(rounds) = self.failure.as_mut() else {
             return Ok(());
         };
-        fs.round += 1;
-        let events = fs.driver.advance(fs.round);
-
-        // Availability sampling: every destination of every live group is
-        // one destination×round sample; slots darkened by a deferred
-        // recovery contribute their disrupted destinations as dark samples.
-        for proc in &self.procs {
-            fs.metrics.dest_rounds += proc.current().destinations.len();
-        }
-        fs.metrics.disconnected_dest_rounds += fs
-            .pending
-            .iter()
-            .flatten()
-            .map(|&(_, dark)| dark)
-            .sum::<usize>();
-
-        for element in &events.repairs {
-            fs.metrics.repair_events += 1;
-            // Elements that were never down in a session are refused there.
-            self.apply_everywhere(SessionEvent::Repair(physical_elements(element, &self.rt)));
+        let rt = &self.rt;
+        let report = rounds.step(&mut self.pool, |e| physical_elements(e, rt));
+        let round = report.round as u64;
+        for element in report.repairs {
             self.emit(Record::Failure(FailureRecord {
                 seq: self.seq,
-                round: fs.round as u64,
+                round,
                 action: "repair",
                 element: element.to_string(),
                 disrupted: 0,
                 repair_at: None,
             }))?;
         }
-
-        if !events.failures.is_empty() {
-            // Backups and standbys must be planned against the pre-failure
-            // state — protection provisioned after the cut is just repair.
-            for (slot, protector) in fs.protectors.iter_mut().enumerate() {
-                protector.prewarm(&mut self.pool.sessions_mut()[slot]);
-            }
-            let mut affected: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); self.procs.len()];
-            for (element, repair_at) in &events.failures {
-                fs.metrics.fail_events += 1;
-                let fail = SessionEvent::Fail(physical_elements(element, &self.rt));
-                let mut disrupted = 0u64;
-                for (slot, answer) in self.apply_everywhere(fail).into_iter().enumerate() {
-                    // A failure the session refuses (not on its network, or
-                    // one of its endpoints) disrupts nothing there.
-                    if let Ok(Applied::Failed(broken)) = answer {
-                        disrupted += broken.len() as u64;
-                        affected[slot].extend(broken);
-                    }
-                }
-                self.emit(Record::Failure(FailureRecord {
-                    seq: self.seq,
-                    round: fs.round as u64,
-                    action: "fail",
-                    element: element.to_string(),
-                    disrupted,
-                    repair_at: repair_at.map(|r| r as u64),
-                }))?;
-            }
-            let (mut disrupted, mut recovered, mut cost, mut pending) = (0u64, 0u64, 0.0, 0u64);
-            for (slot, dests) in affected.iter().enumerate() {
-                if dests.is_empty() {
-                    continue;
-                }
-                let dests: Vec<NodeId> = dests.iter().copied().collect();
-                let outcome =
-                    fs.protectors[slot].recover(&mut self.pool.sessions_mut()[slot], &dests);
-                disrupted += outcome.affected as u64;
-                recovered += outcome.recovered as u64;
-                cost += outcome.cost;
-                if outcome.pending {
-                    fs.metrics.record_deferred();
-                    fs.pending[slot] = Some((fs.round, outcome.affected));
-                    pending += 1;
-                } else {
-                    fs.metrics.record_immediate(outcome.cost);
-                }
-            }
-            if disrupted > 0 {
-                self.emit(Record::Recovery(RecoveryRecord {
-                    seq: self.seq,
-                    round: fs.round as u64,
-                    policy: fs.policy.as_str(),
-                    disrupted,
-                    recovered,
-                    cost,
-                    pending,
-                }))?;
-            }
+        for (element, repair_at, disrupted) in report.failures {
+            self.emit(Record::Failure(FailureRecord {
+                seq: self.seq,
+                round,
+                action: "fail",
+                element: element.to_string(),
+                disrupted: disrupted as u64,
+                repair_at: repair_at.map(|r| r as u64),
+            }))?;
         }
-        self.failure = Some(fs);
+        if report.disrupted > 0 {
+            let plan = self.cfg.failures.as_ref().expect("rounds run a plan");
+            self.emit(Record::Recovery(RecoveryRecord {
+                seq: self.seq,
+                round,
+                policy: plan.policy.as_str(),
+                disrupted: report.disrupted as u64,
+                recovered: report.recovered as u64,
+                cost: report.cost,
+                pending: report.deferred as u64,
+            }))?;
+        }
         Ok(())
-    }
-
-    /// Applies `event` to every session of the pool, answers in slot
-    /// order.
-    fn apply_everywhere(&mut self, event: SessionEvent) -> Vec<Result<Applied, SolveError>> {
-        let events = vec![Some(event); self.pool.len()];
-        self.pool.apply(&events).into_iter().flatten().collect()
     }
 
     /// Emits the open window as a record and resets the accumulators,
@@ -684,7 +533,7 @@ impl Runner {
             mean_cost: mean,
             accumulated_cost: self.accumulated_cost(),
             engine: self.engine_totals(),
-            failures: self.failure.as_ref().map(FailureState::totals),
+            failures: self.failure.as_ref().map(failure_totals),
             millis: self.cfg.timings.then_some(win.millis),
         });
         self.windows += 1;
@@ -738,6 +587,47 @@ fn make_session(rt: &RegionTopology, cfg: &RunnerConfig, proc: &GroupProcess) ->
     let mut online = cfg.online;
     online.demand_mbps = cfg.churn.demand_mbps;
     OnlineSession::new(instance, solver, sofda, online)
+}
+
+/// The run's failure rounds. The symbolic element universe lives on the
+/// shared base topology, so one failure trace applies identically to every
+/// group instance (all instances clone the base graph; VM ids are appended
+/// after the access nodes in the same order for every group).
+fn failure_rounds(plan: &FailurePlan, rt: &RegionTopology, cfg: &RunnerConfig) -> FailureRounds {
+    let first_vm = rt.topo.graph.node_count();
+    let vms = first_vm..first_vm + rt.topo.dc_nodes.len() * cfg.vms_per_dc;
+    let domains: Vec<String> = (0..rt.region_count())
+        .map(|r| rt.region_name(r).to_string())
+        .collect();
+    let universe = universe_for_scopes(&plan.scope, &rt.topo.graph, vms, &domains);
+    let protectors = (0..cfg.groups)
+        .map(|_| Protector::new(plan.policy, sof_solvers::by_name(&cfg.solver)))
+        .collect();
+    FailureRounds::new(plan, universe, protectors)
+}
+
+fn failure_totals(rounds: &FailureRounds) -> FailureTotals {
+    let m = rounds.metrics();
+    FailureTotals {
+        fail_events: m.fail_events as u64,
+        repair_events: m.repair_events as u64,
+        disruptions: m.disruptions as u64,
+        pending: rounds.pending() as u64,
+    }
+}
+
+fn recovery_summary(rounds: &FailureRounds) -> RecoverySummary {
+    let m = rounds.metrics();
+    RecoverySummary {
+        fail_events: m.fail_events as u64,
+        repair_events: m.repair_events as u64,
+        disruptions: m.disruptions as u64,
+        immediate: m.immediate as u64,
+        recoveries: m.recoveries as u64,
+        mean_recovery_cost: m.mean_recovery_cost(),
+        mean_events_to_restore: m.mean_events_to_restore(),
+        availability: m.availability(),
+    }
 }
 
 /// What `element` names on the run's base topology (shared by every group's

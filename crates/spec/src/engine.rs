@@ -16,16 +16,17 @@ use crate::report::{
 };
 use crate::sink::JsonlSink;
 use crate::spec::{
-    ChurnSpec, FailureSpec, GridMetric, OnlineGroup, ScaleSpec, ScenarioSpec, SpecError, Workload,
+    FailureSpec, GridMetric, OnlineGroup, ScaleSpec, ScenarioSpec, SpecError, Workload,
 };
 use crate::value::{write_json, Value};
 use sof_core::{
-    fortz_thorup, Element, EmbedMode, OnlineSession, Request, ServiceChain, SessionEvent,
-    SessionPool, SofInstance, Solver,
+    fortz_thorup, EmbedMode, OnlineSession, Request, ServiceChain, SessionEvent, SessionPool,
+    SofInstance, Solver,
 };
 use sof_graph::{Cost, NodeId, Rng64};
 use sof_runner::{CollectSink, Record, Runner, RunnerConfig, Summary, Ward};
 use sof_sim::{simulate_sessions, ChurnStream, EnvironmentProfile, PlayerConfig, Session};
+use sof_survive::{universe_for_scopes, ElementRef, FailurePlan, FailureRounds, Protector};
 use sof_topo::{build_instance, build_named, display_label, RegionsParams, Topology};
 use std::time::Instant;
 
@@ -142,10 +143,7 @@ pub fn runner_config(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunnerCon
     cfg.threads = opts.threads;
     if let Some(f) = &s.failures {
         // The first listed policy; multi-policy comparison legs swap it.
-        let plan = f
-            .to_plan(&f.policies[0])
-            .map_err(|e| SpecError(format!("'workload.failures': {e}")))?;
-        cfg.failures = Some(plan);
+        cfg.failures = Some(failure_plan(f, &f.policies[0])?);
     }
     cfg.wards = vec![Ward::MaxEvents(s.events)];
     if let Some(c) = &s.converge {
@@ -175,10 +173,9 @@ pub fn run_churn_stream<W: std::io::Write + Send + 'static>(
     opts: &RunOptions,
     out: W,
 ) -> Result<Summary, SpecError> {
-    let cfg = runner_config(spec, opts)?;
-    let policies = churn_policies(spec);
-    if policies.len() <= 1 {
-        let mut runner = Runner::new(cfg).map_err(SpecError)?;
+    let mut configs = policy_legs(spec, opts)?;
+    if configs.len() == 1 {
+        let mut runner = Runner::new(configs.remove(0).1).map_err(SpecError)?;
         runner.add_sink(Box::new(JsonlSink::new(out)));
         return runner.run().map_err(SpecError);
     }
@@ -186,16 +183,11 @@ pub fn run_churn_stream<W: std::io::Write + Send + 'static>(
     // failure trace, then a closing comparison line.
     let shared = SharedOut(std::sync::Arc::new(std::sync::Mutex::new(out)));
     let mut legs: Vec<(String, Summary)> = Vec::new();
-    for policy in &policies {
-        let mut leg = cfg.clone();
-        if let Some(plan) = leg.failures.as_mut() {
-            plan.policy = sof_survive::ProtectionPolicy::from_name(policy)
-                .map_err(|e| SpecError(format!("'workload.failures.policies': {e}")))?;
-        }
-        let mut runner = Runner::new(leg).map_err(SpecError)?;
+    for (policy, cfg) in configs {
+        let mut runner = Runner::new(cfg).map_err(SpecError)?;
         runner.add_sink(Box::new(JsonlSink::new(shared.clone())));
         let summary = runner.run().map_err(SpecError)?;
-        legs.push((policy.clone(), summary));
+        legs.push((policy, summary));
     }
     let mut line = report::line("policy-comparison");
     let legs_value = legs.iter().map(|(policy, summary)| {
@@ -217,17 +209,34 @@ pub fn run_churn_stream<W: std::io::Write + Send + 'static>(
     Ok(legs.remove(0).1)
 }
 
-/// The protection policies a churn-at-scale spec's failure axis lists
-/// (empty when the spec has no failure axis).
-fn churn_policies(spec: &ScenarioSpec) -> Vec<String> {
-    match &spec.workload {
-        Workload::ChurnAtScale(s) => s
-            .failures
-            .as_ref()
-            .map(|f| f.policies.clone())
-            .unwrap_or_default(),
-        _ => Vec::new(),
-    }
+/// One runner configuration per protection policy a churn-at-scale spec's
+/// failure axis lists, each replaying the identical failure trace; a spec
+/// without the axis runs one leg.
+fn policy_legs(
+    spec: &ScenarioSpec,
+    opts: &RunOptions,
+) -> Result<Vec<(String, RunnerConfig)>, SpecError> {
+    let cfg = runner_config(spec, opts)?;
+    let Workload::ChurnAtScale(ScaleSpec {
+        failures: Some(f), ..
+    }) = &spec.workload
+    else {
+        return Ok(vec![(String::new(), cfg)]);
+    };
+    f.policies
+        .iter()
+        .map(|policy| {
+            let mut leg = cfg.clone();
+            leg.failures = Some(failure_plan(f, policy)?);
+            Ok((policy.clone(), leg))
+        })
+        .collect()
+}
+
+/// `f` compiled under `policy`, its error named after the spec table.
+fn failure_plan(f: &FailureSpec, policy: &str) -> Result<FailurePlan, SpecError> {
+    f.to_plan(policy)
+        .map_err(|e| SpecError(format!("'workload.failures': {e}")))
 }
 
 /// Clonable writer handle letting several sequential runner legs share one
@@ -258,22 +267,17 @@ fn run_churn_at_scale(
     s: &ScaleSpec,
     opts: &RunOptions,
 ) -> Result<RunReport, SpecError> {
-    let cfg = runner_config(spec, opts)?;
-    let policies = churn_policies(spec);
+    let mut legs = policy_legs(spec, opts)?;
+    let (first, cfg) = legs.remove(0);
     // Comparison legs beyond the first rerun the identical trace under the
     // other policies; only their recovery summaries feed the report.
     let mut comparison: Vec<(String, sof_runner::RecoverySummary)> = Vec::new();
-    for policy in policies.iter().skip(1) {
-        let mut leg = cfg.clone();
-        if let Some(plan) = leg.failures.as_mut() {
-            plan.policy = sof_survive::ProtectionPolicy::from_name(policy)
-                .map_err(|e| SpecError(format!("'workload.failures.policies': {e}")))?;
-        }
+    for (policy, leg) in legs {
         let leg_summary = Runner::new(leg)
             .map_err(SpecError)?
             .run()
             .map_err(SpecError)?;
-        comparison.push((policy.clone(), leg_summary.recovery.unwrap_or_default()));
+        comparison.push((policy, leg_summary.recovery.unwrap_or_default()));
     }
     let mut runner = Runner::new(cfg).map_err(SpecError)?;
     let (sink, records) = CollectSink::new();
@@ -281,8 +285,8 @@ fn run_churn_at_scale(
     let started = Instant::now();
     let summary = runner.run().map_err(SpecError)?;
     let secs = started.elapsed().as_secs_f64();
-    if let (Some(first), Some(r)) = (policies.first(), summary.recovery) {
-        comparison.insert(0, (first.clone(), r));
+    if let Some(r) = summary.recovery {
+        comparison.insert(0, (first, r));
     }
     let records = records.lock().expect("collect sink");
     let columns: Vec<String> = [
@@ -881,39 +885,6 @@ fn run_qoe(
 // online (Fig. 12)
 // ---------------------------------------------------------------------------
 
-/// When `arrival` (1-based, of `arrivals`) is due under `failures`: in
-/// every session, fails up to `count` VMs currently carrying VNFs
-/// (deterministically: the lowest-id enabled VMs) as one
-/// [`SessionEvent::Fail`] and drops the forest they disrupted, so the next
-/// arrival rebuilds around them. Returns how many VMs were failed.
-fn inject_vm_failures<'a>(
-    sessions: impl IntoIterator<Item = &'a mut OnlineSession>,
-    failures: Option<&FailureSpec>,
-    arrival: usize,
-    arrivals: usize,
-) -> usize {
-    let Some(f) = failures.filter(|f| arrival.is_multiple_of(f.every) && arrival < arrivals) else {
-        return 0;
-    };
-    let mut injected = 0;
-    for session in sessions {
-        let Some(used) = session.forest().and_then(|f| f.enabled_vms().ok()) else {
-            continue;
-        };
-        let victims: Vec<Element> = used
-            .keys()
-            .take(f.count)
-            .map(|&vm| Element::Vm(vm))
-            .collect();
-        // Every enabled VM is a VM, so the session accepts them all.
-        if !victims.is_empty() && session.apply(SessionEvent::Fail(victims.clone())).is_ok() {
-            injected += victims.len();
-            session.clear_forest();
-        }
-    }
-    injected
-}
-
 fn group_topology(
     spec: &ScenarioSpec,
     group: &OnlineGroup,
@@ -961,21 +932,32 @@ fn run_online(
     }
     let mut sections = Vec::with_capacity(groups.len());
     for (gi, group) in groups.iter().enumerate() {
-        let section = if sessions > 1 {
-            run_pool_group(
-                spec,
-                gi,
-                group,
-                seed,
-                solver_names,
-                sessions,
-                failures,
-                opts,
-            )?
-        } else {
-            run_single_group(spec, gi, group, seed, solver_names, failures)?
-        };
-        sections.push(section);
+        let topo = group_topology(spec, group, seed)?;
+        let id = format!("group{gi}:{}", topo.name);
+        if group.requests == 0 {
+            sections.push(Section {
+                id,
+                heading: Some(format!(
+                    "{} — {} (0 arrivals requested — skipped)",
+                    spec.label, topo.name
+                )),
+                table: None,
+                extra_rows: Vec::new(),
+                detail: Detail::None,
+            });
+            continue;
+        }
+        let run = drive_group(
+            spec,
+            group,
+            &topo,
+            seed,
+            solver_names,
+            sessions,
+            failures,
+            opts,
+        )?;
+        sections.push(group_section(spec, id, group, &topo, sessions, run, opts));
     }
     Ok(RunReport {
         meta: meta(spec, heading, seed, 1, report_solvers),
@@ -983,82 +965,128 @@ fn run_online(
     })
 }
 
-fn section_id(gi: usize, topo_name: &str) -> String {
-    format!("group{gi}:{topo_name}")
+/// What stepping one online group leaves behind.
+struct GroupRun {
+    /// Every slot's session, in slot order.
+    pool: SessionPool,
+    /// Per slot: its label and arrival timings (the session and engine
+    /// counters are read from the pool when the section is built).
+    stats: Vec<OnlineSolverStats>,
+    /// Per checkpoint arrival, every slot's accumulated cost.
+    checkpoints: Vec<(usize, Vec<f64>)>,
+    /// Arrivals refused, over every slot.
+    arrival_failures: usize,
+    warnings: Vec<String>,
+    secs: f64,
+    /// The spec's failure process, when it has one. No report line reads
+    /// its recovery metrics yet (one would move the online goldens); the
+    /// tests below do.
+    #[cfg_attr(not(test), allow(dead_code))]
+    rounds: Option<FailureRounds>,
 }
 
-fn run_single_group(
+/// Steps one online group through its arrivals over one [`SessionPool`],
+/// running the failure round after each. With `sessions == 1` the pool has
+/// one slot per solver (after the optional scratch baseline), all reading
+/// one request stream; with more, one slot per session, each with its own
+/// stream and seed.
+#[allow(clippy::too_many_arguments)]
+fn drive_group(
     spec: &ScenarioSpec,
-    gi: usize,
     group: &OnlineGroup,
+    topo: &Topology,
     seed: u64,
     solver_names: &[String],
+    sessions: usize,
     failures: Option<&FailureSpec>,
-) -> Result<Section, SpecError> {
-    let topo = group_topology(spec, group, seed)?;
-    if group.requests == 0 {
-        return Ok(Section {
-            id: section_id(gi, topo.name),
-            heading: Some(format!(
-                "{} — {} (0 arrivals requested — skipped)",
-                spec.label, topo.name
-            )),
-            table: None,
-            extra_rows: Vec::new(),
-            detail: Detail::None,
-        });
-    }
-    let churn: ChurnSpec = group.churn.clone();
-    let mut stream = ChurnStream::new(churn.to_params(), topo.graph.node_count(), seed);
-    let mut events = vec![stream.current().clone()];
-    while events.len() < group.requests {
-        events.push(stream.next_request());
-    }
-    let online_config = spec.online.to_config(stream.demand());
-
-    let mut labels: Vec<String> = Vec::new();
-    let mut engines: Vec<OnlineSession> = Vec::new();
-    if group.scratch {
-        labels.push("SOFDA (scratch)".into());
-        engines.push(OnlineSession::new(
-            group_instance(spec, group, &topo, seed),
-            solver_by_name("SOFDA")?,
-            spec.sofda.with_seed(seed),
-            online_config.with_mode(EmbedMode::FromScratch),
-        ));
-    }
-    for name in solver_names {
-        let solver = solver_by_name(name)?;
-        labels.push(solver.name().into());
-        engines.push(OnlineSession::new(
-            group_instance(spec, group, &topo, seed),
-            solver,
-            spec.sofda.with_seed(seed),
-            online_config,
-        ));
-    }
-
-    let mut stats: Vec<OnlineSolverStats> = labels
-        .iter()
-        .map(|l| OnlineSolverStats {
-            label: l.clone(),
-            ..OnlineSolverStats::default()
-        })
+    opts: &RunOptions,
+) -> Result<GroupRun, SpecError> {
+    let churn = group.churn.to_params();
+    let online = spec.online.to_config(churn.base.demand_mbps);
+    // Per slot: solver, the seed of its instance, and whether it is the
+    // from-scratch baseline.
+    let slots: Vec<(&str, u64, bool)> = if sessions > 1 {
+        let name = solver_names.first().map_or("SOFDA", String::as_str);
+        (0..sessions)
+            .map(|g| (name, seed + g as u64, false))
+            .collect()
+    } else {
+        let scratch = group.scratch.then_some(("SOFDA", seed, true));
+        let solvers = solver_names.iter().map(|n| (n.as_str(), seed, false));
+        scratch.into_iter().chain(solvers).collect()
+    };
+    let mut streams: Vec<ChurnStream> = (0..sessions)
+        .map(|g| ChurnStream::new(churn, topo.graph.node_count(), seed + g as u64))
         .collect();
-    let mut rows = Vec::new();
+    let mut stats = Vec::with_capacity(slots.len());
+    let mut engines = Vec::with_capacity(slots.len());
+    for &(name, slot_seed, scratch) in &slots {
+        let solver = solver_by_name(name)?;
+        let (label, config) = if scratch {
+            ("SOFDA (scratch)", online.with_mode(EmbedMode::FromScratch))
+        } else {
+            (solver.name(), online)
+        };
+        stats.push(OnlineSolverStats {
+            label: label.into(),
+            ..OnlineSolverStats::default()
+        });
+        engines.push(OnlineSession::new(
+            group_instance(spec, group, topo, slot_seed),
+            solver,
+            spec.sofda.with_seed(slot_seed),
+            config,
+        ));
+    }
+    let mut pool = SessionPool::new(engines).with_threads(opts.threads);
+    let mut rounds = failures
+        .map(|f| -> Result<FailureRounds, SpecError> {
+            let plan = failure_plan(f, &f.policies[0])?;
+            let first_vm = topo.graph.node_count();
+            let vms = first_vm..first_vm + topo.dc_nodes.len() * group.vms_per_dc;
+            let universe = universe_for_scopes(&plan.scope, &topo.graph, vms, &[]);
+            let protectors = slots
+                .iter()
+                .map(|&(name, ..)| Protector::new(plan.policy, sof_solvers::by_name(name)))
+                .collect();
+            Ok(FailureRounds::new(&plan, universe, protectors))
+        })
+        .transpose()?;
+    // Online topologies have no regions, so no element names a domain.
+    let resolve = |e: &ElementRef| e.resolve(|_| Err(())).unwrap_or_default();
+
+    let mut checkpoints = Vec::new();
+    let mut arrival_failures = 0;
     let mut warnings = Vec::new();
-    let mut arrival_failures = 0usize;
-    let mut vm_failures = 0usize;
-    for (ai, request) in events.iter().enumerate() {
-        let arrival = ai + 1;
-        for (si, session) in engines.iter_mut().enumerate() {
-            match session.apply(SessionEvent::Arrive(request.clone())) {
+    let t0 = Instant::now();
+    for step in 0..group.requests {
+        let requests: Vec<Request> = streams
+            .iter_mut()
+            .map(|s| {
+                if step == 0 {
+                    s.current().clone()
+                } else {
+                    s.next_request()
+                }
+            })
+            .collect();
+        // Pool slot `g` reads stream `g`; in single-session mode every
+        // slot reads the one stream.
+        let arrivals: Vec<Option<SessionEvent>> = (0..pool.len())
+            .map(|slot| Some(SessionEvent::Arrive(requests[slot % sessions].clone())))
+            .collect();
+        let arrival = step + 1;
+        for (slot, answer) in pool.apply(&arrivals).into_iter().enumerate() {
+            match answer.expect("every slot arrives") {
                 Ok(applied) => {
                     let report = applied.report().expect("an arrival reports");
-                    let t = &mut stats[si];
+                    let t = &mut stats[slot];
                     if report.rebuilt {
                         t.solve_ms += report.millis;
                         t.solve_n += 1;
+                        if let Some(rounds) = rounds.as_mut() {
+                            rounds.rebuilt(slot, report.forest_cost);
+                        }
                     } else {
                         t.inc_ms += report.millis;
                         t.inc_n += 1;
@@ -1068,137 +1096,95 @@ fn run_single_group(
                     arrival_failures += 1;
                     warnings.push(format!(
                         "{} failed on {} arrival {arrival}: {e}",
-                        labels[si], topo.name
+                        stats[slot].label, topo.name
                     ));
                 }
             }
         }
-        vm_failures += inject_vm_failures(&mut engines, failures, arrival, events.len());
-        if arrival % 5 == 0 || arrival == events.len() {
-            rows.push(TableRow {
-                label: arrival.to_string(),
-                x: Some(arrival as f64),
-                cells: engines
-                    .iter()
-                    .map(|s| Cell::num(Some(s.accumulated_cost()), 0))
-                    .collect(),
-            });
+        if let Some(rounds) = rounds.as_mut() {
+            rounds.step(&mut pool, resolve);
+        }
+        if arrival % 5 == 0 || arrival == group.requests {
+            let costs = pool.sessions().iter().map(OnlineSession::accumulated_cost);
+            checkpoints.push((arrival, costs.collect()));
         }
     }
-    for (session, t) in engines.iter().zip(&mut stats) {
-        t.session = *session.stats();
-        t.engine = session.instance().network.paths().stats();
-    }
-    let suffix = if group.scratch {
-        ""
-    } else {
-        "; from-scratch baseline skipped (set scratch = true in the spec to run it)"
-    };
-    Ok(Section {
-        id: section_id(gi, topo.name),
-        heading: Some(format!(
-            "{} — {} ({} arrivals, viewer churn{suffix})",
-            spec.label, topo.name, group.requests
-        )),
-        table: Some(Table {
-            col0: "#arrivals".into(),
-            columns: labels,
-            rows,
-        }),
-        extra_rows: Vec::new(),
-        detail: Detail::Online(OnlineDetail {
-            scratch: group.scratch,
-            failures: arrival_failures,
-            vm_failures,
-            sessions: stats,
-            warnings,
-        }),
+    Ok(GroupRun {
+        pool,
+        stats,
+        checkpoints,
+        arrival_failures,
+        warnings,
+        secs: t0.elapsed().as_secs_f64(),
+        rounds,
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_pool_group(
+/// A stepped group's report section: every slot's accumulated cost in
+/// single-session mode, the pool's sum and mean in pool mode.
+fn group_section(
     spec: &ScenarioSpec,
-    gi: usize,
+    id: String,
     group: &OnlineGroup,
-    seed: u64,
-    solver_names: &[String],
+    topo: &Topology,
     sessions: usize,
-    failures: Option<&FailureSpec>,
+    run: GroupRun,
     opts: &RunOptions,
-) -> Result<Section, SpecError> {
-    let topo = group_topology(spec, group, seed)?;
-    if group.requests == 0 {
-        return Ok(Section {
-            id: section_id(gi, topo.name),
-            heading: Some(format!(
-                "{} — {} (0 arrivals requested — skipped)",
-                spec.label, topo.name
-            )),
-            table: None,
-            extra_rows: Vec::new(),
-            detail: Detail::None,
-        });
-    }
-    let solver_name = solver_names.first().map(String::as_str).unwrap_or("SOFDA");
-    let churn = group.churn.to_params();
-    let mut streams: Vec<ChurnStream> = (0..sessions)
-        .map(|g| ChurnStream::new(churn, topo.graph.node_count(), seed + g as u64))
-        .collect();
-    let engines: Vec<OnlineSession> = (0..sessions)
-        .map(|g| -> Result<OnlineSession, SpecError> {
-            let group_seed = seed + g as u64;
-            Ok(OnlineSession::new(
-                group_instance(spec, group, &topo, group_seed),
-                solver_by_name(solver_name)?,
-                spec.sofda.with_seed(group_seed),
-                spec.online.to_config(churn.base.demand_mbps),
-            ))
-        })
-        .collect::<Result<_, _>>()?;
-    let mut pool = SessionPool::new(engines).with_threads(opts.threads);
-    let mut rows = Vec::new();
-    let t0 = Instant::now();
-    let mut arrival_failures = 0usize;
-    let mut vm_failures = 0usize;
-    for step in 0..group.requests {
-        let arrivals: Vec<Option<SessionEvent>> = streams
-            .iter_mut()
-            .map(|s| {
-                let request = if step == 0 {
-                    s.current().clone()
-                } else {
-                    s.next_request()
-                };
-                Some(SessionEvent::Arrive(request))
-            })
-            .collect();
-        arrival_failures += pool
-            .apply(&arrivals)
-            .iter()
-            .filter(|r| matches!(r, Some(Err(_))))
-            .count();
-        let arrival = step + 1;
-        vm_failures += inject_vm_failures(pool.sessions_mut(), failures, arrival, group.requests);
-        if arrival % 5 == 0 || arrival == group.requests {
-            let total = pool.total_accumulated_cost();
-            rows.push(TableRow {
-                label: arrival.to_string(),
-                x: Some(arrival as f64),
-                cells: vec![
-                    Cell::num(Some(total), 0),
-                    Cell::num(Some(total / sessions as f64), 0),
-                ],
-            });
+) -> Section {
+    let GroupRun {
+        pool,
+        mut stats,
+        checkpoints,
+        arrival_failures,
+        warnings,
+        secs,
+        ..
+    } = run;
+    let vm_failures = pool.sessions().iter().map(|s| s.stats().vm_failures).sum();
+    let row = |arrival: usize, cells: Vec<Cell>| TableRow {
+        label: arrival.to_string(),
+        x: Some(arrival as f64),
+        cells,
+    };
+    if sessions == 1 {
+        for (session, t) in pool.sessions().iter().zip(&mut stats) {
+            t.session = *session.stats();
+            t.engine = session.instance().network.paths().stats();
         }
+        let suffix = if group.scratch {
+            ""
+        } else {
+            "; from-scratch baseline skipped (set scratch = true in the spec to run it)"
+        };
+        return Section {
+            id,
+            heading: Some(format!(
+                "{} — {} ({} arrivals, viewer churn{suffix})",
+                spec.label, topo.name, group.requests
+            )),
+            table: Some(Table {
+                col0: "#arrivals".into(),
+                columns: stats.iter().map(|t| t.label.clone()).collect(),
+                rows: checkpoints
+                    .into_iter()
+                    .map(|(arrival, costs)| {
+                        row(
+                            arrival,
+                            costs.into_iter().map(|c| Cell::num(Some(c), 0)).collect(),
+                        )
+                    })
+                    .collect(),
+            }),
+            extra_rows: Vec::new(),
+            detail: Detail::Online(OnlineDetail {
+                scratch: group.scratch,
+                failures: arrival_failures,
+                vm_failures,
+                sessions: stats,
+                warnings,
+            }),
+        };
     }
-    let secs = t0.elapsed().as_secs_f64();
-    let solves: usize = pool.sessions().iter().map(|s| s.stats().full_solves).sum();
-    let incremental: usize = pool
-        .sessions()
-        .iter()
-        .map(|s| s.stats().incremental_events)
-        .sum();
     // Report the worker count the pool actually ran with: the explicit
     // override when given, the configured default otherwise.
     let worker_count = if opts.threads == 0 {
@@ -1206,8 +1192,8 @@ fn run_pool_group(
     } else {
         sof_par::resolve_threads(opts.threads)
     };
-    Ok(Section {
-        id: section_id(gi, topo.name),
+    Section {
+        id,
         heading: Some(format!(
             "{} — {} ({sessions} concurrent sessions × {} arrivals, {worker_count} threads)",
             spec.label, topo.name, group.requests,
@@ -1215,17 +1201,208 @@ fn run_pool_group(
         table: Some(Table {
             col0: "#arrivals".into(),
             columns: vec!["Σ accumulated cost".into(), "mean cost/session".into()],
-            rows,
+            rows: checkpoints
+                .into_iter()
+                .map(|(arrival, costs)| {
+                    let total: f64 = costs.into_iter().sum();
+                    let mean = total / sessions as f64;
+                    row(
+                        arrival,
+                        vec![Cell::num(Some(total), 0), Cell::num(Some(mean), 0)],
+                    )
+                })
+                .collect(),
         }),
         extra_rows: Vec::new(),
         detail: Detail::Pool(PoolDetail {
             groups: sessions,
             requests: group.requests,
             secs,
-            solves,
-            incremental,
+            solves: pool.sessions().iter().map(|s| s.stats().full_solves).sum(),
+            incremental: pool
+                .sessions()
+                .iter()
+                .map(|s| s.stats().incremental_events)
+                .sum(),
             failures: arrival_failures,
             vm_failures,
         }),
-    })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::presets;
+    use crate::report::write_jsonl;
+    use crate::spec::FailureEventSpec;
+
+    /// The stepped group of an online spec's first group.
+    fn drive(spec: &ScenarioSpec) -> GroupRun {
+        let Workload::Online {
+            seed,
+            solvers,
+            sessions,
+            groups,
+            failures,
+        } = &spec.workload
+        else {
+            panic!("an online spec");
+        };
+        let topo = group_topology(spec, &groups[0], *seed).unwrap();
+        let opts = RunOptions::default();
+        let failures = failures.as_deref();
+        drive_group(
+            spec, &groups[0], &topo, *seed, solvers, *sessions, failures, &opts,
+        )
+        .unwrap()
+    }
+
+    fn online_parts(spec: &mut ScenarioSpec) -> (&mut OnlineGroup, &mut Option<Box<FailureSpec>>) {
+        let Workload::Online {
+            groups, failures, ..
+        } = &mut spec.workload
+        else {
+            panic!("an online spec");
+        };
+        (&mut groups[0], failures)
+    }
+
+    /// What `sof run inet-churn-failures --requests 8` printed while online
+    /// specs failed VMs by their own rule: at every `every`-th arrival but
+    /// the last, fail the `count` lowest-id VMs carrying a VNF in each
+    /// session, and drop the forest.
+    const OLD_RULE_JSONL: &str = concat!(
+        "{\"type\":\"meta\",\"spec\":\"inet-churn-failures\",\"seed\":9000,\"seeds\":1,\"solvers\":[\"SOFDA\"]}\n",
+        "{\"type\":\"row\",\"section\":\"group0:inet-sized\",\"x\":5.0,\"col\":\"SOFDA\",\"value\":1859.6732999813348}\n",
+        "{\"type\":\"row\",\"section\":\"group0:inet-sized\",\"x\":8.0,\"col\":\"SOFDA\",\"value\":2991.7947204539405}\n",
+        "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"solver\":\"SOFDA\",\"name\":\"full_solves\",\"value\":2.0}\n",
+        "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"solver\":\"SOFDA\",\"name\":\"incremental_events\",\"value\":6.0}\n",
+        "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"solver\":\"SOFDA\",\"name\":\"joins\",\"value\":10.0}\n",
+        "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"solver\":\"SOFDA\",\"name\":\"leaves\",\"value\":11.0}\n",
+        "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"solver\":\"SOFDA\",\"name\":\"fallbacks\",\"value\":0.0}\n",
+        "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"solver\":\"SOFDA\",\"name\":\"solve_n\",\"value\":2.0}\n",
+        "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"solver\":\"SOFDA\",\"name\":\"inc_n\",\"value\":6.0}\n",
+        "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"name\":\"failures\",\"value\":0.0}\n",
+        "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"name\":\"vm_failures\",\"value\":1.0}\n",
+    );
+
+    /// The old rule is one trace of the shared failure round: a scripted
+    /// plan that fails, at round 6, the VM the old rule picked there, under
+    /// the reactive policy (which drops the disrupted forest), reproduces
+    /// the bytes the old rule printed — at one thread and at four.
+    #[test]
+    fn a_scripted_failure_reproduces_the_old_online_rule() {
+        let mut spec = presets::preset("inet-churn-failures").unwrap().unwrap();
+        let (group, failures) = online_parts(&mut spec);
+        group.requests = 8;
+        // The old rule's pick: the lowest-id VM the standing forest used
+        // after arrival 6, which no failure had touched yet.
+        let taken = failures.take();
+        group.requests = 6;
+        let twin = drive(&spec);
+        let forest = twin.pool.sessions()[0].forest().unwrap();
+        let vm = *forest.enabled_vms().unwrap().keys().next().unwrap();
+        let (group, failures) = online_parts(&mut spec);
+        group.requests = 8;
+        let mut f = taken.unwrap();
+        assert_eq!(
+            (f.every, f.count, f.policies.as_slice()),
+            (6, 1, ["reactive".to_string()].as_slice())
+        );
+        f.process = "scripted".into();
+        f.events = vec![FailureEventSpec {
+            at: 6,
+            element: format!("vm:{}", vm.index()),
+            repair: 0,
+        }];
+        *failures = Some(f);
+        for threads in [1, 4] {
+            let report = run_spec(
+                &spec,
+                &RunOptions {
+                    threads,
+                    timings: false,
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                write_jsonl(&report, false),
+                OLD_RULE_JSONL,
+                "{threads} threads"
+            );
+        }
+    }
+
+    /// The online failure axis in full, through the round churn-at-scale
+    /// runs: links fail (never VMs), each failure is repaired one round
+    /// later, and a standby forest answers every disruption at once and at
+    /// zero cost — no rebuild, no backup walk. Once the last repair is in,
+    /// nothing is failed and every link and VM is priced bit for bit as in
+    /// a session that never failed anything and stands on the same forest.
+    /// Fails when the round skips its recovery pass: no disruption is ever
+    /// recorded.
+    #[test]
+    fn online_links_fail_protect_and_repair_back_to_the_never_failed_prices() {
+        let spec = ScenarioSpec::from_toml(
+            r#"
+name = "online-links"
+[topology]
+name = "cogent"
+[workload]
+kind = "online"
+seed = 5
+solvers = ["SOFDA"]
+[[workload.groups]]
+requests = 10
+vms_per_dc = 2
+churn = { sources = [2, 3], destinations = [4, 6], leaves = [1, 2], joins = [1, 2] }
+[workload.failures]
+every = 3
+count = 8
+scope = ["link"]
+repair = [1, 1]
+policies = ["standby-forest"]
+"#,
+        )
+        .unwrap();
+        let run = drive(&spec);
+        let metrics = *run.rounds.as_ref().unwrap().metrics();
+        // Rounds 3, 6 and 9 fail eight links each; rounds 4, 7 and 10
+        // repair them.
+        assert_eq!((metrics.fail_events, metrics.repair_events), (24, 24));
+        assert!(metrics.disruptions > 0, "no failure hit the forest");
+        assert_eq!(
+            metrics.immediate, metrics.disruptions,
+            "a rebuild recovered"
+        );
+        assert_eq!(metrics.recovery_cost_sum, 0.0, "a backup walk recovered");
+        let session = &run.pool.sessions()[0];
+        assert_eq!(session.stats().vm_failures, 0, "the scope is links");
+        assert!(session.faults().is_empty(), "a repair never came due");
+        let forest = session.forest().unwrap();
+
+        let Workload::Online { seed, groups, .. } = &spec.workload else {
+            unreachable!()
+        };
+        let topo = group_topology(&spec, &groups[0], *seed).unwrap();
+        let mut twin = OnlineSession::new(
+            group_instance(&spec, &groups[0], &topo, *seed),
+            solver_by_name("SOFDA").unwrap(),
+            spec.sofda.with_seed(*seed),
+            spec.online.to_config(groups[0].churn.demand_mbps),
+        );
+        let request = session.instance().request.clone();
+        twin.apply(SessionEvent::Arrive(request)).unwrap();
+        twin.replace_forest(forest.clone()).unwrap();
+        let (net, expect) = (&session.instance().network, &twin.instance().network);
+        for (e, _) in net.graph().edges() {
+            let (got, want) = (net.graph().edge_cost(e), expect.graph().edge_cost(e));
+            assert_eq!(got.value().to_bits(), want.value().to_bits(), "{e:?}");
+        }
+        for vm in net.vms() {
+            let (got, want) = (net.node_cost(vm), expect.node_cost(vm));
+            assert_eq!(got.value().to_bits(), want.value().to_bits(), "{vm}");
+        }
+    }
 }

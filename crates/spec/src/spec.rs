@@ -154,12 +154,13 @@ pub struct OnlineGroup {
 /// Deterministic failure injection: the spec-level `failures` axis shared
 /// by online and churn-at-scale workloads.
 ///
-/// Online workloads keep the legacy semantics (every `every` arrivals,
-/// `count` VMs carrying VNFs are marked failed in every session).
-/// Churn-at-scale workloads compile the axis into a
-/// [`sof_survive::FailurePlan`]: a seeded failure process over the scoped
-/// element universe, a repair-time range, and one or more protection
-/// policies to run (one streamed leg per policy, identical trace).
+/// Both kinds compile the axis into a [`sof_survive::FailurePlan`] — a
+/// seeded failure process over the scoped element universe, a repair-time
+/// range and a protection policy — and step it with
+/// [`sof_survive::FailureRounds`] after every arrival (online) or round
+/// (churn-at-scale). Churn-at-scale runs one streamed leg per listed
+/// policy over the identical trace; online runs one policy and has no
+/// `domain` scope (its topologies have no regions).
 #[derive(Clone, Debug, PartialEq)]
 pub struct FailureSpec {
     /// Periodic fire interval in arrivals/rounds (≥ 1).
@@ -171,12 +172,13 @@ pub struct FailureSpec {
     /// Per-element per-round failure probability (poisson process).
     pub rate: f64,
     /// Element kinds the universe draws from (subset of `"vm"`, `"link"`,
-    /// `"node"`, `"domain"`); online only accepts `["vm"]`.
+    /// `"node"`, `"domain"`; online workloads have no `"domain"`).
     pub scope: Vec<String>,
     /// Inclusive rounds-until-repair range; `[0, 0]` = permanent.
     pub repair: (usize, usize),
     /// Protection policies to run (`"reactive"`, `"backup-paths"`,
-    /// `"standby-forest"`); churn-at-scale streams one leg per entry.
+    /// `"standby-forest"`); churn-at-scale streams one leg per entry,
+    /// online runs exactly one.
     pub policies: Vec<String>,
     /// Seed of the failure RNG stream (independent of churn streams).
     pub seed: u64,
@@ -608,6 +610,18 @@ impl ScenarioSpec {
         for (at, n) in ints {
             fits_int(at, n).map_err(SpecError)?;
         }
+        if let Some(f) = failures {
+            if f.policies.is_empty() {
+                return fail("'workload.failures.policies' must name at least one policy");
+            }
+            for p in &f.policies {
+                // Compiling per policy also runs FailurePlan::validate, so
+                // the spec layer and the survivability layer can never
+                // disagree on what a legal failure axis is.
+                f.to_plan(p)
+                    .map_err(|e| SpecError(format!("'workload.failures': {e}")))?;
+            }
+        }
         let p = &self.params;
         if p.chain_len == 0 {
             return fail("'params.chain_len' must be at least 1");
@@ -779,27 +793,18 @@ impl ScenarioSpec {
                     }
                 }
                 if let Some(f) = failures {
-                    if f.every == 0 {
-                        return fail("'workload.failures.every' must be at least 1");
-                    }
-                    if f.count == 0 {
-                        return fail("'workload.failures.count' must be at least 1");
-                    }
-                    if f.process != "periodic" {
-                        return fail(format!(
-                            "'workload.failures.process' must be \"periodic\" for online \
-                             workloads, got \"{}\"",
-                            f.process
-                        ));
-                    }
-                    if f.scope != ["vm"] {
+                    let domains = f.scope.iter().any(|s| s == "domain")
+                        || f.events.iter().any(|e| e.element.starts_with("domain:"));
+                    if domains {
                         return fail(
-                            "'workload.failures.scope' must be [\"vm\"] for online workloads",
+                            "'workload.failures': online topologies have no domains to fail",
                         );
                     }
-                    for p in &f.policies {
-                        sof_survive::ProtectionPolicy::from_name(p)
-                            .map_err(|e| SpecError(format!("'workload.failures.policies': {e}")))?;
+                    if f.policies.len() > 1 {
+                        return fail(
+                            "'workload.failures.policies': online runs one policy; \
+                             comparison legs belong to churn-at-scale",
+                        );
                     }
                 }
             }
@@ -833,18 +838,6 @@ impl ScenarioSpec {
                 s.churn
                     .validate()
                     .map_err(|e| SpecError(format!("'workload.{e}'")))?;
-                if let Some(f) = &s.failures {
-                    if f.policies.is_empty() {
-                        return fail("'workload.failures.policies' must name at least one policy");
-                    }
-                    for p in &f.policies {
-                        // Compiling per policy also runs FailurePlan::validate,
-                        // so the spec layer and the runner can never disagree
-                        // on what a legal failure axis is.
-                        f.to_plan(p)
-                            .map_err(|e| SpecError(format!("'workload.failures': {e}")))?;
-                    }
-                }
                 if let Some(c) = &s.converge {
                     if !positive(c.epsilon) {
                         return fail("'workload.converge.epsilon' must be positive");
@@ -1279,6 +1272,28 @@ every = 2
         assert_eq!(f.scope, ["vm"], "default scope");
         let again = ScenarioSpec::from_toml(&spec.to_toml()).unwrap();
         assert_eq!(spec, again);
+
+        // Online takes the whole axis except what it cannot run: regions to
+        // fail, and comparison legs. The rest is the survivability layer's
+        // own check, as for churn-at-scale.
+        let with = |failures: &str| ScenarioSpec::from_toml(&src.replace("every = 2", failures));
+        let full = "scope = [\"link\", \"node\", \"vm\"]\nrepair = [1, 1]\n\
+                    policies = [\"standby-forest\"]";
+        with(full).unwrap();
+        for (failures, refusal) in [
+            ("scope = [\"domain\"]", "no domains"),
+            (
+                "process = \"scripted\"\nevents = [{ at = 1, element = \"domain:x\" }]",
+                "no domains",
+            ),
+            ("policies = [\"reactive\", \"backup-paths\"]", "one policy"),
+            ("policies = []", "at least one policy"),
+            ("every = 0", "period must be at least 1"),
+            ("process = \"poisson\"\nrate = 1.5", "finite probability"),
+        ] {
+            let err = with(failures).unwrap_err().to_string();
+            assert!(err.contains(refusal), "{failures}: {err}");
+        }
     }
 
     #[test]

@@ -65,14 +65,6 @@ impl SteinerTree {
         out
     }
 
-    /// Returns `true` when `v` is touched by the tree.
-    pub fn contains_node(&self, graph: &Graph, v: NodeId) -> bool {
-        self.edges.iter().any(|&e| {
-            let edge = graph.edge(e);
-            edge.u == v || edge.v == v
-        })
-    }
-
     /// Checks that the edge set is a tree spanning all `terminals`.
     ///
     /// A single-terminal (or empty) instance is spanned by the empty tree.

@@ -4,7 +4,11 @@
 //! **failure processes** produce timed link/node/VM/domain failure events
 //! with repair times; **protection policies** decide how a standing
 //! [`sof_core::OnlineSession`] recovers; **recovery metrics** price each
-//! recovery and summarize availability.
+//! recovery and summarize availability. [`FailureRounds`] ties them
+//! together: it steps a whole [`sof_core::SessionPool`] through one round
+//! at a time — repairs, prewarm, failures, one recovery per disrupted slot
+//! — and is the one failure path of every driver (`sof_runner`'s
+//! churn-at-scale rounds, `sof_spec`'s online arrivals).
 //!
 //! The design invariants:
 //!
@@ -53,8 +57,10 @@ mod element;
 mod metrics;
 mod policy;
 mod process;
+mod round;
 
 pub use element::ElementRef;
 pub use metrics::RecoveryMetrics;
 pub use policy::{universe_for_scopes, ProtectionPolicy, Protector, RecoveryOutcome};
 pub use process::{FailureDriver, FailurePlan, ProcessKind, RoundEvents, ScriptedEvent};
+pub use round::{FailureRounds, RoundReport};

@@ -26,9 +26,6 @@ pub struct RecoveryMetrics {
     pub disconnected_dest_rounds: usize,
     /// Destination×round samples observed while failures were active.
     pub dest_rounds: usize,
-    /// Wall-clock milliseconds spent in recovery work (only populated
-    /// under `--timings`).
-    pub recovery_millis: f64,
 }
 
 impl RecoveryMetrics {

@@ -22,8 +22,9 @@
 
 use crate::element::ElementRef;
 use sof_core::{DestWalk, OnlineSession, ServiceForest, Solver};
-use sof_graph::NodeId;
+use sof_graph::{Graph, NodeId};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Cost multiplier steering the standby solve away from the primary
 /// forest's links and VMs. High enough that disjoint routes win whenever
@@ -228,23 +229,26 @@ impl Protector {
     }
 }
 
-/// The element universe for one scope over a base topology, in stable
-/// order. `domains` are region names; `links` are base-graph endpoint
-/// pairs; `vms`/`nodes` are node indices.
+/// The element universe of `scopes` over a base topology, in stable order:
+/// `graph`'s links and nodes, the VM ids `vms` (appended after the base
+/// nodes by every instance built from it), and the region names `domains`.
 pub fn universe_for_scopes(
     scopes: &[String],
-    links: &[(usize, usize)],
-    nodes: &[usize],
-    vms: &[usize],
+    graph: &Graph,
+    vms: Range<usize>,
     domains: &[String],
 ) -> Vec<ElementRef> {
     let mut out = Vec::new();
     for scope in scopes {
         match scope.as_str() {
-            "vm" => out.extend(vms.iter().map(|&v| ElementRef::Vm(v))),
-            "link" => out.extend(links.iter().map(|&(u, v)| ElementRef::link(u, v))),
-            "node" => out.extend(nodes.iter().map(|&n| ElementRef::Node(n))),
-            "domain" => out.extend(domains.iter().map(|d| ElementRef::Domain(d.clone()))),
+            "vm" => out.extend(vms.clone().map(ElementRef::Vm)),
+            "link" => out.extend(
+                graph
+                    .edges()
+                    .map(|(_, e)| ElementRef::link(e.u.index(), e.v.index())),
+            ),
+            "node" => out.extend((0..graph.node_count()).map(ElementRef::Node)),
+            "domain" => out.extend(domains.iter().cloned().map(ElementRef::Domain)),
             _ => {}
         }
     }
@@ -299,11 +303,13 @@ mod tests {
 
     #[test]
     fn universe_follows_scope_order() {
+        let mut graph = Graph::with_nodes(3);
+        graph.add_edge(NodeId::new(1), NodeId::new(0), sof_graph::Cost::new(1.0));
+        graph.add_edge(NodeId::new(1), NodeId::new(2), sof_graph::Cost::new(1.0));
         let u = universe_for_scopes(
             &["link".into(), "vm".into()],
-            &[(0, 1), (1, 2)],
-            &[0, 1, 2],
-            &[9, 10],
+            &graph,
+            9..11,
             &["us-east".into()],
         );
         assert_eq!(

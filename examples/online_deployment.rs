@@ -3,9 +3,11 @@
 //! incremental `OnlineSession` engine with the **cost-divergence** rebuild
 //! policy — the session re-runs the solver only when the standing
 //! forest's congestion-aware cost drifts past `drift ×` the cost measured
-//! at the last full solve. A VM failure is injected every 8 arrivals to
-//! show re-embedding around faults; every knob below is spec data, so the
-//! identical scenario runs from a file via `sof run <spec.toml>`.
+//! at the last full solve. Every 8 arrivals the next VM of the element
+//! universe fails (the `sof_survive` failure round churn-at-scale runs
+//! too); a session whose forest used it drops the forest and rebuilds
+//! around the failure on the next arrival. Every knob below is spec data,
+//! so the identical scenario runs from a file via `sof run <spec.toml>`.
 //!
 //! Run with `cargo run --release --example online_deployment`.
 

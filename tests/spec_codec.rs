@@ -23,15 +23,16 @@ sofda = { steiner = "takahashi", stroll = "greedy", shorten = false, source_setu
 online = { drift = 1.5, drift_policy = "cost", reroute_every = 4, join = "full-search", link_capacity = 80.0, vm_capacity = 4.0 }
 "#;
 
-/// The failure axis of the two kinds that take one; `online` accepts only
-/// the periodic VM process, `churn-at-scale` gets the wider vocabulary.
+/// The failure axis of the two kinds that take one; `online` runs one
+/// policy and has no domains, `churn-at-scale` compares two policies over a
+/// scope that adds domains.
 const FAILURES: &str = r#"
 [workload.failures]
 every = 3
 count = 2
 process = "periodic"
 rate = 0.25
-scope = ["vm"]
+scope = ["link", "vm"]
 repair = [1, 4]
 policies = ["reactive", "backup-paths"]
 seed = 17
@@ -112,10 +113,16 @@ const NEEDED_BY_VALIDATE: (&str, &str) = ("sweep", "workload.solvers");
 fn maximal_specs() -> Vec<(&'static str, String)> {
     let spec = |&(kind, workload): &(&'static str, &str)| {
         let failures = match kind {
-            "online" => FAILURES.to_string(),
-            "churn-at-scale" => FAILURES
+            "online" => FAILURES
                 .replace("process = \"periodic\"", "process = \"poisson\"")
-                .replace("scope = [\"vm\"]", "scope = [\"link\", \"vm\"]"),
+                .replace(
+                    "policies = [\"reactive\", \"backup-paths\"]",
+                    "policies = [\"standby-forest\"]",
+                ),
+            "churn-at-scale" => FAILURES.replace(
+                "scope = [\"link\", \"vm\"]",
+                "scope = [\"link\", \"vm\", \"domain\"]",
+            ),
             _ => String::new(),
         };
         let src = format!(
