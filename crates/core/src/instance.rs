@@ -135,10 +135,20 @@ impl Network {
 
     /// The network's shared shortest-path engine (see [`PathEngine`]).
     ///
-    /// Queries are memoized per `(source set, cost epoch)`; results are
-    /// bit-identical to running [`sof_graph::ShortestPaths`] directly.
+    /// It holds one tree per sorted source set, stamped with the cost epoch
+    /// the tree is exact at, and replaces that tree when it repairs or
+    /// recomputes it; results are bit-identical to running
+    /// [`sof_graph::ShortestPaths`] directly.
     pub fn paths(&self) -> &PathEngine {
         &self.paths
+    }
+
+    /// Gives this network a [fork](PathEngine::fork) of its engine: it
+    /// reads the shared trees and counts into the shared counters, but the
+    /// trees it repairs stay its own. For a clone that is repriced and then
+    /// dropped, so the original keeps the trees it repairs from.
+    pub fn fork_paths(&mut self) {
+        self.paths = self.paths.fork();
     }
 
     /// Kind of node `v`.

@@ -6,10 +6,10 @@
 //! and the baselines, often within one solve and always across solves on an
 //! unchanged network. [`PathEngine`] turns those repeats into cache hits:
 //!
-//! * queries are keyed by `(sorted source set, cost epoch)` where the cost
-//!   epoch is [`Graph::cost_epoch`] — a stamp renewed on every mutation —
-//!   so a cost or topology change *lazily* invalidates the cache (no eager
-//!   clearing, no risk of serving stale distances);
+//! * each sorted source set keeps **one** tree, stamped with the
+//!   [`Graph::cost_epoch`] it is exact at — a stamp renewed on every
+//!   mutation — so a cost or topology change *lazily* invalidates the cache
+//!   (no eager clearing, no risk of serving stale distances);
 //! * misses run through one long-lived [`DijkstraWorkspace`], whose queue
 //!   stays warm; the only O(n) allocation on a miss is the tree itself,
 //!   labelled in place by [`DijkstraWorkspace::tree`] — 20 bytes a vertex
@@ -20,8 +20,8 @@
 //! # Edge-scoped invalidation: one repair pass, two outcomes
 //!
 //! An epoch mismatch does not condemn a cached tree. Cost-only mutations
-//! are journaled per edge ([`Graph::cost_changes_since`]), and the newest
-//! stale entry whose lineage is still journaled goes through
+//! are journaled per edge ([`Graph::cost_changes_since`]), and a stale
+//! tree whose epoch is still on the graph's journaled lineage goes through
 //! [`DijkstraWorkspace::repair`], which looks at each dirtied edge
 //! `{x, y}` with its current cost `c`:
 //!
@@ -40,8 +40,9 @@
 //!
 //! When the pass gives up (region too large, an ambiguous zero-cost
 //! plateau) or no lineage is journaled (a structural mutation, journal
-//! overflow), that entry is recomputed cold; untouched entries are never
-//! discarded.
+//! overflow), that tree is recomputed cold. Either way the answer
+//! **replaces** the stored tree, which the engine then releases; other
+//! source sets are never discarded.
 //!
 //! # Bounded search: nearest target without a tree
 //!
@@ -76,12 +77,18 @@
 //! # Sharing semantics
 //!
 //! The handle is internally synchronized (`Arc<Mutex<…>>`): cloning a
-//! `PathEngine` shares the cache, so a `Network` clone keeps its warmth.
-//! Because epochs are process-unique (two graphs share one only when one is
-//! an unmutated clone of the other), a single engine may even be handed
-//! graphs from different networks without ever mixing their entries. Own
-//! one engine per standing network (what `sof_core::Network` does) when you
-//! want isolation; share a handle when clones should stay warm.
+//! `PathEngine` shares the cache, so an unmutated `Network` clone hits the
+//! original's trees. Because epochs are process-unique (two graphs share
+//! one only when one is an unmutated clone of the other), a tree is never
+//! served to a graph it is not exact for, whichever graphs share the
+//! engine.
+//!
+//! The cache keeps one tree per source set, at the epoch of the last graph
+//! that asked; [`PathEngine::len`] is the number of trees held. A graph
+//! repairs from its own last tree, so a repriced clone sharing the engine
+//! replaces the original's tree with one the original's journal cannot
+//! trace, and the original's next query of that set runs cold. Such a
+//! clone takes a [`PathEngine::fork`] instead.
 //!
 //! # Examples
 //!
@@ -109,21 +116,15 @@ use std::sync::{Arc, Mutex};
 /// Source sets kept before stale/overflowing entries are evicted.
 const MAX_ENTRIES: usize = 4096;
 
-/// Trees retained per source set: one per recently-seen cost epoch, so a
-/// handful of live graphs (e.g. a network and a mutated clone sharing one
-/// engine) stay warm side by side instead of evicting each other on every
-/// alternating query.
-const EPOCHS_PER_SET: usize = 4;
-
 /// Counters describing how the engine has been used. `stale` counts misses
-/// for a source set that was cached at other cost epochs (`stale ⊆ misses`).
+/// for a source set that was cached at another cost epoch (`stale ⊆ misses`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PathEngineStats {
     /// Queries served straight from the cache (zero O(n) work).
     pub hits: u64,
     /// Queries that ran a Dijkstra (first sight or new cost epoch).
     pub misses: u64,
-    /// Misses whose source set was cached, but under different epochs.
+    /// Misses whose source set was cached, but at another epoch.
     pub stale: u64,
     /// Bulk evictions triggered by the entry cap.
     pub evictions: u64,
@@ -175,12 +176,10 @@ pub struct BoundedWork {
 
 #[derive(Debug, Default)]
 struct EngineInner {
-    /// Sorted, deduplicated source set → trees per cost epoch, most recent
-    /// last (at most [`EPOCHS_PER_SET`], oldest dropped first).
-    cache: HashMap<Vec<NodeId>, Vec<(u64, Arc<ShortestPaths>)>>,
+    /// Sorted, deduplicated source set → its one tree and the cost epoch
+    /// that tree is exact at.
+    cache: HashMap<Vec<NodeId>, (u64, Arc<ShortestPaths>)>,
     workspace: DijkstraWorkspace,
-    stats: PathEngineStats,
-    bounded: BoundedWork,
 }
 
 /// A memoizing shortest-path engine; see the [module docs](self).
@@ -189,6 +188,8 @@ struct EngineInner {
 #[derive(Clone, Debug, Default)]
 pub struct PathEngine {
     inner: Arc<Mutex<EngineInner>>,
+    /// Shared with every [fork](PathEngine::fork).
+    counts: Arc<Mutex<(PathEngineStats, BoundedWork)>>,
 }
 
 impl PathEngine {
@@ -229,65 +230,49 @@ impl PathEngine {
         let epoch = graph.cost_epoch();
         let mut guard = self.inner.lock().expect("path engine lock");
         let inner = &mut *guard;
-        if let Some(entries) = inner.cache.get_mut(key) {
-            if let Some((_, paths)) = entries.iter().find(|(e, _)| *e == epoch) {
-                inner.stats.hits += 1;
-                return Arc::clone(paths);
+        let mut counts = self.counts.lock().expect("path engine counters");
+        let stats = &mut counts.0;
+        if let Some((stored, paths)) = inner.cache.get_mut(key) {
+            if *stored == epoch {
+                stats.hits += 1;
+            } else {
+                // Repaired when the graph's journal traces the stored epoch,
+                // cold when not; the answer replaces the stored tree.
+                let repair = graph
+                    .cost_changes_since(*stored)
+                    .map(|changes| inner.workspace.repair(graph, paths, key, changes));
+                if let Some(Repair::Unchanged) = repair {
+                    stats.repairs += 1;
+                } else {
+                    stats.stale += 1;
+                    stats.misses += 1;
+                    *paths = Arc::new(match repair {
+                        Some(Repair::Repaired(tree)) => {
+                            stats.partial_repairs += 1;
+                            tree
+                        }
+                        _ => inner.workspace.tree(graph, key),
+                    });
+                }
+                *stored = epoch;
             }
-            // Edge-scoped invalidation (module docs): the newest entry
-            // whose lineage is still journaled goes through the repair
-            // pass. The answer is *added* at the current epoch — the old
-            // entry survives, so a pre-mutation clone still hits.
-            let candidate = entries.iter().rev().find_map(|(e0, paths)| {
-                graph
-                    .cost_changes_since(*e0)
-                    .map(|changes| (Arc::clone(paths), changes))
-            });
-            let outcome = candidate
-                .map(|(old, changes)| (inner.workspace.repair(graph, &old, key, changes), old));
-            let reused = match outcome {
-                Some((Repair::Unchanged, old)) => {
-                    inner.stats.repairs += 1;
-                    Some(old)
-                }
-                Some((Repair::Repaired(tree), _)) => {
-                    inner.stats.stale += 1;
-                    inner.stats.misses += 1;
-                    inner.stats.partial_repairs += 1;
-                    Some(Arc::new(tree))
-                }
-                Some((Repair::GaveUp, _)) | None => {
-                    inner.stats.stale += 1;
-                    None
-                }
-            };
-            if let Some(paths) = reused {
-                entries.push((epoch, Arc::clone(&paths)));
-                if entries.len() > EPOCHS_PER_SET {
-                    entries.remove(0);
-                }
-                return paths;
-            }
+            return Arc::clone(paths);
         }
-        inner.stats.misses += 1;
+        stats.misses += 1;
         let paths = Arc::new(inner.workspace.tree(graph, key));
-        if inner.cache.len() >= MAX_ENTRIES && !inner.cache.contains_key(key) {
-            // Drop source sets with no tree at the current epoch first; if
-            // the cache is still full the whole map goes (rare, and
+        if inner.cache.len() >= MAX_ENTRIES {
+            // Drop source sets whose tree is not at the current epoch first;
+            // if the cache is still full the whole map goes (rare, and
             // refilling is just warm-up work).
-            inner
-                .cache
-                .retain(|_, entries| entries.iter().any(|(e, _)| *e == epoch));
+            inner.cache.retain(|_, (e, _)| *e == epoch);
             if inner.cache.len() >= MAX_ENTRIES {
                 inner.cache.clear();
             }
-            inner.stats.evictions += 1;
+            stats.evictions += 1;
         }
-        let entries = inner.cache.entry(key.to_vec()).or_default();
-        entries.push((epoch, Arc::clone(&paths)));
-        if entries.len() > EPOCHS_PER_SET {
-            entries.remove(0);
-        }
+        inner
+            .cache
+            .insert(key.to_vec(), (epoch, Arc::clone(&paths)));
         paths
     }
 
@@ -321,23 +306,39 @@ impl PathEngine {
         let found = inner
             .workspace
             .nearest_target(graph, source, allow, is_target);
-        inner.bounded.searches += 1;
-        inner.bounded.settled += inner.workspace.settled() as u64;
+        let mut counts = self.counts.lock().expect("path engine counters");
+        counts.1.searches += 1;
+        counts.1.settled += inner.workspace.settled() as u64;
         found
     }
 
-    /// Work done by [`nearest_target`](PathEngine::nearest_target) so far.
+    /// Work done by [`nearest_target`](PathEngine::nearest_target) so far,
+    /// forks included.
     pub fn bounded_work(&self) -> BoundedWork {
-        self.inner.lock().expect("path engine lock").bounded
+        self.counts.lock().expect("path engine counters").1
     }
 
     /// Usage counters (hits / misses / stale replacements / evictions /
-    /// repairs).
+    /// repairs), forks included.
     pub fn stats(&self) -> PathEngineStats {
-        self.inner.lock().expect("path engine lock").stats
+        self.counts.lock().expect("path engine counters").0
     }
 
-    /// Number of entries currently cached.
+    /// An engine that starts with this one's trees and counts into its
+    /// counters, but keeps the trees it repairs or computes to itself: for
+    /// a repriced clone (module docs, "Sharing semantics").
+    pub fn fork(&self) -> PathEngine {
+        let cache = self.inner.lock().expect("path engine lock").cache.clone();
+        PathEngine {
+            inner: Arc::new(Mutex::new(EngineInner {
+                cache,
+                workspace: DijkstraWorkspace::default(),
+            })),
+            counts: Arc::clone(&self.counts),
+        }
+    }
+
+    /// Number of trees currently held — one per cached source set.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("path engine lock").cache.len()
     }
@@ -405,10 +406,35 @@ mod tests {
     }
 
     #[test]
-    fn diverged_clones_stay_warm_side_by_side() {
+    fn a_superseded_tree_is_released() {
+        // Repricing a tree edge makes the next query replace the stored
+        // tree: the engine keeps one tree per source set, so the old tree
+        // is left to whoever still holds it.
+        let mut g = line(6);
+        let engine = PathEngine::new();
+        let s = NodeId::new(0);
+        let old = engine.from_source(&g, s);
+        let e = g.edge_between(NodeId::new(2), NodeId::new(3)).unwrap();
+        g.set_edge_cost(e, Cost::new(4.0));
+        let new = engine.from_source(&g, s);
+        assert!(!Arc::ptr_eq(&old, &new));
+        assert_eq!(
+            Arc::strong_count(&old),
+            1,
+            "the engine still holds the superseded tree"
+        );
+        assert_eq!(Arc::strong_count(&new), 2);
+        assert_eq!(engine.len(), 1);
+    }
+
+    #[test]
+    fn a_diverged_clone_repairs_and_replaces_the_shared_tree() {
         // A graph and its mutated clone share one engine (the Network
-        // clone semantics): alternating queries must all be hits after the
-        // first sight of each epoch, not mutual evictions.
+        // clone semantics). The clone's journal traces the original's
+        // epoch, so its query repairs the original's tree and replaces it.
+        // The original's journal does not know the clone's epoch, so its
+        // next query is a stale miss, recomputed cold — still exactly a
+        // fresh Dijkstra.
         let g1 = line(5);
         let mut g2 = g1.clone();
         let e = g2.edge_between(NodeId::new(0), NodeId::new(1)).unwrap();
@@ -417,15 +443,67 @@ mod tests {
         let s = NodeId::new(0);
         let first = engine.from_source(&g1, s);
         let second = engine.from_source(&g2, s);
-        for _ in 0..3 {
-            assert!(Arc::ptr_eq(&first, &engine.from_source(&g1, s)));
-            assert!(Arc::ptr_eq(&second, &engine.from_source(&g2, s)));
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.misses, 2, "one Dijkstra per live epoch: {stats:?}");
-        assert_eq!(stats.hits, 6);
-        assert_eq!(first.dist(NodeId::new(1)), Cost::new(1.0));
+        assert_eq!(Arc::strong_count(&first), 1, "the clone's tree replaced it");
         assert_eq!(second.dist(NodeId::new(1)), Cost::new(7.0));
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.misses, stats.stale, stats.partial_repairs, stats.hits),
+            (2, 1, 1, 0),
+            "{stats:?}"
+        );
+        let again = engine.from_source(&g1, s);
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(
+            Arc::strong_count(&second),
+            1,
+            "and the original's replaced it"
+        );
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.misses, stats.stale, stats.partial_repairs, stats.hits),
+            (3, 2, 1, 0),
+            "{stats:?}"
+        );
+        let fresh = ShortestPaths::from_source(&g1, s);
+        for v in g1.nodes() {
+            assert_eq!(again.dist(v), fresh.dist(v));
+            assert_eq!(again.parent(v), fresh.parent(v));
+            assert_eq!(again.site(v), fresh.site(v));
+        }
+        assert_eq!(engine.len(), 1);
+    }
+
+    #[test]
+    fn a_fork_repairs_beside_the_original_and_counts_into_it() {
+        // A fork reads the original's tree and counts into its counters,
+        // but the tree it repairs stays its own: the original still hits
+        // its tree, and repairs from it once its own graph moves on.
+        let mut g1 = line(12);
+        let engine = PathEngine::new();
+        let s = NodeId::new(0);
+        let mine = engine.from_source(&g1, s);
+        let mut g2 = g1.clone();
+        let e = g2.edge_between(NodeId::new(9), NodeId::new(10)).unwrap();
+        g2.set_edge_cost(e, Cost::new(4.0));
+        let fork = engine.fork();
+        let theirs = fork.from_source(&g2, s);
+        assert!(!Arc::ptr_eq(&mine, &theirs));
+        assert!(Arc::ptr_eq(&mine, &engine.from_source(&g1, s)));
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.misses, stats.stale, stats.partial_repairs, stats.hits),
+            (2, 1, 1, 1),
+            "{stats:?}"
+        );
+        assert_eq!(fork.stats(), stats);
+        assert_eq!((engine.len(), fork.len()), (1, 1));
+        let e = g1.edge_between(NodeId::new(8), NodeId::new(9)).unwrap();
+        g1.set_edge_cost(e, Cost::new(3.0));
+        let moved = engine.from_source(&g1, s);
+        assert_eq!(engine.stats().partial_repairs, 2);
+        assert_eq!(moved.dist(NodeId::new(11)), Cost::new(13.0));
+        drop(fork);
+        assert_eq!(Arc::strong_count(&theirs), 1);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   itself and copies nothing), and one monotone radix queue under every
 //!   search and repair that pops in exact `(dist, node)` order without a
 //!   comparison heap,
-//! * [`PathEngine`] — a memoizing shortest-path service keyed by
-//!   `(source set, cost epoch)`; hands out shared `Arc<ShortestPaths>`
+//! * [`PathEngine`] — a memoizing shortest-path service holding one tree
+//!   per sorted source set, stamped with the cost epoch it is exact at and
+//!   replaced when it is repaired or recomputed; hands out shared `Arc<ShortestPaths>`
 //!   trees with *edge-scoped* invalidation: a cost change dirties only the
 //!   mutated edges ([`Graph::cost_changes_since`]), and cached trees those
 //!   edges cannot affect are revalidated instead of recomputed (see the

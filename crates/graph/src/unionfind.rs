@@ -12,13 +12,11 @@
 /// assert!(!uf.union(1, 0)); // already joined
 /// assert!(uf.connected(0, 1));
 /// assert!(!uf.connected(0, 2));
-/// assert_eq!(uf.set_count(), 3);
 /// ```
 #[derive(Clone, Debug)]
 pub struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
-    sets: usize,
 }
 
 impl UnionFind {
@@ -27,7 +25,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             rank: vec![0; n],
-            sets: n,
         }
     }
 
@@ -62,18 +59,12 @@ impl UnionFind {
         if self.rank[hi] == self.rank[lo] {
             self.rank[hi] += 1;
         }
-        self.sets -= 1;
         true
     }
 
     /// Returns `true` when `a` and `b` are in the same set.
     pub fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn set_count(&self) -> usize {
-        self.sets
     }
 
     /// Number of elements.
@@ -94,13 +85,17 @@ mod tests {
     #[test]
     fn merging_reduces_set_count() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.set_count(), 5);
+        assert!((0..5).all(|i| uf.find(i) == i), "singletons at first");
         uf.union(0, 1);
         uf.union(2, 3);
         uf.union(0, 3);
-        assert_eq!(uf.set_count(), 2);
         assert!(uf.connected(1, 2));
         assert!(!uf.connected(1, 4));
+        // Two sets remain: {0, 1, 2, 3} and {4}.
+        let mut roots: Vec<usize> = (0..5).map(|i| uf.find(i)).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        assert_eq!(roots.len(), 2);
     }
 
     #[test]
@@ -109,7 +104,8 @@ mod tests {
         for i in 1..100 {
             uf.union(0, i);
         }
-        assert_eq!(uf.set_count(), 1);
+        let root = uf.find(0);
+        assert!((0..100).all(|i| uf.find(i) == root), "one set left");
         assert!(uf.connected(17, 83));
     }
 

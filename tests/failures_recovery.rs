@@ -200,6 +200,42 @@ fn standby_swap_is_zero_cost_and_avoids_failures() {
     }
 }
 
+/// The standby solve runs on a repriced clone of the session, on a fork of
+/// the session's path engine: it counts into the session's counters, but
+/// the trees it repairs never replace the session's, which the session
+/// still hits afterwards (and repairs from once a failure reprices it).
+/// Fails when the clone shares the session's engine outright: its trees
+/// replace the session's, and each VM query is a stale miss recomputed cold.
+#[test]
+fn a_standby_solve_leaves_the_session_its_trees() {
+    let mut s = embedded_session(11);
+    let engine = s.instance().network.paths().clone();
+    let vms = s.instance().network.vms();
+    let held: Vec<_> = vms
+        .iter()
+        .map(|&vm| engine.from_source(s.instance().network.graph(), vm))
+        .collect();
+    let before = engine.stats();
+    let solver = sof::solvers::by_name("SOFDA").expect("registered");
+    let mut protector = Protector::new(ProtectionPolicy::StandbyForest, Some(solver));
+    protector.prewarm(&mut s);
+    assert!(protector.standby_ready(), "standby solve must succeed here");
+    let solved = engine.stats();
+    assert!(
+        solved.misses + solved.repairs >= before.misses + before.repairs + vms.len() as u64,
+        "the standby solve counts into the session's engine: {before:?} → {solved:?}"
+    );
+    for (&vm, tree) in vms.iter().zip(&held) {
+        let again = engine.from_source(s.instance().network.graph(), vm);
+        assert!(
+            Arc::ptr_eq(tree, &again),
+            "the standby solve replaced {vm}'s tree"
+        );
+    }
+    assert_eq!(engine.stats().misses, solved.misses);
+    assert_eq!(engine.len(), vms.len());
+}
+
 /// Repaired elements return to service: after `repair` the edge is
 /// priced at its pristine cost again and a fresh embedding of the same
 /// group is free to route through it.

@@ -117,6 +117,48 @@ fn fig12_requests_12_is_byte_identical_across_thread_counts() {
     );
 }
 
+/// The session of the two inet-3000 witnesses below, at seed 13: a
+/// factory for `OnlineSession`s on `inet_sized(3000, 6000, 120, 13)` with
+/// 40 VMs under the default `OnlineConfig`, and the churn stream that
+/// drives them (6 sources, groups of 8, a chain of 3, one viewer leaving
+/// and one joining per arrival). Arrival 0 is `stream.current()`.
+fn inet3000_online() -> (impl Fn() -> OnlineSession, sof::sim::ChurnStream) {
+    use sof::sim::{ChurnParams, ChurnStream, WorkloadParams};
+    use sof::topo::{build_instance, inet_sized, ScenarioParams};
+    let seed = 13;
+    let churn = ChurnParams {
+        base: WorkloadParams {
+            sources: (6, 6),
+            destinations: (8, 8),
+            chain_len: 3,
+            demand_mbps: 5.0,
+        },
+        leaves: (1, 1),
+        joins: (1, 1),
+    };
+    let topo = inet_sized(3000, 6000, 120, seed);
+    let chain_len = churn.base.chain_len;
+    let make = move || {
+        // The builder draws placeholder endpoints; the first arrival
+        // replaces them with the group.
+        let params = ScenarioParams {
+            vm_count: 40,
+            sources: 1,
+            destinations: 1,
+            chain_len,
+            setup_scale: 1.0,
+            seed,
+        };
+        OnlineSession::new(
+            build_instance(&topo, &params),
+            Box::new(Sofda),
+            SofdaConfig::default(),
+            OnlineConfig::default(),
+        )
+    };
+    (make, ChurnStream::new(churn, 3000, seed))
+}
+
 /// The dynamic-SSSP repair pass engages where it earns its keep — the
 /// benchmark's `online-inet10k` regime at a third of the size: one
 /// `OnlineSession` on `inet_sized(3000, 6000, 120, seed)` with 40 VMs, 6
@@ -133,41 +175,9 @@ fn fig12_requests_12_is_byte_identical_across_thread_counts() {
 /// settles fewer than a tenth of the graph's vertices.
 #[test]
 fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
-    use sof::sim::{ChurnParams, ChurnStream, WorkloadParams};
-    use sof::topo::{build_instance, inet_sized, ScenarioParams};
-    let seed = 13;
-    let churn = ChurnParams {
-        base: WorkloadParams {
-            sources: (6, 6),
-            destinations: (8, 8),
-            chain_len: 3,
-            demand_mbps: 5.0,
-        },
-        leaves: (1, 1),
-        joins: (1, 1),
-    };
-    let topo = inet_sized(3000, 6000, 120, seed);
-    let make = || {
-        // The builder draws placeholder endpoints; the first arrival
-        // replaces them with the group.
-        let params = ScenarioParams {
-            vm_count: 40,
-            sources: 1,
-            destinations: 1,
-            chain_len: churn.base.chain_len,
-            setup_scale: 1.0,
-            seed,
-        };
-        OnlineSession::new(
-            build_instance(&topo, &params),
-            Box::new(Sofda),
-            SofdaConfig::default(),
-            OnlineConfig::default(),
-        )
-    };
+    let (make, mut stream) = inet3000_online();
     let (mut warm, mut twin) = (make(), make());
     let n = warm.instance().network.node_count() as u64;
-    let mut stream = ChurnStream::new(churn, 3000, seed);
     let mut rebuilds = 0;
     for arrival in 0..10 {
         let request = if arrival == 0 {
@@ -208,6 +218,39 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
         0,
         "the twin's emptied engine has nothing to repair"
     );
+}
+
+/// The engine keeps one tree per source set, on the same session: the 40
+/// VM trees held after arrival 0 are, after the drift rebuild, each either
+/// still the engine's tree for that VM (every repair since found it
+/// unchanged) or held by this test alone — the engine released the tree it
+/// replaced — and the engine holds exactly 40 trees. Keeping the previous
+/// tree beside the one that replaces it sinks it (and the unit twin
+/// `engine::tests::a_superseded_tree_is_released`).
+#[test]
+fn inet3000_online_releases_superseded_trees() {
+    use std::sync::Arc;
+    let (make, mut stream) = inet3000_online();
+    let mut session = make();
+    assert!(session.arrive(stream.current().clone()).unwrap().rebuilt);
+    let engine = session.instance().network.paths().clone();
+    let vms = session.instance().network.vms();
+    let held: Vec<_> = vms
+        .iter()
+        .map(|&vm| engine.from_source(session.instance().network.graph(), vm))
+        .collect();
+    assert_eq!(held.len(), 40);
+    while !session.arrive(stream.next_request()).unwrap().rebuilt {}
+    assert_eq!(engine.len(), 40, "one tree per VM, nothing else");
+    let graph = session.instance().network.graph();
+    for (&vm, old) in vms.iter().zip(&held) {
+        let now = engine.from_source(graph, vm);
+        assert!(
+            Arc::ptr_eq(old, &now) || Arc::strong_count(old) == 1,
+            "the engine still holds a superseded tree of {vm}"
+        );
+    }
+    assert_eq!(engine.len(), 40);
 }
 
 /// The queue's work witness on Table I's regime at CI size — the
