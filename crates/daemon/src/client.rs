@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client for the daemon's wire API — used by
-//! the integration tests, the CI smoke check, and `sof serve-bench`.
+//! the integration tests and the repo benchmark's `daemon-mixed` workload.
 //!
 //! One [`Client`] holds one keep-alive connection and reconnects
 //! transparently when the server closed it (e.g. after an error response

@@ -10,18 +10,19 @@
 //!
 //! ## Wire API
 //!
-//! | Method & path                  | Does |
-//! |--------------------------------|------|
-//! | `POST /v1/topologies`          | register a named or multi-region topology |
-//! | `POST /v1/sessions`            | embed a new group (first [`sof_core::ArrivalReport`]) |
-//! | `GET /v1/sessions/{id}`        | session state + lifetime counters |
-//! | `POST /v1/sessions/{id}/join`  | incremental §VII-C destination join |
-//! | `POST /v1/sessions/{id}/leave` | incremental destination leave |
-//! | `POST /v1/sessions/{id}/fail`  | inject a VM failure |
-//! | `DELETE /v1/sessions/{id}`     | tear the session down |
-//! | `GET /healthz`                 | liveness |
-//! | `GET /v1/stats`                | request/error totals, engine counters, per-session costs |
-//! | `POST /v1/shutdown`            | request a graceful stop |
+//! | Method & path                   | Does |
+//! |---------------------------------|------|
+//! | `POST /v1/topologies`           | register a named or multi-region topology |
+//! | `POST /v1/sessions`             | embed a new group (first [`sof_core::ArrivalReport`]) |
+//! | `GET /v1/sessions/{id}`         | session state + lifetime counters |
+//! | `POST /v1/sessions/{id}/join`   | incremental §VII-C destination join |
+//! | `POST /v1/sessions/{id}/leave`  | incremental destination leave |
+//! | `POST /v1/sessions/{id}/fail`   | fail a VM, link, node or domain (optionally scheduling its repair) |
+//! | `POST /v1/sessions/{id}/repair` | repair a failed element now |
+//! | `DELETE /v1/sessions/{id}`      | tear the session down |
+//! | `GET /healthz`                  | liveness |
+//! | `GET /v1/stats`                 | request/error totals, engine counters, per-session costs |
+//! | `POST /v1/shutdown`             | request a graceful stop |
 //!
 //! See `docs/DAEMON.md` for JSON shapes and error semantics. Robustness
 //! is first-class: bounded request bodies, per-request socket timeouts,
@@ -47,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod client;
 pub mod http;
 pub mod registry;
@@ -55,8 +55,7 @@ pub mod router;
 pub mod server;
 pub mod wire;
 
-pub use bench::{register_bench_topology, run_bench, BenchOptions, BenchReport};
 pub use client::Client;
-pub use registry::{DaemonStats, Registry};
+pub use registry::Registry;
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use wire::{ApiError, Body};

@@ -5,8 +5,12 @@
 //! duration of one operation. Read-only routes (`GET /v1/sessions/{id}`,
 //! `GET /v1/stats`, `/healthz`) take `&self` — including the TTL renewal a
 //! read performs and the request counting every route performs, which go
-//! through interior mutability — so probes and dashboards never serialize
-//! behind a long-running embed. The deterministic core is untouched — a
+//! through interior mutability — so they run beside each other. They do
+//! not run beside a write: [`std::sync::RwLock`] blocks a reader while a
+//! writer holds the lock, so a probe waits out whatever embed is in
+//! progress on any session — up to the 1.6–2.8 s of a create that spends
+//! its k-stroll node budget (`docs/DAEMON.md`, "Bounded input"). A lock per
+//! session is ROADMAP item 1(b). The deterministic core is untouched — a
 //! session here is exactly the library's [`OnlineSession`], addressed by
 //! id instead of by ownership.
 
@@ -108,21 +112,6 @@ impl SessionEntry {
         let deadline = self.deadline.lock().unwrap_or_else(|e| e.into_inner());
         deadline.is_some_and(|d| now >= d)
     }
-}
-
-/// Cumulative counters the control plane exposes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DaemonStats {
-    /// Requests routed (including failures).
-    pub requests: u64,
-    /// Requests answered with a 4xx/5xx.
-    pub errors: u64,
-    /// Sessions ever created.
-    pub sessions_created: u64,
-    /// Sessions reaped by the janitor.
-    pub sessions_expired: u64,
-    /// Sessions deleted by clients.
-    pub sessions_deleted: u64,
 }
 
 /// The daemon's mutable state (topologies, sessions, counters).
@@ -287,17 +276,6 @@ impl Registry {
         self.requests.fetch_add(1, Ordering::Relaxed);
         if is_error {
             self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A consistent snapshot of the lifecycle counters.
-    pub fn stats(&self) -> DaemonStats {
-        DaemonStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            sessions_created: self.sessions_created,
-            sessions_expired: self.sessions_expired,
-            sessions_deleted: self.sessions_deleted,
         }
     }
 
@@ -786,14 +764,14 @@ impl Registry {
             "uptime_secs",
             Value::Float(self.started.elapsed().as_secs_f64()),
         );
-        let st = self.stats();
-        v.set("requests", Value::Int(st.requests as i64));
-        v.set("errors", Value::Int(st.errors as i64));
+        let total = |n: &AtomicU64| Value::Int(n.load(Ordering::Relaxed) as i64);
+        v.set("requests", total(&self.requests));
+        v.set("errors", total(&self.errors));
         let mut s = Value::table();
         s.set("live", Value::Int(self.sessions.len() as i64));
-        s.set("created", Value::Int(st.sessions_created as i64));
-        s.set("expired", Value::Int(st.sessions_expired as i64));
-        s.set("deleted", Value::Int(st.sessions_deleted as i64));
+        s.set("created", Value::Int(self.sessions_created as i64));
+        s.set("expired", Value::Int(self.sessions_expired as i64));
+        s.set("deleted", Value::Int(self.sessions_deleted as i64));
         v.set("sessions", s);
         v.set("topologies", Value::Int(self.topologies.len() as i64));
         let mut engine = self.retired_engine;

@@ -14,8 +14,9 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Takes the registry's shared lock, recovering from poisoning — a
 /// panicking handler must not brick the whole daemon. Read-only routes
-/// (and the per-route request counting) go through here so they never
-/// queue behind an embed.
+/// (and the per-route request counting) go through here so they run beside
+/// each other; each still waits while a write holds the lock, embeds
+/// included (ROADMAP item 1(b)).
 pub fn read(registry: &RwLock<Registry>) -> RwLockReadGuard<'_, Registry> {
     registry.read().unwrap_or_else(|e| e.into_inner())
 }

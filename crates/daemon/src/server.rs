@@ -104,18 +104,11 @@ impl ServerHandle {
         format!("http://{}", self.addr)
     }
 
-    /// Whether a stop has been requested (via [`ServerHandle::stop`],
-    /// [`request_stop`](ServerHandle::request_stop), or a client's
+    /// Whether a stop has been requested (via [`ServerHandle::stop`], the
+    /// [`stop_signal`](ServerHandle::stop_signal), or a client's
     /// `POST /v1/shutdown`).
     pub fn stop_requested(&self) -> bool {
         self.stop.load(Ordering::Acquire)
-    }
-
-    /// Raises the stop flag without waiting — the serving loop winds down
-    /// in the background; call [`stop`](ServerHandle::stop) (or drop the
-    /// handle) to drain and join.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Release);
     }
 
     /// A clone of the stop flag, for wiring external stop sources (e.g. a

@@ -28,8 +28,6 @@ Usage:
   sof validate <preset|file>... | --all
   sof bench-snapshot [--out FILE] [--reps N] [--threads N] [--entry NAME]...
   sof serve [--addr HOST:PORT] [--ttl-secs N] [--stdin]
-  sof serve-bench [--addr HOST:PORT] [--connections N] [--requests N]
-                  [--reps N] [--out FILE] [--shutdown]
   sof help
 
 Run options:
@@ -63,13 +61,7 @@ then serves until POST /v1/shutdown arrives; --ttl-secs gives sessions a
 default idle TTL the janitor enforces (0 = never), and --stdin also stops
 the daemon when stdin reaches EOF (for supervisors holding a pipe —
 unsafe as a default, since a backgrounded daemon's stdin is often
-/dev/null, which is EOF immediately).
-
-`sof serve-bench` drives a daemon with a closed-loop client (N keep-alive
-connections cycling create/join/leave/delete) and reports requests/sec
-plus p50/p99 latency. Without --addr it benches an in-process daemon on
-an ephemeral port; --shutdown posts /v1/shutdown afterwards (the CI smoke
-job uses both against a backgrounded `sof serve`).";
+/dev/null, which is EOF immediately).";
 
 fn fatal(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
@@ -285,10 +277,9 @@ fn cmd_bench_snapshot(args: Vec<String>) {
     // Perf iteration on one preset shouldn't re-run the whole suite:
     // --entry (repeatable) narrows the snapshot to the named entries.
     for name in &only {
-        let known = name == "daemon-serve" || BENCH_PRESETS.iter().any(|&(n, _, _)| n == name);
-        if !known {
+        if !BENCH_PRESETS.iter().any(|&(n, _, _)| n == name) {
             fatal(format!(
-                "unknown bench entry '{name}' (entries: {}, daemon-serve)",
+                "unknown bench entry '{name}' (entries: {})",
                 BENCH_PRESETS
                     .iter()
                     .map(|&(n, _, _)| n)
@@ -393,57 +384,6 @@ fn cmd_bench_snapshot(args: Vec<String>) {
             "    {{\"name\":\"{name}\",\"preset\":\"{preset}\",\"args\":\"{flags}\",\"wall_ms\":[{values}]{engine_json}{throughput_json}}}"
         ));
     }
-    // The daemon rides the same trajectory: a closed-loop client against
-    // an in-process `sofd` on an ephemeral port, so requests/sec joins
-    // the wall-clock series.
-    if wanted("daemon-serve") {
-        let handle = match sof_daemon::Server::start(sof_daemon::ServerConfig::default()) {
-            Ok(h) => h,
-            Err(e) => fatal(format!("daemon bench: bind failed: {e}")),
-        };
-        let opts = sof_daemon::BenchOptions {
-            connections: 4,
-            requests: 400,
-        };
-        if let Err(e) = sof_daemon::register_bench_topology(handle.addr()) {
-            fatal(format!("daemon bench: {e}"));
-        }
-        let mut wall_ms = Vec::with_capacity(reps);
-        let mut req_per_sec = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            match sof_daemon::run_bench(handle.addr(), opts) {
-                Ok(r) => {
-                    wall_ms.push(r.wall_ms);
-                    req_per_sec.push(r.requests_per_sec);
-                }
-                Err(e) => fatal(format!("daemon bench: {e}")),
-            }
-        }
-        handle.stop();
-        eprintln!(
-            "{:<16} {}  {:.0} req/s",
-            "daemon-serve",
-            wall_ms
-                .iter()
-                .map(|ms| format!("{ms:.0} ms"))
-                .collect::<Vec<_>>()
-                .join("  "),
-            req_per_sec.last().copied().unwrap_or(0.0),
-        );
-        entries.push(format!(
-            "    {{\"name\":\"daemon-serve\",\"preset\":\"serve-bench\",\"args\":\"--connections 4 --requests 400\",\"wall_ms\":[{}],\"requests_per_sec\":[{}]}}",
-            wall_ms
-                .iter()
-                .map(|ms| format!("{ms:.1}"))
-                .collect::<Vec<_>>()
-                .join(","),
-            req_per_sec
-                .iter()
-                .map(|r| format!("{r:.1}"))
-                .collect::<Vec<_>>()
-                .join(","),
-        ));
-    }
     let threads_used = sof_par::current_threads();
     let entries = entries.join(",\n");
     let json = format!(
@@ -458,14 +398,6 @@ fn cmd_bench_snapshot(args: Vec<String>) {
         }
         None => print!("{json}"),
     }
-}
-
-fn parse_daemon_addr(raw: &str) -> std::net::SocketAddr {
-    let trimmed = raw.strip_prefix("http://").unwrap_or(raw);
-    let trimmed = trimmed.trim_end_matches('/');
-    trimmed
-        .parse()
-        .unwrap_or_else(|_| fatal(format!("invalid daemon address '{raw}' (want HOST:PORT)")))
 }
 
 fn cmd_serve(args: Vec<String>) {
@@ -518,94 +450,6 @@ fn cmd_serve(args: Vec<String>) {
     }
     handle.stop();
     eprintln!("shutdown complete");
-}
-
-fn cmd_serve_bench(args: Vec<String>) {
-    let mut addr: Option<String> = None;
-    let mut opts = sof_daemon::BenchOptions::default();
-    let mut reps = 1usize;
-    let mut out: Option<String> = None;
-    let mut shutdown = false;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fatal(format!("flag '{flag}' is missing its value")))
-        };
-        match arg.as_str() {
-            "--addr" => addr = Some(value("--addr")),
-            "--connections" => {
-                opts.connections = parse_num(&value("--connections"), "--connections") as usize;
-            }
-            "--requests" => opts.requests = parse_num(&value("--requests"), "--requests") as usize,
-            "--reps" => reps = parse_num(&value("--reps"), "--reps") as usize,
-            "--out" => out = Some(value("--out")),
-            "--shutdown" => shutdown = true,
-            other => fatal(format!("unknown flag '{other}' for serve-bench")),
-        }
-    }
-    if reps == 0 {
-        fatal("--reps must be at least 1");
-    }
-    // Without --addr, bench an in-process daemon on an ephemeral port.
-    let (target, local) = match &addr {
-        Some(a) => (parse_daemon_addr(a), None),
-        None => {
-            let handle = match sof_daemon::Server::start(sof_daemon::ServerConfig::default()) {
-                Ok(h) => h,
-                Err(e) => fatal(format!("bind failed: {e}")),
-            };
-            (handle.addr(), Some(handle))
-        }
-    };
-    if let Err(e) = sof_daemon::register_bench_topology(target) {
-        fatal(format!("daemon at {target}: {e}"));
-    }
-    let mut entries = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        match sof_daemon::run_bench(target, opts) {
-            Ok(report) => {
-                eprintln!(
-                    "{} requests over {} connections in {:.0} ms: {:.0} req/s, \
-                     p50 {:.2} ms, p99 {:.2} ms, {} errors",
-                    report.requests,
-                    report.connections,
-                    report.wall_ms,
-                    report.requests_per_sec,
-                    report.p50_ms,
-                    report.p99_ms,
-                    report.errors,
-                );
-                entries.push(report.to_json());
-            }
-            Err(e) => fatal(format!("bench against {target}: {e}")),
-        }
-    }
-    if shutdown {
-        let mut client = sof_daemon::Client::new(target);
-        if let Err(e) = client.request("POST", "/v1/shutdown", "") {
-            fatal(format!("posting /v1/shutdown to {target}: {e}"));
-        }
-        eprintln!("posted /v1/shutdown to {target}");
-    }
-    if let Some(handle) = local {
-        handle.stop();
-    }
-    let json = format!(
-        "{{\n  \"kind\": \"sof-serve-bench\",\n  \"connections\": {},\n  \"requests\": {},\n  \"reps\": {reps},\n  \"entries\": [\n    {}\n  ]\n}}\n",
-        opts.connections,
-        opts.requests,
-        entries.join(",\n    "),
-    );
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                fatal(format!("writing {path}: {e}"));
-            }
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
 }
 
 fn cmd_list() {
@@ -683,7 +527,6 @@ fn main() {
         "validate" => cmd_validate(args),
         "bench-snapshot" => cmd_bench_snapshot(args),
         "serve" => cmd_serve(args),
-        "serve-bench" => cmd_serve_bench(args),
         "help" | "--help" | "-h" => println!("{USAGE}"),
         other => fatal(format!("unknown command '{other}' (try `sof help`)")),
     }

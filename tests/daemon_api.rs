@@ -1,11 +1,15 @@
 //! Integration tests for `sofd`, the embedding daemon: the full wire
 //! round trip on an ephemeral port, malformed-request 4xx behavior, the
 //! framing rules over a raw socket (431 / 408 / 501, pipelining), janitor
-//! TTL expiry, and graceful shutdown with an in-flight request.
+//! TTL expiry, graceful shutdown with an in-flight request, and the
+//! `sof serve` process itself: its address line, a session over TCP, and a
+//! clean exit on `POST /v1/shutdown` or a closed stdin.
 
 use sof::daemon::{Client, Server, ServerConfig};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn start(config: ServerConfig) -> sof::daemon::ServerHandle {
@@ -599,6 +603,111 @@ fn shutdown_endpoint_requests_stop() {
     assert!(body.contains("\"stopping\":true"), "{body}");
     assert!(handle.stop_requested());
     handle.stop();
+}
+
+/// Starts `sof serve --addr 127.0.0.1:0` with `flags`, stdin and stdout
+/// piped, and reads the bound address from its one stdout line. Kills it
+/// and panics when that line does not arrive within 20 s.
+fn sof_serve(flags: &[&str]) -> (Child, SocketAddr) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sof"))
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .args(flags)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn sof serve");
+    let stdout = child.stdout.take().expect("stdout is piped");
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut line = String::new();
+        let _ = BufReader::new(stdout).read_line(&mut line);
+        let _ = tx.send(line);
+    });
+    let line = rx.recv_timeout(Duration::from_secs(20)).unwrap_or_default();
+    let addr = line
+        .trim_end()
+        .strip_prefix("listening on http://")
+        .and_then(|addr| addr.parse().ok());
+    let Some(addr) = addr else {
+        let _ = child.kill();
+        let _ = child.wait();
+        let _ = reader.join();
+        panic!("sof serve printed {line:?}, not its address");
+    };
+    reader.join().expect("the stdout reader");
+    (child, addr)
+}
+
+/// `child`'s exit status, waited for at most 20 s; past that it is killed
+/// and the test fails.
+fn exit_status(mut child: Child) -> ExitStatus {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while Instant::now() < deadline {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            return status;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    panic!("sof serve was still running 20 s after it was told to stop");
+}
+
+/// The daemon as an operator runs it: `sof serve` on port 0 prints its
+/// address as its one stdout line, serves a session's create → join →
+/// leave → link fail → repair → get → stats over real TCP, and on
+/// `POST /v1/shutdown` drains and exits 0 on its own. Fails when `sof
+/// serve` stops printing the address line or exits non-zero after
+/// `handle.stop()`.
+#[test]
+fn sof_serve_serves_a_session_and_exits_0_on_shutdown() {
+    let (child, addr) = sof_serve(&[]);
+    let mut c = Client::new(addr);
+    let ok = |c: &mut Client, method: &str, path: &str, body: &str| {
+        let (status, reply) = c.request(method, path, body).unwrap();
+        assert_eq!(status, 200, "{method} {path} {body}: {reply}");
+        reply
+    };
+    ok(&mut c, "POST", "/v1/topologies", BENCH_TOPO);
+    let created = ok(&mut c, "POST", "/v1/sessions", SESSION);
+    assert!(created.contains("\"id\":1"), "{created}");
+    let joined = ok(&mut c, "POST", "/v1/sessions/1/join", "{\"destination\":5}");
+    assert!(joined.contains("\"joined\":1"), "{joined}");
+    let left = ok(
+        &mut c,
+        "POST",
+        "/v1/sessions/1/leave",
+        "{\"destination\":5}",
+    );
+    assert!(left.contains("\"destinations\":[3,9]"), "{left}");
+    // The first link off node 0 the daemon accepts (the others are 400s).
+    let link = (1..12)
+        .map(|v| format!("{{\"link\":[0,{v}]}}"))
+        .find(|link| c.request("POST", "/v1/sessions/1/fail", link).unwrap().0 == 200)
+        .expect("node 0 has at least one incident link");
+    ok(&mut c, "POST", "/v1/sessions/1/repair", &link);
+    let session = ok(&mut c, "GET", "/v1/sessions/1", "");
+    assert!(session.contains("\"joins\":1"), "{session}");
+    let stats = ok(&mut c, "GET", "/v1/stats", "");
+    assert!(stats.contains("\"created\":1"), "{stats}");
+    let bye = ok(&mut c, "POST", "/v1/shutdown", "");
+    assert!(bye.contains("\"stopping\":true"), "{bye}");
+    drop(c);
+    let status = exit_status(child);
+    assert!(status.success(), "sof serve exited with {status}");
+}
+
+/// `sof serve --stdin` stops when its stdin reaches EOF, as a supervisor
+/// holding the pipe ends it: closing the pipe is a clean exit 0.
+#[test]
+fn sof_serve_stdin_exits_0_when_its_pipe_closes() {
+    let (mut child, addr) = sof_serve(&["--stdin"]);
+    let (status, body) = Client::new(addr).request("GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    drop(child.stdin.take());
+    let status = exit_status(child);
+    assert!(status.success(), "sof serve --stdin exited with {status}");
 }
 
 fn healthz_on_a_fresh_connection(handle: &sof::daemon::ServerHandle) {

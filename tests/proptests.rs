@@ -5,13 +5,21 @@ use sof::core::{
     solve_sofda, Applied, DriftPolicy, Element, JoinStrategy, Network, OnlineConfig, OnlineSession,
     Request, ServiceChain, ServiceForest, SessionEvent, SofInstance, SofdaConfig, FAILED_COST,
 };
+use sof::daemon::http::{self, ReadError, MAX_HEAD};
+use sof::daemon::{router, Registry};
 use sof::exact::IpFormulation;
 use sof::graph::{generators, Cost, CostRange, EdgeId, Graph, NodeId, Rng64};
 use sof::kstroll::{
     exact_all_targets, exact_stroll, greedy_stroll, DenseMetric, SearchContext, StrollSolver,
 };
+use sof::spec::value::{parse_json, Value};
+use sof::topo::{build_instance, build_named, ScenarioParams, Topology, TopologySpec};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
+use std::io::BufReader;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::AtomicBool;
+use std::sync::{Barrier, RwLock};
 
 fn random_instance(
     seed: u64,
@@ -353,6 +361,191 @@ fn shrink_cuts_a_planted_session_bug_to_five_events() {
         small[..],
         [.., SessionEvent::Fail(_), SessionEvent::Leave(_)]
     ));
+}
+
+/// The SoftLayer instance `sofd` builds for a create with `seed` and the
+/// default `vm_count` and `chain_len` (`build_instance`, 25 VMs, a chain of
+/// two), with `sources` and `destinations` endpoints drawn. The endpoints
+/// are drawn after the network, so every count gives the same network.
+fn softlayer_instance(
+    topo: &Topology,
+    seed: u64,
+    sources: usize,
+    destinations: usize,
+) -> SofInstance {
+    let params = ScenarioParams {
+        vm_count: 25,
+        sources,
+        destinations,
+        chain_len: 2,
+        setup_scale: 1.0,
+        seed,
+    };
+    build_instance(topo, &params)
+}
+
+/// The part of [`session_script`] the wire can say: the first arrival (a
+/// create), then every join, leave, and fail or repair of one element.
+fn wire_script(inst: &SofInstance, seed: u64, len: usize) -> Vec<SessionEvent> {
+    let mut script = session_script(inst, seed, len).into_iter();
+    let create = script.next().expect("a script starts with an arrival");
+    let rest = script.filter(|event| match event {
+        SessionEvent::Arrive(_) => false,
+        SessionEvent::Fail(elements) | SessionEvent::Repair(elements) => elements.len() == 1,
+        SessionEvent::Join(_) | SessionEvent::Leave(_) => true,
+    });
+    std::iter::once(create).chain(rest).collect()
+}
+
+/// `POST path` with `body`, routed on `registry` with no socket in between.
+fn post(registry: &RwLock<Registry>, path: &str, body: &str) -> (u16, String) {
+    let request = http::Request {
+        method: "POST".into(),
+        path: path.into(),
+        body: body.as_bytes().to_vec(),
+        keep_alive: true,
+    };
+    router::route(registry, &AtomicBool::new(false), &request)
+}
+
+/// A registry holding SoftLayer as `sl`.
+fn softlayer_registry() -> RwLock<Registry> {
+    let registry = RwLock::new(Registry::new(None));
+    let (status, reply) = post(
+        &registry,
+        "/v1/topologies",
+        r#"{"name":"sl","topology":"softlayer"}"#,
+    );
+    assert_eq!(status, 200, "{reply}");
+    registry
+}
+
+/// Sends `script` to `registry` as session requests, the first event as the
+/// create (with `seed`), and returns each reply's status and body with the
+/// session's id written 0.
+fn wire_transcript(
+    registry: &RwLock<Registry>,
+    script: &[SessionEvent],
+    seed: u64,
+) -> Vec<(u16, String)> {
+    let index = |n: &NodeId| n.index().to_string();
+    let list = |nodes: &[NodeId]| nodes.iter().map(index).collect::<Vec<_>>().join(",");
+    let element = |elements: &[Element]| match elements {
+        [Element::Vm(v)] => format!("{{\"vm\":{}}}", v.index()),
+        [Element::Link(u, v)] => format!("{{\"link\":[{},{}]}}", u.index(), v.index()),
+        [Element::Node(n)] => format!("{{\"node\":{}}}", n.index()),
+        _ => unreachable!("the wire fails and repairs one element at a time"),
+    };
+    let mut id = 0;
+    let mut transcript = Vec::with_capacity(script.len());
+    for event in script {
+        let session = format!("/v1/sessions/{id}");
+        let (path, body) = match event {
+            SessionEvent::Arrive(r) => (
+                "/v1/sessions".to_string(),
+                format!(
+                    r#"{{"topology":"sl","sources":[{}],"destinations":[{}],"chain_len":{},"seed":{seed},"ttl_secs":0}}"#,
+                    list(&r.sources),
+                    list(&r.destinations),
+                    r.chain.len()
+                ),
+            ),
+            SessionEvent::Join(d) => (
+                format!("{session}/join"),
+                format!("{{\"destination\":{}}}", index(d)),
+            ),
+            SessionEvent::Leave(d) => (
+                format!("{session}/leave"),
+                format!("{{\"destination\":{}}}", index(d)),
+            ),
+            SessionEvent::Fail(elements) => (format!("{session}/fail"), element(elements)),
+            SessionEvent::Repair(elements) => (format!("{session}/repair"), element(elements)),
+        };
+        let (status, reply) = post(registry, &path, &body);
+        if let (SessionEvent::Arrive(_), Ok(v)) = (event, parse_json(&reply)) {
+            if let Some(Value::Int(created)) = v.get("id") {
+                id = *created;
+            }
+        }
+        let reply = reply
+            .replacen(&format!("\"id\":{id},"), "\"id\":0,", 1)
+            .replace(&format!("session {id}"), "session 0");
+        transcript.push((status, reply));
+    }
+    transcript
+}
+
+/// Steps a library session, built as `sofd` builds a create's (SOFDA,
+/// default configurations), through `script` and checks each step against
+/// the wire's `transcript` of it: the same status class (200 or 4xx), and
+/// for every 200 the same `forest_cost`, `accumulated_cost`, `rebuilt`,
+/// `joined` and `left` to the bit, or the same `disrupted` /
+/// `disconnected`.
+fn the_library_answers(
+    topo: &Topology,
+    script: &[SessionEvent],
+    seed: u64,
+    transcript: &[(u16, String)],
+) -> Result<(), TestCaseError> {
+    let mut s = OnlineSession::new(
+        softlayer_instance(topo, seed, 1, 1),
+        sof::solvers::by_name("SOFDA").expect("registered"),
+        SofdaConfig::default(),
+        OnlineConfig::default(),
+    );
+    prop_assert_eq!(transcript.len(), script.len());
+    for (step, (event, (status, reply))) in script.iter().zip(transcript).enumerate() {
+        let answer = s.apply(event.clone());
+        prop_assert!(
+            *status == 200 || (400..500).contains(status),
+            "step {step}: {event:?} answered {status} {reply}"
+        );
+        prop_assert!(
+            (*status == 200) == answer.is_ok(),
+            "step {step}: {event:?} answered {status} {reply}, the library {answer:?}"
+        );
+        let Ok(applied) = answer else { continue };
+        let int = |n: usize| Value::Int(n as i64);
+        let vm_failed = matches!(event, SessionEvent::Fail(e) if matches!(e[..], [Element::Vm(_)]));
+        let want = match applied {
+            Applied::Arrival(r) => vec![
+                ("forest_cost", Value::Float(r.forest_cost)),
+                ("accumulated_cost", Value::Float(r.accumulated_cost)),
+                ("rebuilt", Value::Bool(r.rebuilt)),
+                ("joined", int(r.joined)),
+                ("left", int(r.left)),
+            ],
+            Applied::Left(cost) => vec![("forest_cost", Value::Float(cost))],
+            Applied::Failed(broken) if vm_failed => {
+                // The daemon's VM rule; ROADMAP item 4(c) deletes it, and this line.
+                if !broken.is_empty() {
+                    s.clear_forest()
+                }
+                vec![("disrupted", Value::Bool(!broken.is_empty()))]
+            }
+            Applied::Failed(broken) => vec![
+                ("disrupted", int(broken.len())),
+                (
+                    "disconnected",
+                    Value::Array(broken.iter().map(|d| int(d.index())).collect()),
+                ),
+            ],
+            Applied::Repaired => Vec::new(),
+        };
+        let v = parse_json(reply).map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
+        for (key, want) in want {
+            let got = v.get(key);
+            let same = match (got, &want) {
+                (Some(Value::Float(got)), Value::Float(want)) => got.to_bits() == want.to_bits(),
+                (got, want) => got == Some(want),
+            };
+            prop_assert!(
+                same,
+                "step {step}: {event:?}: the wire's {key} is {got:?}, the library's {want:?}"
+            );
+        }
+    }
+    Ok(())
 }
 
 /// The exact k-stroll with its bound taken out: every simple path from
@@ -1279,5 +1472,161 @@ proptest! {
                 message: "injected task failure".into()
             })
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `sofd` answers a session script exactly as `OnlineSession::apply`
+    /// does. Four scripts a case, each the wire's share of
+    /// [`session_script`] on SoftLayer, go through `router::route` on a
+    /// private registry and, beside it, through a library session built as
+    /// a create builds one; [`the_library_answers`] lists what must agree.
+    /// Then the four run at once on four sessions of one registry from four
+    /// threads, and each transcript must equal its run alone. Fails when the
+    /// daemon stops clearing the forest after a disrupting VM failure while
+    /// the model still does.
+    #[test]
+    fn the_wire_answers_a_session_script_as_the_library_does(seed in 0u64..1_000_000) {
+        let topo = build_named(&TopologySpec::named("softlayer"), 7).expect("softlayer builds");
+        let scripts: Vec<(u64, Vec<SessionEvent>)> = (0..4)
+            .map(|k| {
+                let seed = 4 * seed + k;
+                (seed, wire_script(&softlayer_instance(&topo, seed, 2, 6), seed, 60))
+            })
+            .collect();
+        let mut alone = Vec::new();
+        for (seed, script) in &scripts {
+            let transcript = wire_transcript(&softlayer_registry(), script, *seed);
+            the_library_answers(&topo, script, *seed, &transcript)?;
+            alone.push(transcript);
+        }
+        let shared = softlayer_registry();
+        let start = Barrier::new(scripts.len());
+        let together: Vec<Vec<(u16, String)>> = std::thread::scope(|scope| {
+            let drivers: Vec<_> = scripts
+                .iter()
+                .map(|(seed, script)| {
+                    let (shared, start) = (&shared, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        wire_transcript(shared, script, *seed)
+                    })
+                })
+                .collect();
+            drivers.into_iter().map(|d| d.join().expect("a driver thread")).collect()
+        });
+        for (k, (got, want)) in together.iter().zip(&alone).enumerate() {
+            let step = got.iter().zip(want).position(|(g, w)| g != w);
+            prop_assert!(
+                step.is_none() && got.len() == want.len(),
+                "script {k}, step {step:?}: {:?} run together, {:?} alone",
+                step.map(|i| &got[i]),
+                step.map(|i| &want[i])
+            );
+        }
+    }
+}
+
+/// One `POST` as `Client` writes it, with a body of `len` lowercase letters.
+fn client_post(rng: &mut Rng64, len: usize) -> Vec<u8> {
+    let body: Vec<u8> = (0..len).map(|_| b'a' + rng.below(26) as u8).collect();
+    let head = format!(
+        "POST /v1/sessions/1/join HTTP/1.1\r\nHost: 127.0.0.1:40000\r\n\
+         Content-Type: application/json\r\nContent-Length: {len}\r\n\r\n"
+    );
+    [head.into_bytes(), body].concat()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// Whatever bytes arrive, `http::read_request` neither panics nor reads
+    /// past its bounds: each call ends in a request, `Closed`, `Io`, or a
+    /// `Bad` whose status docs/DAEMON.md promises (400, 413, 431, 501), and
+    /// takes at most `MAX_HEAD` + `max_body` bytes off the stream. Read
+    /// until it stops, through fills of 1–64 bytes, over any bytes at all,
+    /// over the protocol's own tokens in random order, over pipelined
+    /// requests cut at any offset (every whole one is read), over heads
+    /// around the 16 KiB cap (a request when the head fits, else a 431) and
+    /// over bodies one or more bytes past `max_body` (a 413). Fails when the
+    /// head loop drops its `MAX_HEAD` cap.
+    #[test]
+    fn hostile_bytes_end_in_a_request_or_a_promised_status(
+        seed in 0u64..1_000_000,
+        shape in 0usize..5,
+        capacity in 1usize..65,
+    ) {
+        let mut rng = Rng64::seed_from(seed);
+        let max_body = [0, 17, 256, 4096][rng.below(4)];
+        let tokens = [
+            "GET ", "POST ", "DELETE ", "/healthz", "/v1/sessions", " HTTP/1.1", " HTTP/1.0",
+            " HTTP/2.0", "\r\n", "\r\n\r\n", "\n", ":", " ", "Content-Length: ", "17", "0",
+            "99999999999999999999", "-1", "Transfer-Encoding: chunked", "Connection: close",
+            "{\"destination\":5}",
+        ];
+        let mut whole = 0;
+        let bytes: Vec<u8> = match shape {
+            0 => (0..rng.below(3000)).map(|_| rng.below(256) as u8).collect(),
+            1 => (0..rng.below(60)).flat_map(|_| tokens[rng.below(tokens.len())].bytes()).collect(),
+            2 => {
+                let mut stream = Vec::new();
+                let mut ends = Vec::new();
+                for _ in 0..1 + rng.below(3) {
+                    let len = rng.below(max_body + 1);
+                    stream.extend(client_post(&mut rng, len));
+                    ends.push(stream.len());
+                }
+                let cut = rng.below(stream.len() + 1);
+                stream.truncate(cut);
+                whole = ends.iter().filter(|&&end| end <= cut).count();
+                stream
+            }
+            3 => {
+                let mut head = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+                head.resize(MAX_HEAD - 4 - 100 + rng.below(200), b'a');
+                head.extend_from_slice(b"\r\n\r\n");
+                whole = usize::from(head.len() <= MAX_HEAD);
+                head
+            }
+            _ => {
+                let len = max_body + 1 + rng.below(100);
+                client_post(&mut rng, len)
+            }
+        };
+        let mut wire = BufReader::with_capacity(capacity, bytes.as_slice());
+        let (mut taken, mut parsed) = (0, 0);
+        let last = loop {
+            let outcome = catch_unwind(AssertUnwindSafe(|| http::read_request(&mut wire, max_body)));
+            let now = bytes.len() - wire.get_ref().len() - wire.buffer().len();
+            prop_assert!(
+                now - taken <= MAX_HEAD + max_body,
+                "shape {shape}: one call took {} bytes",
+                now - taken
+            );
+            taken = now;
+            match outcome {
+                Err(_) => prop_assert!(false, "shape {shape}: read_request panicked"),
+                Ok(Ok(_)) => parsed += 1,
+                Ok(Err(e)) => break e,
+            }
+        };
+        match last {
+            ReadError::Closed | ReadError::Io(_) => {}
+            ReadError::Bad { status, .. } => prop_assert!(
+                [400, 413, 431, 501].contains(&status),
+                "shape {shape}: a {status}"
+            ),
+            ReadError::TimedOut => prop_assert!(false, "shape {shape}: a slice timed out"),
+        }
+        match (shape, &last) {
+            (2, _) => prop_assert_eq!(parsed, whole),
+            (3, ReadError::Bad { status, .. }) => prop_assert!(whole == 0 && *status == 431),
+            (3, _) => prop_assert_eq!(parsed, whole),
+            (4, ReadError::Bad { status, .. }) => prop_assert!(parsed == 0 && *status == 413),
+            (4, e) => prop_assert!(false, "a body past max_body ended in {e:?}"),
+            _ => {}
+        }
     }
 }
