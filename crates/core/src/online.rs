@@ -107,7 +107,8 @@ pub enum SessionEvent {
 pub enum Applied {
     /// An `Arrive` or a `Join`: what the re-embed did.
     Arrival(ArrivalReport),
-    /// A `Leave`: the standing forest's cost after the removal.
+    /// A `Leave`: the standing forest's cost after the removal (0 while
+    /// nothing stands).
     Left(f64),
     /// A `Fail`: the destinations whose standing walks the elements broke
     /// (a VNF on a failed VM, a hop over a failed link, a visit to a
@@ -422,6 +423,12 @@ impl OnlineSession {
         self.forest.as_ref()
     }
 
+    /// The standing forest's cost after the last event; 0 while nothing
+    /// stands.
+    pub fn forest_cost(&self) -> f64 {
+        self.forest.as_ref().map_or(0.0, |_| self.last_cost)
+    }
+
     /// Accumulated forest cost over all arrivals (Fig. 12's y-axis).
     pub fn accumulated_cost(&self) -> f64 {
         self.accumulated
@@ -446,10 +453,9 @@ impl OnlineSession {
     /// [`SolveError`] when the event is refused: a required full solve
     /// fails (the standing forest is dropped so the next arrival starts
     /// clean), a join names a served destination, a leave one that is not
-    /// served or comes before anything is embedded, or a fail or repair
-    /// is refused for every element — one not on this network, a `Node`
-    /// that is an endpoint of the current request, a repair of what is
-    /// not failed.
+    /// served, or a fail or repair is refused for every element — one not
+    /// on this network, a `Node` that is an endpoint of the current
+    /// request, a repair of what is not failed.
     pub fn apply(&mut self, event: SessionEvent) -> Result<Applied, SolveError> {
         let applied = match event {
             SessionEvent::Arrive(request) => self.arrive(request).map(Applied::Arrival),
@@ -569,12 +575,20 @@ impl OnlineSession {
     /// [`SessionEvent::Leave`]: removes one destination from the served
     /// group incrementally (a viewer departing between arrivals). Does not
     /// touch the accumulated cost; returns the standing forest's cost
-    /// after the removal.
+    /// after the removal. With nothing standing the destination only
+    /// leaves the request, at cost 0, and the next arrival rebuilds for
+    /// the rest.
     fn depart(&mut self, destination: NodeId) -> Result<f64, SolveError> {
-        let forest = self
-            .forest
-            .as_mut()
-            .ok_or_else(|| SolveError::Infeasible("nothing embedded yet".into()))?;
+        let Some(forest) = self.forest.as_mut() else {
+            let destinations = &mut self.instance.request.destinations;
+            if !destinations.contains(&destination) {
+                let refusal = dynamics::DynamicsError::NotServed(destination);
+                return Err(SolveError::Infeasible(refusal.to_string()));
+            }
+            destinations.retain(|&d| d != destination);
+            self.stats.leaves += 1;
+            return Ok(0.0);
+        };
         dynamics::destination_leave(&mut self.instance, forest, destination)
             .map_err(|e| SolveError::Infeasible(e.to_string()))?;
         self.stats.leaves += 1;
@@ -1329,5 +1343,49 @@ mod tests {
         assert!(!s.instance().request.destinations.contains(&base[0]));
         // Departing twice errors.
         assert!(s.depart(base[0]).is_err());
+    }
+
+    #[test]
+    fn a_leave_with_nothing_standing_drops_the_destination() {
+        let mut s = session(EmbedMode::Incremental);
+        let base = s.instance().request.destinations.clone();
+        // Before the first arrival, and after a dropped forest alike.
+        assert_eq!(s.depart(base[0]).unwrap(), 0.0);
+        s.arrive(snapshot(s.instance(), base.clone())).unwrap();
+        assert!(s.forest_cost() > 0.0);
+        s.clear_forest();
+        assert_eq!(s.forest_cost(), 0.0);
+        let Ok(Applied::Left(cost)) = s.apply(SessionEvent::Leave(base[1])) else {
+            panic!("a served destination leaves a dropped forest");
+        };
+        assert_eq!(cost, 0.0);
+        assert_eq!(s.stats().leaves, 2);
+        assert_eq!(s.instance().request.destinations, base[..1]);
+        let err = s.apply(SessionEvent::Leave(base[1])).unwrap_err();
+        assert!(err.to_string().contains("not served"), "{err}");
+        // The next arrival rebuilds for the rest.
+        let extra = s
+            .instance()
+            .network
+            .graph()
+            .nodes()
+            .find(|n| !base.contains(n) && !s.instance().request.sources.contains(n))
+            .unwrap();
+        let Ok(Applied::Arrival(r)) = s.apply(SessionEvent::Join(extra)) else {
+            panic!("the join rebuilds");
+        };
+        assert!(r.rebuilt);
+        let mut served: Vec<NodeId> = s
+            .forest()
+            .unwrap()
+            .walks
+            .iter()
+            .map(|w| w.destination)
+            .collect();
+        served.sort();
+        let mut want = vec![base[0], extra];
+        want.sort();
+        assert_eq!(served, want);
+        assert_eq!(s.forest_cost(), r.forest_cost);
     }
 }

@@ -17,7 +17,7 @@
 //! | `GET /v1/sessions/{id}`         | session state + lifetime counters |
 //! | `POST /v1/sessions/{id}/join`   | incremental §VII-C destination join |
 //! | `POST /v1/sessions/{id}/leave`  | incremental destination leave |
-//! | `POST /v1/sessions/{id}/fail`   | fail a VM, link, node or domain (optionally scheduling its repair) |
+//! | `POST /v1/sessions/{id}/fail`   | fail a VM, link, node or domain (optionally scheduling its repair); a disrupted forest is dropped and the next join rebuilds it |
 //! | `POST /v1/sessions/{id}/repair` | repair a failed element now |
 //! | `DELETE /v1/sessions/{id}`      | tear the session down |
 //! | `GET /healthz`                  | liveness |

@@ -22,7 +22,7 @@ use sof_core::{
 use sof_graph::{NodeId, PathEngineStats};
 use sof_spec::field::in_range;
 use sof_spec::value::Value;
-use sof_survive::ElementRef;
+use sof_survive::{ElementRef, ProtectionPolicy, Protector};
 use sof_topo::{
     build_instance, build_named, build_region_instance, build_regions, RegionDef, RegionScenario,
     RegionTopology, RegionsParams, ScenarioParams, Topology, TopologySpec,
@@ -91,8 +91,6 @@ impl Topo {
 struct SessionEntry {
     topology: String,
     session: OnlineSession,
-    /// Standing forest cost after the latest operation.
-    last_cost: f64,
     ttl: Option<Duration>,
     /// Behind its own lock so a shared-lock `GET` can renew the TTL
     /// without holding the registry exclusively.
@@ -463,7 +461,6 @@ impl Registry {
         let entry = SessionEntry {
             topology,
             session,
-            last_cost: report.forest_cost,
             ttl,
             deadline: Mutex::new(None),
             repairs: Vec::new(),
@@ -522,13 +519,13 @@ impl Registry {
         }
         let report = arrival(entry.session.apply(SessionEvent::Join(destination)))
             .map_err(|e| ApiError::conflict(format!("join failed: {e}")))?;
-        entry.last_cost = report.forest_cost;
         entry.touch(Instant::now());
         Ok(report_value(id, &report))
     }
 
     /// `POST /v1/sessions/{id}/leave` — removes `{"destination": n}` via
-    /// the incremental leave operation.
+    /// the incremental leave operation; while a failure has the forest
+    /// dropped it only leaves the group, at `forest_cost` 0.
     ///
     /// # Errors
     ///
@@ -541,7 +538,6 @@ impl Registry {
             Ok(other) => unreachable!("a leave answered {other:?}"),
             Err(e) => return Err(ApiError::bad_request(format!("leave failed: {e}"))),
         };
-        entry.last_cost = cost;
         entry.touch(Instant::now());
         let mut v = Value::table();
         v.set("id", Value::Int(id as i64));
@@ -559,16 +555,16 @@ impl Registry {
     /// plus an optional `"repair_secs"` scheduling an automatic repair the
     /// janitor applies once the interval passes.
     ///
-    /// Every failure is one [`SessionEvent::Fail`]. Link, node and domain
-    /// failures leave the forest standing and report the disconnected
-    /// destinations (a domain fails every node of its region except the
-    /// request's own endpoints); a VM failure that disrupts the forest is
-    /// followed by [`OnlineSession::clear_forest`], so the forest rebuilds
-    /// on the next join, and `disrupted` is a boolean.
+    /// Every failure is one [`SessionEvent::Fail`] (a domain fails every
+    /// node of its region except the request's own endpoints), and the
+    /// destinations it disconnects recover as a spec run's do: through
+    /// [`Protector::recover`] under [`ProtectionPolicy::Reactive`], which
+    /// drops the forest for the next join to rebuild. The reply counts and
+    /// lists those destinations.
     ///
     /// # Errors
     ///
-    /// 404 for an unknown session, 400 for a malformed element, a node
+    /// 404 for an unknown session, 400 for a malformed element, a `vm`
     /// that is not a VM, a non-existent link, an endpoint of the request
     /// failed as a node, or an unknown domain.
     pub fn session_fail(&mut self, id: u64, mut body: Body) -> Result<Value, ApiError> {
@@ -581,20 +577,13 @@ impl Registry {
             Ok(other) => unreachable!("a fail answered {other:?}"),
             Err(e) => return Err(ApiError::bad_request(format!("fail failed: {e}"))),
         };
+        let dests: Vec<NodeId> = dests.into_iter().collect();
+        Protector::new(ProtectionPolicy::Reactive, None).recover(&mut entry.session, &dests);
         let mut v = Value::table();
         v.set("id", Value::Int(id as i64));
         v.set("element", Value::Str(element.to_string()));
-        if matches!(element, ElementRef::Vm(_)) {
-            let disrupted = !dests.is_empty();
-            if disrupted {
-                entry.session.clear_forest();
-            }
-            v.set("disrupted", Value::Bool(disrupted));
-        } else {
-            let dests: Vec<NodeId> = dests.into_iter().collect();
-            v.set("disrupted", Value::Int(dests.len() as i64));
-            v.set("disconnected", nodes_value(&dests));
-        }
+        v.set("disrupted", Value::Int(dests.len() as i64));
+        v.set("disconnected", nodes_value(&dests));
         if let Some(secs) = repair_secs.filter(|&s| s > 0) {
             entry
                 .repairs
@@ -655,7 +644,7 @@ impl Registry {
         v.set("sources", nodes_value(&req.sources));
         v.set("destinations", nodes_value(&req.destinations));
         v.set("chain_len", Value::Int(req.chain.len() as i64));
-        v.set("forest_cost", Value::Float(entry.last_cost));
+        v.set("forest_cost", Value::Float(entry.session.forest_cost()));
         v.set(
             "accumulated_cost",
             Value::Float(entry.session.accumulated_cost()),
@@ -790,7 +779,7 @@ impl Registry {
                         p.set("id", Value::Int(id as i64));
                         p.set("topology", Value::Str(e.topology.clone()));
                         p.set("solver", Value::Str(e.session.solver_name().to_string()));
-                        p.set("forest_cost", Value::Float(e.last_cost));
+                        p.set("forest_cost", Value::Float(e.session.forest_cost()));
                         p.set(
                             "accumulated_cost",
                             Value::Float(e.session.accumulated_cost()),

@@ -21,8 +21,7 @@
 //!   [`Record`] (meta, per-event samples, windowed aggregates, summary)
 //!   the moment it is produced. Records are typed — this crate knows no
 //!   output format (`sof_spec::sink` renders them as the golden JSON
-//!   lines); [`CollectSink`] buffers them and [`Runner::subscribe`] hands
-//!   out an `mpsc` channel.
+//!   lines); [`CollectSink`] buffers them.
 //!
 //! Stepping is lockstep: each round, every live slot pulls one event from
 //! its group's stream and the pool arrives them via order-preserving
@@ -48,10 +47,6 @@
 //! assert!(matches!(records.first(), Some(Record::Meta { .. })));
 //! assert!(matches!(records.last(), Some(Record::Summary(_))));
 //! ```
-//!
-//! For long runs, move the runner to a background thread and keep the
-//! handle: [`Runner::spawn`] → [`RunnerHandle::stop`] /
-//! [`RunnerHandle::join`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,7 +57,7 @@ mod sink;
 mod ward;
 
 pub use events::{GroupChurnConfig, GroupEvent, GroupProcess};
-pub use runner::{Runner, RunnerConfig, RunnerHandle, Summary};
+pub use runner::{Runner, RunnerConfig, Summary};
 pub use sink::{
     CollectSink, EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord,
     RecoverySummary, Sink, SummaryRecord, WindowRecord,

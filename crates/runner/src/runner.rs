@@ -1,10 +1,10 @@
 //! The runner: lockstep stepping of a [`SessionPool`] over lazily
-//! generated group timelines, with wards, sinks and a background handle.
+//! generated group timelines, with wards and sinks.
 
 use crate::events::{GroupChurnConfig, GroupProcess};
 use crate::sink::{
-    ChannelSink, EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord,
-    RecoverySummary, Sink, SummaryRecord, WindowRecord,
+    EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord, RecoverySummary, Sink,
+    SummaryRecord, WindowRecord,
 };
 use crate::ward::{StopReason, Ward, WardSet};
 use sof_core::{Element, OnlineConfig, OnlineSession, SessionEvent, SessionPool, SofdaConfig};
@@ -13,9 +13,6 @@ use sof_survive::{universe_for_scopes, ElementRef, FailurePlan, FailureRounds, P
 use sof_topo::{
     build_region_instance, build_regions, RegionScenario, RegionTopology, RegionsParams,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Full configuration of one churn-at-scale run.
@@ -54,8 +51,7 @@ pub struct RunnerConfig {
     pub timings: bool,
     /// Worker threads (`0` = auto via `SOF_THREADS`).
     pub threads: usize,
-    /// Stop conditions; the first to trip ends the run. With no wards the
-    /// run only ends via [`RunnerHandle::stop`].
+    /// Stop conditions; the first to trip ends the run. At least one.
     pub wards: Vec<Ward>,
     /// Optional failure plan: when set, [`sof_survive::FailureRounds`]
     /// interleaves deterministic element failures (and repairs) between
@@ -107,6 +103,9 @@ impl RunnerConfig {
         }
         if self.window == 0 {
             return Err("window must be at least 1".into());
+        }
+        if self.wards.is_empty() {
+            return Err("wards must name at least one stop condition".into());
         }
         if sof_solvers::by_name(&self.solver).is_none() {
             return Err(format!(
@@ -211,7 +210,6 @@ pub struct Runner {
     pool: SessionPool,
     procs: Vec<GroupProcess>,
     sinks: Vec<Box<dyn Sink>>,
-    stop: Arc<AtomicBool>,
     next_id: u64,
     seq: u64,
     retired: u64,
@@ -249,7 +247,6 @@ impl Runner {
             pool,
             procs,
             sinks: Vec::new(),
-            stop: Arc::new(AtomicBool::new(false)),
             seq: 0,
             retired: 0,
             errors: 0,
@@ -266,22 +263,7 @@ impl Runner {
         self.sinks.push(sink);
     }
 
-    /// Subscribes a channel to the record stream. The receiver sees
-    /// clones of every record; dropping it never aborts the run.
-    pub fn subscribe(&mut self) -> Receiver<Record> {
-        let (tx, rx) = channel();
-        self.sinks.push(Box::new(ChannelSink { tx }));
-        rx
-    }
-
-    /// The shared stop flag (set by [`RunnerHandle::stop`]); setting it
-    /// ends the run at the next round boundary.
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Runs synchronously until a ward trips or the stop flag is set,
-    /// returning the end-of-run totals.
+    /// Runs until a ward trips, returning the end-of-run totals.
     ///
     /// # Errors
     ///
@@ -308,9 +290,6 @@ impl Runner {
         })?;
         let mut win = WindowAccum::default();
         let stop = loop {
-            if self.stop.load(Ordering::Relaxed) {
-                break StopReason::Stopped;
-            }
             // Trim the final round so MaxEvents lands exactly on budget.
             let budget = wards
                 .events_left(self.seq)
@@ -369,17 +348,6 @@ impl Runner {
             sink.flush().map_err(|e| format!("sink flush: {e}"))?;
         }
         Ok(summary)
-    }
-
-    /// Moves the runner onto a background thread, returning a handle to
-    /// stop and join it.
-    pub fn spawn(self) -> RunnerHandle {
-        let stop = self.stop_flag();
-        let thread = std::thread::Builder::new()
-            .name("sof-runner".into())
-            .spawn(move || self.run())
-            .expect("spawn runner thread");
-        RunnerHandle { stop, thread }
     }
 
     /// Steps the first `budget` slots once: retires expired groups in
@@ -637,34 +605,4 @@ fn physical_elements(element: &ElementRef, rt: &RegionTopology) -> Vec<Element> 
     element
         .resolve(|name| rt.region_named(name).map(nodes_of).ok_or(()))
         .unwrap_or_default()
-}
-
-/// Handle to a runner on a background thread.
-pub struct RunnerHandle {
-    stop: Arc<AtomicBool>,
-    thread: std::thread::JoinHandle<Result<Summary, String>>,
-}
-
-impl RunnerHandle {
-    /// Requests a stop; the run ends at the next round boundary with
-    /// [`StopReason::Stopped`].
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the background run has finished.
-    pub fn is_finished(&self) -> bool {
-        self.thread.is_finished()
-    }
-
-    /// Waits for the run and returns its totals.
-    ///
-    /// # Errors
-    ///
-    /// The runner's own error, or a message if its thread panicked.
-    pub fn join(self) -> Result<Summary, String> {
-        self.thread
-            .join()
-            .map_err(|_| "runner thread panicked".to_string())?
-    }
 }

@@ -6,9 +6,8 @@
 //! it executes and retains only the open window's accumulators — O(1) in
 //! the event count. Records are typed and this crate knows no output
 //! format: [`CollectSink`] buffers them for tests and report building,
-//! channel subscribers (see [`Runner::subscribe`](crate::Runner::subscribe))
-//! receive clones of the same stream, and `sof_spec::sink::JsonlSink`
-//! writes the JSON lines the golden tests diff.
+//! and `sof_spec::sink::JsonlSink` writes the JSON lines the golden tests
+//! diff.
 //!
 //! Wall-clock fields (`millis`) are `None` unless the runner was built
 //! with timings enabled, so the default record stream is deterministic for
@@ -17,7 +16,6 @@
 use crate::ward::StopReason;
 use sof_graph::PathEngineStats;
 use std::io;
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 
 /// Cumulative failure-subsystem counters carried by window records (only
@@ -259,19 +257,6 @@ impl Sink for CollectSink {
             .lock()
             .expect("collect sink poisoned")
             .push(record.clone());
-        Ok(())
-    }
-}
-
-/// Forwards records to an `mpsc` channel; a dropped receiver is ignored
-/// so an abandoned subscriber never aborts the run.
-pub(crate) struct ChannelSink {
-    pub(crate) tx: Sender<Record>,
-}
-
-impl Sink for ChannelSink {
-    fn record(&mut self, record: &Record) -> io::Result<()> {
-        let _ = self.tx.send(record.clone());
         Ok(())
     }
 }

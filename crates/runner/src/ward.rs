@@ -40,8 +40,6 @@ pub enum StopReason {
     MaxWallclock,
     /// The [`Ward::ConvergedCost`] condition held long enough.
     Converged,
-    /// [`RunnerHandle::stop`](crate::RunnerHandle::stop) was called.
-    Stopped,
 }
 
 impl StopReason {
@@ -51,7 +49,6 @@ impl StopReason {
             StopReason::MaxEvents => "max-events",
             StopReason::MaxWallclock => "max-wallclock",
             StopReason::Converged => "converged-cost",
-            StopReason::Stopped => "stopped",
         }
     }
 }
@@ -259,6 +256,5 @@ mod tests {
         assert_eq!(StopReason::MaxEvents.as_str(), "max-events");
         assert_eq!(StopReason::MaxWallclock.as_str(), "max-wallclock");
         assert_eq!(StopReason::Converged.as_str(), "converged-cost");
-        assert_eq!(StopReason::Stopped.as_str(), "stopped");
     }
 }

@@ -353,7 +353,7 @@ mod tests {
                 retired: 0,
                 errors: 0,
                 accumulated_cost: 1.0,
-                stop: StopReason::Stopped,
+                stop: StopReason::MaxWallclock,
                 recovery: None,
                 millis: None,
             }))
@@ -363,6 +363,6 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(text.ends_with('\n'));
-        assert!(text.contains("\"stop\":\"stopped\""));
+        assert!(text.contains("\"stop\":\"max-wallclock\""));
     }
 }

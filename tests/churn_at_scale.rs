@@ -2,7 +2,7 @@
 //! record stream is byte-identical across worker-thread counts and across
 //! repeated runs, the committed miniature golden stays in lockstep with
 //! the engine, record streams are ordered and bounded by the live pool,
-//! and wards / the stop handle end runs for the stated reasons.
+//! and wards end runs for the stated reasons.
 
 use sof::runner::{CollectSink, Record, Runner, RunnerConfig, StopReason, Ward};
 use sof::spec::{presets, run_churn_stream, RunOptions, ScenarioSpec, Workload};
@@ -160,24 +160,12 @@ fn runner_config_rejects_zero_patience_convergence_ward() {
     assert!(err.contains("epsilon"), "{err}");
 }
 
-/// A wardless runner on a background thread streams records until
-/// [`sof::runner::RunnerHandle::stop`] ends it at a round boundary.
+/// Nothing but a ward ends a run, so a config without one is refused
+/// before anything is built.
 #[test]
-fn runner_handle_stops_a_wardless_run() {
-    let mut cfg = RunnerConfig::new("handle-test");
-    cfg.groups = 4;
-    cfg.window = 8;
-    cfg.wards = Vec::new(); // only `stop` can end this run
-    let mut runner = Runner::new(cfg).unwrap();
-    let records = runner.subscribe();
-    let handle = runner.spawn();
-    // The stream starts with the run header; records keep flowing while
-    // the runner is live.
-    assert!(matches!(records.recv(), Ok(Record::Meta { .. })));
-    handle.stop();
-    let summary = handle.join().unwrap();
-    assert_eq!(summary.stop, StopReason::Stopped);
-    // The subscriber's channel drains to the final summary record.
-    let last = std::iter::from_fn(|| records.recv().ok()).last();
-    assert!(matches!(last, Some(Record::Summary(_))));
+fn runner_config_rejects_an_empty_ward_list() {
+    let mut cfg = RunnerConfig::new("wardless");
+    cfg.wards = Vec::new();
+    let err = Runner::new(cfg).err().expect("no wards must be rejected");
+    assert!(err.contains("wards"), "{err}");
 }

@@ -5,11 +5,14 @@
 //! `sof serve` process itself: its address line, a session over TCP, and a
 //! clean exit on `POST /v1/shutdown` or a closed stdin.
 
-use sof::daemon::{Client, Server, ServerConfig};
+use sof::core::FAILED_COST;
+use sof::daemon::{http, router, Client, Registry, Server, ServerConfig};
+use sof::spec::value::{parse_json, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::mpsc;
+use std::sync::atomic::AtomicBool;
+use std::sync::{mpsc, RwLock};
 use std::time::{Duration, Instant};
 
 fn start(config: ServerConfig) -> sof::daemon::ServerHandle {
@@ -332,16 +335,21 @@ fn forest_cost(body: &str) -> &str {
 /// A repaired domain is back in service at its old prices: the same join
 /// costs the same before a `domain` fail/repair pair and after it. A domain
 /// fails adjacent nodes, so the link between two of them is covered twice
-/// and must come back only, and exactly, when both are repaired. (With a
-/// pristine cost remembered per failed node the second node remembered the
-/// first one's 1e9, and this join read 2000000122.5773802.) Fails when
-/// `repair` leaves any element of the domain priced out.
+/// and must come back only, and exactly, when both are repaired. The
+/// session lives in us-east, so the eu-west failure disrupts nothing and
+/// its forest stands; the join reaches node 7, no gateway, over a link
+/// between two eu-west nodes. (With a pristine cost remembered per failed
+/// node the second node remembered the first one's 1e9, and this join read
+/// 2000000122.5773802.) Fails when `repair` leaves any element of the
+/// domain priced out.
 #[test]
 fn a_repaired_domain_prices_a_join_as_before_it_failed() {
     let handle = start(ServerConfig::default());
     let mut c = Client::new(handle.addr());
     c.request("POST", "/v1/topologies", BENCH_TOPO).unwrap();
-    let (status, body) = c.request("POST", "/v1/sessions", SESSION).unwrap();
+    let session = r#"{"topology":"t","sources":[0],"destinations":[3,5],
+      "chain_len":2,"seed":1,"ttl_secs":0}"#;
+    let (status, body) = c.request("POST", "/v1/sessions", session).unwrap();
     assert_eq!(status, 200, "{body}");
 
     let mut post = |path: &str, body: &str| {
@@ -353,13 +361,119 @@ fn a_repaired_domain_prices_a_join_as_before_it_failed() {
     };
     let before = post("join", "{\"destination\":7}");
     post("leave", "{\"destination\":7}");
-    post("fail", "{\"domain\":\"eu-west\"}");
+    let failed = post("fail", "{\"domain\":\"eu-west\"}");
+    assert!(failed.contains("\"disrupted\":0"), "{failed}");
     post("repair", "{\"domain\":\"eu-west\"}");
     let after = post("join", "{\"destination\":7}");
     assert_eq!(forest_cost(&after), forest_cost(&before));
 
     drop(c);
     handle.stop();
+}
+
+/// `method path` with `body`, routed on `registry` with no socket in
+/// between; the status and the parsed reply.
+fn route(registry: &RwLock<Registry>, method: &str, path: &str, body: &str) -> (u16, Value) {
+    let request = http::Request {
+        method: method.into(),
+        path: path.into(),
+        body: body.as_bytes().to_vec(),
+        keep_alive: true,
+    };
+    let (status, reply) = router::route(registry, &AtomicBool::new(false), &request);
+    (status, parse_json(&reply).expect("a JSON reply"))
+}
+
+/// `sofd` recovers a failure as a spec run does, through the reactive
+/// protector, whatever the element. On a 2-source, 5-destination SoftLayer
+/// session, the first link whose failure disrupts the forest is followed
+/// by a join that rebuilds around it, and the first VM whose failure does
+/// is followed by a leave of a served destination that answers 200 and a
+/// `GET` that reports nothing standing. Fails when a link failure leaves a
+/// dark forest for the join to extend across the failed link (that join
+/// read about 1e9), or when a leave on a dropped forest is refused.
+#[test]
+fn a_disrupting_failure_is_recovered_for_every_element_kind() {
+    let registry = RwLock::new(Registry::new(None));
+    let (status, reply) = route(
+        &registry,
+        "POST",
+        "/v1/topologies",
+        r#"{"name":"sl","topology":"softlayer"}"#,
+    );
+    assert_eq!(status, 200, "{reply:?}");
+    let create = r#"{"topology":"sl","sources":[0,1],"destinations":[3,9,12,17,21],
+      "seed":13,"ttl_secs":0}"#;
+    let int = |v: &Value, key: &str| match v.get(key) {
+        Some(Value::Int(n)) => *n,
+        other => panic!("{key} is {other:?} in {v:?}"),
+    };
+    let float = |v: &Value, key: &str| match v.get(key) {
+        Some(Value::Float(x)) => *x,
+        other => panic!("{key} is {other:?} in {v:?}"),
+    };
+
+    // Links: fail each in turn, repairing the ones that disrupt nothing.
+    let (status, reply) = route(&registry, "POST", "/v1/sessions", create);
+    assert_eq!(status, 200, "{reply:?}");
+    let links = sof::topo::softlayer().graph;
+    let mut disrupting_link = None;
+    for (_, edge) in links.edges() {
+        let element = format!("{{\"link\":[{},{}]}}", edge.u.index(), edge.v.index());
+        let (status, reply) = route(&registry, "POST", "/v1/sessions/1/fail", &element);
+        assert_eq!(status, 200, "{reply:?}");
+        if int(&reply, "disrupted") > 0 {
+            disrupting_link = Some(element);
+            break;
+        }
+        let (status, reply) = route(&registry, "POST", "/v1/sessions/1/repair", &element);
+        assert_eq!(status, 200, "{reply:?}");
+    }
+    let link = disrupting_link.expect("some link carries the forest");
+    let (status, reply) = route(
+        &registry,
+        "POST",
+        "/v1/sessions/1/join",
+        r#"{"destination":7}"#,
+    );
+    assert_eq!(status, 200, "{reply:?}");
+    assert_eq!(reply.get("rebuilt"), Some(&Value::Bool(true)), "{reply:?}");
+    assert!(
+        float(&reply, "forest_cost") < FAILED_COST,
+        "after {link}: {reply:?}"
+    );
+
+    // VMs (ids 27.. follow SoftLayer's 27 access nodes), the same way.
+    let (status, reply) = route(&registry, "POST", "/v1/sessions", create);
+    assert_eq!(status, 200, "{reply:?}");
+    let mut disrupting_vm = None;
+    for vm in 27.. {
+        let element = format!("{{\"vm\":{vm}}}");
+        let (status, reply) = route(&registry, "POST", "/v1/sessions/2/fail", &element);
+        assert_eq!(
+            status, 200,
+            "the forest runs on none of VMs 27..{vm}: {reply:?}"
+        );
+        if int(&reply, "disrupted") > 0 {
+            disrupting_vm = Some(element);
+            break;
+        }
+        route(&registry, "POST", "/v1/sessions/2/repair", &element);
+    }
+    let vm = disrupting_vm.expect("the loop ends on a disrupting VM");
+    let (status, reply) = route(
+        &registry,
+        "POST",
+        "/v1/sessions/2/leave",
+        r#"{"destination":9}"#,
+    );
+    assert_eq!(status, 200, "after {vm}: {reply:?}");
+    assert_eq!(float(&reply, "forest_cost"), 0.0, "{reply:?}");
+    let (status, reply) = route(&registry, "GET", "/v1/sessions/2", "");
+    assert_eq!(status, 200, "{reply:?}");
+    assert_eq!(float(&reply, "forest_cost"), 0.0, "after {vm}: {reply:?}");
+    let served = Value::Array([3, 12, 17, 21].map(Value::Int).to_vec());
+    assert_eq!(reply.get("destinations"), Some(&served), "{reply:?}");
 }
 
 /// The janitor expires idle sessions past their TTL; touched sessions

@@ -13,6 +13,7 @@ use sof::kstroll::{
     exact_all_targets, exact_stroll, greedy_stroll, DenseMetric, SearchContext, StrollSolver,
 };
 use sof::spec::value::{parse_json, Value};
+use sof::survive::{ProtectionPolicy, Protector};
 use sof::topo::{build_instance, build_named, ScenarioParams, Topology, TopologySpec};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -285,8 +286,9 @@ fn run_session_script(
     }
 
     // Repair the rest: nothing of any failure is left in any price. One
-    // more arrival brings both to the same group (a leave the session
-    // refused while cut off moved the twin alone).
+    // more arrival brings both to the same request (a session that rebuilt
+    // where the twin re-embedded incrementally lists the same destinations
+    // in another order).
     let everything = std::mem::take(&mut failed).into_iter().collect();
     prop_assert!(s.apply(SessionEvent::Repair(everything)).is_ok());
     prop_assert!(s.faults().is_empty());
@@ -480,7 +482,8 @@ fn wire_transcript(
 /// the wire's `transcript` of it: the same status class (200 or 4xx), and
 /// for every 200 the same `forest_cost`, `accumulated_cost`, `rebuilt`,
 /// `joined` and `left` to the bit, or the same `disrupted` /
-/// `disconnected`.
+/// `disconnected` — after which the library recovers what a fail broke as
+/// `sofd` does, through the reactive [`Protector::recover`].
 fn the_library_answers(
     topo: &Topology,
     script: &[SessionEvent],
@@ -506,7 +509,6 @@ fn the_library_answers(
         );
         let Ok(applied) = answer else { continue };
         let int = |n: usize| Value::Int(n as i64);
-        let vm_failed = matches!(event, SessionEvent::Fail(e) if matches!(e[..], [Element::Vm(_)]));
         let want = match applied {
             Applied::Arrival(r) => vec![
                 ("forest_cost", Value::Float(r.forest_cost)),
@@ -516,20 +518,17 @@ fn the_library_answers(
                 ("left", int(r.left)),
             ],
             Applied::Left(cost) => vec![("forest_cost", Value::Float(cost))],
-            Applied::Failed(broken) if vm_failed => {
-                // The daemon's VM rule; ROADMAP item 4(c) deletes it, and this line.
-                if !broken.is_empty() {
-                    s.clear_forest()
-                }
-                vec![("disrupted", Value::Bool(!broken.is_empty()))]
+            Applied::Failed(broken) => {
+                let broken: Vec<NodeId> = broken.into_iter().collect();
+                Protector::new(ProtectionPolicy::Reactive, None).recover(&mut s, &broken);
+                vec![
+                    ("disrupted", int(broken.len())),
+                    (
+                        "disconnected",
+                        Value::Array(broken.iter().map(|d| int(d.index())).collect()),
+                    ),
+                ]
             }
-            Applied::Failed(broken) => vec![
-                ("disrupted", int(broken.len())),
-                (
-                    "disconnected",
-                    Value::Array(broken.iter().map(|d| int(d.index())).collect()),
-                ),
-            ],
             Applied::Repaired => Vec::new(),
         };
         let v = parse_json(reply).map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
@@ -1485,8 +1484,8 @@ proptest! {
     /// a create builds one; [`the_library_answers`] lists what must agree.
     /// Then the four run at once on four sessions of one registry from four
     /// threads, and each transcript must equal its run alone. Fails when the
-    /// daemon stops clearing the forest after a disrupting VM failure while
-    /// the model still does.
+    /// daemon stops recovering a disrupting failure as the library's
+    /// reactive protector does.
     #[test]
     fn the_wire_answers_a_session_script_as_the_library_does(seed in 0u64..1_000_000) {
         let topo = build_named(&TopologySpec::named("softlayer"), 7).expect("softlayer builds");
