@@ -9,54 +9,38 @@
 use crate::solve_exact;
 use sof_core::{SofInstance, SofdaConfig, SolveError, SolveOutcome, SolveStats, Solver};
 
-/// A branch-and-bound node budget for [`solve_exact`](crate::solve_exact).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExactBudget {
-    /// Maximum branch-and-bound nodes to expand.
-    pub node_budget: usize,
-}
+/// The exact solver behind the [`Solver`] trait (the paper's "CPLEX"
+/// column), on the per-instance [`ExactSolver::auto_budget`] schedule. A
+/// caller who wants another node budget calls
+/// [`solve_exact`](crate::solve_exact) directly.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExactSolver;
 
-impl ExactBudget {
+impl ExactSolver {
     /// Destination counts past this are infeasible at paper-scale cost
-    /// ([`ExactBudget::auto`] returns `None`).
+    /// ([`ExactSolver::auto_budget`] returns `None`).
     pub const MAX_DESTINATIONS: usize = 10;
 
-    /// Creates an explicit budget.
-    pub fn new(node_budget: usize) -> ExactBudget {
-        ExactBudget { node_budget }
-    }
-
-    /// The evaluation's budget schedule: scale the node budget down as
-    /// `|D|` grows to keep the "CPLEX" substitute at paper-scale cost (the
-    /// incumbent is SOFDA-seeded, so `cost ≤ SOFDA` holds at any budget).
+    /// The evaluation's node-budget schedule: scale the branch-and-bound
+    /// budget down as `|D|` grows to keep the "CPLEX" substitute at
+    /// paper-scale cost (the incumbent is SOFDA-seeded, so `cost ≤ SOFDA`
+    /// holds at any budget).
     ///
     /// # Examples
     ///
     /// ```
-    /// use sof_exact::ExactBudget;
-    /// assert_eq!(ExactBudget::auto(4), Some(ExactBudget::new(400)));
-    /// assert_eq!(ExactBudget::auto(11), None);
+    /// use sof_exact::ExactSolver;
+    /// assert_eq!(ExactSolver::auto_budget(4), Some(400));
+    /// assert_eq!(ExactSolver::auto_budget(11), None);
     /// ```
-    pub fn auto(destinations: usize) -> Option<ExactBudget> {
-        if destinations > Self::MAX_DESTINATIONS {
-            return None;
+    pub fn auto_budget(destinations: usize) -> Option<usize> {
+        match destinations {
+            0..=6 => Some(400),
+            7..=8 => Some(120),
+            9..=Self::MAX_DESTINATIONS => Some(30),
+            _ => None,
         }
-        let node_budget = match destinations {
-            0..=6 => 400,
-            7..=8 => 120,
-            _ => 30,
-        };
-        Some(ExactBudget { node_budget })
     }
-}
-
-/// The exact solver behind the [`Solver`] trait (the paper's "CPLEX"
-/// column). With `budget: None` (the default) the per-instance
-/// [`ExactBudget::auto`] schedule applies; a fixed budget overrides it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExactSolver {
-    /// Fixed node budget, or `None` for [`ExactBudget::auto`].
-    pub budget: Option<ExactBudget>,
 }
 
 impl Solver for ExactSolver {
@@ -70,17 +54,14 @@ impl Solver for ExactSolver {
         _config: &SofdaConfig,
     ) -> Result<SolveOutcome, SolveError> {
         let d = instance.request.destinations.len();
-        let budget = match self.budget {
-            Some(b) => b,
-            None => ExactBudget::auto(d).ok_or_else(|| {
-                SolveError::Infeasible(format!(
-                    "{d} destinations exceed the exact solver's envelope of {}",
-                    ExactBudget::MAX_DESTINATIONS
-                ))
-            })?,
-        };
-        let out = solve_exact(instance, budget.node_budget)
-            .map_err(|e| SolveError::Infeasible(e.to_string()))?;
+        let budget = Self::auto_budget(d).ok_or_else(|| {
+            SolveError::Infeasible(format!(
+                "{d} destinations exceed the exact solver's envelope of {}",
+                Self::MAX_DESTINATIONS
+            ))
+        })?;
+        let out =
+            solve_exact(instance, budget).map_err(|e| SolveError::Infeasible(e.to_string()))?;
         let cost = out.forest.cost(&instance.network);
         Ok(SolveOutcome {
             forest: out.forest,
@@ -90,10 +71,7 @@ impl Solver for ExactSolver {
     }
 
     fn max_destinations(&self) -> Option<usize> {
-        match self.budget {
-            Some(_) => None,
-            None => Some(ExactBudget::MAX_DESTINATIONS),
-        }
+        Some(Self::MAX_DESTINATIONS)
     }
 }
 
@@ -106,16 +84,16 @@ mod tests {
     #[test]
     fn auto_schedule_pins_the_thresholds() {
         for d in 0..=6 {
-            assert_eq!(ExactBudget::auto(d), Some(ExactBudget::new(400)), "d={d}");
+            assert_eq!(ExactSolver::auto_budget(d), Some(400), "d={d}");
         }
         for d in 7..=8 {
-            assert_eq!(ExactBudget::auto(d), Some(ExactBudget::new(120)), "d={d}");
+            assert_eq!(ExactSolver::auto_budget(d), Some(120), "d={d}");
         }
         for d in 9..=10 {
-            assert_eq!(ExactBudget::auto(d), Some(ExactBudget::new(30)), "d={d}");
+            assert_eq!(ExactSolver::auto_budget(d), Some(30), "d={d}");
         }
         for d in 11..16 {
-            assert_eq!(ExactBudget::auto(d), None, "d={d}");
+            assert_eq!(ExactSolver::auto_budget(d), None, "d={d}");
         }
     }
 
@@ -142,9 +120,7 @@ mod tests {
     #[test]
     fn solver_trait_adapter_matches_direct_call() {
         let inst = line_instance(1);
-        let via_trait = ExactSolver::default()
-            .solve(&inst, &SofdaConfig::default())
-            .unwrap();
+        let via_trait = ExactSolver.solve(&inst, &SofdaConfig::default()).unwrap();
         let direct = solve_exact(&inst, 400).unwrap();
         assert_eq!(via_trait.cost.total(), direct.cost);
         via_trait.forest.validate(&inst).unwrap();
@@ -153,14 +129,8 @@ mod tests {
     #[test]
     fn auto_mode_declines_oversized_groups() {
         let inst = line_instance(11);
-        let solver = ExactSolver::default();
-        assert!(!solver.supports(&inst));
-        assert!(solver.solve(&inst, &SofdaConfig::default()).is_err());
-        // A fixed budget lifts the envelope cap.
-        let fixed = ExactSolver {
-            budget: Some(ExactBudget::new(5)),
-        };
-        assert_eq!(fixed.max_destinations(), None);
-        assert!(fixed.supports(&inst));
+        assert_eq!(ExactSolver.max_destinations(), Some(10));
+        assert!(!ExactSolver.supports(&inst));
+        assert!(ExactSolver.solve(&inst, &SofdaConfig::default()).is_err());
     }
 }

@@ -17,9 +17,9 @@
 //! * [`IpFormulation`] — the paper's IP built explicitly: variable /
 //!   constraint counting and full constraint checking of any
 //!   [`sof_core::ServiceForest`],
-//! * [`ExactBudget`] — the destination-count budget schedule, and
-//!   [`ExactSolver`] — the [`sof_core::Solver`]-trait adapter used by the
-//!   solver registry and the evaluation's "CPLEX" column.
+//! * [`ExactSolver`] — the [`sof_core::Solver`]-trait adapter used by the
+//!   solver registry and the evaluation's "CPLEX" column, on the
+//!   destination-count budget schedule [`ExactSolver::auto_budget`].
 //!
 //! # Examples
 //!
@@ -55,7 +55,7 @@ mod ip;
 mod layered;
 
 pub use bb::{solve_exact, solve_exact_with, ExactError, ExactOutcome};
-pub use budget::{ExactBudget, ExactSolver};
+pub use budget::ExactSolver;
 pub use dw::{directed_steiner, Arborescence, RelaxationStats, Restrictions, SteinerRelaxation};
 pub use ip::{IpFormulation, IpSize};
 pub use layered::{Arc, LayeredGraph};

@@ -179,7 +179,7 @@ pub fn env_threads() -> Result<Option<usize>, String> {
 
 /// Resolves a requested thread count: `0` means auto-detect
 /// ([`available_threads`]), anything else is taken literally.
-pub fn resolve_threads(requested: usize) -> usize {
+fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         available_threads()
     } else {

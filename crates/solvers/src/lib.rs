@@ -31,7 +31,7 @@
 
 pub use sof_baselines::{Enemp, Est, St};
 pub use sof_core::{Sofda, SofdaSs, Solver};
-pub use sof_exact::{ExactBudget, ExactSolver};
+pub use sof_exact::ExactSolver;
 pub use sof_sdn::DistributedSofda;
 
 /// Every registered solver, in the evaluation's canonical order.
@@ -41,7 +41,7 @@ pub fn all() -> Vec<Box<dyn Solver>> {
         Box::new(Enemp),
         Box::new(Est),
         Box::new(St),
-        Box::new(ExactSolver::default()),
+        Box::new(ExactSolver),
         Box::new(SofdaSs),
         Box::new(DistributedSofda::default()),
     ]
@@ -66,7 +66,7 @@ pub fn comparison_set(with_exact: bool) -> Vec<Box<dyn Solver>> {
         Box::new(St),
     ];
     if with_exact {
-        v.push(Box::new(ExactSolver::default()));
+        v.push(Box::new(ExactSolver));
     }
     v
 }

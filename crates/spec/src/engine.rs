@@ -11,8 +11,8 @@
 use crate::field::put;
 use crate::oneshot::{self, ParamField, SweepAxis};
 use crate::report::{
-    self, Cell, Detail, ExtraRow, OnlineDetail, OnlineSolverStats, PoolDetail, ReportMeta,
-    RunReport, Section, Table, TableRow,
+    self, Cell, Detail, ExtraRow, OnlineDetail, OnlineSolverStats, ReportMeta, RunReport, Section,
+    Table, TableRow,
 };
 use crate::sink::JsonlSink;
 use crate::spec::{
@@ -93,18 +93,9 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunReport, Spe
         Workload::Online {
             seed,
             solvers,
-            sessions,
             groups,
             failures,
-        } => run_online(
-            spec,
-            *seed,
-            solvers,
-            *sessions,
-            groups,
-            failures.as_deref(),
-            opts,
-        ),
+        } => run_online(spec, *seed, solvers, groups, failures.as_deref(), opts),
         Workload::ChurnAtScale(s) => run_churn_at_scale(spec, s, opts),
     }
 }
@@ -910,24 +901,16 @@ fn run_online(
     spec: &ScenarioSpec,
     seed: u64,
     solver_names: &[String],
-    sessions: usize,
     groups: &[OnlineGroup],
     failures: Option<&FailureSpec>,
     opts: &RunOptions,
 ) -> Result<RunReport, SpecError> {
-    let heading = if sessions > 1 {
-        format!(
-            "{} — {} ({sessions} concurrent sessions per topology)",
-            spec.label, spec.title
-        )
-    } else {
-        format!(
-            "{} — {} (accumulative cost, viewer churn)",
-            spec.label, spec.title
-        )
-    };
+    let heading = format!(
+        "{} — {} (accumulative cost, viewer churn)",
+        spec.label, spec.title
+    );
     let mut report_solvers: Vec<String> = solver_names.to_vec();
-    if sessions == 1 && groups.iter().any(|g| g.scratch) {
+    if groups.iter().any(|g| g.scratch) {
         report_solvers.insert(0, "SOFDA (scratch)".into());
     }
     let mut sections = Vec::with_capacity(groups.len());
@@ -947,17 +930,8 @@ fn run_online(
             });
             continue;
         }
-        let run = drive_group(
-            spec,
-            group,
-            &topo,
-            seed,
-            solver_names,
-            sessions,
-            failures,
-            opts,
-        )?;
-        sections.push(group_section(spec, id, group, &topo, sessions, run, opts));
+        let run = drive_group(spec, group, &topo, seed, solver_names, failures, opts)?;
+        sections.push(group_section(spec, id, group, &topo, run));
     }
     Ok(RunReport {
         meta: meta(spec, heading, seed, 1, report_solvers),
@@ -977,7 +951,6 @@ struct GroupRun {
     /// Arrivals refused, over every slot.
     arrival_failures: usize,
     warnings: Vec<String>,
-    secs: f64,
     /// The spec's failure process, when it has one. No report line reads
     /// its recovery metrics yet (one would move the online goldens); the
     /// tests below do.
@@ -985,42 +958,29 @@ struct GroupRun {
     rounds: Option<FailureRounds>,
 }
 
-/// Steps one online group through its arrivals over one [`SessionPool`],
-/// running the failure round after each. With `sessions == 1` the pool has
-/// one slot per solver (after the optional scratch baseline), all reading
-/// one request stream; with more, one slot per session, each with its own
-/// stream and seed.
-#[allow(clippy::too_many_arguments)]
+/// Steps one online group through its arrivals over one [`SessionPool`]
+/// with one slot per solver (after the optional scratch baseline), every
+/// slot arriving the same request from one stream, and runs the failure
+/// round after each arrival.
 fn drive_group(
     spec: &ScenarioSpec,
     group: &OnlineGroup,
     topo: &Topology,
     seed: u64,
     solver_names: &[String],
-    sessions: usize,
     failures: Option<&FailureSpec>,
     opts: &RunOptions,
 ) -> Result<GroupRun, SpecError> {
     let churn = group.churn.to_params();
     let online = spec.online.to_config(churn.base.demand_mbps);
-    // Per slot: solver, the seed of its instance, and whether it is the
-    // from-scratch baseline.
-    let slots: Vec<(&str, u64, bool)> = if sessions > 1 {
-        let name = solver_names.first().map_or("SOFDA", String::as_str);
-        (0..sessions)
-            .map(|g| (name, seed + g as u64, false))
-            .collect()
-    } else {
-        let scratch = group.scratch.then_some(("SOFDA", seed, true));
-        let solvers = solver_names.iter().map(|n| (n.as_str(), seed, false));
-        scratch.into_iter().chain(solvers).collect()
-    };
-    let mut streams: Vec<ChurnStream> = (0..sessions)
-        .map(|g| ChurnStream::new(churn, topo.graph.node_count(), seed + g as u64))
-        .collect();
+    // Per slot: solver, and whether it is the from-scratch baseline.
+    let scratch = group.scratch.then_some(("SOFDA", true));
+    let solvers = solver_names.iter().map(|n| (n.as_str(), false));
+    let slots: Vec<(&str, bool)> = scratch.into_iter().chain(solvers).collect();
+    let mut stream = ChurnStream::new(churn, topo.graph.node_count(), seed);
     let mut stats = Vec::with_capacity(slots.len());
     let mut engines = Vec::with_capacity(slots.len());
-    for &(name, slot_seed, scratch) in &slots {
+    for &(name, scratch) in &slots {
         let solver = solver_by_name(name)?;
         let (label, config) = if scratch {
             ("SOFDA (scratch)", online.with_mode(EmbedMode::FromScratch))
@@ -1032,9 +992,9 @@ fn drive_group(
             ..OnlineSolverStats::default()
         });
         engines.push(OnlineSession::new(
-            group_instance(spec, group, topo, slot_seed),
+            group_instance(spec, group, topo, seed),
             solver,
-            spec.sofda.with_seed(slot_seed),
+            spec.sofda.with_seed(seed),
             config,
         ));
     }
@@ -1058,23 +1018,13 @@ fn drive_group(
     let mut checkpoints = Vec::new();
     let mut arrival_failures = 0;
     let mut warnings = Vec::new();
-    let t0 = Instant::now();
     for step in 0..group.requests {
-        let requests: Vec<Request> = streams
-            .iter_mut()
-            .map(|s| {
-                if step == 0 {
-                    s.current().clone()
-                } else {
-                    s.next_request()
-                }
-            })
-            .collect();
-        // Pool slot `g` reads stream `g`; in single-session mode every
-        // slot reads the one stream.
-        let arrivals: Vec<Option<SessionEvent>> = (0..pool.len())
-            .map(|slot| Some(SessionEvent::Arrive(requests[slot % sessions].clone())))
-            .collect();
+        let request = if step == 0 {
+            stream.current().clone()
+        } else {
+            stream.next_request()
+        };
+        let arrivals = vec![Some(SessionEvent::Arrive(request)); pool.len()];
         let arrival = step + 1;
         for (slot, answer) in pool.apply(&arrivals).into_iter().enumerate() {
             match answer.expect("every slot arrives") {
@@ -1115,21 +1065,18 @@ fn drive_group(
         checkpoints,
         arrival_failures,
         warnings,
-        secs: t0.elapsed().as_secs_f64(),
         rounds,
     })
 }
 
-/// A stepped group's report section: every slot's accumulated cost in
-/// single-session mode, the pool's sum and mean in pool mode.
+/// A stepped group's report section: every slot's accumulated cost at each
+/// checkpoint, then the per-session epilogue.
 fn group_section(
     spec: &ScenarioSpec,
     id: String,
     group: &OnlineGroup,
     topo: &Topology,
-    sessions: usize,
     run: GroupRun,
-    opts: &RunOptions,
 ) -> Section {
     let GroupRun {
         pool,
@@ -1137,95 +1084,43 @@ fn group_section(
         checkpoints,
         arrival_failures,
         warnings,
-        secs,
         ..
     } = run;
     let vm_failures = pool.sessions().iter().map(|s| s.stats().vm_failures).sum();
-    let row = |arrival: usize, cells: Vec<Cell>| TableRow {
-        label: arrival.to_string(),
-        x: Some(arrival as f64),
-        cells,
-    };
-    if sessions == 1 {
-        for (session, t) in pool.sessions().iter().zip(&mut stats) {
-            t.session = *session.stats();
-            t.engine = session.instance().network.paths().stats();
-        }
-        let suffix = if group.scratch {
-            ""
-        } else {
-            "; from-scratch baseline skipped (set scratch = true in the spec to run it)"
-        };
-        return Section {
-            id,
-            heading: Some(format!(
-                "{} — {} ({} arrivals, viewer churn{suffix})",
-                spec.label, topo.name, group.requests
-            )),
-            table: Some(Table {
-                col0: "#arrivals".into(),
-                columns: stats.iter().map(|t| t.label.clone()).collect(),
-                rows: checkpoints
-                    .into_iter()
-                    .map(|(arrival, costs)| {
-                        row(
-                            arrival,
-                            costs.into_iter().map(|c| Cell::num(Some(c), 0)).collect(),
-                        )
-                    })
-                    .collect(),
-            }),
-            extra_rows: Vec::new(),
-            detail: Detail::Online(OnlineDetail {
-                scratch: group.scratch,
-                failures: arrival_failures,
-                vm_failures,
-                sessions: stats,
-                warnings,
-            }),
-        };
+    for (session, t) in pool.sessions().iter().zip(&mut stats) {
+        t.session = *session.stats();
+        t.engine = session.instance().network.paths().stats();
     }
-    // Report the worker count the pool actually ran with: the explicit
-    // override when given, the configured default otherwise.
-    let worker_count = if opts.threads == 0 {
-        sof_par::current_threads()
+    let suffix = if group.scratch {
+        ""
     } else {
-        sof_par::resolve_threads(opts.threads)
+        "; from-scratch baseline skipped (set scratch = true in the spec to run it)"
     };
     Section {
         id,
         heading: Some(format!(
-            "{} — {} ({sessions} concurrent sessions × {} arrivals, {worker_count} threads)",
-            spec.label, topo.name, group.requests,
+            "{} — {} ({} arrivals, viewer churn{suffix})",
+            spec.label, topo.name, group.requests
         )),
         table: Some(Table {
             col0: "#arrivals".into(),
-            columns: vec!["Σ accumulated cost".into(), "mean cost/session".into()],
+            columns: stats.iter().map(|t| t.label.clone()).collect(),
             rows: checkpoints
                 .into_iter()
-                .map(|(arrival, costs)| {
-                    let total: f64 = costs.into_iter().sum();
-                    let mean = total / sessions as f64;
-                    row(
-                        arrival,
-                        vec![Cell::num(Some(total), 0), Cell::num(Some(mean), 0)],
-                    )
+                .map(|(arrival, costs)| TableRow {
+                    label: arrival.to_string(),
+                    x: Some(arrival as f64),
+                    cells: costs.into_iter().map(|c| Cell::num(Some(c), 0)).collect(),
                 })
                 .collect(),
         }),
         extra_rows: Vec::new(),
-        detail: Detail::Pool(PoolDetail {
-            groups: sessions,
-            requests: group.requests,
-            secs,
-            solves: pool.sessions().iter().map(|s| s.stats().full_solves).sum(),
-            incremental: pool
-                .sessions()
-                .iter()
-                .map(|s| s.stats().incremental_events)
-                .sum(),
+        detail: Detail::Online(OnlineDetail {
+            scratch: group.scratch,
             failures: arrival_failures,
             vm_failures,
+            sessions: stats,
+            warnings,
         }),
     }
 }
@@ -1242,7 +1137,6 @@ mod tests {
         let Workload::Online {
             seed,
             solvers,
-            sessions,
             groups,
             failures,
         } = &spec.workload
@@ -1252,10 +1146,7 @@ mod tests {
         let topo = group_topology(spec, &groups[0], *seed).unwrap();
         let opts = RunOptions::default();
         let failures = failures.as_deref();
-        drive_group(
-            spec, &groups[0], &topo, *seed, solvers, *sessions, failures, &opts,
-        )
-        .unwrap()
+        drive_group(spec, &groups[0], &topo, *seed, solvers, failures, &opts).unwrap()
     }
 
     fn online_parts(spec: &mut ScenarioSpec) -> (&mut OnlineGroup, &mut Option<Box<FailureSpec>>) {

@@ -137,7 +137,7 @@ impl OnlineSolverStats {
     }
 }
 
-/// Epilogue data of a single-session online group.
+/// Epilogue data of an online group.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct OnlineDetail {
     /// Whether a from-scratch baseline ran first.
@@ -152,34 +152,13 @@ pub struct OnlineDetail {
     pub warnings: Vec<String>,
 }
 
-/// Epilogue data of a session-pool online group.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PoolDetail {
-    /// Concurrent sessions in the pool.
-    pub groups: usize,
-    /// Arrivals each session processed.
-    pub requests: usize,
-    /// Wall-clock seconds for the whole group.
-    pub secs: f64,
-    /// Total full solves across sessions.
-    pub solves: usize,
-    /// Total incremental events across sessions.
-    pub incremental: usize,
-    /// Total failed arrivals across sessions.
-    pub failures: usize,
-    /// Injected VM failures across all sessions.
-    pub vm_failures: usize,
-}
-
 /// Kind-specific epilogue attached to a section.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Detail {
     /// Nothing beyond the table.
     None,
-    /// Single-session online epilogue (timing summary, speedup lines).
+    /// Online epilogue (timing summary, speedup lines).
     Online(OnlineDetail),
-    /// Session-pool online epilogue (throughput summary).
-    Pool(PoolDetail),
 }
 
 /// One report section: an optional H2 heading, an optional table, and an
@@ -256,16 +235,6 @@ pub fn render_markdown(report: &RunReport) -> String {
         match &section.detail {
             Detail::None => {}
             Detail::Online(d) => render_online_detail(d, &mut out),
-            Detail::Pool(d) => {
-                out.push_str(&format!(
-                    "\n{} sessions × {} arrivals in {:.2} s ({} full solves, {} incremental \
-                     events, {} failures)\n",
-                    d.groups, d.requests, d.secs, d.solves, d.incremental, d.failures
-                ));
-                if d.vm_failures > 0 {
-                    out.push_str(&format!("{} VM failure(s) injected.\n", d.vm_failures));
-                }
-            }
         }
     }
     out
@@ -435,16 +404,6 @@ pub fn write_jsonl(report: &RunReport, timings: bool) -> String {
                 stat(None, "failures", d.failures as f64);
                 stat(None, "vm_failures", d.vm_failures as f64);
             }
-            Detail::Pool(d) => {
-                stat(None, "sessions", d.groups as f64);
-                stat(None, "full_solves", d.solves as f64);
-                stat(None, "incremental_events", d.incremental as f64);
-                stat(None, "failures", d.failures as f64);
-                stat(None, "vm_failures", d.vm_failures as f64);
-                if timings {
-                    stat(None, "secs", d.secs);
-                }
-            }
         }
     }
     out
@@ -502,6 +461,56 @@ mod tests {
              \n| #destinations | SOFDA | CPLEX* |\n\
              |---|---|---|\n\
              | 2 | 12.3 | - |\n"
+        );
+
+        // Fig. 12's epilogue: a scratch baseline, then the incremental
+        // session the per-event line and the speedup read.
+        let session = |label: &str, solve: (f64, usize), inc: (f64, usize), moves| {
+            let (joins, leaves, fallbacks) = moves;
+            OnlineSolverStats {
+                label: label.into(),
+                solve_ms: solve.0,
+                solve_n: solve.1,
+                inc_ms: inc.0,
+                inc_n: inc.1,
+                session: OnlineStats {
+                    full_solves: solve.1,
+                    incremental_events: inc.1,
+                    joins,
+                    leaves,
+                    fallbacks,
+                    ..OnlineStats::default()
+                },
+                engine: PathEngineStats::default(),
+            }
+        };
+        let mut online = tiny_report();
+        online.sections[0].detail = Detail::Online(OnlineDetail {
+            scratch: true,
+            failures: 0,
+            vm_failures: 2,
+            sessions: vec![
+                session("SOFDA (scratch)", (1200.0, 3), (300.0, 2), (4, 1, 0)),
+                session("SOFDA", (400.0, 1), (3.0, 4), (5, 2, 1)),
+            ],
+            warnings: Vec::new(),
+        });
+        assert_eq!(
+            render_markdown(&online),
+            "# Fig. T — tiny (seeds = 1)\n\
+             \n## Fig. T — cost vs #destinations (SoftLayer)\n\
+             \n| #destinations | SOFDA | CPLEX* |\n\
+             |---|---|---|\n\
+             | 2 | 12.3 | - |\n\
+             \nEmbedding time per session:\n\
+             - SOFDA (scratch): 1.50 s (3 full solves, 2 incremental events, 4 joins, \
+             1 leaves, 0 fallbacks)\n\
+             - SOFDA: 0.40 s (1 full solves, 4 incremental events, 5 joins, 2 leaves, \
+             1 fallbacks)\n\
+             \nPer-event embedding (SOFDA): full solve ≈ 400 ms vs incremental ≈ 0.75 ms \
+             (533× per event)\n\
+             End-to-end incremental speedup (SOFDA, embedding time): 3.7×\n\
+             \n2 VM failure(s) injected.\n"
         );
     }
 

@@ -394,17 +394,14 @@ pub enum Workload {
         /// Base RNG seed.
         seed: u64,
     },
-    /// Fig. 12: online deployment under viewer churn (optionally many
-    /// concurrent sessions, optionally with failure injection).
+    /// Fig. 12: online deployment under viewer churn, every solver side by
+    /// side on one request stream per group (optionally with failure
+    /// injection). Many concurrent groups are `churn-at-scale`'s job.
     Online {
         /// Base RNG seed.
         seed: u64,
-        /// Solver display names served incrementally (the session-pool
-        /// mode uses only the first).
+        /// Solver display names served incrementally, one session each.
         solvers: Vec<String>,
-        /// Independent concurrent sessions per group (1 = the classic
-        /// solver comparison; > 1 switches to the `SessionPool` mode).
-        sessions: usize,
         /// The churning groups, run in order.
         groups: Vec<OnlineGroup>,
         /// Optional failure injection (boxed: large and usually absent).
@@ -750,7 +747,6 @@ impl ScenarioSpec {
             }
             Workload::Online {
                 solvers,
-                sessions,
                 groups,
                 failures,
                 ..
@@ -760,9 +756,6 @@ impl ScenarioSpec {
                 }
                 for s in solvers {
                     check_solver("'workload.solvers'", s)?;
-                }
-                if *sessions == 0 {
-                    return fail("'workload.sessions' must be at least 1");
                 }
                 if groups.is_empty() {
                     return fail("'workload.groups' must define at least one group");
@@ -1056,7 +1049,6 @@ keys!(qoe: Workload = Workload::Qoe {
 keys!(online: Workload = Workload::Online {
     seed = 1000,
     solvers = names(&["SOFDA", "eNEMP", "eST", "ST"]),
-    sessions = 1,
     groups,
     failures = None
 });
@@ -1200,6 +1192,19 @@ values = [2, 4]
             err.to_string().contains("unknown key 'topology.colour'"),
             "{err}"
         );
+
+        // An online spec has no `sessions` key: many groups are churn-at-scale's.
+        let src = "name = \"o\"\n[workload]\nkind = \"online\"\nsessions = 2\n\
+                   [[workload.groups]]\nrequests = 1\nchurn = { sources = [1, 1], \
+                   destinations = [1, 1], leaves = [0, 0], joins = [0, 0] }\n";
+        let err = ScenarioSpec::from_toml(src).unwrap_err();
+        assert!(
+            err.to_string().contains(
+                "unknown key 'workload.sessions' (valid keys here: kind, seed, solvers, \
+                 groups, failures)"
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1243,7 +1248,6 @@ drift_policy = "cost"
 [workload]
 kind = "online"
 seed = 7
-sessions = 1
 
 [[workload.groups]]
 topology = "testbed"

@@ -128,55 +128,6 @@ every = 3
     );
 }
 
-/// The session-pool mode (`sessions > 1`) runs from a spec, steps every
-/// session, and its report is thread-count independent.
-#[test]
-fn session_pool_mode_runs_and_is_deterministic() {
-    let spec = ScenarioSpec::from_toml(
-        r#"
-name = "pool"
-[topology]
-name = "testbed"
-[workload]
-kind = "online"
-seed = 11
-solvers = ["SOFDA"]
-sessions = 3
-[[workload.groups]]
-requests = 6
-vms_per_dc = 1
-churn = { sources = [1, 2], destinations = [2, 4], leaves = [0, 1], joins = [0, 1] }
-"#,
-    )
-    .unwrap();
-    let run = |threads: usize| {
-        let report = run_spec(
-            &spec,
-            &RunOptions {
-                threads,
-                timings: false,
-            },
-        )
-        .unwrap();
-        let sof::spec::Detail::Pool(d) = report.sections[0].detail.clone() else {
-            panic!("expected pool detail");
-        };
-        assert_eq!((d.groups, d.requests), (3, 6));
-        assert_eq!(
-            d.solves + d.incremental + d.failures,
-            3 * 6,
-            "every (session, arrival) accounted for"
-        );
-        write_jsonl(&report, false)
-    };
-    let a = run(1);
-    assert_eq!(a, run(2), "pool reports must not depend on thread count");
-    assert!(
-        a.contains("concurrent") || a.contains("group0:testbed"),
-        "{a}"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -217,7 +168,7 @@ proptest! {
             )),
             4 => ("qoe", format!("solvers = [\"eST\"]\nseeds = {seeds}\nseed = {seed}\n")),
             5 => ("online", format!(
-                "seed = {seed}\nsessions = {seeds}\n[[workload.groups]]\nrequests = {axis_len}\n\
+                "seed = {seed}\n[[workload.groups]]\nrequests = {axis_len}\n\
                  topology = \"testbed\"\nchurn = {{ sources = [1, {chain}], destinations = [2, 3], \
                  chain_len = {chain}, leaves = [0, 1], joins = [0, {axis_len}] }}\n\
                  [workload.failures]\nevery = {chain}\n"

@@ -67,7 +67,6 @@ cols = { field = "chain_len", values = [2, 3], label = "|C|" }"#,
         "online",
         r#"seed = 46
 solvers = ["SOFDA", "eST"]
-sessions = 2
 [[workload.groups]]
 requests = 4
 scratch = true
