@@ -1,5 +1,7 @@
-//! A hand-rolled HTTP/1.1 subset over [`std::net::TcpStream`] — request
-//! parsing with hard header/body bounds, response writing, keep-alive.
+//! A hand-rolled HTTP/1.1 subset over [`std::net::TcpStream`], both ends
+//! of the daemon's wire: the server reads requests under hard header/body
+//! bounds and writes replies, [`crate::Client`] writes requests and reads
+//! replies.
 //!
 //! The daemon carries its own wire layer for the same reason `sof_spec`
 //! carries its own TOML/JSON: the build vendors no real third-party crates.
@@ -7,14 +9,20 @@
 //! `Content-Length`-framed bodies, `Connection` negotiation — and every
 //! violation maps to a status code, never a panic.
 //!
-//! A connection reads through one [`reader`] for its whole life, so a
-//! request that arrives in one segment costs one `read(2)` and pipelined
-//! requests are answered in order; every reply is one `write(2)`.
+//! Each end reads a connection through one [`reader`] for its whole life,
+//! with one capped head scanner and one set of framing rules, so a message
+//! that arrives in one segment costs one `read(2)` and pipelined requests
+//! are answered in order; every message, request or reply, is one
+//! `write(2)`.
 
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::SocketAddr;
 
 /// Hard cap on the request line plus all headers (bytes).
 pub const MAX_HEAD: usize = 16 * 1024;
+
+/// Hard cap on a reply's status line plus all headers (bytes).
+pub const MAX_REPLY_HEAD: usize = 64 * 1024;
 
 /// A parsed request.
 #[derive(Clone, Debug)]
@@ -63,11 +71,90 @@ fn map_io(e: io::Error) -> ReadError {
 }
 
 /// The reading end of one connection. Build it once per connection, never
-/// per request: bytes of a pipelined next request wait in its buffer for
-/// the next [`read_request`], and a buffer dropped between requests drops
-/// them.
+/// per message: bytes of a pipelined next message wait in its buffer for
+/// the next [`read_request`] or [`read_response`], and a buffer dropped
+/// between messages drops them.
 pub fn reader<R: Read>(stream: R) -> BufReader<R> {
     BufReader::new(stream)
+}
+
+/// Whether `e` says the peer closed the connection.
+pub(crate) fn closed(e: &io::Error) -> bool {
+    use ErrorKind::*;
+    matches!(e.kind(), ConnectionReset | ConnectionAborted | BrokenPipe)
+}
+
+/// Reads one message head, start line through blank line, of at most `cap`
+/// bytes, and consumes nothing past it. Each fill is scanned from three
+/// bytes back, so a blank line split across fills is found. Empty when the
+/// peer closed before the first byte; `UnexpectedEof` mid-head and
+/// `InvalidData` at `cap` bytes, kinds a socket's `read` never returns.
+fn read_head<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<Vec<u8>> {
+    let mut head = Vec::with_capacity(512);
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok([]) if head.is_empty() => return Ok(head),
+            Ok([]) => return Err(io::Error::new(ErrorKind::UnexpectedEof, "closed mid-head")),
+            Ok(buf) => buf,
+            Err(e) if head.is_empty() && closed(&e) => return Ok(head),
+            Err(e) => return Err(e),
+        };
+        let start = head.len();
+        let from = start.saturating_sub(3);
+        let taken = buf.len().min(cap - start);
+        head.extend_from_slice(&buf[..taken]);
+        if let Some(at) = head[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            let end = from + at + 4;
+            reader.consume(end - start);
+            head.truncate(end);
+            return Ok(head);
+        }
+        reader.consume(taken);
+        if head.len() == cap {
+            let message = format!("head exceeds {cap} bytes");
+            return Err(io::Error::new(ErrorKind::InvalidData, message));
+        }
+    }
+}
+
+/// The framing a head's header lines declare: the body's `Content-Length`
+/// (0 when absent) and the `Connection` header's keep-alive choice, if one
+/// is made. A refusal carries the status the server answers it with.
+fn framing<'a>(
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<(usize, Option<bool>), (u16, String)> {
+    let (mut content_length, mut keep_alive) = (None::<usize>, None);
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
+        };
+        let value = value.trim();
+        match name.to_ascii_lowercase().as_str() {
+            "content-length" => {
+                let n = value
+                    .parse()
+                    .map_err(|_| (400, format!("bad Content-Length '{value}'")))?;
+                // Two framings that disagree are how requests get smuggled
+                // past a proxy; refuse rather than let one of them win.
+                if let Some(m) = content_length.filter(|&m| m != n) {
+                    return Err((
+                        400,
+                        format!("conflicting Content-Length headers {m} and {n}"),
+                    ));
+                }
+                content_length = Some(n);
+            }
+            "connection" => keep_alive = Some(!value.eq_ignore_ascii_case("close")),
+            "transfer-encoding" => {
+                return Err((
+                    501,
+                    "Transfer-Encoding is not supported; frame bodies with Content-Length".into(),
+                ));
+            }
+            _ => {}
+        }
+    }
+    Ok((content_length.unwrap_or(0), keep_alive))
 }
 
 /// Reads one request from the connection's [`reader`], honoring the
@@ -81,34 +168,13 @@ pub fn reader<R: Read>(stream: R) -> BufReader<R> {
 /// [`ReadError::Bad`] for protocol violations (the caller answers with the
 /// embedded status and closes), [`ReadError::Io`] otherwise.
 pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, ReadError> {
-    // Head: scan each fill for the blank line, hard-capped. A terminator
-    // split across two fills is found by starting each scan three bytes
-    // back; only the head is consumed, the rest stays for the body.
-    let mut head = Vec::with_capacity(512);
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok([]) if head.is_empty() => return Err(ReadError::Closed),
-            Ok([]) => return Err(bad(400, "connection closed mid-request")),
-            Ok(buf) => buf,
-            Err(e) if head.is_empty() && e.kind() == ErrorKind::ConnectionReset => {
-                return Err(ReadError::Closed)
-            }
-            Err(e) => return Err(map_io(e)),
-        };
-        let start = head.len();
-        let from = start.saturating_sub(3);
-        let taken = buf.len().min(MAX_HEAD - start);
-        head.extend_from_slice(&buf[..taken]);
-        if let Some(at) = head[from..].windows(4).position(|w| w == b"\r\n\r\n") {
-            let end = from + at + 4;
-            reader.consume(end - start);
-            head.truncate(end);
-            break;
-        }
-        reader.consume(taken);
-        if head.len() == MAX_HEAD {
-            return Err(bad(431, "request head exceeds 16 KiB"));
-        }
+    let head = read_head(reader, MAX_HEAD).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => bad(400, "connection closed mid-request"),
+        ErrorKind::InvalidData => bad(431, "request head exceeds 16 KiB"),
+        _ => map_io(e),
+    })?;
+    if head.is_empty() {
+        return Err(ReadError::Closed);
     }
     let head = String::from_utf8_lossy(&head);
     let mut lines = head.split("\r\n");
@@ -122,40 +188,8 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
         return Err(bad(501, format!("unsupported protocol '{version}'")));
     }
     let path = target.split('?').next().unwrap_or("").to_string();
-
-    let mut content_length: Option<usize> = None;
-    let mut keep_alive = version == "HTTP/1.1";
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        match name.to_ascii_lowercase().as_str() {
-            "content-length" => {
-                let n = value
-                    .parse()
-                    .map_err(|_| bad(400, format!("bad Content-Length '{value}'")))?;
-                // Two framings that disagree are how requests get smuggled
-                // past a proxy; refuse rather than let one of them win.
-                if let Some(m) = content_length.filter(|&m| m != n) {
-                    return Err(bad(
-                        400,
-                        format!("conflicting Content-Length headers {m} and {n}"),
-                    ));
-                }
-                content_length = Some(n);
-            }
-            "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
-            "transfer-encoding" => {
-                return Err(bad(
-                    501,
-                    "Transfer-Encoding is not supported; frame bodies with Content-Length",
-                ));
-            }
-            _ => {}
-        }
-    }
-    let content_length = content_length.unwrap_or(0);
+    let (content_length, keep_alive) = framing(lines).map_err(|(status, m)| bad(status, m))?;
+    let keep_alive = keep_alive.unwrap_or(version == "HTTP/1.1");
     if content_length > max_body {
         return Err(bad(
             413,
@@ -170,6 +204,40 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
         body,
         keep_alive,
     })
+}
+
+/// Reads one reply, `(status, body, close)`, from the connection's
+/// [`reader`] with [`read_request`]'s head scanner, capped at
+/// [`MAX_REPLY_HEAD`], and framing rules; `close` when the server sent
+/// `Connection: close`. `None` when the server closed the connection
+/// before the first byte (EOF, reset or abort): the request went unanswered.
+///
+/// # Errors
+///
+/// `UnexpectedEof` mid-reply; `InvalidData` for a head past the cap, a bad
+/// status line or refused framing; else the socket's own error.
+pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Option<(u16, Vec<u8>, bool)>> {
+    let invalid = |message: String| io::Error::new(ErrorKind::InvalidData, message);
+    let head = read_head(reader, MAX_REPLY_HEAD)?;
+    if head.is_empty() {
+        return Ok(None);
+    }
+    let head = String::from_utf8_lossy(&head);
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().unwrap_or("");
+    let status = status_line
+        .split_ascii_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| invalid(format!("bad status line '{status_line}'")))?;
+    let (content_length, keep_alive) = framing(lines).map_err(|(_, m)| invalid(m))?;
+    // The length is the peer's word: allocate only what arrives.
+    let mut body = Vec::new();
+    reader.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(io::Error::new(ErrorKind::UnexpectedEof, "closed mid-body"));
+    }
+    Ok(Some((status, body, keep_alive == Some(false))))
 }
 
 /// The canonical reason phrase for the status codes the daemon uses.
@@ -212,6 +280,27 @@ pub fn write_response<W: Write>(
     out.flush()
 }
 
+/// Writes one request as [`crate::Client`] sends it, a JSON body to the
+/// daemon at `host`, head and body in one write.
+///
+/// # Errors
+///
+/// Propagates socket write failures.
+pub fn write_request<W: Write>(
+    out: &mut W,
+    method: &str,
+    path: &str,
+    host: SocketAddr,
+    body: &str,
+) -> io::Result<()> {
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len(),
+    );
+    out.write_all(request.as_bytes())?;
+    out.flush()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,7 +335,8 @@ mod tests {
         }
     }
 
-    /// A join as `Client` sends it: 112 bytes of head, 17 of body.
+    /// A join as `Client` has always sent it: 112 bytes of head, 17 of
+    /// body. `write_request` is held to these bytes.
     const JOIN: &[u8] = b"POST /v1/sessions/1/join HTTP/1.1\r\nHost: 127.0.0.1:40000\r\n\
         Content-Type: application/json\r\nContent-Length: 17\r\n\r\n{\"destination\":5}";
     const STATS: &[u8] = b"GET /v1/stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
@@ -273,6 +363,19 @@ mod tests {
         let mut wire = reader(Counted::new(JOIN));
         let req = read_request(&mut wire, 1 << 20).unwrap();
         assert!(is_join(&req), "{req:?}");
+        assert!(wire.get_ref().calls <= 1, "{} reads", wire.get_ref().calls);
+    }
+
+    /// The work witness of the client's reader: a reply whose head and body
+    /// are already delivered costs one `read`, where reading the head byte
+    /// by byte cost one per head byte (95 here) and the body one more.
+    #[test]
+    fn a_response_delivered_at_once_is_one_read() {
+        let mut sent = Vec::new();
+        write_response(&mut sent, 200, "{\"ok\":true}", true).unwrap();
+        let mut wire = reader(Counted::new(sent.as_slice()));
+        let reply = read_response(&mut wire).unwrap();
+        assert_eq!(reply, Some((200, b"{\"ok\":true}\n".to_vec(), false)));
         assert!(wire.get_ref().calls <= 1, "{} reads", wire.get_ref().calls);
     }
 
@@ -344,6 +447,24 @@ mod tests {
             status_of(read_request(&mut reader(req.as_bytes()), 1 << 20).unwrap_err());
         assert_eq!(status, 400);
         assert_eq!(message, "conflicting Content-Length headers 2 and 7");
+    }
+
+    /// Every request is one `write` of the bytes the client has always sent,
+    /// where head and body written apart were two.
+    #[test]
+    fn a_request_is_one_write_of_the_same_bytes() {
+        let mut out = Counted::new(Vec::new());
+        let host = "127.0.0.1:40000".parse().unwrap();
+        write_request(
+            &mut out,
+            "POST",
+            "/v1/sessions/1/join",
+            host,
+            "{\"destination\":5}",
+        )
+        .unwrap();
+        assert_eq!(out.calls, 1);
+        assert_eq!(out.inner, JOIN);
     }
 
     /// Every reply is one `write` of the bytes the daemon has always sent.

@@ -706,6 +706,64 @@ fn the_client_refuses_a_malformed_content_length() {
     peer.join().unwrap();
 }
 
+/// A request whose reply outlives the client's timeout is not sent again:
+/// the daemon may be embedding it, and a second create would embed a
+/// second session. A stub answers one `/healthz` on a keep-alive
+/// connection, reads a `POST` and stalls past the 200 ms timeout; it must
+/// have seen one connection and two requests. Fails when the client
+/// retries every error on a reused connection (a second connection with
+/// the `POST` again).
+#[test]
+fn a_request_that_times_out_is_not_sent_again() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (client_done, stall) = mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut wire = http::reader(&stream);
+        let healthz = http::read_request(&mut wire, 1 << 20).unwrap();
+        assert_eq!(healthz.path, "/healthz");
+        http::write_response(&mut &stream, 200, "{\"ok\":true}", true).unwrap();
+        let post = http::read_request(&mut wire, 1 << 20).unwrap();
+        assert_eq!(
+            (post.method.as_str(), post.path.as_str()),
+            ("POST", "/v1/sessions")
+        );
+        stall.recv().unwrap();
+        // Whatever else reached the listener, count it.
+        let (mut connections, mut requests) = (1, 2);
+        listener.set_nonblocking(true).unwrap();
+        while let Ok((extra, _)) = listener.accept() {
+            connections += 1;
+            extra.set_nonblocking(false).unwrap();
+            extra
+                .set_read_timeout(Some(Duration::from_secs(2)))
+                .unwrap();
+            let mut wire = http::reader(&extra);
+            while http::read_request(&mut wire, 1 << 20).is_ok() {
+                requests += 1;
+            }
+        }
+        while http::read_request(&mut wire, 1 << 20).is_ok() {
+            requests += 1;
+        }
+        (connections, requests)
+    });
+    let mut c = Client::new(addr).with_timeout(Duration::from_millis(200));
+    assert_eq!(c.request("GET", "/healthz", "").unwrap().0, 200);
+    let err = c.request("POST", "/v1/sessions", SESSION).unwrap_err();
+    assert!(
+        matches!(
+            err.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "{err}"
+    );
+    drop(c);
+    client_done.send(()).unwrap();
+    assert_eq!(peer.join().unwrap(), (1, 2), "(connections, requests)");
+}
+
 /// `POST /v1/shutdown` flips the stop flag the serving loop watches.
 #[test]
 fn shutdown_endpoint_requests_stop() {

@@ -5,7 +5,7 @@ use sof::core::{
     solve_sofda, Applied, DriftPolicy, Element, JoinStrategy, Network, OnlineConfig, OnlineSession,
     Request, ServiceChain, ServiceForest, SessionEvent, SofInstance, SofdaConfig, FAILED_COST,
 };
-use sof::daemon::http::{self, ReadError, MAX_HEAD};
+use sof::daemon::http::{self, ReadError, MAX_HEAD, MAX_REPLY_HEAD};
 use sof::daemon::{router, Registry};
 use sof::exact::IpFormulation;
 use sof::graph::{generators, Cost, CostRange, EdgeId, Graph, NodeId, Rng64};
@@ -17,7 +17,7 @@ use sof::survive::{ProtectionPolicy, Protector};
 use sof::topo::{build_instance, build_named, ScenarioParams, Topology, TopologySpec};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Barrier, RwLock};
@@ -1528,14 +1528,20 @@ proptest! {
     }
 }
 
+/// `len` random lowercase letters.
+fn letters(rng: &mut Rng64, len: usize) -> String {
+    (0..len)
+        .map(|_| char::from(b'a' + rng.below(26) as u8))
+        .collect()
+}
+
 /// One `POST` as `Client` writes it, with a body of `len` lowercase letters.
 fn client_post(rng: &mut Rng64, len: usize) -> Vec<u8> {
-    let body: Vec<u8> = (0..len).map(|_| b'a' + rng.below(26) as u8).collect();
-    let head = format!(
-        "POST /v1/sessions/1/join HTTP/1.1\r\nHost: 127.0.0.1:40000\r\n\
-         Content-Type: application/json\r\nContent-Length: {len}\r\n\r\n"
-    );
-    [head.into_bytes(), body].concat()
+    let mut post = Vec::new();
+    let host = "127.0.0.1:40000".parse().expect("an address");
+    let body = letters(rng, len);
+    http::write_request(&mut post, "POST", "/v1/sessions/1/join", host, &body).expect("a Vec");
+    post
 }
 
 proptest! {
@@ -1626,6 +1632,110 @@ proptest! {
             (4, ReadError::Bad { status, .. }) => prop_assert!(parsed == 0 && *status == 413),
             (4, e) => prop_assert!(false, "a body past max_body ended in {e:?}"),
             _ => {}
+        }
+    }
+
+    /// Whatever bytes a reply brings, `http::read_response` (the client's
+    /// reader) neither panics nor reads past its bounds: each call ends in
+    /// `(status, body, close)`, in `None` once the stream is spent, or in
+    /// the `UnexpectedEof` / `InvalidData` error the client promises, and
+    /// takes at most `MAX_REPLY_HEAD` bytes plus the body it returns off the
+    /// stream (an error past that has spent the stream). Read until it
+    /// stops, through fills of 1–64 bytes, over any bytes at all, over the
+    /// protocol's own tokens in random order, over the daemon's replies cut
+    /// at any offset (every whole one is read back as sent) and over heads
+    /// around the 64 KiB cap (a reply when the head fits, else
+    /// `InvalidData`). Fails when the head scanner drops its cap.
+    #[test]
+    fn hostile_replies_end_in_a_reply_or_an_error(
+        seed in 0u64..1_000_000,
+        shape in 0usize..4,
+        capacity in 1usize..65,
+    ) {
+        let mut rng = Rng64::seed_from(seed);
+        let tokens = [
+            "HTTP/1.1 ", "200 ", "404 ", "OK", "x", "\r\n", "\r\n\r\n", "\n", ":", " ",
+            "Content-Length: ", "12", "0", "twelve", "-1", "99999999999999999999",
+            "Connection: close", "Connection: keep-alive", "Transfer-Encoding: chunked",
+            "{\"ok\":true}\n",
+        ];
+        let mut sent = Vec::new();
+        let bytes: Vec<u8> = match shape {
+            0 => (0..rng.below(3000)).map(|_| rng.below(256) as u8).collect(),
+            1 => (0..rng.below(60)).flat_map(|_| tokens[rng.below(tokens.len())].bytes()).collect(),
+            2 => {
+                let mut stream = Vec::new();
+                let mut ends = Vec::new();
+                for _ in 0..1 + rng.below(3) {
+                    let status = [200, 400, 404, 413][rng.below(4)];
+                    let len = rng.below(300);
+                    let body = format!("\"{}\"", letters(&mut rng, len));
+                    let keep_alive = rng.below(2) == 0;
+                    http::write_response(&mut stream, status, &body, keep_alive).unwrap();
+                    sent.push((status, format!("{body}\n").into_bytes(), !keep_alive));
+                    ends.push(stream.len());
+                }
+                let cut = rng.below(stream.len() + 1);
+                stream.truncate(cut);
+                sent.truncate(ends.iter().filter(|&&end| end <= cut).count());
+                stream
+            }
+            _ => {
+                let mut head = b"HTTP/1.1 200 OK\r\nX-Pad: ".to_vec();
+                head.resize(MAX_REPLY_HEAD - 4 - 100 + rng.below(200), b'a');
+                head.extend_from_slice(b"\r\n\r\n");
+                if head.len() <= MAX_REPLY_HEAD {
+                    sent.push((200, Vec::new(), false));
+                }
+                head
+            }
+        };
+        let mut wire = BufReader::with_capacity(capacity, bytes.as_slice());
+        let (mut taken, mut replies) = (0, Vec::new());
+        let last = loop {
+            let outcome = catch_unwind(AssertUnwindSafe(|| http::read_response(&mut wire)));
+            let rest = wire.get_ref().len() + wire.buffer().len();
+            let now = bytes.len() - rest;
+            match outcome {
+                Err(_) => prop_assert!(false, "shape {shape}: read_response panicked"),
+                Ok(Ok(Some(reply))) => {
+                    prop_assert!(
+                        now - taken <= MAX_REPLY_HEAD + reply.1.len(),
+                        "shape {shape}: a reply of {} body bytes took {}",
+                        reply.1.len(),
+                        now - taken
+                    );
+                    replies.push(reply);
+                }
+                Ok(Ok(None)) => {
+                    prop_assert!(rest == 0, "shape {shape}: None with {rest} bytes left");
+                    break None;
+                }
+                Ok(Err(e)) => {
+                    prop_assert!(
+                        now - taken <= MAX_REPLY_HEAD || rest == 0,
+                        "shape {shape}: an error took {} bytes and left {rest}",
+                        now - taken
+                    );
+                    break Some(e);
+                }
+            }
+            taken = now;
+        };
+        if let Some(e) = &last {
+            prop_assert!(
+                matches!(e.kind(), ErrorKind::UnexpectedEof | ErrorKind::InvalidData),
+                "shape {shape}: {e:?}"
+            );
+        }
+        if shape >= 2 {
+            prop_assert_eq!(replies, sent);
+        }
+        if shape == 3 && replies.is_empty() {
+            prop_assert!(
+                last.is_some_and(|e| e.kind() == ErrorKind::InvalidData),
+                "a head past the cap was not refused"
+            );
         }
     }
 }
