@@ -8,7 +8,7 @@
 //! through interior mutability — so they run beside each other. They do
 //! not run beside a write: [`std::sync::RwLock`] blocks a reader while a
 //! writer holds the lock, so a probe waits out whatever embed is in
-//! progress on any session — up to the 1.6–2.8 s of a create that spends
+//! progress on any session — up to the 0.9–2.7 s of a create that spends
 //! its k-stroll node budget (`docs/DAEMON.md`, "Bounded input"). A lock per
 //! session is ROADMAP item 1(b). The deterministic core is untouched — a
 //! session here is exactly the library's [`OnlineSession`], addressed by

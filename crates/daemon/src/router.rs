@@ -21,7 +21,10 @@ pub fn read(registry: &RwLock<Registry>) -> RwLockReadGuard<'_, Registry> {
     registry.read().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Takes the registry's exclusive lock, recovering from poisoning.
+/// Takes the registry's exclusive lock, recovering from poisoning. Every
+/// route parses its body first: in `write(registry).f(Body::parse(..)?)`
+/// the receiver is evaluated first, so up to `max_body` of JSON would be
+/// parsed while every other request waits.
 pub fn write(registry: &RwLock<Registry>) -> RwLockWriteGuard<'_, Registry> {
     registry.write().unwrap_or_else(|e| e.into_inner())
 }
@@ -58,11 +61,17 @@ fn dispatch(
             _ => Err(method_not_allowed(req, "GET")),
         },
         ["v1", "topologies"] => match method {
-            "POST" => write(registry).create_topology(Body::parse(&req.body)?),
+            "POST" => {
+                let body = Body::parse(&req.body)?;
+                write(registry).create_topology(body)
+            }
             _ => Err(method_not_allowed(req, "POST")),
         },
         ["v1", "sessions"] => match method {
-            "POST" => write(registry).create_session(Body::parse(&req.body)?),
+            "POST" => {
+                let body = Body::parse(&req.body)?;
+                write(registry).create_session(body)
+            }
             _ => Err(method_not_allowed(req, "POST")),
         },
         ["v1", "sessions", id] => {
@@ -120,4 +129,40 @@ pub fn route(registry: &RwLock<Registry>, stop: &AtomicBool, req: &Request) -> (
     };
     read(registry).count(status >= 400);
     (status, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{mpsc, Arc};
+    use std::thread;
+    use std::time::Duration;
+
+    #[test]
+    fn a_create_body_is_parsed_before_the_write_lock() {
+        // A malformed create is a 400 while a reader holds the registry:
+        // its body never waits for the exclusive lock. Fails, by timing
+        // out, when a create route takes `write` before `Body::parse`.
+        let registry = Arc::new(RwLock::new(Registry::new(None)));
+        let held = read(&registry);
+        let (tx, rx) = mpsc::channel();
+        let shared = Arc::clone(&registry);
+        let worker = thread::spawn(move || {
+            for path in ["/v1/topologies", "/v1/sessions"] {
+                let req = Request {
+                    method: "POST".into(),
+                    path: path.into(),
+                    body: b"{".to_vec(),
+                    keep_alive: false,
+                };
+                let _ = tx.send(route(&shared, &AtomicBool::new(false), &req).0);
+            }
+        });
+        for path in ["/v1/topologies", "/v1/sessions"] {
+            let status = rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(status, Ok(400), "POST {path} waited for the lock");
+        }
+        drop(held);
+        worker.join().expect("the routing thread panicked");
+    }
 }

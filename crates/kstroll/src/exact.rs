@@ -12,8 +12,8 @@ use sof_graph::Cost;
 /// Figs. 8–11 expands 9.3 M nodes, and with every axis at its far end at
 /// once (26 sources, 10 destinations, 45 VMs, chain of 7) 41.6 M (eNEMP;
 /// SOFDA 26.9 M), so the paper's whole parameter range is searched exactly
-/// with 4× to spare, and an operation far outside it costs 1.6–2.8 s of
-/// search in a release build before greedy takes over.
+/// with 4× to spare, and an operation far outside it costs 0.9–2.7 s in a
+/// release build before greedy takes over.
 pub const AUTO_NODE_BUDGET: u64 = 180_000_000;
 
 /// Relative slack `δ` of the prune test, see [`SearchContext`]: the table
@@ -75,6 +75,17 @@ pub fn exact_all_targets(metric: &DenseMetric, source: usize, k: usize) -> Vec<O
 /// it, and the stroll returned — tie-breaks and cost bits included — is the
 /// one an unpruned search in the same order returns.
 ///
+/// **The leaves.** The two cheapest kinds of DFS node cost no call. A
+/// parent counts and tests each child in its own loop and recurses only
+/// into one that survives. A node with one interior node left to place
+/// scans its leaves in place — each total is `(cost so far + m(cur, v)) +
+/// togo[t][v]`, and level 0 of the column is `m(v, t)` — and stops at the
+/// first `v` with `(cost so far + m(cur, v)) + floor[t] ≥ incumbent`,
+/// `floor[t]` being the cheapest `m(w, t)` over `w ∉ {t, source}`. Its row
+/// is sorted by hop and f64 addition is monotone, so no later leaf could
+/// strictly beat the incumbent: the stop needs no `δ`. The node counts
+/// all its leaves, scanned or not, so `nodes` stays one per DFS node.
+///
 /// **What is shared.** Below the root the DFS never stands on the source
 /// and the recursion never steps onto it, so no table entry that is read
 /// and no candidate ordering of a non-source node depends on the source's
@@ -104,6 +115,9 @@ pub struct SearchContext {
     seen: Vec<Cost>,
     /// Cost-to-go columns, one per target; empty until first needed.
     togo: Vec<Vec<Cost>>,
+    /// `floor[t]` = min of `m(w, t)` over `w ∉ {t, source}`, the cheapest
+    /// closing hop of any leaf; built with `t`'s column.
+    floor: Vec<Cost>,
     /// `rows[v]` = every node but the source, stably sorted by
     /// `cost(v, ·)` ascending (lazily, once per `v`). Scanning it and
     /// skipping `used` nodes is the nearest-first order of the search.
@@ -135,6 +149,7 @@ impl SearchContext {
             source: 0,
             seen: Vec::new(),
             togo: Vec::new(),
+            floor: Vec::new(),
             rows: Vec::new(),
             used: Vec::new(),
             path: Vec::with_capacity(8),
@@ -243,6 +258,7 @@ impl SearchContext {
         }
         self.togo.iter_mut().for_each(Vec::clear);
         self.togo.resize(n, Vec::new());
+        self.floor.resize(n, Cost::ZERO);
         self.rows.iter_mut().for_each(Vec::clear);
         self.rows.resize(n, Vec::new());
         self.used.clear();
@@ -265,6 +281,11 @@ impl SearchContext {
         let col = &mut self.togo[target];
         if col.is_empty() {
             col.extend((0..n).map(|v| metric.cost(v, target)));
+            self.floor[target] = (0..n)
+                .filter(|&w| w != target && w != source)
+                .map(|w| col[w])
+                .min()
+                .unwrap_or(Cost::INFINITY);
         }
         while col.len() < levels * n {
             // The level below, closed to walks through the target or the
@@ -318,6 +339,9 @@ impl SearchContext {
         self.used[target] = true;
         self.path.clear();
         self.path.push(source);
+        // The root: `search` tested the budget, and there is no incumbent
+        // to cut it against.
+        self.nodes += 1;
         let mut best: Option<(Cost, Vec<usize>)> = None;
         self.dfs(metric, &togo, target, interior, Cost::ZERO, &mut best);
         self.used[source] = false;
@@ -326,6 +350,9 @@ impl SearchContext {
         best.map(|(_, nodes)| Stroll::from_nodes(metric, nodes))
     }
 
+    /// Expands a DFS node the caller has already counted and let past the
+    /// budget and the prune test: `path` ends at it, `remaining ≥ 1`
+    /// interior nodes are still to place and `cur_cost` is the cost so far.
     fn dfs(
         &mut self,
         metric: &DenseMetric,
@@ -336,46 +363,64 @@ impl SearchContext {
         best: &mut Option<(Cost, Vec<usize>)>,
     ) {
         let cur = *self.path.last().expect("path never empty");
-        if remaining == 0 {
-            self.nodes += 1;
-            let total = cur_cost + metric.cost(cur, target);
-            if best.as_ref().is_none_or(|(b, _)| total < *b) {
-                let mut nodes = self.path.clone();
-                nodes.push(target);
-                *best = Some((total, nodes));
-            }
-            return;
-        }
-        // The budget is tested where a node has children to place, not at
-        // the leaves, which are most nodes (testing there too read +1 % on
-        // `oneshot-kstroll`): once it is spent no interior node is counted,
-        // so `nodes` passes `limit` by at most the leaves of the one
-        // expansion in flight.
-        if self.nodes >= self.limit {
-            return;
-        }
-        self.nodes += 1;
-        // The one prune test; see `SearchContext` for why it cuts no leaf
-        // that could strictly beat the incumbent.
-        if let Some((b, _)) = best {
-            let bound = cur_cost + togo[remaining * self.n + cur];
-            if bound.value() * self.slack >= b.value() {
-                return;
-            }
-        }
         // Visit nearest-first for stronger pruning, scanning the memoized
         // stable ordering and skipping nodes already on the path (plus the
         // target, marked used for the whole search).
         self.ensure_row(metric, cur);
         let hop = metric.row(cur);
+        if remaining == 1 {
+            // Every unused node of the row is a leaf, each one DFS node,
+            // scanned or not: the row holds all nodes but the source, the
+            // path all used ones but the target.
+            self.nodes += (self.rows[cur].len() - self.path.len()) as u64;
+            let (row, used, floor) = (&self.rows[cur], &self.used, self.floor[target]);
+            for &v in row {
+                if used[v] {
+                    continue;
+                }
+                let reach = cur_cost + hop[v];
+                if let Some((b, _)) = best {
+                    // Later leaves in the row are no nearer and close on
+                    // no less than `floor`, so none can strictly beat `b`.
+                    if reach + floor >= *b {
+                        return;
+                    }
+                }
+                // Level 0 of the column is `m(v, target)`.
+                let total = reach + togo[v];
+                if best.as_ref().is_none_or(|(b, _)| total < *b) {
+                    let mut nodes = self.path.clone();
+                    nodes.extend([v, target]);
+                    *best = Some((total, nodes));
+                }
+            }
+            return;
+        }
+        let below = (remaining - 1) * self.n;
         for i in 0..self.rows[cur].len() {
             let v = self.rows[cur][i];
             if self.used[v] {
                 continue;
             }
+            // The budget is tested before a node with children to place is
+            // counted, never at the leaves: once it is spent no interior
+            // node is counted, so `nodes` passes `limit` by at most the
+            // leaves of the one expansion in flight.
+            if self.nodes >= self.limit {
+                return;
+            }
+            self.nodes += 1;
+            let reach = cur_cost + hop[v];
+            // The one prune test; see `SearchContext` for why it cuts no
+            // leaf that could strictly beat the incumbent.
+            if let Some((b, _)) = best {
+                if (reach + togo[below + v]).value() * self.slack >= b.value() {
+                    continue;
+                }
+            }
             self.used[v] = true;
             self.path.push(v);
-            self.dfs(metric, togo, target, remaining - 1, cur_cost + hop[v], best);
+            self.dfs(metric, togo, target, remaining - 1, reach, best);
             self.path.pop();
             self.used[v] = false;
         }
@@ -720,6 +765,57 @@ mod tests {
         // 100 of the 120 cases and 127 answers when this was written.
         assert!(spent >= 60, "only {spent} cases spent their budget");
         assert!(beat_greedy > 50, "only {beat_greedy} answers beat greedy");
+    }
+
+    /// FNV-1a over every answer's nodes and cost bits, `None` included.
+    fn digest(answers: &[Option<Stroll>], mut hash: u64) -> u64 {
+        let mut eat = |x: u64| hash = (hash ^ x).wrapping_mul(0x0100_0000_01b3);
+        for answer in answers {
+            match answer {
+                None => eat(u64::MAX),
+                Some(s) => {
+                    s.nodes.iter().for_each(|&v| eat(v as u64));
+                    eat(s.cost.value().to_bits());
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn a_budget_is_spent_at_the_same_node() {
+        // The node at which a budget runs out, how many searches it hands
+        // to greedy and every answer, pinned at values an unflattened
+        // recursion produced: six metrics, each under six budgets from "no
+        // root" to "enough". Fails when the leaves of a node are counted
+        // one short, when the budget is tested after `nodes += 1` instead
+        // of before, and when the leaf scan stops at the first leaf whose
+        // own total reaches the incumbent (not exact: a later leaf on a
+        // cheaper closing hop can still beat it).
+        let mut rng = Rng64::seed_from(0x5E7_B0D6E7);
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        let spent: Vec<[(u64, u64); 6]> = (0..6)
+            .map(|case| {
+                let n = 9 + case;
+                let m = metric_for(case, &mut rng, n);
+                let (source, k) = (rng.below(n), 5 + case % 3);
+                [0, 1, 6, 60, 2_000, 200_000].map(|budget| {
+                    let mut ctx = SearchContext::new();
+                    hash = digest(&ctx.all_targets_until(budget, &m, source, k), hash);
+                    (ctx.nodes(), ctx.handovers())
+                })
+            })
+            .collect();
+        let pinned = [
+            [(0, 8), (1, 8), (8, 8), (60, 8), (437, 0), (437, 0)],
+            [(0, 9), (1, 9), (9, 9), (63, 8), (429, 0), (429, 0)],
+            [(0, 10), (1, 10), (10, 10), (60, 10), (2000, 3), (2978, 0)],
+            [(0, 11), (1, 11), (11, 11), (60, 10), (383, 0), (383, 0)],
+            [(0, 12), (1, 12), (12, 12), (67, 12), (2005, 2), (2381, 0)],
+            [(0, 13), (1, 13), (13, 13), (68, 13), (2000, 5), (2520, 0)],
+        ];
+        assert_eq!(spent, pinned, "(nodes, handovers) per metric and budget");
+        assert_eq!(hash, 0xfb77_ae65_6b3a_e310, "answers moved");
     }
 
     #[test]
