@@ -52,12 +52,30 @@ pub fn fortz_thorup(load: f64, capacity: f64) -> Cost {
 /// each accepted request adds its demand to every link its forest uses
 /// (once per chain segment, mirroring the bandwidth actually consumed) and
 /// one unit of work to every enabled VM.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The tracker remembers its *footprint* — the links loaded since the last
+/// [`clear_loads`](Self::clear_loads) — so clearing, and repricing after
+/// it, touch those links only. Equality compares loads and capacities
+/// only: trackers that loaded the same links in another order are equal.
+#[derive(Clone, Debug)]
 pub struct LoadTracker {
     edge_load: Vec<f64>,
     edge_capacity: Vec<f64>,
     node_load: Vec<f64>,
     node_capacity: Vec<f64>,
+    /// Links loaded since the last clear, in the order first loaded.
+    footprint: Vec<EdgeId>,
+    /// The nodes that can carry load: the network's VMs.
+    vms: Vec<NodeId>,
+}
+
+impl PartialEq for LoadTracker {
+    fn eq(&self, other: &LoadTracker) -> bool {
+        self.edge_load == other.edge_load
+            && self.edge_capacity == other.edge_capacity
+            && self.node_load == other.node_load
+            && self.node_capacity == other.node_capacity
+    }
 }
 
 impl LoadTracker {
@@ -68,6 +86,8 @@ impl LoadTracker {
             edge_capacity: vec![link_capacity; network.graph().edge_count()],
             node_load: vec![0.0; network.node_count()],
             node_capacity: vec![vm_capacity; network.node_count()],
+            footprint: Vec::new(),
+            vms: network.vms(),
         }
     }
 
@@ -91,16 +111,32 @@ impl LoadTracker {
         self.node_load[v.index()]
     }
 
-    /// Zeroes every link and node load (capacities are kept). The online
-    /// engine re-derives a standing forest's footprint from scratch each
-    /// round instead of accumulating deltas.
-    pub fn clear_loads(&mut self) {
-        self.edge_load.iter_mut().for_each(|l| *l = 0.0);
-        self.node_load.iter_mut().for_each(|l| *l = 0.0);
+    /// Zeroes the loads (capacities are kept) and hands back the links that
+    /// carried any — the footprint, in the order first loaded — by
+    /// appending them to `cleared`. Only those links and the VMs are
+    /// written: every other load is already zero. The online engine
+    /// re-derives a standing forest's footprint from scratch each round
+    /// instead of accumulating deltas.
+    pub fn clear_loads(&mut self, cleared: &mut Vec<EdgeId>) {
+        for e in &self.footprint {
+            self.edge_load[e.index()] = 0.0;
+        }
+        for v in &self.vms {
+            self.node_load[v.index()] = 0.0;
+        }
+        cleared.extend_from_slice(&self.footprint);
+        self.footprint.clear();
+    }
+
+    /// The links loaded since the last [`clear_loads`](Self::clear_loads),
+    /// in the order first loaded.
+    pub(crate) fn footprint(&self) -> &[EdgeId] {
+        &self.footprint
     }
 
     /// Adds a deployed forest's demand: `demand` per link per used segment,
-    /// one unit per enabled VM.
+    /// one unit per enabled VM. A link loaded for the first time since the
+    /// last clear joins the footprint.
     pub fn apply_forest(&mut self, network: &Network, forest: &ServiceForest, demand: f64) {
         for seg in forest.segment_edges() {
             for (a, b) in seg {
@@ -108,7 +144,12 @@ impl LoadTracker {
                     .graph()
                     .edge_between(a, b)
                     .expect("forest uses network links");
-                self.edge_load[e.index()] += demand;
+                let load = &mut self.edge_load[e.index()];
+                // A zero demand loads nothing, so nothing needs repricing.
+                if *load == 0.0 && demand > 0.0 {
+                    self.footprint.push(e);
+                }
+                *load += demand;
             }
         }
         for (vm, _) in forest.enabled_vms().expect("validated forest") {
@@ -202,5 +243,12 @@ mod tests {
         // More load → higher cost.
         tracker.apply_forest(&net, &forest, 60.0);
         assert!(priced(&tracker).value() > 5.0);
+        // Clearing hands back each loaded link once and leaves a fresh
+        // tracker behind.
+        let mut cleared = Vec::new();
+        tracker.clear_loads(&mut cleared);
+        assert_eq!(cleared, [EdgeId::new(0), EdgeId::new(1)]);
+        assert_eq!(tracker, LoadTracker::new(&net, 100.0, 5.0));
+        assert!(tracker.footprint().is_empty());
     }
 }

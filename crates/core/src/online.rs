@@ -317,7 +317,8 @@ pub struct OnlineSession {
     /// What congestion is charged on top of, per edge and per VM: the base
     /// cost, or [`FAILED_COST`] while `faults` covers the element. Derived
     /// — rewritten whole from the base costs and the set whenever the set
-    /// changes — so the cost refresh stays one pass over dense arrays.
+    /// changes (a full repricing follows), so between fault changes a
+    /// link's price moves only with its load.
     edge_floor: Vec<Cost>,
     vm_floor: Vec<(NodeId, Cost)>,
     accumulated: f64,
@@ -327,6 +328,13 @@ pub struct OnlineSession {
     cost_at_solve: f64,
     /// Standing forest cost at the latest recharge.
     last_cost: f64,
+    /// The links the latest recharge repriced; kept only so that the next
+    /// one reuses the allocation.
+    recharged: Vec<EdgeId>,
+    /// Links the latest repricing priced. No report reads it; the tests
+    /// below pin it.
+    #[cfg_attr(not(test), allow(dead_code))]
+    repriced_links: usize,
     stats: OnlineStats,
 }
 
@@ -366,22 +374,35 @@ impl OnlineSession {
             churn_since_solve: 0,
             cost_at_solve: 0.0,
             last_cost: 0.0,
+            recharged: Vec::new(),
+            repriced_links: 0,
             stats: OnlineStats::default(),
         }
     }
 
-    /// Congestion-aware cost refresh: static base cost — [`FAILED_COST`]
-    /// for an element the fault set covers — **plus** the convex
-    /// Fortz–Thorup surcharge for the current load. (Pricing by the
-    /// surcharge alone would price unloaded resources at zero, which lets
-    /// a from-scratch solver dodge all standing load for free and makes
-    /// mode comparisons meaningless.)
+    /// Congestion-aware cost refresh over every link and VM: static base
+    /// cost — [`FAILED_COST`] for an element the fault set covers —
+    /// **plus** the convex Fortz–Thorup surcharge for the current load.
+    /// (Pricing by the surcharge alone would price unloaded resources at
+    /// zero, which lets a from-scratch solver dodge all standing load for
+    /// free and makes mode comparisons meaningless.) The one full pass:
+    /// [`apply_faults`](Self::apply_faults) runs it when floors move; a
+    /// load change reprices its footprint only (`recharge`).
     fn refresh_costs(&mut self) {
+        self.reprice((0..self.edge_floor.len()).map(EdgeId::new));
+    }
+
+    /// Prices `links`, in the order given, and every VM at floor plus
+    /// surcharge. `set_edge_cost` ignores an unchanged price, so only a
+    /// link whose price moves renews the epoch and enters the journal.
+    fn reprice(&mut self, links: impl IntoIterator<Item = EdgeId>) {
         let net = &mut self.instance.network;
-        for (i, &base) in self.edge_floor.iter().enumerate() {
-            let e = EdgeId::new(i);
+        self.repriced_links = 0;
+        for e in links {
             let congestion = fortz_thorup(self.tracker.edge_load(e), self.tracker.edge_capacity(e));
-            net.graph_mut().set_edge_cost(e, base + congestion);
+            net.graph_mut()
+                .set_edge_cost(e, self.edge_floor[e.index()] + congestion);
+            self.repriced_links += 1;
         }
         for &(v, base) in &self.vm_floor {
             let congestion = fortz_thorup(self.tracker.node_load(v), self.tracker.node_capacity(v));
@@ -473,12 +494,13 @@ impl OnlineSession {
 
     /// What holds between any two events: a standing forest validates
     /// against the instance, the [`LoadTracker`] holds exactly the loads
-    /// recomputed from it, and a link or VM is priced at or above
+    /// recomputed from it, a link or VM is priced at or above
     /// [`FAILED_COST`] exactly when the [fault set](Self::faults) covers
-    /// it. Not checked: that the forest avoids the failed elements — after
-    /// a `Fail` it stands by design until a policy recovers it — and the
-    /// loads while nothing stands (the next rebuild is priced around the
-    /// last forest's load).
+    /// it, and every link and VM is priced, to the bit, at its floor plus
+    /// [`fortz_thorup`] of its tracked load. Not checked: that the forest
+    /// avoids the failed elements — after a `Fail` it stands by design
+    /// until a policy recovers it — and the loads while nothing stands
+    /// (the next rebuild is priced around the last forest's load).
     ///
     /// # Errors
     ///
@@ -496,21 +518,34 @@ impl OnlineSession {
             }
         }
         let priced_out = |c: Cost| c.value() >= FAILED_COST;
+        let surcharged = |price: Cost, floor: Cost, load: f64, capacity: f64| {
+            price.value().to_bits() == (floor + fortz_thorup(load, capacity)).value().to_bits()
+        };
+        let t = &self.tracker;
         for (e, edge) in net.graph().edges() {
-            if priced_out(net.graph().edge_cost(e)) != self.faults.edge_down(edge.u, edge.v) {
+            let price = net.graph().edge_cost(e);
+            if priced_out(price) != self.faults.edge_down(edge.u, edge.v) {
                 return Err(format!(
-                    "link {}-{} priced {} against the fault set",
-                    edge.u,
-                    edge.v,
-                    net.graph().edge_cost(e)
+                    "link {}-{} priced {price} against the fault set",
+                    edge.u, edge.v
+                ));
+            }
+            let floor = self.edge_floor[e.index()];
+            if !surcharged(price, floor, t.edge_load(e), t.edge_capacity(e)) {
+                return Err(format!(
+                    "link {}-{} priced {price}, not its floor {floor} plus its load's surcharge",
+                    edge.u, edge.v
                 ));
             }
         }
-        for &(v, _) in &self.vm_floor {
-            if priced_out(net.node_cost(v)) != self.faults.vm_down(v) {
+        for &(v, floor) in &self.vm_floor {
+            let price = net.node_cost(v);
+            if priced_out(price) != self.faults.vm_down(v) {
+                return Err(format!("VM {v} priced {price} against the fault set"));
+            }
+            if !surcharged(price, floor, t.node_load(v), t.node_capacity(v)) {
                 return Err(format!(
-                    "VM {v} priced {} against the fault set",
-                    net.node_cost(v)
+                    "VM {v} priced {price}, not its floor {floor} plus its load's surcharge"
                 ));
             }
         }
@@ -900,14 +935,30 @@ impl OnlineSession {
         }
     }
 
-    /// Re-derives the standing forest's load footprint, refreshes
-    /// congestion-aware costs, and returns the forest's cost under them.
+    /// Re-derives the standing forest's load footprint, reprices the links
+    /// whose load can have changed, and returns the forest's cost under the
+    /// new prices.
+    ///
+    /// Those links are the old footprint ∪ the new one. Any other link
+    /// carried no load before and carries none now, and its floor only
+    /// moves in [`apply_faults`](Self::apply_faults), which reprices
+    /// everything; so its price is still `floor + fortz_thorup(0, p)` to
+    /// the bit. The union is repriced in ascending edge order, the order
+    /// of the full pass, so the price changes reach the graph's journal —
+    /// and each engine tree's staleness and repair — exactly as a full
+    /// pass would write them.
     fn recharge(&mut self) -> f64 {
         let forest = self.forest.take().expect("caller ensured a forest");
-        self.tracker.clear_loads();
+        let mut links = std::mem::take(&mut self.recharged);
+        links.clear();
+        self.tracker.clear_loads(&mut links);
         self.tracker
             .apply_forest(&self.instance.network, &forest, self.opts.demand_mbps);
-        self.refresh_costs();
+        links.extend_from_slice(self.tracker.footprint());
+        links.sort_unstable();
+        links.dedup();
+        self.reprice(links.iter().copied());
+        self.recharged = links;
         let cost = forest.cost(&self.instance.network).total().value();
         self.forest = Some(forest);
         cost
@@ -1000,6 +1051,83 @@ mod tests {
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.misses, before.misses);
         assert_eq!(after.stale, before.stale);
+    }
+
+    /// The links a forest loads, as edge ids.
+    fn links_of(net: &Network, forest: Option<&ServiceForest>) -> BTreeSet<EdgeId> {
+        let segs = forest.map(ServiceForest::segment_edges).unwrap_or_default();
+        segs.into_iter()
+            .flatten()
+            .map(|(a, b)| net.graph().edge_between(a, b).unwrap())
+            .collect()
+    }
+
+    /// The work witness of footprint repricing: per event, the links
+    /// repriced are exactly the old forest's ∪ the new one's, and the price
+    /// changes reach the journal in ascending edge order, once each.
+    #[test]
+    fn a_recharge_reprices_its_old_and_new_footprint_in_edge_order() {
+        let mut rng = Rng64::seed_from(36);
+        let g = generators::gnp_connected(300, 0.012, CostRange::new(1.0, 5.0), &mut rng);
+        assert_eq!(g.edge_count(), 837);
+        let mut net = Network::all_switches(g);
+        let picks = rng.sample_indices(300, 40);
+        for &v in &picks[..12] {
+            net.make_vm(NodeId::new(v), Cost::new(1.0));
+        }
+        let node = |i: usize| NodeId::new(picks[i]);
+        let inst = SofInstance::new(
+            net,
+            Request::new(
+                vec![node(12), node(13)],
+                (14..20).map(node).collect(),
+                ServiceChain::with_len(2),
+            ),
+        )
+        .unwrap();
+        let request = inst.request.clone();
+        let mut s = OnlineSession::new(
+            inst,
+            Box::new(Sofda),
+            SofdaConfig::default(),
+            OnlineConfig::default(),
+        );
+        let mut events = vec![SessionEvent::Arrive(request)];
+        for i in 20..32 {
+            events.push(SessionEvent::Join(node(i)));
+            if i % 3 == 0 {
+                events.push(SessionEvent::Leave(node(i - 5)));
+            }
+        }
+        let (mut counts, mut changes) = (Vec::new(), 0);
+        for event in events {
+            let net = &s.instance().network;
+            let old = links_of(net, s.forest());
+            let epoch = net.graph().cost_epoch();
+            s.apply(event).unwrap();
+            let net = &s.instance().network;
+            let union: BTreeSet<EdgeId> = old.union(&links_of(net, s.forest())).copied().collect();
+            assert_eq!(s.repriced_links, union.len());
+            let changed: Vec<usize> = net
+                .graph()
+                .cost_changes_since(epoch)
+                .unwrap()
+                .iter()
+                .map(|c| c.edge.index())
+                .collect();
+            assert!(
+                changed.windows(2).all(|w| w[0] < w[1]),
+                "price changes out of edge order: {changed:?}"
+            );
+            changes += changed.len();
+            counts.push(s.repriced_links);
+        }
+        assert!(changes > counts.len(), "the order check saw price changes");
+        // Each a small share of the graph's 837 links.
+        assert_eq!(
+            counts,
+            [17, 19, 21, 21, 23, 24, 53, 32, 30, 30, 31, 31, 31, 33, 65, 37, 36]
+        );
     }
 
     #[test]
