@@ -5,7 +5,7 @@ use crate::dw::{Arborescence, Restrictions, SteinerRelaxation};
 use crate::layered::LayeredGraph;
 use sof_core::{DestWalk, ServiceForest, SofInstance};
 use sof_graph::{Cost, NodeId};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared upper bound on the optimum: the incumbent's cost as `f64` bits
@@ -72,8 +72,8 @@ impl std::error::Error for ExactError {}
 
 /// VMs processing more than one VNF in a relaxed solution, with the layers
 /// they process.
-fn violations(lg: &LayeredGraph, arb: &Arborescence) -> HashMap<usize, Vec<usize>> {
-    let mut used: HashMap<usize, Vec<usize>> = HashMap::new();
+fn violations(lg: &LayeredGraph, arb: &Arborescence) -> BTreeMap<usize, Vec<usize>> {
+    let mut used: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for &aid in &arb.arcs {
         if let Some((vm, layer)) = lg.arcs[aid].process {
             used.entry(vm.index()).or_default().push(layer);
@@ -81,6 +81,15 @@ fn violations(lg: &LayeredGraph, arb: &Arborescence) -> HashMap<usize, Vec<usize
     }
     used.retain(|_, layers| layers.len() > 1);
     used
+}
+
+/// The VM to branch on: the one processing the most layers, and of those
+/// the highest VM index — a fixed order, so the search and its answer are
+/// the same on every run.
+fn branch_vm(viol: &BTreeMap<usize, Vec<usize>>) -> Option<(usize, &[usize])> {
+    viol.iter()
+        .max_by_key(|&(&vm, layers)| (layers.len(), vm))
+        .map(|(&vm, layers)| (vm, layers.as_slice()))
 }
 
 /// Solves SOF **exactly** via best-first branch-and-bound on the layered
@@ -171,16 +180,12 @@ pub fn solve_exact_with(
         let mut arb = root_rel;
         for _ in 0..instance.network.vms().len() + 1 {
             let viol = violations(&lg, &arb);
-            if viol.is_empty() {
+            let Some((vm, layers)) = branch_vm(&viol) else {
                 if incumbent.as_ref().is_none_or(|(c, _)| arb.cost < *c) {
                     incumbent = Some((arb.cost, Incumbent::Arb(arb)));
                 }
                 break;
-            }
-            let (&vm, layers) = viol
-                .iter()
-                .max_by_key(|(_, layers)| layers.len())
-                .expect("non-empty");
+            };
             let keep = *layers.iter().min().expect("non-empty");
             r.restrict(vm, 1u32 << keep);
             match memo.solve(&lg, &r) {
@@ -204,8 +209,11 @@ pub fn solve_exact_with(
                 continue; // pruned; heap is ordered so all the rest prune too
             }
         }
-        let viol = violations(&lg, &node.arb);
-        if viol.is_empty() {
+        // Branch on the most-violated VM: one child per single allowed
+        // layer, plus a "banned entirely" child. The children's relaxations
+        // are independent, so they fork across the worker pool; each worker
+        // checks the shared incumbent bound before handing its child back.
+        let Some((vm, _)) = branch_vm(&violations(&lg, &node.arb)) else {
             // Feasible — candidate incumbent.
             if incumbent
                 .as_ref()
@@ -214,16 +222,7 @@ pub fn solve_exact_with(
                 incumbent = Some((node.arb.cost, Incumbent::Arb(node.arb)));
             }
             continue;
-        }
-        // Branch on the most-violated VM: one child per single allowed
-        // layer, plus a "banned entirely" child. The children's relaxations
-        // are independent, so they fork across the worker pool; each worker
-        // checks the shared incumbent bound before handing its child back.
-        let (&vm, layers) = viol
-            .iter()
-            .max_by_key(|(_, layers)| layers.len())
-            .expect("non-empty violations");
-        let _ = layers;
+        };
         let mut masks: Vec<u32> = (0..chain_len).map(|i| 1u32 << i).collect();
         masks.push(0);
         bound.sync(&incumbent);
@@ -432,6 +431,45 @@ mod tests {
         )
         .unwrap();
         assert_eq!(solve_exact(&inst, 10).unwrap_err(), ExactError::Infeasible);
+    }
+
+    /// Two VMs each process both layers of a chain of two, so they tie on
+    /// layer count: the branch goes to the higher VM index on every call,
+    /// each on a fresh map. Keyed by a `HashMap`, whose iteration order
+    /// differs from map to map, the tie went whichever way the hash fell,
+    /// and the exact column read differently from run to run.
+    #[test]
+    fn ties_on_layer_count_branch_on_the_highest_vm() {
+        let mut g = Graph::with_nodes(4);
+        for i in 0..3 {
+            g.add_edge(NodeId::new(i), NodeId::new(i + 1), Cost::new(1.0));
+        }
+        let mut net = Network::all_switches(g);
+        net.make_vm(NodeId::new(1), Cost::new(1.0));
+        net.make_vm(NodeId::new(2), Cost::new(1.0));
+        let inst = SofInstance::new(
+            net,
+            Request::new(
+                vec![NodeId::new(0)],
+                vec![NodeId::new(3)],
+                ServiceChain::with_len(2),
+            ),
+        )
+        .unwrap();
+        let lg = LayeredGraph::build(&inst, Cost::ZERO);
+        let arcs: Vec<usize> = (0..lg.arcs.len())
+            .filter(|&a| lg.arcs[a].process.is_some())
+            .collect();
+        assert_eq!(arcs.len(), 4, "two VMs, two layers each");
+        let arb = Arborescence {
+            cost: Cost::ZERO,
+            arcs,
+        };
+        for _ in 0..64 {
+            let viol = violations(&lg, &arb);
+            assert_eq!(viol.len(), 2);
+            assert_eq!(branch_vm(&viol), Some((2, &[0, 1][..])));
+        }
     }
 
     #[test]
