@@ -264,7 +264,7 @@ pub fn directed_steiner(lg: &LayeredGraph, restrictions: &Restrictions) -> Optio
 mod tests {
     use super::*;
     use sof_core::{Network, Request, ServiceChain, SofInstance};
-    use sof_graph::{Graph, NodeId};
+    use sof_graph::{generators, CostRange, EdgeId, Graph, NodeId, Rng64};
 
     /// Path 0-1-2-3 with VM at 1 (cost 5) and 2 (cost 1); source 0; dest 3.
     fn instance(chain: usize) -> SofInstance {
@@ -284,6 +284,94 @@ mod tests {
             ),
         )
         .unwrap()
+    }
+
+    /// Case `seed` of the bit-identity fixture: a connected random network
+    /// on 5–12 nodes with 1–4 VMs, 1–2 sources, 1–6 destinations and a
+    /// chain of 0–3; real link and VM costs on even seeds, integer ones of
+    /// 0–3 on odd seeds (equal-cost trees are common there). Two cases in
+    /// three restrict one or two VMs to one position or to none.
+    fn fixture_case(seed: u64) -> (LayeredGraph, Restrictions) {
+        let mut rng = Rng64::seed_from(seed);
+        let n = rng.range(5, 13);
+        let integer = seed % 2 == 1;
+        let cost = |rng: &mut Rng64, lo: f64, hi: f64| {
+            Cost::new(if integer {
+                rng.below(4) as f64
+            } else {
+                rng.range_f64(lo, hi)
+            })
+        };
+        let mut g = generators::gnp_connected(n, 0.3, CostRange::new(1.0, 6.0), &mut rng);
+        for e in 0..g.edge_count() {
+            let c = cost(&mut rng, 1.0, 6.0);
+            g.set_edge_cost(EdgeId::new(e), c);
+        }
+        let mut net = Network::all_switches(g);
+        let k = rng.range(1, 5);
+        let vms = rng.sample_indices(n, k);
+        for &v in &vms {
+            let c = cost(&mut rng, 0.5, 4.0);
+            net.make_vm(NodeId::new(v), c);
+        }
+        let k = rng.range(1, 3);
+        let sources = rng.sample_indices(n, k);
+        let k = rng.range(1, 7).min(n);
+        let destinations = rng.sample_indices(n, k);
+        let chain = rng.range(0, 4);
+        let inst = SofInstance::new(
+            net,
+            Request::new(
+                sources.into_iter().map(NodeId::new).collect(),
+                destinations.into_iter().map(NodeId::new).collect(),
+                ServiceChain::with_len(chain),
+            ),
+        )
+        .unwrap();
+        let mut r = Restrictions::default();
+        if seed % 3 != 0 {
+            for _ in 0..rng.range(1, 3) {
+                let vm = *rng.pick(&vms);
+                let mask = match rng.below(chain + 1) {
+                    0 => 0,
+                    i => 1 << (i - 1),
+                };
+                r.restrict(vm, mask);
+            }
+        }
+        (LayeredGraph::build(&inst, Cost::ZERO), r)
+    }
+
+    /// FNV-1a over the little-endian bytes of `word`.
+    fn fold(hash: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Bit identity over 400 generated layered cases, half of them with
+    /// integer costs and two thirds under a restriction: every answer's
+    /// cost bits and sorted arc ids (or its absence) fold into one digest.
+    /// The constant is what the layered DP gave before it became a view of
+    /// the shared arborescence DP; an equal-cost tie reconstructed another
+    /// way moves it as surely as a wrong cost does.
+    #[test]
+    fn answers_are_bit_identical_on_400_generated_cases() {
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for seed in 0..400 {
+            let (lg, r) = fixture_case(seed);
+            match directed_steiner(&lg, &r) {
+                Some(arb) => {
+                    fold(&mut hash, arb.cost.value().to_bits());
+                    fold(&mut hash, arb.arcs.len() as u64);
+                    for a in arb.arcs {
+                        fold(&mut hash, a as u64);
+                    }
+                }
+                None => fold(&mut hash, u64::MAX),
+            }
+        }
+        assert_eq!(hash, 0x6592_7173_6bdd_6fcb, "digest {hash:#018x}");
     }
 
     #[test]

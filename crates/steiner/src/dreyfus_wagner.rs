@@ -246,6 +246,72 @@ mod tests {
         assert!(tree.cost.approx_eq(sp.dist(NodeId::new(15))));
     }
 
+    /// Case `seed` of the bit-identity fixture: a connected random graph
+    /// on 4–22 nodes, with real costs in `[1, 10)` on even seeds and
+    /// integer costs of 0–3 on odd ones (equal-cost trees are common
+    /// there), 2–8 terminals, a repeated terminal one time in five, and an
+    /// isolated terminal one time in 25.
+    fn fixture_case(seed: u64) -> (Graph, Vec<NodeId>) {
+        let mut rng = Rng64::seed_from(seed);
+        let n = rng.range(4, 23);
+        let p = [0.1, 0.25, 0.5][rng.below(3)];
+        let mut g = generators::gnp_connected(n, p, CostRange::new(1.0, 10.0), &mut rng);
+        if seed % 2 == 1 {
+            for e in 0..g.edge_count() {
+                g.set_edge_cost(EdgeId::new(e), Cost::new(rng.below(4) as f64));
+            }
+        }
+        let k = rng.range(2, n.min(8) + 1);
+        let mut ts: Vec<NodeId> = rng
+            .sample_indices(n, k)
+            .into_iter()
+            .map(NodeId::new)
+            .collect();
+        if rng.chance(0.2) {
+            ts.push(ts[0]);
+        }
+        if seed % 25 == 0 {
+            ts.push(g.add_node());
+        }
+        (g, ts)
+    }
+
+    /// FNV-1a over the little-endian bytes of `word`.
+    fn fold(hash: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Bit identity over 600 generated cases, 300 of them with integer
+    /// costs: every answer's cost bits and sorted edge ids (or the
+    /// unreachable terminal) fold into one digest. The constant is what the
+    /// undirected DP gave before it became a view of the shared
+    /// arborescence DP; an equal-cost tie reconstructed another way moves
+    /// it as surely as a wrong cost does.
+    #[test]
+    fn answers_are_bit_identical_on_600_generated_cases() {
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for seed in 0..600 {
+            let (g, ts) = fixture_case(seed);
+            match dreyfus_wagner(&g, &ts) {
+                Ok(tree) => {
+                    fold(&mut hash, tree.cost.value().to_bits());
+                    fold(&mut hash, tree.edges.len() as u64);
+                    for e in tree.edges {
+                        fold(&mut hash, e.index() as u64);
+                    }
+                }
+                Err(SteinerError::Unreachable { terminal }) => {
+                    fold(&mut hash, u64::MAX);
+                    fold(&mut hash, terminal.index() as u64);
+                }
+                Err(e) => panic!("case {seed}: {e}"),
+            }
+        }
+        assert_eq!(hash, 0x189b_a89c_cb54_6c5d, "digest {hash:#018x}");
+    }
+
     #[test]
     fn unreachable_errors() {
         let g = Graph::with_nodes(2);
