@@ -1,10 +1,10 @@
 //! Branch-and-bound closing the one-VNF-per-VM constraint (IP constraint
-//! (6)) over the exact relaxation of [`crate::directed_steiner`].
+//! (6)) over the exact relaxation of the layered graph (`dw.rs`).
 
-use crate::dw::{Arborescence, Restrictions, SteinerRelaxation};
+use crate::dw::{Restrictions, SteinerRelaxation};
 use crate::layered::LayeredGraph;
 use sof_core::{DestWalk, ServiceForest, SofInstance};
-use sof_graph::{Cost, NodeId};
+use sof_graph::{Cost, NodeId, SteinerArborescence, SteinerDpError};
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,6 +55,9 @@ pub enum ExactError {
     Infeasible,
     /// The search exhausted its node budget without any incumbent.
     BudgetExhausted,
+    /// More destinations than the exact relaxation spans
+    /// ([`sof_graph::MAX_DW_TERMINALS`]).
+    TooManyDestinations,
 }
 
 impl std::fmt::Display for ExactError {
@@ -64,6 +67,11 @@ impl std::fmt::Display for ExactError {
             ExactError::BudgetExhausted => {
                 write!(f, "node budget exhausted before finding a feasible forest")
             }
+            ExactError::TooManyDestinations => write!(
+                f,
+                "the exact relaxation spans at most {} destinations",
+                sof_graph::MAX_DW_TERMINALS
+            ),
         }
     }
 }
@@ -72,7 +80,7 @@ impl std::error::Error for ExactError {}
 
 /// VMs processing more than one VNF in a relaxed solution, with the layers
 /// they process.
-fn violations(lg: &LayeredGraph, arb: &Arborescence) -> BTreeMap<usize, Vec<usize>> {
+fn violations(lg: &LayeredGraph, arb: &SteinerArborescence) -> BTreeMap<usize, Vec<usize>> {
     let mut used: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for &aid in &arb.arcs {
         if let Some((vm, layer)) = lg.arcs[aid].process {
@@ -103,7 +111,9 @@ fn branch_vm(viol: &BTreeMap<usize, Vec<usize>>) -> Option<(usize, &[usize])> {
 /// [`ExactError::Infeasible`] when the instance has no feasible forest;
 /// [`ExactError::BudgetExhausted`] when the budget ends before a feasible
 /// incumbent exists (the bound is still reported through the error path in
-/// practice — budget ≥ a few hundred suffices for the paper's instances).
+/// practice — budget ≥ a few hundred suffices for the paper's instances);
+/// [`ExactError::TooManyDestinations`] past
+/// [`sof_graph::MAX_DW_TERMINALS`] destinations.
 pub fn solve_exact(instance: &SofInstance, node_budget: usize) -> Result<ExactOutcome, ExactError> {
     solve_exact_with(instance, node_budget, 0)
 }
@@ -128,17 +138,20 @@ pub fn solve_exact_with(
     threads: usize,
 ) -> Result<ExactOutcome, ExactError> {
     let lg = LayeredGraph::build(instance, Cost::ZERO);
-    let memo = SteinerRelaxation::new();
+    let memo = SteinerRelaxation::default();
     let root_rel = memo
         .solve(&lg, &Restrictions::default())
-        .ok_or(ExactError::Infeasible)?;
+        .map_err(|e| match e {
+            SteinerDpError::TooManyTerminals => ExactError::TooManyDestinations,
+            SteinerDpError::Unreachable => ExactError::Infeasible,
+        })?;
     let lower_bound = root_rel.cost;
 
     // Best-first queue ordered by relaxation cost.
     struct Node {
         bound: Cost,
         restrictions: Restrictions,
-        arb: Arborescence,
+        arb: SteinerArborescence,
     }
     impl PartialEq for Node {
         fn eq(&self, other: &Self) -> bool {
@@ -167,7 +180,7 @@ pub fn solve_exact_with(
     // found so far, which we seed from (a) a diving heuristic and (b) the
     // SOFDA approximation — making `cost ≤ SOFDA` structural.
     enum Incumbent {
-        Arb(Arborescence),
+        Arb(SteinerArborescence),
         Forest(ServiceForest),
     }
     let mut incumbent: Option<(Cost, Incumbent)> = None;
@@ -189,8 +202,8 @@ pub fn solve_exact_with(
             let keep = *layers.iter().min().expect("non-empty");
             r.restrict(vm, 1u32 << keep);
             match memo.solve(&lg, &r) {
-                Some(next) => arb = next,
-                None => break,
+                Ok(next) => arb = next,
+                Err(_) => break,
             }
         }
     }
@@ -230,6 +243,7 @@ pub fn solve_exact_with(
             let mut r = node.restrictions.clone();
             r.restrict(vm, mask);
             memo.solve(&lg, &r)
+                .ok()
                 .and_then(|arb| bound.beats(arb.cost).then_some((r, arb)))
         })
         .unwrap_or_else(|e| panic!("exact branch evaluation: {e}"));
@@ -271,7 +285,7 @@ pub fn solve_exact_with(
 fn extract_forest(
     instance: &SofInstance,
     lg: &LayeredGraph,
-    arb: &Arborescence,
+    arb: &SteinerArborescence,
 ) -> Result<ServiceForest, ExactError> {
     // Child adjacency over chosen arcs.
     let mut out: HashMap<usize, Vec<usize>> = HashMap::new();
@@ -461,9 +475,10 @@ mod tests {
             .filter(|&a| lg.arcs[a].process.is_some())
             .collect();
         assert_eq!(arcs.len(), 4, "two VMs, two layers each");
-        let arb = Arborescence {
+        let arb = SteinerArborescence {
             cost: Cost::ZERO,
             arcs,
+            scanned: 0,
         };
         for _ in 0..64 {
             let viol = violations(&lg, &arb);

@@ -1,39 +1,35 @@
-//! Directed Dreyfus–Wagner over the layered graph: exact minimum-cost
-//! arborescence from the root spanning all destination terminals.
+//! The exact relaxation: the Dreyfus–Wagner DP
+//! ([`sof_graph::steiner_arborescence`]) over the layered graph's incoming
+//! arcs, a minimum-cost arborescence from the root spanning all destination
+//! terminals, with the branch-and-bound's restrictions as its arc filter.
 
 use crate::layered::LayeredGraph;
-use sof_graph::Cost;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use sof_graph::{steiner_arborescence, SteinerArborescence, SteinerDpError};
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Per-VM restriction used by the branch-and-bound: which VNF indices a VM
 /// may process (`u32` bitmask over chain positions).
 #[derive(Clone, Debug, Default)]
-pub struct Restrictions {
+pub(crate) struct Restrictions {
     /// `allowed[v] = bitmask` (absent = all allowed).
-    pub allowed: std::collections::HashMap<usize, u32>,
+    allowed: HashMap<usize, u32>,
 }
 
 impl Restrictions {
-    /// Returns `true` if VM (dense index) `v` may process chain position `i`.
-    pub fn permits(&self, v: usize, i: usize) -> bool {
+    /// Returns `true` if VM (node index) `v` may process chain position `i`.
+    fn permits(&self, v: usize, i: usize) -> bool {
         self.allowed.get(&v).is_none_or(|m| m & (1 << i) != 0)
     }
 
     /// Restricts `v` to a single position (or none with an empty mask).
-    pub fn restrict(&mut self, v: usize, mask: u32) {
+    pub(crate) fn restrict(&mut self, v: usize, mask: u32) {
         self.allowed.insert(v, mask);
     }
 }
 
-/// Result of one relaxed solve.
-#[derive(Clone, Debug)]
-pub struct Arborescence {
-    /// Total cost.
-    pub cost: Cost,
-    /// Chosen arc indices into [`LayeredGraph::arcs`].
-    pub arcs: Vec<usize>,
-}
+/// A relaxed solve: the arborescence, or why there is none.
+pub(crate) type Relaxed = Result<SteinerArborescence, SteinerDpError>;
 
 /// Memoizing front-end over [`directed_steiner`]: the relaxation engine.
 ///
@@ -43,228 +39,62 @@ pub struct Arborescence {
 /// child branches re-derive), and `directed_steiner` is a pure function of
 /// `(layered graph, restrictions)` — so each distinct restriction set is
 /// solved exactly once per engine. Shared across forked child relaxations
-/// behind a mutex; hits return the identical `Arborescence`, so results
-/// stay bit-identical for any thread count. Hit/miss counters expose how
-/// much of the search tree the memo absorbed.
-pub struct SteinerRelaxation {
-    memo: std::sync::Mutex<std::collections::HashMap<RestrictionKey, Option<Arborescence>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
+/// behind a mutex; hits return the identical answer, so results stay
+/// bit-identical for any thread count.
+#[derive(Default)]
+pub(crate) struct SteinerRelaxation {
+    memo: Mutex<HashMap<RestrictionKey, Relaxed>>,
 }
 
 /// Canonical form of a [`Restrictions`] map: sorted `(vm, mask)` pairs.
 type RestrictionKey = Vec<(usize, u32)>;
 
-/// Cache counters of a [`SteinerRelaxation`] engine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RelaxationStats {
-    /// Relaxations answered from the memo.
-    pub hits: u64,
-    /// Relaxations computed by [`directed_steiner`].
-    pub misses: u64,
-}
-
-impl Default for SteinerRelaxation {
-    fn default() -> SteinerRelaxation {
-        SteinerRelaxation::new()
-    }
-}
-
 impl SteinerRelaxation {
-    /// Creates an empty engine (no memoized relaxations).
-    pub fn new() -> SteinerRelaxation {
-        SteinerRelaxation {
-            memo: std::sync::Mutex::new(std::collections::HashMap::new()),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    fn canon(r: &Restrictions) -> RestrictionKey {
-        let mut key: RestrictionKey = r.allowed.iter().map(|(&v, &m)| (v, m)).collect();
-        key.sort_unstable();
-        key
-    }
-
     /// Solves the relaxation, answering repeated restriction sets from the
     /// memo.
-    pub fn solve(&self, lg: &LayeredGraph, r: &Restrictions) -> Option<Arborescence> {
-        use std::sync::atomic::Ordering;
-        let key = SteinerRelaxation::canon(r);
+    pub(crate) fn solve(&self, lg: &LayeredGraph, r: &Restrictions) -> Relaxed {
+        let mut key: RestrictionKey = r.allowed.iter().map(|(&v, &m)| (v, m)).collect();
+        key.sort_unstable();
         if let Some(hit) = self.memo.lock().expect("relax memo lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
         // Computed outside the lock: sibling branches with distinct
         // restriction sets must relax in parallel, and a duplicate
         // computation of the same key is deterministic anyway.
         let result = directed_steiner(lg, r);
-        self.misses.fetch_add(1, Ordering::Relaxed);
         self.memo
             .lock()
             .expect("relax memo lock")
             .insert(key, result.clone());
         result
     }
-
-    /// Snapshot of the hit/miss counters.
-    pub fn stats(&self) -> RelaxationStats {
-        use std::sync::atomic::Ordering;
-        RelaxationStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Choice {
-    None,
-    Terminal,
-    Arc(usize),
-    Merge(u32),
 }
 
 /// Solves the relaxed problem exactly (no VM-uniqueness): minimum directed
 /// Steiner arborescence from `lg.root` spanning all terminals, honoring
-/// `restrictions` on processing arcs.
+/// `restrictions` on processing arcs. Arc ids index [`LayeredGraph::arcs`].
 ///
-/// Returns `None` when some terminal is unreachable under the restrictions.
+/// # Errors
 ///
-/// Complexity `O(3^k·N + 2^k·M log N)` for `k` terminals.
-///
-/// # Panics
-///
-/// Panics if there are more than 20 terminals.
-pub fn directed_steiner(lg: &LayeredGraph, restrictions: &Restrictions) -> Option<Arborescence> {
-    let k = lg.terminals.len();
-    assert!(k <= 20, "too many destinations for the exact solver: {k}");
-    if k == 0 {
-        return Some(Arborescence {
-            cost: Cost::ZERO,
-            arcs: vec![],
-        });
-    }
-    let n = lg.len();
-    let masks = 1usize << k;
-    let mut dp = vec![Cost::INFINITY; masks * n];
-    let mut choice = vec![Choice::None; masks * n];
-
-    let arc_allowed = |arc: &crate::layered::Arc| match arc.process {
-        None => true,
-        Some((vm, i)) => restrictions.permits(vm.index(), i),
-    };
-
-    // Reversed-Dijkstra relaxation: dp[S][x] = min over y reachable from x
-    // of dist(x→y) + init[y].
-    let relax = |dist: &mut [Cost], ch: &mut [Choice]| {
-        let mut heap: BinaryHeap<Reverse<(Cost, usize)>> = dist
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_finite())
-            .map(|(i, &d)| Reverse((d, i)))
-            .collect();
-        while let Some(Reverse((d, y))) = heap.pop() {
-            if d > dist[y] {
-                continue;
-            }
-            for &aid in &lg.into[y] {
-                let arc = &lg.arcs[aid];
-                if !arc_allowed(arc) {
-                    continue;
-                }
-                let nd = d + arc.cost;
-                if nd < dist[arc.from] {
-                    dist[arc.from] = nd;
-                    ch[arc.from] = Choice::Arc(aid);
-                    heap.push(Reverse((nd, arc.from)));
-                }
-            }
-        }
-    };
-
-    // Singletons.
-    for (ti, &t) in lg.terminals.iter().enumerate() {
-        let mask = 1usize << ti;
-        let mut d = dp[mask * n..(mask + 1) * n].to_vec();
-        let mut c = choice[mask * n..(mask + 1) * n].to_vec();
-        d[t] = Cost::ZERO;
-        c[t] = Choice::Terminal;
-        relax(&mut d, &mut c);
-        dp[mask * n..(mask + 1) * n].copy_from_slice(&d);
-        choice[mask * n..(mask + 1) * n].copy_from_slice(&c);
-    }
-
-    // Larger subsets.
-    for mask in 1..masks {
-        if mask.count_ones() < 2 {
-            continue;
-        }
-        // Merge complementary sub-solutions at every node.
-        {
-            let mut sub = (mask - 1) & mask;
-            while sub > 0 {
-                let other = mask & !sub;
-                if sub >= other {
-                    for x in 0..n {
-                        let a = dp[sub * n + x];
-                        let b = dp[other * n + x];
-                        if a.is_finite() && b.is_finite() {
-                            let c = a + b;
-                            if c < dp[mask * n + x] {
-                                dp[mask * n + x] = c;
-                                choice[mask * n + x] = Choice::Merge(sub as u32);
-                            }
-                        }
-                    }
-                }
-                sub = (sub - 1) & mask;
-            }
-        }
-        let mut d = dp[mask * n..(mask + 1) * n].to_vec();
-        let mut c = choice[mask * n..(mask + 1) * n].to_vec();
-        relax(&mut d, &mut c);
-        dp[mask * n..(mask + 1) * n].copy_from_slice(&d);
-        choice[mask * n..(mask + 1) * n].copy_from_slice(&c);
-    }
-
-    let full = masks - 1;
-    let best = dp[full * n + lg.root];
-    if !best.is_finite() {
-        return None;
-    }
-    // Reconstruct.
-    let mut arcs = Vec::new();
-    let mut stack = vec![(full, lg.root)];
-    while let Some((mask, x)) = stack.pop() {
-        match choice[mask * n + x] {
-            Choice::Terminal => {}
-            Choice::Arc(aid) => {
-                arcs.push(aid);
-                stack.push((mask, lg.arcs[aid].to));
-            }
-            Choice::Merge(sub) => {
-                stack.push((sub as usize, x));
-                stack.push((mask & !(sub as usize), x));
-            }
-            Choice::None => unreachable!("finite dp entry must have a choice"),
-        }
-    }
-    arcs.sort_unstable();
-    arcs.dedup();
-    let cost: Cost = arcs.iter().map(|&a| lg.arcs[a].cost).sum();
-    debug_assert!(
-        cost <= best + Cost::new(1e-9),
-        "reconstruction ({cost}) exceeds dp bound ({best})"
-    );
-    Some(Arborescence { cost, arcs })
+/// [`SteinerDpError::Unreachable`] when some terminal is unreachable under
+/// the restrictions, and [`SteinerDpError::TooManyTerminals`] past
+/// [`sof_graph::MAX_DW_TERMINALS`] destinations.
+pub(crate) fn directed_steiner(lg: &LayeredGraph, restrictions: &Restrictions) -> Relaxed {
+    steiner_arborescence(lg.len(), lg.root, &lg.terminals, |y| {
+        lg.into[y].iter().filter_map(|&aid| {
+            let arc = &lg.arcs[aid];
+            arc.process
+                .is_none_or(|(vm, i)| restrictions.permits(vm.index(), i))
+                .then_some((arc.from, arc.cost, aid))
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sof_core::{Network, Request, ServiceChain, SofInstance};
-    use sof_graph::{generators, CostRange, EdgeId, Graph, NodeId, Rng64};
+    use sof_graph::{generators, Cost, CostRange, EdgeId, Graph, NodeId, Rng64};
 
     /// Path 0-1-2-3 with VM at 1 (cost 5) and 2 (cost 1); source 0; dest 3.
     fn instance(chain: usize) -> SofInstance {
@@ -329,7 +159,7 @@ mod tests {
         )
         .unwrap();
         let mut r = Restrictions::default();
-        if seed % 3 != 0 {
+        if !seed.is_multiple_of(3) {
             for _ in 0..rng.range(1, 3) {
                 let vm = *rng.pick(&vms);
                 let mask = match rng.below(chain + 1) {
@@ -361,17 +191,53 @@ mod tests {
         for seed in 0..400 {
             let (lg, r) = fixture_case(seed);
             match directed_steiner(&lg, &r) {
-                Some(arb) => {
+                Ok(arb) => {
                     fold(&mut hash, arb.cost.value().to_bits());
                     fold(&mut hash, arb.arcs.len() as u64);
                     for a in arb.arcs {
                         fold(&mut hash, a as u64);
                     }
                 }
-                None => fold(&mut hash, u64::MAX),
+                Err(e) => {
+                    assert_eq!(e, SteinerDpError::Unreachable, "case {seed}");
+                    fold(&mut hash, u64::MAX);
+                }
             }
         }
         assert_eq!(hash, 0x6592_7173_6bdd_6fcb, "digest {hash:#018x}");
+    }
+
+    /// The DP's work witness on the layered view: arcs scanned by its
+    /// relaxation passes on one fixed instance (a 20-node network with 6
+    /// VMs, 2 sources, 6 destinations and a chain of 3), unrestricted and
+    /// with one VM banned, pinned exactly. No arborescence can see a pass
+    /// that scans more than it must; this count can. Sunk by dropping the
+    /// DP's stale-entry skip, so that a superseded queue entry scans its
+    /// arcs again.
+    #[test]
+    fn arcs_scanned_are_pinned_on_a_fixed_instance() {
+        let mut rng = Rng64::seed_from(41);
+        let g = generators::gnp_connected(20, 0.2, CostRange::new(1.0, 6.0), &mut rng);
+        let mut net = Network::all_switches(g);
+        let picks = rng.sample_indices(20, 6 + 2 + 6);
+        for &v in &picks[..6] {
+            net.make_vm(NodeId::new(v), Cost::new(rng.range_f64(0.5, 4.0)));
+        }
+        let inst = SofInstance::new(
+            net,
+            Request::new(
+                picks[6..8].iter().map(|&v| NodeId::new(v)).collect(),
+                picks[8..].iter().map(|&v| NodeId::new(v)).collect(),
+                ServiceChain::with_len(3),
+            ),
+        )
+        .unwrap();
+        let lg = LayeredGraph::build(&inst, Cost::ZERO);
+        let free = directed_steiner(&lg, &Restrictions::default()).unwrap();
+        let mut r = Restrictions::default();
+        r.restrict(picks[0], 0);
+        let banned = directed_steiner(&lg, &r).unwrap();
+        assert_eq!((free.scanned, banned.scanned), (29_484, 29_295));
     }
 
     #[test]
@@ -387,21 +253,23 @@ mod tests {
     fn relaxation_engine_memoizes_by_canonical_restrictions() {
         let inst = instance(1);
         let lg = LayeredGraph::build(&inst, Cost::ZERO);
-        let engine = SteinerRelaxation::new();
+        let engine = SteinerRelaxation::default();
         let a = engine.solve(&lg, &Restrictions::default()).unwrap();
         let b = engine.solve(&lg, &Restrictions::default()).unwrap();
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.arcs, b.arcs);
         let mut r = Restrictions::default();
         r.restrict(2, 0);
+        r.restrict(1, 1);
         let c = engine.solve(&lg, &r).unwrap();
         assert!(c.cost > a.cost);
         // Insertion order into the map must not matter: the same
         // restrictions reached along a different path still hit.
         let mut r2 = Restrictions::default();
+        r2.restrict(1, 1);
         r2.restrict(2, 0);
-        let _ = engine.solve(&lg, &r2);
-        assert_eq!(engine.stats(), RelaxationStats { hits: 2, misses: 2 });
+        assert_eq!(engine.solve(&lg, &r2), Ok(c));
+        assert_eq!(engine.memo.lock().unwrap().len(), 2, "two distinct sets");
     }
 
     #[test]
@@ -414,7 +282,7 @@ mod tests {
         // Must process at VM 1: links 3 + VM 5 = 8.
         assert_eq!(arb.cost, Cost::new(8.0));
         r.restrict(1, 0);
-        assert!(directed_steiner(&lg, &r).is_none());
+        assert_eq!(directed_steiner(&lg, &r), Err(SteinerDpError::Unreachable));
     }
 
     #[test]

@@ -14,62 +14,51 @@ use sof_graph::{Cost, NodeId};
 
 /// A directed arc in the layered graph.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Arc {
+pub(crate) struct Arc {
     /// Tail node (layered index).
-    pub from: usize,
+    pub(crate) from: usize,
     /// Head node (layered index).
-    pub to: usize,
+    pub(crate) to: usize,
     /// Arc cost.
-    pub cost: Cost,
+    pub(crate) cost: Cost,
     /// `Some((vm, vnf))` for processing arcs.
-    pub process: Option<(NodeId, usize)>,
+    pub(crate) process: Option<(NodeId, usize)>,
 }
 
 /// The layered directed graph.
 #[derive(Clone, Debug)]
-pub struct LayeredGraph {
+pub(crate) struct LayeredGraph {
     /// Number of network nodes `n`.
-    pub base_nodes: usize,
+    pub(crate) base_nodes: usize,
     /// Chain length `L` (layers `0..=L`).
-    pub chain_len: usize,
+    pub(crate) chain_len: usize,
     /// All arcs.
-    pub arcs: Vec<Arc>,
-    /// Outgoing arc indices per node.
-    pub out: Vec<Vec<usize>>,
+    pub(crate) arcs: Vec<Arc>,
     /// Incoming arc indices per node.
-    pub into: Vec<Vec<usize>>,
+    pub(crate) into: Vec<Vec<usize>>,
     /// The virtual root index.
-    pub root: usize,
+    pub(crate) root: usize,
     /// Terminal indices `(d, L)` in destination order.
-    pub terminals: Vec<usize>,
+    pub(crate) terminals: Vec<usize>,
 }
 
 impl LayeredGraph {
-    /// Layered index of network node `v` at layer `i`.
-    pub fn index(&self, v: NodeId, layer: usize) -> usize {
-        layer * self.base_nodes + v.index()
-    }
-
-    /// Inverse of [`Self::index`]; `None` for the root.
-    pub fn decode(&self, idx: usize) -> Option<(NodeId, usize)> {
+    /// The network node and layer of layered index `idx` (`layer · n + v`);
+    /// `None` for the root.
+    pub(crate) fn decode(&self, idx: usize) -> Option<(NodeId, usize)> {
         (idx != self.root).then(|| (NodeId::new(idx % self.base_nodes), idx / self.base_nodes))
     }
 
     /// Total node count (including the root).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.base_nodes * (self.chain_len + 1) + 1
-    }
-
-    /// Returns `true` for a degenerate empty graph (never constructed).
-    pub fn is_empty(&self) -> bool {
-        self.base_nodes == 0
     }
 
     /// Builds the layered graph for an instance.
     ///
     /// `source_cost` is charged on the root arcs (Appendix D); pass
     /// [`Cost::ZERO`] for the base model.
-    pub fn build(instance: &SofInstance, source_cost: Cost) -> LayeredGraph {
+    pub(crate) fn build(instance: &SofInstance, source_cost: Cost) -> LayeredGraph {
         let network = &instance.network;
         let n = network.node_count();
         let chain_len = instance.chain_len();
@@ -79,7 +68,6 @@ impl LayeredGraph {
             base_nodes: n,
             chain_len,
             arcs: Vec::new(),
-            out: vec![Vec::new(); node_count],
             into: vec![Vec::new(); node_count],
             root,
             terminals: Vec::new(),
@@ -92,7 +80,6 @@ impl LayeredGraph {
                 cost,
                 process,
             });
-            lg.out[from].push(id);
             lg.into[to].push(id);
         };
         // Transport arcs per layer (cheapest parallel edge wins; both dirs).
@@ -163,8 +150,8 @@ mod tests {
     #[test]
     fn index_round_trip() {
         let lg = LayeredGraph::build(&instance(), Cost::ZERO);
-        let idx = lg.index(NodeId::new(2), 1);
-        assert_eq!(lg.decode(idx), Some((NodeId::new(2), 1)));
+        // Node 2 at layer 1 of a three-node network.
+        assert_eq!(lg.decode(3 + 2), Some((NodeId::new(2), 1)));
         assert_eq!(lg.decode(lg.root), None);
     }
 

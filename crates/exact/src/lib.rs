@@ -56,6 +56,4 @@ mod layered;
 
 pub use bb::{solve_exact, solve_exact_with, ExactError, ExactOutcome};
 pub use budget::ExactSolver;
-pub use dw::{directed_steiner, Arborescence, RelaxationStats, Restrictions, SteinerRelaxation};
 pub use ip::{IpFormulation, IpSize};
-pub use layered::{Arc, LayeredGraph};

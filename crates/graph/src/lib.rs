@@ -49,6 +49,7 @@
 
 mod cost;
 mod dijkstra;
+mod dreyfus_wagner;
 mod engine;
 pub mod generators;
 mod graph;
@@ -59,6 +60,9 @@ mod unionfind;
 
 pub use cost::Cost;
 pub use dijkstra::{DijkstraWorkspace, NearestTarget, Repair, ShortestPaths};
+pub use dreyfus_wagner::{
+    steiner_arborescence, SteinerArborescence, SteinerDpError, MAX_DW_TERMINALS,
+};
 pub use engine::{BoundedWork, PathEngine, PathEngineStats};
 pub use generators::CostRange;
 pub use graph::{CostChange, Edge, Graph};

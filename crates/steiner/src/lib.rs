@@ -34,7 +34,7 @@ mod mehlhorn;
 mod takahashi;
 mod tree;
 
-pub use dreyfus_wagner::{dreyfus_wagner, MAX_DW_TERMINALS};
+pub use dreyfus_wagner::dreyfus_wagner;
 pub use mehlhorn::{mehlhorn, mehlhorn_with_engine};
 pub use takahashi::takahashi_matsuyama;
 pub use tree::{SteinerError, SteinerTree};

@@ -16,6 +16,12 @@ pub enum SteinerError {
         /// The offending id.
         terminal: NodeId,
     },
+    /// More distinct terminals than the exact solver spans: one more than
+    /// [`sof_graph::MAX_DW_TERMINALS`], its root.
+    TooManyTerminals {
+        /// How many distinct terminals were asked for.
+        terminals: usize,
+    },
 }
 
 impl std::fmt::Display for SteinerError {
@@ -27,6 +33,11 @@ impl std::fmt::Display for SteinerError {
             SteinerError::InvalidTerminal { terminal } => {
                 write!(f, "terminal {terminal} is not a node of the graph")
             }
+            SteinerError::TooManyTerminals { terminals } => write!(
+                f,
+                "Dreyfus-Wagner spans at most {} terminals, got {terminals}",
+                sof_graph::MAX_DW_TERMINALS + 1
+            ),
         }
     }
 }

@@ -89,6 +89,43 @@ values = [2, 3]
     assert_eq!(outputs[0], outputs[2]);
 }
 
+/// A spec can ask the exact Steiner solver for more terminals than it
+/// spans: Dreyfus–Wagner inside SOFDA on Cogent with 20 destinations. The
+/// solve is refused with an error, so the sweep leaves that cell empty, as
+/// it does for `CPLEX*` past its envelope; the run used to panic.
+#[test]
+fn an_exact_steiner_spec_past_its_terminal_cap_leaves_the_cell_empty() {
+    let spec = ScenarioSpec::from_toml(
+        r#"
+name = "dw-cap"
+[topology]
+name = "cogent"
+[params]
+destinations = 20
+[sofda]
+steiner = "dreyfus-wagner"
+[workload]
+kind = "sweep"
+solvers = ["SOFDA"]
+seeds = 1
+[[workload.axes]]
+field = "destinations"
+values = [4, 20]
+"#,
+    )
+    .unwrap();
+    let report = run_spec(&spec, &RunOptions::default()).unwrap();
+    let rows: Vec<String> = write_jsonl(&report, false)
+        .lines()
+        .filter(|line| line.contains("\"type\":\"row\""))
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(rows.len(), 2, "{rows:?}");
+    assert!(!rows[0].contains("\"value\":null"), "4 destinations solve");
+    assert!(rows[1].contains("\"x\":20.0"), "{}", rows[1]);
+    assert!(rows[1].contains("\"value\":null"), "{}", rows[1]);
+}
+
 /// An online spec with failure injection runs end to end and reports the
 /// injections; the whole scenario lives in the spec alone.
 #[test]
