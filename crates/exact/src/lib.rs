@@ -2,18 +2,23 @@
 //!
 //! The evaluation of the ICDCS'17 SOF paper compares SOFDA against optimal
 //! solutions from CPLEX on its IP formulation. This crate reproduces that
-//! reference point without a commercial solver (see DESIGN.md §5):
+//! reference point without a commercial solver:
 //!
-//! * [`LayeredGraph`] — expands the network into `|C|+1` layers where a
+//! * the layered graph — the network expanded into `|C|+1` layers where a
 //!   minimum directed Steiner arborescence equals an optimal forest relaxed
 //!   of the one-VNF-per-VM constraint,
-//! * [`directed_steiner`] — exact Dreyfus–Wagner DP over destination
-//!   subsets on that graph,
+//! * its relaxation — `sof_graph`'s Dreyfus–Wagner DP
+//!   ([`sof_graph::steiner_arborescence`]) over destination subsets, with
+//!   the layered graph's incoming arcs as its view and the
+//!   branch-and-bound's restrictions as its arc filter, memoized per
+//!   canonical restriction set,
 //! * [`solve_exact`] — branch-and-bound on violated VMs, restoring IP
 //!   constraint (6) and yielding the true optimum (plus a lower bound);
-//!   child branches fork across `sof_par` workers sharing an atomic
-//!   incumbent bound, with bit-identical results for any thread count
-//!   ([`solve_exact_with`] takes the count explicitly),
+//!   it branches on the VM processing the most layers, ties going to the
+//!   highest VM index; child branches fork across `sof_par` workers
+//!   sharing an atomic incumbent bound, with bit-identical results for any
+//!   thread count and run ([`solve_exact_with`] takes the count
+//!   explicitly),
 //! * [`IpFormulation`] — the paper's IP built explicitly: variable /
 //!   constraint counting and full constraint checking of any
 //!   [`sof_core::ServiceForest`],

@@ -189,3 +189,44 @@ where
         scanned,
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Arcs `(from, to, cost)`; the view lists those into `y`, id = index.
+    fn solve(
+        nodes: usize,
+        arcs: &[(usize, usize, f64)],
+        root: usize,
+        ts: &[usize],
+    ) -> Result<SteinerArborescence, SteinerDpError> {
+        steiner_arborescence(nodes, root, ts, |y| {
+            arcs.iter()
+                .enumerate()
+                .filter(move |&(_, &(_, to, _))| to == y)
+                .map(|(id, &(from, _, cost))| (from, Cost::new(cost), id))
+        })
+    }
+
+    #[test]
+    fn arcs_are_followed_in_their_direction_only() {
+        // 0 → 1 is cheap, 1 → 0 dear; a hub 2 reaches both at 2 each.
+        let arcs = [(0, 1, 1.0), (1, 0, 5.0), (2, 0, 2.0), (2, 1, 2.0)];
+        assert_eq!(solve(3, &arcs, 0, &[1]).unwrap().arcs, vec![0]);
+        assert_eq!(solve(3, &arcs, 1, &[0]).unwrap().cost, Cost::new(5.0));
+        let hub = solve(3, &arcs, 2, &[0, 1]).unwrap();
+        assert_eq!((hub.cost, hub.arcs), (Cost::new(3.0), vec![0, 2]));
+        assert_eq!(solve(3, &arcs, 0, &[2]), Err(SteinerDpError::Unreachable));
+    }
+
+    #[test]
+    fn no_terminal_is_no_arc_and_too_many_are_refused() {
+        assert_eq!(solve(1, &[], 0, &[]), Ok(SteinerArborescence::default()));
+        let ts: Vec<usize> = (1..=MAX_DW_TERMINALS + 1).collect();
+        assert_eq!(
+            solve(ts.len() + 1, &[], 0, &ts),
+            Err(SteinerDpError::TooManyTerminals)
+        );
+    }
+}

@@ -22,6 +22,12 @@
 //!   module docs for the exact safety rule); plus one uncached *bounded
 //!   search* ([`PathEngine::nearest_target`]) for "which of these vertices
 //!   is closest", which stops at the answer instead of labelling the graph,
+//! * [`steiner_arborescence`] — the Dreyfus–Wagner dynamic program, written
+//!   once for both exact Steiner oracles: a minimum arborescence from a
+//!   root to at most [`MAX_DW_TERMINALS`] terminals over a view that lists
+//!   the arcs into a vertex, relaxed on the same monotone queue
+//!   (`sof_steiner::dreyfus_wagner` is its bidirected view, `sof_exact`'s
+//!   relaxation its layered view),
 //! * [`generators`] — deterministic connected random topologies (Erdős–Rényi,
 //!   ring, grid, Inet-style power law),
 //! * [`Rng64`] — a seedable xoshiro256** generator so every experiment in the

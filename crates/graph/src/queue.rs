@@ -9,12 +9,14 @@
 //! distance wait in a small heap ordered by node.
 //!
 //! Two preconditions make that exact, and both hold for every caller in
-//! [`crate::DijkstraWorkspace`] (`docs/DYNSSSP.md`, "The queue"):
+//! [`crate::DijkstraWorkspace`] and for the Dreyfus–Wagner DP
+//! ([`crate::steiner_arborescence`]) (`docs/DYNSSSP.md`, "The queue"):
 //!
 //! 1. **Pushes never undercut the latest pop.** A relaxation pushes
 //!    `d + c` for the popped `d` and an edge cost `c ≥ 0`; the repair pass
-//!    seeds its whole boundary before its first pop and afterwards
-//!    re-pushes only at `nd ≥ d`. [`MonotoneQueue::push`] asserts it, in
+//!    seeds its whole boundary, and the DP a terminal set's whole row,
+//!    before the first pop, and the repair pass afterwards re-pushes only
+//!    at `nd ≥ d`. [`MonotoneQueue::push`] asserts it, in
 //!    release builds too: a smaller key would be filed under a bit it does
 //!    not differ in and silently reorder a tree.
 //! 2. **Keys are non-negative floats**, whose bit patterns order as `u64`

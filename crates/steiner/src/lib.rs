@@ -8,7 +8,10 @@
 //! * [`takahashi_matsuyama`] — the shortest-path-attachment heuristic whose
 //!   incremental structure the distributed controller (§VI) mirrors,
 //! * [`dreyfus_wagner`] — exact dynamic programming for small terminal sets
-//!   (ground truth for tests and the CPLEX-scale comparison).
+//!   (ground truth for tests and the CPLEX-scale comparison): the
+//!   bidirected view of `sof_graph`'s one Dreyfus–Wagner DP,
+//!   [`sof_graph::steiner_arborescence`]; past its terminal cap it answers
+//!   [`SteinerError::TooManyTerminals`].
 //!
 //! [`SteinerSolver`] selects among them uniformly:
 //!
