@@ -142,7 +142,7 @@ where
                     row[x] = nd;
                     why[x] = Choice::Arc {
                         head: y as u32,
-                        arc: arc as u32,
+                        arc: u32::try_from(arc).expect("arc id exceeds u32"),
                     };
                     queue.push(nd, NodeId::new(x));
                 }
