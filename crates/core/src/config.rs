@@ -63,7 +63,8 @@ impl SofdaConfig {
 /// Statistics gathered during a solve.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SolveStats {
-    /// Candidate service chains evaluated.
+    /// Candidate service chains priced (k-stroll costs; SOFDA expands only
+    /// the ones its Steiner tree keeps).
     pub candidate_chains: usize,
     /// DFS nodes the exact k-stroll searches expanded pricing them — a
     /// work count that repeats exactly at any thread count (0 when no

@@ -9,12 +9,21 @@
 //! Lemma 2 bounds its cost by `3·OPT`. The selected chains are deployed
 //! through [`WalkSet`] (Procedure 4), which resolves VNF conflicts without
 //! adding links or VMs, preserving Theorem 3's `3ρST` bound.
+//!
+//! Every candidate is priced as a stroll; only the chains the Steiner tree
+//! keeps — at most `|D|` of the `|S|·|M|` candidates — are expanded into
+//! walks (Procedure 2), at deployment. Expanding later changes no bit:
+//! [`ChainMetric::expand`] reads only the stroll and the shortest-path
+//! trees its metric holds, and nothing between pricing and deployment
+//! touches either, so each deployed walk is the one an eager expansion
+//! would have stored, and no `PathEngine` call is added or moved.
 
 use crate::{
     ChainMetric, ChainWalk, DestWalk, SearchContext, ServiceForest, SofInstance, SofdaConfig,
     SolveError, SolveOutcome, SolveStats, WalkSet,
 };
 use sof_graph::{Cost, Graph, NodeId};
+use sof_kstroll::Stroll;
 use sof_steiner::SteinerTree;
 use std::collections::{BTreeMap, HashMap};
 
@@ -84,9 +93,6 @@ pub fn solve_sofda(
         aux.add_edge(shat, d, Cost::ZERO);
     }
 
-    // Candidate chains + walk storage. Key: (source index, vm node).
-    let mut chain_walks: HashMap<(usize, NodeId), (Vec<NodeId>, Vec<usize>)> = HashMap::new();
-
     if chain_len == 0 {
         // Degenerate: no VNFs — connect ŝ straight to the sources and let a
         // plain Steiner tree pick the forest.
@@ -136,22 +142,28 @@ pub fn solve_sofda(
         vm_dup.insert(v, d);
     }
 
+    // Candidate chains: one virtual edge per (source, last VM), priced by
+    // the k-stroll. `priced[si]` keeps source `si`'s metric and its strolls
+    // by target index until deployment expands the ones the tree kept.
     let mut search = SearchContext::new();
+    let mut priced: Vec<Option<(ChainMetric, Vec<Option<Stroll>>)>> =
+        Vec::with_capacity(sources.len());
     for (si, &s) in sources.iter().enumerate() {
         let Some(cm) = ChainMetric::build(network, s, &vms, config.source_cost()) else {
+            priced.push(None);
             continue;
         };
+        let mut strolls = vec![None; cm.len()];
         for (target, stroll, chain_cost) in
             cm.chains_to_all_vms_in(chain_len, config.stroll, &mut search)
         {
-            let u = cm.node(target);
-            let (walk, positions) = cm.expand(&stroll);
-            aux.add_edge(src_dup[si], vm_dup[&u], chain_cost);
-            chain_walks.insert((si, u), (walk, positions));
+            aux.add_edge(src_dup[si], vm_dup[&cm.node(target)], chain_cost);
+            strolls[target] = Some(stroll);
             stats.candidate_chains += 1;
         }
+        priced.push(Some((cm, strolls)));
     }
-    if chain_walks.is_empty() {
+    if stats.candidate_chains == 0 {
         return Err(SolveError::Infeasible(
             "no candidate service chain exists".into(),
         ));
@@ -202,20 +214,20 @@ pub fn solve_sofda(
     // --- Deploy chains with conflict resolution (Procedure 4). -----------
     let mut set = WalkSet::new(chain_len);
     let mut slot_of: BTreeMap<(usize, NodeId), usize> = BTreeMap::new();
-    for key in needed_chains.keys() {
-        let (walk, positions) = chain_walks
-            .get(key)
-            .cloned()
+    for &(si, anchor) in needed_chains.keys() {
+        let (nodes, vnf_positions) = priced[si]
+            .as_ref()
+            .and_then(|(cm, strolls)| Some(cm.expand(strolls[cm.index_of(anchor)?].as_ref()?)))
             .ok_or_else(|| SolveError::Infeasible("tree used a non-candidate chain".into()))?;
         let cw = ChainWalk {
-            source: sources[key.0],
-            nodes: walk,
-            vnf_positions: positions,
+            source: sources[si],
+            nodes,
+            vnf_positions,
         };
         let slot = set
             .add_walk(cw, network, &mut search)
             .map_err(|e| SolveError::Infeasible(e.to_string()))?;
-        slot_of.insert(*key, slot);
+        slot_of.insert((si, anchor), slot);
     }
     // Note: walk shortening happens at forest level inside `finish`, where
     // it is only kept if the *total* cost improves — per-walk shortening
@@ -316,6 +328,34 @@ mod tests {
     ) -> SofInstance {
         let mut rng = Rng64::seed_from(seed);
         let g = generators::gnp_connected(nodes, 0.15, CostRange::new(1.0, 8.0), &mut rng);
+        place_request(g, &mut rng, vm_count, sources, dests, chain)
+    }
+
+    /// [`random_instance`] on a ring, where far-apart sources each feed
+    /// chains of their own.
+    fn ring_instance(
+        seed: u64,
+        nodes: usize,
+        vm_count: usize,
+        sources: usize,
+        dests: usize,
+        chain: usize,
+    ) -> SofInstance {
+        let mut rng = Rng64::seed_from(seed);
+        let g = generators::ring(nodes, CostRange::new(1.0, 8.0), &mut rng);
+        place_request(g, &mut rng, vm_count, sources, dests, chain)
+    }
+
+    /// Draws distinct VMs, sources and destinations on `g`, in that order.
+    fn place_request(
+        g: Graph,
+        rng: &mut Rng64,
+        vm_count: usize,
+        sources: usize,
+        dests: usize,
+        chain: usize,
+    ) -> SofInstance {
+        let nodes = g.node_count();
         let mut net = Network::all_switches(g);
         let picks = rng.sample_indices(nodes, vm_count + sources + dests);
         let (vm_ids, rest) = picks.split_at(vm_count);
@@ -393,5 +433,51 @@ mod tests {
         out.forest.validate(&inst).unwrap();
         // No assertion on counts (instance-dependent) — just consistency.
         let _ = out.stats.conflicts.total();
+    }
+
+    #[test]
+    fn only_the_chains_the_tree_keeps_are_expanded() {
+        // (instance, candidate chains priced, chains expanded). Each
+        // instance is solved once and its destinations share the chains
+        // its tree kept: one chain for four and six destinations on the
+        // dense graphs, three for thirty on the ring, two for ten on the
+        // smaller ring, where a case-2 conflict rewrites one of them.
+        let cases = [
+            (random_instance(0, 24, 6, 3, 4, 2), 18, 1),
+            (random_instance(3, 22, 4, 4, 6, 3), 16, 1),
+            (ring_instance(0, 100, 20, 8, 30, 2), 160, 3),
+            (ring_instance(0, 49, 8, 4, 10, 3), 32, 2),
+        ];
+        // Unshortened, a walk's source and last VNF are its chain's key.
+        let config = SofdaConfig {
+            shorten: false,
+            ..SofdaConfig::default()
+        };
+        for (i, (inst, candidates, expansions)) in cases.into_iter().enumerate() {
+            let before = crate::transform::expansions();
+            let out = solve_sofda(&inst, &config).unwrap();
+            let expanded = crate::transform::expansions() - before;
+            assert_eq!(
+                (out.stats.candidate_chains, expanded),
+                (candidates, expansions),
+                "case {i}"
+            );
+            // One expansion per chain the tree kept, one per fallback. A
+            // conflict can splice a walk onto another chain's source, so
+            // the keys are counted only where none occurred.
+            let conflicts = out.stats.conflicts;
+            let dests = inst.request.destinations.len();
+            assert!(expanded <= dests + conflicts.fallbacks, "case {i}");
+            if conflicts.total() == 0 {
+                let keys: std::collections::BTreeSet<_> = out
+                    .forest
+                    .walks
+                    .iter()
+                    .map(|w| (w.source, w.vnf_node(inst.chain_len() - 1)))
+                    .collect();
+                assert_eq!(expanded, keys.len(), "case {i}");
+            }
+            assert_eq!(conflicts.case2, usize::from(i == 3), "case {i}");
+        }
     }
 }

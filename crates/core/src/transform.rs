@@ -37,6 +37,19 @@ use sof_graph::{Cost, NodeId, ShortestPaths};
 use sof_kstroll::{DenseMetric, SearchContext, Stroll, StrollSolver};
 use std::sync::Arc;
 
+#[cfg(test)]
+thread_local! {
+    /// [`ChainMetric::expand`] calls made on this thread. No report reads
+    /// it; the solvers' tests pin it.
+    static EXPANSIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Chains this thread has expanded so far.
+#[cfg(test)]
+pub(crate) fn expansions() -> usize {
+    EXPANSIONS.with(std::cell::Cell::get)
+}
+
 /// The transformed k-stroll instance for one source (all last VMs at once).
 #[derive(Debug)]
 pub struct ChainMetric {
@@ -228,7 +241,16 @@ impl ChainMetric {
     /// final step): concatenates the shortest paths between consecutive
     /// stroll nodes. Returns the walk and the positions of the stroll's VM
     /// nodes (the chain placements `f1 … f|C|`).
+    ///
+    /// A pure function of `stroll` and the trees this metric holds, so it
+    /// may run any time after pricing. `solve_sofda` calls it once per
+    /// chain its Steiner tree keeps, at deployment; a conflict fallback
+    /// once per rebuilt chain; `solve_sofda_ss` once per candidate (each
+    /// one is a whole forest there); a full-search join and the
+    /// `sof_baselines` solvers once per better candidate they find.
     pub fn expand(&self, stroll: &Stroll) -> (Vec<NodeId>, Vec<usize>) {
+        #[cfg(test)]
+        EXPANSIONS.with(|n| n.set(n.get() + 1));
         let mut walk: Vec<NodeId> = vec![self.nodes[stroll.nodes[0]]];
         let mut positions = Vec::with_capacity(stroll.nodes.len().saturating_sub(1));
         for pair in stroll.nodes.windows(2) {
