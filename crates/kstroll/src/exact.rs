@@ -767,19 +767,69 @@ mod tests {
         assert!(beat_greedy > 50, "only {beat_greedy} answers beat greedy");
     }
 
+    /// One FNV-1a step.
+    fn eat(hash: u64, x: u64) -> u64 {
+        (hash ^ x).wrapping_mul(0x0100_0000_01b3)
+    }
+
     /// FNV-1a over every answer's nodes and cost bits, `None` included.
     fn digest(answers: &[Option<Stroll>], mut hash: u64) -> u64 {
-        let mut eat = |x: u64| hash = (hash ^ x).wrapping_mul(0x0100_0000_01b3);
         for answer in answers {
             match answer {
-                None => eat(u64::MAX),
+                None => hash = eat(hash, u64::MAX),
                 Some(s) => {
-                    s.nodes.iter().for_each(|&v| eat(v as u64));
-                    eat(s.cost.value().to_bits());
+                    s.nodes.iter().for_each(|&v| hash = eat(hash, v as u64));
+                    hash = eat(hash, s.cost.value().to_bits());
                 }
             }
         }
         hash
+    }
+
+    /// Thirty-six points shaped like a Fig. 9 chain metric: a source and
+    /// 35 VMs on 24 data centres in the unit square, entry `(a, b)` the
+    /// centres' distance plus half of each end's setup cost. VMs that share
+    /// a centre and a setup cost tie exactly.
+    fn fig9_like(rng: &mut Rng64) -> DenseMetric {
+        let centres: Vec<(f64, f64)> = (0..24).map(|_| (rng.next_f64(), rng.next_f64())).collect();
+        let at: Vec<usize> = (0..36).map(|_| rng.below(24)).collect();
+        let mut half: Vec<f64> = (0..36).map(|_| (1 + rng.below(3)) as f64 / 20.0).collect();
+        half[0] = 0.0;
+        DenseMetric::symmetric_from_fn(36, |i, j| {
+            let (a, b) = (centres[at[i]], centres[at[j]]);
+            Cost::new((a.0 - b.0).hypot(a.1 - b.1) + half[i] + half[j])
+        })
+    }
+
+    #[test]
+    fn answers_and_columns_are_bit_identical_on_generated_metrics() {
+        // Every all-targets answer (nodes and cost bits) and every
+        // cost-to-go column a context built, pinned at the values of the
+        // search whose interior levels tested every child: 60 tie-stress
+        // metrics, each searched at three `k`s on one context so its
+        // columns deepen, and eight Fig. 9-shaped ones at `k = 5`.
+        let mut rng = Rng64::seed_from(0xF1_7E_D1);
+        let (mut answers, mut columns) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
+        for case in 0..68 {
+            let (m, source, ks) = if case < 60 {
+                let n = 6 + case % 7;
+                (tie_stress(&mut rng, n), rng.below(n), vec![4, 6.min(n), 3])
+            } else {
+                (fig9_like(&mut rng), 0, vec![5])
+            };
+            let mut ctx = SearchContext::new();
+            for k in ks {
+                answers = digest(&ctx.all_targets(&m, source, k), answers);
+            }
+            for col in &ctx.togo {
+                columns = eat(columns, col.len() as u64);
+                for c in col {
+                    columns = eat(columns, c.value().to_bits());
+                }
+            }
+        }
+        assert_eq!(answers, 0xc40f_2fef_d8ae_7fa5, "answers moved");
+        assert_eq!(columns, 0x5e17_2751_63f5_76e4, "cost-to-go columns moved");
     }
 
     #[test]
