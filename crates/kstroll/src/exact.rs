@@ -75,16 +75,24 @@ pub fn exact_all_targets(metric: &DenseMetric, source: usize, k: usize) -> Vec<O
 /// it, and the stroll returned — tie-breaks and cost bits included — is the
 /// one an unpruned search in the same order returns.
 ///
-/// **The leaves.** The two cheapest kinds of DFS node cost no call. A
-/// parent counts and tests each child in its own loop and recurses only
-/// into one that survives. A node with one interior node left to place
-/// scans its leaves in place — each total is `(cost so far + m(cur, v)) +
-/// togo[t][v]`, and level 0 of the column is `m(v, t)` — and stops at the
-/// first `v` with `(cost so far + m(cur, v)) + floor[t] ≥ incumbent`,
-/// `floor[t]` being the cheapest `m(w, t)` over `w ∉ {t, source}`. Its row
-/// is sorted by hop and f64 addition is monotone, so no later leaf could
-/// strictly beat the incumbent: the stop needs no `δ`. The node counts
-/// all its leaves, scanned or not, so `nodes` stays one per DFS node.
+/// **The stop at every level.** A parent counts and tests each child in
+/// its own loop and recurses only into one that survives, so a cut child
+/// costs no call. Its row is sorted by hop, f64 addition and
+/// multiplication are monotone, and `floor[t][r]` — the cheapest entry of
+/// level `r` of `t`'s column over `w ∉ {t, source}` — bounds every entry
+/// the prune test could read there. So a node with `r ≥ 2` interior nodes
+/// left stops its scan at the first unused child `v` with
+/// `((cost so far + m(cur, v)) + floor[t][r−1]) · (1 − δ) ≥ incumbent`:
+/// the prune test would cut `v` and every later child. It counts them all
+/// at once, clamped to the budget the per-child loop would have stopped
+/// at, so `nodes` is the count the loop would have reached. A node with
+/// one interior node left scans its leaves in place — each total is
+/// `(cost so far + m(cur, v)) + togo[t][v]`, and level 0 of the column is
+/// `m(v, t)` — and stops at the first `v` with
+/// `(cost so far + m(cur, v)) + floor[t][0] ≥ incumbent`: a leaf's total
+/// is what the incumbent is compared with, so that stop needs no `δ`. The
+/// node counts all its leaves, scanned or not, so `nodes` stays one per
+/// DFS node.
 ///
 /// **What is shared.** Below the root the DFS never stands on the source
 /// and the recursion never steps onto it, so no table entry that is read
@@ -115,17 +123,25 @@ pub struct SearchContext {
     seen: Vec<Cost>,
     /// Cost-to-go columns, one per target; empty until first needed.
     togo: Vec<Vec<Cost>>,
-    /// `floor[t]` = min of `m(w, t)` over `w ∉ {t, source}`, the cheapest
-    /// closing hop of any leaf; built with `t`'s column.
-    floor: Vec<Cost>,
+    /// `floor[t][r]` = min of `togo[t][r·n + w]` over `w ∉ {t, source}`,
+    /// the least the prune test can read at level `r` (level 0: the
+    /// cheapest closing hop of any leaf); built with `t`'s column.
+    floor: Vec<Vec<Cost>>,
+    /// The level below the one `ensure_togo` is building, as `f64`s.
+    below: Vec<f64>,
     /// `rows[v]` = every node but the source, stably sorted by
     /// `cost(v, ·)` ascending (lazily, once per `v`). Scanning it and
     /// skipping `used` nodes is the nearest-first order of the search.
     rows: Vec<Vec<usize>>,
     used: Vec<bool>,
     path: Vec<usize>,
+    /// The nodes of the search's incumbent, the cheapest leaf so far.
+    incumbent: Vec<usize>,
     /// DFS nodes expanded since construction.
     nodes: u64,
+    /// Row entries read against an incumbent since construction: the
+    /// children a scan tested before it recursed, cut or stopped.
+    tested: u64,
     /// The `nodes` count at which the call in flight stops expanding:
     /// [`AUTO_NODE_BUDGET`] under `Auto`, `u64::MAX` for a reference search.
     limit: u64,
@@ -150,10 +166,13 @@ impl SearchContext {
             seen: Vec::new(),
             togo: Vec::new(),
             floor: Vec::new(),
+            below: Vec::new(),
             rows: Vec::new(),
             used: Vec::new(),
             path: Vec::with_capacity(8),
+            incumbent: Vec::with_capacity(8),
             nodes: 0,
+            tested: 0,
             limit: u64::MAX,
             handovers: 0,
             slack: 1.0 - DELTA,
@@ -258,7 +277,8 @@ impl SearchContext {
         }
         self.togo.iter_mut().for_each(Vec::clear);
         self.togo.resize(n, Vec::new());
-        self.floor.resize(n, Cost::ZERO);
+        self.floor.iter_mut().for_each(Vec::clear);
+        self.floor.resize(n, Vec::new());
         self.rows.iter_mut().for_each(Vec::clear);
         self.rows.resize(n, Vec::new());
         self.used.clear();
@@ -275,32 +295,40 @@ impl SearchContext {
         }
     }
 
-    /// Grows `target`'s cost-to-go column to `levels` levels.
+    /// Grows `target`'s cost-to-go column and its floors to `levels`
+    /// levels.
     fn ensure_togo(&mut self, metric: &DenseMetric, target: usize, levels: usize) {
         let (n, source) = (self.n, self.source);
-        let col = &mut self.togo[target];
+        let (col, floor, below) = (
+            &mut self.togo[target],
+            &mut self.floor[target],
+            &mut self.below,
+        );
         if col.is_empty() {
             col.extend((0..n).map(|v| metric.cost(v, target)));
-            self.floor[target] = (0..n)
-                .filter(|&w| w != target && w != source)
-                .map(|w| col[w])
-                .min()
-                .unwrap_or(Cost::INFINITY);
         }
         while col.len() < levels * n {
             // The level below, closed to walks through the target or the
-            // source; standing still (`w == v`) is skipped in the scan.
-            let mut below: Vec<f64> = col[col.len() - n..].iter().map(|c| c.value()).collect();
+            // source, and for row `v` alone to standing still (`w == v`).
+            below.clear();
+            below.extend(col[col.len() - n..].iter().map(|c| c.value()));
             below[target] = f64::INFINITY;
             below[source] = f64::INFINITY;
             for v in 0..n {
-                let hop = metric.row(v);
-                let cheapest = (0..v)
-                    .chain(v + 1..n)
-                    .map(|w| hop[w].value() + below[w])
-                    .fold(f64::INFINITY, |a, b| if b < a { b } else { a });
-                col.push(Cost::new(cheapest));
+                let kept = std::mem::replace(&mut below[v], f64::INFINITY);
+                col.push(Cost::new(cheapest(metric.row(v), below)));
+                below[v] = kept;
             }
+        }
+        while floor.len() < col.len() / n {
+            let level = &col[floor.len() * n..][..n];
+            floor.push(
+                (0..n)
+                    .filter(|&w| w != target && w != source)
+                    .map(|w| level[w])
+                    .min()
+                    .unwrap_or(Cost::INFINITY),
+            );
         }
     }
 
@@ -335,6 +363,7 @@ impl SearchContext {
         let interior = k - 2;
         self.ensure_togo(metric, target, interior);
         let togo = std::mem::take(&mut self.togo[target]);
+        let floor = std::mem::take(&mut self.floor[target]);
         self.used[source] = true;
         self.used[target] = true;
         self.path.clear();
@@ -342,61 +371,84 @@ impl SearchContext {
         // The root: `search` tested the budget, and there is no incumbent
         // to cut it against.
         self.nodes += 1;
-        let mut best: Option<(Cost, Vec<usize>)> = None;
-        self.dfs(metric, &togo, target, interior, Cost::ZERO, &mut best);
+        let mut best = None;
+        let bounds = Bounds {
+            togo: &togo,
+            floor: &floor,
+            target,
+        };
+        self.dfs(metric, &bounds, interior, Cost::ZERO, &mut best);
         self.used[source] = false;
         self.used[target] = false;
         self.togo[target] = togo;
-        best.map(|(_, nodes)| Stroll::from_nodes(metric, nodes))
+        self.floor[target] = floor;
+        best.map(|_| Stroll::from_nodes(metric, self.incumbent.clone()))
     }
 
     /// Expands a DFS node the caller has already counted and let past the
     /// budget and the prune test: `path` ends at it, `remaining ≥ 1`
-    /// interior nodes are still to place and `cur_cost` is the cost so far.
+    /// interior nodes are still to place, `cur_cost` is the cost so far and
+    /// `best` the incumbent's cost (its nodes are `incumbent`).
     fn dfs(
         &mut self,
         metric: &DenseMetric,
-        togo: &[Cost],
-        target: usize,
+        bounds: &Bounds,
         remaining: usize,
         cur_cost: Cost,
-        best: &mut Option<(Cost, Vec<usize>)>,
+        best: &mut Option<Cost>,
     ) {
+        let Bounds {
+            togo,
+            floor,
+            target,
+        } = *bounds;
         let cur = *self.path.last().expect("path never empty");
         // Visit nearest-first for stronger pruning, scanning the memoized
         // stable ordering and skipping nodes already on the path (plus the
         // target, marked used for the whole search).
         self.ensure_row(metric, cur);
         let hop = metric.row(cur);
+        // Every unused node of the row is a child, each one DFS node: the
+        // row holds all nodes but the source, the path all used ones but
+        // the target.
+        let mut unscanned = (self.rows[cur].len() - self.path.len()) as u64;
         if remaining == 1 {
-            // Every unused node of the row is a leaf, each one DFS node,
-            // scanned or not: the row holds all nodes but the source, the
-            // path all used ones but the target.
-            self.nodes += (self.rows[cur].len() - self.path.len()) as u64;
-            let (row, used, floor) = (&self.rows[cur], &self.used, self.floor[target]);
-            for &v in row {
+            // Leaves are counted scanned or not.
+            self.nodes += unscanned;
+            let SearchContext {
+                rows,
+                used,
+                path,
+                incumbent,
+                tested,
+                ..
+            } = self;
+            for &v in &rows[cur] {
                 if used[v] {
                     continue;
                 }
                 let reach = cur_cost + hop[v];
-                if let Some((b, _)) = best {
+                if let Some(b) = *best {
+                    *tested += 1;
                     // Later leaves in the row are no nearer and close on
-                    // no less than `floor`, so none can strictly beat `b`.
-                    if reach + floor >= *b {
+                    // no less than `floor[0]`, so none can strictly beat `b`.
+                    if reach + floor[0] >= b {
                         return;
                     }
                 }
                 // Level 0 of the column is `m(v, target)`.
                 let total = reach + togo[v];
-                if best.as_ref().is_none_or(|(b, _)| total < *b) {
-                    let mut nodes = self.path.clone();
-                    nodes.extend([v, target]);
-                    *best = Some((total, nodes));
+                if best.is_none_or(|b| total < b) {
+                    incumbent.clear();
+                    incumbent.extend_from_slice(path);
+                    incumbent.extend([v, target]);
+                    *best = Some(total);
                 }
             }
             return;
         }
         let below = (remaining - 1) * self.n;
+        let deeper = floor[remaining - 1];
         for i in 0..self.rows[cur].len() {
             let v = self.rows[cur][i];
             if self.used[v] {
@@ -410,21 +462,61 @@ impl SearchContext {
                 return;
             }
             self.nodes += 1;
+            unscanned -= 1;
             let reach = cur_cost + hop[v];
-            // The one prune test; see `SearchContext` for why it cuts no
-            // leaf that could strictly beat the incumbent.
-            if let Some((b, _)) = best {
+            if let Some(b) = *best {
+                self.tested += 1;
+                // Later children are no nearer and go on from a level whose
+                // entries are no less than `deeper`, so the prune test below
+                // would cut this one and all of them: count them as the
+                // loop would have, up to the budget, and stop.
+                if (reach + deeper).value() * self.slack >= b.value() {
+                    self.nodes += unscanned.min(self.limit - self.nodes);
+                    return;
+                }
+                // The one prune test; see `SearchContext` for why it cuts
+                // no leaf that could strictly beat the incumbent.
                 if (reach + togo[below + v]).value() * self.slack >= b.value() {
                     continue;
                 }
             }
             self.used[v] = true;
             self.path.push(v);
-            self.dfs(metric, togo, target, remaining - 1, reach, best);
+            self.dfs(metric, bounds, remaining - 1, reach, best);
             self.path.pop();
             self.used[v] = false;
         }
     }
+}
+
+/// What one `(target, k)` search prunes with: `target`'s cost-to-go column
+/// and its floors, taken out of the context while the DFS borrows it.
+#[derive(Clone, Copy)]
+struct Bounds<'a> {
+    togo: &'a [Cost],
+    floor: &'a [Cost],
+    target: usize,
+}
+
+/// `min over w of hop[w] + below[w]` in four independent lanes: a min of
+/// non-NaN values with no −0 among them (`Cost::new` turns −0 into +0) is
+/// the same whatever order it is taken in, so this is the left-to-right
+/// fold's bits.
+fn cheapest(hop: &[Cost], below: &[f64]) -> f64 {
+    let (hops, belows) = (hop.chunks_exact(4), below.chunks_exact(4));
+    let tail = hops.remainder().iter().zip(belows.remainder());
+    let mut lanes = [f64::INFINITY; 4];
+    for (h, b) in hops.zip(belows) {
+        for lane in 0..4 {
+            let sum = h[lane].value() + b[lane];
+            if sum < lanes[lane] {
+                lanes[lane] = sum;
+            }
+        }
+    }
+    tail.map(|(h, b)| h.value() + b)
+        .chain(lanes)
+        .fold(f64::INFINITY, |a, b| if b < a { b } else { a })
 }
 
 /// The answers that need no search: `Some(answer)` for an infeasible or
@@ -866,6 +958,42 @@ mod tests {
         ];
         assert_eq!(spent, pinned, "(nodes, handovers) per metric and budget");
         assert_eq!(hash, 0xfb77_ae65_6b3a_e310, "answers moved");
+    }
+
+    #[test]
+    fn rows_are_tested_only_up_to_the_sorted_bound() {
+        // Row entries read against an incumbent, unbudgeted, on the six
+        // metrics of `a_budget_is_spent_at_the_same_node` and one Fig.
+        // 9-shaped metric, pinned beside the nodes they expand. Every stop
+        // is exact, so none of them moves an answer or a node count; this
+        // is the one test that fails when an interior level scans past its
+        // bound again (the stop deleted, or `floor[t][0]` used at every
+        // level).
+        let mut rng = Rng64::seed_from(0x5E7_B0D6E7);
+        let mut work: Vec<(u64, u64)> = (0..6)
+            .map(|case| {
+                let n = 9 + case;
+                let m = metric_for(case, &mut rng, n);
+                let (source, k) = (rng.below(n), 5 + case % 3);
+                let mut ctx = SearchContext::new();
+                ctx.all_targets(&m, source, k);
+                (ctx.nodes(), ctx.tested)
+            })
+            .collect();
+        let m = fig9_like(&mut Rng64::seed_from(0xF1_7E_D1));
+        let mut ctx = SearchContext::new();
+        ctx.all_targets(&m, 0, 5);
+        work.push((ctx.nodes(), ctx.tested));
+        let pinned = [
+            (437, 158),
+            (429, 160),
+            (2978, 1141),
+            (383, 105),
+            (2381, 597),
+            (2520, 809),
+            (10962, 2974),
+        ];
+        assert_eq!(work, pinned, "(nodes, tested) per metric");
     }
 
     #[test]
