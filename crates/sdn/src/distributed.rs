@@ -560,6 +560,102 @@ mod tests {
         out.outcome.forest.validate(&inst).unwrap();
     }
 
+    fn eat(hash: u64, x: u64) -> u64 {
+        (hash ^ x).wrapping_mul(0x0100_0000_01b3)
+    }
+
+    /// FNV-1a over an outcome: every walk's nodes and VNF positions, the
+    /// cost bits, `message_count` and every field of `SolveOutcome::stats`.
+    /// An error hashes as one marker.
+    fn digest(out: &Result<DistributedOutcome, SolveError>, mut hash: u64) -> u64 {
+        let Ok(out) = out else {
+            return eat(hash, u64::MAX);
+        };
+        let o = &out.outcome;
+        for w in &o.forest.walks {
+            hash = eat(hash, w.source.index() as u64);
+            hash = eat(hash, w.destination.index() as u64);
+            w.nodes
+                .iter()
+                .for_each(|v| hash = eat(hash, v.index() as u64));
+            w.vnf_positions
+                .iter()
+                .for_each(|&p| hash = eat(hash, p as u64));
+        }
+        hash = eat(hash, o.cost.setup.value().to_bits());
+        hash = eat(hash, o.cost.connection.value().to_bits());
+        hash = eat(hash, out.message_count as u64);
+        let s = &o.stats;
+        let c = &s.conflicts;
+        for x in [s.candidate_chains, c.case1, c.case2, c.case3, c.fallbacks] {
+            hash = eat(hash, x as u64);
+        }
+        hash = eat(hash, s.stroll_nodes);
+        hash = eat(hash, s.stroll_handovers);
+        eat(hash, s.steiner_cost.value().to_bits())
+    }
+
+    /// A generated instance: `gnp` on even cases, `inet_like` on odd ones,
+    /// 24–41 nodes, a chain of 1–3.
+    fn generated(case: u64) -> SofInstance {
+        let mut rng = Rng64::seed_from(0xD157 + case);
+        let n = 24 + rng.below(18);
+        let costs = CostRange::new(1.0, 9.0);
+        let g = if case.is_multiple_of(2) {
+            generators::gnp_connected(n, 0.12, costs, &mut rng)
+        } else {
+            generators::inet_like(n, n + n / 2, costs, &mut rng)
+        };
+        let mut net = Network::all_switches(g);
+        let picks = rng.sample_indices(n, 15);
+        for &v in &picks[..7] {
+            net.make_vm(NodeId::new(v), Cost::new(rng.range_f64(0.5, 4.0)));
+        }
+        SofInstance::new(
+            net,
+            Request::new(
+                picks[7..10].iter().map(|&i| NodeId::new(i)).collect(),
+                picks[10..15].iter().map(|&i| NodeId::new(i)).collect(),
+                ServiceChain::with_len(1 + rng.below(3)),
+            ),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn outcomes_are_bit_identical_on_generated_and_paper_instances() {
+        // Every outcome pinned at the values of the threaded controllers:
+        // 24 generated graphs at k = 1..=6, and SoftLayer and Cogent with
+        // 5 sources, 4 destinations and 12 VMs at k = 2 and 4.
+        let config = SofdaConfig::default();
+        let mut generated_hash = 0xcbf2_9ce4_8422_2325;
+        for case in 0..24 {
+            let inst = generated(case);
+            for k in 1..=6 {
+                generated_hash = digest(&distributed_sofda(&inst, k, &config), generated_hash);
+            }
+        }
+        let mut paper_hash = 0xcbf2_9ce4_8422_2325;
+        for topo in [sof_topo::softlayer(), sof_topo::cogent()] {
+            for seed in 0..6 {
+                let mut p = sof_topo::ScenarioParams::paper_defaults().with_seed(seed);
+                (p.sources, p.destinations, p.vm_count) = (5, 4, 12);
+                let inst = sof_topo::build_instance(&topo, &p);
+                for k in [2, 4] {
+                    paper_hash = digest(&distributed_sofda(&inst, k, &config), paper_hash);
+                }
+            }
+        }
+        assert_eq!(
+            generated_hash, 0x5057_7094_bedf_1cc9,
+            "generated outcomes moved"
+        );
+        assert_eq!(
+            paper_hash, 0x5965_ef19_ece6_7d18,
+            "SoftLayer / Cogent outcomes moved"
+        );
+    }
+
     #[test]
     fn many_domains_still_feasible() {
         let inst = instance(13);
