@@ -7,30 +7,33 @@
 //! graph* — border routers, sources, VMs and destinations connected by
 //! intra-domain distance edges plus the physical inter-domain links — and
 //! runs SOFDA on it. Hierarchical-routing exactness: any path decomposes at
-//! domain boundaries, so abstract distances equal real distances. Selected
+//! domain boundaries, so abstract distances equal real distances up to
+//! rounding (the abstract graph sums a path in a different order). The
+//! forest can still differ from the centralized one: the abstract graph
+//! lets Steiner trees branch only at anchors, and the heuristic Steiner
+//! stage runs on a different graph (docs/DISTRIBUTED.md). Selected
 //! abstract links are finally expanded back into real paths by their owning
-//! controllers (a message round-trip per link), and VNF conflicts are
-//! resolved on the assembled walks exactly as in the centralized algorithm.
+//! controllers, and VNF conflicts are resolved on the assembled walks
+//! exactly as in the centralized algorithm.
 //!
-//! Controllers run as real threads communicating over `std::sync::mpsc` channels;
-//! [`DistributedOutcome::message_count`] reports the east-west traffic.
+//! Controllers are plain per-domain values the leader calls in process;
+//! [`DistributedOutcome::message_count`] counts the east-west messages a
+//! deployment would send: one matrix per domain, and a request and a reply
+//! per expanded link.
 
 use sof_core::{
     DestWalk, Network, Request, ServiceForest, SofInstance, SofdaConfig, SolveError, SolveOutcome,
 };
-use sof_graph::{Cost, Graph, NodeId, PathEngine, PathEngineStats, Rng64, ShortestPaths};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use sof_graph::{Cost, Graph, NodeId, Rng64, ShortestPaths};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// A partition of the network into controller domains.
-#[derive(Clone, Debug)]
-pub struct DomainPartition {
+#[derive(Debug)]
+struct DomainPartition {
     /// `domain_of[v]` = controller index of node `v`.
-    pub domain_of: Vec<usize>,
-    /// Node lists per domain.
-    pub domains: Vec<Vec<NodeId>>,
+    domain_of: Vec<usize>,
+    /// Node lists per domain, in ascending id order.
+    domains: Vec<Vec<NodeId>>,
 }
 
 impl DomainPartition {
@@ -39,13 +42,13 @@ impl DomainPartition {
     /// # Panics
     ///
     /// Panics if `k` is 0 or exceeds the node count.
-    pub fn new(graph: &Graph, k: usize, seed: u64) -> DomainPartition {
+    fn new(graph: &Graph, k: usize, seed: u64) -> DomainPartition {
         let n = graph.node_count();
         assert!(k >= 1 && k <= n, "bad domain count {k} for {n} nodes");
         let mut rng = Rng64::seed_from(seed);
         let seeds = rng.sample_indices(n, k);
         let mut domain_of = vec![usize::MAX; n];
-        let mut frontier: std::collections::VecDeque<(NodeId, usize)> = seeds
+        let mut frontier: VecDeque<(NodeId, usize)> = seeds
             .iter()
             .enumerate()
             .map(|(d, &s)| (NodeId::new(s), d))
@@ -76,7 +79,7 @@ impl DomainPartition {
     }
 
     /// Border nodes of a domain (incident to an inter-domain link).
-    pub fn borders(&self, graph: &Graph, d: usize) -> Vec<NodeId> {
+    fn borders(&self, graph: &Graph, d: usize) -> Vec<NodeId> {
         self.domains[d]
             .iter()
             .copied()
@@ -89,81 +92,141 @@ impl DomainPartition {
     }
 }
 
-/// East-west / controller messages.
-#[derive(Clone, Debug)]
-enum Message {
-    /// Distance matrix among a domain's anchor nodes.
-    AnchorMatrix {
-        entries: Vec<(NodeId, NodeId, Cost)>,
-    },
-    /// Request: expand the abstract link `(a, b)` into a real path.
-    Expand {
-        a: NodeId,
-        b: NodeId,
-        reply: Sender<Vec<NodeId>>,
-    },
-    /// Terminate the controller thread.
-    Shutdown,
-}
-
 /// Result of a distributed solve.
 #[derive(Debug)]
 pub struct DistributedOutcome {
     /// The assembled (real-network) solve outcome.
     pub outcome: SolveOutcome,
-    /// Number of controller domains.
-    pub domains: usize,
     /// Total east-west messages exchanged.
     pub message_count: usize,
-    /// Aggregated per-domain shortest-path engine counters (cumulative over
-    /// the process: domain state persists across rounds, so repeat solves on
-    /// an unchanged network show growing `hits`).
-    pub engine_stats: PathEngineStats,
 }
 
-/// Persistent controller state for one domain: the local subgraph plus a
-/// memoized shortest-path engine serving the anchor trees.
-///
-/// Cached process-wide keyed by `(partition seed, domain count, domain)`
-/// and validated against the parent graph's cost epoch — equal epochs
-/// guarantee identical graph contents, so the state (and every warm tree
-/// in its engine) carries over to the next solve round; a repriced or
-/// restructured network rebuilds it. This is what lets domains keep warm
-/// trees across rounds instead of running cold Dijkstras per solve.
-struct DomainState {
-    local: LocalSubgraph,
-    engine: PathEngine,
+/// One domain's controller: a shortest-path tree from each of its anchors
+/// over the domain's local subgraph.
+struct Controller {
+    /// The domain's nodes in local-id order.
+    nodes: Vec<NodeId>,
+    /// A local tree per anchor, by real id.
+    trees: BTreeMap<NodeId, ShortestPaths>,
 }
 
-fn domain_state(
+impl Controller {
+    /// Builds domain `d`'s local subgraph and its anchor trees.
+    fn new(
+        graph: &Graph,
+        part: &DomainPartition,
+        d: usize,
+        anchors: &BTreeSet<NodeId>,
+    ) -> Controller {
+        let mut controller = Controller {
+            nodes: part.domains[d].clone(),
+            trees: BTreeMap::new(),
+        };
+        let mut local = Graph::with_nodes(controller.nodes.len());
+        for (_, e) in graph.edges() {
+            if part.domain_of[e.u.index()] == d && part.domain_of[e.v.index()] == d {
+                local.add_edge(controller.local(e.u), controller.local(e.v), e.cost);
+            }
+        }
+        controller.trees = anchors
+            .iter()
+            .map(|&a| (a, ShortestPaths::from_source(&local, controller.local(a))))
+            .collect();
+        controller
+    }
+
+    /// Id of `v` in the local subgraph: its rank among the domain's nodes.
+    fn local(&self, v: NodeId) -> NodeId {
+        let rank = self.nodes.binary_search(&v);
+        NodeId::new(rank.expect("a node of this domain"))
+    }
+
+    /// Anchor-to-anchor distances within the domain: its one message to
+    /// the leader.
+    fn anchor_matrix(&self) -> Vec<(NodeId, NodeId, Cost)> {
+        let mut entries = Vec::new();
+        for (&a, sp) in &self.trees {
+            for &b in self.trees.keys() {
+                let dist = sp.dist(self.local(b));
+                if dist.is_finite() && a != b {
+                    entries.push((a, b, dist));
+                }
+            }
+        }
+        entries
+    }
+
+    /// Expands the abstract link from anchor `a` to anchor `b` into the
+    /// real path it stands for: a request and a reply.
+    fn expand(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
+        let sp = &self.trees[&a];
+        let path = sp
+            .path_to(self.local(b))
+            .expect("anchors connected locally");
+        path.into_iter().map(|i| self.nodes[i.index()]).collect()
+    }
+}
+
+/// The leader's abstract graph and its id mappings.
+struct AbstractGraph {
+    graph: Graph,
+    /// Abstract id of each anchor, by real id.
+    abs_of: BTreeMap<NodeId, NodeId>,
+    /// Real id of each abstract node.
+    real_of: Vec<NodeId>,
+    /// Owning domain of each distance edge, keyed by its abstract ends in
+    /// ascending order.
+    intra: HashMap<(NodeId, NodeId), usize>,
+}
+
+impl AbstractGraph {
+    /// The abstract image of `v`, added on first sight.
+    fn node(&mut self, v: NodeId) -> NodeId {
+        *self.abs_of.entry(v).or_insert_with(|| {
+            self.real_of.push(v);
+            self.graph.add_node()
+        })
+    }
+}
+
+/// Assembles the abstract graph from the controllers' matrices, in domain
+/// order so that abstract ids (and the whole solve) are deterministic, and
+/// the physical inter-domain links.
+fn abstract_graph(
     graph: &Graph,
     part: &DomainPartition,
-    seed: u64,
-    k: usize,
-    d: usize,
-) -> Arc<DomainState> {
-    type Cache = Mutex<HashMap<(u64, usize, usize), (u64, Arc<DomainState>)>>;
-    static CACHE: OnceLock<Cache> = OnceLock::new();
-    // Entries are whole or absent at every step, so a lock poisoned by a
-    // panicking solve still guards a valid map: recover it.
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let epoch = graph.cost_epoch();
-    let key = (seed, k, d);
-    if let Some((e, state)) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-        if *e == epoch {
-            return Arc::clone(state);
+    controllers: &[Controller],
+) -> AbstractGraph {
+    let mut abs = AbstractGraph {
+        graph: Graph::new(),
+        abs_of: BTreeMap::new(),
+        real_of: Vec::new(),
+        intra: HashMap::new(),
+    };
+    for (d, controller) in controllers.iter().enumerate() {
+        for (a, b, dist) in controller.anchor_matrix() {
+            let (ia, ib) = (abs.node(a), abs.node(b));
+            if ia < ib {
+                abs.graph.add_edge(ia, ib, dist);
+                abs.intra.insert((ia, ib), d);
+            }
         }
     }
-    let state = Arc::new(DomainState {
-        local: local_subgraph(graph, part, d),
-        engine: PathEngine::new(),
-    });
-    let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-    if guard.len() >= 64 {
-        guard.clear();
+    for (_, e) in graph.edges() {
+        if part.domain_of[e.u.index()] != part.domain_of[e.v.index()] {
+            let (ia, ib) = (abs.node(e.u), abs.node(e.v));
+            abs.graph.add_edge(ia, ib, e.cost);
+        }
     }
-    guard.insert(key, (epoch, Arc::clone(&state)));
-    state
+    // Anchors that appeared in no distance entry and no inter-domain link
+    // (e.g. the lone anchor of a degenerate single-node domain) still need
+    // an abstract image, or role projection would miss them.
+    for controller in controllers {
+        for &v in controller.trees.keys() {
+            abs.node(v);
+        }
+    }
+    abs
 }
 
 /// §VI's multi-controller SOFDA behind the [`sof_core::Solver`] trait: a
@@ -202,164 +265,56 @@ impl sof_core::Solver for DistributedSofda {
 /// Returns [`SolveError::Infeasible`] when `k` is zero or exceeds the node
 /// count, and otherwise propagates [`SolveError`] from the underlying
 /// stages.
-///
-/// # Panics
-///
-/// Panics if a controller thread panics.
 pub fn distributed_sofda(
     instance: &SofInstance,
     k: usize,
     config: &SofdaConfig,
 ) -> Result<DistributedOutcome, SolveError> {
-    let n = instance.network.node_count();
+    let graph = instance.network.graph();
+    let n = graph.node_count();
     if k == 0 || k > n {
         return Err(SolveError::Infeasible(format!(
             "bad domain count {k} for a {n}-node network"
         )));
     }
-    let network = Arc::new(instance.network.clone());
-    let part = Arc::new(DomainPartition::new(network.graph(), k, config.seed));
-    let msg_count = Arc::new(AtomicUsize::new(0));
+    let part = DomainPartition::new(graph, k, config.seed);
 
     // Anchor set per domain: borders + local sources/VMs/destinations.
-    let mut anchors_of: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); k];
-    for (d, anchors) in anchors_of.iter_mut().enumerate() {
-        anchors.extend(part.borders(network.graph(), d));
-    }
-    let interesting: Vec<NodeId> = instance
-        .request
+    let mut anchors_of: Vec<BTreeSet<NodeId>> = (0..k)
+        .map(|d| part.borders(graph, d).into_iter().collect())
+        .collect();
+    let request = &instance.request;
+    for v in request
         .sources
         .iter()
-        .chain(instance.request.destinations.iter())
+        .chain(&request.destinations)
         .copied()
         .chain(instance.network.vms())
-        .collect();
-    for v in interesting {
+    {
         anchors_of[part.domain_of[v.index()]].insert(v);
     }
-
-    // Spawn controllers.
-    let (to_leader, from_controllers) = channel::<(usize, Message)>();
-    let mut to_controllers: Vec<Sender<Message>> = Vec::with_capacity(k);
-    let mut handles = Vec::with_capacity(k);
-    for (d, domain_anchors) in anchors_of.iter().enumerate() {
-        let (tx, rx): (Sender<Message>, Receiver<Message>) = channel();
-        to_controllers.push(tx);
-        let state = domain_state(network.graph(), &part, config.seed, k, d);
-        let anchors: Vec<NodeId> = domain_anchors.iter().copied().collect();
-        let leader = to_leader.clone();
-        let msg_count = Arc::clone(&msg_count);
-        handles.push(std::thread::spawn(move || {
-            // Local subgraph: nodes of this domain only, with its engine
-            // serving anchor trees warm across solve rounds.
-            let local = &state.local;
-            // Anchor-to-anchor distances within the local subgraph.
-            let mut entries = Vec::new();
-            let mut trees: HashMap<NodeId, Arc<ShortestPaths>> = HashMap::new();
-            for &a in &anchors {
-                let sp = state.engine.from_source(&local.graph, local.index_of[&a]);
-                for &b in &anchors {
-                    let dist = sp.dist(local.index_of[&b]);
-                    if dist.is_finite() && a != b {
-                        entries.push((a, b, dist));
-                    }
-                }
-                trees.insert(a, sp);
-            }
-            msg_count.fetch_add(1, Ordering::Relaxed);
-            leader
-                .send((d, Message::AnchorMatrix { entries }))
-                .expect("leader alive");
-            // Serve expansion requests until shutdown.
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    Message::Expand { a, b, reply } => {
-                        msg_count.fetch_add(2, Ordering::Relaxed); // request + response
-                        let sp = trees.get(&a).expect("expansion endpoints are anchors");
-                        let path = sp
-                            .path_to(local.index_of[&b])
-                            .expect("anchors connected locally");
-                        let real: Vec<NodeId> = path
-                            .into_iter()
-                            .map(|i| local.original[i.index()])
-                            .collect();
-                        reply.send(real).expect("leader alive");
-                    }
-                    Message::Shutdown => break,
-                    Message::AnchorMatrix { .. } => {}
-                }
-            }
-        }));
-    }
-
-    // Leader: assemble the abstract network.
-    let mut abstract_graph = Graph::new();
-    let mut abs_of: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    let mut real_of: Vec<NodeId> = Vec::new();
-    let abs_node = |v: NodeId,
-                    abstract_graph: &mut Graph,
-                    abs_of: &mut BTreeMap<NodeId, NodeId>,
-                    real_of: &mut Vec<NodeId>| {
-        *abs_of.entry(v).or_insert_with(|| {
-            let id = abstract_graph.add_node();
-            real_of.push(v);
-            id
-        })
-    };
-    // Distance edges (received matrices), tagged with their owning domain.
-    // Matrices arrive in thread-completion order; buffer them and apply in
-    // domain order so abstract node ids (and thus the whole solve) are
-    // deterministic for a fixed seed.
-    let mut matrices: Vec<Vec<(NodeId, NodeId, Cost)>> = vec![Vec::new(); k];
-    for _ in 0..k {
-        let (d, msg) = from_controllers.recv().expect("controllers report");
-        if let Message::AnchorMatrix { entries } = msg {
-            matrices[d] = entries;
-        }
-    }
-    let mut intra_edges: HashMap<(NodeId, NodeId), usize> = HashMap::new();
-    for (d, entries) in matrices.into_iter().enumerate() {
-        for (a, b, dist) in entries {
-            let ia = abs_node(a, &mut abstract_graph, &mut abs_of, &mut real_of);
-            let ib = abs_node(b, &mut abstract_graph, &mut abs_of, &mut real_of);
-            if ia < ib {
-                abstract_graph.add_edge(ia, ib, dist);
-                intra_edges.insert((ia, ib), d);
-            }
-        }
-    }
-    // Physical inter-domain links.
-    for (_, e) in network.graph().edges() {
-        if part.domain_of[e.u.index()] != part.domain_of[e.v.index()] {
-            let ia = abs_node(e.u, &mut abstract_graph, &mut abs_of, &mut real_of);
-            let ib = abs_node(e.v, &mut abstract_graph, &mut abs_of, &mut real_of);
-            abstract_graph.add_edge(ia, ib, e.cost);
-        }
-    }
-    // Anchors that appeared in no distance entry and no inter-domain link
-    // (e.g. the lone anchor of a degenerate single-node domain) still need
-    // an abstract image, or role projection below would miss them.
-    for anchors in &anchors_of {
-        for &v in anchors {
-            abs_node(v, &mut abstract_graph, &mut abs_of, &mut real_of);
-        }
-    }
+    let controllers: Vec<Controller> = anchors_of
+        .iter()
+        .enumerate()
+        .map(|(d, anchors)| Controller::new(graph, &part, d, anchors))
+        .collect();
+    let AbstractGraph {
+        graph: abs_graph,
+        abs_of,
+        real_of,
+        intra,
+    } = abstract_graph(graph, &part, &controllers);
+    let mut messages = k;
 
     // Abstract instance: same roles projected onto abstract ids.
-    let mut abs_net = Network::all_switches(abstract_graph);
+    let mut abs_net = Network::all_switches(abs_graph);
     for v in instance.network.vms() {
-        let a = abs_of[&v];
-        abs_net.make_vm(a, instance.network.node_cost(v));
+        abs_net.make_vm(abs_of[&v], instance.network.node_cost(v));
     }
     let abs_request = Request::new(
-        instance.request.sources.iter().map(|s| abs_of[s]).collect(),
-        instance
-            .request
-            .destinations
-            .iter()
-            .map(|d| abs_of[d])
-            .collect(),
-        instance.request.chain.clone(),
+        request.sources.iter().map(|s| abs_of[s]).collect(),
+        request.destinations.iter().map(|d| abs_of[d]).collect(),
+        request.chain.clone(),
     );
     let abs_instance = SofInstance::new(abs_net, abs_request)
         .map_err(|e| SolveError::Infeasible(format!("abstract instance invalid: {e}")))?;
@@ -379,19 +334,9 @@ pub fn distributed_sofda(
         for (hop, pair) in w.nodes.windows(2).enumerate() {
             let (ia, ib) = (pair[0], pair[1]);
             let (a, b) = (real_of[ia.index()], real_of[ib.index()]);
-            let key = if ia < ib { (ia, ib) } else { (ib, ia) };
-            if let Some(&d) = intra_edges.get(&key) {
-                // Ask controller d to expand.
-                let (reply_tx, reply_rx) = channel();
-                to_controllers[d]
-                    .send(Message::Expand {
-                        a,
-                        b,
-                        reply: reply_tx,
-                    })
-                    .expect("controller alive");
-                let path = reply_rx.recv().expect("controller replies");
-                real_nodes.extend_from_slice(&path[1..]);
+            if let Some(&d) = intra.get(&(ia.min(ib), ia.max(ib))) {
+                messages += 2;
+                real_nodes.extend_from_slice(&controllers[d].expand(a, b)[1..]);
             } else {
                 // Physical inter-domain link.
                 real_nodes.push(b);
@@ -408,12 +353,6 @@ pub fn distributed_sofda(
             vnf_positions: positions,
         });
     }
-    for tx in &to_controllers {
-        let _ = tx.send(Message::Shutdown);
-    }
-    for h in handles {
-        h.join().expect("controller thread panicked");
-    }
 
     let mut forest = ServiceForest::new(instance.chain_len(), forest_walks);
     if config.shorten {
@@ -421,57 +360,14 @@ pub fn distributed_sofda(
     }
     forest.validate(instance).map_err(SolveError::Internal)?;
     let cost = forest.cost(&instance.network);
-    let messages = msg_count.load(Ordering::Relaxed);
-    let mut engine_stats = PathEngineStats::default();
-    for d in 0..k {
-        let s = domain_state(network.graph(), &part, config.seed, k, d)
-            .engine
-            .stats();
-        engine_stats.hits += s.hits;
-        engine_stats.misses += s.misses;
-        engine_stats.stale += s.stale;
-        engine_stats.evictions += s.evictions;
-        engine_stats.repairs += s.repairs;
-        engine_stats.partial_repairs += s.partial_repairs;
-    }
     Ok(DistributedOutcome {
         outcome: SolveOutcome {
             forest,
             cost,
             stats: abs_out.stats,
         },
-        domains: k,
         message_count: messages,
-        engine_stats,
     })
-}
-
-/// A domain's local subgraph with id mappings.
-struct LocalSubgraph {
-    graph: Graph,
-    index_of: HashMap<NodeId, NodeId>,
-    original: Vec<NodeId>,
-}
-
-fn local_subgraph(graph: &Graph, part: &DomainPartition, d: usize) -> LocalSubgraph {
-    let mut g = Graph::new();
-    let mut index_of = HashMap::new();
-    let mut original = Vec::new();
-    for &v in &part.domains[d] {
-        let id = g.add_node();
-        index_of.insert(v, id);
-        original.push(v);
-    }
-    for (_, e) in graph.edges() {
-        if part.domain_of[e.u.index()] == d && part.domain_of[e.v.index()] == d {
-            g.add_edge(index_of[&e.u], index_of[&e.v], e.cost);
-        }
-    }
-    LocalSubgraph {
-        graph: g,
-        index_of,
-        original,
-    }
 }
 
 #[cfg(test)]
@@ -525,8 +421,10 @@ mod tests {
                 central.cost.total().value(),
                 dist.outcome.cost.total().value(),
             );
+            // The gap measured on SoftLayer and Cogent (docs/DISTRIBUTED.md):
+            // at most 7.4 % costlier and 2.9 % cheaper.
             assert!(
-                d <= c * 1.6 + 1e-9 && c <= d * 1.6 + 1e-9,
+                d <= c * 1.08 && d >= c * 0.97,
                 "seed {seed}: centralized {c} vs distributed {d}"
             );
             assert!(dist.message_count >= 3, "matrices must be exchanged");
@@ -534,23 +432,55 @@ mod tests {
     }
 
     #[test]
-    fn domains_keep_warm_trees_across_rounds() {
-        let inst = instance(17);
-        let first = distributed_sofda(&inst, 4, &SofdaConfig::default()).unwrap();
-        let second = distributed_sofda(&inst, 4, &SofdaConfig::default()).unwrap();
-        // Identical network, seed and domain count: round two re-serves
-        // every anchor tree from the persistent domain engines.
-        assert!(
-            second.engine_stats.hits >= first.engine_stats.hits + first.engine_stats.misses,
-            "expected warm trees on round two: {:?} then {:?}",
-            first.engine_stats,
-            second.engine_stats
-        );
-        assert_eq!(second.engine_stats.misses, first.engine_stats.misses);
-        assert_eq!(
-            first.outcome.cost.total().value().to_bits(),
-            second.outcome.cost.total().value().to_bits()
-        );
+    fn abstract_distances_equal_real_ones_up_to_rounding() {
+        // Every anchor-to-anchor distance on the leader's abstract graph
+        // against a Dijkstra on the full graph: 200 generated graphs, each
+        // split into k = 1..=6 domains with a random anchor set on top of
+        // the borders. The abstract graph sums a path in another order
+        // (each domain's leg first, then the legs), so the two agree to
+        // rounding, not to the bit.
+        let mut rng = Rng64::seed_from(0x0AB5_7AC7);
+        let mut checked = 0;
+        for case in 0..200u32 {
+            let n = 12 + rng.below(30);
+            let costs = CostRange::new(0.5, 9.5);
+            let graph = if case.is_multiple_of(2) {
+                generators::gnp_connected(n, 0.15, costs, &mut rng)
+            } else {
+                generators::inet_like(n, n + n / 2, costs, &mut rng)
+            };
+            for k in 1..=6 {
+                let part = DomainPartition::new(&graph, k, rng.next_u64());
+                let mut anchors_of: Vec<BTreeSet<NodeId>> = (0..k)
+                    .map(|d| part.borders(&graph, d).into_iter().collect())
+                    .collect();
+                let extra = rng.below(n / 2) + 1;
+                for v in rng.sample_indices(n, extra) {
+                    anchors_of[part.domain_of[v]].insert(NodeId::new(v));
+                }
+                let controllers: Vec<Controller> = anchors_of
+                    .iter()
+                    .enumerate()
+                    .map(|(d, anchors)| Controller::new(&graph, &part, d, anchors))
+                    .collect();
+                let abs = abstract_graph(&graph, &part, &controllers);
+                let anchors: BTreeSet<NodeId> = anchors_of.into_iter().flatten().collect();
+                assert!(abs.abs_of.keys().eq(&anchors), "case {case}, k {k}");
+                for (&a, &ia) in &abs.abs_of {
+                    let real = ShortestPaths::from_source(&graph, a);
+                    let seen = ShortestPaths::from_source(&abs.graph, ia);
+                    for (&b, &ib) in &abs.abs_of {
+                        let (r, s) = (real.dist(b).value(), seen.dist(ib).value());
+                        assert!(
+                            (r - s).abs() <= 1e-12 * r,
+                            "case {case}, k {k}: {a:?} to {b:?} is {r}, abstract {s}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 100_000, "only {checked} pairs checked");
     }
 
     #[test]
@@ -661,6 +591,5 @@ mod tests {
         let inst = instance(13);
         let out = distributed_sofda(&inst, 6, &SofdaConfig::default()).unwrap();
         out.outcome.forest.validate(&inst).unwrap();
-        assert_eq!(out.domains, 6);
     }
 }

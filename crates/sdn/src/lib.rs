@@ -7,9 +7,11 @@
 //!   processing actions, plus TCAM accounting and a data-plane delivery
 //!   check (the packets really reach every destination fully processed).
 //! * [`distributed_sofda`] — §VI's multi-controller deployment: controllers
-//!   own domains, exchange border distance matrices east-west over real
-//!   channels, the leader solves SOFDA on the assembled abstract graph, and
-//!   selected virtual links are expanded back by their owning controllers.
+//!   own domains and send the leader their border distance matrices, the
+//!   leader solves SOFDA on the assembled abstract graph, and selected
+//!   virtual links are expanded back by their owning controllers. The
+//!   controllers are plain values the leader calls in process, and every
+//!   call is counted as the east-west messages it stands for.
 //!
 //! # Examples
 //!
@@ -40,5 +42,5 @@
 mod distributed;
 mod rules;
 
-pub use distributed::{distributed_sofda, DistributedOutcome, DistributedSofda, DomainPartition};
+pub use distributed::{distributed_sofda, DistributedOutcome, DistributedSofda};
 pub use rules::{FlowRule, RuleTable};

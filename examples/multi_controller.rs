@@ -1,6 +1,7 @@
-//! Distributed SOFDA (§VI): controllers own network domains, exchange
-//! border distance matrices over channels, and the leader embeds the forest
-//! on the assembled abstract topology.
+//! Distributed SOFDA (§VI): controllers own network domains and send the
+//! leader their border distance matrices, and the leader embeds the forest
+//! on the assembled abstract topology. The controllers run in process; the
+//! message count is what a deployment would send east-west.
 //!
 //! Run with `cargo run --release --example multi_controller`.
 

@@ -126,8 +126,10 @@ fn distributed_controllers_agree_with_centralized() {
         central.cost.total().value(),
         dist.outcome.cost.total().value(),
     );
+    // The gap measured on SoftLayer and Cogent (docs/DISTRIBUTED.md): at
+    // most 7.4 % costlier and 2.9 % cheaper.
     assert!(
-        d <= c * 1.6 + 1e-9 && c <= d * 1.6 + 1e-9,
+        d <= c * 1.08 && d >= c * 0.97,
         "centralized {c} vs distributed {d}"
     );
 }

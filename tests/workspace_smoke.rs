@@ -44,9 +44,9 @@ fn facade_pipeline_is_deterministic() {
     );
 }
 
-/// The distributed solver is also deterministic for a fixed seed, even
-/// though controllers run as real threads (matrices are applied in domain
-/// order, not arrival order).
+/// The distributed solver is also deterministic for a fixed seed: the
+/// partition is drawn from it, and the leader assembles the controllers'
+/// matrices in domain order.
 #[test]
 fn distributed_pipeline_is_deterministic() {
     let topo = softlayer();
