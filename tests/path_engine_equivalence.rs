@@ -589,3 +589,193 @@ fn network_clones_share_their_engine() {
     );
     assert_eq!(clone.network.paths().stats().hits, 1);
 }
+
+fn eat(hash: u64, x: u64) -> u64 {
+    (hash ^ x).wrapping_mul(0x0100_0000_01b3)
+}
+
+fn eat_walk(mut hash: u64, nodes: &[NodeId], positions: &[usize]) -> u64 {
+    hash = eat(hash, nodes.len() as u64);
+    nodes
+        .iter()
+        .for_each(|v| hash = eat(hash, v.index() as u64));
+    positions.iter().for_each(|&p| hash = eat(hash, p as u64));
+    hash
+}
+
+/// FNV-1a over a forest's walks and VNF positions; an error hashes as one
+/// marker.
+fn eat_forest<E>(mut hash: u64, forest: Result<&sof::core::ServiceForest, E>) -> u64 {
+    let Ok(forest) = forest else {
+        return eat(hash, u64::MAX);
+    };
+    for w in &forest.walks {
+        hash = eat(hash, w.source.index() as u64);
+        hash = eat(hash, w.destination.index() as u64);
+        hash = eat_walk(hash, &w.nodes, &w.vnf_positions);
+    }
+    hash
+}
+
+/// Every answer that reads a VM's shortest-path tree, digested: for each
+/// source (and, when the instance has one, the VM `vm_source`), with and
+/// without an Appendix D source cost, every entry of its chain metric and
+/// every chain's target, stroll, cost, expanded walk and walk cost; then
+/// the SOFDA, SOFDA-SS and baseline forests with their cost bits and solve
+/// counts, and a full-search join, a VNF insert at 0 and a re-route of
+/// every walk on the SOFDA forest. The joining node is the first switch no
+/// walk passes.
+fn chain_digest(inst: &SofInstance, vm_source: Option<NodeId>, mut hash: u64) -> u64 {
+    use sof::core::dynamics;
+    use sof::core::{solve_sofda_ss, ChainMetric, JoinStrategy};
+    use sof::kstroll::StrollSolver;
+    let net = &inst.network;
+    let vms = net.vms();
+    let chain_len = inst.chain_len();
+    let mut rng = Rng64::seed_from(1);
+    for &s in inst.request.sources.iter().chain(&vm_source) {
+        for source_cost in [Cost::ZERO, Cost::new(2.5)] {
+            let Some(cm) = ChainMetric::build(net, s, &vms, source_cost) else {
+                hash = eat(hash, u64::MAX);
+                continue;
+            };
+            let m = cm.metric();
+            hash = eat(hash, m.len() as u64);
+            for i in 0..m.len() {
+                hash = eat(hash, cm.node(i).index() as u64);
+                m.row(i)
+                    .iter()
+                    .for_each(|c| hash = eat(hash, c.value().to_bits()));
+            }
+            for (t, stroll, cost) in cm.chains_to_all_vms(chain_len, StrollSolver::Exact, &mut rng)
+            {
+                hash = eat(hash, t as u64);
+                stroll
+                    .nodes
+                    .iter()
+                    .for_each(|&i| hash = eat(hash, i as u64));
+                hash = eat(hash, stroll.cost.value().to_bits());
+                hash = eat(hash, cost.value().to_bits());
+                let (walk, positions) = cm.expand(&stroll);
+                hash = eat_walk(hash, &walk, &positions);
+                hash = eat(hash, cm.walk_cost(net, &walk, &positions).value().to_bits());
+            }
+        }
+    }
+    let config = SofdaConfig::default();
+    let single = {
+        let mut single = inst.clone();
+        single.request.sources.truncate(1);
+        single
+    };
+    let solves = [
+        solve_sofda(inst, &config),
+        solve_sofda_ss(&single, &config),
+        sof::baselines::solve_st(inst, &config),
+        sof::baselines::solve_est(inst, &config),
+        sof::baselines::solve_enemp(inst, &config),
+    ];
+    for out in &solves {
+        hash = eat_forest(hash, out.as_ref().map(|o| &o.forest));
+        if let Ok(o) = out {
+            hash = eat(hash, o.cost.setup.value().to_bits());
+            hash = eat(hash, o.cost.connection.value().to_bits());
+            let s = &o.stats;
+            hash = eat(hash, s.candidate_chains as u64);
+            hash = eat(hash, s.stroll_nodes);
+            hash = eat(hash, s.steiner_cost.value().to_bits());
+            hash = eat(hash, s.conflicts.total() as u64);
+        }
+    }
+    let Ok(solved) = &solves[0] else {
+        return hash;
+    };
+    let joining = net
+        .graph()
+        .nodes()
+        .find(|v| !net.is_vm(*v) && !solved.forest.walks.iter().any(|w| w.nodes.contains(v)))
+        .expect("a switch off the forest");
+    let (mut i, mut f) = (inst.clone(), solved.forest.clone());
+    let joined = dynamics::destination_join_with(&mut i, &mut f, joining, JoinStrategy::FullSearch);
+    hash = eat(hash, joined.map_or(u64::MAX, |c| c.value().to_bits()));
+    hash = eat_forest(hash, Ok::<_, ()>(&f));
+    let (mut i, mut f) = (inst.clone(), solved.forest.clone());
+    let inserted = dynamics::vnf_insert(&mut i, &mut f, 0, "probe");
+    hash = eat_forest(hash, inserted.map(|()| &f));
+    let mut f = solved.forest.clone();
+    dynamics::reroute_all(inst, &mut f);
+    eat_forest(hash, Ok::<_, ()>(&f))
+}
+
+/// A generated instance in the shape of §VII's: a `gnp` or `inet_like`
+/// graph whose first nodes are data centres, most VMs hanging off one by
+/// a zero-cost stub (two of them always on data centre 0), one VM a
+/// switch made a VM in place, and one stub loaded with a cost. Destination
+/// 0 is data centre 1, and the returned VM (a stub VM) is also priced as a
+/// source.
+fn stubbed_instance(case: u64) -> (SofInstance, NodeId) {
+    use sof::core::NodeKind;
+    let mut rng = Rng64::seed_from(0x57AB + case);
+    let n = 22 + rng.below(12);
+    let costs = CostRange::new(1.0, 9.0);
+    let g = if case.is_multiple_of(2) {
+        generators::gnp_connected(n, 0.14, costs, &mut rng)
+    } else {
+        generators::inet_like(n, n + n / 2, costs, &mut rng)
+    };
+    let dcs = 6;
+    let mut net = Network::all_switches(g);
+    let mut stubs = Vec::new();
+    for i in 0..9 {
+        let dc = NodeId::new(if i < 2 { 0 } else { rng.below(dcs) });
+        let vm = net.add_node(NodeKind::Vm, Cost::new(rng.range_f64(0.5, 4.0)));
+        stubs.push(net.graph_mut().add_edge(vm, dc, Cost::ZERO));
+    }
+    let loaded = stubs[3 + rng.below(6)];
+    net.graph_mut().set_edge_cost(loaded, Cost::new(0.75));
+    let picks = rng.sample_indices(n - dcs, 7);
+    let at = |i: usize| NodeId::new(dcs + picks[i]);
+    net.make_vm(at(0), Cost::new(rng.range_f64(0.5, 4.0)));
+    let vm_source = net.graph().edge(stubs[2]).u;
+    let inst = SofInstance::new(
+        net,
+        Request::new(
+            vec![at(1), at(2), at(3)],
+            vec![NodeId::new(1), at(4), at(5), at(6)],
+            ServiceChain::with_len(1 + rng.below(3)),
+        ),
+    )
+    .unwrap();
+    (inst, vm_source)
+}
+
+/// The chain-metric fixture: [`chain_digest`] over 12 generated stubbed
+/// instances and over SoftLayer (paper defaults: 25 VMs on 17 data
+/// centres, chain of 3) and Cogent (`oneshot-kstroll`'s 35 VMs and chain
+/// of 4) at seeds 0–5. Any change to how a VM's tree is found, shared or
+/// read must leave every bit of it in place.
+#[test]
+fn chain_metrics_walks_and_costs_are_bit_identical() {
+    use sof::topo::{build_instance, cogent, softlayer, ScenarioParams};
+    let mut generated = 0xcbf2_9ce4_8422_2325;
+    for case in 0..12 {
+        let (inst, vm_source) = stubbed_instance(case);
+        generated = chain_digest(&inst, Some(vm_source), generated);
+    }
+    let mut paper = 0xcbf2_9ce4_8422_2325;
+    for (topo, vm_count, chain_len) in [(softlayer(), 25, 3), (cogent(), 35, 4)] {
+        for seed in 0..6 {
+            let mut p = ScenarioParams::paper_defaults().with_seed(seed);
+            (p.vm_count, p.chain_len) = (vm_count, chain_len);
+            paper = chain_digest(&build_instance(&topo, &p), None, paper);
+        }
+    }
+    assert_eq!(
+        generated, 0x34fc_1b98_0050_7f9a,
+        "generated chain metrics moved"
+    );
+    assert_eq!(
+        paper, 0x8588_61af_b686_53f4,
+        "SoftLayer / Cogent chain metrics moved"
+    );
+}
