@@ -412,23 +412,44 @@ mod tests {
 
     #[test]
     fn distributed_matches_centralized_closely() {
-        for seed in 0..6 {
-            let inst = instance(seed);
-            let central = sof_core::solve_sofda(&inst, &SofdaConfig::default()).unwrap();
-            let dist = distributed_sofda(&inst, 3, &SofdaConfig::default()).unwrap();
+        // The gap measured on SoftLayer and Cogent (docs/DISTRIBUTED.md):
+        // at most 7.4 % costlier and 2.9 % cheaper. The six generated
+        // instances (k = 3) sit at d/c = 1; the probe's extremes — Cogent
+        // seed 32 at k = 2 and 4 (0.97075) and Cogent seed 8 at k = 4
+        // (1.0738) — put each bound within a few thousandths of a run.
+        let config = SofdaConfig::default();
+        let cogent = sof_topo::cogent();
+        let probe = |seed| {
+            let mut p = sof_topo::ScenarioParams::paper_defaults().with_seed(seed);
+            (p.sources, p.destinations, p.vm_count, p.chain_len) = (5, 5, 12, 3);
+            sof_topo::build_instance(&cogent, &p)
+        };
+        let cases = (0..6)
+            .map(|seed| (format!("generated seed {seed}"), instance(seed), 3))
+            .chain(
+                [(32, 2), (32, 4), (8, 4)]
+                    .map(|(seed, k)| (format!("Cogent seed {seed}, k = {k}"), probe(seed), k)),
+            );
+        let (mut lowest, mut highest) = (f64::INFINITY, 0.0f64);
+        for (name, inst, k) in cases {
+            let central = sof_core::solve_sofda(&inst, &config).unwrap();
+            let dist = distributed_sofda(&inst, k, &config).unwrap();
             dist.outcome.forest.validate(&inst).unwrap();
             let (c, d) = (
                 central.cost.total().value(),
                 dist.outcome.cost.total().value(),
             );
-            // The gap measured on SoftLayer and Cogent (docs/DISTRIBUTED.md):
-            // at most 7.4 % costlier and 2.9 % cheaper.
             assert!(
                 d <= c * 1.08 && d >= c * 0.97,
-                "seed {seed}: centralized {c} vs distributed {d}"
+                "{name}: centralized {c} vs distributed {d}"
             );
             assert!(dist.message_count >= 3, "matrices must be exchanged");
+            (lowest, highest) = (lowest.min(d / c), highest.max(d / c));
         }
+        assert!(
+            lowest < 0.975 && highest > 1.07,
+            "the fixtures no longer reach the bounds: d/c {lowest}–{highest}"
+        );
     }
 
     #[test]
