@@ -2,9 +2,11 @@
 
 use sof_core::{
     ChainMetric, DestWalk, SearchContext, ServiceForest, SofInstance, SofdaConfig, SolveError,
+    VmBlock,
 };
 use sof_graph::{Cost, NodeId};
 use sof_steiner::SteinerTree;
+use std::sync::Arc;
 
 /// A grown forest: total priced cost, the kept candidate trees, and the
 /// destination buckets assigned to each tree.
@@ -40,31 +42,43 @@ impl CandidateTree {
     }
 }
 
-/// Builds the cheapest service chain from `source` over `vms`, attached to
-/// the cheapest node of `tree_nodes` (ST/eST style: the tree is fixed first,
-/// the chain is bolted on afterwards).
+/// The VM block every source proposed for on `vms` prices its chains on
+/// (one per solve, or per pass of [`grow_forest`]). It is empty when `vms`
+/// cannot hold the chain, so a pass that prices nothing reads no tree.
+pub(crate) fn vm_block(instance: &SofInstance, vms: &[NodeId]) -> Arc<VmBlock> {
+    let chain_len = instance.chain_len();
+    let vms = if chain_len == 0 || vms.len() < chain_len {
+        &[]
+    } else {
+        vms
+    };
+    Arc::new(VmBlock::new(&instance.network, vms))
+}
+
+/// Builds the cheapest service chain from `source` over the VMs of `block`,
+/// attached to the cheapest node of `tree_nodes` (ST/eST style: the tree is
+/// fixed first, the chain is bolted on afterwards).
 pub(crate) fn cheapest_chain_to_tree(
     instance: &SofInstance,
     source: NodeId,
-    vms: &[NodeId],
+    block: &Arc<VmBlock>,
     tree_nodes: &[NodeId],
     config: &SofdaConfig,
     search: &mut SearchContext,
 ) -> Option<CandidateTree> {
-    let network = &instance.network;
     let chain_len = instance.chain_len();
     if chain_len == 0 {
         return Some(CandidateTree::bare(source));
     }
-    if vms.len() < chain_len {
+    if block.len() < chain_len {
         return None;
     }
-    let cm = ChainMetric::build(network, source, vms, config.source_cost())?;
+    let cm = ChainMetric::from_block(block, source, config.source_cost())?;
     let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, search);
     let mut best: Option<CandidateTree> = None;
     for (target, stroll, chain_cost) in chains {
         let u = cm.node(target);
-        let sp = network.paths().from_source(network.graph(), u);
+        let sp = cm.vm_tree(target);
         let Some(&attach) = tree_nodes
             .iter()
             .min_by_key(|&&x| (sp.dist(x), x))
@@ -105,7 +119,7 @@ pub(crate) fn assign_and_price(
     let dests = &instance.request.destinations;
     let sps: Vec<_> = trees
         .iter()
-        .map(|t| network.paths().from_source(network.graph(), t.attach))
+        .map(|t| network.paths().rooted_at(network.graph(), t.attach))
         .collect();
     let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); trees.len()];
     for &d in dests {
@@ -180,8 +194,9 @@ pub(crate) fn used_vms(trees: &[CandidateTree]) -> Vec<NodeId> {
 /// Iterative multi-source extension shared by eST and eNEMP: starting from
 /// one tree, repeatedly propose a tree from an unused source (chain on
 /// unused VMs via `propose`) and keep it while the priced total decreases.
-/// `search` is the solve's k-stroll context: every source proposed for in
-/// one pass sees the same free VMs, so they share its table.
+/// Every source proposed for in one pass sees the same free VMs, so they
+/// share one VM block and, in `search`, the solve's k-stroll context, one
+/// table.
 pub(crate) fn grow_forest<F>(
     instance: &SofInstance,
     mut trees: Vec<CandidateTree>,
@@ -190,11 +205,20 @@ pub(crate) fn grow_forest<F>(
     mut propose: F,
 ) -> Result<GrownForest, SolveError>
 where
-    F: FnMut(&SofInstance, NodeId, &[NodeId], &mut SearchContext) -> Option<CandidateTree>,
+    F: FnMut(&SofInstance, NodeId, &Arc<VmBlock>, &mut SearchContext) -> Option<CandidateTree>,
 {
     let (mut best_cost, mut best_buckets) = assign_and_price(instance, &trees, config)?;
     loop {
-        let used_sources: Vec<NodeId> = trees.iter().map(|t| t.source).collect();
+        let unused_sources: Vec<NodeId> = instance
+            .request
+            .sources
+            .iter()
+            .copied()
+            .filter(|s| trees.iter().all(|t| t.source != *s))
+            .collect();
+        if unused_sources.is_empty() {
+            break;
+        }
         let free_vms: Vec<NodeId> = {
             let used = used_vms(&trees);
             instance
@@ -204,13 +228,11 @@ where
                 .filter(|v| !used.contains(v))
                 .collect()
         };
+        let block = vm_block(instance, &free_vms);
         let mut improved = false;
         let mut best_addition: Option<(Cost, CandidateTree, Vec<Vec<NodeId>>)> = None;
-        for &s in &instance.request.sources {
-            if used_sources.contains(&s) {
-                continue;
-            }
-            let Some(cand) = propose(instance, s, &free_vms, search) else {
+        for &s in &unused_sources {
+            let Some(cand) = propose(instance, s, &block, search) else {
                 continue;
             };
             let mut tentative = trees.clone();

@@ -43,10 +43,15 @@
 
 mod common;
 
-use common::{assemble, assign_and_price, cheapest_chain_to_tree, grow_forest, CandidateTree};
-use sof_core::{SearchContext, SofInstance, SofdaConfig, SolveError, SolveOutcome, SolveStats};
+use common::{
+    assemble, assign_and_price, cheapest_chain_to_tree, grow_forest, vm_block, CandidateTree,
+};
+use sof_core::{
+    SearchContext, SofInstance, SofdaConfig, SolveError, SolveOutcome, SolveStats, VmBlock,
+};
 use sof_graph::{Cost, NodeId};
 use sof_steiner::SteinerTree;
+use std::sync::Arc;
 
 /// Picks the source whose Steiner tree over `{s} ∪ D` is cheapest.
 fn best_root(
@@ -87,7 +92,7 @@ pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOut
     let cand = cheapest_chain_to_tree(
         instance,
         root,
-        &instance.network.vms(),
+        &vm_block(instance, &instance.network.vms()),
         &tree_nodes,
         config,
         &mut search,
@@ -122,7 +127,7 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
     let first = cheapest_chain_to_tree(
         instance,
         root,
-        &instance.network.vms(),
+        &vm_block(instance, &instance.network.vms()),
         &tree_nodes,
         config,
         &mut search,
@@ -134,7 +139,7 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
         vec![first],
         config,
         &mut search,
-        move |inst, s, free_vms, search| {
+        move |inst, s, free, search| {
             // A fresh tree from s: span {s} ∪ D, chain on free VMs.
             let mut terminals = vec![s];
             terminals.extend_from_slice(&inst.request.destinations);
@@ -144,7 +149,7 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
             } else {
                 tree.nodes(inst.network.graph()).into_iter().collect()
             };
-            cheapest_chain_to_tree(inst, s, free_vms, &nodes, &cfg, search)
+            cheapest_chain_to_tree(inst, s, free, &nodes, &cfg, search)
         },
     )?;
     let forest = assemble(instance, &trees, &buckets, config)?;
@@ -157,12 +162,12 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
     finish(instance, forest, stats)
 }
 
-/// Builds an eNEMP-style candidate from `s`: for each candidate last VM `m`,
-/// span `{s, m} ∪ D` and chain `s → m`; keep the cheapest.
+/// Builds an eNEMP-style candidate from `s`: for each candidate last VM `m`
+/// of `block`, span `{s, m} ∪ D` and chain `s → m`; keep the cheapest.
 fn enemp_candidate(
     instance: &SofInstance,
     s: NodeId,
-    vms: &[NodeId],
+    block: &Arc<VmBlock>,
     config: &SofdaConfig,
     search: &mut SearchContext,
 ) -> Option<CandidateTree> {
@@ -171,10 +176,10 @@ fn enemp_candidate(
     if chain_len == 0 {
         return Some(CandidateTree::bare(s));
     }
-    if vms.len() < chain_len {
+    if block.len() < chain_len {
         return None;
     }
-    let cm = sof_core::ChainMetric::build(network, s, vms, config.source_cost())?;
+    let cm = sof_core::ChainMetric::from_block(block, s, config.source_cost())?;
     let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, search);
     let mut best: Option<(Cost, CandidateTree)> = None;
     for (target, stroll, chain_cost) in chains {
@@ -216,8 +221,8 @@ pub fn solve_enemp(
     let mut search = SearchContext::new();
     // First tree: best source by plain Steiner cost, then NEMP candidate.
     let (root, _) = best_root(instance, config)?;
-    let vms = instance.network.vms();
-    let first = enemp_candidate(instance, root, &vms, config, &mut search)
+    let block = vm_block(instance, &instance.network.vms());
+    let first = enemp_candidate(instance, root, &block, config, &mut search)
         .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
     let cfg = *config;
     let (_, trees, buckets) = grow_forest(
@@ -225,7 +230,7 @@ pub fn solve_enemp(
         vec![first],
         config,
         &mut search,
-        move |inst, s, free_vms, search| enemp_candidate(inst, s, free_vms, &cfg, search),
+        move |inst, s, free, search| enemp_candidate(inst, s, free, &cfg, search),
     )?;
     let forest = assemble(instance, &trees, &buckets, config)?;
     let stats = SolveStats {

@@ -25,11 +25,12 @@
 //! [`crate::OnlineSession`].
 
 use crate::faults::Faults;
-use crate::{ChainMetric, DestWalk, Network, ServiceForest, SofInstance};
+use crate::{ChainMetric, DestWalk, Network, ServiceForest, SofInstance, VmBlock};
 use sof_graph::{Cost, NodeId};
 use sof_kstroll::{SearchContext, StrollSolver};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from dynamic operations.
 #[derive(Clone, Debug, PartialEq)]
@@ -210,20 +211,23 @@ pub fn destination_join_with(
     if strategy == JoinStrategy::FullSearch {
         // Every mid-chain attach point finishes the chain by Procedure 1
         // from it over the free VMs, one chain per last VM `u`, each priced
-        // with its leg `u → d` from `u`'s own tree. One search context for
-        // every attach point: the join has one node budget, and the VM
-        // block of the metric — the same for every `x` — one table.
+        // with its leg `u → d` from `u`'s tree. Every attach point reads
+        // one set of free VMs, so the join builds one VM block, on the
+        // first attach point that needs it, and one search context: the
+        // join has one node budget, and the block one table.
         let free: Vec<NodeId> = free_vms(network, forest)?
             .into_iter()
             .filter(|&v| v != d)
             .collect();
+        let mut block = None;
         let mut search = SearchContext::new();
         for (&x, &(f, wi, pos)) in &best_at {
             let remaining = chain_len - f;
             if remaining == 0 || x == d || free.len() < remaining {
                 continue;
             }
-            let Some(cm) = ChainMetric::build(network, x, &free, Cost::ZERO) else {
+            let block = block.get_or_insert_with(|| Arc::new(VmBlock::new(network, &free)));
+            let Some(cm) = ChainMetric::from_block(block, x, Cost::ZERO) else {
                 continue;
             };
             for (u, stroll, chain) in
@@ -380,7 +384,7 @@ fn free_vms(network: &Network, forest: &ServiceForest) -> Result<Vec<NodeId>, Dy
 
 /// The VM of `free` other than `a` and `b` that runs a VNF between anchors
 /// `a` and `b` cheapest — `tree(v).dist(a) + c(v) + tree(v).dist(b)`, read
-/// from `v`'s own tree — the lowest id among equals.
+/// from `v`'s tree — the lowest id among equals.
 fn cheapest_vm_between(
     network: &Network,
     free: &[NodeId],
@@ -390,7 +394,7 @@ fn cheapest_vm_between(
     free.iter()
         .filter(|&&v| v != a && v != b)
         .map(|&v| {
-            let tree = network.paths().from_source(network.graph(), v);
+            let tree = network.paths().rooted_at(network.graph(), v);
             (tree.dist(a) + network.node_cost(v) + tree.dist(b), v)
         })
         .filter(|(cost, _)| cost.is_finite())

@@ -113,7 +113,7 @@ fn segment_path(
     let (root, far) = if from_far_end { (b, a) } else { (a, b) };
     let mut path = network
         .paths()
-        .from_source(network.graph(), root)
+        .rooted_at(network.graph(), root)
         .path_to(far)?;
     if from_far_end {
         path.reverse();

@@ -96,4 +96,4 @@ pub use sof_kstroll::SearchContext;
 pub use sofda::solve_sofda;
 pub use sofda_ss::solve_sofda_ss;
 pub use solver::{Sofda, SofdaSs, Solver};
-pub use transform::ChainMetric;
+pub use transform::{ChainMetric, VmBlock};

@@ -20,12 +20,13 @@
 
 use crate::{
     ChainMetric, ChainWalk, DestWalk, SearchContext, ServiceForest, SofInstance, SofdaConfig,
-    SolveError, SolveOutcome, SolveStats, WalkSet,
+    SolveError, SolveOutcome, SolveStats, VmBlock, WalkSet,
 };
 use sof_graph::{Cost, Graph, NodeId};
 use sof_kstroll::Stroll;
 use sof_steiner::SteinerTree;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Chain tails grouped by `(source index, anchor VM)`: each entry lists the
 /// destinations anchored there with the real anchor-to-destination path.
@@ -143,13 +144,16 @@ pub fn solve_sofda(
     }
 
     // Candidate chains: one virtual edge per (source, last VM), priced by
-    // the k-stroll. `priced[si]` keeps source `si`'s metric and its strolls
-    // by target index until deployment expands the ones the tree kept.
+    // the k-stroll. The VM block is read from the VM trees once; each
+    // source adds its row. `priced[si]` keeps source `si`'s metric and its
+    // strolls by target index until deployment expands the ones the tree
+    // kept.
+    let block = Arc::new(VmBlock::new(network, &vms));
     let mut search = SearchContext::new();
     let mut priced: Vec<Option<(ChainMetric, Vec<Option<Stroll>>)>> =
         Vec::with_capacity(sources.len());
     for (si, &s) in sources.iter().enumerate() {
-        let Some(cm) = ChainMetric::build(network, s, &vms, config.source_cost()) else {
+        let Some(cm) = ChainMetric::from_block(&block, s, config.source_cost()) else {
             priced.push(None);
             continue;
         };

@@ -15,25 +15,38 @@
 //!
 //! Second observation: off the source's row and column the metric is the
 //! same for every source — `tree(a).dist(b) + c(a)/2 + c(b)/2` reads VM
-//! `a`'s engine-cached tree and two setup costs, none of which know the
-//! source (Appendix D's `source_cost` only enters row and column 0). So
-//! the exact search's cost-to-go table is built once per solve: the solver
-//! (`solve_sofda`, `solve_sofda_ss`, each `sof_baselines` solve) owns one
-//! [`SearchContext`] and hands it to every source's
-//! [`ChainMetric::chains_to_all_vms_in`]; a stand-alone
-//! [`ChainMetric::chains_to_all_vms`] builds a private one.
+//! `a`'s tree and two setup costs, none of which know the source
+//! (Appendix D's `source_cost` only enters row and column 0). So that
+//! block is built once per solve, as a [`VmBlock`] over the VMs every
+//! source prices chains on — the VM list, each VM's tree, the setup costs
+//! and the `|M| × |M|` block with its potentials — and each source's
+//! [`ChainMetric::from_block`] reads only its own row and column from the
+//! trees: `solve_sofda` builds one block for all its sources, a
+//! full-search join one for all its attach points, and each
+//! `sof_baselines` solve one per set of free VMs. Likewise the exact
+//! search's cost-to-go table: the solver owns one [`SearchContext`] and
+//! hands it to every source's [`ChainMetric::chains_to_all_vms_in`]; a
+//! stand-alone [`ChainMetric::build`] builds a private block, and
+//! [`ChainMetric::chains_to_all_vms`] a private context.
 //!
 //! Third observation: the network is undirected, so the source's row is
 //! its column read backwards — `tree(u).dist(s)` is the distance `s → u`
 //! and `tree(u).path_to(s)` reversed is a shortest path `s → u`. No tree
-//! is rooted at the source: a build asks the engine for the VM trees only,
+//! is rooted at the source: a block asks the engine for the VM trees only,
 //! the ones every source of the solve shares, and `ChainMetric`'s private
-//! `dist` / `path` pair is the one place that knows a hop out of index 0
-//! is read from the tree at its other end. Row 0 therefore equals column
-//! 0 bit for bit, which is the symmetry Lemma 1 states.
+//! `tree_and_far_end` is the one place that knows a hop out of index 0 is
+//! read from the tree at its other end. Row 0 therefore equals column 0
+//! bit for bit, which is the symmetry Lemma 1 states. A VM's tree is
+//! whatever [`sof_graph::PathEngine::rooted_at`] answers: in the paper's
+//! setup every VM hangs off a data centre by a zero-cost stub, and its
+//! tree is read from the data centre's, so a solve roots one tree per data
+//! centre that hosts a VM, not one per VM. That tree holds every distance
+//! and path of the VM's own to the bit, so no entry of the metric moves;
+//! a stub that costs anything (an online session loads the VMs it uses)
+//! gets the VM's own tree.
 
 use crate::Network;
-use sof_graph::{Cost, NodeId, ShortestPaths};
+use sof_graph::{Cost, NodeId, RootedTree};
 use sof_kstroll::{DenseMetric, SearchContext, Stroll, StrollSolver};
 use std::sync::Arc;
 
@@ -50,20 +63,66 @@ pub(crate) fn expansions() -> usize {
     EXPANSIONS.with(std::cell::Cell::get)
 }
 
+/// The part of Procedure 1's metric that no source changes (module docs,
+/// second observation): the VMs in order, the tree each one is read from,
+/// their setup costs, and the VM × VM block `tree(a).dist(b) + c(a)/2 +
+/// c(b)/2`. A solve builds it once over the VMs its sources price chains
+/// on, and [`ChainMetric::from_block`] adds one source's row and column.
+#[derive(Debug)]
+pub struct VmBlock {
+    vms: Vec<NodeId>,
+    /// `trees[a]` is rooted at `vms[a]` ([`sof_graph::PathEngine::rooted_at`]).
+    trees: Vec<RootedTree>,
+    /// Setup costs of `vms`.
+    setup: Vec<Cost>,
+    /// The block, with the halved setup costs as potentials.
+    metric: DenseMetric,
+}
+
+impl VmBlock {
+    /// Reads the tree of every VM of `vms` from the network's engine and
+    /// fills the block.
+    pub fn new(network: &Network, vms: &[NodeId]) -> VmBlock {
+        let trees: Vec<RootedTree> = vms
+            .iter()
+            .map(|&v| network.paths().rooted_at(network.graph(), v))
+            .collect();
+        let setup: Vec<Cost> = vms.iter().map(|&v| network.node_cost(v)).collect();
+        let metric = DenseMetric::from_fn(vms.len(), |a, b| {
+            trees[a].dist(vms[b]) + setup[a] / 2.0 + setup[b] / 2.0
+        });
+        VmBlock {
+            vms: vms.to_vec(),
+            trees,
+            setup,
+            metric,
+        }
+    }
+
+    /// Number of VMs.
+    pub fn len(&self) -> usize {
+        self.vms.len()
+    }
+
+    /// Returns `true` when the block holds no VM.
+    pub fn is_empty(&self) -> bool {
+        self.vms.is_empty()
+    }
+}
+
 /// The transformed k-stroll instance for one source (all last VMs at once).
 #[derive(Debug)]
 pub struct ChainMetric {
     /// Generic metric with halved node-cost potentials.
     metric: DenseMetric,
-    /// Index → network node; index 0 is the source.
-    nodes: Vec<NodeId>,
-    /// `trees[i - 1]` is the shortest-path tree rooted at VM `nodes[i]`;
-    /// the source has none.
-    trees: Vec<Arc<ShortestPaths>>,
+    /// The network node of index 0.
+    source: NodeId,
+    /// Indices `1..` are the block's VMs in order, less the source.
+    block: Arc<VmBlock>,
+    /// The source's position in the block when it is one of its VMs.
+    skip: Option<usize>,
     /// Setup cost charged for the source (0 unless Appendix D).
     source_cost: Cost,
-    /// Setup costs of `nodes` (index-aligned; 0 for the source slot).
-    setup: Vec<Cost>,
 }
 
 impl ChainMetric {
@@ -81,70 +140,77 @@ impl ChainMetric {
         vms: &[NodeId],
         source_cost: Cost,
     ) -> Option<ChainMetric> {
-        let mut nodes = Vec::with_capacity(vms.len() + 1);
-        nodes.push(source);
-        for &v in vms {
-            if v != source {
-                nodes.push(v);
-            }
-        }
-        // Engine-backed: the VM trees are shared across every source's
-        // ChainMetric within a solve — and across solves while the network
-        // is unchanged — instead of re-running k Dijkstras here.
-        let trees = nodes[1..]
-            .iter()
-            .map(|&v| network.paths().from_source(network.graph(), v))
+        let vms: Vec<NodeId> = vms.iter().copied().filter(|&v| v != source).collect();
+        ChainMetric::from_block(&Arc::new(VmBlock::new(network, &vms)), source, source_cost)
+    }
+
+    /// The instance for `source` on a block built for the whole solve:
+    /// only row and column 0 are read from trees here, at the far end of
+    /// each VM's (module docs, third observation). A source that is one of
+    /// the block's VMs leaves that VM out, as [`Self::build`] does.
+    ///
+    /// Returns `None` if some distance of the metric is infinite.
+    pub fn from_block(
+        block: &Arc<VmBlock>,
+        source: NodeId,
+        source_cost: Cost,
+    ) -> Option<ChainMetric> {
+        let skip = block.vms.iter().position(|&v| v == source);
+        // Metric index `i ≥ 1` is block index `at[i - 1]`.
+        let at: Vec<usize> = (0..block.len()).filter(|&b| Some(b) != skip).collect();
+        // Column 0 is each VM's tree read at the source, summed as the
+        // block is (distance, the VM's potential, the source's), and row 0
+        // is column 0: the two hold the same bits.
+        let pot0 = source_cost / 2.0;
+        let column: Vec<Cost> = std::iter::once(Cost::ZERO)
+            .chain(
+                at.iter()
+                    .map(|&b| block.trees[b].dist(source) + block.setup[b] / 2.0 + pot0),
+            )
             .collect();
-        let setup: Vec<Cost> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                if i == 0 {
-                    Cost::ZERO
-                } else {
-                    network.node_cost(v)
-                }
-            })
-            .collect();
-        let pot: Vec<Cost> = setup
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| if i == 0 { source_cost / 2.0 } else { c / 2.0 })
-            .collect();
-        let mut cm = ChainMetric {
-            // Filled below, once `dist` has a `self` to read the trees from.
-            metric: DenseMetric::from_fn(0, |_, _| Cost::ZERO),
-            nodes,
-            trees,
-            source_cost,
-            setup,
-        };
-        // One pass over the O(1) tree lookups fills the matrix and checks
-        // that every pairwise distance is finite. Row 0 is column 0, summed
-        // in column 0's order, so the two hold the same bits.
         let mut finite = true;
-        cm.metric = DenseMetric::from_fn(cm.nodes.len(), |i, j| {
-            let (i, j) = if i == 0 { (j, i) } else { (i, j) };
-            let d = cm.dist(i, j);
+        let metric = DenseMetric::from_fn(column.len(), |i, j| {
+            let d = match (i, j) {
+                (0, _) => column[j],
+                (_, 0) => column[i],
+                _ => block.metric.row(at[i - 1])[at[j - 1]],
+            };
             finite &= d.is_finite();
-            d + pot[i] + pot[j]
+            d
         });
-        finite.then_some(cm)
+        finite.then(|| ChainMetric {
+            metric,
+            source,
+            block: Arc::clone(block),
+            skip,
+            source_cost,
+        })
+    }
+
+    /// The block index of metric index `i ≥ 1`.
+    fn at(&self, i: usize) -> usize {
+        match self.skip {
+            Some(p) if i > p => i,
+            _ => i - 1,
+        }
+    }
+
+    /// Setup cost of metric index `i` (0 for the source slot).
+    fn setup(&self, i: usize) -> Cost {
+        if i == 0 {
+            Cost::ZERO
+        } else {
+            self.block.setup[self.at(i)]
+        }
     }
 
     /// The tree a hop between metric indices `i ≠ j` is read from and the
     /// node to look up in it: the tree rooted at `i` — or, out of the source
     /// (index 0, which has no tree), the one at `j`. The graph is undirected,
     /// so that tree holds the same distance and the same path backwards.
-    fn tree_and_far_end(&self, i: usize, j: usize) -> (&ShortestPaths, NodeId) {
+    fn tree_and_far_end(&self, i: usize, j: usize) -> (&RootedTree, NodeId) {
         let (root, far) = if i == 0 { (j, i) } else { (i, j) };
-        (&self.trees[root - 1], self.nodes[far])
-    }
-
-    /// Shortest-path distance between metric indices `i ≠ j`.
-    fn dist(&self, i: usize, j: usize) -> Cost {
-        let (tree, far) = self.tree_and_far_end(i, j);
-        tree.dist(far)
+        (self.vm_tree(root), self.node(far))
     }
 
     /// A shortest path from metric index `i` to `j ≠ i` (`i`'s node first),
@@ -165,22 +231,38 @@ impl ChainMetric {
 
     /// Number of metric nodes (`|M| + 1`, or `|M|` if the source is a VM).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.metric.len()
     }
 
     /// Returns `true` when only the source is present (no VMs).
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
+        self.len() <= 1
     }
 
     /// Metric index of a network node, if present.
     pub fn index_of(&self, v: NodeId) -> Option<usize> {
-        self.nodes.iter().position(|&n| n == v)
+        if v == self.source {
+            return Some(0);
+        }
+        let b = self.block.vms.iter().position(|&n| n == v)?;
+        Some(match self.skip {
+            Some(p) if b > p => b,
+            _ => b + 1,
+        })
     }
 
     /// Network node of metric index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
     pub fn node(&self, i: usize) -> NodeId {
-        self.nodes[i]
+        assert!(i < self.len(), "metric index out of range");
+        if i == 0 {
+            self.source
+        } else {
+            self.block.vms[self.at(i)]
+        }
     }
 
     /// The shortest-path tree rooted at the VM of metric index `i ≥ 1`: a
@@ -189,15 +271,16 @@ impl ChainMetric {
     /// # Panics
     ///
     /// Panics if `i` is 0 (the source has no tree) or out of range.
-    pub(crate) fn vm_tree(&self, i: usize) -> &ShortestPaths {
-        &self.trees[i - 1]
+    pub fn vm_tree(&self, i: usize) -> &RootedTree {
+        assert!(i != 0, "the source has no tree");
+        &self.block.trees[self.at(i)]
     }
 
     /// Converts a generic-metric stroll cost for target index `t` into the
     /// true Procedure-1 chain cost (distances + full setup of chain VMs,
     /// plus the source cost in the Appendix D variant).
     fn true_chain_cost(&self, generic_cost: Cost, target: usize) -> Cost {
-        generic_cost + self.setup[target] / 2.0 + self.source_cost / 2.0
+        generic_cost + self.setup(target) / 2.0 + self.source_cost / 2.0
     }
 
     /// Solves the k-stroll for every candidate last VM at once and returns
@@ -251,7 +334,7 @@ impl ChainMetric {
     pub fn expand(&self, stroll: &Stroll) -> (Vec<NodeId>, Vec<usize>) {
         #[cfg(test)]
         EXPANSIONS.with(|n| n.set(n.get() + 1));
-        let mut walk: Vec<NodeId> = vec![self.nodes[stroll.nodes[0]]];
+        let mut walk: Vec<NodeId> = vec![self.node(stroll.nodes[0])];
         let mut positions = Vec::with_capacity(stroll.nodes.len().saturating_sub(1));
         for pair in stroll.nodes.windows(2) {
             let path = self
@@ -285,26 +368,27 @@ mod tests {
     /// Exact Procedure-1 edge cost between metric indices `i` and `j` for
     /// last VM index `last`: pins the construction to the paper's formula.
     fn procedure1_edge_cost(cm: &ChainMetric, i: usize, j: usize, last: usize) -> Cost {
-        let dist = cm.dist(i, j);
+        let (tree, far) = cm.tree_and_far_end(i, j);
+        let dist = tree.dist(far);
         let share = if cm.source_cost == Cost::ZERO {
             if i == 0 {
-                (cm.setup[last] + cm.setup[j]) / 2.0
+                (cm.setup(last) + cm.setup(j)) / 2.0
             } else if j == 0 {
-                (cm.setup[i] + cm.setup[last]) / 2.0
+                (cm.setup(i) + cm.setup(last)) / 2.0
             } else {
-                (cm.setup[i] + cm.setup[j]) / 2.0
+                (cm.setup(i) + cm.setup(j)) / 2.0
             }
         } else {
             // Appendix D: both s and u carry (c(s)+c(u))/2.
-            let su = cm.source_cost + cm.setup[last];
+            let su = cm.source_cost + cm.setup(last);
             if (i == 0 && j == last) || (j == 0 && i == last) {
                 su
             } else if i == 0 || i == last {
-                (su + cm.setup[j]) / 2.0
+                (su + cm.setup(j)) / 2.0
             } else if j == 0 || j == last {
-                (cm.setup[i] + su) / 2.0
+                (cm.setup(i) + su) / 2.0
             } else {
-                (cm.setup[i] + cm.setup[j]) / 2.0
+                (cm.setup(i) + cm.setup(j)) / 2.0
             }
         };
         dist + share
@@ -408,6 +492,34 @@ mod tests {
         for i in 1..a.len() {
             assert_eq!(a.node(i), b.node(i));
             assert_eq!(a.metric().row(i)[1..], b.metric().row(i)[1..]);
+        }
+    }
+
+    #[test]
+    fn a_shared_block_gives_every_source_the_metric_build_gives() {
+        // One block over every VM serves each source — a switch, or a VM
+        // the block then leaves out — with the metric a private build
+        // gives, bit for bit, and the same nodes, indices and trees.
+        let mut net = net();
+        net.make_vm(NodeId::new(0), Cost::new(9.0));
+        let s = net.add_node(crate::NodeKind::Switch, Cost::ZERO);
+        net.graph_mut().add_edge(s, NodeId::new(2), Cost::new(0.7));
+        let vms = net.vms();
+        let block = Arc::new(VmBlock::new(&net, &vms));
+        for source in net.graph().nodes() {
+            for source_cost in [Cost::ZERO, Cost::new(10.0)] {
+                let shared = ChainMetric::from_block(&block, source, source_cost).unwrap();
+                let own = ChainMetric::build(&net, source, &vms, source_cost).unwrap();
+                assert_eq!(shared.len(), own.len());
+                for i in 0..own.len() {
+                    assert_eq!(shared.node(i), own.node(i));
+                    assert_eq!(shared.index_of(own.node(i)), Some(i));
+                    assert_eq!(shared.metric().row(i), own.metric().row(i), "{source}");
+                    if i > 0 {
+                        assert_eq!(shared.vm_tree(i).root(), own.node(i));
+                    }
+                }
+            }
         }
     }
 

@@ -44,6 +44,27 @@
 //! **replaces** the stored tree, which the engine then releases; other
 //! source sets are never discarded.
 //!
+//! # A leaf's tree is its host's: one key per tree
+//!
+//! A vertex of degree 1 whose one link costs exactly [`Cost::ZERO`] — a VM
+//! on its data centre's stub, in the paper's setup — has the same tree as
+//! its neighbour (the *host*), bit for bit, except for the hop between the
+//! two: Dijkstra from the leaf labels the host `0 + 0` first, and pops and
+//! relaxes everything after it exactly as Dijkstra from the host does,
+//! which labels the leaf without ever queueing it. So
+//! [`PathEngine::rooted_at`], the one lookup every reader of a VM's tree
+//! goes through, answers such a leaf from its host's entry and prepends
+//! the leaf to every path read from it ([`RootedTree`]): VMs on one data
+//! centre share one tree, and a solve roots one tree per host, not per VM.
+//! Any other cost on the link (an online session prices loaded stubs)
+//! could move a last bit of every sum, so then the leaf's own tree
+//! answers. Either way the engine keeps the leaf's tree under exactly one
+//! key: a lookup the host answers releases the leaf's own entry, and a
+//! lookup that falls back to the leaf's own tree releases the host's —
+//! unless another zero-cost leaf of that host still reads from it (a free
+//! VM beside a loaded one on one data centre), which would otherwise root
+//! the host's tree cold again on every solve that asks for both.
+//!
 //! # Bounded search: nearest target without a tree
 //!
 //! "Which of these vertices is closest to `source`, and by which path?" —
@@ -109,7 +130,7 @@
 //! assert_eq!(engine.from_source(&g, NodeId::new(0)).dist(NodeId::new(2)), Cost::new(12.0));
 //! ```
 
-use crate::{DijkstraWorkspace, EdgeId, Graph, NearestTarget, NodeId, Repair, ShortestPaths};
+use crate::{Cost, DijkstraWorkspace, EdgeId, Graph, NearestTarget, NodeId, Repair, ShortestPaths};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -174,6 +195,63 @@ pub struct BoundedWork {
     pub settled: u64,
 }
 
+/// The shortest-path tree rooted at one vertex, as
+/// [`PathEngine::rooted_at`] answers it: the vertex's own tree, or — for a
+/// zero-cost leaf — its host's, read as the leaf's (module docs, "A leaf's
+/// tree is its host's").
+#[derive(Clone, Debug)]
+pub struct RootedTree {
+    root: NodeId,
+    /// `tree` is rooted at `root`'s host, not at `root`.
+    hosted: bool,
+    tree: Arc<ShortestPaths>,
+}
+
+impl RootedTree {
+    /// The vertex the tree is rooted at.
+    pub fn root(&self) -> NodeId {
+        self.root
+    }
+
+    /// Distance from the root to `v`. A host's tree holds the leaf's
+    /// distances bit for bit, the leaf's own `0 + 0` included.
+    #[inline]
+    pub fn dist(&self, v: NodeId) -> Cost {
+        self.tree.dist(v)
+    }
+
+    /// A shortest path from the root to `v` (root first), or `None` if `v`
+    /// is unreachable: the host's path with the leaf prepended when the
+    /// host answers.
+    pub fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
+        if v == self.root {
+            return Some(vec![v]);
+        }
+        let mut path = self.tree.path_to(v)?;
+        if self.hosted {
+            path.insert(0, self.root);
+        }
+        Some(path)
+    }
+
+    /// The engine entry the answer is read from: the root's own tree or its
+    /// host's.
+    pub fn shared(&self) -> &Arc<ShortestPaths> {
+        &self.tree
+    }
+}
+
+/// The neighbour `v` hangs off when `v` is a leaf — degree 1, its one link
+/// to a vertex of larger degree — and whether that link costs exactly
+/// zero.
+fn leaf_host(graph: &Graph, v: NodeId) -> Option<(NodeId, bool)> {
+    if graph.degree(v) != 1 {
+        return None;
+    }
+    let (host, e) = graph.neighbors(v).next()?;
+    (graph.degree(host) > 1).then(|| (host, graph.edge_cost(e) == Cost::ZERO))
+}
+
 #[derive(Debug, Default)]
 struct EngineInner {
     /// Sorted, deduplicated source set → its one tree and the cost epoch
@@ -208,7 +286,34 @@ impl PathEngine {
         // Hits probe with a borrowed slice — no key allocation on the
         // warm path (this is the hot single-source query of the §VII-C
         // dynamics and walk shortening).
-        self.query(graph, std::slice::from_ref(&source))
+        self.query(graph, std::slice::from_ref(&source), None)
+    }
+
+    /// The shortest-path tree rooted at `root`, answered from its host's
+    /// entry when `root` is a zero-cost leaf; the other one of the two
+    /// entries is released unless another zero-cost leaf reads from it
+    /// (module docs, "A leaf's tree is its host's"). Counts as one query
+    /// of whichever entry answers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is out of range.
+    pub fn rooted_at(&self, graph: &Graph, root: NodeId) -> RootedTree {
+        let (key, release, hosted) = match leaf_host(graph, root) {
+            Some((host, true)) => (host, Some(root), true),
+            Some((host, false)) => {
+                let shared = graph.neighbors(host).any(|(leaf, _)| {
+                    leaf != root && leaf_host(graph, leaf).is_some_and(|(_, free)| free)
+                });
+                (root, (!shared).then_some(host), false)
+            }
+            None => (root, None, false),
+        };
+        RootedTree {
+            root,
+            hosted,
+            tree: self.query(graph, std::slice::from_ref(&key), release),
+        }
     }
 
     /// The multi-source tree (Voronoi labelling included) for `sources`,
@@ -222,14 +327,18 @@ impl PathEngine {
         let mut key = sources.to_vec();
         key.sort_unstable();
         key.dedup();
-        self.query(graph, &key)
+        self.query(graph, &key, None)
     }
 
-    /// `key` must be sorted and deduplicated.
-    fn query(&self, graph: &Graph, key: &[NodeId]) -> Arc<ShortestPaths> {
+    /// `key` must be sorted and deduplicated. `release` names a
+    /// single-source entry to drop first.
+    fn query(&self, graph: &Graph, key: &[NodeId], release: Option<NodeId>) -> Arc<ShortestPaths> {
         let epoch = graph.cost_epoch();
         let mut guard = self.inner.lock().expect("path engine lock");
         let inner = &mut *guard;
+        if let Some(other) = release {
+            inner.cache.remove(std::slice::from_ref(&other));
+        }
         let mut counts = self.counts.lock().expect("path engine counters");
         let stats = &mut counts.0;
         if let Some((stored, paths)) = inner.cache.get_mut(key) {
@@ -653,6 +762,110 @@ mod tests {
             assert_eq!(next.site(v), reference.site(v));
         }
         assert_eq!(engine.stats().misses, stats.misses + 1);
+    }
+
+    /// A connected `gnp` graph with `leaves` extra vertices, each hung off
+    /// one of the first four vertices by a zero-cost link (two always off
+    /// vertex 0); returns the graph and the leaves.
+    fn stubbed(seed: u64, leaves: usize) -> (Graph, Vec<NodeId>) {
+        let mut rng = crate::Rng64::seed_from(seed);
+        let mut g =
+            crate::generators::gnp_connected(24, 0.15, crate::CostRange::new(1.0, 5.0), &mut rng);
+        let hung = (0..leaves)
+            .map(|i| {
+                let leaf = g.add_node();
+                let host = NodeId::new(if i < 2 { 0 } else { rng.below(4) });
+                g.add_edge(leaf, host, Cost::ZERO);
+                leaf
+            })
+            .collect();
+        (g, hung)
+    }
+
+    #[test]
+    fn a_zero_cost_leaf_reads_its_hosts_tree_bit_for_bit() {
+        // Every distance and every path from a zero-cost leaf, read from its
+        // host's tree, equals the leaf's own Dijkstra to the bit, and the
+        // leaves on one host share its one entry: one miss per host.
+        for seed in 0..6 {
+            let (g, leaves) = stubbed(seed, 6);
+            let engine = PathEngine::new();
+            for &leaf in &leaves {
+                let tree = engine.rooted_at(&g, leaf);
+                let own = ShortestPaths::from_source(&g, leaf);
+                assert_eq!(tree.root(), leaf);
+                for v in g.nodes() {
+                    assert_eq!(
+                        tree.dist(v).value().to_bits(),
+                        own.dist(v).value().to_bits()
+                    );
+                    assert_eq!(tree.path_to(v), own.path_to(v), "seed {seed}: {leaf} → {v}");
+                }
+            }
+            let hosts: std::collections::BTreeSet<NodeId> = leaves
+                .iter()
+                .map(|&leaf| g.neighbors(leaf).next().unwrap().0)
+                .collect();
+            assert_eq!(engine.stats().misses, hosts.len() as u64);
+            assert_eq!(engine.len(), hosts.len());
+        }
+    }
+
+    #[test]
+    fn a_loaded_stub_falls_back_and_releases_its_hosts_tree() {
+        // While the stub costs zero the host answers and the leaf's own
+        // entry goes; once it costs anything the leaf's own tree answers
+        // and the host's entry goes; priced back to zero, the host answers
+        // again. One key at a time, so keeping the released entry beside
+        // the answer sinks it.
+        let (mut g, leaves) = stubbed(3, 1);
+        let (leaf, host) = (leaves[0], NodeId::new(0));
+        let stub = g.edge_between(leaf, host).unwrap();
+        let engine = PathEngine::new();
+        let own = engine.from_source(&g, leaf);
+        let hosted = engine.rooted_at(&g, leaf);
+        assert!(Arc::ptr_eq(hosted.shared(), &engine.from_source(&g, host)));
+        assert_eq!(engine.len(), 1, "the leaf's own tree is still held");
+        assert_eq!(Arc::strong_count(&own), 1);
+
+        g.set_edge_cost(stub, Cost::new(0.5));
+        let loaded = engine.rooted_at(&g, leaf);
+        assert!(!Arc::ptr_eq(loaded.shared(), hosted.shared()));
+        assert_eq!(loaded.dist(host), Cost::new(0.5));
+        let fresh = ShortestPaths::from_source(&g, leaf);
+        for v in g.nodes() {
+            assert_eq!(loaded.dist(v), fresh.dist(v));
+            assert_eq!(loaded.path_to(v), fresh.path_to(v));
+        }
+        assert_eq!(engine.len(), 1, "the host's tree is still held");
+        assert_eq!(Arc::strong_count(hosted.shared()), 1);
+
+        g.set_edge_cost(stub, Cost::ZERO);
+        let back = engine.rooted_at(&g, leaf);
+        assert_eq!(back.path_to(NodeId::new(0)), Some(vec![leaf, host]));
+        assert_eq!(engine.len(), 1);
+        assert_eq!(Arc::strong_count(loaded.shared()), 1);
+        assert!(Arc::ptr_eq(back.shared(), &engine.from_source(&g, host)));
+    }
+
+    #[test]
+    fn a_host_another_free_leaf_reads_from_is_kept() {
+        // Two leaves on vertex 0, one stub loaded: the loaded leaf falls
+        // back to its own tree, and the host's tree stays, because the
+        // free leaf still reads from it — releasing it would root it cold
+        // again on the free leaf's next lookup.
+        let (mut g, leaves) = stubbed(5, 2);
+        let host = NodeId::new(0);
+        let stub = g.edge_between(leaves[0], host).unwrap();
+        g.set_edge_cost(stub, Cost::new(0.5));
+        let engine = PathEngine::new();
+        for _ in 0..2 {
+            let free = engine.rooted_at(&g, leaves[1]);
+            let loaded = engine.rooted_at(&g, leaves[0]);
+            assert!(!Arc::ptr_eq(free.shared(), loaded.shared()));
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.misses, stats.hits, engine.len()), (2, 2, 2));
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use dijkstra::{DijkstraWorkspace, NearestTarget, Repair, ShortestPaths};
 pub use dreyfus_wagner::{
     steiner_arborescence, SteinerArborescence, SteinerDpError, MAX_DW_TERMINALS,
 };
-pub use engine::{BoundedWork, PathEngine, PathEngineStats};
+pub use engine::{BoundedWork, PathEngine, PathEngineStats, RootedTree};
 pub use generators::CostRange;
 pub use graph::{CostChange, Edge, Graph};
 pub use ids::{EdgeId, NodeId};

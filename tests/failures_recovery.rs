@@ -9,7 +9,7 @@
 use sof::core::{
     Applied, Element, EmbedMode, OnlineConfig, OnlineSession, Request, SessionEvent, SofdaConfig,
 };
-use sof::graph::NodeId;
+use sof::graph::{NodeId, RootedTree};
 use sof::spec::{presets, run_churn_stream, RunOptions};
 use sof::survive::{ProtectionPolicy, Protector};
 use sof::topo::{build_instance, softlayer, ScenarioParams};
@@ -204,17 +204,27 @@ fn standby_swap_is_zero_cost_and_avoids_failures() {
 /// the session's path engine: it counts into the session's counters, but
 /// the trees it repairs never replace the session's, which the session
 /// still hits afterwards (and repairs from once a failure reprices it).
-/// Fails when the clone shares the session's engine outright: its trees
-/// replace the session's, and each VM query is a stale miss recomputed cold.
+/// The VMs' trees are read as every solve reads them
+/// (`PathEngine::rooted_at`): the session's 85 VMs sit on SoftLayer's 17
+/// data centres, a VM on a zero-cost stub reads its data centre's tree and
+/// one whose stub the forest loads reads its own, so the session holds one
+/// tree per entry those lookups answer from, 23 here. Fails when
+/// the clone shares the session's engine outright: its trees replace the
+/// session's, and each lookup is a stale miss recomputed cold.
 #[test]
 fn a_standby_solve_leaves_the_session_its_trees() {
     let mut s = embedded_session(11);
     let engine = s.instance().network.paths().clone();
     let vms = s.instance().network.vms();
-    let held: Vec<_> = vms
+    let held: Vec<RootedTree> = vms
         .iter()
-        .map(|&vm| engine.from_source(s.instance().network.graph(), vm))
+        .map(|&vm| engine.rooted_at(s.instance().network.graph(), vm))
         .collect();
+    let mut entries: Vec<_> = held.iter().map(|t| Arc::as_ptr(t.shared())).collect();
+    entries.sort_unstable();
+    entries.dedup();
+    let entries = entries.len();
+    assert_eq!((vms.len(), entries, engine.len()), (85, 23, 23));
     let before = engine.stats();
     let solver = sof::solvers::by_name("SOFDA").expect("registered");
     let mut protector = Protector::new(ProtectionPolicy::StandbyForest, Some(solver));
@@ -222,18 +232,18 @@ fn a_standby_solve_leaves_the_session_its_trees() {
     assert!(protector.standby_ready(), "standby solve must succeed here");
     let solved = engine.stats();
     assert!(
-        solved.misses + solved.repairs >= before.misses + before.repairs + vms.len() as u64,
+        solved.misses + solved.repairs >= before.misses + before.repairs + entries as u64,
         "the standby solve counts into the session's engine: {before:?} → {solved:?}"
     );
     for (&vm, tree) in vms.iter().zip(&held) {
-        let again = engine.from_source(s.instance().network.graph(), vm);
+        let again = engine.rooted_at(s.instance().network.graph(), vm);
         assert!(
-            Arc::ptr_eq(tree, &again),
+            Arc::ptr_eq(tree.shared(), again.shared()),
             "the standby solve replaced {vm}'s tree"
         );
     }
     assert_eq!(engine.stats().misses, solved.misses);
-    assert_eq!(engine.len(), vms.len());
+    assert_eq!(engine.len(), entries);
 }
 
 /// Repaired elements return to service: after `repair` the edge is

@@ -10,9 +10,10 @@ use sof::core::{
     solve_sofda, Network, OnlineConfig, OnlineSession, Request, ServiceChain, SofInstance, Sofda,
     SofdaConfig,
 };
-use sof::graph::{generators, Cost, CostRange, NodeId, Rng64, ShortestPaths};
+use sof::graph::{generators, Cost, CostRange, NodeId, Rng64, RootedTree, ShortestPaths};
 use sof::spec::overrides::{apply_overrides, Overrides};
 use sof::spec::{presets, run_spec, write_jsonl, RunOptions};
+use std::sync::Arc;
 
 fn golden(name: &str) -> String {
     std::fs::read_to_string(format!("crates/spec/specs/golden/{name}.jsonl"))
@@ -220,37 +221,58 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
     );
 }
 
-/// The engine keeps one tree per source set, on the same session: the 40
-/// VM trees held after arrival 0 are, after the drift rebuild, each either
-/// still the engine's tree for that VM (every repair since found it
-/// unchanged) or held by this test alone — the engine released the tree it
-/// replaced — and the engine holds exactly 40 trees. Keeping the previous
-/// tree beside the one that replaces it sinks it (and the unit twin
-/// `engine::tests::a_superseded_tree_is_released`).
+/// How many engine entries `trees` are read from.
+fn entries(trees: &[RootedTree]) -> usize {
+    let mut seen: Vec<*const ShortestPaths> =
+        trees.iter().map(|t| Arc::as_ptr(t.shared())).collect();
+    seen.sort_unstable();
+    seen.dedup();
+    seen.len()
+}
+
+/// The engine keeps one tree per key, on the same session: the trees the
+/// 40 VMs are read from after arrival 0 (`PathEngine::rooted_at`: a host's
+/// tree for the VMs on a zero-cost stub, a VM's own for one whose stub the
+/// forest loads) are, after the drift rebuild, each either still the
+/// engine's tree for that VM (every repair since found it unchanged) or
+/// held by this test alone — the engine released the tree it replaced —
+/// and the engine holds exactly the trees the 40 VMs are read from (36
+/// after arrival 0: the 120 data centres host some VMs in pairs).
+/// Keeping the previous tree beside the one that replaces it sinks it
+/// (and the unit twin `engine::tests::a_superseded_tree_is_released`), and
+/// so does keeping a leaf's tree under both its keys (the unit twin
+/// `engine::tests::a_loaded_stub_falls_back_and_releases_its_hosts_tree`).
 #[test]
 fn inet3000_online_releases_superseded_trees() {
-    use std::sync::Arc;
     let (make, mut stream) = inet3000_online();
     let mut session = make();
     assert!(session.arrive(stream.current().clone()).unwrap().rebuilt);
     let engine = session.instance().network.paths().clone();
     let vms = session.instance().network.vms();
-    let held: Vec<_> = vms
+    let held: Vec<RootedTree> = vms
         .iter()
-        .map(|&vm| engine.from_source(session.instance().network.graph(), vm))
+        .map(|&vm| engine.rooted_at(session.instance().network.graph(), vm))
         .collect();
-    assert_eq!(held.len(), 40);
+    assert_eq!((held.len(), entries(&held), engine.len()), (40, 36, 36));
     while !session.arrive(stream.next_request()).unwrap().rebuilt {}
-    assert_eq!(engine.len(), 40, "one tree per VM, nothing else");
     let graph = session.instance().network.graph();
-    for (&vm, old) in vms.iter().zip(&held) {
-        let now = engine.from_source(graph, vm);
+    let now: Vec<RootedTree> = vms.iter().map(|&vm| engine.rooted_at(graph, vm)).collect();
+    for (old, new) in held.iter().zip(&now) {
+        let holders = held
+            .iter()
+            .filter(|h| Arc::ptr_eq(h.shared(), old.shared()))
+            .count();
         assert!(
-            Arc::ptr_eq(old, &now) || Arc::strong_count(old) == 1,
-            "the engine still holds a superseded tree of {vm}"
+            Arc::ptr_eq(old.shared(), new.shared()) || Arc::strong_count(old.shared()) == holders,
+            "the engine still holds a superseded tree of {}",
+            old.root()
         );
     }
-    assert_eq!(engine.len(), 40);
+    assert_eq!(
+        engine.len(),
+        entries(&now),
+        "one tree per key, nothing else"
+    );
 }
 
 /// The queue's work witness on Table I's regime at CI size — the
@@ -334,43 +356,93 @@ fn full_runs_never_queue_a_leaf() {
     );
 }
 
-/// The work witness for "a solve never roots a shortest-path tree at a
-/// non-VM while the chain is non-empty", on the same inet-600 instance:
-/// `solve_sofda` (25 VMs, 14 sources) leaves exactly one engine miss per VM
-/// — 25, where it was 39 while every source's chain metric rooted a tree of
-/// its own — and `solve_sofda_ss` from the first source alone leaves the
-/// same 25, where it was 26. Engine counts depend only on the query
-/// sequence, so they repeat exactly at any thread count. Two stubs sink it:
-/// `ChainMetric::build` rooting a tree at `nodes[0]` again, and the walk
-/// re-route `ServiceForest::shorten` runs rooting a walk's first segment at
-/// its source `a`.
+/// The data centres the VMs of a freshly built instance hang off: each
+/// VM's one neighbour, over a zero-cost stub.
+fn hosts(net: &Network) -> u64 {
+    let dcs: std::collections::BTreeSet<NodeId> = net
+        .vms()
+        .into_iter()
+        .map(|vm| {
+            assert_eq!(net.graph().degree(vm), 1);
+            let (dc, stub) = net.graph().neighbors(vm).next().unwrap();
+            assert_eq!(net.graph().edge_cost(stub), Cost::ZERO);
+            dc
+        })
+        .collect();
+    dcs.len() as u64
+}
+
+/// The work witness for "a solve roots one shortest-path tree per data
+/// centre that hosts a VM, and none at a source, while the chain is
+/// non-empty". A VM hangs off its data centre by a zero-cost stub, so its
+/// tree is read from its host's (`PathEngine::rooted_at`). On the inet-600
+/// instance `solve_sofda` (25 VMs, 14 sources) leaves exactly one engine
+/// miss per host — 25 here, as every VM has a data centre of its own; 39
+/// while every source's chain metric rooted a tree of its own — and
+/// `solve_sofda_ss` from the first source alone leaves the same 25, where
+/// it was 26. On Cogent (`oneshot-kstroll`'s script at seed 13: 35 VMs on
+/// 40 data centres, a chain of 4) the first six solves leave 21–27 misses,
+/// one per host where there were 35, and the script's 100 instances hold
+/// 2 349 hosts. Engine counts depend only on the query sequence, so they
+/// repeat exactly at any thread count. Three stubs sink it: the VM block
+/// asking the engine for a VM's own tree (`from_source`) again,
+/// `ChainMetric::build` rooting a tree at the source, and the walk re-route
+/// `ServiceForest::shorten` runs rooting a walk's first segment at its
+/// source `a`.
 #[test]
 fn a_solve_roots_its_trees_at_vms_only() {
     use sof::core::solve_sofda_ss;
-    use sof::topo::{build_instance, inet_sized, ScenarioParams};
+    use sof::topo::{build_instance, cogent, inet_sized, ScenarioParams};
     let topo = inet_sized(600, 1200, 240, 13);
     let make = || build_instance(&topo, &ScenarioParams::paper_defaults().with_seed(13));
 
     let inst = make();
     let vms = inst.network.vms().len() as u64;
-    assert_eq!((vms, inst.request.sources.len()), (25, 14));
+    assert_eq!((vms, hosts(&inst.network)), (25, 25));
+    assert_eq!(inst.request.sources.len(), 14);
     solve_sofda(&inst, &SofdaConfig::default()).unwrap();
     let stats = inst.network.paths().stats();
-    assert_eq!(stats.misses, vms, "one cold tree per VM: {stats:?}");
+    assert_eq!(stats.misses, 25, "one cold tree per host: {stats:?}");
 
     let mut single = make();
     single.request.sources.truncate(1);
     solve_sofda_ss(&single, &SofdaConfig::default()).unwrap();
     let stats = single.network.paths().stats();
-    assert_eq!(
-        stats.misses, vms,
-        "none at the one source either: {stats:?}"
-    );
+    assert_eq!(stats.misses, 25, "none at the one source either: {stats:?}");
+
+    let topo = cogent();
+    let params = |i: u64| ScenarioParams {
+        vm_count: 35,
+        sources: 14,
+        destinations: 6,
+        chain_len: 4,
+        setup_scale: 1.0,
+        seed: 13u64.wrapping_mul(1_000_003).wrapping_add(i),
+    };
+    let mut misses = Vec::new();
+    for i in 0..6 {
+        let inst = build_instance(&topo, &params(i));
+        solve_sofda(&inst, &SofdaConfig::default()).unwrap();
+        let stats = inst.network.paths().stats();
+        assert_eq!(
+            stats.misses,
+            hosts(&inst.network),
+            "Cogent op {i}: {stats:?}"
+        );
+        misses.push(stats.misses);
+    }
+    assert_eq!(misses, [23, 26, 21, 22, 22, 27]);
+    let all: u64 = (0..100)
+        .map(|i| hosts(&build_instance(&topo, &params(i)).network))
+        .sum();
+    assert_eq!(all, 2349, "hosts over oneshot-kstroll's 100 instances");
 }
 
 /// The same rule for the §VII-C edits of a standing forest: every segment
 /// an edit routes, every VM it prices and every chain a full-search join
-/// finishes is read from the tree of a VM, and the solve rooted every VM.
+/// finishes is read from the tree a VM's lookup answers with
+/// (`PathEngine::rooted_at`: its data centre's), and the solve looked up
+/// every VM.
 /// So on the same inet-600 instance (chain of 3), at the solve's cost
 /// epoch, no edit below adds an engine miss. Rooting a segment out of the
 /// source at the source cost `reroute_all` one miss per distinct walk
