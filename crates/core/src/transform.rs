@@ -168,16 +168,23 @@ impl ChainMetric {
                     .map(|&b| block.trees[b].dist(source) + block.setup[b] / 2.0 + pot0),
             )
             .collect();
-        let mut finite = true;
-        let metric = DenseMetric::from_fn(column.len(), |i, j| {
-            let d = match (i, j) {
-                (0, _) => column[j],
-                (_, 0) => column[i],
-                _ => block.metric.row(at[i - 1])[at[j - 1]],
-            };
-            finite &= d.is_finite();
-            d
-        });
+        // Row `i ≥ 1` is column 0's entry, then the block's row for its VM
+        // less the source's entry.
+        let mut rows = Vec::with_capacity(column.len() * column.len());
+        rows.extend_from_slice(&column);
+        for (&b, &c) in at.iter().zip(&column[1..]) {
+            let row = block.metric.row(b);
+            rows.push(c);
+            match skip {
+                Some(p) => {
+                    rows.extend_from_slice(&row[..p]);
+                    rows.extend_from_slice(&row[p + 1..]);
+                }
+                None => rows.extend_from_slice(row),
+            }
+        }
+        let finite = rows.iter().all(|c| c.is_finite());
+        let metric = DenseMetric::from_rows(column.len(), rows);
         finite.then(|| ChainMetric {
             metric,
             source,

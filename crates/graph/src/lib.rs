@@ -19,7 +19,9 @@
 //!   trees with *edge-scoped* invalidation: a cost change dirties only the
 //!   mutated edges ([`Graph::cost_changes_since`]), and cached trees those
 //!   edges cannot affect are revalidated instead of recomputed (see the
-//!   module docs for the exact safety rule); plus one uncached *bounded
+//!   module docs for the exact safety rule); a zero-cost leaf (a VM on its
+//!   data centre's stub) is answered from its host's tree
+//!   ([`PathEngine::rooted_at`]); plus one uncached *bounded
 //!   search* ([`PathEngine::nearest_target`]) for "which of these vertices
 //!   is closest", which stops at the answer instead of labelling the graph,
 //! * [`steiner_arborescence`] — the Dreyfus–Wagner dynamic program, written

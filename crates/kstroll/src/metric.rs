@@ -41,6 +41,20 @@ impl DenseMetric {
         DenseMetric { n, d }
     }
 
+    /// Wraps `n × n` costs given row by row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `d` holds `n²` costs with a zero diagonal.
+    pub fn from_rows(n: usize, d: Vec<Cost>) -> DenseMetric {
+        assert_eq!(d.len(), n * n, "an n × n metric holds n² costs");
+        assert!(
+            (0..n).all(|i| d[i * n + i] == Cost::ZERO),
+            "the diagonal is zero"
+        );
+        DenseMetric { n, d }
+    }
+
     /// Builds a symmetric metric from an upper-triangle function.
     pub fn symmetric_from_fn<F>(n: usize, mut f: F) -> DenseMetric
     where
