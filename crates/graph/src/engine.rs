@@ -58,12 +58,16 @@
 //! centre share one tree, and a solve roots one tree per host, not per VM.
 //! Any other cost on the link (an online session prices loaded stubs)
 //! could move a last bit of every sum, so then the leaf's own tree
-//! answers. Either way the engine keeps the leaf's tree under exactly one
-//! key: a lookup the host answers releases the leaf's own entry, and a
-//! lookup that falls back to the leaf's own tree releases the host's —
-//! unless another zero-cost leaf of that host still reads from it (a free
-//! VM beside a loaded one on one data centre), which would otherwise root
-//! the host's tree cold again on every solve that asks for both.
+//! answers. Either way a lookup leaves the leaf's tree under one key: a
+//! lookup the host answers releases the leaf's own entry, and a lookup
+//! that falls back to the leaf's own tree releases the host's — unless
+//! another zero-cost leaf of that host still reads from it (a free VM
+//! beside a loaded one on one data centre), which would otherwise root
+//! the host's tree cold again on every solve that asks for both. The
+//! release happens at the leaf's own lookup and nowhere else: the engine
+//! is not told when a stub is repriced, so a leaf whose stub was loaded
+//! and is free again keeps its own entry beside its host's until it is
+//! next looked up (`a_leaf_is_released_at_its_own_lookup`).
 //!
 //! # Bounded search: nearest target without a tree
 //!
@@ -866,6 +870,30 @@ mod tests {
         }
         let stats = engine.stats();
         assert_eq!((stats.misses, stats.hits, engine.len()), (2, 2, 2));
+    }
+
+    #[test]
+    fn a_leaf_is_released_at_its_own_lookup() {
+        // Two leaves on vertex 0. The first one's stub is loaded and its
+        // own tree answers; the stub is freed again and the second leaf's
+        // lookup roots the host's tree. The first leaf's own entry stays
+        // beside it — nothing looked that leaf up since its stub changed —
+        // and goes at its next lookup, which the host answers.
+        let (mut g, leaves) = stubbed(5, 2);
+        let host = NodeId::new(0);
+        let stub = g.edge_between(leaves[0], host).unwrap();
+        let engine = PathEngine::new();
+        g.set_edge_cost(stub, Cost::new(0.5));
+        let own = engine.rooted_at(&g, leaves[0]);
+        assert_eq!(engine.len(), 1);
+        g.set_edge_cost(stub, Cost::ZERO);
+        let free = engine.rooted_at(&g, leaves[1]);
+        assert_eq!(engine.len(), 2, "the first leaf's own entry waits");
+        assert_eq!(Arc::strong_count(own.shared()), 2);
+        let back = engine.rooted_at(&g, leaves[0]);
+        assert!(Arc::ptr_eq(back.shared(), free.shared()));
+        assert_eq!(engine.len(), 1, "released at the first leaf's lookup");
+        assert_eq!(Arc::strong_count(own.shared()), 1);
     }
 
     #[test]

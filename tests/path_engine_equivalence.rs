@@ -230,17 +230,23 @@ fn entries(trees: &[RootedTree]) -> usize {
     seen.len()
 }
 
-/// The engine keeps one tree per key, on the same session: the trees the
-/// 40 VMs are read from after arrival 0 (`PathEngine::rooted_at`: a host's
-/// tree for the VMs on a zero-cost stub, a VM's own for one whose stub the
-/// forest loads) are, after the drift rebuild, each either still the
-/// engine's tree for that VM (every repair since found it unchanged) or
-/// held by this test alone — the engine released the tree it replaced —
-/// and the engine holds exactly the trees the 40 VMs are read from (36
-/// after arrival 0: the 120 data centres host some VMs in pairs).
-/// Keeping the previous tree beside the one that replaces it sinks it
-/// (and the unit twin `engine::tests::a_superseded_tree_is_released`), and
-/// so does keeping a leaf's tree under both its keys (the unit twin
+/// The engine keeps one tree per key, on the same session. What the
+/// session leaves is counted before the test looks anything up, because
+/// a lookup releases a leaf's other entry (`PathEngine::rooted_at`):
+/// after arrival 0 the session holds 35 trees; the 40 VMs are then read
+/// from 36 (a host's tree for each VM on a zero-cost stub, the 120 data
+/// centres hosting some VMs in pairs, and a VM's own for each of the 3
+/// whose stub the forest loads). The one tree the session did not hold
+/// is the own tree of a loaded VM that shares its data centre with a
+/// free one, which keeps the host's tree too; the solve read that VM
+/// before its stub was loaded. After the drift rebuild the session holds
+/// exactly the trees the 40 VMs are read from, and each tree read after
+/// arrival 0 is either still the engine's tree for that VM (every repair
+/// since found it unchanged) or held by this test alone — the engine
+/// released the tree it replaced. Keeping the previous tree beside the
+/// one that replaces it sinks it (and the unit twin
+/// `engine::tests::a_superseded_tree_is_released`), and so does keeping a
+/// leaf's tree under both its keys (the unit twin
 /// `engine::tests::a_loaded_stub_falls_back_and_releases_its_hosts_tree`).
 #[test]
 fn inet3000_online_releases_superseded_trees() {
@@ -248,13 +254,18 @@ fn inet3000_online_releases_superseded_trees() {
     let mut session = make();
     assert!(session.arrive(stream.current().clone()).unwrap().rebuilt);
     let engine = session.instance().network.paths().clone();
+    let left = engine.len();
     let vms = session.instance().network.vms();
     let held: Vec<RootedTree> = vms
         .iter()
         .map(|&vm| engine.rooted_at(session.instance().network.graph(), vm))
         .collect();
-    assert_eq!((held.len(), entries(&held), engine.len()), (40, 36, 36));
+    assert_eq!(
+        (left, held.len(), entries(&held), engine.len()),
+        (35, 40, 36, 36)
+    );
     while !session.arrive(stream.next_request()).unwrap().rebuilt {}
+    let left = engine.len();
     let graph = session.instance().network.graph();
     let now: Vec<RootedTree> = vms.iter().map(|&vm| engine.rooted_at(graph, vm)).collect();
     for (old, new) in held.iter().zip(&now) {
@@ -269,8 +280,8 @@ fn inet3000_online_releases_superseded_trees() {
         );
     }
     assert_eq!(
-        engine.len(),
-        entries(&now),
+        (left, entries(&now), engine.len()),
+        (36, 36, 36),
         "one tree per key, nothing else"
     );
 }
