@@ -6,7 +6,6 @@ use sof_core::{
 };
 use sof_graph::{Cost, NodeId};
 use sof_steiner::SteinerTree;
-use std::sync::Arc;
 
 /// A grown forest: total priced cost, the kept candidate trees, and the
 /// destination buckets assigned to each tree.
@@ -43,25 +42,21 @@ impl CandidateTree {
 }
 
 /// The VM block every source proposed for on `vms` prices its chains on
-/// (one per solve, or per pass of [`grow_forest`]). It is empty when `vms`
-/// cannot hold the chain, so a pass that prices nothing reads no tree.
-pub(crate) fn vm_block(instance: &SofInstance, vms: &[NodeId]) -> Arc<VmBlock> {
+/// (one per solve, or per pass of [`grow_forest`]), or `None` when no
+/// chain is priced on `vms` — the chain is empty or does not fit — so a
+/// pass that prices nothing reads no tree.
+pub(crate) fn vm_block(instance: &SofInstance, vms: &[NodeId]) -> Option<VmBlock> {
     let chain_len = instance.chain_len();
-    let vms = if chain_len == 0 || vms.len() < chain_len {
-        &[]
-    } else {
-        vms
-    };
-    Arc::new(VmBlock::new(&instance.network, vms))
+    (chain_len > 0 && vms.len() >= chain_len).then(|| VmBlock::new(&instance.network, vms))
 }
 
-/// Builds the cheapest service chain from `source` over the VMs of `block`,
-/// attached to the cheapest node of `tree_nodes` (ST/eST style: the tree is
-/// fixed first, the chain is bolted on afterwards).
+/// Builds the cheapest service chain from `source` over the VMs of `block`
+/// ([`vm_block`]), attached to the cheapest node of `tree_nodes` (ST/eST
+/// style: the tree is fixed first, the chain is bolted on afterwards).
 pub(crate) fn cheapest_chain_to_tree(
     instance: &SofInstance,
     source: NodeId,
-    block: &Arc<VmBlock>,
+    block: Option<&VmBlock>,
     tree_nodes: &[NodeId],
     config: &SofdaConfig,
     search: &mut SearchContext,
@@ -70,10 +65,7 @@ pub(crate) fn cheapest_chain_to_tree(
     if chain_len == 0 {
         return Some(CandidateTree::bare(source));
     }
-    if block.len() < chain_len {
-        return None;
-    }
-    let cm = ChainMetric::from_block(block, source, config.source_cost())?;
+    let cm = ChainMetric::from_block(block?, source, config.source_cost())?;
     let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, search);
     let mut best: Option<CandidateTree> = None;
     for (target, stroll, chain_cost) in chains {
@@ -205,7 +197,7 @@ pub(crate) fn grow_forest<F>(
     mut propose: F,
 ) -> Result<GrownForest, SolveError>
 where
-    F: FnMut(&SofInstance, NodeId, &Arc<VmBlock>, &mut SearchContext) -> Option<CandidateTree>,
+    F: FnMut(&SofInstance, NodeId, Option<&VmBlock>, &mut SearchContext) -> Option<CandidateTree>,
 {
     let (mut best_cost, mut best_buckets) = assign_and_price(instance, &trees, config)?;
     loop {
@@ -232,7 +224,7 @@ where
         let mut improved = false;
         let mut best_addition: Option<(Cost, CandidateTree, Vec<Vec<NodeId>>)> = None;
         for &s in &unused_sources {
-            let Some(cand) = propose(instance, s, &block, search) else {
+            let Some(cand) = propose(instance, s, block.as_ref(), search) else {
                 continue;
             };
             let mut tentative = trees.clone();

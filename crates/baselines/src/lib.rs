@@ -51,7 +51,6 @@ use sof_core::{
 };
 use sof_graph::{Cost, NodeId};
 use sof_steiner::SteinerTree;
-use std::sync::Arc;
 
 /// Picks the source whose Steiner tree over `{s} ∪ D` is cheapest.
 fn best_root(
@@ -92,7 +91,7 @@ pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOut
     let cand = cheapest_chain_to_tree(
         instance,
         root,
-        &vm_block(instance, &instance.network.vms()),
+        vm_block(instance, &instance.network.vms()).as_ref(),
         &tree_nodes,
         config,
         &mut search,
@@ -127,7 +126,7 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
     let first = cheapest_chain_to_tree(
         instance,
         root,
-        &vm_block(instance, &instance.network.vms()),
+        vm_block(instance, &instance.network.vms()).as_ref(),
         &tree_nodes,
         config,
         &mut search,
@@ -167,7 +166,7 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
 fn enemp_candidate(
     instance: &SofInstance,
     s: NodeId,
-    block: &Arc<VmBlock>,
+    block: Option<&VmBlock>,
     config: &SofdaConfig,
     search: &mut SearchContext,
 ) -> Option<CandidateTree> {
@@ -176,10 +175,7 @@ fn enemp_candidate(
     if chain_len == 0 {
         return Some(CandidateTree::bare(s));
     }
-    if block.len() < chain_len {
-        return None;
-    }
-    let cm = sof_core::ChainMetric::from_block(block, s, config.source_cost())?;
+    let cm = sof_core::ChainMetric::from_block(block?, s, config.source_cost())?;
     let chains = cm.chains_to_all_vms_in(chain_len, config.stroll, search);
     let mut best: Option<(Cost, CandidateTree)> = None;
     for (target, stroll, chain_cost) in chains {
@@ -222,7 +218,7 @@ pub fn solve_enemp(
     // First tree: best source by plain Steiner cost, then NEMP candidate.
     let (root, _) = best_root(instance, config)?;
     let block = vm_block(instance, &instance.network.vms());
-    let first = enemp_candidate(instance, root, &block, config, &mut search)
+    let first = enemp_candidate(instance, root, block.as_ref(), config, &mut search)
         .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
     let cfg = *config;
     let (_, trees, buckets) = grow_forest(

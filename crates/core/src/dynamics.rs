@@ -30,7 +30,6 @@ use sof_graph::{Cost, NodeId};
 use sof_kstroll::{SearchContext, StrollSolver};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors from dynamic operations.
 #[derive(Clone, Debug, PartialEq)]
@@ -226,7 +225,7 @@ pub fn destination_join_with(
             if remaining == 0 || x == d || free.len() < remaining {
                 continue;
             }
-            let block = block.get_or_insert_with(|| Arc::new(VmBlock::new(network, &free)));
+            let block = block.get_or_insert_with(|| VmBlock::new(network, &free));
             let Some(cm) = ChainMetric::from_block(block, x, Cost::ZERO) else {
                 continue;
             };

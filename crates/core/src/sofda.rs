@@ -26,7 +26,6 @@ use sof_graph::{Cost, Graph, NodeId};
 use sof_kstroll::Stroll;
 use sof_steiner::SteinerTree;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 /// Chain tails grouped by `(source index, anchor VM)`: each entry lists the
 /// destinations anchored there with the real anchor-to-destination path.
@@ -148,7 +147,7 @@ pub fn solve_sofda(
     // source adds its row. `priced[si]` keeps source `si`'s metric and its
     // strolls by target index until deployment expands the ones the tree
     // kept.
-    let block = Arc::new(VmBlock::new(network, &vms));
+    let block = VmBlock::new(network, &vms);
     let mut search = SearchContext::new();
     let mut priced: Vec<Option<(ChainMetric, Vec<Option<Stroll>>)>> =
         Vec::with_capacity(sources.len());

@@ -48,7 +48,6 @@
 use crate::Network;
 use sof_graph::{Cost, NodeId, RootedTree};
 use sof_kstroll::{DenseMetric, SearchContext, Stroll, StrollSolver};
-use std::sync::Arc;
 
 #[cfg(test)]
 thread_local! {
@@ -115,14 +114,15 @@ impl VmBlock {
 pub struct ChainMetric {
     /// Generic metric with halved node-cost potentials.
     metric: DenseMetric,
-    /// The network node of index 0.
-    source: NodeId,
-    /// Indices `1..` are the block's VMs in order, less the source.
-    block: Arc<VmBlock>,
-    /// The source's position in the block when it is one of its VMs.
-    skip: Option<usize>,
+    /// Index → network node; index 0 is the source.
+    nodes: Vec<NodeId>,
+    /// `trees[i - 1]` is the tree of VM `nodes[i]`, as the block holds it;
+    /// the source has none.
+    trees: Vec<RootedTree>,
     /// Setup cost charged for the source (0 unless Appendix D).
     source_cost: Cost,
+    /// Setup costs of `nodes` (index-aligned; 0 for the source slot).
+    setup: Vec<Cost>,
 }
 
 impl ChainMetric {
@@ -141,7 +141,7 @@ impl ChainMetric {
         source_cost: Cost,
     ) -> Option<ChainMetric> {
         let vms: Vec<NodeId> = vms.iter().copied().filter(|&v| v != source).collect();
-        ChainMetric::from_block(&Arc::new(VmBlock::new(network, &vms)), source, source_cost)
+        ChainMetric::from_block(&VmBlock::new(network, &vms), source, source_cost)
     }
 
     /// The instance for `source` on a block built for the whole solve:
@@ -150,11 +150,7 @@ impl ChainMetric {
     /// the block's VMs leaves that VM out, as [`Self::build`] does.
     ///
     /// Returns `None` if some distance of the metric is infinite.
-    pub fn from_block(
-        block: &Arc<VmBlock>,
-        source: NodeId,
-        source_cost: Cost,
-    ) -> Option<ChainMetric> {
+    pub fn from_block(block: &VmBlock, source: NodeId, source_cost: Cost) -> Option<ChainMetric> {
         let skip = block.vms.iter().position(|&v| v == source);
         // Metric index `i ≥ 1` is block index `at[i - 1]`.
         let at: Vec<usize> = (0..block.len()).filter(|&b| Some(b) != skip).collect();
@@ -187,28 +183,15 @@ impl ChainMetric {
         let metric = DenseMetric::from_rows(column.len(), rows);
         finite.then(|| ChainMetric {
             metric,
-            source,
-            block: Arc::clone(block),
-            skip,
+            nodes: std::iter::once(source)
+                .chain(at.iter().map(|&b| block.vms[b]))
+                .collect(),
+            trees: at.iter().map(|&b| block.trees[b].clone()).collect(),
             source_cost,
+            setup: std::iter::once(Cost::ZERO)
+                .chain(at.iter().map(|&b| block.setup[b]))
+                .collect(),
         })
-    }
-
-    /// The block index of metric index `i ≥ 1`.
-    fn at(&self, i: usize) -> usize {
-        match self.skip {
-            Some(p) if i > p => i,
-            _ => i - 1,
-        }
-    }
-
-    /// Setup cost of metric index `i` (0 for the source slot).
-    fn setup(&self, i: usize) -> Cost {
-        if i == 0 {
-            Cost::ZERO
-        } else {
-            self.block.setup[self.at(i)]
-        }
     }
 
     /// The tree a hop between metric indices `i ≠ j` is read from and the
@@ -217,7 +200,7 @@ impl ChainMetric {
     /// so that tree holds the same distance and the same path backwards.
     fn tree_and_far_end(&self, i: usize, j: usize) -> (&RootedTree, NodeId) {
         let (root, far) = if i == 0 { (j, i) } else { (i, j) };
-        (self.vm_tree(root), self.node(far))
+        (&self.trees[root - 1], self.nodes[far])
     }
 
     /// A shortest path from metric index `i` to `j ≠ i` (`i`'s node first),
@@ -238,38 +221,22 @@ impl ChainMetric {
 
     /// Number of metric nodes (`|M| + 1`, or `|M|` if the source is a VM).
     pub fn len(&self) -> usize {
-        self.metric.len()
+        self.nodes.len()
     }
 
     /// Returns `true` when only the source is present (no VMs).
     pub fn is_empty(&self) -> bool {
-        self.len() <= 1
+        self.nodes.len() <= 1
     }
 
     /// Metric index of a network node, if present.
     pub fn index_of(&self, v: NodeId) -> Option<usize> {
-        if v == self.source {
-            return Some(0);
-        }
-        let b = self.block.vms.iter().position(|&n| n == v)?;
-        Some(match self.skip {
-            Some(p) if b > p => b,
-            _ => b + 1,
-        })
+        self.nodes.iter().position(|&n| n == v)
     }
 
     /// Network node of metric index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
     pub fn node(&self, i: usize) -> NodeId {
-        assert!(i < self.len(), "metric index out of range");
-        if i == 0 {
-            self.source
-        } else {
-            self.block.vms[self.at(i)]
-        }
+        self.nodes[i]
     }
 
     /// The shortest-path tree rooted at the VM of metric index `i ≥ 1`: a
@@ -279,15 +246,14 @@ impl ChainMetric {
     ///
     /// Panics if `i` is 0 (the source has no tree) or out of range.
     pub fn vm_tree(&self, i: usize) -> &RootedTree {
-        assert!(i != 0, "the source has no tree");
-        &self.block.trees[self.at(i)]
+        &self.trees[i - 1]
     }
 
     /// Converts a generic-metric stroll cost for target index `t` into the
     /// true Procedure-1 chain cost (distances + full setup of chain VMs,
     /// plus the source cost in the Appendix D variant).
     fn true_chain_cost(&self, generic_cost: Cost, target: usize) -> Cost {
-        generic_cost + self.setup(target) / 2.0 + self.source_cost / 2.0
+        generic_cost + self.setup[target] / 2.0 + self.source_cost / 2.0
     }
 
     /// Solves the k-stroll for every candidate last VM at once and returns
@@ -379,23 +345,23 @@ mod tests {
         let dist = tree.dist(far);
         let share = if cm.source_cost == Cost::ZERO {
             if i == 0 {
-                (cm.setup(last) + cm.setup(j)) / 2.0
+                (cm.setup[last] + cm.setup[j]) / 2.0
             } else if j == 0 {
-                (cm.setup(i) + cm.setup(last)) / 2.0
+                (cm.setup[i] + cm.setup[last]) / 2.0
             } else {
-                (cm.setup(i) + cm.setup(j)) / 2.0
+                (cm.setup[i] + cm.setup[j]) / 2.0
             }
         } else {
             // Appendix D: both s and u carry (c(s)+c(u))/2.
-            let su = cm.source_cost + cm.setup(last);
+            let su = cm.source_cost + cm.setup[last];
             if (i == 0 && j == last) || (j == 0 && i == last) {
                 su
             } else if i == 0 || i == last {
-                (su + cm.setup(j)) / 2.0
+                (su + cm.setup[j]) / 2.0
             } else if j == 0 || j == last {
-                (cm.setup(i) + su) / 2.0
+                (cm.setup[i] + su) / 2.0
             } else {
-                (cm.setup(i) + cm.setup(j)) / 2.0
+                (cm.setup[i] + cm.setup[j]) / 2.0
             }
         };
         dist + share
@@ -512,7 +478,7 @@ mod tests {
         let s = net.add_node(crate::NodeKind::Switch, Cost::ZERO);
         net.graph_mut().add_edge(s, NodeId::new(2), Cost::new(0.7));
         let vms = net.vms();
-        let block = Arc::new(VmBlock::new(&net, &vms));
+        let block = VmBlock::new(&net, &vms);
         for source in net.graph().nodes() {
             for source_cost in [Cost::ZERO, Cost::new(10.0)] {
                 let shared = ChainMetric::from_block(&block, source, source_cost).unwrap();
