@@ -142,13 +142,14 @@ impl Controller {
     }
 
     /// Anchor-to-anchor distances within the domain: its one message to
-    /// the leader.
+    /// the leader. Each connected pair is sent once, smaller real id first,
+    /// at the distance read from that anchor's tree.
     fn anchor_matrix(&self) -> Vec<(NodeId, NodeId, Cost)> {
         let mut entries = Vec::new();
         for (&a, sp) in &self.trees {
-            for &b in self.trees.keys() {
+            for &b in self.trees.keys().filter(|&&b| b > a) {
                 let dist = sp.dist(self.local(b));
-                if dist.is_finite() && a != b {
+                if dist.is_finite() {
                     entries.push((a, b, dist));
                 }
             }
@@ -206,10 +207,8 @@ fn abstract_graph(
     for (d, controller) in controllers.iter().enumerate() {
         for (a, b, dist) in controller.anchor_matrix() {
             let (ia, ib) = (abs.node(a), abs.node(b));
-            if ia < ib {
-                abs.graph.add_edge(ia, ib, dist);
-                abs.intra.insert((ia, ib), d);
-            }
+            abs.graph.add_edge(ia, ib, dist);
+            abs.intra.insert((ia.min(ib), ia.max(ib)), d);
         }
     }
     for (_, e) in graph.edges() {
