@@ -53,6 +53,7 @@ pub(crate) fn vm_block(instance: &SofInstance, vms: &[NodeId]) -> Option<VmBlock
 /// Builds the cheapest service chain from `source` over the VMs of `block`
 /// ([`vm_block`]), attached to the cheapest node of `tree_nodes` (ST/eST
 /// style: the tree is fixed first, the chain is bolted on afterwards).
+/// Counts each chain it expands in `expanded`.
 pub(crate) fn cheapest_chain_to_tree(
     instance: &SofInstance,
     source: NodeId,
@@ -60,6 +61,7 @@ pub(crate) fn cheapest_chain_to_tree(
     tree_nodes: &[NodeId],
     config: &SofdaConfig,
     search: &mut SearchContext,
+    expanded: &mut usize,
 ) -> Option<CandidateTree> {
     let chain_len = instance.chain_len();
     if chain_len == 0 {
@@ -80,6 +82,7 @@ pub(crate) fn cheapest_chain_to_tree(
         };
         let total = chain_cost + sp.dist(attach);
         if best.as_ref().is_none_or(|b| total < b.chain_cost) {
+            *expanded += 1;
             let (mut nodes, positions) = cm.expand(&stroll);
             if attach != u {
                 let path = sp.path_to(attach).expect("finite distance");

@@ -81,7 +81,7 @@ fn best_root(
 /// [`SolveError::Infeasible`] when no source reaches every destination or
 /// the VM pool is smaller than the chain.
 pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOutcome, SolveError> {
-    let mut search = SearchContext::new();
+    let (mut search, mut expanded) = (SearchContext::new(), 0);
     let (root, tree) = best_root(instance, config)?;
     let tree_nodes: Vec<NodeId> = if tree.edges.is_empty() {
         vec![root]
@@ -95,6 +95,7 @@ pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOut
         &tree_nodes,
         config,
         &mut search,
+        &mut expanded,
     )
     .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
     let trees = vec![cand];
@@ -102,6 +103,7 @@ pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOut
     let forest = assemble(instance, &trees, &buckets, config)?;
     let stats = SolveStats {
         candidate_chains: 1,
+        chains_expanded: expanded,
         stroll_nodes: search.nodes(),
         stroll_handovers: search.handovers(),
         steiner_cost: tree.cost,
@@ -116,7 +118,7 @@ pub fn solve_st(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOut
 ///
 /// Same conditions as [`solve_st`].
 pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOutcome, SolveError> {
-    let mut search = SearchContext::new();
+    let (mut search, mut expanded) = (SearchContext::new(), 0);
     let (root, tree) = best_root(instance, config)?;
     let tree_nodes: Vec<NodeId> = if tree.edges.is_empty() {
         vec![root]
@@ -130,9 +132,10 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
         &tree_nodes,
         config,
         &mut search,
+        &mut expanded,
     )
     .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
-    let cfg = *config;
+    let (cfg, counter) = (*config, &mut expanded);
     let (_, trees, buckets) = grow_forest(
         instance,
         vec![first],
@@ -148,12 +151,13 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
             } else {
                 tree.nodes(inst.network.graph()).into_iter().collect()
             };
-            cheapest_chain_to_tree(inst, s, free, &nodes, &cfg, search)
+            cheapest_chain_to_tree(inst, s, free, &nodes, &cfg, search, counter)
         },
     )?;
     let forest = assemble(instance, &trees, &buckets, config)?;
     let stats = SolveStats {
         candidate_chains: trees.len(),
+        chains_expanded: expanded,
         stroll_nodes: search.nodes(),
         stroll_handovers: search.handovers(),
         ..SolveStats::default()
@@ -163,12 +167,14 @@ pub fn solve_est(instance: &SofInstance, config: &SofdaConfig) -> Result<SolveOu
 
 /// Builds an eNEMP-style candidate from `s`: for each candidate last VM `m`
 /// of `block`, span `{s, m} ∪ D` and chain `s → m`; keep the cheapest.
+/// Counts each chain it expands in `expanded`.
 fn enemp_candidate(
     instance: &SofInstance,
     s: NodeId,
     block: Option<&VmBlock>,
     config: &SofdaConfig,
     search: &mut SearchContext,
+    expanded: &mut usize,
 ) -> Option<CandidateTree> {
     let network = &instance.network;
     let chain_len = instance.chain_len();
@@ -188,6 +194,7 @@ fn enemp_candidate(
         };
         let total = chain_cost + tree.cost;
         if best.as_ref().is_none_or(|(b, _)| total < *b) {
+            *expanded += 1;
             let (nodes, positions) = cm.expand(&stroll);
             best = Some((
                 total,
@@ -214,23 +221,31 @@ pub fn solve_enemp(
     instance: &SofInstance,
     config: &SofdaConfig,
 ) -> Result<SolveOutcome, SolveError> {
-    let mut search = SearchContext::new();
+    let (mut search, mut expanded) = (SearchContext::new(), 0);
     // First tree: best source by plain Steiner cost, then NEMP candidate.
     let (root, _) = best_root(instance, config)?;
     let block = vm_block(instance, &instance.network.vms());
-    let first = enemp_candidate(instance, root, block.as_ref(), config, &mut search)
-        .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
-    let cfg = *config;
+    let first = enemp_candidate(
+        instance,
+        root,
+        block.as_ref(),
+        config,
+        &mut search,
+        &mut expanded,
+    )
+    .ok_or_else(|| SolveError::Infeasible("no service chain fits the VM pool".into()))?;
+    let (cfg, counter) = (*config, &mut expanded);
     let (_, trees, buckets) = grow_forest(
         instance,
         vec![first],
         config,
         &mut search,
-        move |inst, s, free, search| enemp_candidate(inst, s, free, &cfg, search),
+        move |inst, s, free, search| enemp_candidate(inst, s, free, &cfg, search, counter),
     )?;
     let forest = assemble(instance, &trees, &buckets, config)?;
     let stats = SolveStats {
         candidate_chains: trees.len(),
+        chains_expanded: expanded,
         stroll_nodes: search.nodes(),
         stroll_handovers: search.handovers(),
         ..SolveStats::default()
@@ -388,6 +403,30 @@ mod tests {
             sofda_total <= best_baseline_total * 1.05,
             "SOFDA aggregate {sofda_total} vs best baseline {best_baseline_total}"
         );
+    }
+
+    /// Each baseline counts a chain every time it expands a better
+    /// candidate, so it expands at least the chains it keeps; with no
+    /// chain it expands none.
+    #[test]
+    fn every_expanded_chain_is_counted() {
+        let mut counts = Vec::new();
+        for seed in 0..4 {
+            let inst = random_instance(seed, 2);
+            for out in [
+                solve_st(&inst, &SofdaConfig::default()).unwrap(),
+                solve_est(&inst, &SofdaConfig::default()).unwrap(),
+                solve_enemp(&inst, &SofdaConfig::default()).unwrap(),
+            ] {
+                let s = out.stats;
+                assert!(s.chains_expanded >= s.candidate_chains, "seed {seed}");
+                counts.push(s.chains_expanded);
+            }
+        }
+        assert_eq!(counts, [1, 5, 5, 3, 7, 7, 1, 6, 5, 2, 6, 6]);
+        let inst = random_instance(3, 0);
+        let out = solve_enemp(&inst, &SofdaConfig::default()).unwrap();
+        assert_eq!(out.stats.chains_expanded, 0);
     }
 
     #[test]

@@ -66,6 +66,9 @@ pub struct SolveStats {
     /// Candidate service chains priced (k-stroll costs; SOFDA expands only
     /// the ones its Steiner tree keeps).
     pub candidate_chains: usize,
+    /// [`crate::ChainMetric::expand`] calls the solve made: the chains it
+    /// turned into real walks, fallback rebuilds included.
+    pub chains_expanded: usize,
     /// DFS nodes the exact k-stroll searches expanded pricing them — a
     /// work count that repeats exactly at any thread count (0 when no
     /// exact search ran).

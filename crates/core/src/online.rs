@@ -263,6 +263,8 @@ pub struct OnlineStats {
     pub stroll_nodes: u64,
     /// [`crate::SolveStats::stroll_handovers`] summed over those runs.
     pub stroll_handovers: u64,
+    /// [`crate::SolveStats::chains_expanded`] summed over those runs.
+    pub chains_expanded: usize,
     /// Arrivals served purely by incremental operations.
     pub incremental_events: usize,
     /// Destinations joined incrementally.
@@ -276,6 +278,9 @@ pub struct OnlineStats {
     pub fallbacks: usize,
     /// [`Element::Vm`] failures injected via [`SessionEvent::Fail`].
     pub vm_failures: usize,
+    /// Links priced by the session's repricings: every link on a full
+    /// pass, the old and new forests' links on a load change.
+    pub repriced_links: usize,
 }
 
 /// What one arrival ([`OnlineSession::arrive`], or a
@@ -331,10 +336,6 @@ pub struct OnlineSession {
     /// The links the latest recharge repriced; kept only so that the next
     /// one reuses the allocation.
     recharged: Vec<EdgeId>,
-    /// Links the latest repricing priced. No report reads it; the tests
-    /// below pin it.
-    #[cfg_attr(not(test), allow(dead_code))]
-    repriced_links: usize,
     stats: OnlineStats,
 }
 
@@ -375,7 +376,6 @@ impl OnlineSession {
             cost_at_solve: 0.0,
             last_cost: 0.0,
             recharged: Vec::new(),
-            repriced_links: 0,
             stats: OnlineStats::default(),
         }
     }
@@ -397,12 +397,11 @@ impl OnlineSession {
     /// link whose price moves renews the epoch and enters the journal.
     fn reprice(&mut self, links: impl IntoIterator<Item = EdgeId>) {
         let net = &mut self.instance.network;
-        self.repriced_links = 0;
         for e in links {
             let congestion = fortz_thorup(self.tracker.edge_load(e), self.tracker.edge_capacity(e));
             net.graph_mut()
                 .set_edge_cost(e, self.edge_floor[e.index()] + congestion);
-            self.repriced_links += 1;
+            self.stats.repriced_links += 1;
         }
         for &(v, base) in &self.vm_floor {
             let congestion = fortz_thorup(self.tracker.node_load(v), self.tracker.node_capacity(v));
@@ -926,6 +925,7 @@ impl OnlineSession {
                 self.stats.full_solves += 1;
                 self.stats.stroll_nodes += out.stats.stroll_nodes;
                 self.stats.stroll_handovers += out.stats.stroll_handovers;
+                self.stats.chains_expanded += out.stats.chains_expanded;
                 Ok(())
             }
             Err(e) => {
@@ -1104,10 +1104,12 @@ mod tests {
             let net = &s.instance().network;
             let old = links_of(net, s.forest());
             let epoch = net.graph().cost_epoch();
+            let before = s.stats().repriced_links;
             s.apply(event).unwrap();
+            let repriced = s.stats().repriced_links - before;
             let net = &s.instance().network;
             let union: BTreeSet<EdgeId> = old.union(&links_of(net, s.forest())).copied().collect();
-            assert_eq!(s.repriced_links, union.len());
+            assert_eq!(repriced, union.len());
             let changed: Vec<usize> = net
                 .graph()
                 .cost_changes_since(epoch)
@@ -1120,7 +1122,7 @@ mod tests {
                 "price changes out of edge order: {changed:?}"
             );
             changes += changed.len();
-            counts.push(s.repriced_links);
+            counts.push(repriced);
         }
         assert!(changes > counts.len(), "the order check saw price changes");
         // Each a small share of the graph's 837 links.

@@ -105,6 +105,7 @@ pub fn solve_sofda_ss(
     for (target, stroll, _chain_cost) in &chains {
         stats.candidate_chains += 1;
         let u = cm.node(*target);
+        stats.chains_expanded += 1;
         let (walk, positions) = cm.expand(stroll);
         // Steiner tree spanning the last VM and all destinations.
         let mut terminals = vec![u];
@@ -210,6 +211,9 @@ mod tests {
             assert_eq!(out.forest.chain_len, len);
             let stats = out.forest.stats();
             assert_eq!(stats.used_vms, len);
+            // Every candidate is a whole forest, expanded once.
+            let s = out.stats;
+            assert_eq!(s.chains_expanded, s.candidate_chains, "len {len}");
         }
     }
 

@@ -49,19 +49,6 @@ use crate::Network;
 use sof_graph::{Cost, NodeId, RootedTree};
 use sof_kstroll::{DenseMetric, SearchContext, Stroll, StrollSolver};
 
-#[cfg(test)]
-thread_local! {
-    /// [`ChainMetric::expand`] calls made on this thread. No report reads
-    /// it; the solvers' tests pin it.
-    static EXPANSIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Chains this thread has expanded so far.
-#[cfg(test)]
-pub(crate) fn expansions() -> usize {
-    EXPANSIONS.with(std::cell::Cell::get)
-}
-
 /// The part of Procedure 1's metric that no source changes (module docs,
 /// second observation): the VMs in order, the tree each one is read from,
 /// their setup costs, and the VM × VM block `tree(a).dist(b) + c(a)/2 +
@@ -303,10 +290,9 @@ impl ChainMetric {
     /// chain its Steiner tree keeps, at deployment; a conflict fallback
     /// once per rebuilt chain; `solve_sofda_ss` once per candidate (each
     /// one is a whole forest there); a full-search join and the
-    /// `sof_baselines` solvers once per better candidate they find.
+    /// `sof_baselines` solvers once per better candidate they find. A
+    /// solve counts its calls in [`crate::SolveStats::chains_expanded`].
     pub fn expand(&self, stroll: &Stroll) -> (Vec<NodeId>, Vec<usize>) {
-        #[cfg(test)]
-        EXPANSIONS.with(|n| n.set(n.get() + 1));
         let mut walk: Vec<NodeId> = vec![self.node(stroll.nodes[0])];
         let mut positions = Vec::with_capacity(stroll.nodes.len().saturating_sub(1));
         for pair in stroll.nodes.windows(2) {

@@ -951,10 +951,7 @@ struct GroupRun {
     /// Arrivals refused, over every slot.
     arrival_failures: usize,
     warnings: Vec<String>,
-    /// The spec's failure process, when it has one. No report line reads
-    /// its recovery metrics yet (one would move the online goldens); the
-    /// tests below do.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// The spec's failure process, when it has one.
     rounds: Option<FailureRounds>,
 }
 
@@ -1084,12 +1081,14 @@ fn group_section(
         checkpoints,
         arrival_failures,
         warnings,
-        ..
+        rounds,
     } = run;
     let vm_failures = pool.sessions().iter().map(|s| s.stats().vm_failures).sum();
     for (session, t) in pool.sessions().iter().zip(&mut stats) {
+        let paths = session.instance().network.paths();
         t.session = *session.stats();
-        t.engine = session.instance().network.paths().stats();
+        t.engine = paths.stats();
+        t.bounded = paths.bounded_work();
     }
     let suffix = if group.scratch {
         ""
@@ -1120,6 +1119,7 @@ fn group_section(
             failures: arrival_failures,
             vm_failures,
             sessions: stats,
+            recovery: rounds.map(|r| *r.metrics()),
             warnings,
         }),
     }
@@ -1178,10 +1178,38 @@ mod tests {
         "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"name\":\"vm_failures\",\"value\":1.0}\n",
     );
 
+    /// The lines of `jsonl` the old rule's stream had: every line but the
+    /// `stat` lines it did not print yet.
+    fn old_rule_lines(jsonl: &str) -> String {
+        let names = [
+            "full_solves",
+            "incremental_events",
+            "joins",
+            "leaves",
+            "fallbacks",
+            "solve_n",
+            "inc_n",
+            "failures",
+            "vm_failures",
+        ];
+        let printed = |line: &&str| {
+            !line.starts_with("{\"type\":\"stat\"")
+                || names
+                    .iter()
+                    .any(|n| line.contains(&format!("\"name\":\"{n}\",")))
+        };
+        jsonl
+            .lines()
+            .filter(printed)
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
     /// The old rule is one trace of the shared failure round: a scripted
     /// plan that fails, at round 6, the VM the old rule picked there, under
     /// the reactive policy (which drops the disrupted forest), reproduces
-    /// the bytes the old rule printed — at one thread and at four.
+    /// the bytes the old rule printed — at one thread and at four — and
+    /// the counts it did not print repeat across those thread counts.
     #[test]
     fn a_scripted_failure_reproduces_the_old_online_rule() {
         let mut spec = presets::preset("inet-churn-failures").unwrap().unwrap();
@@ -1208,21 +1236,20 @@ mod tests {
             repair: 0,
         }];
         *failures = Some(f);
-        for threads in [1, 4] {
-            let report = run_spec(
-                &spec,
-                &RunOptions {
+        let streams: Vec<String> = [1, 4]
+            .into_iter()
+            .map(|threads| {
+                let opts = RunOptions {
                     threads,
                     timings: false,
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                write_jsonl(&report, false),
-                OLD_RULE_JSONL,
-                "{threads} threads"
-            );
+                };
+                write_jsonl(&run_spec(&spec, &opts).unwrap(), false)
+            })
+            .collect();
+        for (jsonl, threads) in streams.iter().zip([1, 4]) {
+            assert_eq!(old_rule_lines(jsonl), OLD_RULE_JSONL, "{threads} threads");
         }
+        assert_eq!(streams[0], streams[1]);
     }
 
     /// The online failure axis in full, through the round churn-at-scale

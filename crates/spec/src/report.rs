@@ -7,12 +7,14 @@
 //! lines are identical for a fixed spec + seed across runs, machines and
 //! thread counts — wall-clock measurements are tagged
 //! [`Cell::timing`]/[`ExtraRow::timing`] and only emitted when explicitly
-//! requested.
+//! requested. Work counts are not wall-clock: they repeat exactly, and
+//! the default stream carries them.
 
 use crate::field::{put, put_or_null};
 use crate::value::{write_json, Value};
 use sof_core::OnlineStats;
-use sof_graph::PathEngineStats;
+use sof_graph::{BoundedWork, PathEngineStats};
+use sof_survive::RecoveryMetrics;
 
 /// Run-level metadata (the JSONL header line).
 #[derive(Clone, Debug, PartialEq)]
@@ -128,6 +130,8 @@ pub struct OnlineSolverStats {
     pub session: OnlineStats,
     /// The session's `PathEngine` cache counters.
     pub engine: PathEngineStats,
+    /// The session's bounded `PathEngine` searches.
+    pub bounded: BoundedWork,
 }
 
 impl OnlineSolverStats {
@@ -148,6 +152,8 @@ pub struct OnlineDetail {
     pub vm_failures: usize,
     /// Per-session statistics, in session order.
     pub sessions: Vec<OnlineSolverStats>,
+    /// The failure process's recovery metrics, when the group has one.
+    pub recovery: Option<RecoveryMetrics>,
     /// Failure warnings collected during the run (stderr material).
     pub warnings: Vec<String>,
 }
@@ -291,7 +297,7 @@ fn render_online_detail(d: &OnlineDetail, out: &mut String) {
 
 /// Emits the report as JSON lines: one `meta` line, then one `row` line
 /// per table cell (and per [`ExtraRow`]), then one `stat` line per online
-/// counter. With `timings = false` every wall-clock value is omitted and
+/// count. With `timings = false` every wall-clock value is omitted and
 /// the stream is deterministic for a fixed spec + seed, independent of
 /// thread count.
 pub fn write_jsonl(report: &RunReport, timings: bool) -> String {
@@ -356,8 +362,22 @@ pub fn write_jsonl(report: &RunReport, timings: bool) -> String {
             Detail::None => {}
             Detail::Online(d) => {
                 for s in &d.sessions {
-                    // The destructuring makes a new engine counter a compile
-                    // error here, not a row that is silently missing.
+                    // The destructurings make a new counter a compile error
+                    // here, not a line that is silently missing.
+                    let OnlineStats {
+                        arrivals: _, // solve_n + inc_n + the refused ones
+                        full_solves,
+                        stroll_nodes,
+                        stroll_handovers,
+                        chains_expanded,
+                        incremental_events,
+                        joins,
+                        leaves,
+                        reroutes,
+                        fallbacks,
+                        vm_failures: _, // summed into the section's line
+                        repriced_links,
+                    } = s.session;
                     let PathEngineStats {
                         hits,
                         misses,
@@ -366,43 +386,52 @@ pub fn write_jsonl(report: &RunReport, timings: bool) -> String {
                         repairs,
                         partial_repairs,
                     } = s.engine;
-                    // Engine counters ride behind the timing gate: they are
-                    // cache-effectiveness measurements (warmth-dependent, and
-                    // sensitive to thread interleaving), not part of the
-                    // deterministic golden stream. `stroll_nodes` repeats
-                    // exactly but is a work measurement like them, and rides
-                    // with them so no golden gains a line.
-                    let counters: [(&str, f64, bool); 17] = [
-                        ("full_solves", s.session.full_solves as f64, false),
-                        (
-                            "incremental_events",
-                            s.session.incremental_events as f64,
-                            false,
-                        ),
-                        ("joins", s.session.joins as f64, false),
-                        ("leaves", s.session.leaves as f64, false),
-                        ("fallbacks", s.session.fallbacks as f64, false),
-                        ("solve_ms", s.solve_ms, true),
-                        ("inc_ms", s.inc_ms, true),
-                        ("solve_n", s.solve_n as f64, false),
-                        ("inc_n", s.inc_n as f64, false),
-                        ("stroll_nodes", s.session.stroll_nodes as f64, true),
-                        ("stroll_handovers", s.session.stroll_handovers as f64, true),
-                        ("engine_hits", hits as f64, true),
-                        ("engine_misses", misses as f64, true),
-                        ("engine_stale", stale as f64, true),
-                        ("engine_evictions", evictions as f64, true),
-                        ("engine_repairs", repairs as f64, true),
-                        ("engine_partial_repairs", partial_repairs as f64, true),
+                    let BoundedWork { searches, settled } = s.bounded;
+                    let counts = [
+                        ("full_solves", full_solves as f64),
+                        ("incremental_events", incremental_events as f64),
+                        ("joins", joins as f64),
+                        ("leaves", leaves as f64),
+                        ("fallbacks", fallbacks as f64),
+                        ("solve_n", s.solve_n as f64),
+                        ("inc_n", s.inc_n as f64),
+                        ("reroutes", reroutes as f64),
+                        ("stroll_nodes", stroll_nodes as f64),
+                        ("stroll_handovers", stroll_handovers as f64),
+                        ("chains_expanded", chains_expanded as f64),
+                        ("repriced_links", repriced_links as f64),
+                        ("bounded_searches", searches as f64),
+                        ("bounded_settled", settled as f64),
+                        ("engine_hits", hits as f64),
+                        ("engine_misses", misses as f64),
+                        ("engine_stale", stale as f64),
+                        ("engine_evictions", evictions as f64),
+                        ("engine_repairs", repairs as f64),
+                        ("engine_partial_repairs", partial_repairs as f64),
                     ];
-                    for (name, value, timing) in counters {
-                        if !timing || timings {
-                            stat(Some(&s.label), name, value);
-                        }
+                    let times = [("solve_ms", s.solve_ms), ("inc_ms", s.inc_ms)];
+                    let times = if timings { &times[..] } else { &[] };
+                    for &(name, value) in counts.iter().chain(times) {
+                        stat(Some(&s.label), name, value);
                     }
                 }
                 stat(None, "failures", d.failures as f64);
                 stat(None, "vm_failures", d.vm_failures as f64);
+                if let Some(m) = &d.recovery {
+                    let recovery = [
+                        ("fail_events", m.fail_events as f64),
+                        ("repair_events", m.repair_events as f64),
+                        ("disruptions", m.disruptions as f64),
+                        ("immediate", m.immediate as f64),
+                        ("recoveries", m.recoveries as f64),
+                        ("mean_recovery_cost", m.mean_recovery_cost()),
+                        ("mean_events_to_restore", m.mean_events_to_restore()),
+                        ("availability", m.availability()),
+                    ];
+                    for (name, value) in recovery {
+                        stat(None, name, value);
+                    }
+                }
             }
         }
     }
@@ -482,6 +511,7 @@ mod tests {
                     ..OnlineStats::default()
                 },
                 engine: PathEngineStats::default(),
+                bounded: BoundedWork::default(),
             }
         };
         let mut online = tiny_report();
@@ -493,7 +523,7 @@ mod tests {
                 session("SOFDA (scratch)", (1200.0, 3), (300.0, 2), (4, 1, 0)),
                 session("SOFDA", (400.0, 1), (3.0, 4), (5, 2, 1)),
             ],
-            warnings: Vec::new(),
+            ..OnlineDetail::default()
         });
         assert_eq!(
             render_markdown(&online),
@@ -530,13 +560,28 @@ mod tests {
                     full_solves: 1,
                     incremental_events: 3,
                     stroll_nodes: 70,
+                    chains_expanded: 2,
+                    repriced_links: 40,
                     ..OnlineStats::default()
                 },
                 engine: PathEngineStats {
                     hits: 9,
                     ..PathEngineStats::default()
                 },
+                bounded: BoundedWork {
+                    searches: 1,
+                    settled: 5,
+                },
             }],
+            recovery: Some(RecoveryMetrics {
+                fail_events: 2,
+                disruptions: 1,
+                recoveries: 1,
+                recovery_cost_sum: 7.5,
+                dest_rounds: 4,
+                disconnected_dest_rounds: 1,
+                ..RecoveryMetrics::default()
+            }),
             ..OnlineDetail::default()
         });
         let jsonl = write_jsonl(&report, false);
@@ -554,8 +599,8 @@ mod tests {
         // Two runs of the same report serialize identically.
         assert_eq!(jsonl, write_jsonl(&report, false));
 
-        // The stat rows: names, order, float-typed counts, and which of them
-        // wait for `--timings`.
+        // The stat rows: names, order and float-typed counts. Every count is
+        // in the default stream; only the two times wait for `--timings`.
         let stats = |jsonl: &str| -> Vec<String> {
             let prefix = "{\"type\":\"stat\",\"section\":\"cost vs #destinations\",";
             let stat = |line: &str| line.strip_prefix(prefix).map(String::from);
@@ -564,11 +609,20 @@ mod tests {
         let of = |name: &str, value: &str| {
             format!("\"solver\":\"SOFDA\",\"name\":\"{name}\",\"value\":{value}}}")
         };
+        let section = |name: &str, value: &str| format!("\"name\":\"{name}\",\"value\":{value}}}");
         let closing = [
-            "\"name\":\"failures\",\"value\":1.0}".to_string(),
-            "\"name\":\"vm_failures\",\"value\":2.0}".to_string(),
+            section("failures", "1.0"),
+            section("vm_failures", "2.0"),
+            section("fail_events", "2.0"),
+            section("repair_events", "0.0"),
+            section("disruptions", "1.0"),
+            section("immediate", "0.0"),
+            section("recoveries", "1.0"),
+            section("mean_recovery_cost", "7.5"),
+            section("mean_events_to_restore", "0.0"),
+            section("availability", "0.75"),
         ];
-        let ungated = [
+        let counts = [
             of("full_solves", "1.0"),
             of("incremental_events", "3.0"),
             of("joins", "0.0"),
@@ -576,24 +630,22 @@ mod tests {
             of("fallbacks", "0.0"),
             of("solve_n", "1.0"),
             of("inc_n", "3.0"),
+            of("reroutes", "0.0"),
+            of("stroll_nodes", "70.0"),
+            of("stroll_handovers", "0.0"),
+            of("chains_expanded", "2.0"),
+            of("repriced_links", "40.0"),
+            of("bounded_searches", "1.0"),
+            of("bounded_settled", "5.0"),
+            of("engine_hits", "9.0"),
+            of("engine_misses", "0.0"),
+            of("engine_stale", "0.0"),
+            of("engine_evictions", "0.0"),
+            of("engine_repairs", "0.0"),
+            of("engine_partial_repairs", "0.0"),
         ];
-        assert_eq!(stats(&jsonl), [&ungated[..], &closing[..]].concat());
-        let all = [
-            &ungated[..5],
-            &[of("solve_ms", "2.5"), of("inc_ms", "0.5")],
-            &ungated[5..],
-            &[
-                of("stroll_nodes", "70.0"),
-                of("stroll_handovers", "0.0"),
-                of("engine_hits", "9.0"),
-                of("engine_misses", "0.0"),
-                of("engine_stale", "0.0"),
-                of("engine_evictions", "0.0"),
-                of("engine_repairs", "0.0"),
-                of("engine_partial_repairs", "0.0"),
-            ],
-            &closing[..],
-        ];
-        assert_eq!(stats(&with), all.concat());
+        assert_eq!(stats(&jsonl), [&counts[..], &closing[..]].concat());
+        let times = [of("solve_ms", "2.5"), of("inc_ms", "0.5")];
+        assert_eq!(stats(&with), [&counts[..], &times, &closing[..]].concat());
     }
 }

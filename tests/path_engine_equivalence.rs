@@ -1,10 +1,14 @@
 //! PathEngine equivalence suite: the memoized shortest-path engine, the
 //! shared exact-stroll workspace, the relaxation memo and the persistent
 //! `sof_par` pool are pure performance layers — solver outputs must stay
-//! **bit-identical** to the pre-engine path. The committed golden RunReport
-//! JSONL files were generated before any of these layers existed, so
-//! regenerating the miniature presets and comparing byte-for-byte — under
-//! multiple thread counts — pins exactly that.
+//! **bit-identical** to the pre-engine path. The `meta` and `row` lines
+//! of the committed golden RunReport JSONL files were generated before any
+//! of these layers existed, so regenerating the miniature presets and
+//! comparing byte-for-byte — under multiple thread counts — pins exactly
+//! that. The online goldens' `stat` lines also carry each session's work
+//! counts (k-stroll nodes, chains expanded, links repriced, engine cache
+//! and bounded-search counts). Those were recorded later, with the engine
+//! in place: they pin the work the layers do, at every thread count.
 
 use sof::core::{
     solve_sofda, Network, OnlineConfig, OnlineSession, Request, ServiceChain, SofInstance, Sofda,
@@ -74,6 +78,25 @@ fn fig12_online_matches_pre_engine_golden_across_thread_counts() {
     for threads in [1usize, 4] {
         assert_eq!(
             run_preset("fig12", &overrides, threads),
+            expect,
+            "threads={threads}"
+        );
+    }
+}
+
+/// The churn × failures preset (cost-drift rebuilds, a periodic VM failure
+/// and its recovery stats) reproduces its golden bytes for both thread
+/// counts, at the arrival count CI runs it with.
+#[test]
+fn inet_churn_failures_matches_golden_across_thread_counts() {
+    let overrides = Overrides {
+        requests: Some(8),
+        ..Overrides::default()
+    };
+    let expect = golden("inet-churn-failures");
+    for threads in [1usize, 4] {
+        assert_eq!(
+            run_preset("inet-churn-failures", &overrides, threads),
             expect,
             "threads={threads}"
         );
