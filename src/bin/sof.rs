@@ -10,11 +10,9 @@
 //! (deterministic for a fixed seed and any `--threads`); pass
 //! `--format markdown` for the legacy figure tables.
 
-use sof_graph::PathEngineStats;
 use sof_spec::overrides::{apply_overrides, Overrides};
 use sof_spec::{
-    render_markdown, run_churn_stream, run_spec, write_jsonl, Detail, RunOptions, RunReport,
-    ScenarioSpec, Workload,
+    render_markdown, run_churn_stream, run_spec, write_jsonl, RunOptions, ScenarioSpec, Workload,
 };
 use std::io::Write;
 use std::path::Path;
@@ -26,7 +24,6 @@ Usage:
   sof run <preset|spec.toml|spec.json> [options]
   sof list
   sof validate <preset|file>... | --all
-  sof bench-snapshot [--out FILE] [--reps N] [--threads N] [--entry NAME]...
   sof serve [--addr HOST:PORT] [--ttl-secs N] [--stdin]
   sof help
 
@@ -42,7 +39,8 @@ Run options:
   --events <N>               override the event budget (churn-at-scale)
   --window <N>               override the window size (churn-at-scale)
   --threads <N>              worker threads (0 = all cores; overrides SOF_THREADS)
-  --timings                  include wall-clock measurements in the JSONL output
+  --timings                  add wall-clock times to the JSONL output (counts are
+                             always in it)
 
 Presets are bundled spec files (see `sof list`); anything containing a
 path separator or ending in .toml/.json is read from disk.
@@ -50,10 +48,6 @@ path separator or ending in .toml/.json is read from disk.
 churn-at-scale workloads stream their records (meta, windows, optional
 per-event samples, summary) to stdout incrementally in jsonl format —
 memory stays bounded no matter how many events the budget allows.
-
-`sof bench-snapshot` runs a fixed miniature preset set and writes a JSON
-wall-clock snapshot (the `BENCH_*.json` perf trajectory; CI uploads one
-per run and diffs it against the committed snapshot).
 
 `sof serve` runs sofd, the long-running embedding daemon: a JSON control
 plane over HTTP/1.1 (see docs/DAEMON.md). It prints the bound address,
@@ -88,27 +82,6 @@ fn resolve(target: &str) -> Result<ScenarioSpec, String> {
     }
 }
 
-/// Applies one `--flag value` pair onto `Overrides`; `false` means the
-/// flag is not an override flag. Shared by `sof run` and
-/// `sof bench-snapshot` so the two can never drift apart.
-fn override_flag(overrides: &mut Overrides, flag: &str, val: &str) -> bool {
-    match flag {
-        "--seeds" => overrides.seeds = Some(parse_num(val, flag)),
-        "--seed" => overrides.seed = Some(parse_num(val, flag)),
-        "--limit" => overrides.limit = Some(parse_num(val, flag) as usize),
-        "--solvers" => {
-            overrides.solvers = Some(val.split(',').map(|s| s.trim().to_string()).collect())
-        }
-        "--nodes" => overrides.nodes = Some(parse_num(val, flag) as usize),
-        "--requests" => overrides.requests = Some(parse_num(val, flag) as usize),
-        "--groups" => overrides.groups = Some(parse_num(val, flag) as usize),
-        "--events" => overrides.events = Some(parse_num(val, flag)),
-        "--window" => overrides.window = Some(parse_num(val, flag)),
-        _ => return false,
-    }
-    true
-}
-
 fn cmd_run(args: Vec<String>) {
     let mut format = "jsonl".to_string();
     let mut overrides = Overrides::default();
@@ -123,11 +96,18 @@ fn cmd_run(args: Vec<String>) {
         };
         match arg.as_str() {
             "--format" => format = value("--format"),
-            "--seeds" | "--seed" | "--limit" | "--solvers" | "--nodes" | "--requests"
-            | "--groups" | "--events" | "--window" => {
+            "--seeds" => overrides.seeds = Some(parse_num(&value(&arg), &arg)),
+            "--seed" => overrides.seed = Some(parse_num(&value(&arg), &arg)),
+            "--limit" => overrides.limit = Some(parse_num(&value(&arg), &arg) as usize),
+            "--solvers" => {
                 let v = value(&arg);
-                override_flag(&mut overrides, &arg, &v);
+                overrides.solvers = Some(v.split(',').map(|s| s.trim().to_string()).collect());
             }
+            "--nodes" => overrides.nodes = Some(parse_num(&value(&arg), &arg) as usize),
+            "--requests" => overrides.requests = Some(parse_num(&value(&arg), &arg) as usize),
+            "--groups" => overrides.groups = Some(parse_num(&value(&arg), &arg) as usize),
+            "--events" => overrides.events = Some(parse_num(&value(&arg), &arg)),
+            "--window" => overrides.window = Some(parse_num(&value(&arg), &arg)),
             "--threads" => threads = Some(parse_num(&value("--threads"), "--threads") as usize),
             "--timings" => timings = true,
             other if other.starts_with("--") => fatal(format!("unknown flag '{other}'")),
@@ -207,197 +187,6 @@ fn cmd_run(args: Vec<String>) {
 fn parse_num(v: &str, flag: &str) -> u64 {
     v.parse()
         .unwrap_or_else(|_| fatal(format!("invalid value '{v}' for flag '{flag}'")))
-}
-
-/// The fixed preset set of the perf trajectory (`BENCH_*.json`): one
-/// online workload (engine + incremental path), comparison sweeps at
-/// miniature scale (engine across solvers), the exact solver (relaxation
-/// memo + pool), and a large-topology point. Entries mirror the CI golden
-/// invocations, so every timed run is also output-pinned.
-const BENCH_PRESETS: &[(&str, &str, &str)] = &[
-    ("fig12-online-r8", "fig12", "--requests 8"),
-    ("fig9-sweep", "fig9", "--seeds 1 --limit 1"),
-    (
-        "fig8-sweep",
-        "fig8",
-        "--seeds 2 --limit 2 --solvers SOFDA,eNEMP,eST,ST",
-    ),
-    ("table1-exact", "table1", "--limit 1"),
-    ("fig10-inet300", "fig10", "--seeds 1 --limit 1 --nodes 300"),
-    ("table2-exact", "table2", "--seeds 2"),
-    (
-        "churn-at-scale",
-        "churn-at-scale",
-        "--groups 200 --events 4000 --window 1000",
-    ),
-    // The survivability subsystem: a three-policy comparison over one
-    // failure trace (failure application, protection prewarm, recovery).
-    ("failures-recovery", "churn-failures-protected", ""),
-];
-
-/// Sums the `PathEngine` counters over every online session in the
-/// report. `None` when the report has no online sections (sweeps don't
-/// surface per-session engine stats).
-fn engine_counters(report: &RunReport) -> Option<PathEngineStats> {
-    let mut any = false;
-    let mut sum = PathEngineStats::default();
-    for section in &report.sections {
-        if let Detail::Online(d) = &section.detail {
-            for s in &d.sessions {
-                any = true;
-                sum += s.engine;
-            }
-        }
-    }
-    any.then_some(sum)
-}
-
-fn cmd_bench_snapshot(args: Vec<String>) {
-    let mut out: Option<String> = None;
-    let mut reps = 3usize;
-    let mut threads: Option<usize> = None;
-    let mut only: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fatal(format!("flag '{flag}' is missing its value")))
-        };
-        match arg.as_str() {
-            "--out" => out = Some(value("--out")),
-            "--reps" => reps = parse_num(&value("--reps"), "--reps") as usize,
-            "--threads" => threads = Some(parse_num(&value("--threads"), "--threads") as usize),
-            "--entry" => only.push(value("--entry")),
-            other => fatal(format!("unknown flag '{other}' for bench-snapshot")),
-        }
-    }
-    if reps == 0 {
-        fatal("--reps must be at least 1");
-    }
-    // Perf iteration on one preset shouldn't re-run the whole suite:
-    // --entry (repeatable) narrows the snapshot to the named entries.
-    for name in &only {
-        if !BENCH_PRESETS.iter().any(|&(n, _, _)| n == name) {
-            fatal(format!(
-                "unknown bench entry '{name}' (entries: {})",
-                BENCH_PRESETS
-                    .iter()
-                    .map(|&(n, _, _)| n)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-    }
-    let wanted = |name: &str| only.is_empty() || only.iter().any(|n| n == name);
-    if let Some(t) = threads {
-        sof_par::set_threads(t);
-    }
-    let opts = RunOptions {
-        threads: 0,
-        timings: true,
-    };
-    let mut entries: Vec<String> = Vec::new();
-    for &(name, preset, flags) in BENCH_PRESETS {
-        if !wanted(name) {
-            continue;
-        }
-        let mut spec = resolve(preset).unwrap_or_else(|e| fatal(e));
-        let mut overrides = Overrides::default();
-        let mut flag_it = flags.split_whitespace();
-        while let Some(flag) = flag_it.next() {
-            let val = flag_it.next().unwrap_or_default();
-            if !override_flag(&mut overrides, flag, val) {
-                fatal(format!("internal bench preset uses unknown flag '{flag}'"));
-            }
-        }
-        apply_overrides(&mut spec, &overrides);
-        if let Err(e) = spec.validate() {
-            fatal(format!("bench preset {name}: {e}"));
-        }
-        let mut wall_ms = Vec::with_capacity(reps);
-        let mut last_report: Option<RunReport> = None;
-        for _ in 0..reps {
-            let start = std::time::Instant::now();
-            match run_spec(&spec, &opts) {
-                Ok(r) => last_report = Some(r),
-                Err(e) => fatal(format!("bench preset {name}: {e}")),
-            }
-            wall_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        }
-        let engine = last_report
-            .as_ref()
-            .and_then(engine_counters)
-            .map(|e| (e.hits, e.misses, e.stale, e.repairs, e.partial_repairs));
-        let engine_note = engine
-            .map(|(h, m, s, r, p)| {
-                format!("  engine hits {h} / misses {m} / stale {s} / repairs {r} / partial {p}")
-            })
-            .unwrap_or_default();
-        // Churn-at-scale entries also report throughput: the event budget
-        // divided by each rep's wall clock.
-        let events_per_sec: Option<Vec<f64>> = match &spec.workload {
-            Workload::ChurnAtScale(s) => Some(
-                wall_ms
-                    .iter()
-                    .map(|ms| s.events as f64 / (ms / 1e3))
-                    .collect(),
-            ),
-            _ => None,
-        };
-        let throughput_note = events_per_sec
-            .as_ref()
-            .and_then(|eps| eps.last())
-            .map(|eps| format!("  {eps:.0} events/s"))
-            .unwrap_or_default();
-        eprintln!(
-            "{name:<16} {}{engine_note}{throughput_note}",
-            wall_ms
-                .iter()
-                .map(|ms| format!("{ms:.0} ms"))
-                .collect::<Vec<_>>()
-                .join("  ")
-        );
-        let values = wall_ms
-            .iter()
-            .map(|ms| format!("{ms:.1}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let engine_json = engine
-            .map(|(h, m, s, r, p)| {
-                format!(
-                    ",\"engine\":{{\"hits\":{h},\"misses\":{m},\"stale\":{s},\"repairs\":{r},\"partial_repairs\":{p}}}"
-                )
-            })
-            .unwrap_or_default();
-        let throughput_json = events_per_sec
-            .map(|eps| {
-                format!(
-                    ",\"events_per_sec\":[{}]",
-                    eps.iter()
-                        .map(|e| format!("{e:.1}"))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                )
-            })
-            .unwrap_or_default();
-        entries.push(format!(
-            "    {{\"name\":\"{name}\",\"preset\":\"{preset}\",\"args\":\"{flags}\",\"wall_ms\":[{values}]{engine_json}{throughput_json}}}"
-        ));
-    }
-    let threads_used = sof_par::current_threads();
-    let entries = entries.join(",\n");
-    let json = format!(
-        "{{\n  \"kind\": \"sof-bench-snapshot\",\n  \"threads\": {threads_used},\n  \"reps\": {reps},\n  \"entries\": [\n{entries}\n  ]\n}}\n"
-    );
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                fatal(format!("writing {path}: {e}"));
-            }
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
 }
 
 fn cmd_serve(args: Vec<String>) {
@@ -525,7 +314,6 @@ fn main() {
         "run" => cmd_run(args),
         "list" => cmd_list(),
         "validate" => cmd_validate(args),
-        "bench-snapshot" => cmd_bench_snapshot(args),
         "serve" => cmd_serve(args),
         "help" | "--help" | "-h" => println!("{USAGE}"),
         other => fatal(format!("unknown command '{other}' (try `sof help`)")),
