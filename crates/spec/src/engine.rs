@@ -1250,6 +1250,18 @@ mod tests {
             assert_eq!(old_rule_lines(jsonl), OLD_RULE_JSONL, "{threads} threads");
         }
         assert_eq!(streams[0], streams[1]);
+        // The recovery lines the old rule could not print: its one failure
+        // disrupted the forest, and the next arrival's rebuild restored it.
+        let section = "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",";
+        for (name, value) in [
+            ("fail_events", "1.0"),
+            ("disruptions", "1.0"),
+            ("recoveries", "1.0"),
+            ("mean_events_to_restore", "1.0"),
+        ] {
+            let line = format!("{section}\"name\":\"{name}\",\"value\":{value}}}\n");
+            assert!(streams[0].contains(&line), "{line}");
+        }
     }
 
     /// The online failure axis in full, through the round churn-at-scale
