@@ -9,9 +9,10 @@
 //! session diffs the destination sets and re-embeds **incrementally** with
 //! the §VII-C dynamics ([`dynamics::destination_join_with`],
 //! [`dynamics::destination_leave`], [`dynamics::reroute_all`]), falling back
-//! to a full rebuild when accumulated churn drifts past a configurable
-//! threshold — or whenever an incremental step fails or invalidates the
-//! forest. In debug builds every `apply` ends with
+//! to a full rebuild when the standing forest's cost drifts past a
+//! configurable multiple of the last full solve's ([`DriftPolicy`]) — or
+//! whenever an incremental step fails or invalidates the forest. In debug
+//! builds every `apply` ends with
 //! [`check_invariants`](OnlineSession::check_invariants).
 //!
 //! # Failures
@@ -163,13 +164,16 @@ pub enum EmbedMode {
     Incremental,
 }
 
-/// What "drift" means for the full-rebuild fallback.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// What "drift" means for the full-rebuild fallback. The default,
+/// [`OnlineConfig::default`]'s, is [`DriftPolicy::CostDrift`] at 1.5: on
+/// the online sweeps of docs/ONLINE.md it ran fewer full solves than
+/// [`DriftPolicy::ChurnCount`] at 2.0 and kept forests as cheap or
+/// cheaper at every size but the smallest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriftPolicy {
     /// Rebuild once the destinations churned since the last full solve
     /// reach `rebuild_drift × |D|` — cheap bookkeeping, but blind to how
     /// much quality the incremental operations actually gave up.
-    #[default]
     ChurnCount,
     /// Rebuild once the standing forest's congestion-aware cost diverges
     /// to `rebuild_drift ×` the cost measured right after the last full
@@ -211,8 +215,10 @@ pub struct OnlineConfig {
     /// Full-rebuild fallback: rebuild once the accumulated drift (measured
     /// per [`DriftPolicy`]) reaches this multiple — of `|D|` for
     /// [`DriftPolicy::ChurnCount`], of the last full solve's cost for
-    /// [`DriftPolicy::CostDrift`]. Lower values track the solver's quality
-    /// more closely; higher values are faster.
+    /// [`DriftPolicy::CostDrift`] (the default: 1.5, a rebuild once the
+    /// standing forest costs half as much again as the last solve's).
+    /// Lower values track the solver's quality more closely; higher values
+    /// are faster.
     pub rebuild_drift: f64,
     /// Which drift metric arms the rebuild fallback.
     pub drift_policy: DriftPolicy,
@@ -233,8 +239,8 @@ impl Default for OnlineConfig {
     fn default() -> OnlineConfig {
         OnlineConfig {
             mode: EmbedMode::Incremental,
-            rebuild_drift: 2.0,
-            drift_policy: DriftPolicy::ChurnCount,
+            rebuild_drift: 1.5,
+            drift_policy: DriftPolicy::CostDrift,
             reroute_every: 6,
             join: JoinStrategy::TailAttach,
             link_capacity: 100.0,
@@ -1064,7 +1070,9 @@ mod tests {
 
     /// The work witness of footprint repricing: per event, the links
     /// repriced are exactly the old forest's ∪ the new one's, and the price
-    /// changes reach the journal in ascending edge order, once each.
+    /// changes reach the journal in ascending edge order, once each. The
+    /// session runs the churn rule (`ChurnCount` × 2.0) so that the pinned
+    /// counts keep the rebuilds they were recorded with.
     #[test]
     fn a_recharge_reprices_its_old_and_new_footprint_in_edge_order() {
         let mut rng = Rng64::seed_from(36);
@@ -1086,12 +1094,12 @@ mod tests {
         )
         .unwrap();
         let request = inst.request.clone();
-        let mut s = OnlineSession::new(
-            inst,
-            Box::new(Sofda),
-            SofdaConfig::default(),
-            OnlineConfig::default(),
-        );
+        let churn_rule = OnlineConfig {
+            drift_policy: DriftPolicy::ChurnCount,
+            rebuild_drift: 2.0,
+            ..OnlineConfig::default()
+        };
+        let mut s = OnlineSession::new(inst, Box::new(Sofda), SofdaConfig::default(), churn_rule);
         let mut events = vec![SessionEvent::Arrive(request)];
         for i in 20..32 {
             events.push(SessionEvent::Join(node(i)));
@@ -1180,8 +1188,8 @@ mod tests {
         // standing cost is at or above the last full solve's cost rebuilds.
         // Congestion pricing guarantees that immediately (the forest's own
         // load surcharges its links), so the second arrival must rebuild
-        // even though its churn (1 join) is far below the churn-count
-        // default of 2 × |D|.
+        // even though its churn (1 join) is far below a churn-count
+        // threshold of 2 × |D|.
         let opts = OnlineConfig {
             drift_policy: DriftPolicy::CostDrift,
             rebuild_drift: 1.0,

@@ -1242,8 +1242,8 @@ values = [2, 4]
 name = "online-mini"
 
 [online]
-drift = 1.5
-drift_policy = "cost"
+drift = 2.5
+drift_policy = "churn"
 
 [workload]
 kind = "online"
@@ -1259,7 +1259,11 @@ churn = { sources = [1, 2], destinations = [2, 3], leaves = [0, 1], joins = [0, 
 every = 2
 "#;
         let spec = ScenarioSpec::from_toml(src).unwrap();
-        assert_eq!(spec.online.drift_policy, DriftPolicy::CostDrift);
+        // Both away from the defaults (`CostDrift` × 1.5).
+        assert_eq!(
+            (spec.online.drift_policy, spec.online.drift),
+            (DriftPolicy::ChurnCount, 2.5)
+        );
         let Workload::Online {
             ref groups,
             ref failures,

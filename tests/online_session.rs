@@ -3,7 +3,7 @@
 //! every event, actually use the incremental operations, and keep its
 //! accumulated cost within a bounded factor of the from-scratch path.
 
-use sof::core::{EmbedMode, OnlineConfig, OnlineSession, Request, SofdaConfig};
+use sof::core::{DriftPolicy, EmbedMode, OnlineConfig, OnlineSession, Request, SofdaConfig};
 use sof::sim::{ChurnParams, ChurnStream, WorkloadParams};
 use sof::topo::{build_instance, softlayer, ScenarioParams};
 
@@ -101,13 +101,14 @@ fn online_session_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// Coverage for the drift-triggered full-rebuild fallback: a seeded
-/// high-churn stream (3–5 viewers in and out per event against a 6–9
-/// viewer group) with a tight drift threshold of 0.5·|D| **provably**
-/// crosses the threshold. The test mirrors the engine's drift arithmetic
-/// event by event — whenever accumulated churn since the last solve
-/// reaches the threshold the engine *must* rebuild — and checks the
-/// standing forest stays feasible after every rebuild.
+/// Coverage for the churn rule's full-rebuild fallback
+/// (`DriftPolicy::ChurnCount`, set explicitly: the default rebuilds on
+/// cost): a seeded high-churn stream (3–5 viewers in and out per event
+/// against a 6–9 viewer group) with a tight drift threshold of 0.5·|D|
+/// **provably** crosses the threshold. The test mirrors the engine's
+/// drift arithmetic event by event — whenever accumulated churn since the
+/// last solve reaches the threshold the engine *must* rebuild — and
+/// checks the standing forest stays feasible after every rebuild.
 #[test]
 fn high_churn_crosses_drift_threshold_and_rebuilds() {
     let drift = 0.5;
@@ -132,6 +133,7 @@ fn high_churn_crosses_drift_threshold_and_rebuilds() {
         SofdaConfig::default().with_seed(97),
         OnlineConfig {
             rebuild_drift: drift,
+            drift_policy: DriftPolicy::ChurnCount,
             ..OnlineConfig::default()
         },
     );

@@ -11,8 +11,8 @@
 //! in place: they pin the work the layers do, at every thread count.
 
 use sof::core::{
-    solve_sofda, Network, OnlineConfig, OnlineSession, Request, ServiceChain, SofInstance, Sofda,
-    SofdaConfig,
+    solve_sofda, DriftPolicy, Network, OnlineConfig, OnlineSession, Request, ServiceChain,
+    SofInstance, Sofda, SofdaConfig,
 };
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64, RootedTree, ShortestPaths};
 use sof::spec::overrides::{apply_overrides, Overrides};
@@ -141,12 +141,12 @@ fn fig12_requests_12_is_byte_identical_across_thread_counts() {
     );
 }
 
-/// The session of the two inet-3000 witnesses below, at seed 13: a
-/// factory for `OnlineSession`s on `inet_sized(3000, 6000, 120, 13)` with
-/// 40 VMs under the default `OnlineConfig`, and the churn stream that
-/// drives them (6 sources, groups of 8, a chain of 3, one viewer leaving
-/// and one joining per arrival). Arrival 0 is `stream.current()`.
-fn inet3000_online() -> (impl Fn() -> OnlineSession, sof::sim::ChurnStream) {
+/// The session of the inet-3000 witnesses below, at seed 13: a factory
+/// for `OnlineSession`s on `inet_sized(3000, 6000, 120, 13)` with 40 VMs
+/// under `opts`, and the churn stream that drives them (6 sources, groups
+/// of 8, a chain of 3, one viewer leaving and one joining per arrival).
+/// Arrival 0 is `stream.current()`.
+fn inet3000_online(opts: OnlineConfig) -> (impl Fn() -> OnlineSession, sof::sim::ChurnStream) {
     use sof::sim::{ChurnParams, ChurnStream, WorkloadParams};
     use sof::topo::{build_instance, inet_sized, ScenarioParams};
     let seed = 13;
@@ -177,19 +177,30 @@ fn inet3000_online() -> (impl Fn() -> OnlineSession, sof::sim::ChurnStream) {
             build_instance(&topo, &params),
             Box::new(Sofda),
             SofdaConfig::default(),
-            OnlineConfig::default(),
+            opts,
         )
     };
     (make, ChurnStream::new(churn, 3000, seed))
+}
+
+/// The churn rule the default replaced: a full solve once the
+/// destinations churned since the last one reach twice the group.
+fn churn_rule() -> OnlineConfig {
+    OnlineConfig {
+        drift_policy: DriftPolicy::ChurnCount,
+        rebuild_drift: 2.0,
+        ..OnlineConfig::default()
+    }
 }
 
 /// The dynamic-SSSP repair pass engages where it earns its keep — the
 /// benchmark's `online-inet10k` regime at a third of the size: one
 /// `OnlineSession` on `inet_sized(3000, 6000, 120, seed)` with 40 VMs, 6
 /// sources, groups of 8 and one viewer leaving and one joining per arrival
-/// under the default `OnlineConfig`. Each arrival reprices a handful of
-/// links, so the rebuild on the eighth arrival finds its VM trees stale
-/// and most of them inside the repair cap — and stays
+/// under the churn rule (`ChurnCount` × 2.0), which rebuilds on the eighth
+/// arrival whatever the forest costs. Each arrival reprices a handful of
+/// links, so that rebuild finds its VM trees stale and most of them
+/// inside the repair cap — and stays
 /// invisible in results: a twin session whose engine is emptied before
 /// every arrival (so it never repairs) reports bit-equal costs and equal
 /// forests.
@@ -199,7 +210,7 @@ fn inet3000_online() -> (impl Fn() -> OnlineSession, sof::sim::ChurnStream) {
 /// settles fewer than a tenth of the graph's vertices.
 #[test]
 fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
-    let (make, mut stream) = inet3000_online();
+    let (make, mut stream) = inet3000_online(churn_rule());
     let (mut warm, mut twin) = (make(), make());
     let n = warm.instance().network.node_count() as u64;
     let mut rebuilds = 0;
@@ -244,6 +255,33 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
     );
 }
 
+/// The default drift rule's witness: 64 arrivals of the inet-3000
+/// script under the default (`CostDrift` × 1.5) and under the churn rule
+/// it replaced (`ChurnCount` × 2.0). Each run's full solves and the bits
+/// of its accumulated cost are pinned: the default solves twice (the
+/// first embed and one rebuild on cost evidence) and accumulates
+/// 28 473.05, the churn rule solves on every eighth arrival and
+/// accumulates 31 457.70, 10.5 % more. Restoring the churn default sinks
+/// the first pin.
+#[test]
+fn inet3000_online_default_rebuilds_on_cost_evidence() {
+    let run = |opts: OnlineConfig| {
+        let (make, mut stream) = inet3000_online(opts);
+        let mut session = make();
+        session.arrive(stream.current().clone()).unwrap();
+        for _ in 1..64 {
+            session.arrive(stream.next_request()).unwrap();
+        }
+        (
+            session.stats().full_solves,
+            session.accumulated_cost().to_bits(),
+        )
+    };
+    let (default, churn) = (run(OnlineConfig::default()), run(churn_rule()));
+    assert_eq!(default, (2, 4_673_555_827_631_062_971), "CostDrift × 1.5");
+    assert_eq!(churn, (8, 4_674_376_241_268_488_167), "ChurnCount × 2.0");
+}
+
 /// How many engine entries `trees` are read from.
 fn entries(trees: &[RootedTree]) -> usize {
     let mut seen: Vec<*const ShortestPaths> =
@@ -273,7 +311,7 @@ fn entries(trees: &[RootedTree]) -> usize {
 /// `engine::tests::a_loaded_stub_falls_back_and_releases_its_hosts_tree`).
 #[test]
 fn inet3000_online_releases_superseded_trees() {
-    let (make, mut stream) = inet3000_online();
+    let (make, mut stream) = inet3000_online(OnlineConfig::default());
     let mut session = make();
     assert!(session.arrive(stream.current().clone()).unwrap().rebuilt);
     let engine = session.instance().network.paths().clone();
