@@ -18,13 +18,21 @@
 //! Case 3 is implemented by deferring the displaced walks and re-adding
 //! them once the new walk is final; they then resolve via case 1 against a
 //! consistent prefix. A global guard plus a conflict-avoiding fallback
-//! protect against pathological cascades (never observed in tests; the
-//! paper proves one of the cases always applies).
+//! protect against pathological cascades. No solve has been seen to reach
+//! the fallback, and the paper proves one of the cases always applies:
+//! cases 1 and 2 leave the walk conflict-free and each case 3 frees one of
+//! its VMs, so one `place` loops at most `|C| + 1` times, under the guard;
+//! only [`MAX_DEPTH`] nested re-placements of displaced walks could breach
+//! it. The module's tests breach it by hand.
 
 use crate::{Network, SearchContext};
 use sof_graph::{Cost, NodeId};
 use std::collections::HashMap;
 use std::fmt;
+
+/// How deep displaced walks may re-place one another before the
+/// fallback rebuilds the walk at hand on free VMs.
+const MAX_DEPTH: usize = 64;
 
 /// A service-chain walk from a source to a last VM with `|C|` placements.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -204,7 +212,6 @@ impl WalkSet {
         depth: usize,
         search: &mut SearchContext,
     ) -> Result<(), ConflictError> {
-        const MAX_DEPTH: usize = 64;
         let mut guard = 0usize;
         let mut displaced: Vec<(usize, ChainWalk)> = Vec::new();
         loop {
@@ -358,7 +365,7 @@ mod tests {
         net
     }
 
-    /// `add_walk` on a context of its own: no test here reaches a fallback.
+    /// `add_walk` on a context of its own.
     fn add(set: &mut WalkSet, w: ChainWalk, network: &Network) -> usize {
         set.add_walk(w, network, &mut SearchContext::new()).unwrap()
     }
@@ -437,6 +444,52 @@ mod tests {
             for (i, &p) in w.vnf_positions.iter().enumerate() {
                 let e = map.entry(w.nodes[p]).or_insert(i);
                 assert_eq!(*e, i, "conflict survived resolution");
+            }
+        }
+    }
+
+    /// The guard breached by hand: a walk placed past [`MAX_DEPTH`] (as
+    /// the 65th nested re-placement of a cascade would be) is rebuilt on
+    /// free VMs. W1 runs f1@2 and f2@6; W2 wants f1@6 and f2@3, which case 1
+    /// would splice onto W1's prefix. The fallback instead searches a chain
+    /// from W2's source to its own anchor 3 through VMs nobody runs, and
+    /// counts one fallback and nothing else. The shortest chain overall
+    /// runs f1 on W1's VM 2 (1 → 2 → 3); the free one detours through 4.
+    #[test]
+    fn a_breached_guard_rebuilds_the_walk_on_free_vms() {
+        let network = net();
+        let mut set = WalkSet::new(2);
+        add(&mut set, walk(0, &[0, 1, 2, 6], &[2, 3]), &network);
+        let slot = set.slots.len();
+        set.slots.push(None);
+        set.place(
+            slot,
+            walk(1, &[1, 2, 6, 5, 4, 3], &[2, 5]),
+            &network,
+            MAX_DEPTH + 1,
+            &mut SearchContext::new(),
+        )
+        .unwrap();
+        assert_eq!(
+            set.stats,
+            ConflictStats {
+                fallbacks: 1,
+                ..ConflictStats::default()
+            }
+        );
+        let w2 = set.walk(slot);
+        assert_eq!(w2, &walk(1, &[1, 0, 4, 3], &[2, 3]));
+        // A walk over the graph's links, its placements on VMs.
+        assert!(w2
+            .nodes
+            .windows(2)
+            .all(|p| network.graph().edge_between(p[0], p[1]).is_some()));
+        assert!((0..2).all(|i| network.is_vm(w2.vnf_node(i))));
+        // No VM runs two VNFs.
+        let mut map: HashMap<NodeId, usize> = HashMap::new();
+        for (_, w) in set.walks() {
+            for (i, &p) in w.vnf_positions.iter().enumerate() {
+                assert_eq!(*map.entry(w.nodes[p]).or_insert(i), i, "VM {}", w.nodes[p]);
             }
         }
     }
