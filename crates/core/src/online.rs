@@ -177,8 +177,10 @@ pub enum DriftPolicy {
     ChurnCount,
     /// Rebuild once the standing forest's congestion-aware cost diverges
     /// to `rebuild_drift ×` the cost measured right after the last full
-    /// solve. Tracks solution quality directly: a run of cheap joins never
-    /// triggers a pointless rebuild, while a few expensive attachments do.
+    /// solve (or, when that solve is priced on a failed element, at the
+    /// first arrival after it that is not). Tracks solution quality
+    /// directly: a run of cheap joins never triggers a pointless rebuild,
+    /// while a few expensive attachments do.
     CostDrift,
 }
 
@@ -334,8 +336,10 @@ pub struct OnlineSession {
     vm_floor: Vec<(NodeId, Cost)>,
     accumulated: f64,
     churn_since_solve: usize,
-    /// Standing forest cost measured right after the last full solve
-    /// (the [`DriftPolicy::CostDrift`] baseline; 0 until first solve).
+    /// The [`DriftPolicy::CostDrift`] baseline: the standing forest's
+    /// cost at the first arrival since the last full solve at which it was
+    /// not priced on a failed element (see [`drift_baseline`]); 0 while
+    /// there is none, and then the cost rule does not fire.
     cost_at_solve: f64,
     /// Standing forest cost at the latest recharge.
     last_cost: f64,
@@ -582,8 +586,8 @@ impl OnlineSession {
         }
         let millis = t0.elapsed().as_secs_f64() * 1e3;
         let forest_cost = self.recharge();
-        if rebuilt {
-            self.cost_at_solve = forest_cost;
+        if rebuilt || self.cost_at_solve == 0.0 {
+            self.cost_at_solve = drift_baseline(forest_cost);
         }
         self.last_cost = forest_cost;
         self.accumulated += forest_cost;
@@ -744,7 +748,7 @@ impl OnlineSession {
         self.forest = Some(forest);
         let cost = self.recharge();
         self.churn_since_solve = 0;
-        self.cost_at_solve = cost;
+        self.cost_at_solve = drift_baseline(cost);
         self.last_cost = cost;
         Ok(cost)
     }
@@ -968,6 +972,22 @@ impl OnlineSession {
         let cost = forest.cost(&self.instance.network).total().value();
         self.forest = Some(forest);
         cost
+    }
+}
+
+/// The [`DriftPolicy::CostDrift`] baseline a freshly solved forest's cost
+/// gives: the cost itself, or none (0) when the forest is priced on a
+/// failed element — a solve that cannot avoid one, such as a destination
+/// whose every link is down. Such a cost is at least [`FAILED_COST`], and
+/// once the element is repaired no standing cost reaches 1.5 times it, so
+/// the cost rule would stay silent until something else forced a solve.
+/// The session takes the first clean cost measured at a later arrival
+/// instead.
+fn drift_baseline(cost: f64) -> f64 {
+    if cost < FAILED_COST {
+        cost
+    } else {
+        0.0
     }
 }
 
@@ -1227,6 +1247,47 @@ mod tests {
         s.arrive(snapshot(s.instance(), base.clone())).unwrap();
         let r2 = s.arrive(snapshot(s.instance(), grown)).unwrap();
         assert!(!r2.rebuilt, "far-from-divergence arrivals stay incremental");
+    }
+
+    /// A solve that cannot avoid a failed link is no drift baseline: after
+    /// the link's repair the first clean arrival sets one, and a forest
+    /// that then stands on a failed link rebuilds under the default
+    /// `CostDrift` × 1.5. Taking the priced-out solve as the baseline
+    /// (≈ `FAILED_COST`) would hold every later cost under 1.5 times it.
+    #[test]
+    fn a_solve_priced_on_a_failed_link_leaves_cost_drift_armed() {
+        let mut s = session(EmbedMode::Incremental);
+        assert_eq!(s.opts.drift_policy, DriftPolicy::CostDrift);
+        let base = s.instance().request.destinations.clone();
+        let d = base[0];
+        let cut: Vec<Element> = s
+            .instance()
+            .network
+            .graph()
+            .neighbors(d)
+            .map(|(n, _)| Element::Link(d, n))
+            .collect();
+        s.apply(SessionEvent::Fail(cut.clone())).unwrap();
+        let first = s.arrive(snapshot(s.instance(), base.clone())).unwrap();
+        assert!(first.rebuilt && first.forest_cost >= FAILED_COST);
+        assert_eq!(s.cost_at_solve, 0.0, "a priced-out solve sets no baseline");
+
+        s.apply(SessionEvent::Repair(cut)).unwrap();
+        let clean = s.arrive(snapshot(s.instance(), base.clone())).unwrap();
+        assert!(!clean.rebuilt && clean.forest_cost < FAILED_COST);
+        assert_eq!(s.cost_at_solve, clean.forest_cost);
+
+        let (u, v) = {
+            let w = &s.forest().unwrap().walks[0];
+            (w.nodes[0], w.nodes[1])
+        };
+        s.apply(SessionEvent::Fail(vec![Element::Link(u, v)]))
+            .unwrap();
+        let stranded = s.arrive(snapshot(s.instance(), base.clone())).unwrap();
+        assert!(!stranded.rebuilt && stranded.forest_cost >= FAILED_COST);
+        let next = s.arrive(snapshot(s.instance(), base)).unwrap();
+        assert!(next.rebuilt, "the cost rule fires on the stranded forest");
+        assert_eq!(s.stats().full_solves, 2);
     }
 
     #[test]
