@@ -1090,9 +1090,10 @@ mod tests {
 
     /// The work witness of footprint repricing: per event, the links
     /// repriced are exactly the old forest's ∪ the new one's, and the price
-    /// changes reach the journal in ascending edge order, once each. The
-    /// session runs the churn rule (`ChurnCount` × 2.0) so that the pinned
-    /// counts keep the rebuilds they were recorded with.
+    /// changes reach the journal in ascending edge order, once each. Drift
+    /// rebuilds are off (an infinite threshold, under any policy), so the
+    /// one full solve is the first embed; the large counts are the two
+    /// reroutes, at the 6th and 12th arrival.
     #[test]
     fn a_recharge_reprices_its_old_and_new_footprint_in_edge_order() {
         let mut rng = Rng64::seed_from(36);
@@ -1114,12 +1115,11 @@ mod tests {
         )
         .unwrap();
         let request = inst.request.clone();
-        let churn_rule = OnlineConfig {
-            drift_policy: DriftPolicy::ChurnCount,
-            rebuild_drift: 2.0,
+        let no_drift = OnlineConfig {
+            rebuild_drift: f64::INFINITY,
             ..OnlineConfig::default()
         };
-        let mut s = OnlineSession::new(inst, Box::new(Sofda), SofdaConfig::default(), churn_rule);
+        let mut s = OnlineSession::new(inst, Box::new(Sofda), SofdaConfig::default(), no_drift);
         let mut events = vec![SessionEvent::Arrive(request)];
         for i in 20..32 {
             events.push(SessionEvent::Join(node(i)));
@@ -1153,6 +1153,7 @@ mod tests {
             counts.push(repriced);
         }
         assert!(changes > counts.len(), "the order check saw price changes");
+        assert_eq!(s.stats().full_solves, 1);
         // Each a small share of the graph's 837 links.
         assert_eq!(
             counts,

@@ -196,11 +196,12 @@ fn churn_rule() -> OnlineConfig {
 /// The dynamic-SSSP repair pass engages where it earns its keep — the
 /// benchmark's `online-inet10k` regime at a third of the size: one
 /// `OnlineSession` on `inet_sized(3000, 6000, 120, seed)` with 40 VMs, 6
-/// sources, groups of 8 and one viewer leaving and one joining per arrival
-/// under the churn rule (`ChurnCount` × 2.0), which rebuilds on the eighth
-/// arrival whatever the forest costs. Each arrival reprices a handful of
-/// links, so that rebuild finds its VM trees stale and most of them
-/// inside the repair cap — and stays
+/// sources, groups of 8 and one viewer leaving and one joining per arrival.
+/// Drift rebuilds are off (an infinite threshold); the script drops the
+/// forest before the eighth arrival instead, so that arrival rebuilds
+/// whatever the forest costs, where the churn rule (`ChurnCount` × 2.0)
+/// would. Each arrival reprices a handful of links, so that rebuild finds
+/// its VM trees stale and most of them inside the repair cap — and stays
 /// invisible in results: a twin session whose engine is emptied before
 /// every arrival (so it never repairs) reports bit-equal costs and equal
 /// forests.
@@ -210,7 +211,11 @@ fn churn_rule() -> OnlineConfig {
 /// settles fewer than a tenth of the graph's vertices.
 #[test]
 fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
-    let (make, mut stream) = inet3000_online(churn_rule());
+    let no_drift = OnlineConfig {
+        rebuild_drift: f64::INFINITY,
+        ..OnlineConfig::default()
+    };
+    let (make, mut stream) = inet3000_online(no_drift);
     let (mut warm, mut twin) = (make(), make());
     let n = warm.instance().network.node_count() as u64;
     let mut rebuilds = 0;
@@ -220,6 +225,10 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
         } else {
             stream.next_request()
         };
+        if arrival == 8 {
+            warm.clear_forest();
+            twin.clear_forest();
+        }
         let before = warm.instance().network.paths().bounded_work();
         let a = warm.arrive(request.clone()).unwrap();
         twin.instance().network.paths().clear();
@@ -242,7 +251,7 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
             );
         }
     }
-    assert_eq!(rebuilds, 2, "the first embed and the drift rebuild");
+    assert_eq!(rebuilds, 2, "the first embed and the forced rebuild");
     let stats = warm.instance().network.paths().stats();
     assert!(
         stats.partial_repairs > 0,
