@@ -166,9 +166,10 @@ pub enum EmbedMode {
 
 /// What "drift" means for the full-rebuild fallback. The default,
 /// [`OnlineConfig::default`]'s, is [`DriftPolicy::CostDrift`] at 1.5: on
-/// the online sweeps of docs/ONLINE.md it ran fewer full solves than
-/// [`DriftPolicy::ChurnCount`] at 2.0 and kept forests as cheap or
-/// cheaper at every size but the smallest.
+/// every online sweep of docs/ONLINE.md it ran fewer full solves than
+/// [`DriftPolicy::ChurnCount`] at 2.0, and kept cheaper forests on long
+/// sessions; on groups that live a few dozen arrivals or fewer the churn
+/// rule's forests were up to 10 % cheaper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriftPolicy {
     /// Rebuild once the destinations churned since the last full solve
