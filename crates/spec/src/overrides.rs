@@ -226,4 +226,143 @@ mod tests {
             assert_eq!(spec.topology.nodes, Some(300), "{name}");
         }
     }
+
+    /// The lines of `after` that `before` does not have (as a multiset).
+    fn changed_lines(before: &str, after: &str) -> Vec<String> {
+        let mut old: Vec<&str> = before.lines().collect();
+        let mut changed = Vec::new();
+        for line in after.lines() {
+            match old.iter().position(|l| *l == line) {
+                Some(i) => drop(old.remove(i)),
+                None => changed.push(line.to_string()),
+            }
+        }
+        changed
+    }
+
+    /// Every override alone, then all of them at once, on one bundled
+    /// preset of each workload kind: the names `apply_overrides` reports
+    /// ignored and the spec lines (TOML) it changed.
+    #[test]
+    fn every_override_on_every_preset_kind() {
+        let each: [(&str, fn(&mut Overrides)); 9] = [
+            ("seeds", |o| o.seeds = Some(7)),
+            ("seed", |o| o.seed = Some(4242)),
+            ("limit", |o| o.limit = Some(1)),
+            ("solvers", |o| o.solvers = Some(vec!["eST".into()])),
+            ("nodes", |o| o.nodes = Some(300)),
+            ("requests", |o| o.requests = Some(2)),
+            ("groups", |o| o.groups = Some(3)),
+            ("events", |o| o.events = Some(50)),
+            ("window", |o| o.window = Some(10)),
+        ];
+        let mut cases: Vec<(&str, Overrides)> = Vec::new();
+        let mut all = Overrides::default();
+        for (flag, set) in each {
+            let mut o = Overrides::default();
+            set(&mut o);
+            set(&mut all);
+            cases.push((flag, o));
+        }
+        cases.push(("all", all));
+        let mut got = String::new();
+        // One preset of each workload kind.
+        let kinds = [
+            "fig7",
+            "fig8",
+            "fig11",
+            "table1",
+            "table2",
+            "fig12",
+            "churn-at-scale",
+        ];
+        for name in kinds {
+            let original = presets::preset(name).unwrap().unwrap();
+            let before = original.to_toml();
+            for (flag, o) in &cases {
+                let mut spec = original.clone();
+                let ignored = apply_overrides(&mut spec, o);
+                let changed = changed_lines(&before, &spec.to_toml());
+                got.push_str(&format!(
+                    "{name} --{flag}: ignored [{}] changed [{}]\n",
+                    ignored.join(", "),
+                    changed.join(" | ")
+                ));
+            }
+        }
+        assert_eq!(got, PINNED);
+    }
+
+    const PINNED: &str = "\
+fig7 --seeds: ignored [seeds] changed []
+fig7 --seed: ignored [seed] changed []
+fig7 --limit: ignored [limit] changed []
+fig7 --solvers: ignored [solvers] changed []
+fig7 --nodes: ignored [nodes] changed []
+fig7 --requests: ignored [requests] changed []
+fig7 --groups: ignored [groups] changed []
+fig7 --events: ignored [events] changed []
+fig7 --window: ignored [window] changed []
+fig7 --all: ignored [nodes, seeds, seed, limit, solvers, requests, groups, events, window] changed []
+fig8 --seeds: ignored [] changed [seeds = 7]
+fig8 --seed: ignored [] changed [seed = 4242]
+fig8 --limit: ignored [] changed [values = [2] | values = [2] | values = [5] | values = [3]]
+fig8 --solvers: ignored [] changed [solvers = [\"eST\"]]
+fig8 --nodes: ignored [] changed [nodes = 300]
+fig8 --requests: ignored [requests] changed []
+fig8 --groups: ignored [groups] changed []
+fig8 --events: ignored [events] changed []
+fig8 --window: ignored [window] changed []
+fig8 --all: ignored [requests, groups, events, window] changed [nodes = 300 | solvers = [\"eST\"] | seeds = 7 | seed = 4242 | values = [2] | values = [2] | values = [5] | values = [3]]
+fig11 --seeds: ignored [] changed [seeds = 7]
+fig11 --seed: ignored [] changed [seed = 4242]
+fig11 --limit: ignored [] changed [values = [1] | values = [3]]
+fig11 --solvers: ignored [] changed [solver = \"eST\"]
+fig11 --nodes: ignored [] changed [nodes = 300]
+fig11 --requests: ignored [requests] changed []
+fig11 --groups: ignored [groups] changed []
+fig11 --events: ignored [events] changed []
+fig11 --window: ignored [window] changed []
+fig11 --all: ignored [requests, groups, events, window] changed [nodes = 300 | solver = \"eST\" | seeds = 7 | seed = 4242 | values = [1] | values = [3]]
+table1 --seeds: ignored [seeds] changed []
+table1 --seed: ignored [] changed [seed = 4242]
+table1 --limit: ignored [] changed [sizes = [1000]]
+table1 --solvers: ignored [] changed [solver = \"eST\"]
+table1 --nodes: ignored [nodes] changed []
+table1 --requests: ignored [requests] changed []
+table1 --groups: ignored [groups] changed []
+table1 --events: ignored [events] changed []
+table1 --window: ignored [window] changed []
+table1 --all: ignored [nodes, seeds, requests, groups, events, window] changed [solver = \"eST\" | seed = 4242 | sizes = [1000]]
+table2 --seeds: ignored [] changed [seeds = 7]
+table2 --seed: ignored [] changed [seed = 4242]
+table2 --limit: ignored [limit] changed []
+table2 --solvers: ignored [] changed [solvers = [\"eST\"]]
+table2 --nodes: ignored [nodes] changed []
+table2 --requests: ignored [requests] changed []
+table2 --groups: ignored [groups] changed []
+table2 --events: ignored [events] changed []
+table2 --window: ignored [window] changed []
+table2 --all: ignored [nodes, limit, requests, groups, events, window] changed [solvers = [\"eST\"] | seeds = 7 | seed = 4242]
+fig12 --seeds: ignored [seeds] changed []
+fig12 --seed: ignored [] changed [seed = 4242]
+fig12 --limit: ignored [limit] changed []
+fig12 --solvers: ignored [] changed [solvers = [\"eST\"]]
+fig12 --nodes: ignored [] changed [nodes = 300]
+fig12 --requests: ignored [] changed [requests = 2 | requests = 2]
+fig12 --groups: ignored [groups] changed []
+fig12 --events: ignored [events] changed []
+fig12 --window: ignored [window] changed []
+fig12 --all: ignored [seeds, limit, groups, events, window] changed [nodes = 300 | seed = 4242 | solvers = [\"eST\"] | requests = 2 | requests = 2]
+churn-at-scale --seeds: ignored [seeds] changed []
+churn-at-scale --seed: ignored [] changed [seed = 4242]
+churn-at-scale --limit: ignored [limit] changed []
+churn-at-scale --solvers: ignored [] changed [solver = \"eST\"]
+churn-at-scale --nodes: ignored [nodes] changed []
+churn-at-scale --requests: ignored [requests] changed []
+churn-at-scale --groups: ignored [] changed [groups = 3]
+churn-at-scale --events: ignored [] changed [events = 50]
+churn-at-scale --window: ignored [] changed [window = 10]
+churn-at-scale --all: ignored [nodes, seeds, limit, requests] changed [seed = 4242 | solver = \"eST\" | groups = 3 | events = 50 | window = 10]
+";
 }
