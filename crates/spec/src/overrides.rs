@@ -28,57 +28,41 @@ pub struct Overrides {
     pub window: Option<u64>,
 }
 
+impl Overrides {
+    /// The names of the overrides that are set, in declaration order.
+    fn set(&self) -> Vec<&'static str> {
+        [
+            ("seeds", self.seeds.is_some()),
+            ("seed", self.seed.is_some()),
+            ("limit", self.limit.is_some()),
+            ("solvers", self.solvers.is_some()),
+            ("nodes", self.nodes.is_some()),
+            ("requests", self.requests.is_some()),
+            ("groups", self.groups.is_some()),
+            ("events", self.events.is_some()),
+            ("window", self.window.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(name, set)| set.then_some(name))
+        .collect()
+    }
+}
+
 /// Applies generic overrides to a spec (validate afterwards — an override
 /// can introduce an unknown solver or an invalid size).
 ///
 /// Returns the names of overrides that do not apply to this spec's
-/// workload kind (e.g. `--seeds` on an online workload) so callers can
-/// warn instead of silently running the unmodified scenario.
+/// workload kind (e.g. `--seeds` on an online workload), in declaration
+/// order, so callers can warn instead of silently running the unmodified
+/// scenario.
 pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static str> {
-    let mut ignored = Vec::new();
-    // Only sweeps, grids and online groups build `[topology]`: a runtime
-    // workload sizes its own Inet graphs, qoe runs on the testbed, a cost
-    // curve has no network, and churn-at-scale builds one from
+    // Each arm takes the overrides its kind applies; what is left set does
+    // not apply. Only sweeps, grids and online groups build `[topology]`: a
+    // runtime workload sizes its own Inet graphs, qoe runs on the testbed,
+    // a cost curve has no network, and churn-at-scale builds one from
     // [workload.regions] — resizing the spec topology there is a no-op.
-    let inapplicable: &[&'static str] = match &spec.workload {
-        Workload::CostCurve { .. } => &["nodes", "seeds", "seed", "limit", "solvers"],
-        Workload::Online { .. } => &["seeds", "limit"],
-        Workload::Runtime { .. } => &["nodes", "seeds"],
-        Workload::Qoe { .. } => &["nodes", "limit"],
-        Workload::ChurnAtScale(_) => &["nodes", "seeds", "limit"],
-        Workload::Sweep { .. } | Workload::Grid { .. } => &[],
-    };
-    for &name in inapplicable {
-        let set = match name {
-            "nodes" => o.nodes.is_some(),
-            "seeds" => o.seeds.is_some(),
-            "seed" => o.seed.is_some(),
-            "limit" => o.limit.is_some(),
-            _ => o.solvers.is_some(),
-        };
-        if set {
-            ignored.push(name);
-        }
-    }
-    if !inapplicable.contains(&"nodes") {
-        if let Some(nodes) = o.nodes {
-            spec.topology.nodes = Some(nodes);
-        }
-    }
-    if o.requests.is_some() && !matches!(spec.workload, Workload::Online { .. }) {
-        ignored.push("requests");
-    }
-    if !matches!(spec.workload, Workload::ChurnAtScale(_)) {
-        for (name, set) in [
-            ("groups", o.groups.is_some()),
-            ("events", o.events.is_some()),
-            ("window", o.window.is_some()),
-        ] {
-            if set {
-                ignored.push(name);
-            }
-        }
-    }
+    let mut o = o.clone();
+    let nodes = &mut spec.topology.nodes;
     match &mut spec.workload {
         Workload::CostCurve { .. } => {}
         Workload::Sweep {
@@ -87,20 +71,15 @@ pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static s
             seed,
             axes,
         } => {
-            if let Some(s) = o.seeds {
-                *seeds = s.max(1);
-            }
-            if let Some(s) = o.seed {
-                *seed = s;
-            }
-            if let Some(limit) = o.limit {
+            put(seeds, o.seeds.take().map(|s| s.max(1)));
+            put(seed, o.seed.take());
+            if let Some(limit) = o.limit.take() {
                 for axis in axes.iter_mut() {
                     axis.truncate(limit);
                 }
             }
-            if let Some(list) = &o.solvers {
-                *solvers = list.clone();
-            }
+            put(solvers, o.solvers.take());
+            put(nodes, o.nodes.take().map(Some));
         }
         Workload::Grid {
             solver,
@@ -110,21 +89,14 @@ pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static s
             cols,
             ..
         } => {
-            if let Some(s) = o.seeds {
-                *seeds = s.max(1);
-            }
-            if let Some(s) = o.seed {
-                *seed = s;
-            }
-            if let Some(limit) = o.limit {
+            put(seeds, o.seeds.take().map(|s| s.max(1)));
+            put(seed, o.seed.take());
+            if let Some(limit) = o.limit.take() {
                 rows.truncate(limit);
                 cols.truncate(limit);
             }
-            if let Some(list) = &o.solvers {
-                if let Some(first) = list.first() {
-                    *solver = first.clone();
-                }
-            }
+            put(solver, first(o.solvers.take()));
+            put(nodes, o.nodes.take().map(Some));
         }
         Workload::Runtime {
             solver,
@@ -132,34 +104,20 @@ pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static s
             sizes,
             ..
         } => {
-            if let Some(s) = o.seed {
-                *seed = s;
+            put(seed, o.seed.take());
+            if let Some(limit) = o.limit.take().filter(|&limit| limit > 0) {
+                sizes.truncate(limit);
             }
-            if let Some(limit) = o.limit {
-                if limit > 0 {
-                    sizes.truncate(limit);
-                }
-            }
-            if let Some(list) = &o.solvers {
-                if let Some(first) = list.first() {
-                    *solver = first.clone();
-                }
-            }
+            put(solver, first(o.solvers.take()));
         }
         Workload::Qoe {
             solvers,
             seeds,
             seed,
         } => {
-            if let Some(s) = o.seeds {
-                *seeds = s.max(1);
-            }
-            if let Some(s) = o.seed {
-                *seed = s;
-            }
-            if let Some(list) = &o.solvers {
-                *solvers = list.clone();
-            }
+            put(seeds, o.seeds.take().map(|s| s.max(1)));
+            put(seed, o.seed.take());
+            put(solvers, o.solvers.take());
         }
         Workload::Online {
             solvers,
@@ -167,39 +125,36 @@ pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static s
             groups,
             ..
         } => {
-            if let Some(s) = o.seed {
-                *seed = s;
-            }
-            if let Some(list) = &o.solvers {
-                *solvers = list.clone();
-            }
-            if let Some(r) = o.requests {
+            put(seed, o.seed.take());
+            put(solvers, o.solvers.take());
+            if let Some(r) = o.requests.take() {
                 for g in groups.iter_mut() {
                     g.requests = r;
                 }
             }
+            put(nodes, o.nodes.take().map(Some));
         }
         Workload::ChurnAtScale(s) => {
-            if let Some(seed) = o.seed {
-                s.seed = seed;
-            }
-            if let Some(list) = &o.solvers {
-                if let Some(first) = list.first() {
-                    s.solver = first.clone();
-                }
-            }
-            if let Some(g) = o.groups {
-                s.groups = g;
-            }
-            if let Some(e) = o.events {
-                s.events = e;
-            }
-            if let Some(w) = o.window {
-                s.window = w;
-            }
+            put(&mut s.seed, o.seed.take());
+            put(&mut s.solver, first(o.solvers.take()));
+            put(&mut s.groups, o.groups.take());
+            put(&mut s.events, o.events.take());
+            put(&mut s.window, o.window.take());
         }
     }
-    ignored
+    o.set()
+}
+
+/// Writes `value` into `slot` when there is one.
+fn put<T>(slot: &mut T, value: Option<T>) {
+    if let Some(value) = value {
+        *slot = value;
+    }
+}
+
+/// The first entry of a solver list, for the kinds that run one solver.
+fn first(list: Option<Vec<String>>) -> Option<String> {
+    list.and_then(|list| list.into_iter().next())
 }
 
 #[cfg(test)]
@@ -245,7 +200,8 @@ mod tests {
     /// ignored and the spec lines (TOML) it changed.
     #[test]
     fn every_override_on_every_preset_kind() {
-        let each: [(&str, fn(&mut Overrides)); 9] = [
+        type Set = fn(&mut Overrides);
+        let each: [(&str, Set); 9] = [
             ("seeds", |o| o.seeds = Some(7)),
             ("seed", |o| o.seed = Some(4242)),
             ("limit", |o| o.limit = Some(1)),
@@ -303,7 +259,7 @@ fig7 --requests: ignored [requests] changed []
 fig7 --groups: ignored [groups] changed []
 fig7 --events: ignored [events] changed []
 fig7 --window: ignored [window] changed []
-fig7 --all: ignored [nodes, seeds, seed, limit, solvers, requests, groups, events, window] changed []
+fig7 --all: ignored [seeds, seed, limit, solvers, nodes, requests, groups, events, window] changed []
 fig8 --seeds: ignored [] changed [seeds = 7]
 fig8 --seed: ignored [] changed [seed = 4242]
 fig8 --limit: ignored [] changed [values = [2] | values = [2] | values = [5] | values = [3]]
@@ -333,7 +289,7 @@ table1 --requests: ignored [requests] changed []
 table1 --groups: ignored [groups] changed []
 table1 --events: ignored [events] changed []
 table1 --window: ignored [window] changed []
-table1 --all: ignored [nodes, seeds, requests, groups, events, window] changed [solver = \"eST\" | seed = 4242 | sizes = [1000]]
+table1 --all: ignored [seeds, nodes, requests, groups, events, window] changed [solver = \"eST\" | seed = 4242 | sizes = [1000]]
 table2 --seeds: ignored [] changed [seeds = 7]
 table2 --seed: ignored [] changed [seed = 4242]
 table2 --limit: ignored [limit] changed []
@@ -343,7 +299,7 @@ table2 --requests: ignored [requests] changed []
 table2 --groups: ignored [groups] changed []
 table2 --events: ignored [events] changed []
 table2 --window: ignored [window] changed []
-table2 --all: ignored [nodes, limit, requests, groups, events, window] changed [solvers = [\"eST\"] | seeds = 7 | seed = 4242]
+table2 --all: ignored [limit, nodes, requests, groups, events, window] changed [solvers = [\"eST\"] | seeds = 7 | seed = 4242]
 fig12 --seeds: ignored [seeds] changed []
 fig12 --seed: ignored [] changed [seed = 4242]
 fig12 --limit: ignored [limit] changed []
@@ -363,6 +319,6 @@ churn-at-scale --requests: ignored [requests] changed []
 churn-at-scale --groups: ignored [] changed [groups = 3]
 churn-at-scale --events: ignored [] changed [events = 50]
 churn-at-scale --window: ignored [] changed [window = 10]
-churn-at-scale --all: ignored [nodes, seeds, limit, requests] changed [seed = 4242 | solver = \"eST\" | groups = 3 | events = 50 | window = 10]
+churn-at-scale --all: ignored [seeds, limit, nodes, requests] changed [seed = 4242 | solver = \"eST\" | groups = 3 | events = 50 | window = 10]
 ";
 }
