@@ -79,13 +79,12 @@ pub fn destination_leave(
 }
 
 /// How [`destination_join_with`] searches for an attach point.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JoinStrategy {
     /// Consider every forest node, including ones mid-chain (the remaining
     /// VNFs are completed on free VMs by Procedure 1 from that node). Finds
     /// the cheapest extension but costs a k-stroll search per mid-chain
     /// node.
-    #[default]
     FullSearch,
     /// Only attach where the chain is already complete (`f(x) = |C|`), via
     /// one bounded search from the new destination that stops at the
@@ -94,31 +93,6 @@ pub enum JoinStrategy {
     /// of the online engine — and always feasible on connected networks
     /// with a non-empty forest.
     TailAttach,
-}
-
-impl JoinStrategy {
-    /// The spec-file name of this strategy.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            JoinStrategy::FullSearch => "full-search",
-            JoinStrategy::TailAttach => "tail-attach",
-        }
-    }
-
-    /// Parses a spec-file name (case-insensitive).
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unknown strategy and the valid names.
-    pub fn from_name(name: &str) -> Result<JoinStrategy, String> {
-        match name.to_ascii_lowercase().as_str() {
-            "full-search" | "full_search" | "full" => Ok(JoinStrategy::FullSearch),
-            "tail-attach" | "tail_attach" | "tail" => Ok(JoinStrategy::TailAttach),
-            other => Err(format!(
-                "unknown join strategy '{other}' (expected 'tail-attach' or 'full-search')"
-            )),
-        }
-    }
 }
 
 /// §VII-C (2) — connects a new destination to the forest with the cheapest

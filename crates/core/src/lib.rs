@@ -88,8 +88,7 @@ pub use faults::{Element, Faults, FAILED_COST};
 pub use forest::{DestWalk, ForestCost, ForestError, ForestStats, ServiceForest};
 pub use instance::{InstanceError, Network, NodeKind, Request, ServiceChain, SofInstance};
 pub use online::{
-    Applied, ArrivalReport, DriftPolicy, EmbedMode, OnlineConfig, OnlineSession, OnlineStats,
-    SessionEvent,
+    Applied, ArrivalReport, EmbedMode, OnlineConfig, OnlineSession, OnlineStats, SessionEvent,
 };
 pub use pool::SessionPool;
 pub use sof_kstroll::SearchContext;

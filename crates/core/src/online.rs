@@ -10,9 +10,9 @@
 //! the §VII-C dynamics ([`dynamics::destination_join_with`],
 //! [`dynamics::destination_leave`], [`dynamics::reroute_all`]), falling back
 //! to a full rebuild when the standing forest's cost drifts past a
-//! configurable multiple of the last full solve's ([`DriftPolicy`]) — or
-//! whenever an incremental step fails or invalidates the forest. In debug
-//! builds every `apply` ends with
+//! configurable multiple of the last full solve's ([`OnlineConfig::drift`])
+//! — or whenever an incremental step fails or invalidates the forest. In
+//! debug builds every `apply` ends with
 //! [`check_invariants`](OnlineSession::check_invariants).
 //!
 //! # Failures
@@ -153,61 +153,14 @@ fn each<T>(
 }
 
 /// How the session re-embeds when the served group changes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EmbedMode {
     /// Re-run the solver from scratch on every arrival (the seed behavior
     /// of Fig. 12; the comparison baseline).
     FromScratch,
     /// Diff destination sets and apply §VII-C join/leave operations,
     /// rebuilding only on drift, source/chain changes, or failures.
-    #[default]
     Incremental,
-}
-
-/// What "drift" means for the full-rebuild fallback. The default,
-/// [`OnlineConfig::default`]'s, is [`DriftPolicy::CostDrift`] at 1.5: on
-/// every online sweep of docs/ONLINE.md it ran fewer full solves than
-/// [`DriftPolicy::ChurnCount`] at 2.0, and kept cheaper forests on long
-/// sessions; on groups that live a few dozen arrivals or fewer the churn
-/// rule's forests were up to 10 % cheaper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DriftPolicy {
-    /// Rebuild once the destinations churned since the last full solve
-    /// reach `rebuild_drift × |D|` — cheap bookkeeping, but blind to how
-    /// much quality the incremental operations actually gave up.
-    ChurnCount,
-    /// Rebuild once the standing forest's congestion-aware cost diverges
-    /// to `rebuild_drift ×` the cost measured right after the last full
-    /// solve (or, when that solve is priced on a failed element, at the
-    /// first arrival after it that is not). Tracks solution quality
-    /// directly: a run of cheap joins never triggers a pointless rebuild,
-    /// while a few expensive attachments do.
-    CostDrift,
-}
-
-impl DriftPolicy {
-    /// The spec-file name of this policy (`"churn"` / `"cost"`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            DriftPolicy::ChurnCount => "churn",
-            DriftPolicy::CostDrift => "cost",
-        }
-    }
-
-    /// Parses a spec-file name (case-insensitive).
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unknown policy and the valid names.
-    pub fn from_name(name: &str) -> Result<DriftPolicy, String> {
-        match name.to_ascii_lowercase().as_str() {
-            "churn" | "churn-count" => Ok(DriftPolicy::ChurnCount),
-            "cost" | "cost-drift" => Ok(DriftPolicy::CostDrift),
-            other => Err(format!(
-                "unknown drift policy '{other}' (expected 'churn' or 'cost')"
-            )),
-        }
-    }
 }
 
 /// Tuning knobs for an [`OnlineSession`].
@@ -215,21 +168,18 @@ impl DriftPolicy {
 pub struct OnlineConfig {
     /// Re-embedding strategy.
     pub mode: EmbedMode,
-    /// Full-rebuild fallback: rebuild once the accumulated drift (measured
-    /// per [`DriftPolicy`]) reaches this multiple — of `|D|` for
-    /// [`DriftPolicy::ChurnCount`], of the last full solve's cost for
-    /// [`DriftPolicy::CostDrift`] (the default: 1.5, a rebuild once the
-    /// standing forest costs half as much again as the last solve's).
-    /// Lower values track the solver's quality more closely; higher values
-    /// are faster.
-    pub rebuild_drift: f64,
-    /// Which drift metric arms the rebuild fallback.
-    pub drift_policy: DriftPolicy,
+    /// Full-rebuild fallback: rebuild once the standing forest's
+    /// congestion-aware cost reaches this multiple of the cost measured
+    /// right after the last full solve (or, when that solve is priced on a
+    /// failed element, at the first arrival after it that is not). The
+    /// default, 1.5, rebuilds once the forest costs half as much again as
+    /// the last solve's; a run of cheap joins never triggers a pointless
+    /// rebuild, while a few expensive attachments do. Lower values track
+    /// the solver's quality more closely; higher values are faster.
+    pub drift: f64,
     /// Run [`dynamics::reroute_all`] every this many arrivals, repairing
     /// routes that congestion made expensive (`0` = never).
     pub reroute_every: usize,
-    /// Attach-point search for incremental joins.
-    pub join: JoinStrategy,
     /// Uniform link capacity handed to the [`LoadTracker`] (Mbps).
     pub link_capacity: f64,
     /// Uniform VM capacity handed to the [`LoadTracker`] (concurrent VNFs).
@@ -242,10 +192,8 @@ impl Default for OnlineConfig {
     fn default() -> OnlineConfig {
         OnlineConfig {
             mode: EmbedMode::Incremental,
-            rebuild_drift: 1.5,
-            drift_policy: DriftPolicy::CostDrift,
+            drift: 1.5,
             reroute_every: 6,
-            join: JoinStrategy::TailAttach,
             link_capacity: 100.0,
             vm_capacity: 5.0,
             demand_mbps: 5.0,
@@ -336,8 +284,7 @@ pub struct OnlineSession {
     edge_floor: Vec<Cost>,
     vm_floor: Vec<(NodeId, Cost)>,
     accumulated: f64,
-    churn_since_solve: usize,
-    /// The [`DriftPolicy::CostDrift`] baseline: the standing forest's
+    /// The [`OnlineConfig::drift`] baseline: the standing forest's
     /// cost at the first arrival since the last full solve at which it was
     /// not priced on a failed element (see [`drift_baseline`]); 0 while
     /// there is none, and then the cost rule does not fire.
@@ -383,7 +330,6 @@ impl OnlineSession {
             forest: None,
             faults: Faults::default(),
             accumulated: 0.0,
-            churn_since_solve: 0,
             cost_at_solve: 0.0,
             last_cost: 0.0,
             recharged: Vec::new(),
@@ -637,7 +583,6 @@ impl OnlineSession {
         dynamics::destination_leave(&mut self.instance, forest, destination)
             .map_err(|e| SolveError::Infeasible(e.to_string()))?;
         self.stats.leaves += 1;
-        self.churn_since_solve += 1;
         let cost = self.recharge();
         self.last_cost = cost;
         Ok(cost)
@@ -735,7 +680,7 @@ impl OnlineSession {
 
     /// Swaps in a pre-solved replacement forest (the standby-forest
     /// switchover). Validates first, then recharges load accounting and
-    /// resets the drift baselines as a full solve would — the swapped
+    /// resets the drift baseline as a full solve would — the swapped
     /// forest *is* a full solution, just one paid for earlier.
     ///
     /// # Errors
@@ -748,7 +693,6 @@ impl OnlineSession {
             .map_err(SolveError::Internal)?;
         self.forest = Some(forest);
         let cost = self.recharge();
-        self.churn_since_solve = 0;
         self.cost_at_solve = drift_baseline(cost);
         self.last_cost = cost;
         Ok(cost)
@@ -819,7 +763,6 @@ impl OnlineSession {
             self.forest.as_mut().expect("checked").walks[i] = old;
             return Err(SolveError::Internal(e));
         }
-        self.churn_since_solve += 1;
         let cost = self.recharge();
         self.last_cost = cost;
         Ok(cost)
@@ -838,45 +781,27 @@ impl OnlineSession {
                 == request.sources.iter().collect::<BTreeSet<_>>()
                 && old.chain.iter().eq(request.chain.iter())
         };
-        if !same_shape {
+        let drifted =
+            self.cost_at_solve > 0.0 && self.last_cost >= self.opts.drift * self.cost_at_solve;
+        if !same_shape || drifted {
             return false;
         }
         let old: BTreeSet<NodeId> = self.instance.request.destinations.iter().copied().collect();
         let new: BTreeSet<NodeId> = request.destinations.iter().copied().collect();
         let to_leave: Vec<NodeId> = old.difference(&new).copied().collect();
         let to_join: Vec<NodeId> = new.difference(&old).copied().collect();
-        let churn = to_leave.len() + to_join.len();
-        let drifted = match self.opts.drift_policy {
-            DriftPolicy::ChurnCount => {
-                let drift_limit = self.opts.rebuild_drift * new.len().max(1) as f64;
-                (self.churn_since_solve + churn) as f64 >= drift_limit
-            }
-            DriftPolicy::CostDrift => {
-                self.cost_at_solve > 0.0
-                    && self.last_cost >= self.opts.rebuild_drift * self.cost_at_solve
-            }
-        };
-        if drifted {
-            return false;
-        }
         let mut forest = self.forest.clone().expect("checked above");
         let instance = &mut self.instance;
         let applied = (|| -> Result<(), dynamics::DynamicsError> {
             for &d in &to_leave {
                 dynamics::destination_leave(instance, &mut forest, d)?;
             }
+            // Tail-attach, and a full search where it finds no attach point.
             for &d in &to_join {
-                let first =
-                    dynamics::destination_join_with(instance, &mut forest, d, self.opts.join);
-                if first.is_err() && self.opts.join != JoinStrategy::FullSearch {
-                    dynamics::destination_join_with(
-                        instance,
-                        &mut forest,
-                        d,
-                        JoinStrategy::FullSearch,
-                    )?;
-                } else {
-                    first?;
+                let tail = JoinStrategy::TailAttach;
+                if dynamics::destination_join_with(instance, &mut forest, d, tail).is_err() {
+                    let full = JoinStrategy::FullSearch;
+                    dynamics::destination_join_with(instance, &mut forest, d, full)?;
                 }
             }
             Ok(())
@@ -890,7 +815,6 @@ impl OnlineSession {
                 }
                 if forest.validate(&self.instance).is_ok() {
                     self.forest = Some(forest);
-                    self.churn_since_solve += churn;
                     self.stats.incremental_events += 1;
                     self.stats.joins += to_join.len();
                     self.stats.leaves += to_leave.len();
@@ -932,7 +856,6 @@ impl OnlineSession {
                     return Err(SolveError::Internal(e));
                 }
                 self.forest = Some(out.forest);
-                self.churn_since_solve = 0;
                 self.stats.full_solves += 1;
                 self.stats.stroll_nodes += out.stats.stroll_nodes;
                 self.stats.stroll_handovers += out.stats.stroll_handovers;
@@ -976,7 +899,7 @@ impl OnlineSession {
     }
 }
 
-/// The [`DriftPolicy::CostDrift`] baseline a freshly solved forest's cost
+/// The [`OnlineConfig::drift`] baseline a freshly solved forest's cost
 /// gives: the cost itself, or none (0) when the forest is priced on a
 /// failed element — a solve that cannot avoid one, such as a destination
 /// whose every link is down. Such a cost is at least [`FAILED_COST`], and
@@ -1092,9 +1015,9 @@ mod tests {
     /// The work witness of footprint repricing: per event, the links
     /// repriced are exactly the old forest's ∪ the new one's, and the price
     /// changes reach the journal in ascending edge order, once each. Drift
-    /// rebuilds are off (an infinite threshold, under any policy), so the
-    /// one full solve is the first embed; the large counts are the two
-    /// reroutes, at the 6th and 12th arrival.
+    /// rebuilds are off (an infinite threshold), so the one full solve is
+    /// the first embed; the large counts are the two reroutes, at the 6th
+    /// and 12th arrival.
     #[test]
     fn a_recharge_reprices_its_old_and_new_footprint_in_edge_order() {
         let mut rng = Rng64::seed_from(36);
@@ -1117,7 +1040,7 @@ mod tests {
         .unwrap();
         let request = inst.request.clone();
         let no_drift = OnlineConfig {
-            rebuild_drift: f64::INFINITY,
+            drift: f64::INFINITY,
             ..OnlineConfig::default()
         };
         let mut s = OnlineSession::new(inst, Box::new(Sofda), SofdaConfig::default(), no_drift);
@@ -1178,14 +1101,14 @@ mod tests {
     fn drift_threshold_forces_rebuild() {
         let inst = grid_instance();
         let opts = OnlineConfig {
-            rebuild_drift: 0.0,
+            drift: 0.0,
             ..OnlineConfig::default()
         };
         let mut s = OnlineSession::new(inst, Box::new(Sofda), SofdaConfig::default(), opts);
         let base = s.instance().request.destinations.clone();
         s.arrive(snapshot(s.instance(), base.clone())).unwrap();
-        // Zero drift tolerance: even a no-op churn (0 < 0 is false… so use a
-        // real change) rebuilds.
+        // Zero drift tolerance: any standing cost reaches 0 × the solved
+        // one, so the next arrival rebuilds whatever it changes.
         let shrunk = vec![base[0]];
         let r = s.arrive(snapshot(s.instance(), shrunk)).unwrap();
         assert!(r.rebuilt);
@@ -1206,15 +1129,13 @@ mod tests {
     #[test]
     fn cost_drift_policy_rebuilds_on_divergence_not_churn() {
         let inst = grid_instance();
-        // Threshold 1.0 with the CostDrift policy: any arrival whose
-        // standing cost is at or above the last full solve's cost rebuilds.
-        // Congestion pricing guarantees that immediately (the forest's own
-        // load surcharges its links), so the second arrival must rebuild
-        // even though its churn (1 join) is far below a churn-count
-        // threshold of 2 × |D|.
+        // Threshold 1.0: any arrival whose standing cost is at or above the
+        // last full solve's cost rebuilds. Congestion pricing guarantees
+        // that immediately (the forest's own load surcharges its links), so
+        // the second arrival must rebuild even though it only joins one
+        // destination.
         let opts = OnlineConfig {
-            drift_policy: DriftPolicy::CostDrift,
-            rebuild_drift: 1.0,
+            drift: 1.0,
             ..OnlineConfig::default()
         };
         let mut s = OnlineSession::new(inst, Box::new(Sofda), SofdaConfig::default(), opts);
@@ -1234,10 +1155,9 @@ mod tests {
         assert!(r2.rebuilt, "cost at threshold 1.0 must force a rebuild");
 
         // A generous threshold keeps the same arrival incremental: the
-        // policy reacts to cost divergence, not to the churn count.
+        // rule reacts to cost divergence, not to how many joined.
         let opts = OnlineConfig {
-            drift_policy: DriftPolicy::CostDrift,
-            rebuild_drift: 1e6,
+            drift: 1e6,
             ..OnlineConfig::default()
         };
         let mut s = OnlineSession::new(
@@ -1254,12 +1174,12 @@ mod tests {
     /// A solve that cannot avoid a failed link is no drift baseline: after
     /// the link's repair the first clean arrival sets one, and a forest
     /// that then stands on a failed link rebuilds under the default
-    /// `CostDrift` × 1.5. Taking the priced-out solve as the baseline
+    /// drift of 1.5. Taking the priced-out solve as the baseline
     /// (≈ `FAILED_COST`) would hold every later cost under 1.5 times it.
     #[test]
     fn a_solve_priced_on_a_failed_link_leaves_cost_drift_armed() {
         let mut s = session(EmbedMode::Incremental);
-        assert_eq!(s.opts.drift_policy, DriftPolicy::CostDrift);
+        assert_eq!(s.opts.drift, 1.5);
         let base = s.instance().request.destinations.clone();
         let d = base[0];
         let cut: Vec<Element> = s
@@ -1290,15 +1210,6 @@ mod tests {
         let next = s.arrive(snapshot(s.instance(), base)).unwrap();
         assert!(next.rebuilt, "the cost rule fires on the stranded forest");
         assert_eq!(s.stats().full_solves, 2);
-    }
-
-    #[test]
-    fn drift_policy_names_round_trip() {
-        for policy in [DriftPolicy::ChurnCount, DriftPolicy::CostDrift] {
-            assert_eq!(DriftPolicy::from_name(policy.as_str()).unwrap(), policy);
-        }
-        let err = DriftPolicy::from_name("entropy").unwrap_err();
-        assert!(err.contains("'entropy'") && err.contains("churn"), "{err}");
     }
 
     #[test]

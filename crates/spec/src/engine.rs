@@ -20,8 +20,8 @@ use crate::spec::{
 };
 use crate::value::{write_json, Value};
 use sof_core::{
-    fortz_thorup, EmbedMode, OnlineSession, Request, ServiceChain, SessionEvent, SessionPool,
-    SofInstance, Solver,
+    fortz_thorup, EmbedMode, OnlineConfig, OnlineSession, Request, ServiceChain, SessionEvent,
+    SessionPool, SofInstance, Solver,
 };
 use sof_graph::{Cost, NodeId, Rng64};
 use sof_runner::{CollectSink, Record, Runner, RunnerConfig, Summary, Ward};
@@ -126,7 +126,10 @@ pub fn runner_config(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunnerCon
     cfg.churn = s.churn;
     cfg.solver = s.solver.clone();
     cfg.sofda = spec.sofda.with_seed(s.seed);
-    cfg.online = spec.online.to_config(s.churn.demand_mbps);
+    cfg.online = OnlineConfig {
+        demand_mbps: s.churn.demand_mbps,
+        ..spec.online
+    };
     cfg.seed = s.seed;
     cfg.window = s.window;
     cfg.emit_events = s.emit_events;
@@ -969,7 +972,10 @@ fn drive_group(
     opts: &RunOptions,
 ) -> Result<GroupRun, SpecError> {
     let churn = group.churn.to_params();
-    let online = spec.online.to_config(churn.base.demand_mbps);
+    let online = OnlineConfig {
+        demand_mbps: churn.base.demand_mbps,
+        ..spec.online
+    };
     // Per slot: solver, and whether it is the from-scratch baseline.
     let scratch = group.scratch.then_some(("SOFDA", true));
     let solvers = solver_names.iter().map(|n| (n.as_str(), false));
@@ -1320,7 +1326,10 @@ policies = ["standby-forest"]
             group_instance(&spec, &groups[0], &topo, *seed),
             solver_by_name("SOFDA").unwrap(),
             spec.sofda.with_seed(*seed),
-            spec.online.to_config(groups[0].churn.demand_mbps),
+            OnlineConfig {
+                demand_mbps: groups[0].churn.demand_mbps,
+                ..spec.online
+            },
         );
         let request = session.instance().request.clone();
         twin.apply(SessionEvent::Arrive(request)).unwrap();

@@ -72,8 +72,8 @@ pub mod value;
 pub use engine::{run_churn_stream, run_spec, runner_config, RunOptions};
 pub use report::{render_markdown, write_jsonl, Detail, ReportMeta, RunReport, Section};
 pub use spec::{
-    ChurnSpec, ConvergeSpec, FailureSpec, GridMetric, OnlineGroup, OnlineSpec, ScaleSpec,
-    ScenarioSpec, SpecError, Workload,
+    ChurnSpec, ConvergeSpec, FailureSpec, GridMetric, OnlineGroup, ScaleSpec, ScenarioSpec,
+    SpecError, Workload,
 };
 
 #[cfg(test)]

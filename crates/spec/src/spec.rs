@@ -8,7 +8,7 @@
 use crate::field::{fits_int, keys, named_field, read_table, table_field, Field, Reader};
 use crate::oneshot::{standard_axes, ParamField, SweepAxis};
 use crate::value::{parse_json, parse_toml, write_json, write_toml, ParseError, Value};
-use sof_core::{DriftPolicy, JoinStrategy, OnlineConfig, SofdaConfig};
+use sof_core::{OnlineConfig, SofdaConfig};
 use sof_graph::Cost;
 use sof_kstroll::StrollSolver;
 use sof_runner::GroupChurnConfig;
@@ -450,55 +450,6 @@ impl Workload {
     }
 }
 
-/// Per-session tuning for online workloads (compiles to
-/// [`sof_core::OnlineConfig`]; `demand_mbps` comes from the group's churn
-/// spec, `mode` from the engine).
-#[derive(Clone, Debug, PartialEq)]
-pub struct OnlineSpec {
-    /// Rebuild threshold (see [`DriftPolicy`]).
-    pub drift: f64,
-    /// What drift means: `"churn"` (count) or `"cost"` (divergence).
-    pub drift_policy: DriftPolicy,
-    /// Reroute pass cadence (arrivals; 0 = never).
-    pub reroute_every: usize,
-    /// Incremental-join attach search.
-    pub join: JoinStrategy,
-    /// Uniform link capacity (Mbps).
-    pub link_capacity: f64,
-    /// Uniform VM capacity (concurrent VNFs).
-    pub vm_capacity: f64,
-}
-
-impl Default for OnlineSpec {
-    fn default() -> OnlineSpec {
-        let d = OnlineConfig::default();
-        OnlineSpec {
-            drift: d.rebuild_drift,
-            drift_policy: d.drift_policy,
-            reroute_every: d.reroute_every,
-            join: d.join,
-            link_capacity: d.link_capacity,
-            vm_capacity: d.vm_capacity,
-        }
-    }
-}
-
-impl OnlineSpec {
-    /// Compiles to an [`OnlineConfig`] (demand filled per group).
-    pub fn to_config(&self, demand_mbps: f64) -> OnlineConfig {
-        OnlineConfig {
-            rebuild_drift: self.drift,
-            drift_policy: self.drift_policy,
-            reroute_every: self.reroute_every,
-            join: self.join,
-            link_capacity: self.link_capacity,
-            vm_capacity: self.vm_capacity,
-            demand_mbps,
-            ..OnlineConfig::default()
-        }
-    }
-}
-
 /// A complete declarative scenario: metadata + topology + parameters +
 /// solver configuration + workload. See `SPEC_FORMAT.md` at the repo root
 /// for the file-format reference.
@@ -520,8 +471,10 @@ pub struct ScenarioSpec {
     /// Solver configuration (the seed field is ignored — the workload
     /// seed governs).
     pub sofda: SofdaConfig,
-    /// Online-session tuning (used by `online` workloads).
-    pub online: OnlineSpec,
+    /// Online-session tuning (used by `online` and churn-at-scale
+    /// workloads): the `[online]` keys; `demand_mbps` comes from the
+    /// group's churn spec, `mode` from the engine.
+    pub online: OnlineConfig,
     /// What runs.
     pub workload: Workload,
 }
@@ -917,8 +870,6 @@ fn parse_stroll(name: &str) -> Result<StrollSolver, String> {
 
 named_field!(SteinerSolver, parse_steiner, steiner_name);
 named_field!(StrollSolver, parse_stroll, stroll_name);
-named_field!(DriftPolicy, DriftPolicy::from_name, DriftPolicy::as_str);
-named_field!(JoinStrategy, JoinStrategy::from_name, JoinStrategy::as_str);
 named_field!(ParamField, ParamField::from_name, ParamField::as_str);
 named_field!(GridMetric, GridMetric::from_name, GridMetric::as_str);
 
@@ -945,9 +896,9 @@ table_field!(SofdaConfig {
     ..SofdaConfig::default();
     steiner, stroll, shorten, source_setup_cost
 });
-table_field!(OnlineSpec {
-    ..OnlineSpec::default();
-    drift, drift_policy, reroute_every, join, link_capacity, vm_capacity
+table_field!(OnlineConfig {
+    ..OnlineConfig::default();
+    drift, reroute_every, link_capacity, vm_capacity
 });
 table_field!(GroupChurnConfig {
     ..GroupChurnConfig::default();
@@ -1120,7 +1071,7 @@ table_field!(ScenarioSpec {
     topology = TopologySpec::named("softlayer"),
     params = ScenarioParams::paper_defaults(),
     sofda = SofdaConfig::default(),
-    online = OnlineSpec::default(),
+    online = OnlineConfig::default(),
     workload
 });
 
@@ -1243,7 +1194,6 @@ name = "online-mini"
 
 [online]
 drift = 2.5
-drift_policy = "churn"
 
 [workload]
 kind = "online"
@@ -1259,10 +1209,14 @@ churn = { sources = [1, 2], destinations = [2, 3], leaves = [0, 1], joins = [0, 
 every = 2
 "#;
         let spec = ScenarioSpec::from_toml(src).unwrap();
-        // Both away from the defaults (`CostDrift` × 1.5).
+        // Away from the default (1.5).
+        assert_eq!(spec.online.drift, 2.5);
+        // The retired join selector is an unknown key like any other.
+        let err = ScenarioSpec::from_toml(&src.replace("drift = 2.5", "join = \"full-search\""));
         assert_eq!(
-            (spec.online.drift_policy, spec.online.drift),
-            (DriftPolicy::ChurnCount, 2.5)
+            err.unwrap_err().to_string(),
+            "unknown key 'online.join' (valid keys here: drift, reroute_every, link_capacity, \
+             vm_capacity)"
         );
         let Workload::Online {
             ref groups,
@@ -1316,7 +1270,7 @@ every = 2
             p
         });
         assert_eq!(spec.sofda, SofdaConfig::default());
-        assert_eq!(spec.online, OnlineSpec::default());
+        assert_eq!(spec.online, OnlineConfig::default());
         // Default axes are the standard figure grid.
         let Workload::Sweep { ref axes, .. } = spec.workload else {
             panic!()

@@ -26,7 +26,6 @@ name = "softlayer"
 
 [online]
 drift = 1.8
-drift_policy = "cost"
 
 [workload]
 kind = "online"

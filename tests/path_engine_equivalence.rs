@@ -11,8 +11,8 @@
 //! in place: they pin the work the layers do, at every thread count.
 
 use sof::core::{
-    solve_sofda, DriftPolicy, Network, OnlineConfig, OnlineSession, Request, ServiceChain,
-    SofInstance, Sofda, SofdaConfig,
+    solve_sofda, Network, OnlineConfig, OnlineSession, Request, ServiceChain, SofInstance, Sofda,
+    SofdaConfig,
 };
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64, RootedTree, ShortestPaths};
 use sof::spec::overrides::{apply_overrides, Overrides};
@@ -183,24 +183,13 @@ fn inet3000_online(opts: OnlineConfig) -> (impl Fn() -> OnlineSession, sof::sim:
     (make, ChurnStream::new(churn, 3000, seed))
 }
 
-/// The churn rule the default replaced: a full solve once the
-/// destinations churned since the last one reach twice the group.
-fn churn_rule() -> OnlineConfig {
-    OnlineConfig {
-        drift_policy: DriftPolicy::ChurnCount,
-        rebuild_drift: 2.0,
-        ..OnlineConfig::default()
-    }
-}
-
 /// The dynamic-SSSP repair pass engages where it earns its keep — the
 /// benchmark's `online-inet10k` regime at a third of the size: one
 /// `OnlineSession` on `inet_sized(3000, 6000, 120, seed)` with 40 VMs, 6
 /// sources, groups of 8 and one viewer leaving and one joining per arrival.
 /// Drift rebuilds are off (an infinite threshold); the script drops the
 /// forest before the eighth arrival instead, so that arrival rebuilds
-/// whatever the forest costs, where the churn rule (`ChurnCount` × 2.0)
-/// would. Each arrival reprices a handful of links, so that rebuild finds
+/// whatever the forest costs. Each arrival reprices a handful of links, so that rebuild finds
 /// its VM trees stale and most of them inside the repair cap — and stays
 /// invisible in results: a twin session whose engine is emptied before
 /// every arrival (so it never repairs) reports bit-equal costs and equal
@@ -212,7 +201,7 @@ fn churn_rule() -> OnlineConfig {
 #[test]
 fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
     let no_drift = OnlineConfig {
-        rebuild_drift: f64::INFINITY,
+        drift: f64::INFINITY,
         ..OnlineConfig::default()
     };
     let (make, mut stream) = inet3000_online(no_drift);
@@ -265,30 +254,26 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
 }
 
 /// The default drift rule's witness: 64 arrivals of the inet-3000
-/// script under the default (`CostDrift` × 1.5) and under the churn rule
-/// it replaced (`ChurnCount` × 2.0). Each run's full solves and the bits
-/// of its accumulated cost are pinned: the default solves twice (the
-/// first embed and one rebuild on cost evidence) and accumulates
-/// 28 473.05, the churn rule solves on every eighth arrival and
-/// accumulates 31 457.70, 10.5 % more. Restoring the churn default sinks
-/// the first pin.
+/// script under `OnlineConfig::default()` (a rebuild once the standing
+/// forest costs 1.5 times the last solve's). The full solves and the bits
+/// of the accumulated cost are pinned: two solves (the first embed and
+/// one rebuild on cost evidence) accumulating 28 473.05. A default drift
+/// of 2.0 sinks the pin (one solve, 31 156.18 accumulated).
 #[test]
 fn inet3000_online_default_rebuilds_on_cost_evidence() {
-    let run = |opts: OnlineConfig| {
-        let (make, mut stream) = inet3000_online(opts);
-        let mut session = make();
-        session.arrive(stream.current().clone()).unwrap();
-        for _ in 1..64 {
-            session.arrive(stream.next_request()).unwrap();
-        }
+    let (make, mut stream) = inet3000_online(OnlineConfig::default());
+    let mut session = make();
+    session.arrive(stream.current().clone()).unwrap();
+    for _ in 1..64 {
+        session.arrive(stream.next_request()).unwrap();
+    }
+    assert_eq!(
         (
             session.stats().full_solves,
-            session.accumulated_cost().to_bits(),
-        )
-    };
-    let (default, churn) = (run(OnlineConfig::default()), run(churn_rule()));
-    assert_eq!(default, (2, 4_673_555_827_631_062_971), "CostDrift × 1.5");
-    assert_eq!(churn, (8, 4_674_376_241_268_488_167), "ChurnCount × 2.0");
+            session.accumulated_cost().to_bits()
+        ),
+        (2, 4_673_555_827_631_062_971)
+    );
 }
 
 /// How many engine entries `trees` are read from.

@@ -135,8 +135,6 @@ fn online_spec_with_failures_runs_from_data_alone() {
 name = "faulty"
 [topology]
 name = "testbed"
-[online]
-drift_policy = "cost"
 [workload]
 kind = "online"
 seed = 3
