@@ -62,17 +62,6 @@ fn ip_accepts_at_its_cost(inst: &SofInstance, forest: &ServiceForest) -> bool {
         .is_ok_and(|objective| objective.approx_eq(forest.cost(&inst.network).total()))
 }
 
-/// The online configurations the session-event property runs under, `combo`
-/// in `0..2`: the default drift threshold (1.5), and 1.0, which rebuilds
-/// whenever the standing cost has not fallen below the last solve's, so
-/// that generated scripts reach drift rebuilds.
-fn online_config(combo: usize) -> OnlineConfig {
-    OnlineConfig {
-        drift: [1.5, 1.0][combo],
-        ..OnlineConfig::default()
-    }
-}
-
 /// A script of `len` session events on `inst`, after one first arrival:
 /// fails and repairs of overlapping VMs, links, nodes and node groups (a
 /// domain's shape), arrivals of random subsets of the request's
@@ -1231,10 +1220,11 @@ proptest! {
     /// A session's failure pricing is a function of *what is failed now*,
     /// never of the order it got there, and every event leaves a forest
     /// the paper's IP accepts at the cost the session reported. 200
-    /// generated events a case, the whole `SessionEvent` alphabet, under
-    /// both drift thresholds of [`online_config`]; [`run_session_script`]
-    /// lists the checks, and a failing script is shrunk before it is
-    /// reported. Fails when `edge_down` ignores failed endpoints (a failed
+    /// generated events a case, the whole `SessionEvent` alphabet, at the
+    /// default drift threshold (1.5) and at 1.0, which rebuilds whenever
+    /// the standing cost has not fallen below the last solve's, so that
+    /// scripts reach drift rebuilds; [`run_session_script`] lists the
+    /// checks, and a failing script is shrunk before it is reported. Fails when `edge_down` ignores failed endpoints (a failed
     /// node's links stay in service), when a repair restores a remembered
     /// price instead of re-deriving it, when a `Fail` stops skipping what
     /// the session refuses, and when `recharge` stops clearing the loads
@@ -1243,12 +1233,13 @@ proptest! {
     fn fail_repair_interleavings_price_what_the_fault_set_covers(seed in 0u64..4000) {
         let inst = random_instance(seed, 20, 6, 2, 5, 2);
         let script = session_script(&inst, seed, 200);
-        for combo in 0..2 {
-            let run = |s: &[SessionEvent]| run_session_script(&inst, online_config(combo), seed, s);
+        for drift in [1.5, 1.0] {
+            let opts = OnlineConfig { drift, ..OnlineConfig::default() };
+            let run = |s: &[SessionEvent]| run_session_script(&inst, opts, seed, s);
             if let Some(small) = shrink(seed, &script, run) {
                 // Fails again, now with the shrunk script's own message.
                 run(&small)?;
-                prop_assert!(false, "combo {combo}: a shrunk failing script passed");
+                prop_assert!(false, "drift {drift}: a shrunk failing script passed");
             }
         }
     }
