@@ -16,8 +16,9 @@ use sof::core::{
 };
 use sof::graph::{generators, Cost, CostRange, NodeId, Rng64, RootedTree, ShortestPaths};
 use sof::spec::overrides::{apply_overrides, Overrides};
-use sof::spec::{presets, run_spec, write_jsonl, RunOptions};
-use std::sync::Arc;
+use sof::spec::{presets, run_churn_stream, run_spec, write_jsonl, RunOptions};
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 fn golden(name: &str) -> String {
     std::fs::read_to_string(format!("crates/spec/specs/golden/{name}.jsonl"))
@@ -100,6 +101,43 @@ fn inet_churn_failures_matches_golden_across_thread_counts() {
             expect,
             "threads={threads}"
         );
+    }
+}
+
+/// A `Write` that can be handed to [`run_churn_stream`] (which takes the
+/// writer by value) while the test keeps a handle to the bytes.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The explicit region pair-cost preset (a streamed churn-at-scale run
+/// whose placements depend on `workload.pair_cost`) reproduces its golden
+/// bytes for both thread counts, at its native scale, as CI runs it.
+#[test]
+fn churn_pair_cost_matches_golden_across_thread_counts() {
+    let spec = presets::preset("churn-pair-cost")
+        .expect("bundled preset")
+        .unwrap();
+    let expect = golden("churn-pair-cost");
+    for threads in [1usize, 4] {
+        let buf = SharedBuf::default();
+        let opts = RunOptions {
+            threads,
+            ..RunOptions::default()
+        };
+        run_churn_stream(&spec, &opts, buf.clone()).unwrap();
+        let got = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        assert_eq!(got, expect, "threads={threads}");
     }
 }
 
