@@ -8,7 +8,8 @@
 //! repaired. Instead of re-running the solver from scratch per arrival, the
 //! session diffs the destination sets and re-embeds **incrementally** with
 //! the §VII-C dynamics ([`dynamics::destination_join_with`],
-//! [`dynamics::destination_leave`], [`dynamics::reroute_all`]), falling back
+//! [`dynamics::destination_leave`], and [`dynamics::reroute_all`] when
+//! [`OnlineConfig::reroute_every`] sets a cadence), falling back
 //! to a full rebuild when the standing forest's cost drifts past a
 //! configurable multiple of the last full solve's ([`OnlineConfig::drift`])
 //! — or whenever an incremental step fails or invalidates the forest. In
@@ -177,8 +178,14 @@ pub struct OnlineConfig {
     /// rebuild, while a few expensive attachments do. Lower values track
     /// the solver's quality more closely; higher values are faster.
     pub drift: f64,
-    /// Run [`dynamics::reroute_all`] every this many arrivals, repairing
-    /// routes that congestion made expensive (`0` = never).
+    /// Run [`dynamics::reroute_all`] every this many arrivals (`0` =
+    /// never, the default). The §VII-C re-route moves walks off links that
+    /// other traffic made dear, but a session owns its network, so the
+    /// congestion it prices is its own forest's load: the re-route moves
+    /// each walk onto links that the same demand then makes dear, and the
+    /// standing cost rises until a drift rebuild follows. Off, the
+    /// accumulated cost of every measured online run is lower
+    /// (docs/ONLINE.md).
     pub reroute_every: usize,
     /// Uniform link capacity handed to the [`LoadTracker`] (Mbps).
     pub link_capacity: f64,
@@ -193,7 +200,7 @@ impl Default for OnlineConfig {
         OnlineConfig {
             mode: EmbedMode::Incremental,
             drift: 1.5,
-            reroute_every: 6,
+            reroute_every: 0,
             link_capacity: 100.0,
             vm_capacity: 5.0,
             demand_mbps: 5.0,
@@ -1016,8 +1023,8 @@ mod tests {
     /// repriced are exactly the old forest's ∪ the new one's, and the price
     /// changes reach the journal in ascending edge order, once each. Drift
     /// rebuilds are off (an infinite threshold), so the one full solve is
-    /// the first embed; the large counts are the two reroutes, at the 6th
-    /// and 12th arrival.
+    /// the first embed; the re-route is set to every 6th arrival, so the
+    /// large counts are the two reroutes, at the 6th and 12th arrival.
     #[test]
     fn a_recharge_reprices_its_old_and_new_footprint_in_edge_order() {
         let mut rng = Rng64::seed_from(36);
@@ -1041,6 +1048,7 @@ mod tests {
         let request = inst.request.clone();
         let no_drift = OnlineConfig {
             drift: f64::INFINITY,
+            reroute_every: 6,
             ..OnlineConfig::default()
         };
         let mut s = OnlineSession::new(inst, Box::new(Sofda), SofdaConfig::default(), no_drift);

@@ -1215,10 +1215,13 @@ mod tests {
     /// plan that fails, at round 6, the VM the old rule picked there, under
     /// the reactive policy (which drops the disrupted forest), reproduces
     /// the bytes the old rule printed — at one thread and at four — and
-    /// the counts it did not print repeat across those thread counts.
+    /// the counts it did not print repeat across those thread counts. The
+    /// old rule printed them under a re-route every 6th arrival, so the
+    /// spec sets one.
     #[test]
     fn a_scripted_failure_reproduces_the_old_online_rule() {
         let mut spec = presets::preset("inet-churn-failures").unwrap().unwrap();
+        spec.online.reroute_every = 6;
         let (group, failures) = online_parts(&mut spec);
         group.requests = 8;
         // The old rule's pick: the lowest-id VM the standing forest used

@@ -182,9 +182,13 @@ fn fig12_requests_12_is_byte_identical_across_thread_counts() {
 /// The session of the inet-3000 witnesses below, at seed 13: a factory
 /// for `OnlineSession`s on `inet_sized(3000, 6000, 120, 13)` with 40 VMs
 /// under `opts`, and the churn stream that drives them (6 sources, groups
-/// of 8, a chain of 3, one viewer leaving and one joining per arrival).
-/// Arrival 0 is `stream.current()`.
-fn inet3000_online(opts: OnlineConfig) -> (impl Fn() -> OnlineSession, sof::sim::ChurnStream) {
+/// of 8, a chain of 3, and `churn.0..=churn.1` viewers leaving and as many
+/// joining per arrival). Arrival 0 is `stream.current()`, the same group
+/// for any `churn`.
+fn inet3000_online(
+    opts: OnlineConfig,
+    churn: (usize, usize),
+) -> (impl Fn() -> OnlineSession, sof::sim::ChurnStream) {
     use sof::sim::{ChurnParams, ChurnStream, WorkloadParams};
     use sof::topo::{build_instance, inet_sized, ScenarioParams};
     let seed = 13;
@@ -195,8 +199,8 @@ fn inet3000_online(opts: OnlineConfig) -> (impl Fn() -> OnlineSession, sof::sim:
             chain_len: 3,
             demand_mbps: 5.0,
         },
-        leaves: (1, 1),
-        joins: (1, 1),
+        leaves: churn,
+        joins: churn,
     };
     let topo = inet_sized(3000, 6000, 120, seed);
     let chain_len = churn.base.chain_len;
@@ -242,7 +246,7 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
         drift: f64::INFINITY,
         ..OnlineConfig::default()
     };
-    let (make, mut stream) = inet3000_online(no_drift);
+    let (make, mut stream) = inet3000_online(no_drift, (1, 1));
     let (mut warm, mut twin) = (make(), make());
     let n = warm.instance().network.node_count() as u64;
     let mut rebuilds = 0;
@@ -291,26 +295,43 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
     );
 }
 
-/// The default drift rule's witness: 64 arrivals of the inet-3000
-/// script under `OnlineConfig::default()` (a rebuild once the standing
-/// forest costs 1.5 times the last solve's). The full solves and the bits
-/// of the accumulated cost are pinned: two solves (the first embed and
-/// one rebuild on cost evidence) accumulating 28 473.05. A default drift
-/// of 2.0 sinks the pin (one solve, 31 156.18 accumulated).
+/// The default rule's witness: 64 arrivals of the inet-3000 script with
+/// one to three viewers leaving and one to three joining per arrival (the
+/// paper's SoftLayer churn), under `OnlineConfig::default()`: no periodic
+/// re-route, and a rebuild once the standing forest costs 1.5 times the
+/// last solve's. Pinned: the full solves, the re-routes, the fallbacks and
+/// the bits of the accumulated cost. Two solves: the first embed and, at
+/// arrival 36, a rebuild on cost evidence (no fallback, the sources and
+/// chain never change, and the standing cost before it had reached 1.5
+/// times the first solve's), accumulating 34 940.49. A re-route every 6th
+/// arrival sinks the pin (rebuilds at arrivals 13, 30 and 60), and so
+/// does a default drift of 2.0 (no rebuild). With one viewer leaving and
+/// one joining per arrival the default first rebuilds at arrival 112 508,
+/// so that script witnesses nothing here.
 #[test]
-fn inet3000_online_default_rebuilds_on_cost_evidence() {
-    let (make, mut stream) = inet3000_online(OnlineConfig::default());
+fn inet3000_online_default_rebuilds_on_cost_evidence_under_wider_churn() {
+    let (make, mut stream) = inet3000_online(OnlineConfig::default(), (1, 3));
     let mut session = make();
-    session.arrive(stream.current().clone()).unwrap();
-    for _ in 1..64 {
-        session.arrive(stream.next_request()).unwrap();
+    let first = session.arrive(stream.current().clone()).unwrap();
+    let (mut standing, mut rebuilds) = (first.forest_cost, Vec::new());
+    for arrival in 1..64 {
+        let a = session.arrive(stream.next_request()).unwrap();
+        if a.rebuilt {
+            assert!(standing >= 1.5 * first.forest_cost, "arrival {arrival}");
+            rebuilds.push(arrival);
+        }
+        standing = a.forest_cost;
     }
+    let stats = session.stats();
+    assert_eq!(rebuilds, [36]);
     assert_eq!(
         (
-            session.stats().full_solves,
+            stats.full_solves,
+            stats.reroutes,
+            stats.fallbacks,
             session.accumulated_cost().to_bits()
         ),
-        (2, 4_673_555_827_631_062_971)
+        (2, 0, 0, 4_675_034_997_470_459_322)
     );
 }
 
@@ -332,7 +353,10 @@ fn entries(trees: &[RootedTree]) -> usize {
 /// whose stub the forest loads). The one tree the session did not hold
 /// is the own tree of a loaded VM that shares its data centre with a
 /// free one, which keeps the host's tree too; the solve read that VM
-/// before its stub was loaded. After the drift rebuild the session holds
+/// before its stub was loaded. The session re-routes every 6th arrival,
+/// which brings a drift rebuild within a few arrivals (at the default the
+/// script first rebuilds at arrival 112 508). After that rebuild the
+/// session holds
 /// exactly the trees the 40 VMs are read from, and each tree read after
 /// arrival 0 is either still the engine's tree for that VM (every repair
 /// since found it unchanged) or held by this test alone — the engine
@@ -343,7 +367,11 @@ fn entries(trees: &[RootedTree]) -> usize {
 /// `engine::tests::a_loaded_stub_falls_back_and_releases_its_hosts_tree`).
 #[test]
 fn inet3000_online_releases_superseded_trees() {
-    let (make, mut stream) = inet3000_online(OnlineConfig::default());
+    let reroute = OnlineConfig {
+        reroute_every: 6,
+        ..OnlineConfig::default()
+    };
+    let (make, mut stream) = inet3000_online(reroute, (1, 1));
     let mut session = make();
     assert!(session.arrive(stream.current().clone()).unwrap().rebuilt);
     let engine = session.instance().network.paths().clone();
