@@ -3,6 +3,7 @@
 //! run.
 
 use crate::spec::{ScenarioSpec, Workload};
+use sof_topo::TopologySpec;
 
 /// Generic spec overrides (the `sof run` flags).
 #[derive(Clone, Debug, Default)]
@@ -16,7 +17,8 @@ pub struct Overrides {
     pub limit: Option<usize>,
     /// Replace the solver set (first entry only for single-solver kinds).
     pub solvers: Option<Vec<String>>,
-    /// Resize the spec's topology (`inet` family only).
+    /// Resize the topologies a spec builds (`inet` family only; ignored
+    /// where none is sizable).
     pub nodes: Option<usize>,
     /// Replace every online group's arrival count.
     pub requests: Option<usize>,
@@ -51,18 +53,19 @@ impl Overrides {
 /// Applies generic overrides to a spec (validate afterwards — an override
 /// can introduce an unknown solver or an invalid size).
 ///
-/// Returns the names of overrides that do not apply to this spec's
-/// workload kind (e.g. `--seeds` on an online workload), in declaration
-/// order, so callers can warn instead of silently running the unmodified
-/// scenario.
+/// Returns the names of overrides that do not apply to this spec (e.g.
+/// `--seeds` on an online workload, or `--nodes` where no topology the
+/// spec builds is sizable), in declaration order, so callers can warn
+/// instead of silently running the unmodified scenario.
 pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static str> {
     // Each arm takes the overrides its kind applies; what is left set does
     // not apply. Only sweeps, grids and online groups build `[topology]`: a
     // runtime workload sizes its own Inet graphs, qoe runs on the testbed,
     // a cost curve has no network, and churn-at-scale builds one from
     // [workload.regions] — resizing the spec topology there is a no-op.
+    // `--nodes` resizes only the `inet` topologies among those built.
     let mut o = o.clone();
-    let nodes = &mut spec.topology.nodes;
+    let topology = &mut spec.topology;
     match &mut spec.workload {
         Workload::CostCurve { .. } => {}
         Workload::Sweep {
@@ -79,7 +82,7 @@ pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static s
                 }
             }
             put(solvers, o.solvers.take());
-            put(nodes, o.nodes.take().map(Some));
+            resize(&mut o.nodes, [topology]);
         }
         Workload::Grid {
             solver,
@@ -96,7 +99,7 @@ pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static s
                 cols.truncate(limit);
             }
             put(solver, first(o.solvers.take()));
-            put(nodes, o.nodes.take().map(Some));
+            resize(&mut o.nodes, [topology]);
         }
         Workload::Runtime {
             solver,
@@ -132,7 +135,10 @@ pub fn apply_overrides(spec: &mut ScenarioSpec, o: &Overrides) -> Vec<&'static s
                     g.requests = r;
                 }
             }
-            put(nodes, o.nodes.take().map(Some));
+            // A group without a topology of its own builds the spec's.
+            let inherited = groups.iter().any(|g| g.topology.is_none());
+            let own = groups.iter_mut().filter_map(|g| g.topology.as_mut());
+            resize(&mut o.nodes, own.chain(inherited.then_some(topology)));
         }
         Workload::ChurnAtScale(s) => {
             put(&mut s.seed, o.seed.take());
@@ -152,6 +158,16 @@ fn put<T>(slot: &mut T, value: Option<T>) {
     }
 }
 
+/// Sets `nodes` on each sizable topology of `built`, and takes the
+/// override if there was one.
+fn resize<'a>(nodes: &mut Option<usize>, built: impl IntoIterator<Item = &'a mut TopologySpec>) {
+    let Some(n) = *nodes else { return };
+    for t in built.into_iter().filter(|t| t.is_sizable()) {
+        t.nodes = Some(n);
+        *nodes = None;
+    }
+}
+
 /// The first entry of a solver list, for the kinds that run one solver.
 fn first(list: Option<Vec<String>>) -> Option<String> {
     list.and_then(|list| list.into_iter().next())
@@ -162,24 +178,55 @@ mod tests {
     use super::*;
     use crate::presets;
 
+    /// `--nodes` resizes the `inet` topologies a spec builds and is
+    /// reported ignored where it builds none: a runtime, cost-curve, qoe or
+    /// churn-at-scale workload never builds `[topology]`, and SoftLayer,
+    /// Cogent and the testbed have a fixed size. An online group with a
+    /// topology of its own is resized in place of the spec's.
     #[test]
-    fn nodes_is_ignored_where_the_spec_topology_is_never_built() {
+    fn nodes_is_ignored_where_no_built_topology_is_sizable() {
         let o = Overrides {
             nodes: Some(300),
             ..Overrides::default()
         };
-        for name in ["table1", "fig7", "table2", "churn-at-scale"] {
+        let ignored = [
+            "table1",
+            "fig7",
+            "table2",
+            "churn-at-scale",
+            "fig8",
+            "fig9",
+            "fig11",
+            "fig12",
+        ];
+        for name in ignored {
             let mut spec = presets::preset(name).unwrap().unwrap();
-            let before = spec.topology.nodes;
+            let before = spec.clone();
             assert_eq!(apply_overrides(&mut spec, &o), ["nodes"], "{name}");
-            assert_eq!(spec.topology.nodes, before, "{name}");
+            assert_eq!(spec, before, "{name}");
             spec.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
         }
-        for name in ["fig10", "fig8", "fig11", "fig12"] {
+        for name in ["fig10", "inet-churn-failures"] {
             let mut spec = presets::preset(name).unwrap().unwrap();
             assert!(apply_overrides(&mut spec, &o).is_empty(), "{name}");
             assert_eq!(spec.topology.nodes, Some(300), "{name}");
         }
+        let mut spec = presets::preset("fig12").unwrap().unwrap();
+        let Workload::Online { groups, .. } = &mut spec.workload else {
+            panic!("fig12 is an online workload");
+        };
+        groups[1].topology = Some(TopologySpec::named("inet"));
+        assert!(apply_overrides(&mut spec, &o).is_empty());
+        let Workload::Online { groups, .. } = &spec.workload else {
+            unreachable!()
+        };
+        let sizes: Vec<_> = groups
+            .iter()
+            .map(|g| g.topology.as_ref().unwrap().nodes)
+            .collect();
+        assert_eq!(sizes, [None, Some(300)]);
+        assert_eq!(spec.topology.nodes, None, "no group builds the spec's");
+        spec.validate().unwrap();
     }
 
     /// The lines of `after` that `before` does not have (as a multiset).
@@ -264,22 +311,22 @@ fig8 --seeds: ignored [] changed [seeds = 7]
 fig8 --seed: ignored [] changed [seed = 4242]
 fig8 --limit: ignored [] changed [values = [2] | values = [2] | values = [5] | values = [3]]
 fig8 --solvers: ignored [] changed [solvers = [\"eST\"]]
-fig8 --nodes: ignored [] changed [nodes = 300]
+fig8 --nodes: ignored [nodes] changed []
 fig8 --requests: ignored [requests] changed []
 fig8 --groups: ignored [groups] changed []
 fig8 --events: ignored [events] changed []
 fig8 --window: ignored [window] changed []
-fig8 --all: ignored [requests, groups, events, window] changed [nodes = 300 | solvers = [\"eST\"] | seeds = 7 | seed = 4242 | values = [2] | values = [2] | values = [5] | values = [3]]
+fig8 --all: ignored [nodes, requests, groups, events, window] changed [solvers = [\"eST\"] | seeds = 7 | seed = 4242 | values = [2] | values = [2] | values = [5] | values = [3]]
 fig11 --seeds: ignored [] changed [seeds = 7]
 fig11 --seed: ignored [] changed [seed = 4242]
 fig11 --limit: ignored [] changed [values = [1] | values = [3]]
 fig11 --solvers: ignored [] changed [solver = \"eST\"]
-fig11 --nodes: ignored [] changed [nodes = 300]
+fig11 --nodes: ignored [nodes] changed []
 fig11 --requests: ignored [requests] changed []
 fig11 --groups: ignored [groups] changed []
 fig11 --events: ignored [events] changed []
 fig11 --window: ignored [window] changed []
-fig11 --all: ignored [requests, groups, events, window] changed [nodes = 300 | solver = \"eST\" | seeds = 7 | seed = 4242 | values = [1] | values = [3]]
+fig11 --all: ignored [nodes, requests, groups, events, window] changed [solver = \"eST\" | seeds = 7 | seed = 4242 | values = [1] | values = [3]]
 table1 --seeds: ignored [seeds] changed []
 table1 --seed: ignored [] changed [seed = 4242]
 table1 --limit: ignored [] changed [sizes = [1000]]
@@ -304,12 +351,12 @@ fig12 --seeds: ignored [seeds] changed []
 fig12 --seed: ignored [] changed [seed = 4242]
 fig12 --limit: ignored [limit] changed []
 fig12 --solvers: ignored [] changed [solvers = [\"eST\"]]
-fig12 --nodes: ignored [] changed [nodes = 300]
+fig12 --nodes: ignored [nodes] changed []
 fig12 --requests: ignored [] changed [requests = 2 | requests = 2]
 fig12 --groups: ignored [groups] changed []
 fig12 --events: ignored [events] changed []
 fig12 --window: ignored [window] changed []
-fig12 --all: ignored [seeds, limit, groups, events, window] changed [nodes = 300 | seed = 4242 | solvers = [\"eST\"] | requests = 2 | requests = 2]
+fig12 --all: ignored [seeds, limit, nodes, groups, events, window] changed [seed = 4242 | solvers = [\"eST\"] | requests = 2 | requests = 2]
 churn-at-scale --seeds: ignored [seeds] changed []
 churn-at-scale --seed: ignored [] changed [seed = 4242]
 churn-at-scale --limit: ignored [limit] changed []

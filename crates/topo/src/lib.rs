@@ -223,6 +223,12 @@ impl TopologySpec {
             seed: None,
         }
     }
+
+    /// Whether the topology takes the sizing knobs (`nodes`, `links`,
+    /// `dcs`): only the `inet` family does.
+    pub fn is_sizable(&self) -> bool {
+        self.name == "inet"
+    }
 }
 
 /// Checks a [`TopologySpec`] without building anything — the cheap half of

@@ -33,7 +33,7 @@ Run options:
   --seed <N>                 override the base RNG seed
   --limit <N>                truncate every sweep axis to its first N values
   --solvers <A,B,...>        override the solver set
-  --nodes <N>                resize the topology (inet family only)
+  --nodes <N>                resize the inet topologies a spec builds (ignored elsewhere)
   --requests <N>             override every online group's arrival count
   --groups <N>               override the concurrent-group count (churn-at-scale)
   --events <N>               override the event budget (churn-at-scale)
@@ -128,7 +128,8 @@ fn cmd_run(args: Vec<String>) {
     let mut spec = resolve(&target).unwrap_or_else(|e| fatal(e));
     for name in apply_overrides(&mut spec, &overrides) {
         eprintln!(
-            "warning: --{name} does not apply to a '{}' workload and was ignored",
+            "warning: --{name} does not apply to spec '{}' (a '{}' workload) and was ignored",
+            spec.name,
             spec.workload.kind()
         );
     }

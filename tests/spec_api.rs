@@ -163,6 +163,32 @@ every = 3
     );
 }
 
+/// `sof run fig12 --nodes 300`: both of fig12's groups build a fixed-size
+/// topology (SoftLayer, Cogent), so the command warns that `--nodes` was
+/// ignored and runs the spec to completion, printing what it prints
+/// without the flag.
+#[test]
+fn nodes_on_fig12_is_ignored_and_the_run_completes() {
+    let run = |extra: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_sof"))
+            .args(["run", "fig12", "--requests", "2"])
+            .args(extra)
+            .output()
+            .expect("spawn sof run")
+    };
+    let with = run(&["--nodes", "300"]);
+    let stderr = String::from_utf8_lossy(&with.stderr);
+    assert!(with.status.success(), "{:?}: {stderr}", with.status);
+    assert!(
+        stderr.contains("warning: --nodes does not apply to spec 'fig12'"),
+        "{stderr}"
+    );
+    let without = run(&[]);
+    assert!(without.status.success());
+    assert!(!with.stdout.is_empty());
+    assert_eq!(with.stdout, without.stdout);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
