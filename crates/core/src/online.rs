@@ -184,7 +184,7 @@ pub struct OnlineConfig {
     /// congestion it prices is its own forest's load: the re-route moves
     /// each walk onto links that the same demand then makes dear, and the
     /// standing cost rises until a drift rebuild follows. Off, the
-    /// accumulated cost of every measured online run is lower
+    /// accumulated cost is lower in every measured online row but one
     /// (docs/ONLINE.md).
     pub reroute_every: usize,
     /// Uniform link capacity handed to the [`LoadTracker`] (Mbps).
