@@ -297,17 +297,17 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
 
 /// The default rule's witness: 64 arrivals of the inet-3000 script with
 /// one to three viewers leaving and one to three joining per arrival (the
-/// paper's SoftLayer churn), under `OnlineConfig::default()`: no periodic
-/// re-route, and a rebuild once the standing forest costs 1.5 times the
-/// last solve's. Pinned: the full solves, the re-routes, the fallbacks and
-/// the bits of the accumulated cost. Two solves: the first embed and, at
-/// arrival 36, a rebuild on cost evidence (no fallback, the sources and
-/// chain never change, and the standing cost before it had reached 1.5
-/// times the first solve's), accumulating 34 940.49. A re-route every 6th
-/// arrival sinks the pin (rebuilds at arrivals 13, 30 and 60), and so
-/// does a default drift of 2.0 (no rebuild). With one viewer leaving and
-/// one joining per arrival the default first rebuilds at arrival 112 508,
-/// so that script witnesses nothing here.
+/// ranges of `ChurnParams::softlayer`), under `OnlineConfig::default()`:
+/// no periodic re-route, and a rebuild once the standing forest costs 1.5
+/// times the last solve's. Pinned: the full solves, the re-routes, the
+/// fallbacks and the bits of the accumulated cost. Two solves: the first
+/// embed and, at arrival 36, a rebuild on cost evidence (no fallback, the
+/// sources and chain never change, and the standing cost before it had
+/// reached 1.5 times the first solve's), accumulating 34 940.49. A
+/// re-route every 6th arrival sinks the pin (rebuilds at arrivals 13, 30
+/// and 60), and so does a default drift of 2.0 (no rebuild). With one
+/// viewer leaving and one joining per arrival the default first rebuilds
+/// at arrival 112 508, so that script witnesses nothing here.
 #[test]
 fn inet3000_online_default_rebuilds_on_cost_evidence_under_wider_churn() {
     let (make, mut stream) = inet3000_online(OnlineConfig::default(), (1, 3));
@@ -356,11 +356,10 @@ fn entries(trees: &[RootedTree]) -> usize {
 /// before its stub was loaded. The session re-routes every 6th arrival,
 /// which brings a drift rebuild within a few arrivals (at the default the
 /// script first rebuilds at arrival 112 508). After that rebuild the
-/// session holds
-/// exactly the trees the 40 VMs are read from, and each tree read after
-/// arrival 0 is either still the engine's tree for that VM (every repair
-/// since found it unchanged) or held by this test alone — the engine
-/// released the tree it replaced. Keeping the previous tree beside the
+/// session holds exactly the trees the 40 VMs are read from, and each
+/// tree read after arrival 0 is either still the engine's tree for that
+/// VM (every repair since found it unchanged) or held by this test alone
+/// — the engine released the tree it replaced. Keeping the previous tree beside the
 /// one that replaces it sinks it (and the unit twin
 /// `engine::tests::a_superseded_tree_is_released`), and so does keeping a
 /// leaf's tree under both its keys (the unit twin
