@@ -1,16 +1,7 @@
 //! Single-source and multi-source Dijkstra shortest paths.
 
 use crate::queue::MonotoneQueue;
-use crate::{Cost, CostChange, EdgeId, Graph, NodeId};
-
-/// Repair bails out once the affected region exceeds this fraction of the
-/// node count — beyond it a fresh run's simple sweep beats the repair
-/// pass's bookkeeping (see [`DijkstraWorkspace::repair`]).
-const REGION_FRACTION: usize = 4;
-
-/// Graphs are never too small to repair: the region may always grow to
-/// this many vertices regardless of [`REGION_FRACTION`].
-const REGION_FLOOR: usize = 8;
+use crate::{Cost, EdgeId, Graph, NodeId};
 
 /// Result of a (multi-source) Dijkstra run.
 ///
@@ -165,19 +156,6 @@ pub struct NearestTarget {
     /// The tree path realizing `cost`, source first and `target` last —
     /// the same hops a full tree's `path_to(target)` follows.
     pub path: Vec<NodeId>,
-}
-
-/// What [`DijkstraWorkspace::repair`] made of a cached tree and the cost
-/// changes since it was computed.
-#[derive(Debug)]
-pub enum Repair {
-    /// No change can touch the tree: the old tree *is* the fresh tree, and
-    /// the caller keeps using it (no copy was made).
-    Unchanged,
-    /// The affected region was re-relaxed; the tree equals a fresh run's.
-    Repaired(ShortestPaths),
-    /// Repairing is not worthwhile or not provably exact; run cold.
-    GaveUp,
 }
 
 /// Where a search keeps the labels it writes: the workspace's stamped
@@ -386,12 +364,6 @@ pub struct DijkstraWorkspace {
     /// Vertices settled (popped with a final label) by the latest bounded
     /// search.
     settled: usize,
-    /// Scratch for [`DijkstraWorkspace::repair`]: the affected region in
-    /// discovery order, plus a child-list CSR over the old tree's parent
-    /// pointers (offsets and flattened child ids).
-    region: Vec<NodeId>,
-    kid_off: Vec<u32>,
-    kids: Vec<u32>,
 }
 
 impl DijkstraWorkspace {
@@ -471,8 +443,8 @@ impl DijkstraWorkspace {
     /// zero-cost hop at the same distance is seen too.
     ///
     /// Labels beyond that distance are tentative, so the epoch is retired
-    /// before returning (as [`repair`](DijkstraWorkspace::repair) does):
-    /// afterwards the accessors read "no run", never a truncated tree.
+    /// before returning: afterwards the accessors read "no run", never a
+    /// truncated tree.
     /// [`settled`](DijkstraWorkspace::settled) reports the work done.
     ///
     /// # Panics
@@ -586,215 +558,6 @@ impl DijkstraWorkspace {
         Some(edges)
     }
 
-    /// Dynamic-SSSP tree repair (Ramalingam–Reps style): given the tree
-    /// `old` previously computed for `sources` and the cost-journal slice
-    /// `changes` that separates it from `graph`'s current costs, decides
-    /// whether any change can touch the tree and, if so, rebuilds only the
-    /// *affected region*. Either way the answer is **bit-identical to a
-    /// fresh Dijkstra** — distances, parent hops, Voronoi sites and every
-    /// tie-break included (the identity argument lives in
-    /// `docs/DYNSSSP.md`).
-    ///
-    /// [`Repair::Unchanged`] costs O(|changes|) and copies nothing.
-    /// [`Repair::GaveUp`] means repairing is not worthwhile — the affected
-    /// region (dirty seeds plus their whole old-tree subtrees) exceeds
-    /// `max(8, n / 4)` vertices, or `old` does not cover the graph — or
-    /// not provably exact (an ambiguous zero-cost plateau tie). The caller
-    /// then falls back to a cold run.
-    ///
-    /// The pass reuses the workspace's queue and stamp buffers (the stamp
-    /// array doubles as the region marker), so a re-relaxation's only O(n)
-    /// work is the child-list pass and the output clone — what `old`
-    /// stores, so no site array for a single-root tree, which is what a
-    /// cold miss allocates for its tree anyway. The workspace's previous
-    /// run is invalidated, exactly as a fresh
-    /// [`run`](DijkstraWorkspace::run) would invalidate it.
-    pub fn repair(
-        &mut self,
-        graph: &Graph,
-        old: &ShortestPaths,
-        sources: &[NodeId],
-        changes: &[CostChange],
-    ) -> Repair {
-        let n = graph.node_count();
-        if old.len() != n {
-            return Repair::GaveUp;
-        }
-        self.grows += u64::from(self.labels.fit(n));
-        let cap = REGION_FLOOR.max(n / REGION_FRACTION);
-        self.labels.epoch += 1;
-        self.queue.clear();
-        self.region.clear();
-
-        // Phase 1a: seed the region with every vertex a dirtied edge can
-        // invalidate. Per direction x→y of a changed edge with current
-        // cost c: the tree hop into y was repriced off its label, or a
-        // non-tree hop now wins or ties a relaxation into y (`<=` keeps
-        // tie flips, which can move parents and sites without moving
-        // distances).
-        for ch in changes {
-            let edge = graph.edge(ch.edge);
-            let c = edge.cost;
-            for (x, y) in [(edge.u, edge.v), (edge.v, edge.u)] {
-                let (dx, dy) = (old.dist(x), old.dist(y));
-                let dirty = if old.parent(y) == Some((x, ch.edge)) {
-                    dx + c != dy
-                } else {
-                    dx.is_finite() && dx + c <= dy
-                };
-                if dirty && self.labels.stamp[y.index()] != self.labels.epoch {
-                    self.labels.stamp[y.index()] = self.labels.epoch;
-                    self.region.push(y);
-                    if self.region.len() > cap {
-                        self.labels.epoch += 1;
-                        return Repair::GaveUp;
-                    }
-                }
-            }
-        }
-        if self.region.is_empty() {
-            // Every change provably lost every relaxation (or restored a
-            // tree hop to the cost its label was built from): the old tree
-            // is the fresh tree.
-            return Repair::Unchanged;
-        }
-
-        // Phase 1b: close the region downward. Every old-tree descendant
-        // of a dirty vertex inherited its label through it, so it must be
-        // relabelled too. Child lists come from one counting pass over
-        // the parent array (CSR layout in kid_off/kids).
-        self.kid_off.clear();
-        self.kid_off.resize(n + 1, 0);
-        for v in 0..n {
-            if let Some((p, _)) = old.parent[v] {
-                self.kid_off[p.index() + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            self.kid_off[i + 1] += self.kid_off[i];
-        }
-        self.kids.clear();
-        self.kids.resize(n, 0);
-        for v in 0..n {
-            if let Some((p, _)) = old.parent[v] {
-                let slot = self.kid_off[p.index()];
-                self.kids[slot as usize] = v as u32;
-                self.kid_off[p.index()] += 1;
-            }
-        }
-        // After the fill, kid_off[p] is the END of p's child range and
-        // the start is kid_off[p - 1] (0 for p == 0).
-        let mut cursor = 0;
-        while cursor < self.region.len() {
-            let x = self.region[cursor].index();
-            cursor += 1;
-            let start = if x == 0 { 0 } else { self.kid_off[x - 1] };
-            for i in start..self.kid_off[x] {
-                let k = self.kids[i as usize] as usize;
-                if self.labels.stamp[k] != self.labels.epoch {
-                    self.labels.stamp[k] = self.labels.epoch;
-                    self.region.push(NodeId::new(k));
-                    if self.region.len() > cap {
-                        self.labels.epoch += 1;
-                        return Repair::GaveUp;
-                    }
-                }
-            }
-        }
-
-        // Phase 2: restricted Dijkstra. Labels live in a clone of the old
-        // tree; region labels are invalidated, region sources re-seeded,
-        // and every still-valid vertex adjacent to the region is queued
-        // at its old label — the same (dist, node) key a full run would
-        // pop it with. All of it before the first pop, so no seed can
-        // undercut one (the queue's monotonicity precondition).
-        let mut sp = old.clone();
-        for &v in &self.region {
-            sp.write(v.index(), Cost::INFINITY, None, None);
-        }
-        for &s in sources {
-            if self.labels.stamp[s.index()] == self.labels.epoch {
-                sp.write(s.index(), Cost::ZERO, None, Some(s));
-                self.queue.push(Cost::ZERO, s);
-            }
-        }
-        for &v in &self.region {
-            for (b, _) in graph.neighbors(v) {
-                let bi = b.index();
-                if self.labels.stamp[bi] != self.labels.epoch && sp.dist[bi].is_finite() {
-                    self.queue.push(sp.dist[bi], b);
-                }
-            }
-        }
-        while let Some((d, u)) = self.queue.pop() {
-            if d > sp.dist[u.index()] {
-                continue;
-            }
-            let su = sp.site(u);
-            for (v, e) in graph.neighbors(u) {
-                let vi = v.index();
-                let nd = d + graph.edge_cost(e);
-                if nd < sp.dist[vi] {
-                    // Plain fresh semantics; a still-valid vertex that
-                    // improves joins the region from here on.
-                    self.labels.stamp[vi] = self.labels.epoch;
-                    sp.write(vi, nd, Some((u, e)), su);
-                    self.queue.push(nd, v);
-                } else if nd == sp.dist[vi] {
-                    // A tie. A fresh run parents v on the first proposer in
-                    // *pop* order, and pop order equals (dist, node) key
-                    // order except for vertices whose own parent hop costs
-                    // zero: those are discovered through an equal-distance
-                    // plateau and are queued later than their key
-                    // suggests. When such a "displaced" vertex takes part
-                    // in an equal-key contest, no local rule can
-                    // reconstruct the fresh order — give up and let the
-                    // caller run cold. (Zero-cost edges are a modeling
-                    // idiom here: VM nodes attach to their datacenter at
-                    // cost zero, so ordinary repairs must survive them; a
-                    // leaf VM never contests anything, and the bail below
-                    // fires only on genuine plateau ambiguity, e.g. a
-                    // source VM whose zero chain fans out.)
-                    let displaced = |sp: &ShortestPaths, x: NodeId| {
-                        sp.parent[x.index()]
-                            .is_some_and(|(px, _)| sp.dist[px.index()] == sp.dist[x.index()])
-                    };
-                    if let Some((p, pe)) = sp.parent[vi] {
-                        if d == sp.dist[p.index()] && (displaced(&sp, u) || displaced(&sp, p)) {
-                            self.labels.epoch += 1;
-                            return Repair::GaveUp;
-                        }
-                        if self.labels.stamp[vi] != self.labels.epoch {
-                            // Still-valid label: flip when this candidate's
-                            // key strictly beats the stored parent's, and
-                            // cascade site changes through unchanged parent
-                            // hops (they move Voronoi ownership without
-                            // moving distances). Region labels keep their
-                            // first proposer — same as a fresh run's
-                            // strict-< rule.
-                            if p == u && pe == e {
-                                if sp.site(v) != su {
-                                    sp.set_site(vi, su);
-                                    self.queue.push(nd, v);
-                                }
-                            } else if (d, u) < (sp.dist[p.index()], p) {
-                                sp.parent[vi] = Some((u, e));
-                                sp.set_site(vi, su);
-                                self.queue.push(nd, v);
-                            }
-                        }
-                    }
-                    // A source (no parent) never gains one on a tie.
-                }
-            }
-        }
-        // The stamp array was borrowed as the region marker, so the
-        // workspace's label arrays no longer correspond to it; retire the
-        // epoch so the accessors read as "no run" rather than garbage.
-        self.labels.epoch += 1;
-        Repair::Repaired(sp)
-    }
-
     /// Number of runs performed.
     pub fn runs(&self) -> u64 {
         self.runs
@@ -817,7 +580,7 @@ impl DijkstraWorkspace {
     }
 
     /// Queue entries re-placed by bucket redistribution over the
-    /// workspace's lifetime — searches and repairs alike. The queue's
+    /// workspace's lifetime — full runs and searches alike. The queue's
     /// deterministic work count: it depends only on the sequence of pushes
     /// and pops, so it is byte-stable where wall-clock is not.
     pub fn queue_moves(&self) -> u64 {
@@ -1102,223 +865,13 @@ mod tests {
         assert!(vms.iter().all(|&vm| voronoi.site(vm) == Some(vm)));
     }
 
-    /// The tree a repair outcome stands for (`None`: the caller runs cold).
-    fn tree_of(outcome: Repair, old: &ShortestPaths) -> Option<ShortestPaths> {
-        match outcome {
-            Repair::Unchanged => Some(old.clone()),
-            Repair::Repaired(tree) => Some(tree),
-            Repair::GaveUp => None,
-        }
-    }
-
-    /// Repaired trees must match a fresh run on every label — distance,
-    /// parent hop, and site — not just distances.
+    /// Trees must match on every label — distance, parent hop, and site —
+    /// not just distances.
     fn assert_tree_identical(g: &Graph, got: &ShortestPaths, want: &ShortestPaths, ctx: &str) {
         for v in g.nodes() {
             assert_eq!(got.dist(v), want.dist(v), "{ctx}: dist of {v}");
             assert_eq!(got.parent(v), want.parent(v), "{ctx}: parent of {v}");
             assert_eq!(got.site(v), want.site(v), "{ctx}: site of {v}");
-        }
-    }
-
-    #[test]
-    fn repair_matches_fresh_after_reprice() {
-        let mut g = diamond();
-        let srcs = [NodeId::new(0)];
-        let old = ShortestPaths::from_sources(&g, srcs);
-        let e0 = g.cost_epoch();
-        // Reprice the 0-1 edge up so the 0-2 direct edge wins.
-        g.set_edge_cost(EdgeId::new(0), Cost::new(9.0));
-        let changes = g.cost_changes_since(e0).unwrap().to_vec();
-        let mut ws = DijkstraWorkspace::new();
-        let repaired = tree_of(ws.repair(&g, &old, &srcs, &changes), &old).expect("region is tiny");
-        let fresh = ShortestPaths::from_sources(&g, srcs);
-        assert_tree_identical(&g, &repaired, &fresh, "reprice up");
-        assert_eq!(repaired.dist(NodeId::new(2)), Cost::new(5.0));
-    }
-
-    #[test]
-    fn repair_handles_losing_and_winning_changes() {
-        let mut g = diamond();
-        let srcs = [NodeId::new(0)];
-        let old = ShortestPaths::from_sources(&g, srcs);
-        let e0 = g.cost_epoch();
-        // A non-tree edge getting *worse* provably changes nothing...
-        g.set_edge_cost(EdgeId::new(2), Cost::new(50.0));
-        let changes = g.cost_changes_since(e0).unwrap().to_vec();
-        let mut ws = DijkstraWorkspace::new();
-        assert!(matches!(
-            ws.repair(&g, &old, &srcs, &changes),
-            Repair::Unchanged
-        ));
-        // ...while the same edge getting *better* flips node 2's parent.
-        let e1 = g.cost_epoch();
-        g.set_edge_cost(EdgeId::new(2), Cost::new(0.5));
-        let changes = g.cost_changes_since(e1).unwrap().to_vec();
-        let repaired = tree_of(ws.repair(&g, &old, &srcs, &changes), &old).unwrap();
-        let fresh = ShortestPaths::from_sources(&g, srcs);
-        assert_tree_identical(&g, &repaired, &fresh, "winning change");
-        assert_eq!(
-            repaired.parent(NodeId::new(2)),
-            Some((NodeId::new(0), EdgeId::new(2)))
-        );
-    }
-
-    #[test]
-    fn repair_preserves_tie_breaks_and_sites() {
-        // Path 0-1-2-3-4 with sources at both ends; repricing 3-4 moves
-        // the Voronoi boundary, and tie-breaks at the midpoint must come
-        // out exactly as a fresh run's.
-        let mut g = Graph::with_nodes(5);
-        for i in 0..4 {
-            g.add_edge(NodeId::new(i), NodeId::new(i + 1), Cost::new(1.0));
-        }
-        let srcs = [NodeId::new(0), NodeId::new(4)];
-        let old = ShortestPaths::from_sources(&g, srcs);
-        let e0 = g.cost_epoch();
-        g.set_edge_cost(EdgeId::new(3), Cost::new(3.0));
-        let changes = g.cost_changes_since(e0).unwrap().to_vec();
-        let mut ws = DijkstraWorkspace::new();
-        let repaired = tree_of(ws.repair(&g, &old, &srcs, &changes), &old).unwrap();
-        let fresh = ShortestPaths::from_sources(&g, srcs);
-        assert_tree_identical(&g, &repaired, &fresh, "tie after reprice");
-        // The tie at node 3 goes to source 4: it proposed first (popped at
-        // distance 0) and fresh Dijkstra never overwrites on equality.
-        assert_eq!(repaired.site(NodeId::new(3)), Some(NodeId::new(4)));
-    }
-
-    #[test]
-    fn repair_survives_leaf_vm_zero_edges() {
-        // The codebase attaches VM nodes to their datacenter at cost zero;
-        // a leaf behind a zero edge never contests a tie, so repairs must
-        // keep working in its presence. 0 --3(e0)-- 1 --0(e1)-- 2 (vm),
-        // 0 --1(e2)-- 3 --1(e3)-- 1.
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(NodeId::new(0), NodeId::new(1), Cost::new(3.0));
-        g.add_edge(NodeId::new(1), NodeId::new(2), Cost::ZERO);
-        g.add_edge(NodeId::new(0), NodeId::new(3), Cost::new(1.0));
-        g.add_edge(NodeId::new(3), NodeId::new(1), Cost::new(1.0));
-        let srcs = [NodeId::new(0)];
-        let old = ShortestPaths::from_sources(&g, srcs);
-        assert_eq!(old.dist(NodeId::new(2)), Cost::new(2.0));
-        let e0 = g.cost_epoch();
-        // Repricing the 3-1 hop dirties node 1 and its vm child.
-        g.set_edge_cost(EdgeId::new(3), Cost::new(5.0));
-        let changes = g.cost_changes_since(e0).unwrap().to_vec();
-        let mut ws = DijkstraWorkspace::new();
-        let repaired = tree_of(ws.repair(&g, &old, &srcs, &changes), &old)
-            .expect("a leaf vm plateau must not block the repair");
-        let fresh = ShortestPaths::from_sources(&g, srcs);
-        assert_tree_identical(&g, &repaired, &fresh, "leaf vm zero edge");
-        assert_eq!(repaired.dist(NodeId::new(2)), Cost::new(3.0));
-    }
-
-    #[test]
-    fn repair_bails_on_ambiguous_zero_cost_plateau() {
-        // A source VM whose zero chain fans out: 3 --0(e0)-- 0 --0(e1)-- 2,
-        // plus positive edges 1-0 and 1-2. Every vertex on the plateau
-        // {3, 0, 2} sits at distance zero, and a fresh run settles their
-        // parent contests by *discovery* order — which the repair cannot
-        // reconstruct locally, so it must refuse rather than guess.
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(NodeId::new(3), NodeId::new(0), Cost::ZERO);
-        g.add_edge(NodeId::new(0), NodeId::new(2), Cost::ZERO);
-        g.add_edge(NodeId::new(1), NodeId::new(0), Cost::new(5.0));
-        g.add_edge(NodeId::new(1), NodeId::new(2), Cost::new(4.0));
-        let srcs = [NodeId::new(3)];
-        let old = ShortestPaths::from_sources(&g, srcs);
-        assert_eq!(
-            old.parent(NodeId::new(2)),
-            Some((NodeId::new(0), EdgeId::new(1)))
-        );
-        let e0 = g.cost_epoch();
-        // Reprice node 1's tree hop so its relabelling walks the plateau
-        // boundary, where the displaced-vertex contests live.
-        g.set_edge_cost(EdgeId::new(3), Cost::new(6.0));
-        let changes = g.cost_changes_since(e0).unwrap().to_vec();
-        let mut ws = DijkstraWorkspace::new();
-        assert!(
-            matches!(ws.repair(&g, &old, &srcs, &changes), Repair::GaveUp),
-            "ambiguous plateau ties must fall back to a cold run"
-        );
-        // The workspace stays reusable after the bail.
-        ws.run(&g, srcs);
-        let fresh = ShortestPaths::from_sources(&g, srcs);
-        for v in g.nodes() {
-            assert_eq!(ws.dist(v), fresh.dist(v), "post-bail run: dist of {v}");
-            assert_eq!(ws.parent(v), fresh.parent(v), "post-bail run: {v}");
-            assert_eq!(ws.site(v), fresh.site(v), "post-bail run: site of {v}");
-        }
-    }
-
-    #[test]
-    fn repair_bails_when_region_is_large_or_graph_changed_shape() {
-        let mut rng = crate::Rng64::seed_from(7);
-        let mut g =
-            crate::generators::gnp_connected(60, 0.1, crate::CostRange::new(1.0, 7.0), &mut rng);
-        let srcs = [NodeId::new(0)];
-        let old = ShortestPaths::from_sources(&g, srcs);
-        let e0 = g.cost_epoch();
-        // Reprice a big slice of the edge set: the dirty region blows
-        // past max(8, n/4) and the caller must fall back to a cold run.
-        let m = g.edge_count();
-        for e in 0..m / 2 {
-            let c = g.edge_cost(EdgeId::new(e));
-            g.set_edge_cost(EdgeId::new(e), c + Cost::new(3.0));
-        }
-        let changes = g.cost_changes_since(e0).unwrap().to_vec();
-        let mut ws = DijkstraWorkspace::new();
-        assert!(matches!(
-            ws.repair(&g, &old, &srcs, &changes),
-            Repair::GaveUp
-        ));
-        // A tree sized for a smaller graph is rejected outright.
-        g.add_node();
-        assert!(matches!(ws.repair(&g, &old, &srcs, &[]), Repair::GaveUp));
-    }
-
-    #[test]
-    fn repair_matches_fresh_on_random_reprice_batches() {
-        for seed in 0..8u64 {
-            let mut rng = crate::Rng64::seed_from(seed);
-            let mut g = crate::generators::gnp_connected(
-                50,
-                0.1,
-                crate::CostRange::new(1.0, 7.0),
-                &mut rng,
-            );
-            // One root on even seeds: the repaired clone then has no site
-            // array, and must still answer `site` as the fresh tree does.
-            let srcs: Vec<NodeId> = [1, 29][..1 + seed as usize % 2]
-                .iter()
-                .map(|&i| NodeId::new(i))
-                .collect();
-            let mut ws = DijkstraWorkspace::new();
-            let mut old = ShortestPaths::from_sources(&g, srcs.iter().copied());
-            let mut repaired_rounds = 0;
-            for round in 0..10 {
-                let e0 = g.cost_epoch();
-                for _ in 0..3 {
-                    let e = EdgeId::new((rng.next_u64() as usize) % g.edge_count());
-                    let delta = ((rng.next_u64() % 9) as f64 - 4.0) / 2.0;
-                    let c = (g.edge_cost(e).value() + delta).max(0.5);
-                    g.set_edge_cost(e, Cost::new(c));
-                }
-                let changes = g.cost_changes_since(e0).unwrap().to_vec();
-                let fresh = ShortestPaths::from_sources(&g, srcs.iter().copied());
-                if let Some(repaired) = tree_of(ws.repair(&g, &old, &srcs, &changes), &old) {
-                    assert_eq!(repaired.site.is_empty(), srcs.len() == 1);
-                    assert_tree_identical(
-                        &g,
-                        &repaired,
-                        &fresh,
-                        &format!("seed {seed} round {round}"),
-                    );
-                    repaired_rounds += 1;
-                }
-                old = fresh;
-            }
-            assert!(repaired_rounds > 0, "seed {seed}: every repair gave up");
         }
     }
 

@@ -17,32 +17,11 @@
 //! * hits return a cheap [`Arc`] clone of the cached tree — zero O(n)
 //!   allocation on the warm path.
 //!
-//! # Edge-scoped invalidation: one repair pass, two outcomes
+//! # A stale tree is recomputed
 //!
-//! An epoch mismatch does not condemn a cached tree. Cost-only mutations
-//! are journaled per edge ([`Graph::cost_changes_since`]), and a stale
-//! tree whose epoch is still on the graph's journaled lineage goes through
-//! [`DijkstraWorkspace::repair`], which looks at each dirtied edge
-//! `{x, y}` with its current cost `c`:
-//!
-//! * **unchanged** — every tree hop still carries the cost its label was
-//!   built from (`dist(x) + c == dist(y)`, so a reprice that was restored
-//!   before the query counts) and every non-tree hop loses its relaxation
-//!   strictly (`dist(x) + c > dist(y)` both ways). A fresh Dijkstra would
-//!   relax the same edges in the same `(dist, node)` pop order, so the
-//!   cached tree equals the recomputation **bit for bit**; the same `Arc`
-//!   is re-offered at the current epoch, counted in
-//!   [`PathEngineStats::repairs`].
-//! * **re-relaxed** — some hop was repriced off its label, or now wins or
-//!   ties: only the affected region is rebuilt (`docs/DYNSSSP.md`),
-//!   counted in [`PathEngineStats::partial_repairs`] on top of `misses`
-//!   and `stale`.
-//!
-//! When the pass gives up (region too large, an ambiguous zero-cost
-//! plateau) or no lineage is journaled (a structural mutation, journal
-//! overflow), that tree is recomputed cold. Either way the answer
-//! **replaces** the stored tree, which the engine then releases; other
-//! source sets are never discarded.
+//! A cached tree at another cost epoch is recomputed cold, counted in
+//! `stale` and `misses`, and **replaces** the stored tree, which the
+//! engine then releases; other source sets are never discarded.
 //!
 //! # A leaf's tree is its host's: one key per tree
 //!
@@ -92,8 +71,8 @@
 //!   [`NodeId`] wins, which is what a `NodeId`-ordered scan of the full
 //!   tree that replaces only on strictly smaller distance picks;
 //! * **epoch retired** — labels beyond `D` are tentative, so the workspace
-//!   epoch is retired before the call returns (as the repair pass does):
-//!   a truncated run can never be read back or cached.
+//!   epoch is retired before the call returns: a truncated run can never
+//!   be read back or cached.
 //!
 //! A bounded search is not a cache query: it reads no entry, inserts none,
 //! and counts in **none** of the six [`PathEngineStats`] fields. Its work
@@ -109,11 +88,10 @@
 //! engine.
 //!
 //! The cache keeps one tree per source set, at the epoch of the last graph
-//! that asked; [`PathEngine::len`] is the number of trees held. A graph
-//! repairs from its own last tree, so a repriced clone sharing the engine
-//! replaces the original's tree with one the original's journal cannot
-//! trace, and the original's next query of that set runs cold. Such a
-//! clone takes a [`PathEngine::fork`] instead.
+//! that asked; [`PathEngine::len`] is the number of trees held. A repriced
+//! clone sharing the engine replaces the original's tree with its own, and
+//! the original's next query of that set runs cold. Such a clone takes a
+//! [`PathEngine::fork`] instead.
 //!
 //! # Examples
 //!
@@ -134,7 +112,7 @@
 //! assert_eq!(engine.from_source(&g, NodeId::new(0)).dist(NodeId::new(2)), Cost::new(12.0));
 //! ```
 
-use crate::{Cost, DijkstraWorkspace, EdgeId, Graph, NearestTarget, NodeId, Repair, ShortestPaths};
+use crate::{Cost, DijkstraWorkspace, EdgeId, Graph, NearestTarget, NodeId, ShortestPaths};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -153,15 +131,11 @@ pub struct PathEngineStats {
     pub stale: u64,
     /// Bulk evictions triggered by the entry cap.
     pub evictions: u64,
-    /// Stale entries re-offered unchanged, without a Dijkstra: the repair
-    /// pass found no journaled dirty edge able to change the tree (see the
-    /// module docs).
+    /// Always 0: a stale entry is recomputed, never revalidated. Kept
+    /// while the repo benchmark (`benchmark/`) reads it.
     pub repairs: u64,
-    /// Misses answered by the repair pass re-relaxing only the affected
-    /// region instead of a cold Dijkstra (see
-    /// [`DijkstraWorkspace::repair`]). Counted *in addition to* `misses`
-    /// and `stale` — the repaired tree is bit-identical to the cold
-    /// solve it replaced, so downstream counters are unchanged.
+    /// Always 0: a stale entry is recomputed whole, never in part. Kept
+    /// while `benchmark/` reads it.
     pub partial_repairs: u64,
 }
 
@@ -349,24 +323,10 @@ impl PathEngine {
             if *stored == epoch {
                 stats.hits += 1;
             } else {
-                // Repaired when the graph's journal traces the stored epoch,
-                // cold when not; the answer replaces the stored tree.
-                let repair = graph
-                    .cost_changes_since(*stored)
-                    .map(|changes| inner.workspace.repair(graph, paths, key, changes));
-                if let Some(Repair::Unchanged) = repair {
-                    stats.repairs += 1;
-                } else {
-                    stats.stale += 1;
-                    stats.misses += 1;
-                    *paths = Arc::new(match repair {
-                        Some(Repair::Repaired(tree)) => {
-                            stats.partial_repairs += 1;
-                            tree
-                        }
-                        _ => inner.workspace.tree(graph, key),
-                    });
-                }
+                // Recomputed cold; the answer replaces the stored tree.
+                stats.stale += 1;
+                stats.misses += 1;
+                *paths = Arc::new(inner.workspace.tree(graph, key));
                 *stored = epoch;
             }
             return Arc::clone(paths);
@@ -431,15 +391,15 @@ impl PathEngine {
         self.counts.lock().expect("path engine counters").1
     }
 
-    /// Usage counters (hits / misses / stale replacements / evictions /
-    /// repairs), forks included.
+    /// Usage counters (hits / misses / stale replacements / evictions),
+    /// forks included.
     pub fn stats(&self) -> PathEngineStats {
         self.counts.lock().expect("path engine counters").0
     }
 
     /// An engine that starts with this one's trees and counts into its
-    /// counters, but keeps the trees it repairs or computes to itself: for
-    /// a repriced clone (module docs, "Sharing semantics").
+    /// counters, but keeps the trees it computes to itself: for a repriced
+    /// clone (module docs, "Sharing semantics").
     pub fn fork(&self) -> PathEngine {
         let cache = self.inner.lock().expect("path engine lock").cache.clone();
         PathEngine {
@@ -543,11 +503,10 @@ mod tests {
     #[test]
     fn a_diverged_clone_repairs_and_replaces_the_shared_tree() {
         // A graph and its mutated clone share one engine (the Network
-        // clone semantics). The clone's journal traces the original's
-        // epoch, so its query repairs the original's tree and replaces it.
-        // The original's journal does not know the clone's epoch, so its
-        // next query is a stale miss, recomputed cold — still exactly a
-        // fresh Dijkstra.
+        // clone semantics). The clone's query finds the original's tree at
+        // another epoch, recomputes it and replaces it; the original's
+        // next query is a stale miss in turn, recomputed cold — each time
+        // exactly a fresh Dijkstra.
         let g1 = line(5);
         let mut g2 = g1.clone();
         let e = g2.edge_between(NodeId::new(0), NodeId::new(1)).unwrap();
@@ -560,8 +519,8 @@ mod tests {
         assert_eq!(second.dist(NodeId::new(1)), Cost::new(7.0));
         let stats = engine.stats();
         assert_eq!(
-            (stats.misses, stats.stale, stats.partial_repairs, stats.hits),
-            (2, 1, 1, 0),
+            (stats.misses, stats.stale, stats.hits),
+            (2, 1, 0),
             "{stats:?}"
         );
         let again = engine.from_source(&g1, s);
@@ -573,8 +532,8 @@ mod tests {
         );
         let stats = engine.stats();
         assert_eq!(
-            (stats.misses, stats.stale, stats.partial_repairs, stats.hits),
-            (3, 2, 1, 0),
+            (stats.misses, stats.stale, stats.hits),
+            (3, 2, 0),
             "{stats:?}"
         );
         let fresh = ShortestPaths::from_source(&g1, s);
@@ -589,8 +548,10 @@ mod tests {
     #[test]
     fn a_fork_repairs_beside_the_original_and_counts_into_it() {
         // A fork reads the original's tree and counts into its counters,
-        // but the tree it repairs stays its own: the original still hits
-        // its tree, and repairs from it once its own graph moves on.
+        // but the tree it recomputes stays its own: the original still
+        // hits its tree, and recomputes it once its own graph moves on.
+        // A fork that shares the original's cache sinks the hit; one with
+        // counters of its own sinks the equal stats.
         let mut g1 = line(12);
         let engine = PathEngine::new();
         let s = NodeId::new(0);
@@ -601,11 +562,12 @@ mod tests {
         let fork = engine.fork();
         let theirs = fork.from_source(&g2, s);
         assert!(!Arc::ptr_eq(&mine, &theirs));
+        assert_eq!(theirs.dist(NodeId::new(11)), Cost::new(14.0));
         assert!(Arc::ptr_eq(&mine, &engine.from_source(&g1, s)));
         let stats = engine.stats();
         assert_eq!(
-            (stats.misses, stats.stale, stats.partial_repairs, stats.hits),
-            (2, 1, 1, 1),
+            (stats.misses, stats.stale, stats.hits),
+            (2, 1, 1),
             "{stats:?}"
         );
         assert_eq!(fork.stats(), stats);
@@ -613,121 +575,15 @@ mod tests {
         let e = g1.edge_between(NodeId::new(8), NodeId::new(9)).unwrap();
         g1.set_edge_cost(e, Cost::new(3.0));
         let moved = engine.from_source(&g1, s);
-        assert_eq!(engine.stats().partial_repairs, 2);
+        assert_eq!((engine.stats().misses, engine.stats().stale), (3, 2));
         assert_eq!(moved.dist(NodeId::new(11)), Cost::new(13.0));
+        assert_eq!(
+            Arc::strong_count(&mine),
+            1,
+            "the original replaced its tree"
+        );
         drop(fork);
         assert_eq!(Arc::strong_count(&theirs), 1);
-    }
-
-    #[test]
-    fn scoped_invalidation_repairs_unaffected_trees() {
-        // Path 0-1-2-3 (unit costs) with a costly shortcut 0-3, plus a
-        // disconnected pair 4-5. Repricing k edges must evict/repair only
-        // the trees those edges can touch; every other cached tree
-        // survives with its entry intact (same Arc, no Dijkstra).
-        let mut g = Graph::with_nodes(6);
-        g.add_edge(NodeId::new(0), NodeId::new(1), Cost::new(1.0));
-        g.add_edge(NodeId::new(1), NodeId::new(2), Cost::new(1.0));
-        let c = g.add_edge(NodeId::new(2), NodeId::new(3), Cost::new(1.0));
-        let shortcut = g.add_edge(NodeId::new(0), NodeId::new(3), Cost::new(10.0));
-        g.add_edge(NodeId::new(4), NodeId::new(5), Cost::new(1.0));
-        let engine = PathEngine::new();
-        let t0 = engine.from_source(&g, NodeId::new(0));
-        let t4 = engine.from_source(&g, NodeId::new(4));
-        assert_eq!(engine.stats().misses, 2);
-
-        // Reprice the non-tree shortcut so it still strictly loses: both
-        // trees are repaired — same Arcs, zero Dijkstras.
-        g.set_edge_cost(shortcut, Cost::new(12.0));
-        assert!(Arc::ptr_eq(&t0, &engine.from_source(&g, NodeId::new(0))));
-        assert!(Arc::ptr_eq(&t4, &engine.from_source(&g, NodeId::new(4))));
-        let s = engine.stats();
-        assert_eq!((s.misses, s.stale, s.repairs), (2, 0, 2));
-        // Once revalidated, further queries are plain hits.
-        let hits_before = engine.stats().hits;
-        assert!(Arc::ptr_eq(&t0, &engine.from_source(&g, NodeId::new(0))));
-        assert_eq!(engine.stats().hits, hits_before + 1);
-
-        // Reprice a tree edge of the 0-tree: that tree recomputes, but the
-        // disconnected 4-tree (endpoints unreachable) is repaired again.
-        g.set_edge_cost(c, Cost::new(5.0));
-        let t0b = engine.from_source(&g, NodeId::new(0));
-        assert!(
-            !Arc::ptr_eq(&t0, &t0b),
-            "a dirtied tree edge forces recompute"
-        );
-        assert_eq!(t0b.dist(NodeId::new(3)), Cost::new(7.0));
-        assert!(Arc::ptr_eq(&t4, &engine.from_source(&g, NodeId::new(4))));
-        let s = engine.stats();
-        assert_eq!((s.misses, s.stale, s.repairs), (3, 1, 3));
-
-        // A repricing that *creates* a shortcut may not be absorbed either.
-        g.set_edge_cost(shortcut, Cost::new(2.0));
-        let t0c = engine.from_source(&g, NodeId::new(0));
-        assert!(
-            !Arc::ptr_eq(&t0b, &t0c),
-            "an improving edge forces recompute"
-        );
-        assert_eq!(t0c.dist(NodeId::new(3)), Cost::new(2.0));
-    }
-
-    #[test]
-    fn restored_tree_edge_is_reoffered_unchanged() {
-        // What a leave followed by a join does to a congestion-priced
-        // link: a tree edge repriced and then restored (A→B→A) before the
-        // next query. The labels still stand, so the same Arc comes back
-        // with no clone, no Dijkstra and no miss.
-        let mut g = line(6);
-        let engine = PathEngine::new();
-        let s = NodeId::new(0);
-        let before = engine.from_source(&g, s);
-        let e = g.edge_between(NodeId::new(2), NodeId::new(3)).unwrap();
-        g.set_edge_cost(e, Cost::new(4.0));
-        g.set_edge_cost(e, Cost::new(1.0));
-        let was = engine.stats();
-        assert!(Arc::ptr_eq(&before, &engine.from_source(&g, s)));
-        let now = engine.stats();
-        assert_eq!(now.repairs, was.repairs + 1);
-        assert_eq!(
-            (now.misses, now.stale, now.partial_repairs),
-            (was.misses, was.stale, was.partial_repairs)
-        );
-    }
-
-    #[test]
-    fn affected_trees_are_partially_repaired() {
-        // Repricing one edge of a 12-node line dirties a small region:
-        // the stale miss must be answered by the repair pass, not a cold
-        // Dijkstra, and the tree must still be exactly the fresh one.
-        let mut g = line(12);
-        let engine = PathEngine::new();
-        let s = NodeId::new(0);
-        let before = engine.from_source(&g, s);
-        let e = g.edge_between(NodeId::new(9), NodeId::new(10)).unwrap();
-        g.set_edge_cost(e, Cost::new(4.0));
-        let after = engine.from_source(&g, s);
-        assert!(!Arc::ptr_eq(&before, &after));
-        let stats = engine.stats();
-        assert_eq!(
-            (stats.misses, stats.stale, stats.partial_repairs),
-            (2, 1, 1),
-            "the stale miss must go through the repair pass: {stats:?}"
-        );
-        let fresh = ShortestPaths::from_source(&g, s);
-        for v in g.nodes() {
-            assert_eq!(after.dist(v), fresh.dist(v));
-            assert_eq!(after.parent(v), fresh.parent(v));
-            assert_eq!(after.site(v), fresh.site(v));
-        }
-        // The repaired entry is a first-class cache citizen: same epoch
-        // queries hit it.
-        assert!(Arc::ptr_eq(&after, &engine.from_source(&g, s)));
-        // Structural mutations sever the journal, so the next stale miss
-        // falls back to a cold solve (partial_repairs unchanged).
-        g.add_edge(NodeId::new(0), NodeId::new(11), Cost::new(0.5));
-        let rerouted = engine.from_source(&g, s);
-        assert_eq!(rerouted.dist(NodeId::new(11)), Cost::new(0.5));
-        assert_eq!(engine.stats().partial_repairs, 1);
     }
 
     #[test]

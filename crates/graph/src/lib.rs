@@ -11,15 +11,12 @@
 //!   O(1) reset between runs, zero O(n) allocation once warm, full runs
 //!   that label the tree they return in place (a miss allocates the tree
 //!   itself and copies nothing), and one monotone radix queue under every
-//!   search and repair that pops in exact `(dist, node)` order without a
+//!   run and search that pops in exact `(dist, node)` order without a
 //!   comparison heap,
 //! * [`PathEngine`] — a memoizing shortest-path service holding one tree
 //!   per sorted source set, stamped with the cost epoch it is exact at and
-//!   replaced when it is repaired or recomputed; hands out shared `Arc<ShortestPaths>`
-//!   trees with *edge-scoped* invalidation: a cost change dirties only the
-//!   mutated edges ([`Graph::cost_changes_since`]), and cached trees those
-//!   edges cannot affect are revalidated instead of recomputed (see the
-//!   module docs for the exact safety rule); a zero-cost leaf (a VM on its
+//!   recomputed, replacing the stored one, once the graph's epoch moves;
+//!   hands out shared `Arc<ShortestPaths>` trees; a zero-cost leaf (a VM on its
 //!   data centre's stub) is answered from its host's tree
 //!   ([`PathEngine::rooted_at`]); plus one uncached *bounded
 //!   search* ([`PathEngine::nearest_target`]) for "which of these vertices
@@ -67,13 +64,13 @@ mod rng;
 mod unionfind;
 
 pub use cost::Cost;
-pub use dijkstra::{DijkstraWorkspace, NearestTarget, Repair, ShortestPaths};
+pub use dijkstra::{DijkstraWorkspace, NearestTarget, ShortestPaths};
 pub use dreyfus_wagner::{
     steiner_arborescence, SteinerArborescence, SteinerDpError, MAX_DW_TERMINALS,
 };
 pub use engine::{BoundedWork, PathEngine, PathEngineStats, RootedTree};
 pub use generators::CostRange;
-pub use graph::{CostChange, Edge, Graph};
+pub use graph::{Edge, Graph};
 pub use ids::{EdgeId, NodeId};
 pub use rng::Rng64;
 pub use unionfind::UnionFind;

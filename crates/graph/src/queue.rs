@@ -13,10 +13,9 @@
 //! ([`crate::steiner_arborescence`]) (`docs/DYNSSSP.md`, "The queue"):
 //!
 //! 1. **Pushes never undercut the latest pop.** A relaxation pushes
-//!    `d + c` for the popped `d` and an edge cost `c ≥ 0`; the repair pass
-//!    seeds its whole boundary, and the DP a terminal set's whole row,
-//!    before the first pop, and the repair pass afterwards re-pushes only
-//!    at `nd ≥ d`. [`MonotoneQueue::push`] asserts it, in
+//!    `d + c` for the popped `d` and an edge cost `c ≥ 0`; a run seeds its
+//!    roots, and the DP a terminal set's whole row, before the first pop.
+//!    [`MonotoneQueue::push`] asserts it, in
 //!    release builds too: a smaller key would be filed under a bit it does
 //!    not differ in and silently reorder a tree.
 //! 2. **Keys are non-negative floats**, whose bit patterns order as `u64`

@@ -1168,11 +1168,13 @@ mod tests {
     /// What `sof run inet-churn-failures --requests 8` printed while online
     /// specs failed VMs by their own rule: at every `every`-th arrival but
     /// the last, fail the `count` lowest-id VMs carrying a VNF in each
-    /// session, and drop the forest.
+    /// session, and drop the forest. Re-recorded without the re-route
+    /// every 6th arrival the old rule ran under, which moves only the `x`
+    /// 8 row.
     const OLD_RULE_JSONL: &str = concat!(
         "{\"type\":\"meta\",\"spec\":\"inet-churn-failures\",\"seed\":9000,\"seeds\":1,\"solvers\":[\"SOFDA\"]}\n",
         "{\"type\":\"row\",\"section\":\"group0:inet-sized\",\"x\":5.0,\"col\":\"SOFDA\",\"value\":1859.6732999813348}\n",
-        "{\"type\":\"row\",\"section\":\"group0:inet-sized\",\"x\":8.0,\"col\":\"SOFDA\",\"value\":2991.7947204539405}\n",
+        "{\"type\":\"row\",\"section\":\"group0:inet-sized\",\"x\":8.0,\"col\":\"SOFDA\",\"value\":3111.1659867648777}\n",
         "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"solver\":\"SOFDA\",\"name\":\"full_solves\",\"value\":2.0}\n",
         "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"solver\":\"SOFDA\",\"name\":\"incremental_events\",\"value\":6.0}\n",
         "{\"type\":\"stat\",\"section\":\"group0:inet-sized\",\"solver\":\"SOFDA\",\"name\":\"joins\",\"value\":10.0}\n",
@@ -1215,13 +1217,10 @@ mod tests {
     /// plan that fails, at round 6, the VM the old rule picked there, under
     /// the reactive policy (which drops the disrupted forest), reproduces
     /// the bytes the old rule printed — at one thread and at four — and
-    /// the counts it did not print repeat across those thread counts. The
-    /// old rule printed them under a re-route every 6th arrival, so the
-    /// spec sets one.
+    /// the counts it did not print repeat across those thread counts.
     #[test]
     fn a_scripted_failure_reproduces_the_old_online_rule() {
         let mut spec = presets::preset("inet-churn-failures").unwrap().unwrap();
-        spec.online.reroute_every = 6;
         let (group, failures) = online_parts(&mut spec);
         group.requests = 8;
         // The old rule's pick: the lowest-id VM the standing forest used

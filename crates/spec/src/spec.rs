@@ -898,7 +898,7 @@ table_field!(SofdaConfig {
 });
 table_field!(OnlineConfig {
     ..OnlineConfig::default();
-    drift, reroute_every, link_capacity, vm_capacity
+    drift, link_capacity, vm_capacity
 });
 table_field!(GroupChurnConfig {
     ..GroupChurnConfig::default();
@@ -1127,6 +1127,36 @@ values = [2, 4]
         assert_eq!(ScenarioSpec::from_json(&json).unwrap(), spec, "\n{json}");
     }
 
+    /// SPEC_FORMAT.md's key rows under `[params]`, `[sofda]` and
+    /// `[online]` are those tables' field lists, in order: the keys are
+    /// read off the strict parser's own "valid keys here: …" message, and
+    /// the rows are the `` | `key` | `` lines under the table's heading.
+    #[test]
+    fn spec_format_md_rows_are_the_field_lists() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../SPEC_FORMAT.md");
+        let doc = std::fs::read_to_string(path).expect("SPEC_FORMAT.md at the repo root");
+        for table in ["params", "sofda", "online"] {
+            let src = MINI.replace("[topology]", &format!("[{table}]\nzzz = 1\n[topology]"));
+            let err = ScenarioSpec::from_toml(&src).unwrap_err().to_string();
+            let prefix = format!("unknown key '{table}.zzz' (valid keys here: ");
+            let declared: Vec<&str> = err
+                .strip_prefix(&prefix)
+                .and_then(|rest| rest.strip_suffix(')'))
+                .unwrap_or_else(|| panic!("{table}: {err}"))
+                .split(", ")
+                .collect();
+            let heading = format!("## `[{table}]`");
+            let documented: Vec<&str> = doc
+                .lines()
+                .skip_while(|line| !line.starts_with(&heading))
+                .skip(1)
+                .take_while(|line| !line.starts_with("## "))
+                .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+                .collect();
+            assert_eq!(documented, declared, "SPEC_FORMAT.md's [{table}] rows");
+        }
+    }
+
     #[test]
     fn unknown_keys_are_rejected_with_context() {
         let src = MINI.replace("seeds = 2", "seeds = 2\nsede = 3");
@@ -1215,8 +1245,7 @@ every = 2
         let err = ScenarioSpec::from_toml(&src.replace("drift = 2.5", "join = \"full-search\""));
         assert_eq!(
             err.unwrap_err().to_string(),
-            "unknown key 'online.join' (valid keys here: drift, reroute_every, link_capacity, \
-             vm_capacity)"
+            "unknown key 'online.join' (valid keys here: drift, link_capacity, vm_capacity)"
         );
         let Workload::Online {
             ref groups,

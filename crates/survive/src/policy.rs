@@ -146,8 +146,8 @@ impl Protector {
             ProtectionPolicy::StandbyForest => {
                 let Some(solver) = &self.solver else { return };
                 let mut priced = session.instance().clone();
-                // The repriced clone's trees must not replace the ones the
-                // session repairs from after the coming failure.
+                // The repriced clone's trees must not replace the
+                // session's own.
                 priced.network.fork_paths();
                 let seg: BTreeSet<(NodeId, NodeId)> =
                     forest.segment_edges().into_iter().flatten().collect();

@@ -159,13 +159,8 @@ fn table2_exact_matches_pre_engine_golden_across_thread_counts() {
     }
 }
 
-/// A longer fig12 (requests 12: joins, leaves, reroutes and a rebuild on
-/// both legs) emits byte-identical reports at both thread counts. fig12 is
-/// **not** where the dynamic-SSSP repair pass earns its keep: the stale
-/// trees it used to repair there were those of rejoining destinations, and
-/// a tail-attach join no longer builds a tree at all (it runs a bounded
-/// search), so at this scale the pass re-relaxes nothing. Its witness is
-/// `inet3000_online_partial_repairs_fire_and_stay_invisible` below.
+/// A longer fig12 (requests 12: joins, leaves and a rebuild on both legs)
+/// emits byte-identical reports at both thread counts.
 #[test]
 fn fig12_requests_12_is_byte_identical_across_thread_counts() {
     let overrides = Overrides {
@@ -225,23 +220,24 @@ fn inet3000_online(
     (make, ChurnStream::new(churn, 3000, seed))
 }
 
-/// The dynamic-SSSP repair pass engages where it earns its keep — the
+/// A rebuild on a repriced network finds its cached trees stale and
+/// recomputes them cold, and the engine stays invisible in results — the
 /// benchmark's `online-inet10k` regime at a third of the size: one
 /// `OnlineSession` on `inet_sized(3000, 6000, 120, seed)` with 40 VMs, 6
 /// sources, groups of 8 and one viewer leaving and one joining per arrival.
 /// Drift rebuilds are off (an infinite threshold); the script drops the
 /// forest before the eighth arrival instead, so that arrival rebuilds
-/// whatever the forest costs. Each arrival reprices a handful of links, so that rebuild finds
-/// its VM trees stale and most of them inside the repair cap — and stays
-/// invisible in results: a twin session whose engine is emptied before
-/// every arrival (so it never repairs) reports bit-equal costs and equal
-/// forests.
+/// whatever the forest costs. Each arrival reprices a handful of links, so
+/// that rebuild finds its VM trees at an older cost epoch: each one is a
+/// stale miss, and a twin session whose engine is emptied before every
+/// arrival (so it never reads a cached tree) reports bit-equal costs and
+/// equal forests. Serving a stale tree as a hit sinks the twin check.
 ///
 /// The same run is the work witness for the bounded join: every
 /// tail-attach join runs exactly one bounded search, and that search
 /// settles fewer than a tenth of the graph's vertices.
 #[test]
-fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
+fn inet3000_online_stale_trees_are_recomputed_and_stay_invisible() {
     let no_drift = OnlineConfig {
         drift: f64::INFINITY,
         ..OnlineConfig::default()
@@ -261,6 +257,7 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
             twin.clear_forest();
         }
         let before = warm.instance().network.paths().bounded_work();
+        let was = warm.instance().network.paths().stats();
         let a = warm.arrive(request.clone()).unwrap();
         twin.instance().network.paths().clear();
         let b = twin.arrive(request).unwrap();
@@ -281,17 +278,18 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
                 "arrival {arrival}: the join settled {settled} of {n} vertices"
             );
         }
+        if arrival == 8 {
+            let now = warm.instance().network.paths().stats();
+            let (stale, misses) = (now.stale - was.stale, now.misses - was.misses);
+            assert!(stale > 0, "the rebuild found no stale tree: {now:?}");
+            assert!(misses >= stale, "a stale tree is a miss: {now:?}");
+        }
     }
     assert_eq!(rebuilds, 2, "the first embed and the forced rebuild");
-    let stats = warm.instance().network.paths().stats();
-    assert!(
-        stats.partial_repairs > 0,
-        "expected the dynamic-SSSP repair pass to re-relax a region: {stats:?}"
-    );
     assert_eq!(
-        twin.instance().network.paths().stats().partial_repairs,
+        twin.instance().network.paths().stats().stale,
         0,
-        "the twin's emptied engine has nothing to repair"
+        "the twin's emptied engine holds no stale tree"
     );
 }
 
@@ -303,9 +301,10 @@ fn inet3000_online_partial_repairs_fire_and_stay_invisible() {
 /// fallbacks and the bits of the accumulated cost. Two solves: the first
 /// embed and, at arrival 36, a rebuild on cost evidence (no fallback, the
 /// sources and chain never change, and the standing cost before it had
-/// reached 1.5 times the first solve's), accumulating 34 940.49. A
-/// re-route every 6th arrival sinks the pin (rebuilds at arrivals 13, 30
-/// and 60), and so does a default drift of 2.0 (no rebuild). With one
+/// reached 1.5 times the first solve's), accumulating 34 940.49. Calling
+/// `dynamics::reroute_all` on every 6th arrival sinks the pin (rebuilds at
+/// arrivals 13, 30 and 60), and so does a default drift of 2.0 (no
+/// rebuild). With one
 /// viewer leaving and one joining per arrival the default first rebuilds
 /// at arrival 112 508, so that script witnesses nothing here.
 #[test]
@@ -353,24 +352,22 @@ fn entries(trees: &[RootedTree]) -> usize {
 /// whose stub the forest loads). The one tree the session did not hold
 /// is the own tree of a loaded VM that shares its data centre with a
 /// free one, which keeps the host's tree too; the solve read that VM
-/// before its stub was loaded. The session re-routes every 6th arrival,
-/// which brings a drift rebuild within a few arrivals (at the default the
-/// script first rebuilds at arrival 112 508). After that rebuild the
-/// session holds exactly the trees the 40 VMs are read from, and each
-/// tree read after arrival 0 is either still the engine's tree for that
-/// VM (every repair since found it unchanged) or held by this test alone
-/// — the engine released the tree it replaced. Keeping the previous tree beside the
-/// one that replaces it sinks it (and the unit twin
+/// before its stub was loaded. One to three viewers leave and as many
+/// join per arrival, so the default drift rule first rebuilds at arrival
+/// 36 (with one of each, at arrival 112 508). After that rebuild the
+/// session holds 36 trees and the 40 VMs are read from 35 of them: the one
+/// left over is the own tree of a VM whose stub is free again, which waits
+/// for that VM's own lookup and goes there (the unit twin
+/// `engine::tests::a_leaf_is_released_at_its_own_lookup`). Each tree read
+/// after arrival 0 is either still the engine's tree for that VM or held
+/// by this test alone — the engine released the tree it replaced. Keeping the previous tree beside the one that replaces it
+/// sinks it (and the unit twin
 /// `engine::tests::a_superseded_tree_is_released`), and so does keeping a
 /// leaf's tree under both its keys (the unit twin
 /// `engine::tests::a_loaded_stub_falls_back_and_releases_its_hosts_tree`).
 #[test]
 fn inet3000_online_releases_superseded_trees() {
-    let reroute = OnlineConfig {
-        reroute_every: 6,
-        ..OnlineConfig::default()
-    };
-    let (make, mut stream) = inet3000_online(reroute, (1, 1));
+    let (make, mut stream) = inet3000_online(OnlineConfig::default(), (1, 3));
     let mut session = make();
     assert!(session.arrive(stream.current().clone()).unwrap().rebuilt);
     let engine = session.instance().network.paths().clone();
@@ -384,7 +381,10 @@ fn inet3000_online_releases_superseded_trees() {
         (left, held.len(), entries(&held), engine.len()),
         (35, 40, 36, 36)
     );
-    while !session.arrive(stream.next_request()).unwrap().rebuilt {}
+    let rebuilt_at = (1..)
+        .find(|_| session.arrive(stream.next_request()).unwrap().rebuilt)
+        .unwrap();
+    assert_eq!(rebuilt_at, 36);
     let left = engine.len();
     let graph = session.instance().network.graph();
     let now: Vec<RootedTree> = vms.iter().map(|&vm| engine.rooted_at(graph, vm)).collect();
@@ -401,7 +401,7 @@ fn inet3000_online_releases_superseded_trees() {
     }
     assert_eq!(
         (left, entries(&now), engine.len()),
-        (36, 36, 36),
+        (36, 35, 35),
         "one tree per key, nothing else"
     );
 }

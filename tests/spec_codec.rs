@@ -20,7 +20,7 @@ description = "a maximal spec"
 topology = { name = "inet", nodes = 6000, links = 13000, dcs = 50, seed = 9 }
 params = { vm_count = 9, sources = 3, destinations = 4, chain_len = 2, setup_scale = 1.5 }
 sofda = { steiner = "takahashi", stroll = "greedy", shorten = false, source_setup_cost = 0.5 }
-online = { drift = 2.5, reroute_every = 4, link_capacity = 80.0, vm_capacity = 4.0 }
+online = { drift = 2.5, link_capacity = 80.0, vm_capacity = 4.0 }
 "#;
 
 /// The failure axis of the two kinds that take one; `online` runs one
