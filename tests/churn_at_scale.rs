@@ -169,3 +169,132 @@ fn runner_config_rejects_an_empty_ward_list() {
     let err = Runner::new(cfg).err().expect("no wards must be rejected");
     assert!(err.contains("wards"), "{err}");
 }
+
+/// `sof run <churn spec> --format markdown` prints the `RunReport` that
+/// `run_spec` shapes from a collected run; `sof run` without it streams
+/// the records. Both must tell the same run: every window row is the
+/// stream's window record of the same index, every summary row the first
+/// leg's summary record, and every policy-comparison row the summary of
+/// its own leg and its entry on the closing `policy-comparison` line —
+/// counts exactly, costs and ratios bit for bit.
+#[test]
+fn the_markdown_report_tells_the_streamed_run() {
+    use sof::spec::run_spec;
+    use sof::spec::value::{parse_json, Value};
+
+    let spec = presets::preset("churn-failures-protected")
+        .unwrap()
+        .unwrap();
+    let opts = RunOptions::default();
+    let report = run_spec(&spec, &opts).unwrap();
+    let lines: Vec<Value> = stream(&spec, 0)
+        .lines()
+        .map(|line| parse_json(line).unwrap())
+        .collect();
+    let kind = |v: &Value| match v.get("type") {
+        Some(Value::Str(s)) => s.clone(),
+        other => panic!("a record without a type: {other:?}"),
+    };
+    let num = |v: &Value, key: &str| -> f64 {
+        v.get(key)
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("no number '{key}' in {v:?}"))
+    };
+    let same = |what: &str, report: Option<f64>, stream: f64| {
+        let report = report.unwrap_or_else(|| panic!("{what}: an empty report cell"));
+        assert_eq!(
+            report.to_bits(),
+            stream.to_bits(),
+            "{what}: {report} vs {stream}"
+        );
+    };
+
+    // One leg per policy, each opened by a meta line, then the comparison.
+    let mut legs: Vec<Vec<&Value>> = Vec::new();
+    for line in &lines[..lines.len() - 1] {
+        if kind(line) == "meta" {
+            legs.push(Vec::new());
+        }
+        legs.last_mut().expect("a leg opens with meta").push(line);
+    }
+    let comparison = lines.last().unwrap();
+    assert_eq!(kind(comparison), "policy-comparison");
+    assert_eq!(legs.len(), 3, "three policy legs");
+    let summaries: Vec<&Value> = legs
+        .iter()
+        .map(|leg| *leg.iter().rfind(|l| kind(l) == "summary").unwrap())
+        .collect();
+
+    let windows_section = &report.sections[0];
+    let table = windows_section.table.as_ref().unwrap();
+    let streamed: Vec<&&Value> = legs[0].iter().filter(|l| kind(l) == "window").collect();
+    assert_eq!(
+        table.rows.len(),
+        streamed.len(),
+        "one row per window record"
+    );
+    let window_keys = [
+        "events",
+        "active",
+        "retired",
+        "errors",
+        "full_solves",
+        "incremental",
+        "mean_cost",
+        "accumulated_cost",
+    ];
+    for (row, record) in table.rows.iter().zip(&streamed) {
+        assert_eq!(row.label, format!("{}", num(record, "index")));
+        assert_eq!(row.cells.len(), window_keys.len());
+        for (cell, key) in row.cells.iter().zip(window_keys) {
+            same(
+                &format!("window {} {key}", row.label),
+                cell.value,
+                num(record, key),
+            );
+        }
+    }
+
+    let summary_rows: Vec<_> = windows_section
+        .extra_rows
+        .iter()
+        .filter(|r| !r.timing)
+        .collect();
+    assert_eq!(
+        summary_rows.len(),
+        12,
+        "six run totals and six recovery totals"
+    );
+    for row in summary_rows {
+        let what = format!("summary {}", row.metric);
+        same(&what, row.value, num(summaries[0], &row.metric));
+    }
+
+    let policies = report.sections[1].table.as_ref().unwrap();
+    let Some(Value::Array(entries)) = comparison.get("legs") else {
+        panic!("a comparison line without legs: {comparison:?}");
+    };
+    assert_eq!(policies.rows.len(), 3);
+    assert_eq!(entries.len(), 3);
+    let leg_keys = [
+        "disruptions",
+        "immediate",
+        "mean_recovery_cost",
+        "mean_events_to_restore",
+        "availability",
+    ];
+    for ((row, summary), entry) in policies.rows.iter().zip(&summaries).zip(entries) {
+        assert_eq!(entry.get("policy"), Some(&Value::Str(row.label.clone())));
+        for (cell, key) in row.cells.iter().zip(leg_keys) {
+            let what = format!("{} {key}", row.label);
+            same(&what, cell.value, num(summary, key));
+            if entry.get(key).is_some() {
+                same(
+                    &format!("{what} (comparison line)"),
+                    cell.value,
+                    num(entry, key),
+                );
+            }
+        }
+    }
+}
