@@ -47,22 +47,30 @@ pub fn fortz_thorup(load: f64, capacity: f64) -> Cost {
     Cost::new(v.max(0.0))
 }
 
+/// Capacity of every link in the online deployment model (Mbps): the `p`
+/// that [`fortz_thorup`] prices a link's load against.
+pub const LINK_CAPACITY_MBPS: f64 = 100.0;
+
+/// Capacity of every VM in the online deployment model (concurrent VNFs).
+pub const VM_CAPACITY_VNFS: f64 = 5.0;
+
 /// Tracks per-link and per-VM load for the online deployment model
 /// (§VII-B), which prices each resource with [`fortz_thorup`] of its load:
 /// each accepted request adds its demand to every link its forest uses
 /// (once per chain segment, mirroring the bandwidth actually consumed) and
 /// one unit of work to every enabled VM.
 ///
+/// Every link's capacity is [`LINK_CAPACITY_MBPS`] and every VM's
+/// [`VM_CAPACITY_VNFS`].
+///
 /// The tracker remembers its *footprint* — the links loaded since the last
 /// [`clear_loads`](Self::clear_loads) — so clearing, and repricing after
-/// it, touch those links only. Equality compares loads and capacities
-/// only: trackers that loaded the same links in another order are equal.
+/// it, touch those links only. Equality compares loads only: trackers
+/// that loaded the same links in another order are equal.
 #[derive(Clone, Debug)]
 pub struct LoadTracker {
     edge_load: Vec<f64>,
-    edge_capacity: Vec<f64>,
     node_load: Vec<f64>,
-    node_capacity: Vec<f64>,
     /// Links loaded since the last clear, in the order first loaded.
     footprint: Vec<EdgeId>,
     /// The nodes that can carry load: the network's VMs.
@@ -71,21 +79,16 @@ pub struct LoadTracker {
 
 impl PartialEq for LoadTracker {
     fn eq(&self, other: &LoadTracker) -> bool {
-        self.edge_load == other.edge_load
-            && self.edge_capacity == other.edge_capacity
-            && self.node_load == other.node_load
-            && self.node_capacity == other.node_capacity
+        self.edge_load == other.edge_load && self.node_load == other.node_load
     }
 }
 
 impl LoadTracker {
-    /// Creates a tracker with uniform capacities.
-    pub fn new(network: &Network, link_capacity: f64, vm_capacity: f64) -> LoadTracker {
+    /// Creates a tracker with every load at zero.
+    pub fn new(network: &Network) -> LoadTracker {
         LoadTracker {
             edge_load: vec![0.0; network.graph().edge_count()],
-            edge_capacity: vec![link_capacity; network.graph().edge_count()],
             node_load: vec![0.0; network.node_count()],
-            node_capacity: vec![vm_capacity; network.node_count()],
             footprint: Vec::new(),
             vms: network.vms(),
         }
@@ -94,16 +97,6 @@ impl LoadTracker {
     /// Current load of a link.
     pub fn edge_load(&self, e: EdgeId) -> f64 {
         self.edge_load[e.index()]
-    }
-
-    /// Capacity of a link.
-    pub fn edge_capacity(&self, e: EdgeId) -> f64 {
-        self.edge_capacity[e.index()]
-    }
-
-    /// Capacity of a node.
-    pub fn node_capacity(&self, v: NodeId) -> f64 {
-        self.node_capacity[v.index()]
     }
 
     /// Current load of a node.
@@ -232,13 +225,13 @@ mod tests {
             }],
         );
         forest.validate(&inst).unwrap();
-        let mut tracker = LoadTracker::new(&net, 100.0, 5.0);
+        let mut tracker = LoadTracker::new(&net);
         tracker.apply_forest(&net, &forest, 5.0);
         assert_eq!(tracker.edge_load(EdgeId::new(0)), 5.0);
         assert_eq!(tracker.node_load(NodeId::new(1)), 1.0);
         // 5/100 utilization is in the linear region: cost = load.
         let e = EdgeId::new(0);
-        let priced = |t: &LoadTracker| fortz_thorup(t.edge_load(e), t.edge_capacity(e));
+        let priced = |t: &LoadTracker| fortz_thorup(t.edge_load(e), LINK_CAPACITY_MBPS);
         assert!((priced(&tracker).value() - 5.0).abs() < 1e-9);
         // More load → higher cost.
         tracker.apply_forest(&net, &forest, 60.0);
@@ -248,7 +241,7 @@ mod tests {
         let mut cleared = Vec::new();
         tracker.clear_loads(&mut cleared);
         assert_eq!(cleared, [EdgeId::new(0), EdgeId::new(1)]);
-        assert_eq!(tracker, LoadTracker::new(&net, 100.0, 5.0));
+        assert_eq!(tracker, LoadTracker::new(&net));
         assert!(tracker.footprint().is_empty());
     }
 }

@@ -82,7 +82,7 @@ mod transform;
 
 pub use config::{ChainAssignment, SofdaConfig, SolveError, SolveOutcome, SolveStats};
 pub use conflict::{ChainWalk, ConflictError, ConflictStats, WalkSet};
-pub use cost_model::{fortz_thorup, LoadTracker};
+pub use cost_model::{fortz_thorup, LoadTracker, LINK_CAPACITY_MBPS, VM_CAPACITY_VNFS};
 pub use dynamics::JoinStrategy;
 pub use faults::{Element, Faults, FAILED_COST};
 pub use forest::{DestWalk, ForestCost, ForestError, ForestStats, ServiceForest};

@@ -74,7 +74,8 @@
 use crate::dynamics::{self, JoinStrategy};
 use crate::faults::{Element, Faults, FAILED_COST};
 use crate::{
-    fortz_thorup, LoadTracker, Request, ServiceForest, SofInstance, SofdaConfig, SolveError, Solver,
+    fortz_thorup, LoadTracker, Request, ServiceForest, SofInstance, SofdaConfig, SolveError,
+    Solver, LINK_CAPACITY_MBPS, VM_CAPACITY_VNFS,
 };
 use sof_graph::{Cost, EdgeId, NodeId};
 use std::collections::BTreeSet;
@@ -177,10 +178,6 @@ pub struct OnlineConfig {
     /// rebuild, while a few expensive attachments do. Lower values track
     /// the solver's quality more closely; higher values are faster.
     pub drift: f64,
-    /// Uniform link capacity handed to the [`LoadTracker`] (Mbps).
-    pub link_capacity: f64,
-    /// Uniform VM capacity handed to the [`LoadTracker`] (concurrent VNFs).
-    pub vm_capacity: f64,
     /// Per-request bandwidth demand (Mbps) charged to the standing forest.
     pub demand_mbps: f64,
 }
@@ -190,8 +187,6 @@ impl Default for OnlineConfig {
         OnlineConfig {
             mode: EmbedMode::Incremental,
             drift: 1.5,
-            link_capacity: 100.0,
-            vm_capacity: 5.0,
             demand_mbps: 5.0,
         }
     }
@@ -305,7 +300,7 @@ impl OnlineSession {
         config: SofdaConfig,
         opts: OnlineConfig,
     ) -> OnlineSession {
-        let tracker = LoadTracker::new(&instance.network, opts.link_capacity, opts.vm_capacity);
+        let tracker = LoadTracker::new(&instance.network);
         let base_edge_costs: Vec<Cost> = (0..instance.network.graph().edge_count())
             .map(|i| instance.network.graph().edge_cost(EdgeId::new(i)))
             .collect();
@@ -353,13 +348,13 @@ impl OnlineSession {
     fn reprice(&mut self, links: impl IntoIterator<Item = EdgeId>) {
         let net = &mut self.instance.network;
         for e in links {
-            let congestion = fortz_thorup(self.tracker.edge_load(e), self.tracker.edge_capacity(e));
+            let congestion = fortz_thorup(self.tracker.edge_load(e), LINK_CAPACITY_MBPS);
             net.graph_mut()
                 .set_edge_cost(e, self.edge_floor[e.index()] + congestion);
             self.stats.repriced_links += 1;
         }
         for &(v, base) in &self.vm_floor {
-            let congestion = fortz_thorup(self.tracker.node_load(v), self.tracker.node_capacity(v));
+            let congestion = fortz_thorup(self.tracker.node_load(v), VM_CAPACITY_VNFS);
             net.set_node_cost(v, base + congestion);
         }
     }
@@ -465,7 +460,7 @@ impl OnlineSession {
             forest
                 .validate(&self.instance)
                 .map_err(|e| format!("standing forest: {e}"))?;
-            let mut loads = LoadTracker::new(net, self.opts.link_capacity, self.opts.vm_capacity);
+            let mut loads = LoadTracker::new(net);
             loads.apply_forest(net, forest, self.opts.demand_mbps);
             if loads != self.tracker {
                 return Err("tracked loads differ from the standing forest's".into());
@@ -485,7 +480,7 @@ impl OnlineSession {
                 ));
             }
             let floor = self.edge_floor[e.index()];
-            if !surcharged(price, floor, t.edge_load(e), t.edge_capacity(e)) {
+            if !surcharged(price, floor, t.edge_load(e), LINK_CAPACITY_MBPS) {
                 return Err(format!(
                     "link {}-{} priced {price}, not its floor {floor} plus its load's surcharge",
                     edge.u, edge.v
@@ -497,7 +492,7 @@ impl OnlineSession {
             if priced_out(price) != self.faults.vm_down(v) {
                 return Err(format!("VM {v} priced {price} against the fault set"));
             }
-            if !surcharged(price, floor, t.node_load(v), t.node_capacity(v)) {
+            if !surcharged(price, floor, t.node_load(v), VM_CAPACITY_VNFS) {
                 return Err(format!(
                     "VM {v} priced {price}, not its floor {floor} plus its load's surcharge"
                 ));

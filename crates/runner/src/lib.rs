@@ -14,14 +14,20 @@
 //!   drawn on demand from [`sof_sim::ChurnStream`] over a region-local
 //!   node pool. Retired groups are replaced in their pool slot by fresh
 //!   ones, so concurrency stays constant forever.
-//! * **Wards** ([`Ward`]): pluggable stop conditions — a deterministic
-//!   event budget, a wall-clock safety net, or convergence of the
-//!   windowed mean forest cost — checked between lockstep rounds.
-//! * **Sinks** ([`Sink`]): a subscriber layer that receives every
-//!   [`Record`] (meta, per-event samples, windowed aggregates, summary)
-//!   the moment it is produced. Records are typed — this crate knows no
-//!   output format (`sof_spec::sink` renders them as the golden JSON
-//!   lines); [`CollectSink`] buffers them.
+//! * **One stop rule**, checked between lockstep rounds: the run ends on
+//!   its deterministic event budget ([`RunnerConfig::events`]), on the
+//!   windowed mean forest cost settling ([`Converge`]), or on a wall-clock
+//!   safety net ([`RunnerConfig::max_seconds`]), whichever comes first
+//!   ([`StopReason`]).
+//! * **One sink** ([`Sink`]): a subscriber that receives every [`Record`]
+//!   (meta, per-event samples, windowed aggregates, summary) the moment
+//!   it is produced. Records are typed — this crate knows no output
+//!   format (`sof_spec::sink` renders them as the golden JSON lines);
+//!   [`CollectSink`] buffers them.
+//!
+//! [`RunnerConfig`] is the one declaration of a run: `sof_spec` reads a
+//! churn-at-scale `[workload]` table straight into it, and
+//! [`RunnerConfig::validate`] holds every rule such a table is held to.
 //!
 //! Stepping is lockstep: each round, every live slot pulls one event from
 //! its group's stream and the pool arrives them via order-preserving
@@ -32,15 +38,17 @@
 //! # Examples
 //!
 //! ```
-//! use sof_runner::{CollectSink, Record, Runner, RunnerConfig, Ward};
+//! use sof_runner::{CollectSink, Record, Runner, RunnerConfig};
 //!
-//! let mut cfg = RunnerConfig::new("doc");
-//! cfg.groups = 4;
-//! cfg.window = 8;
-//! cfg.wards = vec![Ward::MaxEvents(16)];
-//! let mut runner = Runner::new(cfg).unwrap();
+//! let cfg = RunnerConfig {
+//!     name: "doc".into(),
+//!     groups: 4,
+//!     window: 8,
+//!     events: 16,
+//!     ..RunnerConfig::default()
+//! };
 //! let (sink, records) = CollectSink::new();
-//! runner.add_sink(Box::new(sink));
+//! let runner = Runner::new(cfg, Box::new(sink)).unwrap();
 //! let summary = runner.run().unwrap();
 //! assert_eq!(summary.events, 16);
 //! let records = records.lock().unwrap();
@@ -62,4 +70,4 @@ pub use sink::{
     CollectSink, EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord,
     RecoverySummary, Sink, SummaryRecord, WindowRecord,
 };
-pub use ward::{StopReason, Ward};
+pub use ward::{Converge, StopReason};

@@ -1,167 +1,199 @@
 //! The runner: lockstep stepping of a [`SessionPool`] over lazily
-//! generated group timelines, with wards and sinks.
+//! generated group timelines, with one stop rule and one sink.
 
 use crate::events::{GroupChurnConfig, GroupProcess};
 use crate::sink::{
     EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord, RecoverySummary, Sink,
     SummaryRecord, WindowRecord,
 };
-use crate::ward::{StopReason, Ward, WardSet};
+use crate::ward::{Converge, Stop, StopReason};
 use sof_core::{Element, OnlineConfig, OnlineSession, SessionEvent, SessionPool, SofdaConfig};
 use sof_graph::PathEngineStats;
-use sof_survive::{universe_for_scopes, ElementRef, FailurePlan, FailureRounds, Protector};
+use sof_survive::{
+    universe_for_scopes, ElementRef, FailurePlan, FailureRounds, FailureSpec, ProtectionPolicy,
+    Protector,
+};
 use sof_topo::{
-    build_region_instance, build_regions, RegionScenario, RegionTopology, RegionsParams,
+    build_region_instance, build_regions, RegionDef, RegionScenario, RegionTopology, RegionsParams,
 };
 use std::time::Instant;
 
 /// Full configuration of one churn-at-scale run.
-#[derive(Clone, Debug)]
+///
+/// The fields from `seed` to `emit_events` are the keys of a spec file's
+/// `kind = "churn-at-scale"` `[workload]` table, under the same names and
+/// defaults (`emit_events` is spelt `emit = "windows" | "events"` there);
+/// `sof_spec` reads the table straight into this struct. The fields after
+/// them are set from elsewhere: the spec's name, `[params]`, `[sofda]` and
+/// `[online]` tables and the run's options.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunnerConfig {
-    /// Run name (echoed in the meta record).
-    pub name: String,
-    /// The multi-region network every group lives on.
-    pub regions: RegionsParams,
-    /// Concurrent groups: the pool holds exactly this many slots; retired
-    /// groups are replaced in place so concurrency stays constant.
-    pub groups: usize,
-    /// VMs attached to every DC node of each group's instance.
-    pub vms_per_dc: usize,
-    /// Multiplier on VM setup costs.
-    pub setup_scale: f64,
-    /// Per-group churn process shape.
-    pub churn: GroupChurnConfig,
-    /// Solver registry name (see `sof_solvers::by_name`).
-    pub solver: String,
-    /// SOFDA tuning (per-group seeds are mixed in on top).
-    pub sofda: SofdaConfig,
-    /// Online-session tuning shared by every group.
-    pub online: OnlineConfig,
     /// Run seed: topology, per-group processes and instances all derive
     /// from it.
     pub seed: u64,
-    /// Events per window record (≥ 1; windows close at the first round
+    /// Solver registry name (see `sof_solvers::by_name`).
+    pub solver: String,
+    /// Concurrent groups: the pool holds exactly this many slots; retired
+    /// groups are replaced in place so concurrency stays constant.
+    pub groups: usize,
+    /// Event budget: the run stops once this many events have been
+    /// processed (the final round is trimmed to land exactly on it).
+    pub events: u64,
+    /// Events per window record (windows close at the first round
     /// boundary at or past this many events).
     pub window: u64,
+    /// VMs attached to every DC node of each group's instance.
+    pub vms_per_dc: usize,
+    /// Gateway links joining every region pair.
+    pub gateway_links: usize,
+    /// The named regions of the multi-region network every group lives on.
+    pub regions: Vec<RegionDef>,
+    /// Explicit symmetric region-pair cost factors (`pair_cost[i][j]`, one
+    /// row per region); `None` uses the line-distance default `1 + |i − j|`
+    /// ([`RegionsParams::pair_cost`]).
+    pub pair_cost: Option<Vec<Vec<f64>>>,
+    /// Per-group churn process shape.
+    pub churn: GroupChurnConfig,
+    /// Optional failure axis: deterministic element failures (and
+    /// repairs) interleaved between rounds by [`FailureRounds`]. The run
+    /// compiles the first listed policy; `sof_spec` runs one leg per
+    /// listed policy over the identical trace.
+    pub failures: Option<FailureSpec>,
+    /// Optional early stop once the windowed mean forest cost settles.
+    pub converge: Option<Converge>,
+    /// Optional wall-clock safety net in seconds (host-dependent — keep it
+    /// out of golden runs).
+    pub max_seconds: Option<f64>,
     /// Also emit one [`Record::Event`] per event (the full-scale stream;
     /// off by default).
     pub emit_events: bool,
+    /// Run name (echoed in the meta record).
+    pub name: String,
+    /// Multiplier on VM setup costs.
+    pub setup_scale: f64,
+    /// SOFDA tuning (per-group seeds are mixed in on top).
+    pub sofda: SofdaConfig,
+    /// Online-session tuning shared by every group (`demand_mbps` comes
+    /// from `churn`).
+    pub online: OnlineConfig,
     /// Include wall-clock `millis` fields in records. Leave off for
     /// deterministic output.
     pub timings: bool,
     /// Worker threads (`0` = auto via `SOF_THREADS`).
     pub threads: usize,
-    /// Stop conditions; the first to trip ends the run. At least one.
-    pub wards: Vec<Ward>,
-    /// Optional failure plan: when set, [`sof_survive::FailureRounds`]
-    /// interleaves deterministic element failures (and repairs) between
-    /// rounds, and the plan's protection policy answers each disruption.
-    pub failures: Option<FailurePlan>,
+}
+
+/// What a bare `kind = "churn-at-scale"` table runs: a 3-region network,
+/// 100 SOFDA groups, windows of 1000 events, a 100k-event budget.
+impl Default for RunnerConfig {
+    fn default() -> RunnerConfig {
+        RunnerConfig {
+            seed: 1000,
+            solver: "SOFDA".into(),
+            groups: 100,
+            events: 100_000,
+            window: 1000,
+            vms_per_dc: 1,
+            gateway_links: 2,
+            regions: vec![
+                RegionDef::new("us-east", 8, 2),
+                RegionDef::new("eu-west", 8, 2),
+                RegionDef::new("ap-south", 8, 2),
+            ],
+            pair_cost: None,
+            churn: GroupChurnConfig::default(),
+            failures: None,
+            converge: None,
+            max_seconds: None,
+            emit_events: false,
+            name: String::new(),
+            setup_scale: 1.0,
+            sofda: SofdaConfig::default(),
+            online: OnlineConfig::default(),
+            timings: false,
+            threads: 0,
+        }
+    }
 }
 
 impl RunnerConfig {
-    /// A config with library defaults: 3-region network, SOFDA, windows
-    /// of 1000 events, a 100k-event budget.
-    pub fn new(name: impl Into<String>) -> RunnerConfig {
-        RunnerConfig {
-            name: name.into(),
-            regions: RegionsParams::new(vec![
-                sof_topo::RegionDef::new("us-east", 8, 2),
-                sof_topo::RegionDef::new("eu-west", 8, 2),
-                sof_topo::RegionDef::new("ap-south", 8, 2),
-            ]),
-            groups: 100,
-            vms_per_dc: 1,
-            setup_scale: 1.0,
-            churn: GroupChurnConfig::default(),
-            solver: "SOFDA".into(),
-            sofda: SofdaConfig::default(),
-            online: OnlineConfig::default(),
-            seed: 42,
-            window: 1000,
-            emit_events: false,
-            timings: false,
-            threads: 0,
-            wards: vec![Ward::MaxEvents(100_000)],
-            failures: None,
-        }
-    }
-
-    /// Checks the configuration without building anything.
+    /// Checks the configuration without building anything. Messages name
+    /// the offending key as it sits under `at`, the path of the table the
+    /// keys are read from (`"workload"` in a spec file; `""` names the
+    /// bare field).
     ///
     /// # Errors
     ///
-    /// A message naming the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        self.regions.validate()?;
-        self.churn.validate()?;
-        if self.groups == 0 {
-            return Err("groups must be at least 1".into());
+    /// A message naming the key and the violated constraint.
+    pub fn validate(&self, at: &str) -> Result<(), String> {
+        let key = |name: &str| match at {
+            "" => name.to_string(),
+            _ => format!("{at}.{name}"),
+        };
+        // Records and specs are documents whose integers are `i64`: refuse
+        // what could not be written back, before anything runs.
+        let ints = [
+            ("seed", self.seed),
+            ("events", self.events),
+            ("window", self.window),
+        ];
+        let failures_seed = self.failures.as_ref().map(|f| ("failures.seed", f.seed));
+        for (name, n) in ints.into_iter().chain(failures_seed) {
+            if n > i64::MAX as u64 {
+                return Err(format!("'{}' must be at most {}", key(name), i64::MAX));
+            }
         }
-        if self.vms_per_dc == 0 {
-            return Err("vms_per_dc must be at least 1".into());
-        }
-        if self.window == 0 {
-            return Err("window must be at least 1".into());
-        }
-        if self.wards.is_empty() {
-            return Err("wards must name at least one stop condition".into());
+        if let Some(f) = &self.failures {
+            f.validate(&key("failures"))?;
         }
         if sof_solvers::by_name(&self.solver).is_none() {
+            let known: Vec<&str> = sof_solvers::all().iter().map(|s| s.name()).collect();
             return Err(format!(
-                "unknown solver '{}' (see sof_solvers::all)",
-                self.solver
+                "'{}': unknown solver '{}' (registered: {})",
+                key("solver"),
+                self.solver,
+                known.join(", ")
             ));
         }
-        // Records end up in documents whose integers are `i64` (the spec
-        // layer's rule for the same fields): refuse what could not be
-        // written back, before anything runs.
-        let budgets = self.wards.iter().filter_map(|w| match w {
-            Ward::MaxEvents(n) => Some(("MaxEvents ward", *n)),
-            _ => None,
-        });
-        for (what, n) in [("seed", self.seed), ("window", self.window)]
-            .into_iter()
-            .chain(budgets)
-        {
-            if n > i64::MAX as u64 {
-                return Err(format!("{what} must be at most {}", i64::MAX));
+        let sizes = [
+            ("groups", self.groups as u64),
+            ("events", self.events),
+            ("window", self.window),
+            ("vms_per_dc", self.vms_per_dc as u64),
+            ("gateway_links", self.gateway_links as u64),
+        ];
+        if let Some((name, _)) = sizes.into_iter().find(|&(_, n)| n == 0) {
+            return Err(format!("'{}' must be at least 1", key(name)));
+        }
+        self.regions_params()
+            .validate()
+            .map_err(|e| format!("'{}': {e}", key("regions")))?;
+        self.churn
+            .validate()
+            .map_err(|e| format!("'{}'", key(&e)))?;
+        // `positive` is NaN-rejecting.
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if let Some(c) = &self.converge {
+            if !positive(c.epsilon) {
+                return Err(format!("'{}' must be positive", key("converge.epsilon")));
+            }
+            if c.patience == 0 {
+                return Err(format!("'{}' must be at least 1", key("converge.patience")));
             }
         }
-        for ward in &self.wards {
-            if let Ward::ConvergedCost { epsilon, patience } = ward {
-                // Mirrors the spec layer's 'workload.converge' rules: the
-                // library path through `Runner::new` must reject the same
-                // configurations `ScenarioSpec::validate` does.
-                if !(epsilon.is_finite() && *epsilon > 0.0) {
-                    return Err(format!(
-                        "ConvergedCost ward needs a positive epsilon, got {epsilon}"
-                    ));
-                }
-                if *patience == 0 {
-                    return Err("ConvergedCost ward needs patience of at least 1 \
-                         (patience 0 would stop before two windows were ever compared)"
-                        .into());
-                }
-            }
-        }
-        let smallest = self
-            .regions
-            .regions
-            .iter()
-            .map(|r| r.nodes)
-            .min()
-            .unwrap_or(0);
-        if smallest < 2 {
-            return Err("every region needs at least 2 nodes for a group to live on".into());
-        }
-        if let Some(plan) = &self.failures {
-            // The survivability layer owns the rules (finite rates in
-            // [0, 1], ordered repair ranges, known scopes, …); the library
-            // path through `Runner::new` rejects exactly what it does.
-            plan.validate()?;
+        if self.max_seconds.is_some_and(|secs| !positive(secs)) {
+            return Err(format!("'{}' must be positive", key("max_seconds")));
         }
         Ok(())
+    }
+
+    /// The multi-region network's parameters.
+    fn regions_params(&self) -> RegionsParams {
+        RegionsParams {
+            regions: self.regions.clone(),
+            gateway_links: self.gateway_links,
+            pair_cost: self.pair_cost.clone(),
+        }
     }
 }
 
@@ -209,7 +241,7 @@ pub struct Runner {
     rt: RegionTopology,
     pool: SessionPool,
     procs: Vec<GroupProcess>,
-    sinks: Vec<Box<dyn Sink>>,
+    sink: Box<dyn Sink>,
     next_id: u64,
     seq: u64,
     retired: u64,
@@ -218,19 +250,21 @@ pub struct Runner {
     /// Stats carried over from retired sessions.
     retired_cost: f64,
     retired_engine: PathEngineStats,
-    failure: Option<FailureRounds>,
+    /// The failure rounds and the protection policy answering them.
+    failure: Option<(FailureRounds, ProtectionPolicy)>,
 }
 
 impl Runner {
     /// Builds the region topology and the initial pool of `cfg.groups`
-    /// sessions (group ids `0..groups`).
+    /// sessions (group ids `0..groups`); the run pushes every record to
+    /// `sink`.
     ///
     /// # Errors
     ///
     /// Everything [`RunnerConfig::validate`] rejects.
-    pub fn new(cfg: RunnerConfig) -> Result<Runner, String> {
-        cfg.validate()?;
-        let rt = build_regions(&cfg.regions, cfg.seed)?;
+    pub fn new(cfg: RunnerConfig, sink: Box<dyn Sink>) -> Result<Runner, String> {
+        cfg.validate("")?;
+        let rt = build_regions(&cfg.regions_params(), cfg.seed)?;
         let mut procs = Vec::with_capacity(cfg.groups);
         let mut sessions = Vec::with_capacity(cfg.groups);
         for id in 0..cfg.groups as u64 {
@@ -239,14 +273,20 @@ impl Runner {
             procs.push(proc);
         }
         let pool = SessionPool::new(sessions).with_threads(cfg.threads);
-        let failure = cfg.failures.as_ref().map(|p| failure_rounds(p, &rt, &cfg));
+        let failure = match &cfg.failures {
+            Some(f) => {
+                let plan = f.to_plan(&f.policies[0])?;
+                Some((failure_rounds(&plan, &rt, &cfg), plan.policy))
+            }
+            None => None,
+        };
         Ok(Runner {
             next_id: cfg.groups as u64,
             cfg,
             rt,
             pool,
             procs,
-            sinks: Vec::new(),
+            sink,
             seq: 0,
             retired: 0,
             errors: 0,
@@ -257,13 +297,7 @@ impl Runner {
         })
     }
 
-    /// Attaches a sink; every record is pushed to all sinks in attach
-    /// order.
-    pub fn add_sink(&mut self, sink: Box<dyn Sink>) {
-        self.sinks.push(sink);
-    }
-
-    /// Runs until a ward trips, returning the end-of-run totals.
+    /// Runs until the stop rule trips, returning the end-of-run totals.
     ///
     /// # Errors
     ///
@@ -271,7 +305,7 @@ impl Runner {
     /// failure that is not recoverable by retiring the group.
     pub fn run(mut self) -> Result<Summary, String> {
         let started = Instant::now();
-        let mut wards = WardSet::new(self.cfg.wards.clone());
+        let mut stop = Stop::new(self.cfg.events, self.cfg.converge, self.cfg.max_seconds);
         self.emit(Record::Meta {
             name: self.cfg.name.clone(),
             groups: self.cfg.groups,
@@ -281,45 +315,37 @@ impl Runner {
             seed: self.cfg.seed,
             solver: self.cfg.solver.clone(),
             window: self.cfg.window,
-            events_target: wards.events_left(0),
+            events_target: Some(self.cfg.events),
             policy: self
-                .cfg
-                .failures
+                .failure
                 .as_ref()
-                .map(|p| p.policy.as_str().to_string()),
+                .map(|(_, policy)| policy.as_str().to_string()),
         })?;
         let mut win = WindowAccum::default();
         let stop = loop {
-            // Trim the final round so MaxEvents lands exactly on budget.
-            let budget = wards
-                .events_left(self.seq)
-                .map(|left| (left.min(self.cfg.groups as u64)) as usize)
-                .unwrap_or(self.cfg.groups);
+            // Trim the final round so the budget lands exactly.
+            let budget = stop.events_left(self.seq).min(self.cfg.groups as u64) as usize;
             if budget == 0 {
                 break StopReason::MaxEvents;
             }
             let round = self.step_round(budget, &mut win)?;
             debug_assert_eq!(round, budget as u64);
             self.apply_failures()?;
-            if let Some(reason) = wards.after_round(self.seq, started.elapsed()) {
+            if let Some(reason) = stop.after_round(self.seq, started.elapsed()) {
                 // Flush the open window before stopping so no events are
                 // silently dropped from the stream.
                 if win.events > 0 {
-                    let mean = self.close_window(&mut win)?;
-                    wards.after_window(mean);
+                    self.close_window(&mut win)?;
                 }
                 break reason;
             }
             if win.events >= self.cfg.window {
                 let mean = self.close_window(&mut win)?;
-                if let Some(reason) = wards.after_window(mean) {
+                if let Some(reason) = stop.after_window(mean) {
                     break reason;
                 }
             }
         };
-        if win.events > 0 {
-            self.close_window(&mut win)?;
-        }
         let summary = Summary {
             events: self.seq,
             windows: self.windows,
@@ -328,7 +354,10 @@ impl Runner {
             errors: self.errors,
             accumulated_cost: self.accumulated_cost(),
             stop,
-            recovery: self.failure.as_ref().map(recovery_summary),
+            recovery: self
+                .failure
+                .as_ref()
+                .map(|(rounds, _)| recovery_summary(rounds)),
         };
         self.emit(Record::Summary(SummaryRecord {
             events: summary.events,
@@ -344,9 +373,7 @@ impl Runner {
                 .timings
                 .then(|| started.elapsed().as_secs_f64() * 1e3),
         }))?;
-        for sink in &mut self.sinks {
-            sink.flush().map_err(|e| format!("sink flush: {e}"))?;
-        }
+        self.flush()?;
         Ok(summary)
     }
 
@@ -395,7 +422,7 @@ impl Runner {
                         win.full_solves += 1;
                         // A full solve restores service for a slot darkened
                         // by a deferred (reactive) recovery.
-                        if let Some(rounds) = self.failure.as_mut() {
+                        if let Some((rounds, _)) = self.failure.as_mut() {
                             rounds.rebuilt(slot, rep.forest_cost);
                         }
                     } else {
@@ -438,9 +465,10 @@ impl Runner {
     /// what it did: one `failure` record per repair and per failure, then
     /// one `recovery` record when the round disrupted anything.
     fn apply_failures(&mut self) -> Result<(), String> {
-        let Some(rounds) = self.failure.as_mut() else {
+        let Some((rounds, policy)) = self.failure.as_mut() else {
             return Ok(());
         };
+        let policy = policy.as_str();
         let rt = &self.rt;
         let report = rounds.step(&mut self.pool, |e| physical_elements(e, rt));
         let round = report.round as u64;
@@ -465,11 +493,10 @@ impl Runner {
             }))?;
         }
         if report.disrupted > 0 {
-            let plan = self.cfg.failures.as_ref().expect("rounds run a plan");
             self.emit(Record::Recovery(RecoveryRecord {
                 seq: self.seq,
                 round,
-                policy: plan.policy.as_str(),
+                policy,
                 disrupted: report.disrupted as u64,
                 recovered: report.recovered as u64,
                 cost: report.cost,
@@ -480,7 +507,7 @@ impl Runner {
     }
 
     /// Emits the open window as a record and resets the accumulators,
-    /// returning the window's mean cost (for the convergence ward).
+    /// returning the window's mean cost (for the convergence streak).
     fn close_window(&mut self, win: &mut WindowAccum) -> Result<f64, String> {
         let mean = if win.events > 0 {
             win.cost_sum / win.events as f64
@@ -501,15 +528,16 @@ impl Runner {
             mean_cost: mean,
             accumulated_cost: self.accumulated_cost(),
             engine: self.engine_totals(),
-            failures: self.failure.as_ref().map(failure_totals),
+            failures: self
+                .failure
+                .as_ref()
+                .map(|(rounds, _)| failure_totals(rounds)),
             millis: self.cfg.timings.then_some(win.millis),
         });
         self.windows += 1;
         *win = WindowAccum::default();
         self.emit(record)?;
-        for sink in &mut self.sinks {
-            sink.flush().map_err(|e| format!("sink flush: {e}"))?;
-        }
+        self.flush()?;
         Ok(mean)
     }
 
@@ -529,10 +557,11 @@ impl Runner {
     }
 
     fn emit(&mut self, record: Record) -> Result<(), String> {
-        for sink in &mut self.sinks {
-            sink.record(&record).map_err(|e| format!("sink: {e}"))?;
-        }
-        Ok(())
+        self.sink.record(&record).map_err(|e| format!("sink: {e}"))
+    }
+
+    fn flush(&mut self) -> Result<(), String> {
+        self.sink.flush().map_err(|e| format!("sink flush: {e}"))
     }
 }
 

@@ -1,8 +1,8 @@
 //! Subscriber/sink metric layer: incremental typed records instead of one
 //! end-of-run report.
 //!
-//! The runner pushes every [`Record`] to each attached [`Sink`] the
-//! moment it is produced, so a churn-at-scale run emits its metrics while
+//! The runner pushes every [`Record`] to its [`Sink`] the moment it is
+//! produced, so a churn-at-scale run emits its metrics while
 //! it executes and retains only the open window's accumulators — O(1) in
 //! the event count. Records are typed and this crate knows no output
 //! format: [`CollectSink`] buffers them for tests and report building,
@@ -177,7 +177,7 @@ pub struct SummaryRecord {
     pub errors: u64,
     /// Total accumulated embedding cost.
     pub accumulated_cost: f64,
-    /// Which ward (or stop request) ended the run.
+    /// Which stop condition ended the run.
     pub stop: StopReason,
     /// Recovery/availability totals (failure plans only).
     pub recovery: Option<RecoverySummary>,
@@ -185,7 +185,7 @@ pub struct SummaryRecord {
     pub millis: Option<f64>,
 }
 
-/// A record pushed to every sink, in emission order: one `Meta`, then
+/// A record pushed to the sink, in emission order: one `Meta`, then
 /// interleaved `Event`/`Window` records, then one `Summary`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Record {
@@ -203,7 +203,7 @@ pub enum Record {
         solver: String,
         /// Events per window.
         window: u64,
-        /// The `MaxEvents` ward budget, if one is set.
+        /// The event budget (a [`crate::Runner`] always sets it).
         events_target: Option<u64>,
         /// The protection policy, when the run has a failure plan.
         policy: Option<String>,

@@ -15,19 +15,19 @@ use crate::report::{
     Table, TableRow,
 };
 use crate::sink::JsonlSink;
-use crate::spec::{
-    FailureSpec, GridMetric, OnlineGroup, ScaleSpec, ScenarioSpec, SpecError, Workload,
-};
+use crate::spec::{GridMetric, OnlineGroup, ScenarioSpec, SpecError, Workload};
 use crate::value::{write_json, Value};
 use sof_core::{
     fortz_thorup, EmbedMode, OnlineConfig, OnlineSession, Request, ServiceChain, SessionEvent,
     SessionPool, SofInstance, Solver,
 };
 use sof_graph::{Cost, NodeId, Rng64};
-use sof_runner::{CollectSink, Record, Runner, RunnerConfig, Summary, Ward};
+use sof_runner::{CollectSink, Record, Runner, RunnerConfig, Sink, Summary};
 use sof_sim::{simulate_sessions, ChurnStream, EnvironmentProfile, PlayerConfig, Session};
-use sof_survive::{universe_for_scopes, ElementRef, FailurePlan, FailureRounds, Protector};
-use sof_topo::{build_instance, build_named, display_label, RegionsParams, Topology};
+use sof_survive::{
+    universe_for_scopes, ElementRef, FailurePlan, FailureRounds, FailureSpec, Protector,
+};
+use sof_topo::{build_instance, build_named, display_label, Topology};
 use std::time::Instant;
 
 /// Execution knobs that are not part of the scenario itself.
@@ -100,7 +100,9 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunReport, Spe
     }
 }
 
-/// Compiles a churn-at-scale spec into the runner's configuration.
+/// A churn-at-scale spec's runner configuration: its `[workload]` table
+/// with the fields the table does not name set from the rest of the spec
+/// and from `opts`.
 ///
 /// # Errors
 ///
@@ -114,43 +116,15 @@ pub fn runner_config(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunnerCon
             spec.workload.kind()
         )));
     };
-    let mut cfg = RunnerConfig::new(spec.name.clone());
-    cfg.regions = RegionsParams {
-        regions: s.regions.clone(),
-        gateway_links: s.gateway_links,
-        pair_cost: s.pair_cost.clone(),
-    };
-    cfg.groups = s.groups;
-    cfg.vms_per_dc = s.vms_per_dc;
-    cfg.setup_scale = spec.params.setup_scale;
-    cfg.churn = s.churn;
-    cfg.solver = s.solver.clone();
-    cfg.sofda = spec.sofda.with_seed(s.seed);
-    cfg.online = OnlineConfig {
-        demand_mbps: s.churn.demand_mbps,
-        ..spec.online
-    };
-    cfg.seed = s.seed;
-    cfg.window = s.window;
-    cfg.emit_events = s.emit_events;
-    cfg.timings = opts.timings;
-    cfg.threads = opts.threads;
-    if let Some(f) = &s.failures {
-        // The first listed policy; multi-policy comparison legs swap it.
-        cfg.failures = Some(failure_plan(f, &f.policies[0])?);
-    }
-    cfg.wards = vec![Ward::MaxEvents(s.events)];
-    if let Some(c) = &s.converge {
-        cfg.wards.push(Ward::ConvergedCost {
-            epsilon: c.epsilon,
-            patience: c.patience,
-        });
-    }
-    if let Some(secs) = s.max_seconds {
-        cfg.wards
-            .push(Ward::MaxWallclock(std::time::Duration::from_secs_f64(secs)));
-    }
-    Ok(cfg)
+    Ok(RunnerConfig {
+        name: spec.name.clone(),
+        setup_scale: spec.params.setup_scale,
+        sofda: spec.sofda.with_seed(s.seed),
+        online: spec.online,
+        timings: opts.timings,
+        threads: opts.threads,
+        ..(**s).clone()
+    })
 }
 
 /// Runs a churn-at-scale spec, streaming every runner record to `out` as
@@ -169,8 +143,8 @@ pub fn run_churn_stream<W: std::io::Write + Send + 'static>(
 ) -> Result<Summary, SpecError> {
     let mut configs = policy_legs(spec, opts)?;
     if configs.len() == 1 {
-        let mut runner = Runner::new(configs.remove(0).1).map_err(SpecError)?;
-        runner.add_sink(Box::new(JsonlSink::new(out)));
+        let sink = Box::new(JsonlSink::new(out));
+        let runner = Runner::new(configs.remove(0).1, sink).map_err(SpecError)?;
         return runner.run().map_err(SpecError);
     }
     // Policy-comparison run: one streamed leg per policy over the identical
@@ -178,9 +152,10 @@ pub fn run_churn_stream<W: std::io::Write + Send + 'static>(
     let shared = SharedOut(std::sync::Arc::new(std::sync::Mutex::new(out)));
     let mut legs: Vec<(String, Summary)> = Vec::new();
     for (policy, cfg) in configs {
-        let mut runner = Runner::new(cfg).map_err(SpecError)?;
-        runner.add_sink(Box::new(JsonlSink::new(shared.clone())));
-        let summary = runner.run().map_err(SpecError)?;
+        let sink = Box::new(JsonlSink::new(shared.clone()));
+        let summary = Runner::new(cfg, sink)
+            .and_then(Runner::run)
+            .map_err(SpecError)?;
         legs.push((policy, summary));
     }
     let mut line = report::line("policy-comparison");
@@ -204,33 +179,39 @@ pub fn run_churn_stream<W: std::io::Write + Send + 'static>(
 }
 
 /// One runner configuration per protection policy a churn-at-scale spec's
-/// failure axis lists, each replaying the identical failure trace; a spec
-/// without the axis runs one leg.
+/// failure axis lists, each narrowed to its own policy and replaying the
+/// identical failure trace; a spec without the axis runs one leg.
 fn policy_legs(
     spec: &ScenarioSpec,
     opts: &RunOptions,
 ) -> Result<Vec<(String, RunnerConfig)>, SpecError> {
     let cfg = runner_config(spec, opts)?;
-    let Workload::ChurnAtScale(ScaleSpec {
-        failures: Some(f), ..
-    }) = &spec.workload
-    else {
+    let Some(f) = &cfg.failures else {
         return Ok(vec![(String::new(), cfg)]);
     };
-    f.policies
-        .iter()
-        .map(|policy| {
-            let mut leg = cfg.clone();
-            leg.failures = Some(failure_plan(f, policy)?);
-            Ok((policy.clone(), leg))
-        })
-        .collect()
+    let leg = |policy: &String| {
+        let mut leg = cfg.clone();
+        let failures = leg.failures.as_mut().expect("the axis is set");
+        failures.policies = vec![policy.clone()];
+        (policy.clone(), leg)
+    };
+    Ok(f.policies.iter().map(leg).collect())
 }
 
 /// `f` compiled under `policy`, its error named after the spec table.
 fn failure_plan(f: &FailureSpec, policy: &str) -> Result<FailurePlan, SpecError> {
     f.to_plan(policy)
         .map_err(|e| SpecError(format!("'workload.failures': {e}")))
+}
+
+/// A sink for a leg whose records nobody reads: a report's comparison leg
+/// needs only the run's summary.
+struct Discard;
+
+impl Sink for Discard {
+    fn record(&mut self, _: &Record) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Clonable writer handle letting several sequential runner legs share one
@@ -258,7 +239,7 @@ impl<W: std::io::Write> std::io::Write for SharedOut<W> {
 /// dialect). The full-scale streaming path is [`run_churn_stream`].
 fn run_churn_at_scale(
     spec: &ScenarioSpec,
-    s: &ScaleSpec,
+    s: &RunnerConfig,
     opts: &RunOptions,
 ) -> Result<RunReport, SpecError> {
     let mut legs = policy_legs(spec, opts)?;
@@ -267,15 +248,13 @@ fn run_churn_at_scale(
     // other policies; only their recovery summaries feed the report.
     let mut comparison: Vec<(String, sof_runner::RecoverySummary)> = Vec::new();
     for (policy, leg) in legs {
-        let leg_summary = Runner::new(leg)
-            .map_err(SpecError)?
-            .run()
+        let leg_summary = Runner::new(leg, Box::new(Discard))
+            .and_then(Runner::run)
             .map_err(SpecError)?;
         comparison.push((policy, leg_summary.recovery.unwrap_or_default()));
     }
-    let mut runner = Runner::new(cfg).map_err(SpecError)?;
     let (sink, records) = CollectSink::new();
-    runner.add_sink(Box::new(sink));
+    let runner = Runner::new(cfg, Box::new(sink)).map_err(SpecError)?;
     let started = Instant::now();
     let summary = runner.run().map_err(SpecError)?;
     let secs = started.elapsed().as_secs_f64();
@@ -1136,7 +1115,7 @@ mod tests {
     use super::*;
     use crate::presets;
     use crate::report::write_jsonl;
-    use crate::spec::FailureEventSpec;
+    use sof_survive::FailureEventSpec;
 
     /// The stepped group of an online spec's first group.
     fn drive(spec: &ScenarioSpec) -> GroupRun {

@@ -11,9 +11,10 @@ use crate::value::{parse_json, parse_toml, write_json, write_toml, ParseError, V
 use sof_core::{OnlineConfig, SofdaConfig};
 use sof_graph::Cost;
 use sof_kstroll::StrollSolver;
-use sof_runner::GroupChurnConfig;
+use sof_runner::{Converge, GroupChurnConfig, RunnerConfig};
 use sof_sim::{ChurnParams, WorkloadParams};
 use sof_steiner::SteinerSolver;
+use sof_survive::{FailureEventSpec, FailureSpec};
 use sof_topo::{RegionDef, ScenarioParams, TopologySpec};
 use std::fmt;
 
@@ -151,191 +152,6 @@ pub struct OnlineGroup {
     pub churn: ChurnSpec,
 }
 
-/// Deterministic failure injection: the spec-level `failures` axis shared
-/// by online and churn-at-scale workloads.
-///
-/// Both kinds compile the axis into a [`sof_survive::FailurePlan`] — a
-/// seeded failure process over the scoped element universe, a repair-time
-/// range and a protection policy — and step it with
-/// [`sof_survive::FailureRounds`] after every arrival (online) or round
-/// (churn-at-scale). Churn-at-scale runs one streamed leg per listed
-/// policy over the identical trace; online runs one policy and has no
-/// `domain` scope (its topologies have no regions).
-#[derive(Clone, Debug, PartialEq)]
-pub struct FailureSpec {
-    /// Periodic fire interval in arrivals/rounds (≥ 1).
-    pub every: usize,
-    /// Elements failed per periodic firing.
-    pub count: usize,
-    /// Failure process: `"periodic"`, `"poisson"`, or `"scripted"`.
-    pub process: String,
-    /// Per-element per-round failure probability (poisson process).
-    pub rate: f64,
-    /// Element kinds the universe draws from (subset of `"vm"`, `"link"`,
-    /// `"node"`, `"domain"`; online workloads have no `"domain"`).
-    pub scope: Vec<String>,
-    /// Inclusive rounds-until-repair range; `[0, 0]` = permanent.
-    pub repair: (usize, usize),
-    /// Protection policies to run (`"reactive"`, `"backup-paths"`,
-    /// `"standby-forest"`); churn-at-scale streams one leg per entry,
-    /// online runs exactly one.
-    pub policies: Vec<String>,
-    /// Seed of the failure RNG stream (independent of churn streams).
-    pub seed: u64,
-    /// Explicit event list for the scripted process.
-    pub events: Vec<FailureEventSpec>,
-}
-
-/// One entry of a scripted failure trace in a spec file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FailureEventSpec {
-    /// Round at which the element fails.
-    pub at: usize,
-    /// What fails, as an element reference (`"vm:12"`, `"link:3-7"`,
-    /// `"node:5"`, `"domain:us-east"`).
-    pub element: String,
-    /// Rounds until repair (`0` = never).
-    pub repair: usize,
-}
-
-impl FailureSpec {
-    /// Compiles the axis into a validated [`sof_survive::FailurePlan`]
-    /// running under `policy` (one of [`FailureSpec::policies`]).
-    ///
-    /// # Errors
-    ///
-    /// An actionable message naming the offending field.
-    pub fn to_plan(&self, policy: &str) -> Result<sof_survive::FailurePlan, String> {
-        let process = match self.process.as_str() {
-            "periodic" => sof_survive::ProcessKind::Periodic {
-                every: self.every,
-                count: self.count,
-            },
-            "poisson" => sof_survive::ProcessKind::Poisson { rate: self.rate },
-            "scripted" => {
-                let mut events = Vec::with_capacity(self.events.len());
-                for (i, ev) in self.events.iter().enumerate() {
-                    let element: sof_survive::ElementRef = ev
-                        .element
-                        .parse()
-                        .map_err(|e| format!("events[{i}].element: {e}"))?;
-                    events.push(sof_survive::ScriptedEvent {
-                        at: ev.at,
-                        element,
-                        repair: ev.repair,
-                    });
-                }
-                sof_survive::ProcessKind::Scripted(events)
-            }
-            other => {
-                return Err(format!(
-                    "unknown failures process '{other}' (expected 'periodic', 'poisson', \
-                     or 'scripted')"
-                ))
-            }
-        };
-        let plan = sof_survive::FailurePlan {
-            process,
-            scope: self.scope.clone(),
-            repair: self.repair,
-            policy: sof_survive::ProtectionPolicy::from_name(policy)?,
-            seed: self.seed,
-        };
-        plan.validate()?;
-        Ok(plan)
-    }
-}
-
-/// Convergence stop condition for churn-at-scale workloads (compiles to
-/// [`sof_runner::Ward::ConvergedCost`]): stop early once the windowed
-/// mean forest cost settles.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ConvergeSpec {
-    /// Maximum relative change between consecutive windows still counted
-    /// as "settled".
-    pub epsilon: f64,
-    /// Consecutive settled windows required before stopping.
-    pub patience: usize,
-}
-
-/// Configuration of a churn-at-scale workload (compiles to
-/// [`sof_runner::RunnerConfig`]): a [`sof_runner::Runner`] streams a
-/// `SessionPool` of `groups` concurrent multicast groups over lazily
-/// generated viewer-churn timelines until the event budget (or an
-/// optional convergence / wall-clock ward) trips.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScaleSpec {
-    /// Run seed: topology, group timelines and instances all derive from
-    /// it.
-    pub seed: u64,
-    /// Solver registry name driving every group's session.
-    pub solver: String,
-    /// Concurrent groups (pool slots; retired groups are replaced in
-    /// place).
-    pub groups: usize,
-    /// Event budget (the `MaxEvents` ward).
-    pub events: u64,
-    /// Events per window record.
-    pub window: u64,
-    /// Also emit one record per event (`emit = "events"`); off by
-    /// default (`emit = "windows"`) — at full scale the per-event stream
-    /// is millions of lines.
-    pub emit_events: bool,
-    /// VMs attached per region data-center node.
-    pub vms_per_dc: usize,
-    /// The named regions of the multi-region network.
-    pub regions: Vec<RegionDef>,
-    /// Gateway links joining every region pair.
-    pub gateway_links: usize,
-    /// Explicit symmetric region-pair cost factors (`pair_cost[i][j]`,
-    /// one row per region); `None` uses the line-distance default
-    /// `1 + |i − j|`. Compiles to [`sof_topo::RegionsParams::pair_cost`].
-    pub pair_cost: Option<Vec<Vec<f64>>>,
-    /// Per-group churn-process shape.
-    pub churn: GroupChurnConfig,
-    /// Optional failure axis: deterministic element failures interleaved
-    /// between rounds, one streamed leg per listed protection policy.
-    /// Boxed: the full plan vocabulary is large and usually absent.
-    pub failures: Option<Box<FailureSpec>>,
-    /// Optional converged-cost early stop.
-    pub converge: Option<ConvergeSpec>,
-    /// Optional wall-clock safety net in seconds (host-dependent — keep
-    /// it out of golden runs).
-    pub max_seconds: Option<f64>,
-}
-
-impl ScaleSpec {
-    fn default_regions() -> Vec<RegionDef> {
-        vec![
-            RegionDef::new("us-east", 8, 2),
-            RegionDef::new("eu-west", 8, 2),
-            RegionDef::new("ap-south", 8, 2),
-        ]
-    }
-}
-
-/// What a bare `kind = "churn-at-scale"` table runs.
-impl Default for ScaleSpec {
-    fn default() -> ScaleSpec {
-        ScaleSpec {
-            seed: 1000,
-            solver: "SOFDA".into(),
-            groups: 100,
-            events: 100_000,
-            window: 1000,
-            emit_events: false,
-            vms_per_dc: 1,
-            regions: ScaleSpec::default_regions(),
-            gateway_links: 2,
-            pair_cost: None,
-            churn: GroupChurnConfig::default(),
-            failures: None,
-            converge: None,
-            max_seconds: None,
-        }
-    }
-}
-
 /// The workload half of a spec: what actually runs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Workload {
@@ -408,8 +224,11 @@ pub enum Workload {
         failures: Option<Box<FailureSpec>>,
     },
     /// Streaming churn at scale: a `sof_runner` run over lazily generated
-    /// group timelines (10k+ groups, 1M+ events, bounded memory).
-    ChurnAtScale(ScaleSpec),
+    /// group timelines (10k+ groups, 1M+ events, bounded memory). The
+    /// table reads straight into the runner's configuration; the fields
+    /// its keys do not name keep their defaults here and are set by
+    /// [`crate::runner_config`]. Boxed: the configuration is large.
+    ChurnAtScale(Box<RunnerConfig>),
 }
 
 impl Workload {
@@ -549,11 +368,7 @@ impl ScenarioSpec {
         let (seed, seeds) = (self.workload.seed(), self.workload.seeds());
         let mut ints = vec![("workload.seed", seed), ("workload.seeds", seeds)];
         let failures = match &self.workload {
-            Workload::ChurnAtScale(s) => {
-                ints.extend([("workload.events", s.events), ("workload.window", s.window)]);
-                s.failures.as_ref()
-            }
-            Workload::Online { failures, .. } => failures.as_ref(),
+            Workload::Online { failures, .. } => failures.as_deref(),
             _ => None,
         };
         ints.extend(failures.map(|f| ("workload.failures.seed", f.seed)));
@@ -561,16 +376,10 @@ impl ScenarioSpec {
             fits_int(at, n).map_err(SpecError)?;
         }
         if let Some(f) = failures {
-            if f.policies.is_empty() {
-                return fail("'workload.failures.policies' must name at least one policy");
-            }
-            for p in &f.policies {
-                // Compiling per policy also runs FailurePlan::validate, so
-                // the spec layer and the survivability layer can never
-                // disagree on what a legal failure axis is.
-                f.to_plan(p)
-                    .map_err(|e| SpecError(format!("'workload.failures': {e}")))?;
-            }
+            // Compiling per policy also runs FailurePlan::validate, so
+            // the spec layer and the survivability layer can never
+            // disagree on what a legal failure axis is.
+            f.validate("workload.failures").map_err(SpecError)?;
         }
         let p = &self.params;
         if p.chain_len == 0 {
@@ -587,9 +396,6 @@ impl ScenarioSpec {
         }
         if !non_negative(self.online.drift) {
             return fail("'online.drift' must be non-negative");
-        }
-        if !positive(self.online.link_capacity) || !positive(self.online.vm_capacity) {
-            return fail("'online.link_capacity' and 'online.vm_capacity' must be positive");
         }
         let check_solver = |ctx: &str, name: &str| -> Result<(), SpecError> {
             if sof_solvers::by_name(name).is_none() {
@@ -754,50 +560,8 @@ impl ScenarioSpec {
                     }
                 }
             }
-            Workload::ChurnAtScale(s) => {
-                check_solver("'workload.solver'", &s.solver)?;
-                if s.groups == 0 {
-                    return fail("'workload.groups' must be at least 1");
-                }
-                if s.events == 0 {
-                    return fail("'workload.events' must be at least 1");
-                }
-                if s.window == 0 {
-                    return fail("'workload.window' must be at least 1");
-                }
-                if s.vms_per_dc == 0 {
-                    return fail("'workload.vms_per_dc' must be at least 1");
-                }
-                if s.gateway_links == 0 {
-                    return fail("'workload.gateway_links' must be at least 1");
-                }
-                // Region shape, pair-cost matrix and churn ranges share
-                // the runner's own validators, so the spec layer and
-                // `RunnerConfig` can never disagree on what is legal.
-                sof_topo::RegionsParams {
-                    regions: s.regions.clone(),
-                    gateway_links: s.gateway_links,
-                    pair_cost: s.pair_cost.clone(),
-                }
-                .validate()
-                .map_err(|e| SpecError(format!("'workload.regions': {e}")))?;
-                s.churn
-                    .validate()
-                    .map_err(|e| SpecError(format!("'workload.{e}'")))?;
-                if let Some(c) = &s.converge {
-                    if !positive(c.epsilon) {
-                        return fail("'workload.converge.epsilon' must be positive");
-                    }
-                    if c.patience == 0 {
-                        return fail("'workload.converge.patience' must be at least 1");
-                    }
-                }
-                if let Some(secs) = s.max_seconds {
-                    if !positive(secs) {
-                        return fail("'workload.max_seconds' must be positive");
-                    }
-                }
-            }
+            // The runner holds every rule of its own table.
+            Workload::ChurnAtScale(s) => s.validate("workload").map_err(SpecError)?,
         }
         Ok(())
     }
@@ -898,7 +662,7 @@ table_field!(SofdaConfig {
 });
 table_field!(OnlineConfig {
     ..OnlineConfig::default();
-    drift, link_capacity, vm_capacity
+    drift
 });
 table_field!(GroupChurnConfig {
     ..GroupChurnConfig::default();
@@ -925,7 +689,7 @@ table_field!(OnlineGroup {
     churn
 });
 table_field!(RegionDef { name, nodes, dcs = 1 });
-table_field!(ConvergeSpec { epsilon = 1e-3, patience = 3 });
+table_field!(Converge { epsilon = 1e-3, patience = 3 });
 table_field!(FailureEventSpec { at, element, repair = 0 });
 table_field!(FailureSpec {
     every = 10,
@@ -1003,14 +767,14 @@ keys!(online: Workload = Workload::Online {
     groups,
     failures = None
 });
-keys!(scale: ScaleSpec = ScaleSpec {
-    ..ScaleSpec::default();
+keys!(scale: RunnerConfig = RunnerConfig {
+    ..RunnerConfig::default();
     seed, solver, groups, events, window, vms_per_dc, gateway_links, regions, pair_cost, churn,
     failures, converge, max_seconds
 });
 
 /// The one renamed key: `emit = "windows" | "events"` is
-/// [`ScaleSpec::emit_events`].
+/// [`RunnerConfig::emit_events`].
 fn read_scale(r: &mut Reader<'_>) -> Result<Workload, String> {
     let mut s = scale::read(r)?;
     s.emit_events = match r.or("emit", "windows".to_string())?.as_str() {
@@ -1023,7 +787,7 @@ fn read_scale(r: &mut Reader<'_>) -> Result<Workload, String> {
             ));
         }
     };
-    Ok(Workload::ChurnAtScale(s))
+    Ok(Workload::ChurnAtScale(Box::new(s)))
 }
 
 impl Field for Workload {
@@ -1127,31 +891,62 @@ values = [2, 4]
         assert_eq!(ScenarioSpec::from_json(&json).unwrap(), spec, "\n{json}");
     }
 
-    /// SPEC_FORMAT.md's key rows under `[params]`, `[sofda]` and
-    /// `[online]` are those tables' field lists, in order: the keys are
-    /// read off the strict parser's own "valid keys here: …" message, and
-    /// the rows are the `` | `key` | `` lines under the table's heading.
+    /// SPEC_FORMAT.md's key rows under `[params]`, `[sofda]`, `[online]`
+    /// and churn-at-scale's `[workload]`, `[workload.churn]` and
+    /// `[workload.converge]` are those tables' field lists, in order: the
+    /// keys are read off the strict parser's own "valid keys here: …"
+    /// message, and the rows are the `` | `key` | `` lines of the first
+    /// table under the table's heading (a `` `[workload.churn]` `` or
+    /// `` `[[workload.regions]]` `` row names the key `churn` or
+    /// `regions`). `kind` has its own row in the table of kinds.
     #[test]
     fn spec_format_md_rows_are_the_field_lists() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../SPEC_FORMAT.md");
         let doc = std::fs::read_to_string(path).expect("SPEC_FORMAT.md at the repo root");
-        for table in ["params", "sofda", "online"] {
-            let src = MINI.replace("[topology]", &format!("[{table}]\nzzz = 1\n[topology]"));
-            let err = ScenarioSpec::from_toml(&src).unwrap_err().to_string();
+        let scale =
+            |keys: &str| format!("name = \"m\"\n[workload]\nkind = \"churn-at-scale\"\n{keys}\n");
+        let mut tables: Vec<(String, String, String)> = ["params", "sofda", "online"]
+            .into_iter()
+            .map(|table| {
+                let src = MINI.replace("[topology]", &format!("[{table}]\nzzz = 1\n[topology]"));
+                (table.to_string(), src, format!("## `[{table}]`"))
+            })
+            .collect();
+        tables.extend([
+            (
+                "workload".to_string(),
+                scale("zzz = 1"),
+                "### `kind = \"churn-at-scale\"`".to_string(),
+            ),
+            (
+                "workload.churn".to_string(),
+                scale("churn = { zzz = 1 }"),
+                "`[workload.churn]`:".to_string(),
+            ),
+            (
+                "workload.converge".to_string(),
+                scale("converge = { zzz = 1 }"),
+                "`[workload.converge]`:".to_string(),
+            ),
+        ]);
+        for (table, src, heading) in &tables {
+            let err = ScenarioSpec::from_toml(src).unwrap_err().to_string();
             let prefix = format!("unknown key '{table}.zzz' (valid keys here: ");
             let declared: Vec<&str> = err
                 .strip_prefix(&prefix)
                 .and_then(|rest| rest.strip_suffix(')'))
                 .unwrap_or_else(|| panic!("{table}: {err}"))
                 .split(", ")
+                .filter(|key| *key != "kind")
                 .collect();
-            let heading = format!("## `[{table}]`");
             let documented: Vec<&str> = doc
                 .lines()
-                .skip_while(|line| !line.starts_with(&heading))
+                .skip_while(|line| !line.starts_with(heading.as_str()))
                 .skip(1)
-                .take_while(|line| !line.starts_with("## "))
+                .skip_while(|line| !line.starts_with('|'))
+                .take_while(|line| line.starts_with('|'))
                 .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+                .filter_map(|span| span.trim_matches(['[', ']']).rsplit('.').next())
                 .collect();
             assert_eq!(documented, declared, "SPEC_FORMAT.md's [{table}] rows");
         }
@@ -1245,8 +1040,17 @@ every = 2
         let err = ScenarioSpec::from_toml(&src.replace("drift = 2.5", "join = \"full-search\""));
         assert_eq!(
             err.unwrap_err().to_string(),
-            "unknown key 'online.join' (valid keys here: drift, link_capacity, vm_capacity)"
+            "unknown key 'online.join' (valid keys here: drift)"
         );
+        // So are the two capacities, which are the cost model's constants.
+        for (key, value) in [("link_capacity", "80.0"), ("vm_capacity", "4.0")] {
+            let err =
+                ScenarioSpec::from_toml(&src.replace("drift = 2.5", &format!("{key} = {value}")));
+            assert_eq!(
+                err.unwrap_err().to_string(),
+                format!("unknown key 'online.{key}' (valid keys here: drift)")
+            );
+        }
         let Workload::Online {
             ref groups,
             ref failures,
@@ -1372,7 +1176,7 @@ patience = 4
         assert_eq!(s.churn.lifetime, (5, 9));
         assert_eq!(
             s.converge,
-            Some(ConvergeSpec {
+            Some(Converge {
                 epsilon: 0.001,
                 patience: 4
             })
@@ -1390,16 +1194,20 @@ patience = 4
 
     #[test]
     fn churn_at_scale_defaults_and_validation() {
-        // A bare table gets the library defaults.
+        // A bare table gets the library defaults: the runner's one set.
         let spec = ScenarioSpec::from_toml("name = \"d\"\n[workload]\nkind = \"churn-at-scale\"\n")
             .unwrap();
         let Workload::ChurnAtScale(ref s) = spec.workload else {
             panic!()
         };
-        assert_eq!((s.groups, s.events, s.window), (100, 100_000, 1000));
+        assert_eq!(
+            (s.seed, s.groups, s.events, s.window),
+            (1000, 100, 100_000, 1000)
+        );
         assert!(!s.emit_events);
-        assert_eq!(s.regions, ScaleSpec::default_regions());
+        assert_eq!(s.regions.len(), 3);
         assert_eq!(s.churn, GroupChurnConfig::default());
+        assert_eq!(**s, RunnerConfig::default());
 
         let err =
             ScenarioSpec::from_toml(&SCALE.replace("events = 120", "events = 0")).unwrap_err();

@@ -62,5 +62,8 @@ mod round;
 pub use element::ElementRef;
 pub use metrics::RecoveryMetrics;
 pub use policy::{universe_for_scopes, ProtectionPolicy, Protector, RecoveryOutcome};
-pub use process::{FailureDriver, FailurePlan, ProcessKind, RoundEvents, ScriptedEvent};
+pub use process::{
+    FailureDriver, FailureEventSpec, FailurePlan, FailureSpec, ProcessKind, RoundEvents,
+    ScriptedEvent,
+};
 pub use round::{FailureRounds, RoundReport};

@@ -76,8 +76,7 @@ pub struct FailurePlan {
 }
 
 impl FailurePlan {
-    /// Validates rates, periods and ranges, mirroring the runner's ward
-    /// validation style.
+    /// Validates rates, periods and ranges.
     ///
     /// # Errors
     ///
@@ -120,6 +119,120 @@ impl FailurePlan {
         }
         if self.scope.is_empty() && !matches!(self.process, ProcessKind::Scripted(_)) {
             return Err("failures scope must name at least one element kind".into());
+        }
+        Ok(())
+    }
+}
+
+/// Deterministic failure injection as a spec file declares it: the
+/// `failures` axis shared by online and churn-at-scale workloads.
+///
+/// Both kinds compile the axis into a [`FailurePlan`] — a seeded failure
+/// process over the scoped element universe, a repair-time range and a
+/// protection policy — and step it with [`crate::FailureRounds`] after
+/// every arrival (online) or round (churn-at-scale). Churn-at-scale runs
+/// one streamed leg per listed policy over the identical trace; online
+/// runs one policy and has no `domain` scope (its topologies have no
+/// regions).
+#[derive(Clone, Debug, PartialEq)]
+pub struct FailureSpec {
+    /// Periodic fire interval in arrivals/rounds (≥ 1).
+    pub every: usize,
+    /// Elements failed per periodic firing.
+    pub count: usize,
+    /// Failure process: `"periodic"`, `"poisson"`, or `"scripted"`.
+    pub process: String,
+    /// Per-element per-round failure probability (poisson process).
+    pub rate: f64,
+    /// Element kinds the universe draws from (subset of `"vm"`, `"link"`,
+    /// `"node"`, `"domain"`; online workloads have no `"domain"`).
+    pub scope: Vec<String>,
+    /// Inclusive rounds-until-repair range; `[0, 0]` = permanent.
+    pub repair: (usize, usize),
+    /// Protection policies to run (`"reactive"`, `"backup-paths"`,
+    /// `"standby-forest"`); churn-at-scale streams one leg per entry,
+    /// online runs exactly one.
+    pub policies: Vec<String>,
+    /// Seed of the failure RNG stream (independent of churn streams).
+    pub seed: u64,
+    /// Explicit event list for the scripted process.
+    pub events: Vec<FailureEventSpec>,
+}
+
+/// One entry of a scripted failure trace in a spec file.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FailureEventSpec {
+    /// Round at which the element fails.
+    pub at: usize,
+    /// What fails, as an element reference (`"vm:12"`, `"link:3-7"`,
+    /// `"node:5"`, `"domain:us-east"`).
+    pub element: String,
+    /// Rounds until repair (`0` = never).
+    pub repair: usize,
+}
+
+impl FailureSpec {
+    /// Compiles the axis into a validated [`FailurePlan`] running under
+    /// `policy` (one of [`FailureSpec::policies`]).
+    ///
+    /// # Errors
+    ///
+    /// An actionable message naming the offending field.
+    pub fn to_plan(&self, policy: &str) -> Result<FailurePlan, String> {
+        let process = match self.process.as_str() {
+            "periodic" => ProcessKind::Periodic {
+                every: self.every,
+                count: self.count,
+            },
+            "poisson" => ProcessKind::Poisson { rate: self.rate },
+            "scripted" => {
+                let mut events = Vec::with_capacity(self.events.len());
+                for (i, ev) in self.events.iter().enumerate() {
+                    let element: ElementRef = ev
+                        .element
+                        .parse()
+                        .map_err(|e| format!("events[{i}].element: {e}"))?;
+                    events.push(ScriptedEvent {
+                        at: ev.at,
+                        element,
+                        repair: ev.repair,
+                    });
+                }
+                ProcessKind::Scripted(events)
+            }
+            other => {
+                return Err(format!(
+                    "unknown failures process '{other}' (expected 'periodic', 'poisson', \
+                     or 'scripted')"
+                ))
+            }
+        };
+        let plan = FailurePlan {
+            process,
+            scope: self.scope.clone(),
+            repair: self.repair,
+            policy: ProtectionPolicy::from_name(policy)?,
+            seed: self.seed,
+        };
+        plan.validate()?;
+        Ok(plan)
+    }
+
+    /// Checks that the axis names a policy and compiles under every one it
+    /// names, so no leg can fail to start. Messages name the offending key
+    /// under `at`, the path of the axis' table (`"workload.failures"` in a
+    /// spec file).
+    ///
+    /// # Errors
+    ///
+    /// `'at.policies' must name at least one policy`, or `'at': ` and what
+    /// [`FailureSpec::to_plan`] refuses.
+    pub fn validate(&self, at: &str) -> Result<(), String> {
+        if self.policies.is_empty() {
+            return Err(format!("'{at}.policies' must name at least one policy"));
+        }
+        for p in &self.policies {
+            self.to_plan(p).map_err(|e| format!("'{at}': {e}"))?;
         }
         Ok(())
     }

@@ -24,8 +24,8 @@
 //!   online request / viewer-churn workloads,
 //! * [`runner`] — streaming churn-at-scale simulation: a [`runner::Runner`]
 //!   drives a `core::SessionPool` over lazily generated event timelines
-//!   (10k+ groups, millions of events) with pluggable stop wards and
-//!   incremental record sinks, in memory bounded by the live pool,
+//!   (10k+ groups, millions of events) with one stop rule and an
+//!   incremental record sink, in memory bounded by the live pool,
 //! * [`survive`] — the survivability subsystem: deterministic link/node/
 //!   VM/domain failure processes with repair times, protection policies
 //!   (reactive / backup paths / standby forest) over `core::OnlineSession`,

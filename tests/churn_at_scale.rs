@@ -2,9 +2,10 @@
 //! record stream is byte-identical across worker-thread counts and across
 //! repeated runs, the committed miniature golden stays in lockstep with
 //! the engine, record streams are ordered and bounded by the live pool,
-//! and wards end runs for the stated reasons.
+//! runs stop for the stated reasons, and a configuration built in code is
+//! held to the rules a spec file is.
 
-use sof::runner::{CollectSink, Record, Runner, RunnerConfig, StopReason, Ward};
+use sof::runner::{CollectSink, Converge, Record, Runner, RunnerConfig, StopReason};
 use sof::spec::{presets, run_churn_stream, RunOptions, ScenarioSpec, Workload};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -88,10 +89,8 @@ fn record_stream_is_ordered_and_bounded() {
     let (groups, events, window) = (10usize, 130u64, 40u64);
     let spec = mini_spec(groups, events, window, true);
     let cfg = sof::spec::runner_config(&spec, &RunOptions::default()).unwrap();
-    let mut runner = Runner::new(cfg).unwrap();
     let (sink, records) = CollectSink::new();
-    runner.add_sink(Box::new(sink));
-    let summary = runner.run().unwrap();
+    let summary = Runner::new(cfg, Box::new(sink)).unwrap().run().unwrap();
     assert_eq!(summary.events, events);
     assert_eq!(summary.stop, StopReason::MaxEvents);
 
@@ -117,57 +116,106 @@ fn record_stream_is_ordered_and_bounded() {
     assert_eq!(windows.last().unwrap().total_events, events);
 }
 
-/// A huge convergence epsilon trips the `ConvergedCost` ward after
-/// `patience` windows, well before the event budget.
+/// A huge convergence epsilon stops the run after `patience` windows,
+/// well before the event budget.
 #[test]
 fn converged_cost_ward_stops_early() {
     let spec = mini_spec(8, 10_000, 16, false);
     let mut cfg = sof::spec::runner_config(&spec, &RunOptions::default()).unwrap();
-    cfg.wards.push(Ward::ConvergedCost {
+    cfg.converge = Some(Converge {
         epsilon: 1e12,
         patience: 2,
     });
-    let runner = Runner::new(cfg).unwrap();
-    let summary = runner.run().unwrap();
+    let (sink, _) = CollectSink::new();
+    let summary = Runner::new(cfg, Box::new(sink)).unwrap().run().unwrap();
     assert_eq!(summary.stop, StopReason::Converged);
     assert!(
         summary.events < 10_000,
-        "ward should fire before the budget ({} events)",
+        "convergence should stop the run before the budget ({} events)",
         summary.events
     );
 }
 
-/// Regression: the spec layer has always rejected `converge.patience = 0`,
-/// but the library path through `Runner::new` accepted it — and the old
-/// `WardSet` then stopped the run on its very first window, before two
-/// windows had ever been compared. The library now rejects it too.
-#[test]
-fn runner_config_rejects_zero_patience_convergence_ward() {
-    let mut cfg = RunnerConfig::new("patience-zero");
-    cfg.wards.push(Ward::ConvergedCost {
-        epsilon: 0.01,
-        patience: 0,
-    });
-    let err = Runner::new(cfg).err().expect("patience 0 must be rejected");
-    assert!(err.contains("patience"), "{err}");
-
-    let mut cfg = RunnerConfig::new("bad-epsilon");
-    cfg.wards.push(Ward::ConvergedCost {
-        epsilon: 0.0,
-        patience: 2,
-    });
-    let err = Runner::new(cfg).err().expect("epsilon 0 must be rejected");
-    assert!(err.contains("epsilon"), "{err}");
+/// `Runner::new` on `cfg`: its refusal, or a panic naming `what` when it
+/// builds a runner instead.
+fn refusal(cfg: RunnerConfig, what: &str) -> String {
+    let (sink, _) = CollectSink::new();
+    Runner::new(cfg, Box::new(sink))
+        .err()
+        .unwrap_or_else(|| panic!("{what} must be refused"))
 }
 
-/// Nothing but a ward ends a run, so a config without one is refused
-/// before anything is built.
+/// Regression: the spec layer has always rejected `converge.patience = 0`,
+/// but the library path through `Runner::new` accepted it — and the old
+/// stop list then stopped the run on its very first window, before two
+/// windows had ever been compared. The library refuses it, and every
+/// epsilon that is not a positive number, with the spec's message.
 #[test]
-fn runner_config_rejects_an_empty_ward_list() {
-    let mut cfg = RunnerConfig::new("wardless");
-    cfg.wards = Vec::new();
-    let err = Runner::new(cfg).err().expect("no wards must be rejected");
-    assert!(err.contains("wards"), "{err}");
+fn runner_config_rejects_zero_patience_convergence_ward() {
+    for (epsilon, patience, want) in [
+        (0.01, 0, "'converge.patience' must be at least 1"),
+        (0.0, 2, "'converge.epsilon' must be positive"),
+        (-1.0, 2, "'converge.epsilon' must be positive"),
+        (f64::NAN, 2, "'converge.epsilon' must be positive"),
+    ] {
+        let cfg = RunnerConfig {
+            converge: Some(Converge { epsilon, patience }),
+            ..RunnerConfig::default()
+        };
+        let what = format!("epsilon {epsilon}, patience {patience}");
+        assert_eq!(refusal(cfg, &what), want, "{what}");
+    }
+}
+
+/// One validator: a configuration built in code gets a message from
+/// `Runner::new` — never a panic, never a run — for each thing a spec file
+/// is refused for, and the spec's message is the same one under its
+/// `workload` table.
+#[test]
+fn runner_new_refuses_what_a_spec_is_refused() {
+    type Edit = fn(&mut RunnerConfig);
+    let cases: [(&str, Edit, &str); 4] = [
+        (
+            "events = 0",
+            |c| c.events = 0,
+            "'events' must be at least 1",
+        ),
+        (
+            "max_seconds = -1",
+            |c| c.max_seconds = Some(-1.0),
+            "'max_seconds' must be positive",
+        ),
+        (
+            "max_seconds = NaN",
+            |c| c.max_seconds = Some(f64::NAN),
+            "'max_seconds' must be positive",
+        ),
+        (
+            "one region, gateway_links = 0",
+            |c| {
+                c.regions.truncate(1);
+                c.gateway_links = 0;
+            },
+            "'gateway_links' must be at least 1",
+        ),
+    ];
+    for (what, edit, want) in cases {
+        let mut cfg = RunnerConfig::default();
+        edit(&mut cfg);
+        assert_eq!(refusal(cfg, what), want, "{what}");
+
+        let mut spec = mini_spec(4, 40, 8, false);
+        let Workload::ChurnAtScale(s) = &mut spec.workload else {
+            unreachable!("mini_spec is churn-at-scale");
+        };
+        edit(s);
+        let err = spec.validate().expect_err(what).to_string();
+        assert_eq!(
+            err,
+            want.replacen('\'', "'workload.", 1),
+            "{what} in a spec"
+        );
+    }
 }
 
 /// `sof run <churn spec> --format markdown` prints the `RunReport` that
