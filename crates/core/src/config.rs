@@ -1,7 +1,7 @@
 //! Solver configuration and outcome types shared by SOFDA / SOFDA-SS.
 
 use crate::{ConflictStats, ForestCost, ForestError, ServiceForest};
-use sof_graph::{Cost, NodeId};
+use sof_graph::Cost;
 use sof_kstroll::StrollSolver;
 use sof_steiner::{SteinerError, SteinerSolver};
 use std::fmt;
@@ -139,17 +139,6 @@ impl From<SteinerError> for SolveError {
     fn from(e: SteinerError) -> SolveError {
         SolveError::Steiner(e)
     }
-}
-
-/// Identifies a destination's serving chain when reporting outcomes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChainAssignment {
-    /// The destination.
-    pub destination: NodeId,
-    /// Its selected source.
-    pub source: NodeId,
-    /// The anchor VM its tail hangs from.
-    pub anchor: NodeId,
 }
 
 #[cfg(test)]

@@ -80,7 +80,7 @@ mod sofda_ss;
 mod solver;
 mod transform;
 
-pub use config::{ChainAssignment, SofdaConfig, SolveError, SolveOutcome, SolveStats};
+pub use config::{SofdaConfig, SolveError, SolveOutcome, SolveStats};
 pub use conflict::{ChainWalk, ConflictError, ConflictStats, WalkSet};
 pub use cost_model::{fortz_thorup, LoadTracker, LINK_CAPACITY_MBPS, VM_CAPACITY_VNFS};
 pub use dynamics::JoinStrategy;

@@ -54,12 +54,14 @@ impl Default for GroupChurnConfig {
 }
 
 impl GroupChurnConfig {
-    /// Checks the configuration without building anything.
+    /// Checks the configuration without building anything. Messages name
+    /// the offending key under `at`, the path of the churn table
+    /// (`"workload.churn"` in a spec file).
     ///
     /// # Errors
     ///
-    /// A message naming the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    /// `'at.key'` and the violated constraint.
+    pub fn validate(&self, at: &str) -> Result<(), String> {
         for (name, (lo, hi)) in [
             ("viewers", self.viewers),
             ("sources", self.sources),
@@ -67,26 +69,27 @@ impl GroupChurnConfig {
             ("joins", self.joins),
         ] {
             if lo > hi {
-                return Err(format!("churn.{name} range is inverted: ({lo}, {hi})"));
+                return Err(format!("'{at}.{name}' range is inverted ([{lo}, {hi}])"));
             }
         }
-        if self.lifetime.0 > self.lifetime.1 {
-            return Err(format!(
-                "churn.lifetime range is inverted: ({}, {})",
-                self.lifetime.0, self.lifetime.1
-            ));
+        let (lo, hi) = self.lifetime;
+        if lo > hi {
+            return Err(format!("'{at}.lifetime' range is inverted ([{lo}, {hi}])"));
         }
         if self.chain_len == 0 {
-            return Err("churn.chain_len must be at least 1".into());
+            return Err(format!("'{at}.chain_len' must be at least 1"));
         }
         if !self.demand_mbps.is_finite() || self.demand_mbps <= 0.0 {
             return Err(format!(
-                "churn.demand_mbps must be positive, got {}",
+                "'{at}.demand_mbps' must be positive, found {}",
                 self.demand_mbps
             ));
         }
         if !self.roam.is_finite() || !(0.0..=1.0).contains(&self.roam) {
-            return Err(format!("churn.roam must be in [0, 1], got {}", self.roam));
+            return Err(format!(
+                "'{at}.roam' must be in [0, 1], found {}",
+                self.roam
+            ));
         }
         Ok(())
     }
@@ -324,19 +327,19 @@ mod tests {
     fn validation_rejects_bad_config() {
         let mut c = cfg();
         c.viewers = (5, 2);
-        assert!(c.validate().unwrap_err().contains("viewers"));
+        assert!(c.validate("churn").unwrap_err().contains("viewers"));
         let mut c = cfg();
         c.lifetime = (9, 2);
-        assert!(c.validate().unwrap_err().contains("lifetime"));
+        assert!(c.validate("churn").unwrap_err().contains("lifetime"));
         let mut c = cfg();
         c.chain_len = 0;
-        assert!(c.validate().unwrap_err().contains("chain_len"));
+        assert!(c.validate("churn").unwrap_err().contains("chain_len"));
         let mut c = cfg();
         c.roam = 1.5;
-        assert!(c.validate().unwrap_err().contains("roam"));
+        assert!(c.validate("churn").unwrap_err().contains("roam"));
         let mut c = cfg();
         c.demand_mbps = 0.0;
-        assert!(c.validate().unwrap_err().contains("demand"));
-        assert!(cfg().validate().is_ok());
+        assert!(c.validate("churn").unwrap_err().contains("demand"));
+        assert!(cfg().validate("churn").is_ok());
     }
 }

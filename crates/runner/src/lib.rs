@@ -23,7 +23,9 @@
 //!   (meta, per-event samples, windowed aggregates, summary) the moment
 //!   it is produced. Records are typed — this crate knows no output
 //!   format (`sof_spec::sink` renders them as the golden JSON lines);
-//!   [`CollectSink`] buffers them.
+//!   [`CollectSink`] buffers them. [`Runner::run`] returns the
+//!   [`SummaryRecord`] it emitted last, whose `recovery` is the run's
+//!   [`sof_survive::RecoveryMetrics`] as they stand.
 //!
 //! [`RunnerConfig`] is the one declaration of a run: `sof_spec` reads a
 //! churn-at-scale `[workload]` table straight into it, and
@@ -53,7 +55,7 @@
 //! assert_eq!(summary.events, 16);
 //! let records = records.lock().unwrap();
 //! assert!(matches!(records.first(), Some(Record::Meta { .. })));
-//! assert!(matches!(records.last(), Some(Record::Summary(_))));
+//! assert_eq!(records.last(), Some(&Record::Summary(summary)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,9 +67,9 @@ mod sink;
 mod ward;
 
 pub use events::{GroupChurnConfig, GroupEvent, GroupProcess};
-pub use runner::{Runner, RunnerConfig, Summary};
+pub use runner::{Runner, RunnerConfig};
 pub use sink::{
-    CollectSink, EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord,
-    RecoverySummary, Sink, SummaryRecord, WindowRecord,
+    CollectSink, EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord, Sink,
+    SummaryRecord, WindowRecord,
 };
 pub use ward::{Converge, StopReason};

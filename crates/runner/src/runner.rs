@@ -3,8 +3,8 @@
 
 use crate::events::{GroupChurnConfig, GroupProcess};
 use crate::sink::{
-    EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord, RecoverySummary, Sink,
-    SummaryRecord, WindowRecord,
+    EventRecord, FailureRecord, FailureTotals, Record, RecoveryRecord, Sink, SummaryRecord,
+    WindowRecord,
 };
 use crate::ward::{Converge, Stop, StopReason};
 use sof_core::{Element, OnlineConfig, OnlineSession, SessionEvent, SessionPool, SofdaConfig};
@@ -168,9 +168,7 @@ impl RunnerConfig {
         self.regions_params()
             .validate()
             .map_err(|e| format!("'{}': {e}", key("regions")))?;
-        self.churn
-            .validate()
-            .map_err(|e| format!("'{}'", key(&e)))?;
+        self.churn.validate(&key("churn"))?;
         // `positive` is NaN-rejecting.
         let positive = |x: f64| x.is_finite() && x > 0.0;
         if let Some(c) = &self.converge {
@@ -195,28 +193,6 @@ impl RunnerConfig {
             pair_cost: self.pair_cost.clone(),
         }
     }
-}
-
-/// End-of-run totals returned by [`Runner::run`] (the same numbers the
-/// final [`Record::Summary`] carries).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Summary {
-    /// Total events processed.
-    pub events: u64,
-    /// Windows emitted.
-    pub windows: u64,
-    /// Distinct groups created over the run.
-    pub groups_seen: u64,
-    /// Groups retired over the run.
-    pub retired: u64,
-    /// Failed embeds over the run.
-    pub errors: u64,
-    /// Total accumulated embedding cost (retired groups included).
-    pub accumulated_cost: f64,
-    /// Why the run stopped.
-    pub stop: StopReason,
-    /// Recovery/availability totals (runs with a failure plan only).
-    pub recovery: Option<RecoverySummary>,
 }
 
 /// Open-window accumulators — the only per-event state the runner keeps,
@@ -297,13 +273,14 @@ impl Runner {
         })
     }
 
-    /// Runs until the stop rule trips, returning the end-of-run totals.
+    /// Runs until the stop rule trips, returning the end-of-run totals:
+    /// the [`SummaryRecord`] the final record carries.
     ///
     /// # Errors
     ///
     /// Propagates the first sink I/O error or session solve panic-free
     /// failure that is not recoverable by retiring the group.
-    pub fn run(mut self) -> Result<Summary, String> {
+    pub fn run(mut self) -> Result<SummaryRecord, String> {
         let started = Instant::now();
         let mut stop = Stop::new(self.cfg.events, self.cfg.converge, self.cfg.max_seconds);
         self.emit(Record::Meta {
@@ -315,7 +292,7 @@ impl Runner {
             seed: self.cfg.seed,
             solver: self.cfg.solver.clone(),
             window: self.cfg.window,
-            events_target: Some(self.cfg.events),
+            events_target: self.cfg.events,
             policy: self
                 .failure
                 .as_ref()
@@ -346,7 +323,7 @@ impl Runner {
                 }
             }
         };
-        let summary = Summary {
+        let summary = SummaryRecord {
             events: self.seq,
             windows: self.windows,
             groups_seen: self.next_id,
@@ -354,25 +331,13 @@ impl Runner {
             errors: self.errors,
             accumulated_cost: self.accumulated_cost(),
             stop,
-            recovery: self
-                .failure
-                .as_ref()
-                .map(|(rounds, _)| recovery_summary(rounds)),
-        };
-        self.emit(Record::Summary(SummaryRecord {
-            events: summary.events,
-            windows: summary.windows,
-            groups_seen: summary.groups_seen,
-            retired: summary.retired,
-            errors: summary.errors,
-            accumulated_cost: summary.accumulated_cost,
-            stop,
-            recovery: summary.recovery,
+            recovery: self.failure.as_ref().map(|(rounds, _)| *rounds.metrics()),
             millis: self
                 .cfg
                 .timings
                 .then(|| started.elapsed().as_secs_f64() * 1e3),
-        }))?;
+        };
+        self.emit(Record::Summary(summary.clone()))?;
         self.flush()?;
         Ok(summary)
     }
@@ -610,20 +575,6 @@ fn failure_totals(rounds: &FailureRounds) -> FailureTotals {
         repair_events: m.repair_events as u64,
         disruptions: m.disruptions as u64,
         pending: rounds.pending() as u64,
-    }
-}
-
-fn recovery_summary(rounds: &FailureRounds) -> RecoverySummary {
-    let m = rounds.metrics();
-    RecoverySummary {
-        fail_events: m.fail_events as u64,
-        repair_events: m.repair_events as u64,
-        disruptions: m.disruptions as u64,
-        immediate: m.immediate as u64,
-        recoveries: m.recoveries as u64,
-        mean_recovery_cost: m.mean_recovery_cost(),
-        mean_events_to_restore: m.mean_events_to_restore(),
-        availability: m.availability(),
     }
 }
 

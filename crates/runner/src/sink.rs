@@ -15,6 +15,7 @@
 
 use crate::ward::StopReason;
 use sof_graph::PathEngineStats;
+use sof_survive::RecoveryMetrics;
 use std::io;
 use std::sync::{Arc, Mutex};
 
@@ -74,28 +75,6 @@ pub struct RecoveryRecord {
     pub cost: f64,
     /// Sessions left dark for a deferred (reactive) rebuild.
     pub pending: u64,
-}
-
-/// End-of-run recovery/availability totals (only present when the run has
-/// a failure plan).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RecoverySummary {
-    /// Element failures applied.
-    pub fail_events: u64,
-    /// Element repairs applied.
-    pub repair_events: u64,
-    /// Session disruptions.
-    pub disruptions: u64,
-    /// Disruptions recovered within their failure round.
-    pub immediate: u64,
-    /// Disruptions whose recovery completed (immediate or deferred).
-    pub recoveries: u64,
-    /// Mean cost per completed recovery.
-    pub mean_recovery_cost: f64,
-    /// Mean group events until service was restored.
-    pub mean_events_to_restore: f64,
-    /// Fraction of destination×round samples spent connected.
-    pub availability: f64,
 }
 
 /// One windowed aggregate over `events` consecutive events.
@@ -179,8 +158,8 @@ pub struct SummaryRecord {
     pub accumulated_cost: f64,
     /// Which stop condition ended the run.
     pub stop: StopReason,
-    /// Recovery/availability totals (failure plans only).
-    pub recovery: Option<RecoverySummary>,
+    /// Recovery/availability counters (failure plans only).
+    pub recovery: Option<RecoveryMetrics>,
     /// Total wall-clock milliseconds (timings mode only).
     pub millis: Option<f64>,
 }
@@ -203,8 +182,8 @@ pub enum Record {
         solver: String,
         /// Events per window.
         window: u64,
-        /// The event budget (a [`crate::Runner`] always sets it).
-        events_target: Option<u64>,
+        /// The event budget.
+        events_target: u64,
         /// The protection policy, when the run has a failure plan.
         policy: Option<String>,
     },

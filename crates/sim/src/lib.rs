@@ -10,9 +10,9 @@
 //!   forest's paths, replayed against a player-buffer model
 //!   ([`PlayerConfig`]) to produce [`Qoe`] per viewer, with
 //!   [`EnvironmentProfile`] capturing the "Ours" vs "Emulab" overhead split,
-//! * [`RequestStream`] — the online-deployment workload of Fig. 12,
-//! * [`ChurnStream`] — viewer-churn snapshots of one long-lived group, the
-//!   workload driving the incremental `OnlineSession` engine.
+//! * [`ChurnStream`] — the online-deployment workload of Fig. 12:
+//!   viewer-churn snapshots of one long-lived group, the workload driving
+//!   the incremental `OnlineSession` engine.
 //!
 //! # Examples
 //!
@@ -43,4 +43,4 @@ mod workload;
 
 pub use flow::{max_min_rates, Flow};
 pub use video::{simulate_sessions, EnvironmentProfile, PlayerConfig, Qoe, Session};
-pub use workload::{ChurnParams, ChurnStream, RequestStream, WorkloadParams};
+pub use workload::{ChurnParams, ChurnStream, WorkloadParams};

@@ -38,84 +38,6 @@ impl WorkloadParams {
     }
 }
 
-/// Streams random multicast requests over a pool of access nodes.
-#[derive(Clone, Debug)]
-pub struct RequestStream {
-    params: WorkloadParams,
-    pool: Vec<NodeId>,
-    rng: Rng64,
-}
-
-impl RequestStream {
-    /// Creates a stream over the access nodes `0..access_nodes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `access_nodes < 2` (a request needs at least one source
-    /// and one disjoint destination).
-    pub fn new(params: WorkloadParams, access_nodes: usize, seed: u64) -> RequestStream {
-        RequestStream::over_pool(params, (0..access_nodes).map(NodeId::new).collect(), seed)
-    }
-
-    /// Creates a stream drawing from an explicit node pool instead of
-    /// `0..n` — e.g. the access nodes of one region of a
-    /// multi-region topology. Draw sequences over the identity pool are
-    /// identical to [`RequestStream::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the pool holds fewer than 2 nodes.
-    pub fn over_pool(params: WorkloadParams, pool: Vec<NodeId>, seed: u64) -> RequestStream {
-        assert!(
-            pool.len() >= 2,
-            "request stream needs at least 2 pool nodes, got {}",
-            pool.len()
-        );
-        RequestStream {
-            params,
-            pool,
-            rng: Rng64::seed_from(seed),
-        }
-    }
-
-    /// Draws the next request. Destinations are drawn first; the source
-    /// count is capped by the remaining pool (on SoftLayer the paper's
-    /// ranges |S| ≤ 12, |D| ≤ 17 can exceed the 27 access nodes, so the
-    /// sets would otherwise overlap). Both counts are clamped to at least
-    /// one, so a `(0, k)` range can never produce a viewerless group or
-    /// a sourceless request.
-    pub fn next_request(&mut self) -> Request {
-        let n = self.pool.len();
-        let d = self
-            .rng
-            .range(self.params.destinations.0, self.params.destinations.1 + 1)
-            .clamp(1, n - 1);
-        let s = self
-            .rng
-            .range(self.params.sources.0, self.params.sources.1 + 1)
-            .clamp(1, n - d);
-        let picks = self.rng.sample_indices(n, s + d);
-        Request::new(
-            picks[..s].iter().map(|&i| self.pool[i]).collect(),
-            picks[s..].iter().map(|&i| self.pool[i]).collect(),
-            ServiceChain::with_len(self.params.chain_len),
-        )
-    }
-
-    /// The configured per-request demand.
-    pub fn demand(&self) -> f64 {
-        self.params.demand_mbps
-    }
-}
-
-impl Iterator for RequestStream {
-    type Item = Request;
-
-    fn next(&mut self) -> Option<Request> {
-        Some(self.next_request())
-    }
-}
-
 /// Parameters for a viewer-churn stream: one long-lived multicast group
 /// whose destination set mutates between arrivals (sources and chain stay
 /// fixed). This is the workload the incremental `OnlineSession` engine is
@@ -166,8 +88,12 @@ pub struct ChurnStream {
 }
 
 impl ChurnStream {
-    /// Creates a stream over `access_nodes` access nodes; the initial
-    /// group is drawn exactly like [`RequestStream`] would.
+    /// Creates a stream over the access nodes `0..access_nodes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `access_nodes < 2` (a request needs at least one source
+    /// and one disjoint destination).
     pub fn new(params: ChurnParams, access_nodes: usize, seed: u64) -> ChurnStream {
         ChurnStream::over_pool(params, (0..access_nodes).map(NodeId::new).collect(), seed)
     }
@@ -176,25 +102,51 @@ impl ChurnStream {
     /// pool (e.g. one region plus a few roamed-in foreign nodes). Draw
     /// sequences over the identity pool are identical to
     /// [`ChurnStream::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the pool holds fewer than 2 nodes.
     pub fn over_pool(params: ChurnParams, pool: Vec<NodeId>, seed: u64) -> ChurnStream {
-        let mut base = RequestStream::over_pool(params.base, pool, seed);
-        let current = base.next_request();
+        assert!(
+            pool.len() >= 2,
+            "request stream needs at least 2 pool nodes, got {}",
+            pool.len()
+        );
+        let mut rng = Rng64::seed_from(seed);
+        let current = ChurnStream::initial(&params.base, &pool, &mut rng);
         ChurnStream {
             params,
             current,
-            pool: base.pool,
-            rng: base.rng,
+            pool,
+            rng,
         }
+    }
+
+    /// Draws the initial group. Destinations are drawn first; the source
+    /// count is capped by the remaining pool (on SoftLayer the paper's
+    /// ranges |S| ≤ 12, |D| ≤ 17 can exceed the 27 access nodes, so the
+    /// sets would otherwise overlap). Both counts are clamped to at least
+    /// one, so a `(0, k)` range can never produce a viewerless group or
+    /// a sourceless request.
+    fn initial(params: &WorkloadParams, pool: &[NodeId], rng: &mut Rng64) -> Request {
+        let n = pool.len();
+        let d = rng
+            .range(params.destinations.0, params.destinations.1 + 1)
+            .clamp(1, n - 1);
+        let s = rng
+            .range(params.sources.0, params.sources.1 + 1)
+            .clamp(1, n - d);
+        let picks = rng.sample_indices(n, s + d);
+        Request::new(
+            picks[..s].iter().map(|&i| pool[i]).collect(),
+            picks[s..].iter().map(|&i| pool[i]).collect(),
+            ServiceChain::with_len(params.chain_len),
+        )
     }
 
     /// The group snapshot most recently handed out.
     pub fn current(&self) -> &Request {
         &self.current
-    }
-
-    /// The configured per-request demand.
-    pub fn demand(&self) -> f64 {
-        self.params.base.demand_mbps
     }
 
     /// Applies one churn event and returns the new snapshot.
@@ -254,11 +206,22 @@ impl Iterator for ChurnStream {
 mod tests {
     use super::*;
 
+    /// The initial group a stream over `0..access_nodes` draws.
+    fn initial(params: WorkloadParams, access_nodes: usize, seed: u64) -> Request {
+        let params = ChurnParams {
+            base: params,
+            leaves: (0, 0),
+            joins: (0, 0),
+        };
+        ChurnStream::new(params, access_nodes, seed)
+            .current()
+            .clone()
+    }
+
     #[test]
     fn requests_within_ranges() {
-        let mut stream = RequestStream::new(WorkloadParams::softlayer(), 27, 1);
-        for _ in 0..50 {
-            let r = stream.next_request();
+        for seed in 0..50 {
+            let r = initial(WorkloadParams::softlayer(), 27, seed);
             assert!(r.sources.len() <= 12 && r.sources.len() >= 8.min(27 - r.destinations.len()));
             assert!((13..=17).contains(&r.destinations.len()));
             assert_eq!(r.chain.len(), 3);
@@ -317,16 +280,14 @@ mod tests {
             chain_len: 1,
             demand_mbps: 1.0,
         };
-        let mut stream = RequestStream::new(params, 6, 5);
-        for _ in 0..200 {
-            let r = stream.next_request();
+        for seed in 0..200 {
+            let r = initial(params, 6, seed);
             assert!(!r.sources.is_empty(), "sourceless request");
             assert!(!r.destinations.is_empty(), "viewerless request");
         }
         // Same guarantee at the tightest legal pool (1 source + 1 viewer).
-        let mut tight = RequestStream::new(params, 2, 5);
-        for _ in 0..50 {
-            let r = tight.next_request();
+        for seed in 0..50 {
+            let r = initial(params, 2, seed);
             assert_eq!(r.sources.len(), 1);
             assert_eq!(r.destinations.len(), 1);
         }
@@ -335,7 +296,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2 pool nodes")]
     fn one_node_pool_is_rejected() {
-        RequestStream::new(WorkloadParams::softlayer(), 1, 0);
+        ChurnStream::new(ChurnParams::softlayer(), 1, 0);
     }
 
     #[test]
@@ -399,14 +360,6 @@ mod tests {
         // `over_pool` with the identity pool must replay `new` exactly —
         // the existing figure presets depend on unchanged draw sequences.
         let identity: Vec<NodeId> = (0..27).map(NodeId::new).collect();
-        let a: Vec<Request> = RequestStream::new(WorkloadParams::softlayer(), 27, 9)
-            .take(5)
-            .collect();
-        let b: Vec<Request> =
-            RequestStream::over_pool(WorkloadParams::softlayer(), identity.clone(), 9)
-                .take(5)
-                .collect();
-        assert_eq!(a, b);
         let c: Vec<Request> = ChurnStream::new(ChurnParams::softlayer(), 27, 3)
             .take(5)
             .collect();
@@ -440,12 +393,12 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a: Vec<Request> = RequestStream::new(WorkloadParams::softlayer(), 27, 9)
-            .take(5)
-            .collect();
-        let b: Vec<Request> = RequestStream::new(WorkloadParams::softlayer(), 27, 9)
-            .take(5)
-            .collect();
+        let draws = || -> Vec<Request> {
+            (9..14)
+                .map(|seed| initial(WorkloadParams::softlayer(), 27, seed))
+                .collect()
+        };
+        let (a, b) = (draws(), draws());
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.sources, y.sources);
             assert_eq!(x.destinations, y.destinations);

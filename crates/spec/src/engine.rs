@@ -22,10 +22,11 @@ use sof_core::{
     SessionPool, SofInstance, Solver,
 };
 use sof_graph::{Cost, NodeId, Rng64};
-use sof_runner::{CollectSink, Record, Runner, RunnerConfig, Sink, Summary};
+use sof_runner::{CollectSink, Record, Runner, RunnerConfig, Sink, SummaryRecord};
 use sof_sim::{simulate_sessions, ChurnStream, EnvironmentProfile, PlayerConfig, Session};
 use sof_survive::{
     universe_for_scopes, ElementRef, FailurePlan, FailureRounds, FailureSpec, Protector,
+    RecoveryMetrics,
 };
 use sof_topo::{build_instance, build_named, display_label, Topology};
 use std::time::Instant;
@@ -130,7 +131,7 @@ pub fn runner_config(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunnerCon
 /// Runs a churn-at-scale spec, streaming every runner record to `out` as
 /// JSON lines the moment it is produced — memory stays O(groups + open
 /// window) no matter how many events the budget allows. Returns the
-/// end-of-run totals (the same numbers as the final `summary` line).
+/// end-of-run totals the (first leg's) final `summary` line prints.
 ///
 /// # Errors
 ///
@@ -140,7 +141,7 @@ pub fn run_churn_stream<W: std::io::Write + Send + 'static>(
     spec: &ScenarioSpec,
     opts: &RunOptions,
     out: W,
-) -> Result<Summary, SpecError> {
+) -> Result<SummaryRecord, SpecError> {
     let mut configs = policy_legs(spec, opts)?;
     if configs.len() == 1 {
         let sink = Box::new(JsonlSink::new(out));
@@ -150,7 +151,7 @@ pub fn run_churn_stream<W: std::io::Write + Send + 'static>(
     // Policy-comparison run: one streamed leg per policy over the identical
     // failure trace, then a closing comparison line.
     let shared = SharedOut(std::sync::Arc::new(std::sync::Mutex::new(out)));
-    let mut legs: Vec<(String, Summary)> = Vec::new();
+    let mut legs: Vec<(String, SummaryRecord)> = Vec::new();
     for (policy, cfg) in configs {
         let sink = Box::new(JsonlSink::new(shared.clone()));
         let summary = Runner::new(cfg, sink)
@@ -160,12 +161,12 @@ pub fn run_churn_stream<W: std::io::Write + Send + 'static>(
     }
     let mut line = report::line("policy-comparison");
     let legs_value = legs.iter().map(|(policy, summary)| {
-        let r = summary.recovery.unwrap_or_default();
+        let r = summary.recovery.expect("a policy leg has a failure plan");
         let mut leg = Value::table();
         put(&mut leg, "policy", policy);
         put(&mut leg, "disruptions", &r.disruptions);
-        put(&mut leg, "mean_recovery_cost", &r.mean_recovery_cost);
-        put(&mut leg, "availability", &r.availability);
+        put(&mut leg, "mean_recovery_cost", &r.mean_recovery_cost());
+        put(&mut leg, "availability", &r.availability());
         leg
     });
     line.set("legs", Value::Array(legs_value.collect()));
@@ -246,12 +247,15 @@ fn run_churn_at_scale(
     let (first, cfg) = legs.remove(0);
     // Comparison legs beyond the first rerun the identical trace under the
     // other policies; only their recovery summaries feed the report.
-    let mut comparison: Vec<(String, sof_runner::RecoverySummary)> = Vec::new();
+    let mut comparison: Vec<(String, RecoveryMetrics)> = Vec::new();
     for (policy, leg) in legs {
         let leg_summary = Runner::new(leg, Box::new(Discard))
             .and_then(Runner::run)
             .map_err(SpecError)?;
-        comparison.push((policy, leg_summary.recovery.unwrap_or_default()));
+        let recovery = leg_summary
+            .recovery
+            .expect("a policy leg has a failure plan");
+        comparison.push((policy, recovery));
     }
     let (sink, records) = CollectSink::new();
     let runner = Runner::new(cfg, Box::new(sink)).map_err(SpecError)?;
@@ -307,15 +311,15 @@ fn run_churn_at_scale(
         extra_rows.push(summary_row("recoveries", r.recoveries as f64, false));
         extra_rows.push(summary_row(
             "mean_recovery_cost",
-            r.mean_recovery_cost,
+            r.mean_recovery_cost(),
             false,
         ));
         extra_rows.push(summary_row(
             "mean_events_to_restore",
-            r.mean_events_to_restore,
+            r.mean_events_to_restore(),
             false,
         ));
-        extra_rows.push(summary_row("availability", r.availability, false));
+        extra_rows.push(summary_row("availability", r.availability(), false));
     }
     let mut sections = Vec::new();
     if comparison.len() > 1 {
@@ -341,9 +345,9 @@ fn run_churn_at_scale(
                         cells: vec![
                             Cell::num(Some(r.disruptions as f64), 0),
                             Cell::num(Some(r.immediate as f64), 0),
-                            Cell::num(Some(r.mean_recovery_cost), 2),
-                            Cell::num(Some(r.mean_events_to_restore), 2),
-                            Cell::num(Some(r.availability), 4),
+                            Cell::num(Some(r.mean_recovery_cost()), 2),
+                            Cell::num(Some(r.mean_events_to_restore()), 2),
+                            Cell::num(Some(r.availability()), 4),
                         ],
                     })
                     .collect(),
@@ -875,7 +879,7 @@ fn group_instance(
 ) -> SofInstance {
     let mut p = spec.params.with_seed(seed);
     p.vm_count = topo.dc_nodes.len() * group.vms_per_dc;
-    p.chain_len = group.churn.chain_len;
+    p.chain_len = group.churn.base.chain_len;
     build_instance(topo, &p)
 }
 
@@ -950,7 +954,7 @@ fn drive_group(
     failures: Option<&FailureSpec>,
     opts: &RunOptions,
 ) -> Result<GroupRun, SpecError> {
-    let churn = group.churn.to_params();
+    let churn = group.churn;
     let online = OnlineConfig {
         demand_mbps: churn.base.demand_mbps,
         ..spec.online
@@ -1115,7 +1119,7 @@ mod tests {
     use super::*;
     use crate::presets;
     use crate::report::write_jsonl;
-    use sof_survive::FailureEventSpec;
+    use sof_survive::ScriptedEvent;
 
     /// The stepped group of an online spec's first group.
     fn drive(spec: &ScenarioSpec) -> GroupRun {
@@ -1217,9 +1221,9 @@ mod tests {
             (6, 1, ["reactive".to_string()].as_slice())
         );
         f.process = "scripted".into();
-        f.events = vec![FailureEventSpec {
+        f.events = vec![ScriptedEvent {
             at: 6,
-            element: format!("vm:{}", vm.index()),
+            element: ElementRef::Vm(vm.index()),
             repair: 0,
         }];
         *failures = Some(f);
@@ -1308,7 +1312,7 @@ policies = ["standby-forest"]
             solver_by_name("SOFDA").unwrap(),
             spec.sofda.with_seed(*seed),
             OnlineConfig {
-                demand_mbps: groups[0].churn.demand_mbps,
+                demand_mbps: groups[0].churn.base.demand_mbps,
                 ..spec.online
             },
         );

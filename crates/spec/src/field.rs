@@ -426,6 +426,9 @@ mod tests {
             ("churn = { lifetime = [9, 5] }", "'workload.churn.lifetime' range is inverted ([9, 5])"),
             ("churn = { joins = [1, 2, 3] }", "'workload.churn.joins' must be a two-element [lo, hi] range, found 3 element(s)"),
             ("churn = 4", "'workload.churn' must be a table, found integer"),
+            ("churn = { roam = 1.5 }", "'workload.churn.roam' must be in [0, 1], found 1.5"),
+            ("churn = { demand_mbps = -2.5 }", "'workload.churn.demand_mbps' must be positive, found -2.5"),
+            ("failures = { process = \"scripted\", events = [{ at = 1, element = \"vm:x\" }] }", "'workload.failures.events[0].element': invalid failure element 'vm:x' (expected 'vm:N', 'link:U-V', 'node:N', or 'domain:NAME')"),
             // The dropped `kind` shorthand is an unknown key like any other.
             ("failures = { kind = \"vm\" }", "unknown key 'workload.failures.kind' (valid keys here: every, count, process, rate, scope, repair, policies, seed, events)"),
             ("emit = \"all\"", "'workload.emit' must be \"windows\" or \"events\", got \"all\""),

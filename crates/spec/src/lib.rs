@@ -71,8 +71,8 @@ pub mod value;
 
 pub use engine::{run_churn_stream, run_spec, runner_config, RunOptions};
 pub use report::{render_markdown, write_jsonl, Detail, ReportMeta, RunReport, Section};
-pub use sof_survive::{FailureEventSpec, FailureSpec};
-pub use spec::{ChurnSpec, GridMetric, OnlineGroup, ScenarioSpec, SpecError, Workload};
+pub use sof_survive::FailureSpec;
+pub use spec::{GridMetric, OnlineGroup, ScenarioSpec, SpecError, Workload};
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@
 //! and [`JsonlSink`] sends it through [`write_json`] the moment the record
 //! arrives. `millis`, the meta line's `policy` and the failure totals are
 //! left out when absent (so default-mode output is byte-stable);
-//! `events_target` and `repair_at` print `null`.
+//! `repair_at` prints `null`.
 
 use crate::field::{put, put_or_null};
 use crate::report::line;
@@ -45,7 +45,7 @@ pub fn record_value(record: &Record) -> Value {
             put(&mut t, "seed", seed);
             put(&mut t, "solver", solver);
             put(&mut t, "window", window);
-            put_or_null(&mut t, "events_target", events_target);
+            put(&mut t, "events_target", events_target);
             put(&mut t, "policy", policy);
         }
         Record::Window(w) => {
@@ -88,10 +88,14 @@ pub fn record_value(record: &Record) -> Value {
             put_fields!(t, s; events, windows, groups_seen, retired, errors, accumulated_cost);
             put(&mut t, "stop", &s.stop.as_str().to_string());
             if let Some(r) = &s.recovery {
-                put_fields!(
-                    t, r; fail_events, repair_events, disruptions, immediate, recoveries,
-                    mean_recovery_cost, mean_events_to_restore, availability
-                );
+                put_fields!(t, r; fail_events, repair_events, disruptions, immediate, recoveries);
+                for (key, mean) in [
+                    ("mean_recovery_cost", r.mean_recovery_cost()),
+                    ("mean_events_to_restore", r.mean_events_to_restore()),
+                    ("availability", r.availability()),
+                ] {
+                    put(&mut t, key, &mean);
+                }
             }
             put_fields!(t, s; millis);
         }
@@ -128,9 +132,9 @@ mod tests {
     use super::*;
     use sof_graph::PathEngineStats;
     use sof_runner::{
-        EventRecord, FailureRecord, RecoveryRecord, RecoverySummary, StopReason, SummaryRecord,
-        WindowRecord,
+        EventRecord, FailureRecord, RecoveryRecord, StopReason, SummaryRecord, WindowRecord,
     };
+    use sof_survive::RecoveryMetrics;
 
     fn line(record: &Record) -> String {
         write_json(&record_value(record))
@@ -145,7 +149,7 @@ mod tests {
             seed: 7,
             solver: "SOFDA".into(),
             window: 8,
-            events_target: Some(40),
+            events_target: 40,
             policy: None,
         };
         assert_eq!(
@@ -229,7 +233,7 @@ mod tests {
             seed: 7,
             solver: "SOFDA".into(),
             window: 8,
-            events_target: Some(40),
+            events_target: 40,
             policy: Some("standby-forest".into()),
         };
         assert!(
@@ -272,15 +276,17 @@ mod tests {
             errors: 0,
             accumulated_cost: 321.0,
             stop: StopReason::MaxEvents,
-            recovery: Some(RecoverySummary {
+            // The means are derived: 31.5 / 3, 1 / 3 and 1 − 1 / 40.
+            recovery: Some(RecoveryMetrics {
                 fail_events: 4,
                 repair_events: 2,
                 disruptions: 3,
                 immediate: 2,
                 recoveries: 3,
-                mean_recovery_cost: 10.5,
-                mean_events_to_restore: 0.5,
-                availability: 0.975,
+                recovery_cost_sum: 31.5,
+                events_to_restore_sum: 1,
+                disconnected_dest_rounds: 1,
+                dest_rounds: 40,
             }),
             millis: None,
         });
@@ -289,12 +295,13 @@ mod tests {
             "{\"type\":\"summary\",\"events\":40,\"windows\":5,\"groups_seen\":6,\"retired\":2,\
              \"errors\":0,\"accumulated_cost\":321.0,\"stop\":\"max-events\",\"fail_events\":4,\
              \"repair_events\":2,\"disruptions\":3,\"immediate\":2,\"recoveries\":3,\
-             \"mean_recovery_cost\":10.5,\"mean_events_to_restore\":0.5,\"availability\":0.975}"
+             \"mean_recovery_cost\":10.5,\"mean_events_to_restore\":0.3333333333333333,\
+             \"availability\":0.975}"
         );
     }
 
-    /// What no golden holds: a budget-less run, a failure that is never
-    /// repaired, and names the quoter has to escape.
+    /// What no golden holds: a failure that is never repaired, and names
+    /// the quoter has to escape.
     #[test]
     fn absent_fields_print_null_and_labels_are_escaped() {
         let meta = Record::Meta {
@@ -304,14 +311,14 @@ mod tests {
             seed: 0,
             solver: "SOFDA".into(),
             window: 1,
-            events_target: None,
+            events_target: 1,
             policy: None,
         };
         assert_eq!(
             line(&meta),
             "{\"type\":\"meta\",\"subsystem\":\"churn-at-scale\",\"name\":\"q\\\"b\\\\c\\u0001\",\
              \"groups\":1,\"regions\":[\"tab\\there\"],\"seed\":0,\"solver\":\"SOFDA\",\
-             \"window\":1,\"events_target\":null}"
+             \"window\":1,\"events_target\":1}"
         );
         let parsed = crate::value::parse_json(&line(&meta)).unwrap();
         assert_eq!(parsed.get("name"), Some(&Value::Str("q\"b\\c\u{1}".into())));

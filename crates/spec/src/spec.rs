@@ -5,7 +5,7 @@
 //! parsing (unknown keys are errors), defaults and lossless serialization
 //! back to TOML or JSON all come (see [`crate::field`]).
 
-use crate::field::{fits_int, keys, named_field, read_table, table_field, Field, Reader};
+use crate::field::{fits_int, keys, named_field, put, read_table, table_field, Field, Reader};
 use crate::oneshot::{standard_axes, ParamField, SweepAxis};
 use crate::value::{parse_json, parse_toml, write_json, write_toml, ParseError, Value};
 use sof_core::{OnlineConfig, SofdaConfig};
@@ -14,9 +14,10 @@ use sof_kstroll::StrollSolver;
 use sof_runner::{Converge, GroupChurnConfig, RunnerConfig};
 use sof_sim::{ChurnParams, WorkloadParams};
 use sof_steiner::SteinerSolver;
-use sof_survive::{FailureEventSpec, FailureSpec};
+use sof_survive::{ElementRef, FailureSpec, ScriptedEvent};
 use sof_topo::{RegionDef, ScenarioParams, TopologySpec};
 use std::fmt;
+use std::str::FromStr;
 
 /// A spec-layer error (parse, unknown key, or semantic validation).
 #[derive(Clone, Debug, PartialEq)]
@@ -81,62 +82,6 @@ impl GridMetric {
     }
 }
 
-/// Viewer-churn parameters for one online group (compiles to
-/// [`sof_sim::ChurnParams`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChurnSpec {
-    /// Inclusive range of candidate-source counts for the initial draw.
-    pub sources: (usize, usize),
-    /// Inclusive range of destination counts for the initial draw.
-    pub destinations: (usize, usize),
-    /// Demanded chain length.
-    pub chain_len: usize,
-    /// Per-request demand (Mbps).
-    pub demand_mbps: f64,
-    /// Inclusive range of viewers leaving per arrival.
-    pub leaves: (usize, usize),
-    /// Inclusive range of viewers joining per arrival.
-    pub joins: (usize, usize),
-}
-
-impl ChurnSpec {
-    /// The paper's SoftLayer online setup with 1–3 viewers of churn.
-    pub fn softlayer() -> ChurnSpec {
-        ChurnSpec::from_params(&ChurnParams::softlayer())
-    }
-
-    /// The paper's Cogent online setup with 2–5 viewers of churn.
-    pub fn cogent() -> ChurnSpec {
-        ChurnSpec::from_params(&ChurnParams::cogent())
-    }
-
-    /// Converts from the simulator's parameter struct.
-    pub fn from_params(p: &ChurnParams) -> ChurnSpec {
-        ChurnSpec {
-            sources: p.base.sources,
-            destinations: p.base.destinations,
-            chain_len: p.base.chain_len,
-            demand_mbps: p.base.demand_mbps,
-            leaves: p.leaves,
-            joins: p.joins,
-        }
-    }
-
-    /// Compiles to the simulator's parameter struct.
-    pub fn to_params(&self) -> ChurnParams {
-        ChurnParams {
-            base: WorkloadParams {
-                sources: self.sources,
-                destinations: self.destinations,
-                chain_len: self.chain_len,
-                demand_mbps: self.demand_mbps,
-            },
-            leaves: self.leaves,
-            joins: self.joins,
-        }
-    }
-}
-
 /// One churning multicast group in an online workload.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OnlineGroup {
@@ -149,7 +94,7 @@ pub struct OnlineGroup {
     /// VMs attached per data center when building the instance.
     pub vms_per_dc: usize,
     /// The churn process.
-    pub churn: ChurnSpec,
+    pub churn: ChurnParams,
 }
 
 /// The workload half of a spec: what actually runs.
@@ -528,25 +473,25 @@ impl ScenarioSpec {
                     if g.vms_per_dc == 0 {
                         return fail(format!("{ctx}: 'vms_per_dc' must be at least 1"));
                     }
-                    let c = &g.churn;
+                    let (c, churn) = (&g.churn.base, format!("workload.groups[{i}].churn"));
                     if c.chain_len == 0 {
-                        return fail(format!("{ctx}: 'churn.chain_len' must be at least 1"));
+                        return fail(format!("'{churn}.chain_len' must be at least 1"));
                     }
                     if !positive(c.demand_mbps) {
-                        return fail(format!("{ctx}: 'churn.demand_mbps' must be positive"));
+                        return fail(format!("'{churn}.demand_mbps' must be positive"));
                     }
                     if c.sources.0 == 0 {
-                        return fail(format!("{ctx}: 'churn.sources' must start at 1 or more"));
+                        return fail(format!("'{churn}.sources' must start at 1 or more"));
                     }
                     if c.destinations.0 == 0 {
-                        return fail(format!(
-                            "{ctx}: 'churn.destinations' must start at 1 or more"
-                        ));
+                        return fail(format!("'{churn}.destinations' must start at 1 or more"));
                     }
                 }
                 if let Some(f) = failures {
                     let domains = f.scope.iter().any(|s| s == "domain")
-                        || f.events.iter().any(|e| e.element.starts_with("domain:"));
+                        || f.events
+                            .iter()
+                            .any(|e| matches!(e.element, ElementRef::Domain(_)));
                     if domains {
                         return fail(
                             "'workload.failures': online topologies have no domains to fail",
@@ -636,6 +581,7 @@ named_field!(SteinerSolver, parse_steiner, steiner_name);
 named_field!(StrollSolver, parse_stroll, stroll_name);
 named_field!(ParamField, ParamField::from_name, ParamField::as_str);
 named_field!(GridMetric, GridMetric::from_name, GridMetric::as_str);
+named_field!(ElementRef, ElementRef::from_str, ElementRef::to_string);
 
 impl Field for Cost {
     fn read(v: &Value, at: &str) -> Result<Cost, String> {
@@ -673,14 +619,35 @@ table_field!(SweepAxis {
     values,
     label = ParamField::default_label(&field).to_string()
 });
-table_field!(ChurnSpec {
+keys!(churn_base: WorkloadParams = WorkloadParams {
     sources,
     destinations,
     chain_len = 3,
-    demand_mbps = 5.0,
-    leaves,
-    joins
+    demand_mbps = 5.0
 });
+
+/// An online group's `churn` table is [`ChurnParams`] with its `base`
+/// request shape spelt flat beside `leaves` and `joins`.
+impl Field for ChurnParams {
+    fn read(v: &Value, at: &str) -> Result<ChurnParams, String> {
+        read_table(v, at, |r| {
+            Ok(ChurnParams {
+                base: churn_base::read(r)?,
+                leaves: r.req("leaves")?,
+                joins: r.req("joins")?,
+            })
+        })
+    }
+
+    fn write(&self) -> Option<Value> {
+        let mut t = Value::table();
+        churn_base::write(&self.base, &mut t);
+        put(&mut t, "leaves", &self.leaves);
+        put(&mut t, "joins", &self.joins);
+        Some(t)
+    }
+}
+
 table_field!(OnlineGroup {
     topology = None,
     requests,
@@ -690,7 +657,7 @@ table_field!(OnlineGroup {
 });
 table_field!(RegionDef { name, nodes, dcs = 1 });
 table_field!(Converge { epsilon = 1e-3, patience = 3 });
-table_field!(FailureEventSpec { at, element, repair = 0 });
+table_field!(ScriptedEvent { at, element, repair = 0 });
 table_field!(FailureSpec {
     every = 10,
     count = 1,
@@ -891,12 +858,14 @@ values = [2, 4]
         assert_eq!(ScenarioSpec::from_json(&json).unwrap(), spec, "\n{json}");
     }
 
-    /// SPEC_FORMAT.md's key rows under `[params]`, `[sofda]`, `[online]`
-    /// and churn-at-scale's `[workload]`, `[workload.churn]` and
-    /// `[workload.converge]` are those tables' field lists, in order: the
-    /// keys are read off the strict parser's own "valid keys here: …"
-    /// message, and the rows are the `` | `key` | `` lines of the first
-    /// table under the table's heading (a `` `[workload.churn]` `` or
+    /// SPEC_FORMAT.md's key rows under `[params]`, `[sofda]`, `[online]`,
+    /// online's `[workload]`, a group and its `churn`, churn-at-scale's
+    /// `[workload]`, a region, `[workload.churn]` and
+    /// `[workload.converge]`, and `[workload.failures]` and a scripted
+    /// event are those tables' field lists, in order: the keys are read
+    /// off the strict parser's own "valid keys here: …" message, and the
+    /// rows are the `` | `key` | `` lines of the first table under the
+    /// table's heading (a `` `[workload.churn]` `` or
     /// `` `[[workload.regions]]` `` row names the key `churn` or
     /// `regions`). `kind` has its own row in the table of kinds.
     #[test]
@@ -905,6 +874,15 @@ values = [2, 4]
         let doc = std::fs::read_to_string(path).expect("SPEC_FORMAT.md at the repo root");
         let scale =
             |keys: &str| format!("name = \"m\"\n[workload]\nkind = \"churn-at-scale\"\n{keys}\n");
+        // An online spec with one group: `workload` keys, then the group's,
+        // then its churn's.
+        let online = |keys: &str, group: &str, churn: &str| {
+            format!(
+                "name = \"m\"\n[workload]\nkind = \"online\"\n{keys}\n[[workload.groups]]\n\
+                 requests = 1\n{group}\nchurn = {{ sources = [1, 1], destinations = [1, 1], \
+                 leaves = [0, 0], joins = [0, 0]{churn} }}\n"
+            )
+        };
         let mut tables: Vec<(String, String, String)> = ["params", "sofda", "online"]
             .into_iter()
             .map(|table| {
@@ -912,23 +890,53 @@ values = [2, 4]
                 (table.to_string(), src, format!("## `[{table}]`"))
             })
             .collect();
-        tables.extend([
-            (
-                "workload".to_string(),
-                scale("zzz = 1"),
-                "### `kind = \"churn-at-scale\"`".to_string(),
-            ),
-            (
-                "workload.churn".to_string(),
-                scale("churn = { zzz = 1 }"),
-                "`[workload.churn]`:".to_string(),
-            ),
-            (
-                "workload.converge".to_string(),
-                scale("converge = { zzz = 1 }"),
-                "`[workload.converge]`:".to_string(),
-            ),
-        ]);
+        let scripted = "failures = { events = [{ at = 1, element = \"vm:1\", zzz = 1 }] }";
+        tables.extend(
+            [
+                (
+                    "workload",
+                    online("zzz = 1", "", ""),
+                    "### `kind = \"online\"`",
+                ),
+                ("workload.groups[0]", online("", "zzz = 1", ""), "A group:"),
+                (
+                    "workload.groups[0].churn",
+                    online("", "", ", zzz = 1"),
+                    "A group's `churn`:",
+                ),
+                (
+                    "workload",
+                    scale("zzz = 1"),
+                    "### `kind = \"churn-at-scale\"`",
+                ),
+                (
+                    "workload.regions[0]",
+                    scale("regions = [{ name = \"a\", nodes = 3, zzz = 1 }]"),
+                    "A region:",
+                ),
+                (
+                    "workload.churn",
+                    scale("churn = { zzz = 1 }"),
+                    "`[workload.churn]`:",
+                ),
+                (
+                    "workload.converge",
+                    scale("converge = { zzz = 1 }"),
+                    "`[workload.converge]`:",
+                ),
+                (
+                    "workload.failures",
+                    scale("failures = { zzz = 1 }"),
+                    "### `[workload.failures]`",
+                ),
+                (
+                    "workload.failures.events[0]",
+                    scale(scripted),
+                    "A scripted event:",
+                ),
+            ]
+            .map(|(table, src, heading)| (table.to_string(), src, heading.to_string())),
+        );
         for (table, src, heading) in &tables {
             let err = ScenarioSpec::from_toml(src).unwrap_err().to_string();
             let prefix = format!("unknown key '{table}.zzz' (valid keys here: ");
@@ -1061,12 +1069,20 @@ every = 2
         };
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].topology.as_ref().unwrap().name, "testbed");
-        assert_eq!(groups[0].churn.chain_len, 3, "default chain length");
+        assert_eq!(groups[0].churn.base.chain_len, 3, "default chain length");
         let f = failures.as_ref().unwrap();
         assert_eq!((f.every, f.count), (2, 1));
         assert_eq!(f.scope, ["vm"], "default scope");
         let again = ScenarioSpec::from_toml(&spec.to_toml()).unwrap();
         assert_eq!(spec, again);
+        // A churn key's refusal names it under its group.
+        let err = ScenarioSpec::from_toml(
+            &src.replace("joins = [0, 1] }", "joins = [0, 1], demand_mbps = 0.0 }"),
+        );
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "'workload.groups[0].churn.demand_mbps' must be positive"
+        );
 
         // Online takes the whole axis except what it cannot run: regions to
         // fail, and comparison legs. The rest is the survivability layer's
@@ -1110,14 +1126,6 @@ every = 2
         };
         assert_eq!(axes.len(), 4);
         assert_eq!(axes[2].label, "#VMs");
-    }
-
-    #[test]
-    fn churn_spec_compiles_to_simulator_params() {
-        let c = ChurnSpec::softlayer();
-        assert_eq!(c.to_params(), ChurnParams::softlayer());
-        let c = ChurnSpec::cogent();
-        assert_eq!(c.to_params(), ChurnParams::cogent());
     }
 
     const SCALE: &str = r#"

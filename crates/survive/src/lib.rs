@@ -63,7 +63,6 @@ pub use element::ElementRef;
 pub use metrics::RecoveryMetrics;
 pub use policy::{universe_for_scopes, ProtectionPolicy, Protector, RecoveryOutcome};
 pub use process::{
-    FailureDriver, FailureEventSpec, FailurePlan, FailureSpec, ProcessKind, RoundEvents,
-    ScriptedEvent,
+    FailureDriver, FailurePlan, FailureSpec, ProcessKind, RoundEvents, ScriptedEvent,
 };
 pub use round::{FailureRounds, RoundReport};

@@ -46,12 +46,14 @@ impl ProcessKind {
     }
 }
 
-/// One entry of a scripted failure trace.
+/// One entry of a scripted failure trace (a spec file's
+/// `{ at, element, repair }` table).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScriptedEvent {
     /// Round at which the element fails.
     pub at: usize,
-    /// What fails.
+    /// What fails (written `"vm:12"`, `"link:3-7"`, `"node:5"`,
+    /// `"domain:us-east"` in a spec file).
     pub element: ElementRef,
     /// Rounds until repair (`0` = never repaired).
     pub repair: usize,
@@ -156,19 +158,7 @@ pub struct FailureSpec {
     /// Seed of the failure RNG stream (independent of churn streams).
     pub seed: u64,
     /// Explicit event list for the scripted process.
-    pub events: Vec<FailureEventSpec>,
-}
-
-/// One entry of a scripted failure trace in a spec file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FailureEventSpec {
-    /// Round at which the element fails.
-    pub at: usize,
-    /// What fails, as an element reference (`"vm:12"`, `"link:3-7"`,
-    /// `"node:5"`, `"domain:us-east"`).
-    pub element: String,
-    /// Rounds until repair (`0` = never).
-    pub repair: usize,
+    pub events: Vec<ScriptedEvent>,
 }
 
 impl FailureSpec {
@@ -185,21 +175,7 @@ impl FailureSpec {
                 count: self.count,
             },
             "poisson" => ProcessKind::Poisson { rate: self.rate },
-            "scripted" => {
-                let mut events = Vec::with_capacity(self.events.len());
-                for (i, ev) in self.events.iter().enumerate() {
-                    let element: ElementRef = ev
-                        .element
-                        .parse()
-                        .map_err(|e| format!("events[{i}].element: {e}"))?;
-                    events.push(ScriptedEvent {
-                        at: ev.at,
-                        element,
-                        repair: ev.repair,
-                    });
-                }
-                ProcessKind::Scripted(events)
-            }
+            "scripted" => ProcessKind::Scripted(self.events.clone()),
             other => {
                 return Err(format!(
                     "unknown failures process '{other}' (expected 'periodic', 'poisson', \

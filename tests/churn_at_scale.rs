@@ -96,7 +96,8 @@ fn record_stream_is_ordered_and_bounded() {
 
     let records = records.lock().unwrap();
     assert!(matches!(records.first(), Some(Record::Meta { .. })));
-    assert!(matches!(records.last(), Some(Record::Summary(_))));
+    // The returned totals are the line the run emitted last.
+    assert_eq!(records.last(), Some(&Record::Summary(summary)));
     let n_events = records
         .iter()
         .filter(|r| matches!(r, Record::Event(_)))
