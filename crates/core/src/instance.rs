@@ -69,7 +69,8 @@ pub struct Network {
     /// the chain metric and the baselines — queries it instead of throwaway
     /// Dijkstras, so a standing network (e.g. an `OnlineSession`) keeps its
     /// trees warm across operations. Graph mutations invalidate lazily via
-    /// [`Graph::cost_epoch`].
+    /// [`Graph::cost_epoch`], and an online session releases the trees its
+    /// repricing invalidated.
     paths: PathEngine,
 }
 
@@ -127,8 +128,10 @@ impl Network {
     }
 
     /// Mutable access to the graph (used by the online cost model to update
-    /// link costs). Mutations renew the graph's cost epoch, which lazily
-    /// invalidates the [`Network::paths`] cache — no eager clearing needed.
+    /// link costs). Mutations renew the graph's cost epoch, which
+    /// invalidates every [`Network::paths`] tree without touching it; the
+    /// online session then releases those trees
+    /// ([`PathEngine::release_stale`]).
     pub fn graph_mut(&mut self) -> &mut Graph {
         &mut self.graph
     }
@@ -138,7 +141,9 @@ impl Network {
     /// It holds one tree per sorted source set, stamped with the cost epoch
     /// the tree is exact at, and replaces that tree when it recomputes it
     /// at another epoch; results are bit-identical to running
-    /// [`sof_graph::ShortestPaths`] directly.
+    /// [`sof_graph::ShortestPaths`] directly. An online session releases
+    /// the trees each reprice made stale and keeps their keys, so a later
+    /// query of one counts as stale, as if it were held.
     pub fn paths(&self) -> &PathEngine {
         &self.paths
     }

@@ -344,7 +344,8 @@ impl OnlineSession {
 
     /// Prices `links`, in the order given, and every VM at floor plus
     /// surcharge. `set_edge_cost` ignores an unchanged price, so only a
-    /// link whose price moves renews the epoch.
+    /// link whose price moves renews the epoch; the engine then releases
+    /// every tree the new epoch made stale (nothing can read one again).
     fn reprice(&mut self, links: impl IntoIterator<Item = EdgeId>) {
         let net = &mut self.instance.network;
         for e in links {
@@ -357,6 +358,7 @@ impl OnlineSession {
             let congestion = fortz_thorup(self.tracker.node_load(v), VM_CAPACITY_VNFS);
             net.set_node_cost(v, base + congestion);
         }
+        net.paths().release_stale(net.graph());
     }
 
     /// Re-derives what the refresh charges congestion on top of from the

@@ -8,8 +8,10 @@
 //!
 //! * each sorted source set keeps **one** tree, stamped with the
 //!   [`Graph::cost_epoch`] it is exact at — a stamp renewed on every
-//!   mutation — so a cost or topology change *lazily* invalidates the cache
-//!   (no eager clearing, no risk of serving stale distances);
+//!   mutation — so a cost or topology change invalidates the cache without
+//!   touching it (no risk of serving stale distances); an online session
+//!   then releases the trees its repricing made stale, keeping their keys
+//!   for counting ([`PathEngine::release_stale`]);
 //! * misses run through one long-lived [`DijkstraWorkspace`], whose queue
 //!   stays warm; the only O(n) allocation on a miss is the tree itself,
 //!   labelled in place by [`DijkstraWorkspace::tree`] — 20 bytes a vertex
@@ -22,6 +24,15 @@
 //! A cached tree at another cost epoch is recomputed cold, counted in
 //! `stale` and `misses`, and **replaces** the stored tree, which the
 //! engine then releases; other source sets are never discarded.
+//!
+//! Nothing reads a tree at another epoch but that replacement, so
+//! [`PathEngine::release_stale`] drops every such tree at once and keeps
+//! its key and epoch: the next query of a released set runs the same cold
+//! Dijkstra and counts `stale` and `misses` exactly as if the tree were
+//! held. An online session calls it each time it reprices, which is what
+//! keeps a long-lived session from holding the trees of its last full
+//! solve. A released key at the querying graph's own epoch (a shared,
+//! unforked clone released it) is recomputed and counted stale too.
 //!
 //! # A leaf's tree is its host's: one key per tree
 //!
@@ -43,10 +54,12 @@
 //! another zero-cost leaf of that host still reads from it (a free VM
 //! beside a loaded one on one data centre), which would otherwise root
 //! the host's tree cold again on every solve that asks for both. The
-//! release happens at the leaf's own lookup and nowhere else: the engine
-//! is not told when a stub is repriced, so a leaf whose stub was loaded
-//! and is free again keeps its own entry beside its host's until it is
-//! next looked up (`a_leaf_is_released_at_its_own_lookup`).
+//! key goes at the leaf's own lookup and nowhere else: the engine is not
+//! told when a stub is repriced, so a leaf whose stub was loaded and is
+//! free again keeps its own entry beside its host's until it is next
+//! looked up (`a_leaf_is_released_at_its_own_lookup`). Its tree goes
+//! sooner in an online session: repricing the stub moved the epoch, and
+//! [`PathEngine::release_stale`] drops every tree at another epoch.
 //!
 //! # Bounded search: nearest target without a tree
 //!
@@ -88,10 +101,10 @@
 //! engine.
 //!
 //! The cache keeps one tree per source set, at the epoch of the last graph
-//! that asked; [`PathEngine::len`] is the number of trees held. A repriced
-//! clone sharing the engine replaces the original's tree with its own, and
-//! the original's next query of that set runs cold. Such a clone takes a
-//! [`PathEngine::fork`] instead.
+//! that asked; [`PathEngine::len`] is the number of trees held, released
+//! keys not counted. A repriced clone sharing the engine replaces the
+//! original's tree with its own, and the original's next query of that
+//! set runs cold. Such a clone takes a [`PathEngine::fork`] instead.
 //!
 //! # Examples
 //!
@@ -120,14 +133,16 @@ use std::sync::{Arc, Mutex};
 const MAX_ENTRIES: usize = 4096;
 
 /// Counters describing how the engine has been used. `stale` counts misses
-/// for a source set that was cached at another cost epoch (`stale ⊆ misses`).
+/// for a source set whose key the engine knew — its tree at another cost
+/// epoch, or released (`stale ⊆ misses`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PathEngineStats {
     /// Queries served straight from the cache (zero O(n) work).
     pub hits: u64,
     /// Queries that ran a Dijkstra (first sight or new cost epoch).
     pub misses: u64,
-    /// Misses whose source set was cached, but at another epoch.
+    /// Misses whose source set's key was known: its tree at another epoch,
+    /// or released by [`PathEngine::release_stale`].
     pub stale: u64,
     /// Bulk evictions triggered by the entry cap.
     pub evictions: u64,
@@ -232,9 +247,9 @@ fn leaf_host(graph: &Graph, v: NodeId) -> Option<(NodeId, bool)> {
 
 #[derive(Debug, Default)]
 struct EngineInner {
-    /// Sorted, deduplicated source set → its one tree and the cost epoch
-    /// that tree is exact at.
-    cache: HashMap<Vec<NodeId>, (u64, Arc<ShortestPaths>)>,
+    /// Sorted, deduplicated source set → the cost epoch its tree is exact
+    /// at, and the tree unless [`PathEngine::release_stale`] released it.
+    cache: HashMap<Vec<NodeId>, (u64, Option<Arc<ShortestPaths>>)>,
     workspace: DijkstraWorkspace,
 }
 
@@ -319,17 +334,17 @@ impl PathEngine {
         }
         let mut counts = self.counts.lock().expect("path engine counters");
         let stats = &mut counts.0;
-        if let Some((stored, paths)) = inner.cache.get_mut(key) {
-            if *stored == epoch {
+        if let Some((stored, held)) = inner.cache.get_mut(key) {
+            if let Some(paths) = held.as_ref().filter(|_| *stored == epoch) {
                 stats.hits += 1;
-            } else {
-                // Recomputed cold; the answer replaces the stored tree.
-                stats.stale += 1;
-                stats.misses += 1;
-                *paths = Arc::new(inner.workspace.tree(graph, key));
-                *stored = epoch;
+                return Arc::clone(paths);
             }
-            return Arc::clone(paths);
+            // Recomputed cold, released or not; the answer replaces the
+            // stored tree.
+            stats.stale += 1;
+            stats.misses += 1;
+            *stored = epoch;
+            return Arc::clone(held.insert(Arc::new(inner.workspace.tree(graph, key))));
         }
         stats.misses += 1;
         let paths = Arc::new(inner.workspace.tree(graph, key));
@@ -345,8 +360,23 @@ impl PathEngine {
         }
         inner
             .cache
-            .insert(key.to_vec(), (epoch, Arc::clone(&paths)));
+            .insert(key.to_vec(), (epoch, Some(Arc::clone(&paths))));
         paths
+    }
+
+    /// Releases every tree not exact at `graph`'s cost epoch, keeping its
+    /// key and epoch: the next query of that set still counts `stale` and
+    /// `misses`, as it would with the tree held (module docs, "A stale
+    /// tree is recomputed"). An online session calls it after each
+    /// reprice.
+    pub fn release_stale(&self, graph: &Graph) {
+        let epoch = graph.cost_epoch();
+        let mut inner = self.inner.lock().expect("path engine lock");
+        for (stored, held) in inner.cache.values_mut() {
+            if *stored != epoch {
+                *held = None;
+            }
+        }
     }
 
     /// The `is_target` vertex closest to `source` over the hops `allow`
@@ -411,12 +441,18 @@ impl PathEngine {
         }
     }
 
-    /// Number of trees currently held — one per cached source set.
+    /// Number of trees currently held — at most one per known source set;
+    /// a released set's key is not counted.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("path engine lock").cache.len()
+        let inner = self.inner.lock().expect("path engine lock");
+        inner
+            .cache
+            .values()
+            .filter(|(_, held)| held.is_some())
+            .count()
     }
 
-    /// Returns `true` when nothing is cached.
+    /// Returns `true` when no tree is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -498,6 +534,64 @@ mod tests {
         );
         assert_eq!(Arc::strong_count(&new), 2);
         assert_eq!(engine.len(), 1);
+    }
+
+    #[test]
+    fn a_stale_tree_is_released_and_its_key_still_counts() {
+        // At an unchanged epoch nothing is released. Once the graph moves
+        // on, the tree goes (this test holds the only reference) while its
+        // key stays: the next query is one stale miss, as it is with the
+        // tree held. Releasing the key too sinks the count; keeping the
+        // tree sinks the strong count.
+        let mut g = line(6);
+        let engine = PathEngine::new();
+        let (s, t) = (NodeId::new(0), NodeId::new(5));
+        let old = engine.from_source(&g, s);
+        let _other = engine.from_source(&g, t);
+        engine.release_stale(&g);
+        assert_eq!((engine.len(), Arc::strong_count(&old)), (2, 2));
+        assert!(Arc::ptr_eq(&old, &engine.from_source(&g, s)));
+        let e = g.edge_between(NodeId::new(2), NodeId::new(3)).unwrap();
+        g.set_edge_cost(e, Cost::new(4.0));
+        engine.release_stale(&g);
+        assert_eq!(Arc::strong_count(&old), 1, "the engine still holds it");
+        assert!(engine.is_empty());
+        let before = engine.stats();
+        let new = engine.from_source(&g, s);
+        assert_eq!(new.dist(t), Cost::new(8.0));
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.misses - before.misses, stats.stale - before.stale),
+            (1, 1),
+            "a released key still counts stale"
+        );
+        assert_eq!(engine.len(), 1);
+        engine.release_stale(&g);
+        assert!(Arc::ptr_eq(&new, &engine.from_source(&g, s)));
+    }
+
+    #[test]
+    fn a_released_key_at_the_querying_epoch_is_recomputed() {
+        // A shared (unforked) clone at another epoch releases the
+        // original's tree; the original's next query finds its own epoch
+        // with no tree, recomputes it and counts it stale.
+        let g1 = line(5);
+        let mut g2 = g1.clone();
+        let e = g2.edge_between(NodeId::new(0), NodeId::new(1)).unwrap();
+        g2.set_edge_cost(e, Cost::new(7.0));
+        let engine = PathEngine::new();
+        let s = NodeId::new(0);
+        let first = engine.from_source(&g1, s);
+        engine.release_stale(&g2);
+        assert_eq!(Arc::strong_count(&first), 1);
+        let again = engine.from_source(&g1, s);
+        assert_eq!(again.dist(NodeId::new(4)), Cost::new(4.0));
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.misses, stats.stale, stats.hits),
+            (2, 1, 0),
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -352,15 +352,15 @@ impl ScenarioSpec {
             }
             Ok(())
         };
-        let check_axis = |ctx: &str, axis: &SweepAxis| -> Result<(), SpecError> {
+        let check_axis = |at: &str, axis: &SweepAxis| -> Result<(), SpecError> {
             if axis.values.is_empty() {
-                return fail(format!("{ctx}: 'values' must not be empty"));
+                return fail(format!("'{at}.values' must not be empty"));
             }
             if matches!(axis.field, ParamField::ChainLen | ParamField::SetupScale)
                 && axis.values.contains(&0)
             {
                 return fail(format!(
-                    "{ctx}: '{}' values must be at least 1",
+                    "'{at}.values' must be at least 1 for '{}'",
                     axis.field.as_str()
                 ));
             }
@@ -398,7 +398,7 @@ impl ScenarioSpec {
                     return fail("'workload.axes' must define at least one axis");
                 }
                 for (i, axis) in axes.iter().enumerate() {
-                    check_axis(&format!("'workload.axes[{i}]'"), axis)?;
+                    check_axis(&format!("workload.axes[{i}]"), axis)?;
                 }
             }
             Workload::Grid {
@@ -413,8 +413,8 @@ impl ScenarioSpec {
                 if *seeds == 0 {
                     return fail("'workload.seeds' must be at least 1");
                 }
-                check_axis("'workload.rows'", rows)?;
-                check_axis("'workload.cols'", cols)?;
+                check_axis("workload.rows", rows)?;
+                check_axis("workload.cols", cols)?;
                 if metrics.is_empty() {
                     return fail("'workload.metrics' must name at least one metric");
                 }
@@ -465,15 +465,15 @@ impl ScenarioSpec {
                     return fail("'workload.groups' must define at least one group");
                 }
                 for (i, g) in groups.iter().enumerate() {
-                    let ctx = format!("'workload.groups[{i}]'");
+                    let at = format!("workload.groups[{i}]");
                     if let Some(t) = &g.topology {
                         sof_topo::validate_named(t)
-                            .map_err(|e| SpecError(format!("{ctx}: {e}")))?;
+                            .map_err(|e| SpecError(format!("'{at}.topology': {e}")))?;
                     }
                     if g.vms_per_dc == 0 {
-                        return fail(format!("{ctx}: 'vms_per_dc' must be at least 1"));
+                        return fail(format!("'{at}.vms_per_dc' must be at least 1"));
                     }
-                    let (c, churn) = (&g.churn.base, format!("workload.groups[{i}].churn"));
+                    let (c, churn) = (&g.churn.base, format!("{at}.churn"));
                     if c.chain_len == 0 {
                         return fail(format!("'{churn}.chain_len' must be at least 1"));
                     }
@@ -999,9 +999,19 @@ values = [2, 4]
         assert!(err.to_string().contains("non-negative"), "{err}");
         let err =
             ScenarioSpec::from_toml(&MINI.replace("values = [2, 4]", "values = []")).unwrap_err();
-        assert!(
-            err.to_string().contains("'values' must not be empty"),
-            "{err}"
+        assert_eq!(
+            err.to_string(),
+            "'workload.axes[0].values' must not be empty"
+        );
+        let err = ScenarioSpec::from_toml(
+            &MINI
+                .replace("field = \"destinations\"", "field = \"chain_len\"")
+                .replace("values = [2, 4]", "values = [0, 4]"),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "'workload.axes[0].values' must be at least 1 for 'chain_len'"
         );
         let err =
             ScenarioSpec::from_toml(&MINI.replace("\"SOFDA\", ", "\"SOFDDA\", ")).unwrap_err();
@@ -1082,6 +1092,18 @@ every = 2
         assert_eq!(
             err.unwrap_err().to_string(),
             "'workload.groups[0].churn.demand_mbps' must be positive"
+        );
+        // So does a refusal of the group's own keys.
+        let err = ScenarioSpec::from_toml(&src.replace("scratch = true", "vms_per_dc = 0"));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "'workload.groups[0].vms_per_dc' must be at least 1"
+        );
+        let err = ScenarioSpec::from_toml(&src.replace("\"testbed\"", "\"x\""));
+        let err = err.unwrap_err().to_string();
+        assert!(
+            err.starts_with("'workload.groups[0].topology': unknown topology 'x' ("),
+            "{err}"
         );
 
         // Online takes the whole axis except what it cannot run: regions to

@@ -346,25 +346,25 @@ fn entries(trees: &[RootedTree]) -> usize {
 /// The engine keeps one tree per key, on the same session. What the
 /// session leaves is counted before the test looks anything up, because
 /// a lookup releases a leaf's other entry (`PathEngine::rooted_at`):
-/// after arrival 0 the session holds 35 trees; the 40 VMs are then read
-/// from 36 (a host's tree for each VM on a zero-cost stub, the 120 data
-/// centres hosting some VMs in pairs, and a VM's own for each of the 3
-/// whose stub the forest loads). The one tree the session did not hold
-/// is the own tree of a loaded VM that shares its data centre with a
-/// free one, which keeps the host's tree too; the solve read that VM
-/// before its stub was loaded. One to three viewers leave and as many
-/// join per arrival, so the default drift rule first rebuilds at arrival
-/// 36 (with one of each, at arrival 112 508). After that rebuild the
-/// session holds 36 trees and the 40 VMs are read from 35 of them: the one
-/// left over is the own tree of a VM whose stub is free again, which waits
-/// for that VM's own lookup and goes there (the unit twin
-/// `engine::tests::a_leaf_is_released_at_its_own_lookup`). Each tree read
-/// after arrival 0 is either still the engine's tree for that VM or held
-/// by this test alone — the engine released the tree it replaced. Keeping the previous tree beside the one that replaces it
-/// sinks it (and the unit twin
+/// after arrival 0 the session holds no tree, since the recharge that
+/// ends the arrival moved the cost epoch and the session released every
+/// tree of its solve (`PathEngine::release_stale`). The 40 VMs are then
+/// read from 36 trees (a host's tree for each VM on a zero-cost stub,
+/// the 120 data centres hosting some VMs in pairs, and a VM's own for
+/// each of the 3 whose stub the forest loads, one of which shares its
+/// data centre with a free VM and so keeps the host's tree too). One to
+/// three viewers leave and as many join per arrival, so the default
+/// drift rule first rebuilds at arrival 36 (with one of each, at arrival
+/// 112 508). After that rebuild the session again holds no tree, and the
+/// 40 VMs are read from 35. Each tree read after arrival 0 is either
+/// still the engine's tree for that VM or held by this test alone — the
+/// engine released the tree it replaced. Keeping the previous tree
+/// beside the one that replaces it sinks it (and the unit twin
 /// `engine::tests::a_superseded_tree_is_released`), and so does keeping a
 /// leaf's tree under both its keys (the unit twin
-/// `engine::tests::a_loaded_stub_falls_back_and_releases_its_hosts_tree`).
+/// `engine::tests::a_loaded_stub_falls_back_and_releases_its_hosts_tree`);
+/// not releasing stale trees at a reprice sinks the two session counts
+/// (and `inet3000_online_holds_no_tree_after_a_repriced_arrival`).
 #[test]
 fn inet3000_online_releases_superseded_trees() {
     let (make, mut stream) = inet3000_online(OnlineConfig::default(), (1, 3));
@@ -379,7 +379,7 @@ fn inet3000_online_releases_superseded_trees() {
         .collect();
     assert_eq!(
         (left, held.len(), entries(&held), engine.len()),
-        (35, 40, 36, 36)
+        (0, 40, 36, 36)
     );
     let rebuilt_at = (1..)
         .find(|_| session.arrive(stream.next_request()).unwrap().rebuilt)
@@ -401,9 +401,45 @@ fn inet3000_online_releases_superseded_trees() {
     }
     assert_eq!(
         (left, entries(&now), engine.len()),
-        (36, 35, 35),
+        (0, 35, 35),
         "one tree per key, nothing else"
     );
+}
+
+/// An arrival ends by repricing the links its forest loads. When that
+/// moves the cost epoch, every tree the engine holds is at an older
+/// epoch, and the session releases it: the engine holds no tree between
+/// arrivals, full solves included (arrival 0, and the drift rebuild at
+/// arrival 36). Each of the 40 arrivals moves the epoch. Dropping the
+/// `release_stale` call in `OnlineSession::reprice` sinks it; so does a
+/// release that drops the keys too, through the `stale` count of the
+/// arrival-36 rebuild, which finds every tree it asks for released.
+#[test]
+fn inet3000_online_holds_no_tree_after_a_repriced_arrival() {
+    let (make, mut stream) = inet3000_online(OnlineConfig::default(), (1, 3));
+    let mut session = make();
+    let engine = session.instance().network.paths().clone();
+    let mut request = stream.current().clone();
+    let mut repriced = 0;
+    for arrival in 0..40 {
+        let epoch = session.instance().network.graph().cost_epoch();
+        let before = engine.stats();
+        let report = session.arrive(request).unwrap();
+        assert_eq!(report.rebuilt, arrival == 0 || arrival == 36);
+        if session.instance().network.graph().cost_epoch() != epoch {
+            repriced += 1;
+            assert_eq!(engine.len(), 0, "arrival {arrival} left trees held");
+        }
+        if arrival == 36 {
+            let stats = engine.stats();
+            assert!(
+                stats.stale > before.stale,
+                "the rebuild found no released key: {stats:?}"
+            );
+        }
+        request = stream.next_request();
+    }
+    assert_eq!(repriced, 40);
 }
 
 /// The queue's work witness on Table I's regime at CI size — the
